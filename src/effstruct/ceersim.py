@@ -12,16 +12,23 @@ Two member kinds are supported:
   size k at all even though size-k classes appear at infinitely many
   stages.
 
+:class:`CeerRunner` follows one member stage by stage.  It replays a
+script once, applying each event at its stage and nothing after the last
+one, and answers every query about a churn generator in closed form from
+the stage number, without simulating its merges.
+
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .eqrel import Character, Partition, character_of, oldest_class_min
+from .core import is_nat
+from .eqrel import Character, Partition, character_of
 from .errors import InputError, UnsupportedQueryError
 
 
@@ -39,8 +46,8 @@ class CeerScript:
                 stage, (x, y) = ev
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad script event {ev!r}") from exc
-            if stage < 0 or x < 0 or y < 0:
-                raise InputError(f"bad script event {ev!r}")
+            if not (is_nat(stage) and is_nat(x) and is_nat(y)):
+                raise InputError(f"bad script event {ev!r}: stage, x and y must be naturals")
             if stage < last_stage:
                 raise InputError("script events must be sorted by stage")
             last_stage = stage
@@ -52,7 +59,9 @@ class CeerScript:
         return self.events[-1][0] if self.events else 0
 
     def events_at(self, stage: int) -> list[tuple[int, int]]:
-        return [m for s, m in self.events if s == stage]
+        lo = bisect_left(self.events, (stage,))
+        hi = bisect_left(self.events, (stage + 1,), lo)
+        return [m for _, m in self.events[lo:hi]]
 
 
 @dataclass(frozen=True)
@@ -62,17 +71,19 @@ class ChurnGenerator:
     Round r forms the block {1 + r*k, ..., (r+1)*k} at stage
     2*spacing*r + 1 and merges it into the class of 0 ``spacing`` stages
     later.  Blocks tile omega minus {0}, so in the limit everything
-    collapses into the class of 0.
+    collapses into the class of 0.  The relation at any stage is known in
+    closed form (:meth:`classes_after`), so it is never simulated;
+    :meth:`events_at` lists the merges only for independent replays.
     """
 
     target_size: int
     block_spacing: int
 
     def __post_init__(self):
-        if self.target_size < 2:
-            raise InputError("churn target size must be at least 2")
-        if self.block_spacing < 1:
-            raise InputError("block spacing must be at least 1")
+        if not is_nat(self.target_size) or self.target_size < 2:
+            raise InputError("churn target size must be an integer of at least 2")
+        if not is_nat(self.block_spacing) or self.block_spacing < 1:
+            raise InputError("block spacing must be an integer of at least 1")
 
     def round_base(self, r: int) -> int:
         return 1 + r * self.target_size
@@ -82,6 +93,26 @@ class ChurnGenerator:
 
     def absorption_stage(self, r: int) -> int:
         return self.formation_stage(r) + self.block_spacing
+
+    def classes_after(self, stage: int) -> tuple[range, ...]:
+        """The classes of two or more elements once stages 0..stage have run.
+
+        With d the spacing, F = floor((s-1)/2d) + 1 rounds are formed and
+        A = floor((s-1-d)/2d) + 1 absorbed (both 0 before their first
+        stage), and F - A is 0 or 1.  The class of 0 is {0} plus blocks
+        0..A-1; a formed block not yet absorbed is a class of its own;
+        every other element is a singleton.  Classes come by minimum.
+        """
+        d = self.block_spacing
+        s = max(stage, 0)
+        formed = (s - 1) // (2 * d) + 1
+        absorbed = (s - 1 - d) // (2 * d) + 1
+        out = []
+        if absorbed:
+            out.append(range(0, self.round_base(absorbed)))
+        if formed > absorbed:
+            out.append(range(self.round_base(formed - 1), self.round_base(formed)))
+        return tuple(out)
 
     def events_at(self, stage: int) -> list[tuple[int, int]]:
         k, d = self.target_size, self.block_spacing
@@ -128,7 +159,6 @@ class _GrowingUnionFind:
         self.size: dict[int, int] = {}
         self.min: dict[int, int] = {}
         self.by_size: dict[int, set[int]] = {}
-        self.max_mentioned = -1
 
     def _insert(self, x: int) -> None:
         if x not in self.parent:
@@ -136,7 +166,6 @@ class _GrowingUnionFind:
             self.size[x] = 1
             self.min[x] = x
             self.by_size.setdefault(1, set()).add(x)
-            self.max_mentioned = max(self.max_mentioned, x)
 
     def find(self, x: int) -> int:
         root = x
@@ -184,23 +213,54 @@ class _GrowingUnionFind:
 
 
 class CeerRunner:
-    """Incremental stage simulator for one family member."""
+    """Incremental stage simulator for one family member.
+
+    A script is replayed into ``uf`` through a cursor over its sorted
+    events: each event is applied once, and advancing past the last one
+    costs O(1).  A churn generator is answered from
+    :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.
+    """
 
     def __init__(self, member: FamilyMember):
         self.member = member
         self.uf = _GrowingUnionFind()
         self.stage = -1
+        self._applied = 0   # script events already merged into uf
+        self._churn_classes: tuple[range, ...] = ()
 
     def advance_to(self, stage: int) -> None:
-        while self.stage < stage:
-            self.stage += 1
-            for x, y in self.member.events_at(self.stage):
+        if stage <= self.stage:
+            return
+        self.stage = stage
+        member = self.member
+        if isinstance(member, ChurnGenerator):
+            self._churn_classes = member.classes_after(stage)
+            return
+        events = member.events
+        while self._applied < len(events) and events[self._applied][0] <= stage:
+            batch = member.events_at(events[self._applied][0])
+            for x, y in batch:
                 self.uf.union(x, y)
+            self._applied += len(batch)
 
     def has_class_of_size(self, k: int) -> bool:
+        if isinstance(self.member, ChurnGenerator):
+            return k == 1 or any(len(c) == k for c in self._churn_classes)
         return self.uf.has_size(k)
 
     def oldest_class_min(self, k: int) -> Optional[int]:
+        if isinstance(self.member, ChurnGenerator):
+            # the classes come by minimum, so the first match is the oldest
+            if k == 1:
+                x = 0
+                for c in self._churn_classes:
+                    if c.start == x:
+                        x = c.stop
+                return x
+            for c in self._churn_classes:
+                if len(c) == k:
+                    return c.start
+            return None
         return self.uf.oldest_min(k)
 
     def partition(self, window: int) -> Partition:
@@ -210,11 +270,15 @@ class CeerRunner:
         elements joined through an out-of-window element are related.
         """
         p = Partition(window)
-        byroot: dict[int, list[int]] = {}
-        for x in range(window):
-            if x in self.uf.parent:
-                byroot.setdefault(self.uf.find(x), []).append(x)
-        for group in byroot.values():
+        if isinstance(self.member, ChurnGenerator):
+            groups = [range(c.start, min(c.stop, window)) for c in self._churn_classes]
+        else:
+            byroot: dict[int, list[int]] = {}
+            for x in range(window):
+                if x in self.uf.parent:
+                    byroot.setdefault(self.uf.find(x), []).append(x)
+            groups = list(byroot.values())
+        for group in groups:
             for other in group[1:]:
                 p.merge(group[0], other)
         return p
@@ -259,22 +323,6 @@ def limit_spectrum(
     # in the limit the window collapses into the (infinite) class of 0
     limit_char = Character({window: 1}) if window > 0 else Character()
     return limit_char, churn_has_size
-
-
-def oldest_tracker_update(
-    history: list[Optional[int]], p: Partition, k: int
-) -> tuple[list[Optional[int]], bool]:
-    """Record the current oldest size-k class and report a mind change.
-
-    ``turned_on`` is True iff a size-k class exists now and its minimum
-    differs from every non-absent minimum recorded at earlier stages.
-    Class identity across stages is the class minimum: merge-only
-    dynamics freeze the membership of a class while its size stays k.
-    """
-    current = oldest_class_min(p, k)
-    seen = {h for h in history if h is not None}
-    turned_on = current is not None and current not in seen
-    return history + [current], turned_on
 
 
 def family_to_json(fam: CeerFamily) -> dict:

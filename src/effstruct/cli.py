@@ -63,7 +63,10 @@ def _load_json(path: str) -> object:
 
 def _dump_json(path: str, obj: object) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_coceer(cfg: RunConfig) -> int:

@@ -39,10 +39,15 @@ def cantor_unpair(s: int) -> StagePair:
     return StagePair(e, w - e)
 
 
+def is_nat(v: object) -> bool:
+    """True for a nonnegative ``int``; bools, floats and strings are not naturals."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _as_nat_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
     for v in out:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not is_nat(v):
             raise InputError(f"{what} must contain nonnegative integers, got {v!r}")
     return out
 

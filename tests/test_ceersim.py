@@ -13,9 +13,8 @@ from effstruct.ceersim import (
     family_from_json,
     family_to_json,
     limit_spectrum,
-    oldest_tracker_update,
 )
-from effstruct.eqrel import Character, Partition
+from effstruct.eqrel import Character
 from effstruct.errors import InputError, UnsupportedQueryError
 
 from bruteforce import bf_relation_of_partition, bf_subset
@@ -35,6 +34,14 @@ def test_script_validation():
         CeerScript(((3, (0, 1)), (0, (1, 2))))  # unsorted
     with pytest.raises(InputError):
         CeerScript(((0, (-1, 2)),))
+    # stage, x and y are naturals: no strings, floats or bools
+    for bad in ("a", 1.5, True):
+        with pytest.raises(InputError):
+            CeerScript(((bad, (0, 1)),))
+        with pytest.raises(InputError):
+            CeerScript(((1, (bad, 1)),))
+        with pytest.raises(InputError):
+            CeerScript(((1, (0, bad)),))
 
 
 def test_churn_validation():
@@ -43,6 +50,11 @@ def test_churn_validation():
         ChurnGenerator(1, 1)
     with pytest.raises(InputError):
         ChurnGenerator(3, 0)
+    for bad in ("3", 2.5, True):
+        with pytest.raises(InputError):
+            ChurnGenerator(bad, 1)
+        with pytest.raises(InputError):
+            ChurnGenerator(3, bad)
 
 
 def test_snapshot_examples():
@@ -99,10 +111,15 @@ def test_churn_oldest_minima_strictly_increase():
 
 def test_churn_single_target_class_at_every_stage():
     gen = ChurnGenerator(4, 3)
-    runner = CeerRunner(gen)
-    for stage in range(0, 300):
-        runner.advance_to(stage)
-        assert len(runner.uf.by_size.get(4, ())) <= 1
+    fam = CeerFamily((gen,))
+    stages = 300
+    # the window holds every block formed by the last stage
+    window = gen.round_base((stages - 1) // (2 * gen.block_spacing) + 1)
+    counts = set()
+    for stage in range(stages):
+        classes = ceer_snapshot(fam, 0, stage, window).classes()
+        counts.add(sum(1 for c in classes if len(c) == 4))
+    assert counts == {0, 1}
 
 
 def test_limit_spectrum_script():
@@ -123,21 +140,6 @@ def test_limit_spectrum_churn():
     assert has(1) is False
     with pytest.raises(UnsupportedQueryError):
         has(4)
-
-
-def test_oldest_tracker_update():
-    p = Partition(6)
-    hist, on = oldest_tracker_update([], p, 1)
-    assert on and hist == [0]
-    hist, on = oldest_tracker_update([0], p, 1)
-    assert not on
-    p2 = Partition(6)
-    p2.merge(4, 5)
-    hist, on = oldest_tracker_update([0, None], p2, 2)
-    assert on and hist == [0, None, 4]
-    # a size with no class records an absence and never turns on
-    hist, on = oldest_tracker_update([], p, 3)
-    assert not on and hist == [None]
 
 
 def test_identity_by_minimum_soundness():

@@ -131,3 +131,39 @@ def test_end_to_end_determinism(tmp_path, family_file):
         assert code == 0
         paths.append(trace)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        {"type": "script", "events": [["a", [0, 1]]]},
+        {"type": "script", "events": [[1.5, [0, 1]]]},
+        {"type": "script", "events": [[True, [0, 1]]]},
+        {"type": "script", "events": [[1, [0, "1"]]]},
+        {"type": "churn", "k": "3", "spacing": 2},
+        {"type": "churn", "k": 2.5, "spacing": 2},
+        {"type": "churn", "k": 2, "spacing": True},
+    ],
+)
+def test_non_natural_family_field_is_exit_2(tmp_path, capsys, member):
+    fam_path = _write(tmp_path / "fam.json", {"format": 1, "members": [member]})
+    code = main(["coceer", "--family", fam_path, "--columns", "1", "--stages", "20", "--verify"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_is_exit_2(tmp_path, capsys, family_file):
+    g_path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
+    b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))
+    bad = str(tmp_path / "missing" / "out.json")
+    commands = [
+        ["coceer", "--family", family_file, "--columns", "4", "--stages", "50", "--trace", bad],
+        ["coceer", "--family", family_file, "--columns", "4", "--stages", "600", "--verify",
+         "--report", bad],
+        ["pi01", "--g", g_path, "--stages", "20", "--trace", bad],
+        ["preorder", "--b", b_path, "--stages", "20", "--snapshot", bad],
+        ["blocks", "--x", "101", "--encode", bad],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert f"cannot write {bad}" in capsys.readouterr().err
