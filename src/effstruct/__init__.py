@@ -9,7 +9,6 @@ class-size characters.
 """
 
 from .core import (
-    ApproxTable,
     Delta02SetApprox,
     SeqLimits,
     StagePair,
@@ -21,12 +20,8 @@ from .core import (
 )
 from .eqrel import (
     Character,
-    LMFunctionTable,
     Partition,
     character_of,
-    class_size,
-    lm_spectrum,
-    merge_classes,
     oldest_class_min,
 )
 from .errors import (
@@ -40,14 +35,12 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxTable",
     "Character",
     "ConstructionBugError",
     "Delta02SetApprox",
     "EffstructError",
     "HorizonError",
     "InputError",
-    "LMFunctionTable",
     "Partition",
     "SeqLimits",
     "StagePair",
@@ -56,9 +49,6 @@ __all__ = [
     "cantor_pair",
     "cantor_unpair",
     "character_of",
-    "class_size",
-    "lm_spectrum",
-    "merge_classes",
     "oldest_class_min",
     "upseq_eval",
     "upseq_limits",

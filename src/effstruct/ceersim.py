@@ -88,12 +88,6 @@ class ChurnGenerator:
     def round_base(self, r: int) -> int:
         return 1 + r * self.target_size
 
-    def formation_stage(self, r: int) -> int:
-        return 2 * self.block_spacing * r + 1
-
-    def absorption_stage(self, r: int) -> int:
-        return self.formation_stage(r) + self.block_spacing
-
     def classes_after(self, stage: int) -> tuple[range, ...]:
         """The classes of two or more elements once stages 0..stage have run.
 

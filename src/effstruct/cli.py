@@ -20,8 +20,7 @@ from . import blocks as blocks_mod
 from . import coceer as coceer_mod
 from . import generators, pi01, preorder
 from .ceersim import family_from_json
-from .generators import generate_b, generate_family, generate_gtable  # noqa: F401  (driver surface)
-from .core import delta02_from_json
+from .core import delta02_from_json, is_nat
 from .eqrel import Character, character_of, partition_to_json
 from .errors import EffstructError, HorizonError, InputError
 
@@ -36,7 +35,6 @@ class RunConfig:
     family: Optional[str] = None
     columns: int = 1
     stages: int = 1
-    mode: str = "spaced"
     g: Optional[str] = None
     labels: int = 0
     b: Optional[str] = None
@@ -75,7 +73,7 @@ def _cmd_coceer(cfg: RunConfig) -> int:
     if cfg.family is None:
         raise InputError("--family is required")
     fam = family_from_json(_load_json(cfg.family))
-    state, trace = coceer_mod.run_coceer(fam, cfg.columns, cfg.stages, cfg.mode)
+    state, trace = coceer_mod.run_coceer(fam, cfg.columns, cfg.stages)
     if cfg.trace:
         _dump_json(cfg.trace, coceer_mod.trace_to_json(trace))
     if not cfg.verify:
@@ -165,6 +163,8 @@ def _cmd_blocks(cfg: RunConfig) -> int:
     pairs = obj.get("character", obj.get("entries"))
     ch = Character.from_pairs(pairs)
     n = obj.get("n_blocks", sum(1 for s in ch.sizes() if s >= 2))
+    if not is_nat(n):
+        raise InputError(f"n_blocks must be a nonnegative integer, got {n!r}")
     bits = blocks_mod.decode_character(ch, n)
     print("".join(str(b) for b in bits))
     return EXIT_OK
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON file")
     p.add_argument("--columns", type=int, required=True, help="number of columns E")
     p.add_argument("--stages", type=int, required=True, help="stage budget")
-    p.add_argument("--mode", choices=list(coceer_mod.MODES), default="spaced")
     p.add_argument("--trace", help="write the stage trace to this JSON file")
     p.add_argument("--report", help="write per-column verification reports here")
     p.add_argument("--verify", action="store_true")

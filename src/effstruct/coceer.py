@@ -13,13 +13,12 @@ family member exhibits a never-before-seen oldest class of the target
 size; the flag is consumed (and the witness set churned) the next time the
 stage schedule focuses on that column.
 
-Two sizing modes exist.  The default ``spaced`` mode gives column e the
-target size k_e = 2e+2 and initial witnesses {1, ..., k_e - 1}, so witness
-class sizes are {k_e, k_e + 1}, globally unique across columns and disjoint
-from the size-1 exile classes.  The ``literal`` mode keeps the historical
-initial witness set {1, ..., e+1} for target size e+1, in which the witness
-class overshoots its target by one; it is retained for fidelity
-experiments.
+Column e has the target size k_e = 2e+2 and the initial witnesses
+{1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
+across columns and disjoint from the size-1 exile classes.
+
+:class:`CoceerRun` steps the construction one stage at a time;
+:func:`run_coceer` drives it for a stage budget and traces every stage.
 """
 
 from __future__ import annotations
@@ -32,15 +31,12 @@ from .core import cantor_unpair
 from .eqrel import Partition
 from .errors import ConstructionBugError, InputError
 
-MODES = ("spaced", "literal")
-
 
 @dataclass
 class ColumnState:
     """Per-column bookkeeping for one requirement."""
 
     k: int                      # target class size
-    base: int                   # initial witness segment is {1, ..., base}
     witnesses: set[int]
     flag: bool = False
     seen_minima: set[int] = field(default_factory=set)
@@ -50,15 +46,18 @@ class ColumnState:
     last_case4_stage: Optional[int] = None
 
     @property
+    def base(self) -> int:
+        """The initial witness segment is {1, ..., base}."""
+        return self.k - 1
+
+    @property
     def initial_witnesses(self) -> frozenset[int]:
         return frozenset(range(1, self.base + 1))
 
 
 @dataclass
 class CoceerState:
-    mode: str
     stage: int
-    seeded: bool
     columns: list[ColumnState]
 
     @property
@@ -78,7 +77,6 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class CoceerTrace:
-    mode: str
     columns: int
     stages: int
     records: tuple[StageRecord, ...]
@@ -96,24 +94,17 @@ class RequirementReport:
     y_limit: tuple[int, ...]
 
 
-def init_coceer(E: int, mode: str = "spaced") -> CoceerState:
+def init_coceer(E: int) -> CoceerState:
     """Fresh construction state for columns 0..E-1, all flags off."""
     if E < 1:
         raise InputError("need at least one column")
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}")
     columns = []
     for e in range(E):
-        if mode == "literal":
-            k = e + 1
-            base = e + 1
-        else:
-            k = 2 * e + 2
-            base = k - 1
-        col = ColumnState(k=k, base=base, witnesses=set(range(1, base + 1)))
+        k = 2 * e + 2
+        col = ColumnState(k=k, witnesses=set(range(1, k)))
         col.y_log.append((0, frozenset(col.witnesses)))
         columns.append(col)
-    return CoceerState(mode=mode, stage=0, seeded=False, columns=columns)
+    return CoceerState(stage=0, columns=columns)
 
 
 def compute_uv(state: CoceerState, e: int) -> tuple[Optional[int], int]:
@@ -213,43 +204,43 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecor
     )
 
 
-def _seed_stage_zero(state: CoceerState, runners: list[CeerRunner]) -> None:
-    # stage-0 approximations enter the oldest-class history, but flags
-    # stay off: a class present from the start is not a mind change
-    for e, runner in enumerate(runners):
-        runner.advance_to(0)
-        m = runner.oldest_class_min(state.columns[e].k)
-        if m is not None:
-            state.columns[e].seen_minima.add(m)
-    state.seeded = True
+class CoceerRun:
+    """The construction over columns 0..E-1 of ``fam``, one stage per :meth:`step`.
 
-
-def coceer_step(state: CoceerState, fam: CeerFamily) -> CoceerState:
-    """Advance the construction by one stage (recomputing R_e snapshots).
-
-    Equivalent to one iteration of :func:`run_coceer` but rebuilds the
-    family approximations from scratch, so it suits tests and small
-    stage counts; long runs should use :func:`run_coceer`.
+    The constructor builds one runner per column and seeds stage 0: the
+    stage-0 approximations enter the oldest-class history, but flags stay
+    off, since a class present from the start is not a mind change.
     """
-    if state.width > len(fam.members):
-        raise InputError("family has fewer members than construction columns")
-    runners = [CeerRunner(fam.member(e)) for e in range(state.width)]
-    if not state.seeded:
-        _seed_stage_zero(state, runners)
-    stage = state.stage + 1
-    e_focus, _ = cantor_unpair(stage)
-    for e, runner in enumerate(runners):
-        runner.advance_to(stage)
-        _update_flag(state.columns[e], runner.oldest_class_min(state.columns[e].k))
-    if e_focus < state.width:
-        _dispatch(state, e_focus, stage, runners[e_focus].has_class_of_size(state.columns[e_focus].k))
-    state.stage = stage
-    return state
+
+    def __init__(self, fam: CeerFamily, E: int):
+        if E > len(fam.members):
+            raise InputError("family has fewer members than requested columns")
+        self.state = init_coceer(E)
+        self.runners = [CeerRunner(fam.member(e)) for e in range(E)]
+        for col, runner in zip(self.state.columns, self.runners):
+            runner.advance_to(0)
+            m = runner.oldest_class_min(col.k)
+            if m is not None:
+                col.seen_minima.add(m)
+
+    def step(self) -> StageRecord:
+        """Run the next stage; a stage whose focus lies beyond E is a skip."""
+        state = self.state
+        stage = state.stage + 1
+        e_focus, _ = cantor_unpair(stage)
+        for col, runner in zip(state.columns, self.runners):
+            runner.advance_to(stage)
+            _update_flag(col, runner.oldest_class_min(col.k))
+        if e_focus < state.width:
+            has_k = self.runners[e_focus].has_class_of_size(state.columns[e_focus].k)
+            record = _dispatch(state, e_focus, stage, has_k)
+        else:
+            record = StageRecord(stage, e_focus, 0, None, None, ())
+        state.stage = stage
+        return record
 
 
-def run_coceer(
-    fam: CeerFamily, E: int, stage_budget: int, mode: str = "spaced"
-) -> tuple[CoceerState, CoceerTrace]:
+def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState, CoceerTrace]:
     """Run the construction for ``stage_budget`` stages and trace it.
 
     The trace holds one record per stage; stages whose focus column lies
@@ -259,26 +250,9 @@ def run_coceer(
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
-    if E > len(fam.members):
-        raise InputError("family has fewer members than requested columns")
-    state = init_coceer(E, mode)
-    runners = [CeerRunner(fam.member(e)) for e in range(E)]
-    _seed_stage_zero(state, runners)
-    records: list[StageRecord] = []
-    for stage in range(1, stage_budget + 1):
-        e_focus, _ = cantor_unpair(stage)
-        for e, runner in enumerate(runners):
-            runner.advance_to(stage)
-            _update_flag(state.columns[e], runner.oldest_class_min(state.columns[e].k))
-        if e_focus < E:
-            records.append(
-                _dispatch(state, e_focus, stage, runners[e_focus].has_class_of_size(state.columns[e_focus].k))
-            )
-        else:
-            records.append(StageRecord(stage, e_focus, 0, None, None, ()))
-        state.stage = stage
-    trace = CoceerTrace(mode=mode, columns=E, stages=stage_budget, records=tuple(records))
-    return state, trace
+    run = CoceerRun(fam, E)
+    records = tuple(run.step() for _ in range(stage_budget))
+    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=records)
 
 
 def snapshot(state: CoceerState, window: int) -> Partition:
@@ -383,7 +357,7 @@ def trace_to_json(trace: CoceerTrace) -> dict:
         )
     return {
         "format": 1,
-        "mode": trace.mode,
+        "mode": "spaced",       # the 2e+2 sizing, the only one there is
         "columns": trace.columns,
         "stages": trace.stages,
         "records": records,
@@ -391,8 +365,8 @@ def trace_to_json(trace: CoceerTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    if not isinstance(obj, dict) or obj.get("format") != 1:
-        raise InputError("trace must be a format-1 object")
+    if not isinstance(obj, dict) or obj.get("format") != 1 or obj.get("mode") != "spaced":
+        raise InputError("trace must be a format-1 object with mode 'spaced'")
     try:
         records = tuple(
             StageRecord(
@@ -405,8 +379,6 @@ def trace_from_json(obj: object) -> CoceerTrace:
             )
             for r in obj["records"]
         )
-        return CoceerTrace(
-            mode=obj["mode"], columns=obj["columns"], stages=obj["stages"], records=records
-        )
+        return CoceerTrace(columns=obj["columns"], stages=obj["stages"], records=records)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc

@@ -110,28 +110,6 @@ def upseq_from_json(obj: object) -> UPSeq:
 
 
 @dataclass(frozen=True)
-class ApproxTable:
-    """Finite table of two-argument approximations, one sequence per column."""
-
-    columns: tuple[UPSeq, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        for col in self.columns:
-            if not isinstance(col, UPSeq):
-                raise InputError("table columns must be UPSeq values")
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def value(self, x: int, s: int) -> int:
-        if not 0 <= x < self.width:
-            raise InputError(f"column index {x} out of range [0, {self.width})")
-        return upseq_eval(self.columns[x], s)
-
-
-@dataclass(frozen=True)
 class Delta02SetApprox:
     """Binary limit approximation of a set B with 0 not in B.
 

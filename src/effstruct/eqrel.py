@@ -1,4 +1,4 @@
-"""Equivalence relations on finite windows: partitions, characters, spectra.
+"""Equivalence relations on finite windows: partitions and characters.
 
 A :class:`Partition` is a union-find over ``[0, window)`` where elements
 never mentioned by a merge stay singletons.  A :class:`Character` records
@@ -9,10 +9,9 @@ certified-stable set of classes instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import ApproxTable, UPSeq, upseq_limits
+from .core import is_nat
 from .errors import InputError
 
 
@@ -26,7 +25,6 @@ class Partition:
         self._parent = list(range(window))
         self._size = [1] * window
         self._min = list(range(window))
-        self.mentioned: set[int] = set()
 
     def _check(self, x: int) -> None:
         if not 0 <= x < self.window:
@@ -44,7 +42,6 @@ class Partition:
     def merge(self, x: int, y: int) -> None:
         self._check(x)
         self._check(y)
-        self.mentioned.update((x, y))
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return
@@ -57,16 +54,6 @@ class Partition:
     def same(self, x: int, y: int) -> bool:
         return self.find(x) == self.find(y)
 
-    def class_size(self, x: int) -> int:
-        return self._size[self.find(x)]
-
-    def class_min(self, x: int) -> int:
-        return self._min[self.find(x)]
-
-    def class_of(self, x: int) -> list[int]:
-        root = self.find(x)
-        return [y for y in range(self.window) if self.find(y) == root]
-
     def roots(self) -> list[int]:
         return [x for x in range(self.window) if self.find(x) == x]
 
@@ -77,14 +64,6 @@ class Partition:
             byroot.setdefault(self.find(x), []).append(x)
         return sorted(byroot.values(), key=min)
 
-    def copy(self) -> "Partition":
-        out = Partition(self.window)
-        out._parent = list(self._parent)
-        out._size = list(self._size)
-        out._min = list(self._min)
-        out.mentioned = set(self.mentioned)
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
@@ -92,16 +71,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.window}, classes={self.classes()})"
-
-
-def merge_classes(p: Partition, x: int, y: int) -> Partition:
-    """Coarsen ``p`` by x ~ y (in place) and return it."""
-    p.merge(x, y)
-    return p
-
-
-def class_size(p: Partition, x: int) -> int:
-    return p.class_size(x)
 
 
 def oldest_class_min(p: Partition, k: int) -> Optional[int]:
@@ -121,9 +90,9 @@ class Character:
     def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = dict(entries)
         for size, count in items.items():
-            if not isinstance(size, int) or not isinstance(count, int):
-                raise InputError(f"character entries must be integers, got ({size!r}, {count!r})")
-            if size < 1 or count < 0:
+            if not is_nat(size) or not is_nat(count):
+                raise InputError(f"character entries must be naturals, got ({size!r}, {count!r})")
+            if size < 1:
                 raise InputError(f"bad character entry ({size}, {count})")
         self.entries: dict[int, int] = {s: c for s, c in sorted(items.items()) if c > 0}
 
@@ -137,12 +106,14 @@ class Character:
         return [[s, c] for s, c in self.entries.items()]
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "Character":
+    def from_pairs(cls, pairs: object) -> "Character":
+        """Character from its JSON form ``[[size, count], ...]``."""
+        if not isinstance(pairs, list):
+            raise InputError("a character must be an array of [size, count] pairs")
         out: dict[int, int] = {}
         for pair in pairs:
-            pair = list(pair)
-            if len(pair) != 2:
-                raise InputError("character entries must be [size, count] pairs")
+            if not isinstance(pair, list) or len(pair) != 2 or not is_nat(pair[0]):
+                raise InputError(f"character entries must be [size, count] pairs, got {pair!r}")
             size, count = pair
             if size in out:
                 raise InputError(f"duplicate character size {size}")
@@ -179,59 +150,6 @@ def character_of(p: Partition, stable_only: Optional[Iterable[int]] = None) -> C
     return Character(tally)
 
 
-@dataclass(frozen=True)
-class LMFunctionTable:
-    """Approximation table that is nondecreasing in the stage argument.
-
-    Monotonicity over an ultimately periodic presentation forces every
-    period to be constant, so each column has an exact limit.
-    """
-
-    columns: tuple[UPSeq, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        for x, col in enumerate(self.columns):
-            _check_monotone_column(x, col)
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def limit(self, x: int) -> int:
-        if not 0 <= x < self.width:
-            raise InputError(f"column index {x} out of range")
-        lim = upseq_limits(self.columns[x]).limit
-        assert lim is not None
-        return lim
-
-    def as_table(self) -> ApproxTable:
-        return ApproxTable(self.columns)
-
-
-def _check_monotone_column(x: int, col: UPSeq) -> None:
-    if not isinstance(col, UPSeq):
-        raise InputError("table columns must be UPSeq values")
-    values = list(col.prefix) + list(col.period)
-    for a, b in zip(values, values[1:]):
-        if a > b:
-            raise InputError(f"column {x} is not nondecreasing ({a} then {b})")
-    if len(set(col.period)) != 1:
-        raise InputError(f"column {x} has a non-constant period, not monotone")
-
-
-def lm_spectrum(f: LMFunctionTable) -> Character:
-    """Character induced by a monotone table: for each value kappa, the
-    number of columns whose limit is kappa."""
-    tally: dict[int, int] = {}
-    for x in range(f.width):
-        lim = f.limit(x)
-        if lim < 1:
-            raise InputError(f"column {x} has limit {lim}; class sizes start at 1")
-        tally[lim] = tally.get(lim, 0) + 1
-    return Character(tally)
-
-
 def partition_to_json(p: Partition) -> dict:
     return {"window": p.window, "classes": p.classes()}
 
@@ -241,7 +159,7 @@ def partition_from_json(obj: object) -> Partition:
         raise InputError("partition object must have 'window' and 'classes' keys")
     window = obj["window"]
     classes = obj["classes"]
-    if not isinstance(window, int) or not isinstance(classes, list):
+    if not is_nat(window) or not isinstance(classes, list):
         raise InputError("bad partition field types")
     p = Partition(window)
     seen: set[int] = set()
@@ -249,7 +167,7 @@ def partition_from_json(obj: object) -> Partition:
         if not isinstance(cls, list) or not cls:
             raise InputError("classes must be nonempty arrays")
         for m in cls:
-            if not isinstance(m, int) or not 0 <= m < window:
+            if not is_nat(m) or m >= window:
                 raise InputError(f"class member {m!r} outside window")
             if m in seen:
                 raise InputError(f"element {m} appears in two classes")

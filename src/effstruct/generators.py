@@ -71,9 +71,9 @@ def _script_without_class(rng: random.Random, k: int) -> CeerScript:
 def generate_family(seed: int, count: int) -> CeerFamily:
     """Mixed family of scripts and churn generators.
 
-    A churn member at position e targets size 2e+2, the size the default
-    construction mode diagonalizes that column at, so generated families
-    are verifiable end to end.
+    A churn member at position e targets size 2e+2, the size the co-ceer
+    construction diagonalizes that column at, so generated families are
+    verifiable end to end.
     """
     if count < 1:
         raise InputError("family needs at least one member")

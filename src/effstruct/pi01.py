@@ -258,6 +258,8 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
     cycled past its prefix, so the window contains a dip to the liminf
     and survivors can never be removed again.
     """
+    if K < 0:
+        raise InputError("label bound must be nonnegative")
     required = required_stages_for(g, K)
     if trace.stages < required:
         raise HorizonError(

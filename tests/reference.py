@@ -91,17 +91,16 @@ class ReferenceRunner:
 
 
 def reference_run_coceer(
-    fam: CeerFamily, E: int, stage_budget: int, mode: str = "spaced"
+    fam: CeerFamily, E: int, stage_budget: int
 ) -> tuple[CoceerState, CoceerTrace]:
     """The co-ceer construction visiting every stage, over reference runners."""
-    state = init_coceer(E, mode)
+    state = init_coceer(E)
     runners = [ReferenceRunner(fam.member(e)) for e in range(E)]
     for col, runner in zip(state.columns, runners):
         runner.advance_to(0)
         m = runner.oldest_class_min(col.k)
         if m is not None:
             col.seen_minima.add(m)
-    state.seeded = True
     records = []
     for stage in range(1, stage_budget + 1):
         e_focus, _ = cantor_unpair(stage)
@@ -114,4 +113,4 @@ def reference_run_coceer(
         else:
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
         state.stage = stage
-    return state, CoceerTrace(mode=mode, columns=E, stages=stage_budget, records=tuple(records))
+    return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file round trips, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from effstruct.ceersim import family_to_json
 from effstruct.cli import RunConfig, main, run
 from effstruct.core import delta02_to_json
-from effstruct.generators import generate_b, generate_family, generate_gtable
+from effstruct.generators import (
+    generate_b,
+    generate_diagonalization_suite,
+    generate_family,
+    generate_gtable,
+)
 from effstruct.pi01 import gtable_to_json
 
 
@@ -47,6 +53,12 @@ def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
     assert "required stages" in capsys.readouterr().err
 
 
+def test_negative_label_bound_is_exit_2(tmp_path, capsys):
+    path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
+    assert main(["pi01", "--g", path, "--stages", "5", "--labels", "-1", "--verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pi01_verify_ok(tmp_path):
     path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
     trace_path = tmp_path / "trace.json"
@@ -70,18 +82,19 @@ def test_coceer_verify_and_reports(tmp_path, family_file):
     assert all(r["certified"] for r in reports)
 
 
-def test_coceer_unsatisfied_is_exit_1(tmp_path):
-    # in literal mode the witness class overshoots its target size, so a
-    # column whose member lacks that size cannot come out satisfied
+def test_coceer_unsatisfied_is_exit_1(tmp_path, capsys):
+    # column 1 targets size 4; its script forms a size-4 class only at
+    # stage 400, beyond the budget, so the witness class keeps size 4
+    events = [[400, [0, x]] for x in (1, 2, 3)]
     fam_path = _write(
         tmp_path / "fam.json",
-        {"format": 1, "members": [{"type": "script", "events": []}] * 2},
+        {"format": 1, "members": [{"type": "script", "events": []},
+                                  {"type": "script", "events": events}]},
     )
-    code = main(
-        ["coceer", "--family", fam_path, "--columns", "2", "--stages", "300",
-         "--mode", "literal", "--verify"]
-    )
+    code = main(["coceer", "--family", fam_path, "--columns", "2", "--stages", "300", "--verify"])
     assert code == 1
+    assert "column 1 (script, target size 4): witness class 4, family realizes size: True, " \
+        "satisfied=False" in capsys.readouterr().out
 
 
 def test_preorder_verify_and_snapshot(tmp_path):
@@ -109,15 +122,41 @@ def test_blocks_encode_decode_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "10110"
 
 
-def test_blocks_flag_validation():
+def test_blocks_flag_validation(tmp_path):
     assert main(["blocks"]) == 2
     assert main(["blocks", "--x", "012"]) == 2
+    # each of these characters decodes once n_blocks is taken as given
+    for character, n_blocks in (([[4, 1]], "x"), ([], -1), ([[4, 1]], True)):
+        path = _write(tmp_path / "char.json", {"character": character, "n_blocks": n_blocks})
+        assert main(["blocks", "--decode", path]) == 2, n_blocks
 
 
 def test_verify_all_green(capsys):
     assert main(["verify-all", "--seed", "7", "--stages", "5000"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS diagonalization: 25/25 requirements satisfied and certified within 5000 stages",
+        "PASS liminf class sizes: 50/50 tables verified exactly",
+        "PASS preorder fingerprints: 30/30 set approximations recovered exactly "
+        "(29 with membership flips)",
+        "PASS block coder: 100 round trips and 33 character cross-checks exact",
+    ]
+
+
+def test_coceer_output_files_are_pinned(tmp_path):
+    # a refactor of the construction must leave its trace and report bytes alone
+    fam, _ = generate_diagonalization_suite(7)
+    fam_path = _write(tmp_path / "fam.json", family_to_json(fam))
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    code = main(
+        ["coceer", "--family", fam_path, "--columns", "26", "--stages", "3000", "--verify",
+         "--trace", str(trace), "--report", str(report)]
+    )
+    assert code == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, report)]
+    assert digests == [
+        "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955",
+        "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4",
+    ]
 
 
 def test_end_to_end_determinism(tmp_path, family_file):

@@ -6,7 +6,7 @@ import pytest
 
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
-    coceer_step,
+    CoceerRun,
     compute_uv,
     init_coceer,
     run_coceer,
@@ -20,102 +20,99 @@ from effstruct.errors import InputError
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
 
-
-def test_init_literal():
-    state = init_coceer(3, "literal")
-    assert state.columns[2].witnesses == {1, 2, 3}
-    assert state.columns[2].k == 3
-    assert all(not col.flag for col in state.columns)
+EMPTY = CeerScript(())
 
 
 def test_init_spaced():
-    state = init_coceer(3, "spaced")
+    state = init_coceer(3)
     col = state.columns[2]
     assert col.k == 6
     assert col.witnesses == {1, 2, 3, 4, 5}
+    assert col.initial_witnesses == frozenset(col.witnesses)
     assert all(not c.flag for c in state.columns)
 
 
 def test_init_validation():
     with pytest.raises(InputError):
         init_coceer(0)
-    with pytest.raises(InputError):
-        init_coceer(1, "diagonal")
 
 
 def test_compute_uv():
-    state = init_coceer(3, "literal")
-    col = state.columns[2]
-    assert compute_uv(state, 2) == (None, 4)
+    run = CoceerRun(CeerFamily((EMPTY, EMPTY)), 2)
+    col = run.state.columns[1]
+    assert (col.k, col.witnesses) == (4, {1, 2, 3})
+    assert compute_uv(run.state, 1) == (None, 4)
     col.witnesses = {1, 2, 3, 7}
     col.exiled = {8}
-    assert compute_uv(state, 2) == (7, 9)
-    state2 = init_coceer(2, "literal")
-    assert compute_uv(state2, 1) == (None, 3)
+    assert compute_uv(run.state, 1) == (7, 9)
+    assert compute_uv(run.state, 0) == (None, 2)
+    with pytest.raises(InputError):
+        compute_uv(run.state, 2)
 
 
-def _state_focused_on_column_one(mode="literal"):
-    # stage 2 = <1, 0>, so a state at stage 1 dispatches column 1 next
+def _run_before_column_one(member):
+    """Run on (empty script, member) stepped through stage 1.
+
+    Stage 2 = <1, 0>, so the next step dispatches column 1, whose target
+    size is 4 and whose initial witnesses are {1, 2, 3}.
+    """
     assert cantor_pair(1, 0) == 2
-    state = init_coceer(2, mode)
-    state.stage = 1
-    state.seeded = True
-    return state
+    run = CoceerRun(CeerFamily((EMPTY, member)), 2)
+    run.step()
+    return run
 
 
 def test_step_case_one_declares_witness():
-    state = _state_focused_on_column_one()
-    state.columns[1].seen_minima = {0}  # oldest size-2 class already on record
-    fam = CeerFamily((CeerScript(()), CeerScript(((1, (0, 1)),))))
-    coceer_step(state, fam)
-    col = state.columns[1]
-    assert col.witnesses == {1, 2, 3}
-    assert col.exiled == {4}
+    # a size-4 class present from stage 0 is on record, so it latches no flag
+    run = _run_before_column_one(CeerScript(tuple((0, (0, x)) for x in (1, 2, 3))))
+    record = run.step()
+    col = run.state.columns[1]
+    assert record.case == 1
+    assert col.witnesses == {1, 2, 3, 4}
+    assert col.exiled == {5}
     assert not col.flag
 
 
 def test_step_case_two_retracts_witness():
-    state = _state_focused_on_column_one()
-    state.columns[1].witnesses = {1, 2, 3}
-    fam = CeerFamily((CeerScript(()), CeerScript(())))
-    coceer_step(state, fam)
-    col = state.columns[1]
-    assert col.witnesses == {1, 2}
-    assert col.exiled == {3}
+    run = _run_before_column_one(EMPTY)
+    run.state.columns[1].witnesses = {1, 2, 3, 4}
+    assert run.step().case == 2
+    col = run.state.columns[1]
+    assert col.witnesses == {1, 2, 3}
+    assert col.exiled == {4}
 
 
 def test_step_case_three_without_replaceable_witness():
-    state = _state_focused_on_column_one()
-    state.columns[1].flag = True
-    fam = CeerFamily((CeerScript(()), CeerScript(())))
-    coceer_step(state, fam)
-    col = state.columns[1]
-    assert col.witnesses == {1, 2, 3}
+    # a size-4 class formed at stage 1 is new to the history: the flag latches
+    run = _run_before_column_one(CeerScript(tuple((1, (0, x)) for x in (1, 2, 3))))
+    assert run.state.columns[1].flag
+    assert run.step().case == 3
+    col = run.state.columns[1]
+    assert col.witnesses == {1, 2, 3, 4}
     assert not col.flag
     assert col.exiled == set()
+    assert col.case3_stages == [2]
 
 
 def test_step_case_three_swaps_witness():
-    state = _state_focused_on_column_one()
-    # a reachable grown state: 3 and 4 were burned on the way to witness 5
-    state.columns[1].witnesses = {1, 2, 5}
-    state.columns[1].exiled = {3, 4}
-    state.columns[1].flag = True
-    fam = CeerFamily((CeerScript(()), CeerScript(())))
-    coceer_step(state, fam)
-    col = state.columns[1]
-    assert col.witnesses == {1, 2, 6}
-    assert col.exiled == {3, 4, 5}
+    run = _run_before_column_one(EMPTY)
+    # a reachable grown state: 4 and 5 were burned on the way to witness 6
+    col = run.state.columns[1]
+    col.witnesses = {1, 2, 3, 6}
+    col.exiled = {4, 5}
+    col.flag = True
+    assert run.step().case == 3
+    assert col.witnesses == {1, 2, 3, 7}
+    assert col.exiled == {4, 5, 6}
     assert not col.flag
 
 
 def test_step_case_four_pads():
-    state = _state_focused_on_column_one()
-    fam = CeerFamily((CeerScript(()), CeerScript(())))
-    coceer_step(state, fam)  # baseline, no size-2 class, flag off
-    col = state.columns[1]
-    assert col.witnesses == {1, 2}
-    assert col.exiled == {3}
+    run = _run_before_column_one(EMPTY)
+    assert run.step().case == 4  # baseline, no size-4 class, flag off
+    col = run.state.columns[1]
+    assert col.witnesses == {1, 2, 3}
+    assert col.exiled == {4}
     assert col.last_case4_stage == 2
 
 
@@ -141,12 +138,12 @@ def test_step_matches_run():
     events = tuple(
         sorted((rng.randint(1, 20), (rng.randrange(8), rng.randrange(8))) for _ in range(10))
     )
-    fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), CeerScript(())))
-    state_by_steps = init_coceer(3, "spaced")
-    for _ in range(60):
-        coceer_step(state_by_steps, fam)
-    state_by_run, _ = run_coceer(fam, 3, 60, "spaced")
-    assert state_by_steps == state_by_run
+    fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
+    run = CoceerRun(fam, 3)
+    records = tuple(run.step() for _ in range(60))
+    state, trace = run_coceer(fam, 3, 60)
+    assert run.state == state
+    assert records == trace.records
 
 
 def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
@@ -163,7 +160,7 @@ def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
 
 
 def test_snapshot_is_column_partition_initially():
-    state = init_coceer(3, "spaced")
+    state = init_coceer(3)
     snap = snapshot(state, 12)
     from effstruct.core import cantor_unpair
 
@@ -176,12 +173,12 @@ def test_snapshot_stays_equivalence_and_shrinks():
     fam = CeerFamily(
         (CeerScript(((1, (0, 1)), (3, (1, 2)))), ChurnGenerator(4, 2), CeerScript(()))
     )
-    state = init_coceer(3, "spaced")
-    previous = bf_relation_of_partition(snapshot(state, 12).classes())
+    run = CoceerRun(fam, 3)
+    previous = bf_relation_of_partition(snapshot(run.state, 12).classes())
     assert bf_is_equivalence(12, previous)
     for _ in range(80):
-        coceer_step(state, fam)
-        current = bf_relation_of_partition(snapshot(state, 12).classes())
+        run.step()
+        current = bf_relation_of_partition(snapshot(run.state, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
         previous = current
@@ -224,7 +221,7 @@ def test_verify_churn_settles_on_initial_witnesses():
 
 
 def test_spaced_witness_sizes_disjoint_across_columns():
-    state = init_coceer(30, "spaced")
+    state = init_coceer(30)
     taken: set[int] = set()
     for col in state.columns:
         sizes = {col.k, col.k + 1}
@@ -243,6 +240,11 @@ def test_verify_uncertified_on_tiny_budget():
 def test_trace_json_round_trip():
     fam = CeerFamily((CeerScript(((1, (0, 1)),)), ChurnGenerator(4, 2)))
     _, trace = run_coceer(fam, 2, 30)
-    assert trace_from_json(trace_to_json(trace)) == trace
+    obj = trace_to_json(trace)
+    assert obj["mode"] == "spaced"
+    assert trace_from_json(obj) == trace
+    for mode in ("other", None):
+        with pytest.raises(InputError):
+            trace_from_json({**obj, "mode": mode})
     with pytest.raises(InputError):
         trace_from_json({"format": 1, "records": [{"stage": 0}]})

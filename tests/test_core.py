@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effstruct.core import (
-    ApproxTable,
     Delta02SetApprox,
     StagePair,
     UPSeq,
@@ -110,14 +109,6 @@ def test_upseq_json_round_trip():
         upseq_from_json({"prefix": [1]})
     with pytest.raises(InputError):
         upseq_from_json({"prefix": "oops", "period": [1]})
-
-
-def test_approx_table_bounds():
-    table = ApproxTable((UPSeq((), (1,)), UPSeq((2,), (0,))))
-    assert table.width == 2
-    assert table.value(1, 0) == 2
-    with pytest.raises(InputError):
-        table.value(2, 0)
 
 
 def test_delta02_validation():

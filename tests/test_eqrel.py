@@ -1,18 +1,13 @@
-"""Partitions, characters, and monotone-table spectra against brute force."""
+"""Partitions and characters against brute force."""
 
 import random
 
 import pytest
 
-from effstruct.core import UPSeq
 from effstruct.eqrel import (
     Character,
-    LMFunctionTable,
     Partition,
     character_of,
-    class_size,
-    lm_spectrum,
-    merge_classes,
     oldest_class_min,
     partition_from_json,
     partition_to_json,
@@ -31,12 +26,12 @@ from bruteforce import (
 
 def test_merge_examples():
     p = Partition(4)
-    merge_classes(p, 0, 0)
+    p.merge(0, 0)
     assert p.classes() == [[0], [1], [2], [3]]
-    merge_classes(p, 0, 1)
+    p.merge(0, 1)
     assert p.classes() == [[0, 1], [2], [3]]
-    merge_classes(p, 2, 3)
-    merge_classes(p, 1, 2)
+    p.merge(2, 3)
+    p.merge(1, 2)
     # transitive closure computed independently
     rel = bf_equivalence_closure(4, [(0, 1), (2, 3), (1, 2)])
     assert p.classes() == bf_classes(4, rel)
@@ -67,7 +62,7 @@ def test_class_size_and_oldest():
     p = Partition(5)
     assert oldest_class_min(p, 1) == 0
     p.merge(0, 1)
-    assert class_size(p, 0) == 2
+    assert p.classes() == [[0, 1], [2], [3], [4]]
     assert oldest_class_min(p, 2) == 0
     assert oldest_class_min(p, 3) is None
     with pytest.raises(InputError):
@@ -115,39 +110,9 @@ def test_character_validation_and_pairs():
     assert Character.from_pairs(ch.to_pairs()) == ch
     with pytest.raises(InputError):
         Character.from_pairs([[1, 1], [1, 2]])
-
-
-def test_lm_table_validation():
-    LMFunctionTable((UPSeq((1, 2), (2,)),))
-    with pytest.raises(InputError):  # decreasing prefix
-        LMFunctionTable((UPSeq((2, 1), (1,)),))
-    with pytest.raises(InputError):  # oscillating period
-        LMFunctionTable((UPSeq((), (1, 2)),))
-    with pytest.raises(InputError):  # prefix above the period
-        LMFunctionTable((UPSeq((3,), (2,)),))
-
-
-def test_lm_spectrum_examples():
-    f = LMFunctionTable((UPSeq((), (1,)), UPSeq((0, 1), (1,)), UPSeq((1,), (2,))))
-    assert lm_spectrum(f) == Character({1: 2, 2: 1})
-    assert lm_spectrum(LMFunctionTable(())) == Character({})
-    assert lm_spectrum(LMFunctionTable((UPSeq((), (5,)),))) == Character({5: 1})
-
-
-def test_lm_spectrum_matches_limit_tally():
-    rng = random.Random(3)
-    for _ in range(50):
-        cols = []
-        for _ in range(rng.randint(0, 8)):
-            lim = rng.randint(1, 9)
-            prefix = tuple(sorted(rng.randint(1, lim) for _ in range(rng.randint(0, 5))))
-            cols.append(UPSeq(prefix, (lim,)))
-        f = LMFunctionTable(tuple(cols))
-        tally = {}
-        for col in cols:
-            lim = col.period[0]
-            tally[lim] = tally.get(lim, 0) + 1
-        assert lm_spectrum(f).entries == tally
+    for pairs in ([[True, 1]], [[1, True]], [[1.0, 1]], [["2", 1]], [[[2], 1]], [2], 2):
+        with pytest.raises(InputError):
+            Character.from_pairs(pairs)
 
 
 def test_partition_json_round_trip():
@@ -161,3 +126,10 @@ def test_partition_json_round_trip():
         partition_from_json({"window": 2, "classes": [[0]]})  # incomplete cover
     with pytest.raises(InputError):
         partition_from_json({"window": 2, "classes": [[0, 1], [1]]})  # overlap
+    for bad in (
+        {"window": True, "classes": [[0]]},
+        {"window": 2, "classes": [[False, True]]},
+        {"window": 2, "classes": [[0], [True]]},
+    ):
+        with pytest.raises(InputError):
+            partition_from_json(bad)

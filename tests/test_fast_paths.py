@@ -72,9 +72,9 @@ def _outcome(state, fam):
     return out
 
 
-def _assert_run_matches_reference(fam, E, budget, mode):
-    state, trace = run_coceer(fam, E, budget, mode)
-    ref_state, ref_trace = reference_run_coceer(fam, E, budget, mode)
+def _assert_run_matches_reference(fam, E, budget):
+    state, trace = run_coceer(fam, E, budget)
+    ref_state, ref_trace = reference_run_coceer(fam, E, budget)
     assert trace == ref_trace
     assert coceer.trace_to_json(trace) == coceer.trace_to_json(ref_trace)
     assert state == ref_state
@@ -88,17 +88,15 @@ def _assert_run_matches_reference(fam, E, budget, mode):
             assert report.r_e_has_size_k == ref.has_class_of_size(state.columns[e].k)
 
 
-@pytest.mark.parametrize("mode", coceer.MODES)
 @pytest.mark.parametrize("seed", [1, 2])
-def test_suite_runs_match_reference(seed, mode):
+def test_suite_runs_match_reference(seed):
     fam, _ = generate_diagonalization_suite(seed)
-    _assert_run_matches_reference(fam, len(fam.members), 2500, mode)
+    _assert_run_matches_reference(fam, len(fam.members), 2500)
 
 
-@pytest.mark.parametrize("mode", coceer.MODES)
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_family_runs_match_reference(seed, mode):
-    _assert_run_matches_reference(generate_family(seed, 8), 8, 900, mode)
+def test_family_runs_match_reference(seed):
+    _assert_run_matches_reference(generate_family(seed, 8), 8, 900)
 
 
 _members = st.one_of(
@@ -114,11 +112,10 @@ _members = st.one_of(
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.lists(_members, min_size=1, max_size=4), st.integers(1, 300),
-       st.sampled_from(coceer.MODES))
-def test_runs_match_reference_property(members, budget, mode):
+@given(st.lists(_members, min_size=1, max_size=4), st.integers(1, 300))
+def test_runs_match_reference_property(members, budget):
     fam = CeerFamily(tuple(members))
-    _assert_run_matches_reference(fam, len(members), budget, mode)
+    _assert_run_matches_reference(fam, len(members), budget)
 
 
 @settings(deadline=None, max_examples=60)

@@ -146,6 +146,8 @@ def test_verify_liminf_examples():
     assert by_label[2].expected == 1  # liminf of an oscillating column
     assert by_label[3].expected == 4
     assert by_label[3].observed == 4
+    with pytest.raises(InputError):  # a negative label bound would check nothing
+        verify_liminf_counts(trace, g, -1)
 
 
 def test_verify_refuses_short_horizon():
