@@ -12,10 +12,12 @@ Two member kinds are supported:
   size k at all even though size-k classes appear at infinitely many
   stages.
 
-:class:`CeerRunner` follows one member stage by stage.  It replays a
-script once, applying each event at its stage and nothing after the last
-one, and answers every query about a churn generator in closed form from
-the stage number, without simulating its merges.
+:class:`CeerRunner` follows one member stage by stage and publishes, for
+either kind, the classes of two or more elements.  A script is replayed
+once into one :class:`~effstruct.eqrel.Partition` sized by the elements
+it mentions, each event merged at its stage and nothing after the last
+one; a churn generator's classes come in closed form from the stage
+number, without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .core import is_nat
+from .core import check_format, is_nat
 from .eqrel import Character, Partition, character_of
 from .errors import InputError, UnsupportedQueryError
 
@@ -140,87 +142,33 @@ class CeerFamily:
         return self.members[e]
 
 
-class _GrowingUnionFind:
-    """Union-find over a sparse, growing subset of omega.
-
-    Tracks per-root class minimum and a pool of roots per exact class
-    size, so "oldest class of size k" queries are cheap.  Elements never
-    inserted are implicit singletons.
-    """
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-        self.min: dict[int, int] = {}
-        self.by_size: dict[int, set[int]] = {}
-
-    def _insert(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-            self.min[x] = x
-            self.by_size.setdefault(1, set()).add(x)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self._insert(x)
-        self._insert(y)
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.by_size[self.size[rx]].discard(rx)
-        self.by_size[self.size[ry]].discard(ry)
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.min[rx] = min(self.min[rx], self.min[ry])
-        self.by_size.setdefault(self.size[rx], set()).add(rx)
-
-    def has_size(self, k: int) -> bool:
-        if k == 1:
-            return True  # cofinitely many untouched singletons in omega
-        return bool(self.by_size.get(k))
-
-    def oldest_min(self, k: int) -> Optional[int]:
-        if k == 1:
-            x = 0
-            while x in self.parent and self.size[self.find(x)] > 1:
-                x += 1
-            return x
-        pool = self.by_size.get(k)
-        return min(self.min[r] for r in pool) if pool else None
-
-    def related(self, x: int, y: int) -> bool:
-        if x == y:
-            return True
-        if x not in self.parent or y not in self.parent:
-            return False
-        return self.find(x) == self.find(y)
-
-
 class CeerRunner:
     """Incremental stage simulator for one family member.
 
-    A script is replayed into ``uf`` through a cursor over its sorted
-    events: each event is applied once, and advancing past the last one
-    costs O(1).  A churn generator is answered from
-    :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.
+    After :meth:`advance_to` both member kinds publish the same state:
+    ``classes``, the classes of two or more elements ordered by minimum
+    (members ascending), and for each class size the least minimum of
+    that size.  Every query reads only that state.
+
+    A churn generator takes its classes from
+    :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.  A script
+    is replayed through a cursor over its sorted events into ``uf``, a
+    :class:`Partition` with one slot per element the script mentions,
+    slots in increasing element order so class minima map straight back.
+    Each event is merged once, and the classes are rebuilt only at stages
+    where the cursor merged something.
     """
 
     def __init__(self, member: FamilyMember):
         self.member = member
-        self.uf = _GrowingUnionFind()
         self.stage = -1
-        self._applied = 0   # script events already merged into uf
-        self._churn_classes: tuple[range, ...] = ()
+        self.classes: tuple[Sequence[int], ...] = ()
+        self._oldest: dict[int, int] = {}  # class size -> least minimum of that size
+        self._applied = 0  # script events already merged into uf
+        events = member.events if isinstance(member, CeerScript) else ()
+        self._elements = sorted({z for _, pair in events for z in pair})
+        self._slot = {x: i for i, x in enumerate(self._elements)}
+        self.uf = Partition(len(self._elements))
 
     def advance_to(self, stage: int) -> None:
         if stage <= self.stage:
@@ -228,34 +176,43 @@ class CeerRunner:
         self.stage = stage
         member = self.member
         if isinstance(member, ChurnGenerator):
-            self._churn_classes = member.classes_after(stage)
+            self._publish(member.classes_after(stage))
             return
-        events = member.events
-        while self._applied < len(events) and events[self._applied][0] <= stage:
-            batch = member.events_at(events[self._applied][0])
-            for x, y in batch:
-                self.uf.union(x, y)
-            self._applied += len(batch)
+        events, applied = member.events, self._applied
+        while applied < len(events) and events[applied][0] <= stage:
+            for x, y in member.events_at(events[applied][0]):
+                self.uf.merge(self._slot[x], self._slot[y])
+                applied += 1
+        if applied > self._applied:
+            self._applied = applied
+            elements = self._elements
+            self._publish(tuple(
+                [elements[i] for i in c] for c in self.uf.classes() if len(c) > 1
+            ))
+
+    def _publish(self, classes: tuple[Sequence[int], ...]) -> None:
+        self.classes = classes
+        self._oldest = {}
+        for c in classes:  # by minimum, so the first class of a size is its oldest
+            self._oldest.setdefault(len(c), c[0])
 
     def has_class_of_size(self, k: int) -> bool:
-        if isinstance(self.member, ChurnGenerator):
-            return k == 1 or any(len(c) == k for c in self._churn_classes)
-        return self.uf.has_size(k)
+        return k == 1 or k in self._oldest  # cofinitely many singletons in omega
 
     def oldest_class_min(self, k: int) -> Optional[int]:
-        if isinstance(self.member, ChurnGenerator):
-            # the classes come by minimum, so the first match is the oldest
-            if k == 1:
-                x = 0
-                for c in self._churn_classes:
-                    if c.start == x:
-                        x = c.stop
+        if k != 1:
+            return self._oldest.get(k)
+        x = 0  # the least element in no class of two or more
+        while True:
+            for c in self.classes:
+                i = bisect_left(c, x)
+                if i < len(c) and c[i] == x:
+                    break
+            else:
                 return x
-            for c in self._churn_classes:
-                if len(c) == k:
-                    return c.start
-            return None
-        return self.uf.oldest_min(k)
+            # c holds x: jump past c when the rest of it is one run (a churn
+            # class of 0 spans a whole range), else step by one
+            x = c[-1] + 1 if c[-1] - x == len(c) - 1 - i else x + 1
 
     def partition(self, window: int) -> Partition:
         """Current relation restricted to [0, window).
@@ -264,17 +221,10 @@ class CeerRunner:
         elements joined through an out-of-window element are related.
         """
         p = Partition(window)
-        if isinstance(self.member, ChurnGenerator):
-            groups = [range(c.start, min(c.stop, window)) for c in self._churn_classes]
-        else:
-            byroot: dict[int, list[int]] = {}
-            for x in range(window):
-                if x in self.uf.parent:
-                    byroot.setdefault(self.uf.find(x), []).append(x)
-            groups = list(byroot.values())
-        for group in groups:
-            for other in group[1:]:
-                p.merge(group[0], other)
+        for c in self.classes:
+            inside = c[:bisect_left(c, window)]
+            for other in inside[1:]:
+                p.merge(inside[0], other)
         return p
 
 
@@ -300,10 +250,10 @@ def limit_spectrum(
         runner = CeerRunner(member)
         runner.advance_to(member.last_event_stage)
 
-        def has_size(k: int, _uf=runner.uf) -> bool:
+        def has_size(k: int) -> bool:
             if k < 1:
                 raise InputError("class size must be at least 1")
-            return _uf.has_size(k)
+            return runner.has_class_of_size(k)
 
         return character_of(runner.partition(window)), has_size
 
@@ -334,8 +284,7 @@ def family_to_json(fam: CeerFamily) -> dict:
 def family_from_json(obj: object) -> CeerFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
         raise InputError("family must be an object with a 'members' array")
-    if obj.get("format", 1) != 1:
-        raise InputError("unsupported format version")
+    check_format(obj, default=1)
     members: list[FamilyMember] = []
     for m in obj["members"]:
         if not isinstance(m, dict):

@@ -158,10 +158,9 @@ def _cmd_blocks(cfg: RunConfig) -> int:
         print(f"encoded {n} bits into {structure.partition.window} elements")
         return EXIT_OK
     obj = _load_json(cfg.decode)
-    if not isinstance(obj, dict) or ("character" not in obj and "entries" not in obj):
-        raise InputError("character file needs a 'character' (or 'entries') array")
-    pairs = obj.get("character", obj.get("entries"))
-    ch = Character.from_pairs(pairs)
+    if not isinstance(obj, dict) or "character" not in obj:
+        raise InputError("character file needs a 'character' array")
+    ch = Character.from_pairs(obj["character"])
     n = obj.get("n_blocks", sum(1 for s in ch.sizes() if s >= 2))
     if not is_nat(n):
         raise InputError(f"n_blocks must be a nonnegative integer, got {n!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, limit_spectrum
-from .core import cantor_unpair
+from .core import cantor_unpair, check_format, is_nat
 from .eqrel import Partition
 from .errors import ConstructionBugError, InputError
 
@@ -365,8 +365,12 @@ def trace_to_json(trace: CoceerTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    if not isinstance(obj, dict) or obj.get("format") != 1 or obj.get("mode") != "spaced":
+    if not isinstance(obj, dict) or obj.get("mode") != "spaced":
         raise InputError("trace must be a format-1 object with mode 'spaced'")
+    check_format(obj)
+    columns, stages = obj.get("columns"), obj.get("stages")
+    if not is_nat(columns) or not is_nat(stages):
+        raise InputError("trace 'columns' and 'stages' must be naturals")
     try:
         records = tuple(
             StageRecord(
@@ -379,6 +383,6 @@ def trace_from_json(obj: object) -> CoceerTrace:
             )
             for r in obj["records"]
         )
-        return CoceerTrace(columns=obj["columns"], stages=obj["stages"], records=records)
+        return CoceerTrace(columns=columns, stages=stages, records=records)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc

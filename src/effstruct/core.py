@@ -44,6 +44,16 @@ def is_nat(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+def check_format(obj: dict, default: object = None) -> None:
+    """Accept only ``"format": 1``; an absent key reads as ``default``.
+
+    ``true`` and ``1.0`` compare equal to 1 in Python but are not versions.
+    """
+    version = obj.get("format", default)
+    if not (is_nat(version) and version == 1):
+        raise InputError(f"unsupported format version {version!r}")
+
+
 def _as_nat_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
     for v in out:
@@ -171,6 +181,5 @@ def delta02_to_json(b: Delta02SetApprox) -> dict:
 def delta02_from_json(obj: object) -> Delta02SetApprox:
     if not isinstance(obj, dict) or not isinstance(obj.get("columns"), list):
         raise InputError("set approximation must be an object with a 'columns' array")
-    if obj.get("format", 1) != 1:
-        raise InputError("unsupported format version")
+    check_format(obj, default=1)
     return Delta02SetApprox(tuple(upseq_from_json(c) for c in obj["columns"]))

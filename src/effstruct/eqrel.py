@@ -22,7 +22,7 @@ class Partition:
         if window < 0:
             raise InputError("window must be nonnegative")
         self.window = window
-        self._parent = list(range(window))
+        self.parent = list(range(window))
         self._size = [1] * window
         self._min = list(range(window))
 
@@ -33,10 +33,10 @@ class Partition:
     def find(self, x: int) -> int:
         self._check(x)
         root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:  # path compression
-            self._parent[x], x = root, self._parent[x]
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:  # path compression
+            self.parent[x], x = root, self.parent[x]
         return root
 
     def merge(self, x: int, y: int) -> None:
@@ -47,7 +47,7 @@ class Partition:
             return
         if self._size[rx] < self._size[ry]:
             rx, ry = ry, rx
-        self._parent[ry] = rx
+        self.parent[ry] = rx
         self._size[rx] += self._size[ry]
         self._min[rx] = min(self._min[rx], self._min[ry])
 

@@ -55,8 +55,7 @@ def _script_without_class(rng: random.Random, k: int) -> CeerScript:
     stage = _FIX_FIRST_STAGE
     fresh = _FRESH_BASE
     while True:
-        uf = _final_runner(events).uf
-        offenders = sorted(uf.min[r] for r in uf.by_size.get(k, ()))
+        offenders = [c[0] for c in _final_runner(events).classes if len(c) == k]
         if not offenders:
             break
         for m in offenders:  # grow each size-k class past k

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import UPSeq, upseq_eval, upseq_from_json, upseq_limits, upseq_to_json
+from .core import (
+    UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_limits, upseq_to_json,
+)
 from .eqrel import Partition
 from .errors import ConstructionBugError, HorizonError, InputError
 
@@ -287,8 +289,7 @@ def gtable_to_json(g: GTable) -> dict:
 def gtable_from_json(obj: object) -> GTable:
     if not isinstance(obj, dict) or not isinstance(obj.get("columns"), list):
         raise InputError("g table must be an object with a 'columns' array")
-    if obj.get("format", 1) != 1:
-        raise InputError("unsupported format version")
+    check_format(obj, default=1)
     return GTable(tuple(upseq_from_json(c) for c in obj["columns"]))
 
 
@@ -304,16 +305,16 @@ def trace_to_json(trace: PiTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> PiTrace:
-    if not isinstance(obj, dict) or obj.get("format") != 1:
+    if not isinstance(obj, dict):
         raise InputError("trace must be a format-1 object")
+    check_format(obj)
+    stages, windows = obj.get("stages"), obj.get("windows")
+    if not is_nat(stages) or not isinstance(windows, list) or not all(map(is_nat, windows)):
+        raise InputError("trace 'stages' and 'windows' entries must be naturals")
     try:
         transitions = {
             x: tuple((s, v) for s, v in hist) for x, hist in obj["transitions"]
         }
-        return PiTrace(
-            stages=obj["stages"],
-            transitions=transitions,
-            windows=tuple(obj["windows"]),
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
+    return PiTrace(stages=stages, transitions=transitions, windows=tuple(windows))

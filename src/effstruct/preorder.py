@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Delta02SetApprox
+from .core import Delta02SetApprox, check_format, is_nat
 from .errors import ConstructionBugError, HorizonError, InputError
 
 ELEM_C = "c"
@@ -241,13 +241,15 @@ def snapshot_to_json(snap: PreorderSnapshot) -> dict:
 
 
 def snapshot_from_json(obj: object) -> PreorderSnapshot:
-    if not isinstance(obj, dict) or obj.get("format") != 1:
+    if not isinstance(obj, dict):
         raise InputError("snapshot must be a format-1 object")
-    try:
-        return PreorderSnapshot(
-            na=obj["na"],
-            nb=obj["nb"],
-            leq=frozenset((x, y) for x, y in obj["leq"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed snapshot: {exc}") from exc
+    check_format(obj)
+    na, nb, leq = obj.get("na"), obj.get("nb"), obj.get("leq")
+    if not is_nat(na) or not is_nat(nb):
+        raise InputError("snapshot 'na' and 'nb' must be naturals")
+    if not isinstance(leq, list) or not all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
+        for p in leq
+    ):
+        raise InputError("snapshot 'leq' must be an array of [string, string] pairs")
+    return PreorderSnapshot(na=na, nb=nb, leq=frozenset((x, y) for x, y in leq))

@@ -57,6 +57,20 @@ def test_churn_validation():
             ChurnGenerator(3, bad)
 
 
+def test_script_runner_sized_by_mentioned_elements():
+    # the union-find holds one slot per element the script mentions, not per value
+    runner = CeerRunner(CeerScript(((1, (0, 10**12)),)))
+    assert len(runner.uf.parent) == 2
+    assert not runner.has_class_of_size(2)
+    runner.advance_to(1)
+    assert len(runner.uf.parent) == 2
+    assert runner.has_class_of_size(2)
+    assert not runner.has_class_of_size(3)
+    assert runner.oldest_class_min(1) == 1
+    assert runner.oldest_class_min(2) == 0
+    assert runner.partition(3).classes() == [[0], [1], [2]]
+
+
 def test_snapshot_examples():
     fam = CeerFamily((CeerScript(()), CeerScript(((1, (0, 1)),))))
     assert ceer_snapshot(fam, 0, 10, 4).classes() == [[0], [1], [2], [3]]
@@ -172,5 +186,6 @@ def test_family_json_round_trip():
     assert family_from_json(obj) == fam
     with pytest.raises(InputError):
         family_from_json({"members": [{"type": "mystery"}]})
-    with pytest.raises(InputError):
-        family_from_json({"format": 2, "members": []})
+    for version in (2, True, 1.0, "1"):
+        with pytest.raises(InputError):
+            family_from_json({"format": version, "members": []})

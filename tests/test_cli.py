@@ -44,6 +44,9 @@ def test_malformed_json_is_exit_2(tmp_path):
 def test_schema_violation_is_exit_2(tmp_path):
     path = _write(tmp_path / "g.json", {"columns": [{"prefix": [], "period": []}]})
     assert run(RunConfig("pi01", g=path, stages=5)) == 2
+    # true == 1 in Python, but it is not a format version
+    path = _write(tmp_path / "g.json", {**gtable_to_json(generate_gtable(1, 4)), "format": True})
+    assert main(["pi01", "--g", path, "--stages", "5"]) == 2
 
 
 def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
@@ -129,6 +132,9 @@ def test_blocks_flag_validation(tmp_path):
     for character, n_blocks in (([[4, 1]], "x"), ([], -1), ([[4, 1]], True)):
         path = _write(tmp_path / "char.json", {"character": character, "n_blocks": n_blocks})
         assert main(["blocks", "--decode", path]) == 2, n_blocks
+    # the character is read from 'character', the key --encode writes, only
+    path = _write(tmp_path / "char.json", {"entries": [[4, 1]], "n_blocks": 1})
+    assert main(["blocks", "--decode", path]) == 2
 
 
 def test_verify_all_green(capsys):

@@ -248,3 +248,7 @@ def test_trace_json_round_trip():
             trace_from_json({**obj, "mode": mode})
     with pytest.raises(InputError):
         trace_from_json({"format": 1, "records": [{"stage": 0}]})
+    for bad in ({"format": True}, {"format": 1.0}, {"columns": "z"}, {"columns": -1},
+                {"stages": -1}, {"stages": False}):
+        with pytest.raises(InputError):
+            trace_from_json({**obj, **bad})

@@ -130,3 +130,6 @@ def test_delta02_stabilization_and_json():
     b = Delta02SetApprox((UPSeq((), (0,)), UPSeq((1, 1, 0), (0,)), UPSeq((0,), (1,))))
     assert b.stabilization_stage(2) == 3
     assert delta02_from_json(delta02_to_json(b)) == b
+    for version in (True, 1.0):
+        with pytest.raises(InputError):
+            delta02_from_json({**delta02_to_json(b), "format": version})

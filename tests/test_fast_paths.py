@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effstruct import ceersim, coceer
+from effstruct import coceer, eqrel
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, ceer_snapshot
 from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.errors import UnsupportedQueryError
@@ -33,7 +33,7 @@ def test_churn_closed_form_matches_replay(k):
             ref.advance_to(s)
             _assert_same_queries(runner, ref, range(1, 41))
             assert ceer_snapshot(fam, 0, s, window).classes() == ref.partition_classes(window)
-        assert runner.uf.parent == {}
+        assert len(runner.uf.parent) == 0
 
 
 def _random_script(rng):
@@ -131,26 +131,26 @@ def test_churn_jump_matches_replay_property(k, s, window):
 
 def test_run_coceer_operation_counts(monkeypatch):
     """Churn runners hold no union-find elements; each script event is merged once."""
-    runners, unions = [], {}
-    original_union = ceersim._GrowingUnionFind.union
+    runners, merges = [], {}
+    original_merge = eqrel.Partition.merge
 
-    def counting_union(uf, x, y):
-        unions[id(uf)] = unions.get(id(uf), 0) + 1
-        original_union(uf, x, y)
+    def counting_merge(uf, x, y):
+        merges[id(uf)] = merges.get(id(uf), 0) + 1
+        original_merge(uf, x, y)
 
     class RecordingRunner(CeerRunner):
         def __init__(self, member):
             super().__init__(member)
             runners.append(self)
 
-    monkeypatch.setattr(ceersim._GrowingUnionFind, "union", counting_union)
+    monkeypatch.setattr(eqrel.Partition, "merge", counting_merge)
     monkeypatch.setattr(coceer, "CeerRunner", RecordingRunner)
     fam, kinds = generate_diagonalization_suite(7)
     run_coceer(fam, len(fam.members), 3000)
     assert len(runners) == len(fam.members)
     for e, runner in enumerate(runners):
         if kinds.get(e) == "churn":
-            assert runner.uf.parent == {}
-            assert id(runner.uf) not in unions
+            assert len(runner.uf.parent) == 0
+            assert id(runner.uf) not in merges
         else:
-            assert unions.get(id(runner.uf), 0) == len(runner.member.events)
+            assert merges.get(id(runner.uf), 0) == len(runner.member.events)

@@ -1,6 +1,11 @@
 """Deterministic instance generation for the property suites."""
 
-from effstruct.ceersim import CeerScript, ChurnGenerator, limit_spectrum
+import hashlib
+import json
+
+import pytest
+
+from effstruct.ceersim import CeerScript, ChurnGenerator, family_to_json, limit_spectrum
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -68,3 +73,23 @@ def test_diagonalization_suite_composition():
             _, has = limit_spectrum(fam, e, 0)
             assert has(k) == (kind == "with")
     assert tally == {"with": 10, "without": 10, "churn": 5}
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "098aeb6b4f2bea09443ec85c4f9106fdf4265e2103c6d316f37bde727e14a56e"),
+        (2, "28c44f40586a1c52da28217d9bd9b8eeeab7f9ddefc3c63f2cb842f3541acabb"),
+        (3, "dc7576bc09c8de3e0c668cf7b7e440b10c979638bf65af73b7601795a2edd2c0"),
+        # the first seeds whose noise forms a class of an avoided size, so
+        # _script_without_class has to grow it
+        (18, "747206c7725bcd882f8cb96a7520623d55afc62bf95853b1f4306f5ac3bedde9"),
+        (20, "72e0acf991f8a73e54fe93365720c09560a6fa62651f47b221cbac49f8bb056d"),
+    ],
+)
+def test_diagonalization_suite_is_pinned(seed, digest):
+    # the scripts that avoid their target size are built from runner queries;
+    # a change to the runner must leave the generated families alone
+    fam, _ = generate_diagonalization_suite(seed)
+    blob = json.dumps(family_to_json(fam)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -186,3 +186,11 @@ def test_run_validation_and_json():
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
         trace_from_json({"format": 1, "stages": 1})
+    obj = trace_to_json(trace)
+    for bad in ({"format": True}, {"format": 1.0}, {"format": None},
+                {"stages": -3}, {"stages": True}, {"windows": ["x"]}, {"windows": [-1]}):
+        with pytest.raises(InputError):
+            trace_from_json({**obj, **bad})
+    for version in (True, 1.0):
+        with pytest.raises(InputError):
+            gtable_from_json({**gtable_to_json(g), "format": version})

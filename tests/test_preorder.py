@@ -199,3 +199,7 @@ def test_snapshot_json_round_trip():
     assert obj["leq"] == sorted(obj["leq"])
     with pytest.raises(InputError):
         snapshot_from_json({"format": 1, "na": 1})
+    for bad in ({"format": True}, {"format": 1.0}, {"na": True}, {"nb": -1},
+                {"leq": [[1, 2]]}, {"leq": [["c"]]}, {"leq": "cd"}):
+        with pytest.raises(InputError):
+            snapshot_from_json({**obj, **bad})
