@@ -372,17 +372,26 @@ def trace_from_json(obj: object) -> CoceerTrace:
     if not is_nat(columns) or not is_nat(stages):
         raise InputError("trace 'columns' and 'stages' must be naturals")
     try:
-        records = tuple(
-            StageRecord(
-                stage=r["stage"],
-                e=r["e"],
-                case=r["case"],
-                witnesses=None if r["Y"] is None else tuple(r["Y"]),
-                flag=None if r["flag"] is None else r["flag"] == "on",
-                exiled=tuple((a, b) for a, b in r["exiled"]),
-            )
-            for r in obj["records"]
-        )
-        return CoceerTrace(columns=columns, stages=stages, records=records)
+        records = tuple(_record_from_json(r) for r in obj["records"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
+    return CoceerTrace(columns=columns, stages=stages, records=records)
+
+
+_FLAGS = {"on": True, "off": False, None: None}
+
+
+def _record_from_json(r: dict) -> StageRecord:
+    stage, e, case, flag = r["stage"], r["e"], r["case"], r["flag"]
+    witnesses = None if r["Y"] is None else tuple(r["Y"])
+    exiled = tuple((a, b) for a, b in r["exiled"])
+    if not (
+        is_nat(stage) and is_nat(e) and is_nat(case) and case <= 4 and flag in _FLAGS
+        and (witnesses is None or all(map(is_nat, witnesses)))
+        and all(is_nat(a) and is_nat(b) for a, b in exiled)
+    ):
+        raise InputError(
+            f"trace record {stage!r}: stage, e, case (0..4), Y and exiled must hold "
+            "naturals, flag must be 'on', 'off' or null"
+        )
+    return StageRecord(stage, e, case, witnesses, _FLAGS[flag], exiled)

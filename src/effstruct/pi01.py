@@ -12,6 +12,7 @@ label eventually settles on k is exactly liminf_s g(k, s).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,11 +70,14 @@ class GTable:
 
 @dataclass
 class LabelState:
-    """Active elements, their labels, and the full transition history."""
+    """Active elements, their labels, and the full transition history.
+
+    ``removed_pending`` is a ``heapq`` min-heap of the parked elements.
+    """
 
     ell: dict[int, int] = field(default_factory=dict)
     members: dict[int, set[int]] = field(default_factory=dict)
-    removed_pending: set[int] = field(default_factory=set)
+    removed_pending: list[int] = field(default_factory=list)
     next_fresh: int = 0
     stage: int = 0
     transitions: dict[int, list[tuple[int, Optional[int]]]] = field(default_factory=dict)
@@ -92,23 +96,30 @@ def _remove_element(st: LabelState, z: int, stage: int) -> None:
         raise ConstructionBugError(f"element {z} removed twice")
     label = st.ell.pop(z)
     st.members[label].discard(z)
-    st.removed_pending.add(z)
+    heapq.heappush(st.removed_pending, z)
     history.append((stage, None))
 
 
 def pi01_step(st: LabelState, g: GTable) -> LabelState:
-    """Advance the construction by one stage (in place)."""
+    """Advance the construction by one stage (in place).
+
+    Only labels k < min(s, g.width) are stepped.  A label k >= g.width is
+    a no-op at every stage: g(k, .) is the constant 1 there.  Stage k+1
+    opens label k with its founder alone, and only the loop body for k
+    ever adds to or strips label k.  By induction, at each later stage
+    the count 1 equals the goal 1, so that body would add no element,
+    strip none and pass its count check.
+    """
     s = st.stage
     stage = s + 1
     # founder: recycle the least parked element, else the least fresh one
     if st.removed_pending:
-        w = min(st.removed_pending)
-        st.removed_pending.discard(w)
+        w = heapq.heappop(st.removed_pending)
     else:
         w = st.next_fresh
         st.next_fresh += 1
     _set_label(st, w, s, stage)
-    for k in range(s):
+    for k in range(min(s, g.width)):
         members = st.members.setdefault(k, set())
         delta = len(members)
         goal = g.g(k, stage)
@@ -269,13 +280,18 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
             f"requires at least {required}",
             required_stages=required,
         )
+    ever_labeled: dict[int, list[int]] = {}  # an element holds each label at most once
+    for x, hist in trace.transitions.items():
+        for _, label in hist:
+            if label is not None and label <= K:
+                ever_labeled.setdefault(label, []).append(x)
     entries = []
     for k in range(K + 1):
         _, perlen = g.column_shape(k)
         start = trace.stages - 2 * perlen
         observed = sum(
             1
-            for x in trace.ever_labeled(k)
+            for x in ever_labeled.get(k, ())
             if trace.stable_window_label(x, start, trace.stages) == k
         )
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
@@ -311,10 +327,18 @@ def trace_from_json(obj: object) -> PiTrace:
     stages, windows = obj.get("stages"), obj.get("windows")
     if not is_nat(stages) or not isinstance(windows, list) or not all(map(is_nat, windows)):
         raise InputError("trace 'stages' and 'windows' entries must be naturals")
+    transitions = {}
     try:
-        transitions = {
-            x: tuple((s, v) for s, v in hist) for x, hist in obj["transitions"]
-        }
+        for x, hist in obj["transitions"]:
+            entries = tuple((s, v) for s, v in hist)
+            if not is_nat(x) or not all(
+                is_nat(s) and (v is None or is_nat(v)) for s, v in entries
+            ):
+                raise InputError(
+                    f"trace element {x!r}: elements and stages must be naturals, "
+                    "labels naturals or null"
+                )
+            transitions[x] = entries
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
     return PiTrace(stages=stages, transitions=transitions, windows=tuple(windows))

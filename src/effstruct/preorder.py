@@ -34,7 +34,14 @@ def elem_b(j: int) -> str:
 
 @dataclass
 class VTable:
-    """Threshold assignments v(i) with their change discipline."""
+    """Threshold assignments v(i) with their change discipline.
+
+    ``holders`` indexes ``v`` by value and is built from ``v`` at
+    construction.  After that, ``v`` changes only through
+    ``_assign_fresh`` and ``_reset_to_zero``, which keep the index up
+    to date; ``holders_of`` reads the index, so a direct write to ``v``
+    would go unseen by it.
+    """
 
     v: dict[int, int] = field(default_factory=dict)
     defined_at: dict[int, int] = field(default_factory=dict)
@@ -42,15 +49,22 @@ class VTable:
     next_fresh: int = 0
     stage: int = 0
     events: list[tuple[int, int, Optional[int], int]] = field(default_factory=list)
+    holders: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.holders = {}
+        for i, val in self.v.items():
+            self.holders.setdefault(val, set()).add(i)
 
     def holders_of(self, x: int) -> list[int]:
-        return sorted(i for i, val in self.v.items() if val == x)
+        return sorted(self.holders.get(x, ()))
 
 
 def _assign_fresh(t: VTable, value: int, stage: int) -> None:
     i = t.next_fresh
     t.next_fresh += 1
     t.v[i] = value
+    t.holders.setdefault(value, set()).add(i)
     t.defined_at[i] = stage
     t.change_count[i] = 0
     t.events.append((stage, i, None, value))
@@ -63,18 +77,27 @@ def _reset_to_zero(t: VTable, i: int, stage: int) -> None:
     if old == 0:
         raise ConstructionBugError(f"threshold v({i}) reset while already 0")
     t.v[i] = 0
+    t.holders[old].discard(i)
+    t.holders.setdefault(0, set()).add(i)
     t.change_count[i] += 1
     t.events.append((stage, i, old, 0))
 
 
 def preorder_step(t: VTable, gB: Delta02SetApprox) -> VTable:
-    """Advance the threshold construction by one stage (in place)."""
+    """Advance the threshold construction by one stage (in place).
+
+    Only 1 <= x < min(s+1, gB.width) are read.  An x >= gB.width is a
+    no-op at every stage: gB.g(x, .) is the constant 0 there.  A
+    positive threshold x is only ever assigned when gB.g(x, s) = 1, so x
+    never has a holder, and with g = 0 and no holders the loop body
+    would reset nothing and assign nothing.
+    """
     s = t.stage
     stage = s + 1
     if stage % 2 == 1:
         _assign_fresh(t, 0, stage)
     else:
-        for x in range(1, s + 1):
+        for x in range(1, min(s + 1, gB.width)):
             gval = gB.g(x, s)
             holders = t.holders_of(x)
             if gval == 0 and holders:

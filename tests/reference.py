@@ -5,10 +5,16 @@ its merges from ``ChurnGenerator.events_at`` or by scanning
 ``CeerScript.events``, into a union-find of its own; it shares no code
 with ``ceersim.CeerRunner``.  :func:`reference_run_coceer` is the plain
 loop of the co-ceer construction over every stage, driven by that runner.
+:func:`reference_pi01_step` and :func:`reference_preorder_step` are the
+full-scan steppers of the two positive constructions: every label and
+every x is visited at every stage, over state classes of their own.
+:func:`reference_verify_liminf_counts` finds each label's elements by a
+scan of the whole trace.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional
 
 from effstruct.ceersim import CeerFamily, CeerScript
@@ -20,7 +26,9 @@ from effstruct.coceer import (
     _update_flag,
     init_coceer,
 )
-from effstruct.core import cantor_unpair
+from effstruct.core import Delta02SetApprox, cantor_unpair
+from effstruct.errors import ConstructionBugError
+from effstruct.pi01 import GTable, LabelCount, LiminfReport, PiTrace, required_stages_for
 
 
 class NaiveUnionFind:
@@ -114,3 +122,137 @@ def reference_run_coceer(
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
         state.stage = stage
     return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
+
+
+@dataclass
+class ReferenceLabelState:
+    """pi01 state with parked elements in a plain set."""
+
+    ell: dict[int, int] = field(default_factory=dict)
+    members: dict[int, set[int]] = field(default_factory=dict)
+    removed_pending: set[int] = field(default_factory=set)
+    next_fresh: int = 0
+    stage: int = 0
+    transitions: dict[int, list[tuple[int, Optional[int]]]] = field(default_factory=dict)
+    windows: list[int] = field(default_factory=lambda: [0])
+
+
+def _ref_set_label(st: ReferenceLabelState, x: int, label: int, stage: int) -> None:
+    st.ell[x] = label
+    st.members.setdefault(label, set()).add(x)
+    st.transitions.setdefault(x, []).append((stage, label))
+
+
+def _ref_remove_element(st: ReferenceLabelState, z: int, stage: int) -> None:
+    history = st.transitions[z]
+    if len(history) >= 3:
+        raise ConstructionBugError(f"element {z} removed twice")
+    label = st.ell.pop(z)
+    st.members[label].discard(z)
+    st.removed_pending.add(z)
+    history.append((stage, None))
+
+
+def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelState:
+    """One pi01 stage that tops up or strips every label opened so far."""
+    s = st.stage
+    stage = s + 1
+    if st.removed_pending:
+        w = min(st.removed_pending)
+        st.removed_pending.discard(w)
+    else:
+        w = st.next_fresh
+        st.next_fresh += 1
+    _ref_set_label(st, w, s, stage)
+    for k in range(s):
+        members = st.members.setdefault(k, set())
+        delta = len(members)
+        goal = g.g(k, stage)
+        if goal > delta:
+            for _ in range(goal - delta):
+                y = st.next_fresh
+                st.next_fresh += 1
+                _ref_set_label(st, y, k, stage)
+        elif goal < delta:
+            keeper = min(members)
+            for z in sorted(members, reverse=True)[: delta - goal]:
+                if z == keeper:
+                    raise ConstructionBugError(f"label {k}: class minimum removed")
+                _ref_remove_element(st, z, stage)
+        if len(st.members[k]) != goal:
+            raise ConstructionBugError(f"label {k}: count {len(st.members[k])} != g = {goal}")
+    st.stage = stage
+    st.windows.append(st.next_fresh)
+    return st
+
+
+def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
+    """The liminf verifier that asks ``PiTrace.ever_labeled`` once per label.
+
+    The caller runs the trace past ``required_stages_for(g, K)``.
+    """
+    entries = []
+    for k in range(K + 1):
+        _, perlen = g.column_shape(k)
+        start = trace.stages - 2 * perlen
+        observed = sum(
+            1
+            for x in trace.ever_labeled(k)
+            if trace.stable_window_label(x, start, trace.stages) == k
+        )
+        entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
+    return LiminfReport(entries=tuple(entries), required_stages=required_stages_for(g, K))
+
+
+@dataclass
+class ReferenceVTable:
+    """Preorder thresholds whose holders are found by scanning every threshold."""
+
+    v: dict[int, int] = field(default_factory=dict)
+    defined_at: dict[int, int] = field(default_factory=dict)
+    change_count: dict[int, int] = field(default_factory=dict)
+    next_fresh: int = 0
+    stage: int = 0
+    events: list[tuple[int, int, Optional[int], int]] = field(default_factory=list)
+
+    def holders_of(self, x: int) -> list[int]:
+        return sorted(i for i, val in self.v.items() if val == x)
+
+
+def _ref_assign_fresh(t: ReferenceVTable, value: int, stage: int) -> None:
+    i = t.next_fresh
+    t.next_fresh += 1
+    t.v[i] = value
+    t.defined_at[i] = stage
+    t.change_count[i] = 0
+    t.events.append((stage, i, None, value))
+
+
+def _ref_reset_to_zero(t: ReferenceVTable, i: int, stage: int) -> None:
+    old = t.v[i]
+    if t.change_count[i] >= 1:
+        raise ConstructionBugError(f"threshold v({i}) changed a second time")
+    if old == 0:
+        raise ConstructionBugError(f"threshold v({i}) reset while already 0")
+    t.v[i] = 0
+    t.change_count[i] += 1
+    t.events.append((stage, i, old, 0))
+
+
+def reference_preorder_step(t: ReferenceVTable, gB: Delta02SetApprox) -> ReferenceVTable:
+    """One preorder stage that reads every x up to the stage at even stages."""
+    s = t.stage
+    stage = s + 1
+    if stage % 2 == 1:
+        _ref_assign_fresh(t, 0, stage)
+    else:
+        for x in range(1, s + 1):
+            gval = gB.g(x, s)
+            holders = t.holders_of(x)
+            if gval == 0 and holders:
+                for i in holders:
+                    _ref_reset_to_zero(t, i, stage)
+            elif gval == 1 and not holders:
+                _ref_assign_fresh(t, x, stage)
+    t.stage = stage
+    return t

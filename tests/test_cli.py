@@ -165,6 +165,32 @@ def test_coceer_output_files_are_pinned(tmp_path):
     ]
 
 
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
+    # a faster stepper must leave the trace, snapshot and verdict bytes alone
+    g_path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8)))
+    trace = tmp_path / "trace.json"
+    code = main(["pi01", "--g", g_path, "--stages", "1500", "--labels", "8", "--verify",
+                 "--trace", str(trace)])
+    assert code == 0
+    assert [_sha(trace.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
+        "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987",
+        "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838",
+    ]
+    b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
+    snapshot = tmp_path / "snapshot.json"
+    code = main(["preorder", "--b", b_path, "--stages", "250", "--verify",
+                 "--snapshot", str(snapshot)])
+    assert code == 0
+    assert [_sha(snapshot.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
+        "8de11b9b6e542b82d45c5a887ed1e65d46cf4942227d802cd699261f91a9d621",
+        "4390d46cccef40ad5e9bdb77199455ea6f48f70906995eee40d8a10ce07e3ee6",
+    ]
+
+
 def test_end_to_end_determinism(tmp_path, family_file):
     paths = []
     for name in ("a", "b"):

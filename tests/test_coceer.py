@@ -252,3 +252,12 @@ def test_trace_json_round_trip():
                 {"stages": -1}, {"stages": False}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
+    record = obj["records"][0]
+    for bad in ({"stage": -5}, {"stage": True}, {"e": "x"}, {"e": 1.0}, {"case": 9},
+                {"case": -1}, {"case": "1"}, {"flag": "maybe"}, {"flag": True},
+                {"Y": [-1]}, {"Y": ["0"]}, {"Y": 3}, {"exiled": [[0, -1]]},
+                {"exiled": [["0", 1]]}, {"exiled": [[0, 1, 2]]}, {"exiled": None}):
+        with pytest.raises(InputError):
+            trace_from_json({**obj, "records": [{**record, **bad}]})
+    for good in ({"flag": None, "Y": None}, {"flag": "off", "Y": []}, {"case": 0}):
+        trace_from_json({**obj, "records": [{**record, **good}]})

@@ -1,4 +1,5 @@
-"""Differential tests: ceer runners and co-ceer runs against slow reference paths."""
+"""Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
+steppers against slow reference paths, plus operation-count gates."""
 
 import random
 
@@ -6,13 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effstruct import coceer, eqrel
+from effstruct import coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, ceer_snapshot
 from effstruct.coceer import run_coceer, verify_requirement
+from effstruct.core import Delta02SetApprox, UPSeq
 from effstruct.errors import UnsupportedQueryError
-from effstruct.generators import generate_diagonalization_suite, generate_family
+from effstruct.generators import (
+    generate_b,
+    generate_diagonalization_suite,
+    generate_family,
+    generate_gtable,
+)
 
-from reference import ReferenceRunner, reference_run_coceer
+from reference import (
+    ReferenceLabelState,
+    ReferenceRunner,
+    ReferenceVTable,
+    reference_pi01_step,
+    reference_preorder_step,
+    reference_run_coceer,
+    reference_verify_liminf_counts,
+)
 
 
 def _assert_same_queries(runner, ref, sizes):
@@ -154,3 +169,135 @@ def test_run_coceer_operation_counts(monkeypatch):
             assert id(runner.uf) not in merges
         else:
             assert merges.get(id(runner.uf), 0) == len(runner.member.events)
+
+
+def _pi01_past_width(g, extra):
+    """A stage budget past every label's certification horizon and the width."""
+    K = max(g.width - 1, 0)
+    return pi01.required_stages_for(g, K) + g.width + extra
+
+
+def _assert_pi01_matches_reference(g, stages):
+    """Run past the horizon of labels up to width - 1; both verifiers then apply."""
+    fast, ref = pi01.LabelState(), ReferenceLabelState()
+    for _ in range(stages):
+        pi01.pi01_step(fast, g)
+        reference_pi01_step(ref, g)
+    assert fast.transitions == ref.transitions
+    assert fast.windows == ref.windows
+    assert (fast.ell, fast.members, fast.next_fresh, fast.stage) == (
+        ref.ell, ref.members, ref.next_fresh, ref.stage)
+    assert sorted(fast.removed_pending) == sorted(ref.removed_pending)
+    trace = pi01.run_pi01(g, stages)
+    assert trace.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
+    assert trace.windows == tuple(ref.windows)
+    K = max(g.width - 1, 0)
+    assert pi01.verify_liminf_counts(trace, g, K) == reference_verify_liminf_counts(trace, g, K)
+
+
+def _assert_preorder_matches_reference(gB, stages):
+    """Run past the horizon width - 1; both verifiers then apply."""
+    fast, ref = preorder.VTable(), ReferenceVTable()
+    for _ in range(stages):
+        preorder.preorder_step(fast, gB)
+        reference_preorder_step(ref, gB)
+    for name in ("v", "defined_at", "change_count", "next_fresh", "stage", "events"):
+        assert getattr(fast, name) == getattr(ref, name), name
+    for x in range(gB.width + 3):
+        assert fast.holders_of(x) == ref.holders_of(x), x
+    assert preorder.run_preorder(gB, stages) == fast
+    # the verifier reads only stage, holders_of and v, so it runs on either table
+    horizon = gB.width - 1
+    assert preorder.verify_claim(fast, gB, horizon) == preorder.verify_claim(ref, gB, horizon)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 5, 8, 12])
+def test_pi01_matches_reference(K):
+    for seed in range(1, 31):
+        g = generate_gtable(seed, K)
+        _assert_pi01_matches_reference(g, _pi01_past_width(g, 12))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 5, 8, 12])
+def test_preorder_matches_reference(K):
+    for seed in range(1, 31):
+        gB = generate_b(seed, K)
+        stages = preorder.required_stages_for(gB, gB.width - 1) + 2 * gB.width + 12
+        _assert_preorder_matches_reference(gB, stages)
+
+
+_prefixes = st.lists(st.integers(1, 9), max_size=8)
+_gtables = st.lists(
+    st.builds(lambda p, q: UPSeq(tuple(p), tuple(q)), _prefixes,
+              st.lists(st.integers(1, 9), min_size=1, max_size=6)),
+    max_size=4,
+).map(lambda cols: pi01.GTable(tuple(cols)))
+
+
+def _b_column(prefix, limit, perlen):
+    return UPSeq(tuple(prefix), (limit,) * perlen)
+
+
+_b_columns = st.builds(_b_column, st.lists(st.integers(0, 1), max_size=8), st.integers(0, 1),
+                       st.integers(1, 6))
+_column_zero = st.builds(_b_column, st.lists(st.integers(0, 1), max_size=8), st.just(0),
+                         st.integers(1, 6))
+_set_approxes = st.builds(
+    lambda zero, rest: Delta02SetApprox((zero, *rest)), _column_zero,
+    st.lists(_b_columns, max_size=5),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_gtables, st.integers(1, 30))
+def test_pi01_matches_reference_property(g, extra):
+    _assert_pi01_matches_reference(g, _pi01_past_width(g, extra))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_set_approxes, st.integers(1, 30))
+def test_preorder_matches_reference_property(gB, extra):
+    stages = preorder.required_stages_for(gB, gB.width - 1) + gB.width + extra
+    _assert_preorder_matches_reference(gB, stages)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", [None, 0, 8])
+def test_pi01_operation_counts(monkeypatch, K):
+    """pi01 asks g only about labels below the width; the verifier never rescans."""
+    g = pi01.GTable(()) if K is None else generate_gtable(7, K)
+    stages = 1500
+    lookups = _count_calls(monkeypatch, pi01.GTable, "g")
+    trace = pi01.run_pi01(g, stages)
+    assert lookups[0] == sum(min(s, g.width) for s in range(stages))
+
+    def rescan(self, k):
+        raise AssertionError("verify_liminf_counts rescanned the trace for a label")
+
+    monkeypatch.setattr(pi01.PiTrace, "ever_labeled", rescan)
+    assert pi01.verify_liminf_counts(trace, g, max(g.width - 1, 0)).all_match
+
+
+@pytest.mark.parametrize("K", [0, 1, 10])
+def test_preorder_operation_counts(monkeypatch, K):
+    """preorder reads g and the holders of x only below the width, at even stages."""
+    gB = generate_b(7, K)
+    stages = 601
+    lookups = _count_calls(monkeypatch, Delta02SetApprox, "g")
+    holder_queries = _count_calls(monkeypatch, preorder.VTable, "holders_of")
+    preorder.run_preorder(gB, stages)
+    # stage s+1 is even when s is odd, and then reads 1 <= x < min(s+1, width)
+    expected = sum(min(s + 1, gB.width) - 1 for s in range(1, stages, 2))
+    assert lookups[0] == holder_queries[0] == expected
+    assert expected <= -(-stages // 2) * gB.width

@@ -188,9 +188,17 @@ def test_run_validation_and_json():
         trace_from_json({"format": 1, "stages": 1})
     obj = trace_to_json(trace)
     for bad in ({"format": True}, {"format": 1.0}, {"format": None},
-                {"stages": -3}, {"stages": True}, {"windows": ["x"]}, {"windows": [-1]}):
+                {"stages": -3}, {"stages": True}, {"windows": ["x"]}, {"windows": [-1]},
+                {"transitions": [[-1, [[True, "z"]]]]}, {"transitions": [[-1, [[1, 0]]]]},
+                {"transitions": [["0", [[1, 0]]]]}, {"transitions": [[0, [[True, 0]]]]},
+                {"transitions": [[0, [[-1, 0]]]]}, {"transitions": [[0, [[1, "z"]]]]},
+                {"transitions": [[0, [[1, 1.0]]]]}, {"transitions": [[0, [[1, -2]]]]},
+                {"transitions": [[0, [[1, 0, 2]]]]}, {"transitions": [[0, "zz"]]},
+                {"transitions": "zz"}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
+    removal = {**obj, "transitions": [[0, [[1, 0], [2, None]]]]}
+    assert trace_from_json(removal).transitions == {0: ((1, 0), (2, None))}
     for version in (True, 1.0):
         with pytest.raises(InputError):
             gtable_from_json({**gtable_to_json(g), "format": version})
