@@ -90,19 +90,24 @@ class ChurnGenerator:
     def round_base(self, r: int) -> int:
         return 1 + r * self.target_size
 
-    def classes_after(self, stage: int) -> tuple[range, ...]:
-        """The classes of two or more elements once stages 0..stage have run.
+    def rounds(self, stage: int) -> tuple[int, int]:
+        """(F, A): the rounds formed and absorbed once stages 0..stage have run.
 
-        With d the spacing, F = floor((s-1)/2d) + 1 rounds are formed and
-        A = floor((s-1-d)/2d) + 1 absorbed (both 0 before their first
-        stage), and F - A is 0 or 1.  The class of 0 is {0} plus blocks
-        0..A-1; a formed block not yet absorbed is a class of its own;
-        every other element is a singleton.  Classes come by minimum.
+        With d the spacing, F = floor((s-1)/2d) + 1 and A = floor((s-1-d)/2d)
+        + 1 (both 0 before their first stage), and F - A is 0 or 1.
         """
         d = self.block_spacing
         s = max(stage, 0)
-        formed = (s - 1) // (2 * d) + 1
-        absorbed = (s - 1 - d) // (2 * d) + 1
+        return (s - 1) // (2 * d) + 1, (s - 1 - d) // (2 * d) + 1
+
+    def classes_after(self, stage: int) -> tuple[range, ...]:
+        """The classes of two or more elements once stages 0..stage have run.
+
+        With (F, A) = :meth:`rounds`, the class of 0 is {0} plus blocks
+        0..A-1; a formed block not yet absorbed is a class of its own;
+        every other element is a singleton.  Classes come by minimum.
+        """
+        formed, absorbed = self.rounds(stage)
         out = []
         if absorbed:
             out.append(range(0, self.round_base(absorbed)))
@@ -189,6 +194,13 @@ class CeerRunner:
             self._publish(tuple(
                 [elements[i] for i in c] for c in self.uf.classes() if len(c) > 1
             ))
+
+    @property
+    def next_event_stage(self) -> Optional[int]:
+        """Stage of the first script event not merged yet; None for churn or past the last."""
+        if isinstance(self.member, ChurnGenerator) or self._applied == len(self.member.events):
+            return None
+        return self.member.events[self._applied][0]
 
     def _publish(self, classes: tuple[Sequence[int], ...]) -> None:
         self.classes = classes

@@ -11,22 +11,27 @@ the e-th member of a ceer family.
 Per column the construction keeps a latch flag that turns on whenever the
 family member exhibits a never-before-seen oldest class of the target
 size; the flag is consumed (and the witness set churned) the next time the
-stage schedule focuses on that column.
+stage schedule focuses on that column.  Stage s focuses column
+``cantor_unpair(s).e``; no other stage reads or consumes a column's flag,
+so the flag is brought up to date lazily, at the column's own focused
+stages, from the member's events in between (see :meth:`CoceerRun._latch`).
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-:class:`CoceerRun` steps the construction one stage at a time;
-:func:`run_coceer` drives it for a stage budget and traces every stage.
+:class:`CoceerRun` steps the construction one focused stage at a time;
+:func:`run_coceer` drives it for a stage budget and traces every focused
+stage.  A stage whose focus lies beyond the last column changes nothing,
+so it is neither visited nor recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
-from .ceersim import CeerFamily, CeerRunner, CeerScript, limit_spectrum
+from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_spectrum
 from .core import cantor_unpair, check_format, is_nat
 from .eqrel import Partition
 from .errors import ConstructionBugError, InputError
@@ -39,8 +44,11 @@ class ColumnState:
     k: int                      # target class size
     witnesses: set[int]
     flag: bool = False
-    seen_minima: set[int] = field(default_factory=set)
+    seen_through: int = 0       # the flag is up to date through this stage
+    seen_minima: set[int] = field(default_factory=set)  # oldest size-k minima (scripts)
     exiled: set[int] = field(default_factory=set)
+    max_exiled: int = 0         # the largest exile, 0 while there is none
+    next_free: int = 0          # every x with max(witnesses) < x < next_free is exiled
     y_log: list[tuple[int, frozenset[int]]] = field(default_factory=list)
     case3_stages: list[int] = field(default_factory=list)
     last_case4_stage: Optional[int] = None
@@ -57,7 +65,7 @@ class ColumnState:
 
 @dataclass
 class CoceerState:
-    stage: int
+    stage: int                  # the construction has run through this stage
     columns: list[ColumnState]
 
     @property
@@ -69,14 +77,16 @@ class CoceerState:
 class StageRecord:
     stage: int
     e: int
-    case: int                   # 1..4, or 0 for a skipped stage (e >= E)
-    witnesses: Optional[tuple[int, ...]]
-    flag: Optional[bool]
+    case: int                   # 1..4
+    witnesses: tuple[int, ...]
+    flag: bool
     exiled: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class CoceerTrace:
+    """One record per focused stage in 1..stages, in stage order."""
+
     columns: int
     stages: int
     records: tuple[StageRecord, ...]
@@ -107,36 +117,86 @@ def init_coceer(E: int) -> CoceerState:
     return CoceerState(stage=0, columns=columns)
 
 
+def focus_schedule(E: int, budget: Optional[int] = None) -> Iterator[tuple[int, int]]:
+    """The focused stages 1..budget (unbounded for None) as (stage, e), in order.
+
+    Stage w(w+1)/2 + e focuses column e for e <= w; it is focused when e < E.
+    """
+    w = 1
+    while budget is None or w * (w + 1) // 2 <= budget:
+        base = w * (w + 1) // 2
+        for e in range(min(w + 1, E)):
+            if budget is not None and base + e > budget:
+                return
+            yield base + e, e
+        w += 1
+
+
 def compute_uv(state: CoceerState, e: int) -> tuple[Optional[int], int]:
     """Replaceable witness and next recruit for column e.
 
-    ``u`` is the least witness above the initial segment (absent when the
-    witness set is exactly the initial segment); ``v`` is the least
-    element beyond all current witnesses whose column entry has not been
-    exiled, i.e. is still in the class of <e,0>.
+    ``u`` is the witness above the initial segment (absent when the
+    witness set is exactly the initial segment; the check after every
+    stage leaves at most one); ``v`` is the least element beyond all
+    current witnesses whose column entry has not been exiled, i.e. is
+    still in the class of <e,0>.
     """
     if not 0 <= e < state.width:
         raise InputError(f"column {e} out of range")
     col = state.columns[e]
-    above = [x for x in col.witnesses if x > col.base]
-    u = min(above) if above else None
-    v = max(col.witnesses) + 1
+    top = max(col.witnesses)
+    return (top if top > col.base else None), _next_free(col, top)
+
+
+def _next_free(col: ColumnState, top: int) -> int:
+    """The least x > top that is not exiled.
+
+    ``col.next_free`` keeps the last answer, so the run of padding exiles
+    above the witnesses is stepped over once, not at every stage.  It stays
+    a lower bound: exiles are permanent, a recruit raises the top to the
+    answer itself, and case 2 lowers the top only across elements that the
+    settled-region identity shows exiled.
+    """
+    v = max(col.next_free, top + 1)
     while v in col.exiled:
         v += 1
-    return u, v
+    col.next_free = v
+    return v
 
 
 def _exile(col: ColumnState, x: int) -> list[int]:
     """Mark <e,x> as a permanent singleton; returns the newly exiled x."""
-    if x == 0 or x in col.initial_witnesses:
+    if x <= col.base:  # 0 or an initial witness
         raise ConstructionBugError(f"attempt to exile protected element {x}")
     if x in col.exiled:
         return []
     col.exiled.add(x)
+    col.max_exiled = max(col.max_exiled, x)
     return [x]
 
 
 def _check_column(col: ColumnState, e: int) -> None:
+    """Raise :class:`ConstructionBugError` unless column e is well formed.
+
+    Besides the witness count, witnesses never exiled and the initial
+    witnesses kept, this checks the settled-region identity: for every
+    0 <= x <= top = max(Y), x is unexiled iff x = 0 or x is in Y.  It is
+    checked as the counter identity
+
+        0 not exiled  and  |Y - {0}| + |exiled & [1, top]| = top.
+
+    Proof: Y lies in [0, top], so A = Y - {0} and B = exiled & [1, top] are
+    subsets of [1, top], disjoint because no witness is exiled.  The identity
+    at x = 0 says 0 is unexiled; on [1, top] it says A and B cover [1, top],
+    which for disjoint subsets holds iff |A| + |B| = top.
+
+    B is counted without a scan: with v the least unexiled element above
+    top, the exiles above top are the run (top, v), v - top - 1 of them,
+    plus any beyond v.  Exiles enter only as the next recruit (case 4), the
+    element after a recruit (case 1) or an old witness (cases 2 and 3), so
+    none lies beyond v and the last term is 0; it is counted only if the
+    largest exile says otherwise.
+    """
     n = len(col.witnesses)
     if n not in (col.base, col.base + 1):
         raise ConstructionBugError(f"column {e}: witness count {n} not in {{base, base+1}}")
@@ -144,23 +204,14 @@ def _check_column(col: ColumnState, e: int) -> None:
         raise ConstructionBugError(f"column {e}: witness exiled")
     if not col.initial_witnesses <= col.witnesses:
         raise ConstructionBugError(f"column {e}: initial witness removed")
-    # settled-region identity: below the witness high-water mark, the
-    # surviving class members are exactly {0} plus the witnesses
     top = max(col.witnesses)
-    for x in range(top + 1):
-        surviving = x not in col.exiled
-        expected = x == 0 or x in col.witnesses
-        if surviving != expected:
-            raise ConstructionBugError(f"column {e}: settled-region identity fails at {x}")
-
-
-def _update_flag(col: ColumnState, current_min: Optional[int]) -> None:
-    """Latch the flag if the oldest target-size class is new to history."""
-    if current_min is None:
-        return
-    if current_min not in col.seen_minima:
-        col.flag = True
-        col.seen_minima.add(current_min)
+    v = _next_free(col, top)
+    above = v - top - 1
+    if col.max_exiled > v:
+        above += sum(1 for x in col.exiled if x > v)
+    settled = len(col.exiled) - above
+    if 0 in col.exiled or n - (0 in col.witnesses) + settled != top:
+        raise ConstructionBugError(f"column {e}: settled-region identity fails below {top}")
 
 
 def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecord:
@@ -205,11 +256,12 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecor
 
 
 class CoceerRun:
-    """The construction over columns 0..E-1 of ``fam``, one stage per :meth:`step`.
+    """The construction over columns 0..E-1 of ``fam``, one focused stage per :meth:`step`.
 
     The constructor builds one runner per column and seeds stage 0: the
     stage-0 approximations enter the oldest-class history, but flags stay
     off, since a class present from the start is not a mind change.
+    ``next_stage`` is the focused stage the next :meth:`step` runs.
     """
 
     def __init__(self, fam: CeerFamily, E: int):
@@ -222,37 +274,90 @@ class CoceerRun:
             m = runner.oldest_class_min(col.k)
             if m is not None:
                 col.seen_minima.add(m)
+        self._schedule = focus_schedule(E)
+        self.next_stage, self._next_e = next(self._schedule)
 
     def step(self) -> StageRecord:
-        """Run the next stage; a stage whose focus lies beyond E is a skip."""
-        state = self.state
-        stage = state.stage + 1
-        e_focus, _ = cantor_unpair(stage)
-        for col, runner in zip(state.columns, self.runners):
-            runner.advance_to(stage)
-            _update_flag(col, runner.oldest_class_min(col.k))
-        if e_focus < state.width:
-            has_k = self.runners[e_focus].has_class_of_size(state.columns[e_focus].k)
-            record = _dispatch(state, e_focus, stage, has_k)
-        else:
-            record = StageRecord(stage, e_focus, 0, None, None, ())
-        state.stage = stage
+        """Run the next focused stage: bring its column's flag up to date, then dispatch."""
+        stage, e = self.next_stage, self._next_e
+        self.next_stage, self._next_e = next(self._schedule)
+        self._latch(e, stage)
+        runner = self.runners[e]
+        runner.advance_to(stage)
+        record = _dispatch(self.state, e, stage, runner.has_class_of_size(self.state.columns[e].k))
+        self.state.stage = stage
         return record
+
+    def catch_up(self, stage: int) -> None:
+        """Bring every flag up to ``stage``, which lies before :attr:`next_stage`."""
+        if not self.state.stage <= stage < self.next_stage:
+            raise InputError(f"cannot catch up to stage {stage} without running a focused stage")
+        for e in range(self.state.width):
+            self._latch(e, stage)
+        self.state.stage = stage
+
+    def _latch(self, e: int, stage: int) -> None:
+        """Latch column e's flag if a never-seen oldest size-k class appeared in
+        (``seen_through``, stage].
+
+        A script's oldest size-k class changes only at its event stages, so
+        those are replayed one at a time and each new minimum is latched.  A
+        churn member is answered by :func:`_churn_latches` without replay.
+        """
+        col, runner = self.state.columns[e], self.runners[e]
+        last, col.seen_through = col.seen_through, stage
+        member = runner.member
+        if isinstance(member, ChurnGenerator):
+            col.flag = col.flag or _churn_latches(member, col.k, last, stage)
+            return
+        while (t := runner.next_event_stage) is not None and t <= stage:
+            runner.advance_to(t)
+            m = runner.oldest_class_min(col.k)
+            if m is not None and m not in col.seen_minima:
+                col.flag = True
+                col.seen_minima.add(m)
+
+
+def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
+    """Whether a never-seen oldest size-k class of ``gen`` appears in (last, stage].
+
+    The classes of two or more are the class of 0, of size A*k' + 1 for k'
+    the churn target and A the rounds absorbed, and a pending block of
+    size k' (:meth:`ChurnGenerator.classes_after`).  For k = k' the class of
+    0 never has size k (A*k' + 1 = k' has no solution), so the oldest
+    size-k class is the pending block; a round forms a block with a larger
+    minimum than every earlier one, and it is pending at its formation
+    stage, so a new minimum appears iff some round forms in the interval.
+    For k != k' only the class of 0 can have size k, with minimum 0, and
+    only while A = (k-1)/k'.  A grows by at most one per stage, so if A
+    passes that value in the interval it equals it at some stage there, and
+    0 is new, since A was smaller at every earlier stage; if A reached it
+    before, 0 was latched then.
+    """
+    formed0, absorbed0 = gen.rounds(last)
+    formed1, absorbed1 = gen.rounds(stage)
+    if k == gen.target_size:
+        return formed1 > formed0
+    rounds, rest = divmod(k - 1, gen.target_size)
+    return rest == 0 and absorbed0 < rounds <= absorbed1
 
 
 def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState, CoceerTrace]:
-    """Run the construction for ``stage_budget`` stages and trace it.
+    """Run the construction through stage ``stage_budget`` and trace it.
 
-    The trace holds one record per stage; stages whose focus column lies
-    beyond E are recorded as skips.  Construction invariants (witness
-    count, protected elements, settled-region identity) are checked on
-    every focused stage and raise :class:`ConstructionBugError`.
+    The trace holds one record per focused stage, and every flag is brought
+    up to the budget at the end.  Construction invariants (witness count,
+    protected elements, settled-region identity) are checked on every
+    focused stage and raise :class:`ConstructionBugError`.
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
     run = CoceerRun(fam, E)
-    records = tuple(run.step() for _ in range(stage_budget))
-    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=records)
+    records = []
+    while run.next_stage <= stage_budget:
+        records.append(run.step())
+    run.catch_up(stage_budget)
+    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
 
 
 def snapshot(state: CoceerState, window: int) -> Partition:
@@ -343,55 +448,57 @@ def report_to_json(report: RequirementReport) -> dict:
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:
-    records = []
-    for r in trace.records:
-        records.append(
-            {
-                "stage": r.stage,
-                "e": r.e,
-                "case": r.case,
-                "Y": None if r.witnesses is None else list(r.witnesses),
-                "flag": None if r.flag is None else ("on" if r.flag else "off"),
-                "exiled": [[e, x] for e, x in r.exiled],
-            }
-        )
-    return {
-        "format": 1,
-        "mode": "spaced",       # the 2e+2 sizing, the only one there is
-        "columns": trace.columns,
-        "stages": trace.stages,
-        "records": records,
-    }
+    """Format 2: the focused records only; every other stage is a skip."""
+    records = [
+        {
+            "stage": r.stage,
+            "e": r.e,
+            "case": r.case,
+            "Y": list(r.witnesses),
+            "flag": "on" if r.flag else "off",
+            "exiled": [[e, x] for e, x in r.exiled],
+        }
+        for r in trace.records
+    ]
+    return {"format": 2, "columns": trace.columns, "stages": trace.stages, "records": records}
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    if not isinstance(obj, dict) or obj.get("mode") != "spaced":
-        raise InputError("trace must be a format-1 object with mode 'spaced'")
-    check_format(obj)
+    """Load a format-2 trace whose records are exactly the focused stages."""
+    if not isinstance(obj, dict):
+        raise InputError("trace must be a format-2 object")
+    check_format(obj, version=2)
     columns, stages = obj.get("columns"), obj.get("stages")
     if not is_nat(columns) or not is_nat(stages):
         raise InputError("trace 'columns' and 'stages' must be naturals")
+    schedule = focus_schedule(columns, stages)
     try:
-        records = tuple(_record_from_json(r) for r in obj["records"])
+        records = tuple(_record_from_json(r, next(schedule, None)) for r in obj["records"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
+    missing = next(schedule, None)
+    if missing is not None:
+        raise InputError(f"trace has no record for focused stage {missing[0]}")
     return CoceerTrace(columns=columns, stages=stages, records=records)
 
 
-_FLAGS = {"on": True, "off": False, None: None}
+_FLAGS = {"on": True, "off": False}
 
 
-def _record_from_json(r: dict) -> StageRecord:
+def _record_from_json(r: dict, focus: Optional[tuple[int, int]]) -> StageRecord:
+    """One record, which must be the focused stage ``focus`` = (stage, e)."""
     stage, e, case, flag = r["stage"], r["e"], r["case"], r["flag"]
-    witnesses = None if r["Y"] is None else tuple(r["Y"])
+    witnesses = tuple(r["Y"])
     exiled = tuple((a, b) for a, b in r["exiled"])
     if not (
-        is_nat(stage) and is_nat(e) and is_nat(case) and case <= 4 and flag in _FLAGS
-        and (witnesses is None or all(map(is_nat, witnesses)))
-        and all(is_nat(a) and is_nat(b) for a, b in exiled)
+        is_nat(stage) and is_nat(e) and is_nat(case) and 1 <= case <= 4 and flag in _FLAGS
+        and all(map(is_nat, witnesses)) and all(is_nat(a) and is_nat(b) for a, b in exiled)
     ):
         raise InputError(
-            f"trace record {stage!r}: stage, e, case (0..4), Y and exiled must hold "
-            "naturals, flag must be 'on', 'off' or null"
+            f"trace record {stage!r}: stage, e, case (1..4), Y and exiled must hold "
+            "naturals, flag must be 'on' or 'off'"
         )
+    if (stage, e) != focus:
+        raise InputError(f"trace record (stage, column) = {(stage, e)} is not the next "
+                         f"focused stage, {focus or 'of which there are no more'}")
     return StageRecord(stage, e, case, witnesses, _FLAGS[flag], exiled)

@@ -44,14 +44,14 @@ def is_nat(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def check_format(obj: dict, default: object = None) -> None:
-    """Accept only ``"format": 1``; an absent key reads as ``default``.
+def check_format(obj: dict, default: object = None, version: int = 1) -> None:
+    """Accept only ``"format": version``; an absent key reads as ``default``.
 
     ``true`` and ``1.0`` compare equal to 1 in Python but are not versions.
     """
-    version = obj.get("format", default)
-    if not (is_nat(version) and version == 1):
-        raise InputError(f"unsupported format version {version!r}")
+    found = obj.get("format", default)
+    if not (is_nat(found) and found == version):
+        raise InputError(f"unsupported format version {found!r} (expected {version})")
 
 
 def _as_nat_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:

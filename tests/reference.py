@@ -4,7 +4,10 @@
 its merges from ``ChurnGenerator.events_at`` or by scanning
 ``CeerScript.events``, into a union-find of its own; it shares no code
 with ``ceersim.CeerRunner``.  :func:`reference_run_coceer` is the plain
-loop of the co-ceer construction over every stage, driven by that runner.
+loop of the co-ceer construction over every stage, driven by that runner:
+it updates every flag at every stage from a seen-set of its own and
+rescans each dispatched column's settled region with
+:func:`reference_check_column`.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
@@ -21,9 +24,9 @@ from effstruct.ceersim import CeerFamily, CeerScript
 from effstruct.coceer import (
     CoceerState,
     CoceerTrace,
+    ColumnState,
     StageRecord,
     _dispatch,
-    _update_flag,
     init_coceer,
 )
 from effstruct.core import Delta02SetApprox, cantor_unpair
@@ -32,7 +35,8 @@ from effstruct.pi01 import GTable, LabelCount, LiminfReport, PiTrace, required_s
 
 
 class NaiveUnionFind:
-    """Quick-find: every touched element maps to the member list of its class."""
+    """Quick-find: every touched element maps to the member list of its class,
+    whose first entry is the class minimum."""
 
     def __init__(self):
         self.class_of: dict[int, list[int]] = {}
@@ -48,6 +52,9 @@ class NaiveUnionFind:
         if len(a) < len(b):
             a, b = b, a
         a.extend(b)
+        if b[0] < a[0]:  # keep the minimum first
+            i = len(a) - len(b)
+            a[0], a[i] = a[i], a[0]
         for z in b:
             self.class_of[z] = a
         self.lists.pop(id(b), None)
@@ -75,7 +82,7 @@ class ReferenceRunner:
             for x, y in merges:
                 self.uf.union(x, y)
             if merges:
-                self._shape = [(min(c), len(c)) for c in self.uf.lists.values()]
+                self._shape = [(c[0], len(c)) for c in self.uf.lists.values()]
 
     def has_class_of_size(self, k: int) -> bool:
         # omega has cofinitely many untouched singletons
@@ -98,26 +105,47 @@ class ReferenceRunner:
         return sorted([c for c in inside if c] + singles, key=lambda c: c[0])
 
 
+def reference_check_column(col: ColumnState, e: int) -> None:
+    """The settled-region identity by a scan of [0, max(Y)]: below the
+    witness high-water mark, the surviving class members are exactly {0}
+    plus the witnesses."""
+    for x in range(max(col.witnesses) + 1):
+        surviving = x not in col.exiled
+        expected = x == 0 or x in col.witnesses
+        if surviving != expected:
+            raise ConstructionBugError(f"column {e}: settled-region identity fails at {x}")
+
+
 def reference_run_coceer(
     fam: CeerFamily, E: int, stage_budget: int
 ) -> tuple[CoceerState, CoceerTrace]:
-    """The co-ceer construction visiting every stage, over reference runners."""
+    """The co-ceer construction visiting every stage, over reference runners.
+
+    Every stage advances every runner and latches every flag whose oldest
+    size-k minimum is new to that column's seen-set; a stage whose focus
+    lies beyond E is recorded as a case-0 skip.
+    """
     state = init_coceer(E)
     runners = [ReferenceRunner(fam.member(e)) for e in range(E)]
-    for col, runner in zip(state.columns, runners):
+    seen: list[set[int]] = [set() for _ in range(E)]
+    for col, runner, minima in zip(state.columns, runners, seen):
         runner.advance_to(0)
         m = runner.oldest_class_min(col.k)
         if m is not None:
-            col.seen_minima.add(m)
+            minima.add(m)
     records = []
     for stage in range(1, stage_budget + 1):
         e_focus, _ = cantor_unpair(stage)
-        for col, runner in zip(state.columns, runners):
+        for col, runner, minima in zip(state.columns, runners, seen):
             runner.advance_to(stage)
-            _update_flag(col, runner.oldest_class_min(col.k))
+            m = runner.oldest_class_min(col.k)
+            if m is not None and m not in minima:
+                col.flag = True
+                minima.add(m)
         if e_focus < E:
             has_k = runners[e_focus].has_class_of_size(state.columns[e_focus].k)
             records.append(_dispatch(state, e_focus, stage, has_k))
+            reference_check_column(state.columns[e_focus], e_focus)
         else:
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
         state.stage = stage

@@ -7,7 +7,7 @@ import pytest
 
 from effstruct.ceersim import family_to_json
 from effstruct.cli import RunConfig, main, run
-from effstruct.core import delta02_to_json
+from effstruct.core import cantor_unpair, delta02_to_json
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -137,6 +137,12 @@ def test_blocks_flag_validation(tmp_path):
     assert main(["blocks", "--decode", path]) == 2
 
 
+def test_verify_all_runs_the_whole_budget(capsys):
+    assert main(["verify-all", "--seed", "7", "--stages", "30000"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "PASS diagonalization: 25/25 requirements satisfied and certified within 30000 stages")
+
+
 def test_verify_all_green(capsys):
     assert main(["verify-all", "--seed", "7", "--stages", "5000"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -146,6 +152,19 @@ def test_verify_all_green(capsys):
         "(29 with membership flips)",
         "PASS block coder: 100 round trips and 33 character cross-checks exact",
     ]
+
+
+def _as_format_1(trace: dict) -> dict:
+    """The same trace in format 1: every stage recorded, a case-0 skip where
+    the focus lies beyond the columns, and the constant mode field."""
+    focused = {r["stage"]: r for r in trace["records"]}
+    records = []
+    for stage in range(1, trace["stages"] + 1):
+        e = cantor_unpair(stage).e
+        skip = {"stage": stage, "e": e, "case": 0, "Y": None, "flag": None, "exiled": []}
+        records.append(focused.pop(stage) if e < trace["columns"] else skip)
+    assert not focused
+    return {**trace, "format": 1, "mode": "spaced", "records": records}
 
 
 def test_coceer_output_files_are_pinned(tmp_path):
@@ -160,9 +179,14 @@ def test_coceer_output_files_are_pinned(tmp_path):
     assert code == 0
     digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, report)]
     assert digests == [
-        "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955",
+        "7404bb86ea86fff3f437fba999af72feeb4860953ce878fad4d07be460d67e53",
         "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4",
     ]
+    # expanded with its skip records, the format-2 trace is the format-1 file
+    # byte for byte (the digest pinned before format 2)
+    old = json.dumps(_as_format_1(json.loads(trace.read_text())), indent=2, sort_keys=True)
+    assert hashlib.sha256((old + "\n").encode()).hexdigest() == \
+        "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955"
 
 
 def _sha(data):

@@ -15,7 +15,7 @@ from effstruct.coceer import (
     trace_to_json,
     verify_requirement,
 )
-from effstruct.core import cantor_pair
+from effstruct.core import cantor_pair, cantor_unpair
 from effstruct.errors import InputError
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
@@ -85,6 +85,8 @@ def test_step_case_two_retracts_witness():
 def test_step_case_three_without_replaceable_witness():
     # a size-4 class formed at stage 1 is new to the history: the flag latches
     run = _run_before_column_one(CeerScript(tuple((1, (0, x)) for x in (1, 2, 3))))
+    assert not run.state.columns[1].flag  # caught up only when column 1 is focused
+    run.catch_up(1)
     assert run.state.columns[1].flag
     assert run.step().case == 3
     col = run.state.columns[1]
@@ -128,9 +130,9 @@ def test_run_trace_length_and_budget():
 
 def test_run_skips_columns_beyond_family_width():
     fam = CeerFamily((CeerScript(()),))
-    _, trace = run_coceer(fam, 1, 10)
-    skipped = [r for r in trace.records if r.case == 0]
-    assert skipped and all(r.e >= 1 for r in skipped)
+    state, trace = run_coceer(fam, 1, 10)
+    assert [r.stage for r in trace.records] == [s for s in range(1, 11) if cantor_unpair(s).e < 1]
+    assert all(r.e == 0 for r in trace.records) and state.stage == 10
 
 
 def test_step_matches_run():
@@ -140,10 +142,15 @@ def test_step_matches_run():
     )
     fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
     run = CoceerRun(fam, 3)
-    records = tuple(run.step() for _ in range(60))
+    records = []
+    while run.next_stage <= 60:
+        records.append(run.step())
+    run.catch_up(60)
+    with pytest.raises(InputError):
+        run.catch_up(run.next_stage)  # a focused stage: catching up would skip its dispatch
     state, trace = run_coceer(fam, 3, 60)
     assert run.state == state
-    assert records == trace.records
+    assert tuple(records) == trace.records
 
 
 def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
@@ -162,8 +169,6 @@ def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
 def test_snapshot_is_column_partition_initially():
     state = init_coceer(3)
     snap = snapshot(state, 12)
-    from effstruct.core import cantor_unpair
-
     for z1 in range(12):
         for z2 in range(12):
             assert snap.same(z1, z2) == (cantor_unpair(z1).e == cantor_unpair(z2).e)
@@ -241,23 +246,43 @@ def test_trace_json_round_trip():
     fam = CeerFamily((CeerScript(((1, (0, 1)),)), ChurnGenerator(4, 2)))
     _, trace = run_coceer(fam, 2, 30)
     obj = trace_to_json(trace)
-    assert obj["mode"] == "spaced"
+    assert obj["format"] == 2 and "mode" not in obj
+    assert [r["stage"] for r in obj["records"]] == [
+        s for s in range(1, 31) if cantor_unpair(s).e < 2]
     assert trace_from_json(obj) == trace
-    for mode in ("other", None):
-        with pytest.raises(InputError):
-            trace_from_json({**obj, "mode": mode})
     with pytest.raises(InputError):
-        trace_from_json({"format": 1, "records": [{"stage": 0}]})
-    for bad in ({"format": True}, {"format": 1.0}, {"columns": "z"}, {"columns": -1},
-                {"stages": -1}, {"stages": False}):
+        trace_from_json({"format": 2, "records": [{"stage": 1}]})
+    for bad in ({"format": 1}, {"format": True}, {"format": 2.0}, {"columns": "z"},
+                {"columns": -1}, {"stages": -1}, {"stages": False}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
-    record = obj["records"][0]
+    records = obj["records"]
+
+    def patched(i, **fields):
+        return {**obj, "records": [*records[:i], {**records[i], **fields}, *records[i + 1:]]}
+
     for bad in ({"stage": -5}, {"stage": True}, {"e": "x"}, {"e": 1.0}, {"case": 9},
-                {"case": -1}, {"case": "1"}, {"flag": "maybe"}, {"flag": True},
-                {"Y": [-1]}, {"Y": ["0"]}, {"Y": 3}, {"exiled": [[0, -1]]},
-                {"exiled": [["0", 1]]}, {"exiled": [[0, 1, 2]]}, {"exiled": None}):
+                {"case": -1}, {"case": "1"}, {"case": 0}, {"flag": "maybe"}, {"flag": True},
+                {"flag": None}, {"Y": None}, {"Y": [-1]}, {"Y": ["0"]}, {"Y": 3},
+                {"exiled": [[0, -1]]}, {"exiled": [["0", 1]]}, {"exiled": [[0, 1, 2]]},
+                {"exiled": None}):
         with pytest.raises(InputError):
-            trace_from_json({**obj, "records": [{**record, **bad}]})
-    for good in ({"flag": None, "Y": None}, {"flag": "off", "Y": []}, {"case": 0}):
-        trace_from_json({**obj, "records": [{**record, **good}]})
+            trace_from_json(patched(0, **bad))
+    for good in ({"flag": "on"}, {"Y": []}, {"case": 4}, {"exiled": []}):
+        trace_from_json(patched(0, **good))
+    # the records must be exactly the focused stages, in order
+    schedule_breaks = [
+        {**obj, "records": [records[1], records[0], *records[2:]]},   # not increasing
+        {**obj, "records": [records[0], *records]},                   # repeated stage
+        {**obj, "stages": records[-1]["stage"] - 1},                  # stage > stages
+        patched(1, e=0),                                              # e != focus of stage
+        patched(1, stage=3, e=1),                                     # stage 3 focuses 0
+        {**obj, "columns": 1},                                        # e >= columns
+        {**obj, "records": records[:-1]},                             # a focused stage lost
+        {**obj, "records": [*records[:3], *records[4:]]},
+    ]
+    for broken in schedule_breaks:
+        with pytest.raises(InputError):
+            trace_from_json(broken)
+    assert trace_from_json({**obj, "stages": 31}).stages == 31  # stage 31 focuses column 3
+    assert trace_from_json({**obj, "columns": 0, "records": []}).records == ()

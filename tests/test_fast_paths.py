@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from effstruct import coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, ceer_snapshot
-from effstruct.coceer import run_coceer, verify_requirement
-from effstruct.core import Delta02SetApprox, UPSeq
-from effstruct.errors import UnsupportedQueryError
+from effstruct.coceer import ColumnState, focus_schedule, run_coceer, verify_requirement
+from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
+from effstruct.errors import ConstructionBugError, UnsupportedQueryError
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -23,6 +23,7 @@ from reference import (
     ReferenceLabelState,
     ReferenceRunner,
     ReferenceVTable,
+    reference_check_column,
     reference_pi01_step,
     reference_preorder_step,
     reference_run_coceer,
@@ -87,12 +88,23 @@ def _outcome(state, fam):
     return out
 
 
+_COLUMN_FIELDS = ("witnesses", "flag", "exiled", "y_log", "case3_stages", "last_case4_stage")
+
+
 def _assert_run_matches_reference(fam, E, budget):
     state, trace = run_coceer(fam, E, budget)
     ref_state, ref_trace = reference_run_coceer(fam, E, budget)
-    assert trace == ref_trace
-    assert coceer.trace_to_json(trace) == coceer.trace_to_json(ref_trace)
-    assert state == ref_state
+    # the fast run records the focused stages; the reference every stage,
+    # with a case-0 skip exactly where the focus lies beyond E
+    assert trace.records == tuple(r for r in ref_trace.records if r.case != 0)
+    assert [r.stage for r in ref_trace.records if r.case == 0] == [
+        s for s in range(1, budget + 1) if cantor_unpair(s).e >= E]
+    assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages)
+    assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
+    assert state.stage == ref_state.stage == budget
+    for col, ref_col in zip(state.columns, ref_state.columns, strict=True):
+        for name in _COLUMN_FIELDS:
+            assert getattr(col, name) == getattr(ref_col, name), name
     reports = _outcome(state, fam)
     assert reports == _outcome(ref_state, fam)
     for e, report in enumerate(reports):
@@ -103,10 +115,10 @@ def _assert_run_matches_reference(fam, E, budget):
             assert report.r_e_has_size_k == ref.has_class_of_size(state.columns[e].k)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", range(1, 31))
 def test_suite_runs_match_reference(seed):
     fam, _ = generate_diagonalization_suite(seed)
-    _assert_run_matches_reference(fam, len(fam.members), 2500)
+    _assert_run_matches_reference(fam, len(fam.members), 2000)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -114,8 +126,24 @@ def test_family_runs_match_reference(seed):
     _assert_run_matches_reference(generate_family(seed, 8), 8, 900)
 
 
+def test_churn_target_other_than_column_size_matches_reference():
+    # column 1 targets k = 4; a size-3 churn makes its class of 0 size
+    # 3A+1 = 4 once one block is absorbed (stage 2), so the flag latches on
+    # minimum 0 and stage 2 is case 3, not the case 1 its has-size-4 alone gives
+    fam = CeerFamily((CeerScript(()), ChurnGenerator(3, 1)))
+    _, trace = run_coceer(fam, 2, 2)
+    assert [(r.stage, r.e, r.case) for r in trace.records] == [(1, 0, 4), (2, 1, 3)]
+    for budget in (1, 2, 3, 5, 40, 300):
+        _assert_run_matches_reference(fam, 2, budget)
+    # every (k', d) under columns with k - 1 a multiple of k' and with none
+    for target in (2, 3, 5, 7):
+        for spacing in (1, 2, 3):
+            fam = CeerFamily((ChurnGenerator(target, spacing),) * 4)
+            _assert_run_matches_reference(fam, 4, 250)
+
+
 _members = st.one_of(
-    st.builds(ChurnGenerator, st.integers(2, 60), st.just(1)),
+    st.builds(ChurnGenerator, st.integers(2, 60), st.integers(1, 4)),
     st.builds(
         lambda evs: CeerScript(tuple(sorted(evs))),
         st.lists(
@@ -145,7 +173,13 @@ def test_churn_jump_matches_replay_property(k, s, window):
 
 
 def test_run_coceer_operation_counts(monkeypatch):
-    """Churn runners hold no union-find elements; each script event is merged once."""
+    """Churn runners hold no union-find elements; each script event is merged
+    once; the run dispatches each focused stage once and otherwise touches a
+    runner only at its column's focused stages and script event stages."""
+    fam, kinds = generate_diagonalization_suite(7)  # its generator runs runners too
+    E = len(fam.members)
+    event_stages = sum(len({s for s, _ in m.events}) for m in fam.members
+                       if isinstance(m, CeerScript))
     runners, merges = [], {}
     original_merge = eqrel.Partition.merge
 
@@ -160,15 +194,60 @@ def test_run_coceer_operation_counts(monkeypatch):
 
     monkeypatch.setattr(eqrel.Partition, "merge", counting_merge)
     monkeypatch.setattr(coceer, "CeerRunner", RecordingRunner)
-    fam, kinds = generate_diagonalization_suite(7)
-    run_coceer(fam, len(fam.members), 3000)
-    assert len(runners) == len(fam.members)
-    for e, runner in enumerate(runners):
-        if kinds.get(e) == "churn":
-            assert len(runner.uf.parent) == 0
-            assert id(runner.uf) not in merges
-        else:
-            assert merges.get(id(runner.uf), 0) == len(runner.member.events)
+    dispatches = _count_calls(monkeypatch, coceer, "_dispatch")
+    advances = _count_calls(monkeypatch, CeerRunner, "advance_to")
+    queries = _count_calls(monkeypatch, CeerRunner, "oldest_class_min")
+    for budget in (3000, 30000):
+        for counter in (dispatches, advances, queries):
+            counter[0] = 0
+        runners.clear()
+        merges.clear()
+        _, trace = run_coceer(fam, E, budget)
+        assert len(runners) == E
+        for e, runner in enumerate(runners):
+            if kinds.get(e) == "churn":
+                assert len(runner.uf.parent) == 0
+                assert id(runner.uf) not in merges
+            else:
+                assert merges.get(id(runner.uf), 0) == len(runner.member.events)
+        focused = sum(1 for _ in focus_schedule(E, budget))
+        assert dispatches[0] == focused == len(trace.records)
+        assert advances[0] <= focused + event_stages + E
+        assert queries[0] <= event_stages + 2 * E
+
+
+def _well_formed_or_error(check, col):
+    try:
+        check(col, 1)
+    except ConstructionBugError:
+        return False
+    return True
+
+
+def _full_check(col, e):
+    """The column checks with the settled-region identity by a full rescan."""
+    n = len(col.witnesses)
+    if n not in (col.base, col.base + 1) or col.witnesses & col.exiled \
+            or not col.initial_witnesses <= col.witnesses:
+        raise ConstructionBugError("shape")
+    reference_check_column(col, e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sets(st.integers(0, 14)), st.one_of(st.none(), st.integers(0, 14)),
+       st.integers(0, 16))
+def test_column_check_matches_rescan(exiled, extra, pointer):
+    """The counter identity accepts exactly the states the rescan accepts,
+    from any valid cached pointer (every x strictly between the top witness
+    and the pointer exiled)."""
+    witnesses = {1, 2, 3} | ({extra} if extra is not None else set())
+    col = ColumnState(k=4, witnesses=witnesses, exiled=set(exiled),
+                      max_exiled=max(exiled, default=0))
+    top = max(witnesses)
+    if all(x in exiled for x in range(top + 1, pointer)):
+        col.next_free = pointer
+    assert _well_formed_or_error(coceer._check_column, col) == \
+        _well_formed_or_error(_full_check, col)
 
 
 def _pi01_past_width(g, extra):
