@@ -197,8 +197,8 @@ class CeerRunner:
 
     @property
     def next_event_stage(self) -> Optional[int]:
-        """Stage of the first script event not merged yet; None for churn or past the last."""
-        if isinstance(self.member, ChurnGenerator) or self._applied == len(self.member.events):
+        """Stage of the first script event not merged yet; None past the last (scripts only)."""
+        if self._applied == len(self.member.events):
             return None
         return self.member.events[self._applied][0]
 

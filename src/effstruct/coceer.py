@@ -20,10 +20,10 @@ Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-:class:`CoceerRun` steps the construction one focused stage at a time;
-:func:`run_coceer` drives it for a stage budget and traces every focused
-stage.  A stage whose focus lies beyond the last column changes nothing,
-so it is neither visited nor recorded.
+:class:`CoceerRun` runs the construction forward to a given stage, one
+focused stage at a time; :func:`run_coceer` runs it for a stage budget
+and traces every focused stage.  A stage whose focus lies beyond the last
+column changes nothing, so it is neither visited nor recorded.
 """
 
 from __future__ import annotations
@@ -256,12 +256,11 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecor
 
 
 class CoceerRun:
-    """The construction over columns 0..E-1 of ``fam``, one focused stage per :meth:`step`.
+    """The construction over columns 0..E-1 of ``fam``, run forward by :meth:`run_to`.
 
     The constructor builds one runner per column and seeds stage 0: the
     stage-0 approximations enter the oldest-class history, but flags stay
     off, since a class present from the start is not a mind change.
-    ``next_stage`` is the focused stage the next :meth:`step` runs.
     """
 
     def __init__(self, fam: CeerFamily, E: int):
@@ -275,26 +274,30 @@ class CoceerRun:
             if m is not None:
                 col.seen_minima.add(m)
         self._schedule = focus_schedule(E)
-        self.next_stage, self._next_e = next(self._schedule)
+        self._next = next(self._schedule)
 
-    def step(self) -> StageRecord:
-        """Run the next focused stage: bring its column's flag up to date, then dispatch."""
-        stage, e = self.next_stage, self._next_e
-        self.next_stage, self._next_e = next(self._schedule)
-        self._latch(e, stage)
-        runner = self.runners[e]
-        runner.advance_to(stage)
-        record = _dispatch(self.state, e, stage, runner.has_class_of_size(self.state.columns[e].k))
-        self.state.stage = stage
-        return record
+    def run_to(self, stage: int) -> list[StageRecord]:
+        """Run the construction through ``stage``; returns the focused stages' records.
 
-    def catch_up(self, stage: int) -> None:
-        """Bring every flag up to ``stage``, which lies before :attr:`next_stage`."""
-        if not self.state.stage <= stage < self.next_stage:
-            raise InputError(f"cannot catch up to stage {stage} without running a focused stage")
+        Each focused stage brings its column's flag up to date, then
+        dispatches; at the end every flag is brought up to ``stage``.  A
+        stage the run has already reached is a no-op.
+        """
+        if stage <= self.state.stage:
+            return []
+        records = []
+        while self._next[0] <= stage:
+            s, e = self._next
+            self._next = next(self._schedule)
+            self._latch(e, s)
+            runner = self.runners[e]
+            runner.advance_to(s)
+            has_k = runner.has_class_of_size(self.state.columns[e].k)
+            records.append(_dispatch(self.state, e, s, has_k))
         for e in range(self.state.width):
             self._latch(e, stage)
         self.state.stage = stage
+        return records
 
     def _latch(self, e: int, stage: int) -> None:
         """Latch column e's flag if a never-seen oldest size-k class appeared in
@@ -353,10 +356,7 @@ def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState,
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
     run = CoceerRun(fam, E)
-    records = []
-    while run.next_stage <= stage_budget:
-        records.append(run.step())
-    run.catch_up(stage_budget)
+    records = run.run_to(stage_budget)
     return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
 
 
@@ -469,8 +469,8 @@ def trace_from_json(obj: object) -> CoceerTrace:
         raise InputError("trace must be a format-2 object")
     check_format(obj, version=2)
     columns, stages = obj.get("columns"), obj.get("stages")
-    if not is_nat(columns) or not is_nat(stages):
-        raise InputError("trace 'columns' and 'stages' must be naturals")
+    if not is_nat(columns) or not is_nat(stages) or columns < 1:
+        raise InputError("trace 'columns' must be a positive natural and 'stages' a natural")
     schedule = focus_schedule(columns, stages)
     try:
         records = tuple(_record_from_json(r, next(schedule, None)) for r in obj["records"])

@@ -51,21 +51,26 @@ def test_compute_uv():
 
 
 def _run_before_column_one(member):
-    """Run on (empty script, member) stepped through stage 1.
+    """Run on (empty script, member) through stage 1.
 
-    Stage 2 = <1, 0>, so the next step dispatches column 1, whose target
-    size is 4 and whose initial witnesses are {1, 2, 3}.
+    Stage 2 = <1, 0>, so running to stage 2 dispatches column 1, whose
+    target size is 4 and whose initial witnesses are {1, 2, 3}.
     """
     assert cantor_pair(1, 0) == 2
     run = CoceerRun(CeerFamily((EMPTY, member)), 2)
-    run.step()
+    run.run_to(1)
     return run
+
+
+def _run_stage_two(run):
+    [record] = run.run_to(2)
+    return record
 
 
 def test_step_case_one_declares_witness():
     # a size-4 class present from stage 0 is on record, so it latches no flag
     run = _run_before_column_one(CeerScript(tuple((0, (0, x)) for x in (1, 2, 3))))
-    record = run.step()
+    record = _run_stage_two(run)
     col = run.state.columns[1]
     assert record.case == 1
     assert col.witnesses == {1, 2, 3, 4}
@@ -76,7 +81,7 @@ def test_step_case_one_declares_witness():
 def test_step_case_two_retracts_witness():
     run = _run_before_column_one(EMPTY)
     run.state.columns[1].witnesses = {1, 2, 3, 4}
-    assert run.step().case == 2
+    assert _run_stage_two(run).case == 2
     col = run.state.columns[1]
     assert col.witnesses == {1, 2, 3}
     assert col.exiled == {4}
@@ -85,10 +90,8 @@ def test_step_case_two_retracts_witness():
 def test_step_case_three_without_replaceable_witness():
     # a size-4 class formed at stage 1 is new to the history: the flag latches
     run = _run_before_column_one(CeerScript(tuple((1, (0, x)) for x in (1, 2, 3))))
-    assert not run.state.columns[1].flag  # caught up only when column 1 is focused
-    run.catch_up(1)
     assert run.state.columns[1].flag
-    assert run.step().case == 3
+    assert _run_stage_two(run).case == 3
     col = run.state.columns[1]
     assert col.witnesses == {1, 2, 3, 4}
     assert not col.flag
@@ -103,7 +106,7 @@ def test_step_case_three_swaps_witness():
     col.witnesses = {1, 2, 3, 6}
     col.exiled = {4, 5}
     col.flag = True
-    assert run.step().case == 3
+    assert _run_stage_two(run).case == 3
     assert col.witnesses == {1, 2, 3, 7}
     assert col.exiled == {4, 5, 6}
     assert not col.flag
@@ -111,7 +114,7 @@ def test_step_case_three_swaps_witness():
 
 def test_step_case_four_pads():
     run = _run_before_column_one(EMPTY)
-    assert run.step().case == 4  # baseline, no size-4 class, flag off
+    assert _run_stage_two(run).case == 4  # baseline, no size-4 class, flag off
     col = run.state.columns[1]
     assert col.witnesses == {1, 2, 3}
     assert col.exiled == {4}
@@ -143,11 +146,10 @@ def test_step_matches_run():
     fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
     run = CoceerRun(fam, 3)
     records = []
-    while run.next_stage <= 60:
-        records.append(run.step())
-    run.catch_up(60)
-    with pytest.raises(InputError):
-        run.catch_up(run.next_stage)  # a focused stage: catching up would skip its dispatch
+    for stage in (1, 2, 5, 5, 6, 17, 18, 40, 60):  # focused and unfocused stops, one repeated
+        records += run.run_to(stage)
+        assert run.state.stage == stage
+    assert run.run_to(59) == [] and run.state.stage == 60  # no running backwards
     state, trace = run_coceer(fam, 3, 60)
     assert run.state == state
     assert tuple(records) == trace.records
@@ -181,8 +183,8 @@ def test_snapshot_stays_equivalence_and_shrinks():
     run = CoceerRun(fam, 3)
     previous = bf_relation_of_partition(snapshot(run.state, 12).classes())
     assert bf_is_equivalence(12, previous)
-    for _ in range(80):
-        run.step()
+    for stage in range(1, 381):  # the first 80 focused stages
+        run.run_to(stage)
         current = bf_relation_of_partition(snapshot(run.state, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
@@ -285,4 +287,5 @@ def test_trace_json_round_trip():
         with pytest.raises(InputError):
             trace_from_json(broken)
     assert trace_from_json({**obj, "stages": 31}).stages == 31  # stage 31 focuses column 3
-    assert trace_from_json({**obj, "columns": 0, "records": []}).records == ()
+    with pytest.raises(InputError):  # no run has zero columns
+        trace_from_json({**obj, "columns": 0, "records": []})

@@ -118,7 +118,7 @@ def _assert_run_matches_reference(fam, E, budget):
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_suite_runs_match_reference(seed):
     fam, _ = generate_diagonalization_suite(seed)
-    _assert_run_matches_reference(fam, len(fam.members), 2000)
+    _assert_run_matches_reference(fam, len(fam.members), 2500)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
