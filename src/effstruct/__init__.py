@@ -29,7 +29,6 @@ from .errors import (
     EffstructError,
     HorizonError,
     InputError,
-    UnsupportedQueryError,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +43,6 @@ __all__ = [
     "Partition",
     "SeqLimits",
     "StagePair",
-    "UnsupportedQueryError",
     "UPSeq",
     "cantor_pair",
     "cantor_unpair",

@@ -8,9 +8,9 @@ Two member kinds are supported:
 * :class:`ChurnGenerator` -- an infinite adversary for one target class
   size k >= 2.  Each round forms a fresh block of k elements (a new
   oldest class of size k, with strictly increasing minimum) and then
-  absorbs it into the class of 0, so the limit relation has no class of
-  size k at all even though size-k classes appear at infinitely many
-  stages.
+  absorbs it into the class of 0, so the limit relation is one infinite
+  class: it has no class of size k at all even though size-k classes
+  appear at infinitely many stages.
 
 :class:`CeerRunner` follows one member stage by stage and publishes, for
 either kind, the classes of two or more elements.  A script is replayed
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import check_format, is_nat
-from .eqrel import Character, Partition, character_of
-from .errors import InputError, UnsupportedQueryError
+from .eqrel import Partition
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -212,19 +212,10 @@ class CeerRunner:
         return k == 1 or k in self._oldest  # cofinitely many singletons in omega
 
     def oldest_class_min(self, k: int) -> Optional[int]:
-        if k != 1:
-            return self._oldest.get(k)
-        x = 0  # the least element in no class of two or more
-        while True:
-            for c in self.classes:
-                i = bisect_left(c, x)
-                if i < len(c) and c[i] == x:
-                    break
-            else:
-                return x
-            # c holds x: jump past c when the rest of it is one run (a churn
-            # class of 0 spans a whole range), else step by one
-            x = c[-1] + 1 if c[-1] - x == len(c) - 1 - i else x + 1
+        """The least minimum of a class of size k >= 2; None when there is none."""
+        if k < 2:
+            raise InputError(f"oldest class queries need size at least 2, not {k}")
+        return self._oldest.get(k)
 
     def partition(self, window: int) -> Partition:
         """Current relation restricted to [0, window).
@@ -247,38 +238,19 @@ def ceer_snapshot(fam: CeerFamily, e: int, s: int, window: int) -> Partition:
     return runner.partition(window)
 
 
-def limit_spectrum(
-    fam: CeerFamily, e: int, window: int
-) -> tuple[Character, Callable[[int], bool]]:
-    """Limit character on a window plus a has-class-of-size predicate.
+def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
+    """Whether the member's limit relation has a class of exactly k elements.
 
-    For a script the limit is the relation after the last event, known
-    exactly.  For a churn generator every element is eventually absorbed
-    into the class of 0, so the predicate answers False for the target
-    size and for size 1; other sizes are not tracked and raise.
+    A script's limit is its relation after the last event.  A churn
+    generator's limit is a single infinite class, so no size k >= 1 occurs.
     """
-    member = fam.member(e)
-    if isinstance(member, CeerScript):
-        runner = CeerRunner(member)
-        runner.advance_to(member.last_event_stage)
-
-        def has_size(k: int) -> bool:
-            if k < 1:
-                raise InputError("class size must be at least 1")
-            return runner.has_class_of_size(k)
-
-        return character_of(runner.partition(window)), has_size
-
-    def churn_has_size(k: int, _m=member) -> bool:
-        if k == _m.target_size or k == 1:
-            return False
-        raise UnsupportedQueryError(
-            f"churn generator tracks sizes 1 and {_m.target_size} only, not {k}"
-        )
-
-    # in the limit the window collapses into the (infinite) class of 0
-    limit_char = Character({window: 1}) if window > 0 else Character()
-    return limit_char, churn_has_size
+    if k < 1:
+        raise InputError("class size must be at least 1")
+    if isinstance(member, ChurnGenerator):
+        return False
+    runner = CeerRunner(member)
+    runner.advance_to(member.last_event_stage)
+    return runner.has_class_of_size(k)
 
 
 def family_to_json(fam: CeerFamily) -> dict:

@@ -20,7 +20,7 @@ from . import blocks as blocks_mod
 from . import coceer as coceer_mod
 from . import generators, pi01, preorder
 from .ceersim import family_from_json
-from .core import delta02_from_json, is_nat
+from .core import check_format, delta02_from_json, is_nat
 from .eqrel import Character, character_of, partition_to_json
 from .errors import EffstructError, HorizonError, InputError
 
@@ -160,6 +160,7 @@ def _cmd_blocks(cfg: RunConfig) -> int:
     obj = _load_json(cfg.decode)
     if not isinstance(obj, dict) or "character" not in obj:
         raise InputError("character file needs a 'character' array")
+    check_format(obj, default=1)
     ch = Character.from_pairs(obj["character"])
     n = obj.get("n_blocks", sum(1 for s in ch.sizes() if s >= 2))
     if not is_nat(n):

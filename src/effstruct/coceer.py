@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_spectrum
+from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
 from .core import cantor_unpair, check_format, is_nat
 from .eqrel import Partition
 from .errors import ConstructionBugError, InputError
@@ -49,8 +49,8 @@ class ColumnState:
     exiled: set[int] = field(default_factory=set)
     max_exiled: int = 0         # the largest exile, 0 while there is none
     next_free: int = 0          # every x with max(witnesses) < x < next_free is exiled
-    y_log: list[tuple[int, frozenset[int]]] = field(default_factory=list)
-    case3_stages: list[int] = field(default_factory=list)
+    last_y_change: int = 0      # the last stage whose case was not 4 (0 before any)
+    case3_count: int = 0
     last_case4_stage: Optional[int] = None
 
     @property
@@ -108,12 +108,7 @@ def init_coceer(E: int) -> CoceerState:
     """Fresh construction state for columns 0..E-1, all flags off."""
     if E < 1:
         raise InputError("need at least one column")
-    columns = []
-    for e in range(E):
-        k = 2 * e + 2
-        col = ColumnState(k=k, witnesses=set(range(1, k)))
-        col.y_log.append((0, frozenset(col.witnesses)))
-        columns.append(col)
+    columns = [ColumnState(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2))) for e in range(E)]
     return CoceerState(stage=0, columns=columns)
 
 
@@ -226,24 +221,23 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecor
             newly += _exile(col, u)
         col.witnesses.add(v)
         col.flag = False
-        col.case3_stages.append(stage)
-        col.y_log.append((stage, frozenset(col.witnesses)))
+        col.case3_count += 1
     elif baseline and has_k:
         case = 1
         col.witnesses.add(v)
         newly += _exile(col, v + 1)
-        col.y_log.append((stage, frozenset(col.witnesses)))
     elif not baseline and not has_k:
         case = 2
         if u is None:
             raise ConstructionBugError(f"column {e}: grown witness set without extra witness")
         col.witnesses.discard(u)
         newly += _exile(col, u)
-        col.y_log.append((stage, frozenset(col.witnesses)))
     else:
         case = 4
         newly += _exile(col, v)
         col.last_case4_stage = stage
+    if case != 4:
+        col.last_y_change = stage
     _check_column(col, e)
     return StageRecord(
         stage=stage,
@@ -375,51 +369,44 @@ def snapshot(state: CoceerState, window: int) -> Partition:
     return p
 
 
-def _witness_versions_over(col: ColumnState, start: int, end: int) -> list[frozenset[int]]:
-    versions = []
-    for i, (st, y) in enumerate(col.y_log):
-        nxt = col.y_log[i + 1][0] if i + 1 < len(col.y_log) else None
-        if st <= end and (nxt is None or nxt > start):
-            versions.append(y)
-    return versions
-
-
 def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> RequirementReport:
     """Check one requirement against the family's exact limit behavior.
 
     For a script the limit relation is known exactly and the witness set
     is final once, after the last event, a focused stage fell through to
-    the padding case with the flag off.  For a churn generator the
-    witness set keeps cycling by design; its limit is the set of
-    witnesses that persist, certified once the initial witnesses are the
-    only survivors across three consecutive completed churn cycles.
+    the padding case with the flag off and no later stage changed it.
+
+    For a churn generator the witness set keeps cycling by design; its
+    limit is the initial segment I, certified from the fourth case-3 stage
+    on.  This is the rule "the witnesses kept by every version over the
+    last four case-3 stages are exactly I", whose intersection test always
+    passes: after case 3 the witnesses are I plus the recruit v.  The next
+    case 3, and any case 2 before it, discards and exiles that extra.  The
+    recruit of the next case 3 lies above the current witnesses and is
+    unexiled (:func:`_next_free`), while v is then a witness or exiled, and
+    exiles never leave; so the two extras differ.  :func:`_check_column`
+    keeps I among the witnesses at every stage, so across any two case-3
+    stages the witnesses kept throughout are exactly I.
     """
     if not 0 <= e < state.width:
         raise InputError(f"column {e} out of range")
     col = state.columns[e]
     member = fam.member(e)
-    _, has_size = limit_spectrum(fam, e, window=0)
-    r_has = has_size(col.k)
+    r_has = limit_has_class_of_size(member, col.k)
+    y_limit = frozenset(col.witnesses)
     if isinstance(member, CeerScript):
         kind = "script"
-        last_event = member.last_event_stage
         certified = (
             col.last_case4_stage is not None
-            and col.last_case4_stage > last_event
-            and col.y_log[-1][0] <= col.last_case4_stage
+            and col.last_case4_stage > member.last_event_stage
+            and col.last_y_change <= col.last_case4_stage
             and not col.flag
         )
-        y_limit = frozenset(col.witnesses)
     else:
         kind = "churn"
-        certified = False
-        y_limit = frozenset(col.witnesses)
-        if len(col.case3_stages) >= 4:
-            span_start, span_end = col.case3_stages[-4], col.case3_stages[-1]
-            stable = frozenset.intersection(*_witness_versions_over(col, span_start, span_end))
-            if stable == col.initial_witnesses:
-                certified = True
-                y_limit = stable
+        certified = col.case3_count >= 4
+        if certified:
+            y_limit = col.initial_witnesses
     witness_class_size = len(y_limit) + 1
     satisfied = (witness_class_size == col.k) == (not r_has)
     return RequirementReport(

@@ -11,10 +11,6 @@ class InputError(EffstructError):
     """Malformed input: bad value, unreadable file, or schema violation."""
 
 
-class UnsupportedQueryError(EffstructError):
-    """A generator was asked about a quantity it does not track."""
-
-
 class HorizonError(InputError):
     """A verification was requested below its certification horizon.
 

@@ -7,7 +7,8 @@ with ``ceersim.CeerRunner``.  :func:`reference_run_coceer` is the plain
 loop of the co-ceer construction over every stage, driven by that runner:
 it updates every flag at every stage from a seen-set of its own and
 rescans each dispatched column's settled region with
-:func:`reference_check_column`.
+:func:`reference_check_column`.  :func:`reference_certificate` gives a
+column's verdict by the witness-history rule, read off the trace alone.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
@@ -89,11 +90,6 @@ class ReferenceRunner:
         return k == 1 or any(size == k for _, size in self._shape)
 
     def oldest_class_min(self, k: int) -> Optional[int]:
-        if k == 1:
-            x = 0
-            while x in self.uf.class_of:
-                x += 1
-            return x
         minima = [m for m, size in self._shape if size == k]
         return min(minima) if minima else None
 
@@ -150,6 +146,49 @@ def reference_run_coceer(
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
         state.stage = stage
     return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
+
+
+def reference_certificate(
+    trace: CoceerTrace, fam: CeerFamily, e: int
+) -> tuple[bool, tuple[int, ...]]:
+    """(certified, y_limit) for column e by the witness-history rule.
+
+    The witness versions are the initial segment at stage 0 and the
+    witnesses of each record of the column whose case is not 4.  A script
+    is certified when its last case-4 record comes after the last event,
+    no version is newer than that record, and the column's last record has
+    the flag off.  A churn column is certified when the witnesses kept by
+    every version over its last four case-3 records are exactly the initial
+    segment, which is then the limit.
+    """
+    initial = tuple(range(1, 2 * e + 2))
+    records = [r for r in trace.records if r.e == e]
+    versions = [(0, initial)] + [(r.stage, r.witnesses) for r in records if r.case != 4]
+    final = records[-1].witnesses if records else initial
+    member = fam.member(e)
+    if isinstance(member, CeerScript):
+        case4 = [r.stage for r in records if r.case == 4]
+        certified = (
+            bool(case4)
+            and case4[-1] > member.last_event_stage
+            and versions[-1][0] <= case4[-1]
+            and not records[-1].flag
+        )
+        return certified, final
+    case3 = [r.stage for r in records if r.case == 3]
+    if len(case3) < 4:
+        return False, final
+    start, end = case3[-4], case3[-1]
+    # the versions in force at some stage of [start, end]: each starts by
+    # end and is replaced, if at all, after start
+    nexts = [st for st, _ in versions[1:]] + [None]
+    kept = set.intersection(*(
+        set(y) for (st, y), nxt in zip(versions, nexts)
+        if st <= end and (nxt is None or nxt > start)
+    ))
+    if kept == set(initial):
+        return True, initial
+    return False, final
 
 
 @dataclass

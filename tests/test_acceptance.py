@@ -14,7 +14,7 @@ import time
 import pytest
 
 from effstruct.blocks import block_character, decode_character, encode_blocks
-from effstruct.ceersim import limit_spectrum
+from effstruct.ceersim import limit_has_class_of_size
 from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.core import cantor_unpair
 from effstruct.eqrel import Partition, character_of, oldest_class_min
@@ -85,8 +85,8 @@ def test_criterion_1_coceer_diagonalization(diagonalization_run):
         assert report.satisfied, f"column {e} ({kind}) not satisfied: {report}"
         assert report.certified, f"column {e} ({kind}) not certified: {report}"
         # cross-check the requirement against the family's exact limit
-        _, has = limit_spectrum(fam, e, 0)
-        assert report.r_e_has_size_k == has(report.k) == (kind == "with")
+        has = limit_has_class_of_size(fam.member(e), report.k)
+        assert report.r_e_has_size_k == has == (kind == "with")
         assert (report.witness_class_size == report.k) == (kind != "with")
     assert tally == {"with": 10, "without": 10, "churn": 5}
     assert COCEER_BUDGET <= 20000

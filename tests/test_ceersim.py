@@ -12,10 +12,9 @@ from effstruct.ceersim import (
     ceer_snapshot,
     family_from_json,
     family_to_json,
-    limit_spectrum,
+    limit_has_class_of_size,
 )
-from effstruct.eqrel import Character
-from effstruct.errors import InputError, UnsupportedQueryError
+from effstruct.errors import InputError
 
 from bruteforce import bf_relation_of_partition, bf_subset
 
@@ -66,7 +65,8 @@ def test_script_runner_sized_by_mentioned_elements():
     assert len(runner.uf.parent) == 2
     assert runner.has_class_of_size(2)
     assert not runner.has_class_of_size(3)
-    assert runner.oldest_class_min(1) == 1
+    with pytest.raises(InputError):  # only sizes of two or more have an oldest class
+        runner.oldest_class_min(1)
     assert runner.oldest_class_min(2) == 0
     assert runner.partition(3).classes() == [[0], [1], [2]]
 
@@ -136,24 +136,21 @@ def test_churn_single_target_class_at_every_stage():
     assert counts == {0, 1}
 
 
-def test_limit_spectrum_script():
-    fam = CeerFamily((CeerScript(()), CeerScript(((1, (0, 1)),))))
-    ch, has = limit_spectrum(fam, 0, 4)
-    assert ch == Character({1: 4})
-    assert has(1) and not has(2)
-    ch, has = limit_spectrum(fam, 1, 4)
-    assert ch == Character({1: 2, 2: 1})
-    assert has(2) and not has(3)
+def test_limit_has_class_of_size_script():
+    empty, merged = CeerScript(()), CeerScript(((1, (0, 1)), (5, (2, 3)), (5, (3, 4))))
+    assert limit_has_class_of_size(empty, 1) and not limit_has_class_of_size(empty, 2)
+    # the limit is the relation after the last event, stage 5
+    assert [limit_has_class_of_size(merged, k) for k in (1, 2, 3, 4)] == [True, True, True, False]
+    with pytest.raises(InputError):
+        limit_has_class_of_size(empty, 0)
 
 
-def test_limit_spectrum_churn():
-    fam = CeerFamily((ChurnGenerator(3, 2),))
-    ch, has = limit_spectrum(fam, 0, 5)
-    assert ch == Character({5: 1})  # the window collapses into one class
-    assert has(3) is False
-    assert has(1) is False
-    with pytest.raises(UnsupportedQueryError):
-        has(4)
+def test_limit_has_class_of_size_churn():
+    # every element ends up in the class of 0: one infinite class, no finite size
+    gen = ChurnGenerator(3, 2)
+    assert not any(limit_has_class_of_size(gen, k) for k in range(1, 40))
+    with pytest.raises(InputError):
+        limit_has_class_of_size(gen, 0)
 
 
 def test_identity_by_minimum_soundness():

@@ -100,6 +100,24 @@ def test_coceer_unsatisfied_is_exit_1(tmp_path, capsys):
         "satisfied=False" in capsys.readouterr().out
 
 
+def test_coceer_churn_target_other_than_column_size(tmp_path, capsys):
+    # column 1 targets size 4 against a size-3 churn: the limit is one
+    # infinite class, so the verdict is made, and its size-4 class of 0
+    # appears once, so the column is never certified
+    fam_path = _write(
+        tmp_path / "fam.json",
+        {"members": [{"type": "script", "events": []},
+                     {"type": "churn", "k": 3, "spacing": 1}]},
+    )
+    code = main(["coceer", "--family", fam_path, "--columns", "2", "--stages", "400", "--verify"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1] == (
+        "column 1 (churn, target size 4): witness class 4, family realizes size: False, "
+        "satisfied=True, certified=False [FAIL]")
+
+
 def test_preorder_verify_and_snapshot(tmp_path):
     path = _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))
     snap_path = tmp_path / "snap.json"
@@ -135,6 +153,14 @@ def test_blocks_flag_validation(tmp_path):
     # the character is read from 'character', the key --encode writes, only
     path = _write(tmp_path / "char.json", {"entries": [[4, 1]], "n_blocks": 1})
     assert main(["blocks", "--decode", path]) == 2
+    # the format, when given, must be the integer 1
+    for version in (7, "x", True):
+        path = _write(tmp_path / "char.json",
+                      {"format": version, "character": [[4, 1]], "n_blocks": 1})
+        assert main(["blocks", "--decode", path]) == 2, version
+    for header in ({"format": 1}, {}):
+        path = _write(tmp_path / "char.json", {**header, "character": [[4, 1]], "n_blocks": 1})
+        assert main(["blocks", "--decode", path]) == 0, header
 
 
 def test_verify_all_runs_the_whole_budget(capsys):

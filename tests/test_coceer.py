@@ -96,7 +96,7 @@ def test_step_case_three_without_replaceable_witness():
     assert col.witnesses == {1, 2, 3, 4}
     assert not col.flag
     assert col.exiled == set()
-    assert col.case3_stages == [2]
+    assert col.case3_count == 1
 
 
 def test_step_case_three_swaps_witness():
@@ -214,7 +214,7 @@ def test_verify_script_without_target_class():
 
 def test_verify_churn_settles_on_initial_witnesses():
     fam = CeerFamily((CeerScript(()), ChurnGenerator(4, 2)))
-    state, _ = run_coceer(fam, 2, 400)
+    state, trace = run_coceer(fam, 2, 400)
     report = verify_requirement(state, fam, 1)
     assert report.kind == "churn"
     assert report.y_limit == (1, 2, 3)
@@ -222,7 +222,8 @@ def test_verify_churn_settles_on_initial_witnesses():
     assert report.satisfied and report.certified
     # every witness the churn ever forced in was forced out again
     col = state.columns[1]
-    extras = set().union(*(y for _, y in col.y_log)) - col.initial_witnesses
+    extras = set().union(*(r.witnesses for r in trace.records if r.e == 1)) \
+        - col.initial_witnesses
     assert extras  # the adversary did provoke the construction
     assert extras - col.witnesses <= col.exiled
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from effstruct.ceersim import CeerScript, ChurnGenerator, family_to_json, limit_spectrum
+from effstruct.ceersim import CeerScript, ChurnGenerator, family_to_json, limit_has_class_of_size
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -70,8 +70,7 @@ def test_diagonalization_suite_composition():
         else:
             assert isinstance(member, CeerScript)
             assert len(member.events) <= 50
-            _, has = limit_spectrum(fam, e, 0)
-            assert has(k) == (kind == "with")
+            assert limit_has_class_of_size(member, k) == (kind == "with")
     assert tally == {"with": 10, "without": 10, "churn": 5}
 
 
