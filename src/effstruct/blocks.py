@@ -37,17 +37,13 @@ class BlockStructure:
 
 
 def encode_blocks(bits: Sequence[int], n: int) -> BlockStructure:
-    """Equivalence structure over the first n blocks."""
+    """Equivalence structure over the first n blocks, built from its layout."""
     bits = _check_bits(bits, n)
-    p = Partition(block_offset(n))
+    classes = []
     for i in range(n):
-        start = block_offset(i)
-        width = 2 * i + 4
-        for offset in range(1, width - 1):
-            p.merge(start, start + offset)
-        if bits[i] == 1:
-            p.merge(start, start + width - 1)
-    return BlockStructure(n_blocks=n, partition=p)
+        start, stop = block_offset(i), block_offset(i + 1)
+        classes.append(range(start, stop if bits[i] == 1 else stop - 1))
+    return BlockStructure(n_blocks=n, partition=Partition.from_classes(block_offset(n), classes))
 
 
 def block_character(bits: Sequence[int], n: int) -> Character:

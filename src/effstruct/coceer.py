@@ -49,7 +49,6 @@ class ColumnState:
     exiled: set[int] = field(default_factory=set)
     max_exiled: int = 0         # the largest exile, 0 while there is none
     next_free: int = 0          # every x with max(witnesses) < x < next_free is exiled
-    last_y_change: int = 0      # the last stage whose case was not 4 (0 before any)
     case3_count: int = 0
     last_case4_stage: Optional[int] = None
 
@@ -236,8 +235,6 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecor
         case = 4
         newly += _exile(col, v)
         col.last_case4_stage = stage
-    if case != 4:
-        col.last_y_change = stage
     _check_column(col, e)
     return StageRecord(
         stage=stage,
@@ -373,8 +370,20 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
     """Check one requirement against the family's exact limit behavior.
 
     For a script the limit relation is known exactly and the witness set
-    is final once, after the last event, a focused stage fell through to
-    the padding case with the flag off and no later stage changed it.
+    is final once, after the last event T, a focused stage L fell through to
+    the padding case 4.  That alone implies that the flag is off and that no
+    stage after L changed the witnesses:
+
+    - Flags latch only at event stages, all at most T < L, and the latch at
+      L replayed every one of them before the dispatch.  Case 4 was taken,
+      so the flag was off then; nothing sets it after L, and case 4 leaves
+      it off.
+    - Case 4 at L means (baseline and not has_k) or (not baseline and
+      has_k), where baseline says the witnesses are the initial segment.
+      After T the member's classes are fixed, so has_k is the same at every
+      later stage; case 4 changes no witness, so baseline is the same too.
+      With the flag off, every later focused stage of the column is case 4
+      again, and the witnesses never change after L.
 
     For a churn generator the witness set keeps cycling by design; its
     limit is the initial segment I, certified from the fourth case-3 stage
@@ -399,8 +408,6 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
         certified = (
             col.last_case4_stage is not None
             and col.last_case4_stage > member.last_event_stage
-            and col.last_y_change <= col.last_case4_stage
-            and not col.flag
         )
     else:
         kind = "churn"

@@ -9,7 +9,7 @@ certified-stable set of classes instead.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import is_nat
 from .errors import InputError
@@ -26,15 +26,35 @@ class Partition:
         self._size = [1] * window
         self._min = list(range(window))
 
+    @classmethod
+    def from_classes(cls, window: int, classes: Iterable[Sequence[int]]) -> "Partition":
+        """The partition of [0, window) into ``classes`` and singletons.
+
+        Each class is rooted at its minimum, with every member pointing at
+        that root, so no merge runs.  The classes must be nonempty, pairwise
+        disjoint and inside the window; that is not checked here.
+        """
+        p = cls(window)
+        parent = p.parent
+        for members in classes:
+            root = min(members)
+            for x in members:
+                parent[x] = root
+            p._size[root] = len(members)   # and p._min[root] is root already
+        return p
+
     def _check(self, x: int) -> None:
         if not 0 <= x < self.window:
             raise InputError(f"element {x} outside window [0, {self.window})")
 
+    def _root(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
     def find(self, x: int) -> int:
         self._check(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
+        root = self._root(x)
         while self.parent[x] != root:  # path compression
             self.parent[x], x = root, self.parent[x]
         return root
@@ -58,11 +78,16 @@ class Partition:
         return [x for x in range(self.window) if self.find(x) == x]
 
     def classes(self) -> list[list[int]]:
-        """All classes, sorted by minimum, members ascending."""
+        """All classes, sorted by minimum, members ascending.
+
+        The scan meets each class first at its minimum, so the classes
+        come out in order of their minima.  Roots are found without path
+        compression: union by size keeps every tree O(log window) deep.
+        """
         byroot: dict[int, list[int]] = {}
         for x in range(self.window):
-            byroot.setdefault(self.find(x), []).append(x)
-        return sorted(byroot.values(), key=min)
+            byroot.setdefault(self._root(x), []).append(x)
+        return list(byroot.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -161,7 +186,6 @@ def partition_from_json(obj: object) -> Partition:
     classes = obj["classes"]
     if not is_nat(window) or not isinstance(classes, list):
         raise InputError("bad partition field types")
-    p = Partition(window)
     seen: set[int] = set()
     for cls in classes:
         if not isinstance(cls, list) or not cls:
@@ -172,8 +196,6 @@ def partition_from_json(obj: object) -> Partition:
             if m in seen:
                 raise InputError(f"element {m} appears in two classes")
             seen.add(m)
-        for m in cls[1:]:
-            p.merge(cls[0], m)
     if len(seen) != window:
         raise InputError("classes must cover the whole window")
-    return p
+    return Partition.from_classes(window, classes)

@@ -15,6 +15,7 @@ in the limit the set of positive thresholds equals B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .core import Delta02SetApprox, check_format, is_nat
@@ -120,11 +121,18 @@ def run_preorder(gB: Delta02SetApprox, stages: int) -> VTable:
 
 @dataclass(frozen=True)
 class PreorderSnapshot:
-    """Materialized order on {c, d} union {a_i : i < na} union {b_j : j < nb}."""
+    """The order on {c, d} union {a_i : i < na} union {b_j : j < nb}.
+
+    The skeleton is fixed: c <= a_i, b_j <= d, and b_j <= b_jj for
+    j >= jj.  The only other facts are b_j <= a_i for j >= thresholds[i],
+    where thresholds[i] is v(i) when it is defined and below nb, and nb
+    otherwise.  In this normal form two snapshots are equal exactly when
+    their ``leq`` sets are.
+    """
 
     na: int
     nb: int
-    leq: frozenset[tuple[str, str]]
+    thresholds: tuple[int, ...]
 
     def elements(self) -> list[str]:
         return [ELEM_C, ELEM_D] + [elem_a(i) for i in range(self.na)] + [
@@ -137,9 +145,22 @@ class PreorderSnapshot:
     def incomparable(self, x: str, y: str) -> bool:
         return not self.le(x, y) and not self.le(y, x)
 
+    @cached_property
+    def leq(self) -> frozenset[tuple[str, str]]:
+        """Every pair x <= y, O(na*nb + nb^2) of them."""
+        a = [elem_a(i) for i in range(self.na)]
+        b = [elem_b(j) for j in range(self.nb)]
+        pairs = {(z, z) for z in self.elements()}
+        pairs.update((ELEM_C, x) for x in a)
+        pairs.update((y, ELEM_D) for y in b)
+        pairs.update((b[j], b[jj]) for j in range(self.nb) for jj in range(j))
+        pairs.update((b[j], a[i]) for i, v in enumerate(self.thresholds)
+                     for j in range(v, self.nb))
+        return frozenset(pairs)
+
 
 def materialize(t: VTable, n_a: Optional[int] = None, n_b: Optional[int] = None) -> PreorderSnapshot:
-    """Relation snapshot from the fixed skeleton plus the threshold facts.
+    """Snapshot of the first n_a a's and n_b b's, in O(n_a).
 
     Defaults make every assigned threshold visible: one a per stage and
     one b per stage are more than enough.
@@ -148,32 +169,20 @@ def materialize(t: VTable, n_a: Optional[int] = None, n_b: Optional[int] = None)
     nb = t.stage if n_b is None else n_b
     if na < 0 or nb < 0:
         raise InputError("snapshot bounds must be nonnegative")
-    leq: set[tuple[str, str]] = set()
-    for z in [ELEM_C, ELEM_D] + [elem_a(i) for i in range(na)] + [elem_b(j) for j in range(nb)]:
-        leq.add((z, z))
-    for i in range(na):
-        leq.add((ELEM_C, elem_a(i)))
-    for j in range(nb):
-        leq.add((elem_b(j), ELEM_D))
-        for jj in range(j + 1):  # deeper b's lie below shallower ones
-            leq.add((elem_b(j), elem_b(jj)))
-    for i in range(na):
-        threshold = t.v.get(i)
-        if threshold is not None:
-            for j in range(threshold, nb):
-                leq.add((elem_b(j), elem_a(i)))
-    return PreorderSnapshot(na=na, nb=nb, leq=frozenset(leq))
+    thresholds = tuple(min(t.v.get(i, nb), nb) for i in range(na))
+    return PreorderSnapshot(na=na, nb=nb, thresholds=thresholds)
 
 
 def incomparable_b_count(snap: PreorderSnapshot, i: int) -> int:
     """How many materialized b's are incomparable with a_i.
 
-    Equals the threshold v(i) whenever it is defined and within bounds;
-    a fully fresh a_i is incomparable with every b.
+    The b's below a_i are exactly b_j for j >= thresholds[i], and no a
+    lies below a b, so this is thresholds[i]: v(i) whenever it is defined
+    and within bounds, and nb for a fully fresh a_i.
     """
     if not 0 <= i < snap.na:
         raise InputError(f"index {i} outside the snapshot")
-    return sum(1 for j in range(snap.nb) if snap.incomparable(elem_a(i), elem_b(j)))
+    return snap.thresholds[i]
 
 
 def fingerprint(t: VTable) -> set[int]:
@@ -255,24 +264,18 @@ def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport
 
 
 def snapshot_to_json(snap: PreorderSnapshot) -> dict:
-    return {
-        "format": 1,
-        "na": snap.na,
-        "nb": snap.nb,
-        "leq": sorted([x, y] for x, y in snap.leq),
-    }
+    return {"format": 2, "na": snap.na, "nb": snap.nb, "thresholds": list(snap.thresholds)}
 
 
 def snapshot_from_json(obj: object) -> PreorderSnapshot:
     if not isinstance(obj, dict):
-        raise InputError("snapshot must be a format-1 object")
-    check_format(obj)
-    na, nb, leq = obj.get("na"), obj.get("nb"), obj.get("leq")
+        raise InputError("snapshot must be a format-2 object")
+    check_format(obj, version=2)
+    na, nb, thresholds = obj.get("na"), obj.get("nb"), obj.get("thresholds")
     if not is_nat(na) or not is_nat(nb):
         raise InputError("snapshot 'na' and 'nb' must be naturals")
-    if not isinstance(leq, list) or not all(
-        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
-        for p in leq
+    if not isinstance(thresholds, list) or len(thresholds) != na or not all(
+        is_nat(v) and v <= nb for v in thresholds
     ):
-        raise InputError("snapshot 'leq' must be an array of [string, string] pairs")
-    return PreorderSnapshot(na=na, nb=nb, leq=frozenset((x, y) for x, y in leq))
+        raise InputError(f"snapshot 'thresholds' must be an array of {na} naturals <= nb")
+    return PreorderSnapshot(na=na, nb=nb, thresholds=tuple(thresholds))

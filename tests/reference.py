@@ -13,7 +13,10 @@ column's verdict by the witness-history rule, read off the trace alone.
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
 :func:`reference_verify_liminf_counts` finds each label's elements by a
-scan of the whole trace.
+scan of the whole trace.  :func:`reference_materialize` builds a
+preorder snapshot as its explicit set of ``leq`` pairs, and
+:func:`reference_block_partition` builds the block coding one merge at a
+time.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerScript
 from effstruct.coceer import (
     CoceerState,
@@ -31,8 +35,10 @@ from effstruct.coceer import (
     init_coceer,
 )
 from effstruct.core import Delta02SetApprox, cantor_unpair
-from effstruct.errors import ConstructionBugError
+from effstruct.eqrel import Partition
+from effstruct.errors import ConstructionBugError, InputError
 from effstruct.pi01 import GTable, LabelCount, LiminfReport, PiTrace, required_stages_for
+from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
 
 class NaiveUnionFind:
@@ -323,3 +329,56 @@ def reference_preorder_step(t: ReferenceVTable, gB: Delta02SetApprox) -> Referen
                 _ref_assign_fresh(t, x, stage)
     t.stage = stage
     return t
+
+
+@dataclass(frozen=True)
+class ReferenceSnapshot:
+    """A preorder snapshot as its set of pairs x <= y."""
+
+    na: int
+    nb: int
+    leq: frozenset[tuple[str, str]]
+
+    def le(self, x: str, y: str) -> bool:
+        return (x, y) in self.leq
+
+
+def reference_materialize(t: VTable, n_a: Optional[int] = None,
+                          n_b: Optional[int] = None) -> ReferenceSnapshot:
+    """Relation snapshot from the fixed skeleton plus the threshold facts.
+
+    Defaults make every assigned threshold visible: one a per stage and
+    one b per stage are more than enough.
+    """
+    na = t.stage if n_a is None else n_a
+    nb = t.stage if n_b is None else n_b
+    if na < 0 or nb < 0:
+        raise InputError("snapshot bounds must be nonnegative")
+    leq: set[tuple[str, str]] = set()
+    for z in [ELEM_C, ELEM_D] + [elem_a(i) for i in range(na)] + [elem_b(j) for j in range(nb)]:
+        leq.add((z, z))
+    for i in range(na):
+        leq.add((ELEM_C, elem_a(i)))
+    for j in range(nb):
+        leq.add((elem_b(j), ELEM_D))
+        for jj in range(j + 1):  # deeper b's lie below shallower ones
+            leq.add((elem_b(j), elem_b(jj)))
+    for i in range(na):
+        threshold = t.v.get(i)
+        if threshold is not None:
+            for j in range(threshold, nb):
+                leq.add((elem_b(j), elem_a(i)))
+    return ReferenceSnapshot(na=na, nb=nb, leq=frozenset(leq))
+
+
+def reference_block_partition(bits: list[int], n: int) -> Partition:
+    """The block coding of the first n bits, merged element by element."""
+    p = Partition(block_offset(n))
+    for i in range(n):
+        start = block_offset(i)
+        width = 2 * i + 4
+        for offset in range(1, width - 1):
+            p.merge(start, start + offset)
+        if bits[i] == 1:
+            p.merge(start, start + width - 1)
+    return p

@@ -15,6 +15,9 @@ from effstruct.generators import (
     generate_gtable,
 )
 from effstruct.pi01 import gtable_to_json
+from effstruct.preorder import VTable
+
+from reference import reference_materialize
 
 
 def _write(path, obj):
@@ -236,8 +239,27 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
                  "--snapshot", str(snapshot)])
     assert code == 0
     assert [_sha(snapshot.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
-        "8de11b9b6e542b82d45c5a887ed1e65d46cf4942227d802cd699261f91a9d621",
+        "1fa78d5f91056e5454bebe8f597c2070d50bfbb6de5c4f5f5837bd85a4d0a469",
         "4390d46cccef40ad5e9bdb77199455ea6f48f70906995eee40d8a10ce07e3ee6",
+    ]
+    # expanded to its pairs, the format-2 snapshot is the format-1 file
+    # byte for byte (the digest pinned before format 2)
+    obj = json.loads(snapshot.read_text())
+    table = VTable(v=dict(enumerate(obj["thresholds"])))
+    pairs = reference_materialize(table, obj["na"], obj["nb"]).leq
+    old = {"format": 1, "na": obj["na"], "nb": obj["nb"], "leq": sorted(map(list, pairs))}
+    assert _sha((json.dumps(old, indent=2, sort_keys=True) + "\n").encode()) == \
+        "8de11b9b6e542b82d45c5a887ed1e65d46cf4942227d802cd699261f91a9d621"
+
+
+def test_blocks_output_is_pinned(tmp_path, capsys):
+    # building the layout in closed form must leave the file and summary bytes alone
+    bits = "".join(str((i * i + 3 * i) // 7 % 2) for i in range(400))
+    encoded = tmp_path / "blocks.json"
+    assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
+    assert [_sha(encoded.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
+        "723cd3addae2cebde5da6daf88623d24190f051a7e9b83045eb2174adc11033a",
+        "e76287da6f7833adc11039f116145b1e6c404c59ab1a3742b8550b463155e0a9",
     ]
 
 

@@ -80,6 +80,31 @@ def test_oldest_class_min_against_bruteforce():
         assert oldest_class_min(p, k) == bf_oldest_class_min(p.classes(), k)
 
 
+def test_from_classes_matches_merges():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        merged = Partition(n)
+        for _ in range(rng.randint(0, n)):
+            merged.merge(rng.randrange(n), rng.randrange(n))
+        # any class order and member order; singletons may be left out
+        classes = [rng.sample(c, len(c)) for c in merged.classes()
+                   if len(c) > 1 or rng.random() < 0.5]
+        rng.shuffle(classes)
+        built = Partition.from_classes(n, classes)
+        assert built.classes() == merged.classes()
+        assert character_of(built) == character_of(merged)
+        for k in range(1, 7):
+            assert oldest_class_min(built, k) == oldest_class_min(merged, k)
+        for _ in range(rng.randint(0, 6)):   # it stays a working union-find
+            x, y = rng.randrange(n), rng.randrange(n)
+            built.merge(x, y)
+            merged.merge(x, y)
+            assert built.same(x, y)
+        assert built.classes() == merged.classes()
+        assert character_of(built) == character_of(merged)
+
+
 def test_character_examples():
     p = Partition(3)
     assert character_of(p) == Character({1: 3})
@@ -122,6 +147,7 @@ def test_partition_json_round_trip():
     obj = partition_to_json(p)
     assert obj == {"window": 5, "classes": [[0, 3], [1, 4], [2]]}
     assert partition_from_json(obj) == p
+    assert partition_from_json({"window": 5, "classes": [[4, 1], [2], [3, 0]]}) == p
     with pytest.raises(InputError):
         partition_from_json({"window": 2, "classes": [[0]]})  # incomplete cover
     with pytest.raises(InputError):

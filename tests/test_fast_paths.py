@@ -1,6 +1,7 @@
 """Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
 steppers against slow reference paths, co-ceer verdicts against the
-witness-history certificate, plus operation-count gates."""
+witness-history certificate, threshold snapshots and the closed-form
+block layout against explicit constructions, plus operation-count gates."""
 
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effstruct import coceer, eqrel, pi01, preorder
+from effstruct import blocks, coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, ceer_snapshot
 from effstruct.coceer import (
     CoceerRun,
@@ -31,8 +32,10 @@ from reference import (
     ReferenceLabelState,
     ReferenceRunner,
     ReferenceVTable,
+    reference_block_partition,
     reference_certificate,
     reference_check_column,
+    reference_materialize,
     reference_pi01_step,
     reference_preorder_step,
     reference_run_coceer,
@@ -98,8 +101,7 @@ def _assert_certificates_match(state, trace, fam):
             reference_certificate(trace, fam, report.e), (trace.stages, report.e)
 
 
-_COLUMN_FIELDS = ("witnesses", "flag", "exiled", "last_y_change", "case3_count",
-                  "last_case4_stage")
+_COLUMN_FIELDS = ("witnesses", "flag", "exiled", "case3_count", "last_case4_stage")
 
 
 def _assert_run_matches_reference(fam, E, budget):
@@ -336,6 +338,69 @@ def test_preorder_matches_reference(K):
         gB = generate_b(seed, K)
         stages = preorder.required_stages_for(gB, gB.width - 1) + 2 * gB.width + 12
         _assert_preorder_matches_reference(gB, stages)
+
+
+# names no snapshot element has, and names outside a given snapshot's bounds
+_FOREIGN = ("a01", "b-1", "b+1", "a 1", "a", "b", "", "e", "c0", "d1", "A0", "a\u0661", "ab")
+
+
+def _assert_snapshot_matches_reference(t, na, nb):
+    snap, ref = preorder.materialize(t, na, nb), reference_materialize(t, na, nb)
+    assert (snap.na, snap.nb, snap.leq) == (ref.na, ref.nb, ref.leq)
+    na, nb = snap.na, snap.nb
+    elements = snap.elements()
+    for x in elements:
+        for y in elements:
+            assert snap.le(x, y) == ref.le(x, y), (x, y)
+    outside = _FOREIGN + (preorder.elem_a(na), preorder.elem_b(nb))
+    for x in elements[:3] + list(outside):
+        for y in outside:
+            assert not snap.le(x, y) and not snap.le(y, x), (x, y)
+    b = [preorder.elem_b(j) for j in range(nb)]
+    for i in range(na):
+        a = preorder.elem_a(i)
+        assert preorder.incomparable_b_count(snap, i) == sum(
+            1 for y in b if not ref.le(a, y) and not ref.le(y, a))
+    return snap, ref
+
+
+def _random_vtable(rng, na, nb):
+    """Thresholds for some of 0..na+1: undefined, below nb, at nb and beyond."""
+    v = {i: rng.randint(0, nb + 2) for i in range(na + 2) if rng.random() < 0.7}
+    return preorder.VTable(v=v, stage=rng.randint(0, 9))
+
+
+def test_materialize_matches_reference_random_tables():
+    rng = random.Random(29)
+    for _ in range(300):
+        na, nb = rng.randint(0, 8), rng.randint(0, 8)
+        t1, t2 = _random_vtable(rng, na, nb), _random_vtable(rng, na, nb)
+        snap1, ref1 = _assert_snapshot_matches_reference(t1, na, nb)
+        snap2, ref2 = _assert_snapshot_matches_reference(t2, na, nb)
+        # the normal form makes snapshot equality pair-set equality
+        assert (snap1 == snap2) == (ref1.leq == ref2.leq)
+        assert preorder.snapshot_from_json(preorder.snapshot_to_json(snap1)) == snap1
+    for t in (preorder.VTable(), _random_vtable(rng, 5, 5)):
+        _assert_snapshot_matches_reference(t, None, None)
+
+
+@pytest.mark.parametrize("K", [0, 3, 10])
+def test_materialize_matches_reference_on_runs(K):
+    for seed in range(1, 5):
+        t = preorder.run_preorder(generate_b(seed, K), 60 + 7 * seed)
+        _assert_snapshot_matches_reference(t, None, None)
+        _assert_snapshot_matches_reference(t, t.next_fresh, K + 2)
+
+
+def test_block_layout_matches_merges():
+    rng = random.Random(31)
+    for n in list(range(12)) + [64, 200]:
+        bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
+        built = blocks.encode_blocks(bits, n).partition
+        ref = reference_block_partition(bits, n)
+        assert built.classes() == ref.classes()
+        assert eqrel.character_of(built) == eqrel.character_of(ref)
+        assert eqrel.character_of(built) == blocks.block_character(bits, n)
 
 
 _prefixes = st.lists(st.integers(1, 9), max_size=8)

@@ -196,10 +196,16 @@ def test_snapshot_json_round_trip():
     snap = materialize(t, 3, 3)
     obj = snapshot_to_json(snap)
     assert snapshot_from_json(obj) == snap
-    assert obj["leq"] == sorted(obj["leq"])
+    assert obj == {"format": 2, "na": 3, "nb": 3, "thresholds": [0, 1, 0]}
     with pytest.raises(InputError):
-        snapshot_from_json({"format": 1, "na": 1})
-    for bad in ({"format": True}, {"format": 1.0}, {"na": True}, {"nb": -1},
-                {"leq": [[1, 2]]}, {"leq": [["c"]]}, {"leq": "cd"}):
+        snapshot_from_json({"format": 2, "na": 1})
+    # the pair-list format 1 is not read any more
+    format_1 = {"format": 1, "na": 3, "nb": 3, "leq": sorted([x, y] for x, y in snap.leq)}
+    for bad in ({"format": True}, {"format": 2.0}, {"format": 1}, format_1,
+                {"na": True}, {"nb": -1}, {"na": 2.5},
+                {"thresholds": ["0", 1, 0]}, {"thresholds": [0, True, 0]},
+                {"thresholds": [0, -1, 0]}, {"thresholds": [0, 4, 0]},
+                {"thresholds": [0, 1]}, {"thresholds": [0, 1, 0, 0]}, {"thresholds": "010"}):
         with pytest.raises(InputError):
             snapshot_from_json({**obj, **bad})
+    assert snapshot_from_json({**obj, "thresholds": [3, 3, 3]}) == materialize(VTable(), 3, 3)
