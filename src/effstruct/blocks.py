@@ -9,7 +9,6 @@ size/count character alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .eqrel import Character, Partition
@@ -30,20 +29,14 @@ def block_offset(i: int) -> int:
     return i * i + 3 * i
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    n_blocks: int
-    partition: Partition
-
-
-def encode_blocks(bits: Sequence[int], n: int) -> BlockStructure:
+def encode_blocks(bits: Sequence[int], n: int) -> Partition:
     """Equivalence structure over the first n blocks, built from its layout."""
     bits = _check_bits(bits, n)
     classes = []
     for i in range(n):
         start, stop = block_offset(i), block_offset(i + 1)
         classes.append(range(start, stop if bits[i] == 1 else stop - 1))
-    return BlockStructure(n_blocks=n, partition=Partition.from_classes(block_offset(n), classes))
+    return Partition.from_classes(block_offset(n), classes)
 
 
 def block_character(bits: Sequence[int], n: int) -> Character:

@@ -217,26 +217,6 @@ class CeerRunner:
             raise InputError(f"oldest class queries need size at least 2, not {k}")
         return self._oldest.get(k)
 
-    def partition(self, window: int) -> Partition:
-        """Current relation restricted to [0, window).
-
-        Restriction happens after the closure on omega: two in-window
-        elements joined through an out-of-window element are related.
-        """
-        p = Partition(window)
-        for c in self.classes:
-            inside = c[:bisect_left(c, window)]
-            for other in inside[1:]:
-                p.merge(inside[0], other)
-        return p
-
-
-def ceer_snapshot(fam: CeerFamily, e: int, s: int, window: int) -> Partition:
-    """R_e[s] restricted to [0, window)."""
-    runner = CeerRunner(fam.member(e))
-    runner.advance_to(s)
-    return runner.partition(window)
-
 
 def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
     """Whether the member's limit relation has a class of exactly k elements.

@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,26 +26,6 @@ from .errors import EffstructError, HorizonError, InputError
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: Optional[str] = None
-    columns: int = 1
-    stages: int = 1
-    g: Optional[str] = None
-    labels: int = 0
-    b: Optional[str] = None
-    horizon: Optional[int] = None
-    x: Optional[str] = None
-    encode: Optional[str] = None
-    decode: Optional[str] = None
-    trace: Optional[str] = None
-    report: Optional[str] = None
-    snapshot: Optional[str] = None
-    verify: bool = False
-    seed: int = 0
 
 
 def _load_json(path: str) -> object:
@@ -67,18 +46,14 @@ def _dump_json(path: str, obj: object) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_coceer(cfg: RunConfig) -> int:
-    if cfg.stages < 1:
-        raise InputError("--stages must be at least 1")
-    if cfg.family is None:
-        raise InputError("--family is required")
-    fam = family_from_json(_load_json(cfg.family))
-    state, trace = coceer_mod.run_coceer(fam, cfg.columns, cfg.stages)
-    if cfg.trace:
-        _dump_json(cfg.trace, coceer_mod.trace_to_json(trace))
-    if not cfg.verify:
+def _cmd_coceer(args: argparse.Namespace) -> int:
+    fam = family_from_json(_load_json(args.family))
+    state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages)
+    if args.trace:
+        _dump_json(args.trace, coceer_mod.trace_to_json(trace))
+    if not args.verify:
         return EXIT_OK
-    reports = [coceer_mod.verify_requirement(state, fam, e) for e in range(cfg.columns)]
+    reports = [coceer_mod.verify_requirement(state, fam, e) for e in range(args.columns)]
     for rep in reports:
         status = "ok" if rep.satisfied and rep.certified else "FAIL"
         print(
@@ -86,24 +61,20 @@ def _cmd_coceer(cfg: RunConfig) -> int:
             f"{rep.witness_class_size}, family realizes size: {rep.r_e_has_size_k}, "
             f"satisfied={rep.satisfied}, certified={rep.certified} [{status}]"
         )
-    if cfg.report:
-        _dump_json(cfg.report, [coceer_mod.report_to_json(r) for r in reports])
+    if args.report:
+        _dump_json(args.report, [coceer_mod.report_to_json(r) for r in reports])
     ok = all(r.satisfied and r.certified for r in reports)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_pi01(cfg: RunConfig) -> int:
-    if cfg.stages < 1:
-        raise InputError("--stages must be at least 1")
-    if cfg.g is None:
-        raise InputError("--g is required")
-    table = pi01.gtable_from_json(_load_json(cfg.g))
-    trace = pi01.run_pi01(table, cfg.stages)
-    if cfg.trace:
-        _dump_json(cfg.trace, pi01.trace_to_json(trace))
-    if not cfg.verify:
+def _cmd_pi01(args: argparse.Namespace) -> int:
+    table = pi01.gtable_from_json(_load_json(args.g))
+    trace = pi01.run_pi01(table, args.stages)
+    if args.trace:
+        _dump_json(args.trace, pi01.trace_to_json(trace))
+    if not args.verify:
         return EXIT_OK
-    report = pi01.verify_liminf_counts(trace, table, cfg.labels)
+    report = pi01.verify_liminf_counts(trace, table, args.labels)
     for entry in report.entries:
         status = "ok" if entry.match else "FAIL"
         print(
@@ -113,18 +84,14 @@ def _cmd_pi01(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_match else EXIT_VERIFY_FAILED
 
 
-def _cmd_preorder(cfg: RunConfig) -> int:
-    if cfg.stages < 1:
-        raise InputError("--stages must be at least 1")
-    if cfg.b is None:
-        raise InputError("--b is required")
-    approx = delta02_from_json(_load_json(cfg.b))
-    table = preorder.run_preorder(approx, cfg.stages)
-    if cfg.snapshot:
-        _dump_json(cfg.snapshot, preorder.snapshot_to_json(preorder.materialize(table)))
-    if not cfg.verify:
+def _cmd_preorder(args: argparse.Namespace) -> int:
+    approx = delta02_from_json(_load_json(args.b))
+    table = preorder.run_preorder(approx, args.stages)
+    if args.snapshot:
+        _dump_json(args.snapshot, preorder.snapshot_to_json(preorder.materialize(table)))
+    if not args.verify:
         return EXIT_OK
-    horizon = cfg.horizon if cfg.horizon is not None else approx.width - 1
+    horizon = args.horizon if args.horizon is not None else approx.width - 1
     report = preorder.verify_claim(table, approx, horizon)
     for entry in report.entries:
         status = "ok" if entry.ok else "FAIL"
@@ -139,25 +106,25 @@ def _cmd_preorder(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_blocks(cfg: RunConfig) -> int:
-    if (cfg.x is None) == (cfg.decode is None):
+def _cmd_blocks(args: argparse.Namespace) -> int:
+    if (args.x is None) == (args.decode is None):
         raise InputError("use either --x with --encode, or --decode")
-    if cfg.x is not None:
-        bits = blocks_mod.parse_bits(cfg.x)
+    if args.x is not None:
+        bits = blocks_mod.parse_bits(args.x)
         n = len(bits)
-        structure = blocks_mod.encode_blocks(bits, n)
+        partition = blocks_mod.encode_blocks(bits, n)
         character = blocks_mod.block_character(bits, n)
         payload = {
             "format": 1,
             "n_blocks": n,
-            "partition": partition_to_json(structure.partition),
+            "partition": partition_to_json(partition),
             "character": character.to_pairs(),
         }
-        if cfg.encode:
-            _dump_json(cfg.encode, payload)
-        print(f"encoded {n} bits into {structure.partition.window} elements")
+        if args.encode:
+            _dump_json(args.encode, payload)
+        print(f"encoded {n} bits into {partition.window} elements")
         return EXIT_OK
-    obj = _load_json(cfg.decode)
+    obj = _load_json(args.decode)
     if not isinstance(obj, dict) or "character" not in obj:
         raise InputError("character file needs a 'character' array")
     check_format(obj, default=1)
@@ -223,48 +190,24 @@ def _suite_blocks(seed: int, runs: int = 100) -> tuple[bool, str]:
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
         direct = blocks_mod.block_character(bits, n)
-        via_partition = character_of(blocks_mod.encode_blocks(bits, n).partition)
+        via_partition = character_of(blocks_mod.encode_blocks(bits, n))
         if direct != via_partition:
             bad += 1
     return bad == 0, f"block coder: {runs} round trips and 33 character cross-checks exact"
 
 
-def _cmd_verify_all(cfg: RunConfig) -> int:
+def _cmd_verify_all(args: argparse.Namespace) -> int:
     suites = [
-        _suite_coceer(cfg.seed, cfg.stages),
-        _suite_pi01(cfg.seed),
-        _suite_preorder(cfg.seed),
-        _suite_blocks(cfg.seed),
+        _suite_coceer(args.seed, args.stages),
+        _suite_pi01(args.seed),
+        _suite_preorder(args.seed),
+        _suite_blocks(args.seed),
     ]
     ok = True
     for passed, line in suites:
         print(("PASS " if passed else "FAIL ") + line)
         ok = ok and passed
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    handlers = {
-        "coceer": _cmd_coceer,
-        "pi01": _cmd_pi01,
-        "preorder": _cmd_preorder,
-        "blocks": _cmd_blocks,
-        "verify-all": _cmd_verify_all,
-    }
-    if config.subcommand not in handlers:
-        raise InputError(f"unknown subcommand {config.subcommand!r}")
-    try:
-        return handlers[config.subcommand](config)
-    except HorizonError as exc:
-        print(f"error: {exc} (required stages: {exc.required_stages})", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except EffstructError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("coceer", help="diagonalize a co-ceer against a ceer family")
+    p.set_defaults(handler=_cmd_coceer)
     p.add_argument("--family", required=True, help="family JSON file")
     p.add_argument("--columns", type=int, required=True, help="number of columns E")
     p.add_argument("--stages", type=int, required=True, help="stage budget")
@@ -283,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("pi01", help="build class sizes from a liminf table")
+    p.set_defaults(handler=_cmd_pi01)
     p.add_argument("--g", required=True, help="class-size table JSON file")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--labels", type=int, default=0, help="verify labels 0..K")
@@ -290,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("preorder", help="encode a binary limit set into a preorder")
+    p.set_defaults(handler=_cmd_preorder)
     p.add_argument("--b", required=True, help="set approximation JSON file")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--horizon", type=int, help="verify membership up to this value")
@@ -297,11 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("blocks", help="encode/decode bit vectors as block structures")
+    p.set_defaults(handler=_cmd_blocks)
     p.add_argument("--x", help="bit string to encode")
     p.add_argument("--encode", help="write the encoded structure here")
     p.add_argument("--decode", help="character JSON file to decode")
 
     p = sub.add_parser("verify-all", help="run every generated property suite")
+    p.set_defaults(handler=_cmd_verify_all)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stages", type=int, default=5000, help="diagonalization budget")
 
@@ -309,9 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Parse ``argv`` and run its subcommand; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return run(RunConfig(**fields))
+    try:
+        return args.handler(args)
+    except HorizonError as exc:
+        print(f"error: {exc} (required stages: {exc.required_stages})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except EffstructError as exc:
+        print(f"construction error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

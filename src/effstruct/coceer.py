@@ -11,9 +11,9 @@ the e-th member of a ceer family.
 Per column the construction keeps a latch flag that turns on whenever the
 family member exhibits a never-before-seen oldest class of the target
 size; the flag is consumed (and the witness set churned) the next time the
-stage schedule focuses on that column.  Stage s focuses column
-``cantor_unpair(s).e``; no other stage reads or consumes a column's flag,
-so the flag is brought up to date lazily, at the column's own focused
+stage schedule focuses on that column.  Stage s focuses column e for
+``(e, n) = cantor_unpair(s)``; no other stage reads or consumes a column's
+flag, so the flag is brought up to date lazily, at the column's own focused
 stages, from the member's events in between (see :meth:`CoceerRun._latch`).
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
@@ -32,8 +32,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
-from .core import cantor_unpair, check_format, is_nat
-from .eqrel import Partition
+# Unused here (focus_schedule walks the pairs in order), but
+# perfbench/layers.py patches coceer.cantor_unpair by name.
+from .core import cantor_unpair  # noqa: F401
+from .core import check_format, is_nat
 from .errors import ConstructionBugError, InputError
 
 
@@ -349,21 +351,6 @@ def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState,
     run = CoceerRun(fam, E)
     records = run.run_to(stage_budget)
     return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
-
-
-def snapshot(state: CoceerState, window: int) -> Partition:
-    """S[s] over pair codes [0, window): columns minus exiles, exiles single."""
-    p = Partition(window)
-    bycol: dict[int, list[int]] = {}
-    for z in range(window):
-        e, x = cantor_unpair(z)
-        if e < state.width and x in state.columns[e].exiled:
-            continue
-        bycol.setdefault(e, []).append(z)
-    for group in bycol.values():
-        for other in group[1:]:
-            p.merge(group[0], other)
-    return p
 
 
 def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> RequirementReport:

@@ -16,13 +16,6 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import InputError
 
 
-class StagePair(NamedTuple):
-    """Decoded stage index: requirement column ``e`` and round ``n``."""
-
-    e: int
-    n: int
-
-
 def cantor_pair(e: int, n: int) -> int:
     """Bijection omega x omega -> omega, (e, n) |-> (e+n)(e+n+1)/2 + e."""
     if e < 0 or n < 0:
@@ -30,13 +23,13 @@ def cantor_pair(e: int, n: int) -> int:
     return (e + n) * (e + n + 1) // 2 + e
 
 
-def cantor_unpair(s: int) -> StagePair:
-    """Inverse of :func:`cantor_pair`."""
+def cantor_unpair(s: int) -> tuple[int, int]:
+    """Inverse of :func:`cantor_pair`: the pair ``(e, n)`` with ``cantor_pair(e, n) == s``."""
     if s < 0:
         raise InputError("stage index must be nonnegative")
     w = (math.isqrt(8 * s + 1) - 1) // 2
     e = s - w * (w + 1) // 2
-    return StagePair(e, w - e)
+    return e, w - e
 
 
 def is_nat(v: object) -> bool:

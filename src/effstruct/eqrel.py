@@ -71,9 +71,6 @@ class Partition:
         self._size[rx] += self._size[ry]
         self._min[rx] = min(self._min[rx], self._min[ry])
 
-    def same(self, x: int, y: int) -> bool:
-        return self.find(x) == self.find(y)
-
     def roots(self) -> list[int]:
         return [x for x in range(self.window) if self.find(x) == x]
 
@@ -96,17 +93,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.window}, classes={self.classes()})"
-
-
-def oldest_class_min(p: Partition, k: int) -> Optional[int]:
-    """Least class minimum among classes of size exactly ``k``, if any.
-
-    The class with the least minimum is the oldest one of its size.
-    """
-    if k < 1:
-        raise InputError("class size must be at least 1")
-    candidates = [p._min[r] for r in p.roots() if p._size[r] == k]
-    return min(candidates) if candidates else None
 
 
 class Character:

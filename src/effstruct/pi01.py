@@ -19,7 +19,6 @@ from typing import Optional
 from .core import (
     UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_limits, upseq_to_json,
 )
-from .eqrel import Partition
 from .errors import ConstructionBugError, HorizonError, InputError
 
 
@@ -157,33 +156,8 @@ class PiTrace:
             label = value
         return label
 
-    def window_at(self, s: int) -> int:
-        if not 0 <= s <= self.stages:
-            raise InputError(f"stage {s} outside the trace")
-        return self.windows[s]
-
-    def snapshot_at(self, s: int, window: Optional[int] = None) -> Partition:
-        """R[s] as a partition: equal defined labels, singletons otherwise."""
-        if window is None:
-            window = self.window_at(s)
-        p = Partition(window)
-        bylabel: dict[int, list[int]] = {}
-        for x in range(window):
-            label = self.label_at(x, s)
-            if label is not None:
-                bylabel.setdefault(label, []).append(x)
-        for group in bylabel.values():
-            for other in group[1:]:
-                p.merge(group[0], other)
-        return p
-
     def elements(self) -> list[int]:
         return sorted(self.transitions)
-
-    def ever_labeled(self, k: int) -> list[int]:
-        return sorted(
-            x for x, hist in self.transitions.items() if any(v == k for _, v in hist)
-        )
 
     def stable_window_label(self, x: int, start: int, end: int) -> Optional[int]:
         """The label x holds throughout [start, end], or None."""
@@ -255,9 +229,13 @@ class LiminfReport:
 
 
 def required_stages_for(g: GTable, K: int) -> int:
-    """Horizon past which every label up to K is certified stable."""
-    worst = 0
-    for k in range(K + 1):
+    """Horizon past which every label up to K is certified stable.
+
+    Every label k >= g.width has the shape (0, 1), worth 3, so only the
+    labels below the width are read.
+    """
+    worst = 3 if K >= g.width else 0
+    for k in range(min(K + 1, g.width)):
         plen, perlen = g.column_shape(k)
         worst = max(worst, plen + 3 * perlen)
     return K + 1 + worst

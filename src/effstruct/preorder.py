@@ -126,8 +126,9 @@ class PreorderSnapshot:
     The skeleton is fixed: c <= a_i, b_j <= d, and b_j <= b_jj for
     j >= jj.  The only other facts are b_j <= a_i for j >= thresholds[i],
     where thresholds[i] is v(i) when it is defined and below nb, and nb
-    otherwise.  In this normal form two snapshots are equal exactly when
-    their ``leq`` sets are.
+    otherwise.  No a lies below a b, so exactly thresholds[i] of the b's
+    are incomparable with a_i.  In this normal form two snapshots are
+    equal exactly when their ``leq`` sets are.
     """
 
     na: int
@@ -138,12 +139,6 @@ class PreorderSnapshot:
         return [ELEM_C, ELEM_D] + [elem_a(i) for i in range(self.na)] + [
             elem_b(j) for j in range(self.nb)
         ]
-
-    def le(self, x: str, y: str) -> bool:
-        return (x, y) in self.leq
-
-    def incomparable(self, x: str, y: str) -> bool:
-        return not self.le(x, y) and not self.le(y, x)
 
     @cached_property
     def leq(self) -> frozenset[tuple[str, str]]:
@@ -171,18 +166,6 @@ def materialize(t: VTable, n_a: Optional[int] = None, n_b: Optional[int] = None)
         raise InputError("snapshot bounds must be nonnegative")
     thresholds = tuple(min(t.v.get(i, nb), nb) for i in range(na))
     return PreorderSnapshot(na=na, nb=nb, thresholds=thresholds)
-
-
-def incomparable_b_count(snap: PreorderSnapshot, i: int) -> int:
-    """How many materialized b's are incomparable with a_i.
-
-    The b's below a_i are exactly b_j for j >= thresholds[i], and no a
-    lies below a b, so this is thresholds[i]: v(i) whenever it is defined
-    and within bounds, and nb for a fully fresh a_i.
-    """
-    if not 0 <= i < snap.na:
-        raise InputError(f"index {i} outside the snapshot")
-    return snap.thresholds[i]
 
 
 def fingerprint(t: VTable) -> set[int]:

@@ -12,20 +12,28 @@ column's verdict by the witness-history rule, read off the trace alone.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
-:func:`reference_verify_liminf_counts` finds each label's elements by a
-scan of the whole trace.  :func:`reference_materialize` builds a
-preorder snapshot as its explicit set of ``leq`` pairs, and
+:func:`reference_required_stages_for` reads the shape of every label up
+to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
+scan of the whole trace (:func:`ever_labeled`).  :func:`reference_materialize`
+builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time.
+
+The snapshot oracles give a construction's relation at one stage as a
+:class:`Partition` of a finite window, merged pair by pair:
+:func:`runner_partition` and :func:`ceer_snapshot` for a family member,
+:func:`coceer_snapshot` for the co-ceer and :func:`snapshot_at` for a
+pi01 trace.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
 from effstruct.blocks import block_offset
-from effstruct.ceersim import CeerFamily, CeerScript
+from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript
 from effstruct.coceer import (
     CoceerState,
     CoceerTrace,
@@ -105,6 +113,42 @@ class ReferenceRunner:
         touched = {x for c in inside for x in c}
         singles = [[x] for x in range(window) if x not in touched]
         return sorted([c for c in inside if c] + singles, key=lambda c: c[0])
+
+
+def runner_partition(runner: CeerRunner, window: int) -> Partition:
+    """The runner's current relation restricted to [0, window).
+
+    Restriction happens after the closure on omega: two in-window
+    elements joined through an out-of-window element are related.
+    """
+    p = Partition(window)
+    for c in runner.classes:
+        inside = c[:bisect_left(c, window)]
+        for other in inside[1:]:
+            p.merge(inside[0], other)
+    return p
+
+
+def ceer_snapshot(fam: CeerFamily, e: int, s: int, window: int) -> Partition:
+    """R_e[s] restricted to [0, window)."""
+    runner = CeerRunner(fam.member(e))
+    runner.advance_to(s)
+    return runner_partition(runner, window)
+
+
+def coceer_snapshot(state: CoceerState, window: int) -> Partition:
+    """S[s] over pair codes [0, window): columns minus exiles, exiles single."""
+    p = Partition(window)
+    bycol: dict[int, list[int]] = {}
+    for z in range(window):
+        e, x = cantor_unpair(z)
+        if e < state.width and x in state.columns[e].exiled:
+            continue
+        bycol.setdefault(e, []).append(z)
+    for group in bycol.values():
+        for other in group[1:]:
+            p.merge(group[0], other)
+    return p
 
 
 def reference_check_column(col: ColumnState, e: int) -> None:
@@ -259,8 +303,40 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
     return st
 
 
+def snapshot_at(trace: PiTrace, s: int, window: Optional[int] = None) -> Partition:
+    """R[s] as a partition: equal defined labels, singletons otherwise."""
+    if window is None:
+        window = trace.windows[s]
+    p = Partition(window)
+    bylabel: dict[int, list[int]] = {}
+    for x in range(window):
+        label = trace.label_at(x, s)
+        if label is not None:
+            bylabel.setdefault(label, []).append(x)
+    for group in bylabel.values():
+        for other in group[1:]:
+            p.merge(group[0], other)
+    return p
+
+
+def ever_labeled(trace: PiTrace, k: int) -> list[int]:
+    """The elements that held label k at some stage, by a scan of the trace."""
+    return sorted(
+        x for x, hist in trace.transitions.items() if any(v == k for _, v in hist)
+    )
+
+
+def reference_required_stages_for(g: GTable, K: int) -> int:
+    """The pi01 horizon by a loop over every label 0..K."""
+    worst = 0
+    for k in range(K + 1):
+        plen, perlen = g.column_shape(k)
+        worst = max(worst, plen + 3 * perlen)
+    return K + 1 + worst
+
+
 def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
-    """The liminf verifier that asks ``PiTrace.ever_labeled`` once per label.
+    """The liminf verifier that calls :func:`ever_labeled` once per label.
 
     The caller runs the trace past ``required_stages_for(g, K)``.
     """
@@ -270,7 +346,7 @@ def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfR
         start = trace.stages - 2 * perlen
         observed = sum(
             1
-            for x in trace.ever_labeled(k)
+            for x in ever_labeled(trace, k)
             if trace.stable_window_label(x, start, trace.stages) == k
         )
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))

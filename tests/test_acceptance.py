@@ -14,10 +14,10 @@ import time
 import pytest
 
 from effstruct.blocks import block_character, decode_character, encode_blocks
-from effstruct.ceersim import limit_has_class_of_size
+from effstruct.ceersim import CeerRunner, CeerScript, limit_has_class_of_size
 from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.core import cantor_unpair
-from effstruct.eqrel import Partition, character_of, oldest_class_min
+from effstruct.eqrel import Partition, character_of
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -134,7 +134,7 @@ def test_criterion_3_pi01_liminf_counts(pi01_runs):
             assert entry.observed == entry.expected, (table, entry)
             label_checks += 1
         # the per-stage count identity, re-derived from the trace alone
-        window = trace.window_at(trace.stages)
+        window = trace.windows[trace.stages]
         for s in range(1, trace.stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
@@ -200,7 +200,7 @@ def test_criterion_4_monotone_shrinking_snapshots(diagonalization_run, pi01_runs
             return frozenset(pairs)
 
         for s in range(1, pitrace.stages + 1):
-            w = min(12, pitrace.window_at(s))
+            w = min(12, pitrace.windows[s])
             rel = pi01_relation(s, w)
             assert bf_is_equivalence(w, rel)
             if s < pitrace.stages:
@@ -257,7 +257,7 @@ def test_criterion_6_block_coder():
         assert decode_character(block_character(bits, 64), 64) == bits
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        assert character_of(encode_blocks(bits, n).partition) == block_character(bits, n)
+        assert character_of(encode_blocks(bits, n)) == block_character(bits, n)
     print(
         "\ncriterion 6: PASS — 100 round trips at 64 bits and character "
         "agreement up to 32 blocks, exact"
@@ -269,11 +269,15 @@ def test_criterion_7_oracle_cross_checks():
     for _ in range(220):
         n = rng.randint(1, 12)
         p = Partition(n)
-        for _ in range(rng.randint(0, 12)):
-            p.merge(rng.randrange(n), rng.randrange(n))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        for x, y in pairs:
+            p.merge(x, y)
         classes = p.classes()
-        k = rng.randint(1, 6)
-        assert oldest_class_min(p, k) == bf_oldest_class_min(classes, k)
+        runner = CeerRunner(CeerScript(tuple((1, pair) for pair in pairs)))
+        runner.advance_to(1)
+        assert list(runner.classes) == [c for c in classes if len(c) > 1]
+        k = rng.randint(2, 6)
+        assert runner.oldest_class_min(k) == bf_oldest_class_min(runner.classes, k)
         stable = set(rng.sample(range(n), rng.randint(0, n))) if rng.random() < 0.5 else None
         assert character_of(p, stable).entries == bf_character(classes, stable)
     for _ in range(220):

@@ -16,9 +16,9 @@ from effstruct.errors import InputError
 
 
 def test_encode_examples():
-    assert [len(c) for c in encode_blocks([1], 1).partition.classes()] == [4]
-    assert sorted(len(c) for c in encode_blocks([0], 1).partition.classes()) == [1, 3]
-    assert sorted(len(c) for c in encode_blocks([1, 0], 2).partition.classes()) == [1, 4, 5]
+    assert [len(c) for c in encode_blocks([1], 1).classes()] == [4]
+    assert sorted(len(c) for c in encode_blocks([0], 1).classes()) == [1, 3]
+    assert sorted(len(c) for c in encode_blocks([1, 0], 2).classes()) == [1, 4, 5]
     with pytest.raises(InputError):
         encode_blocks([1], 2)
     with pytest.raises(InputError):
@@ -59,7 +59,7 @@ def test_formula_agrees_with_structure():
     rng = random.Random(99)
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        assert character_of(encode_blocks(bits, n).partition) == block_character(bits, n)
+        assert character_of(encode_blocks(bits, n)) == block_character(bits, n)
 
 
 def test_sizes_never_collide():

@@ -9,7 +9,6 @@ from effstruct.ceersim import (
     CeerRunner,
     CeerScript,
     ChurnGenerator,
-    ceer_snapshot,
     family_from_json,
     family_to_json,
     limit_has_class_of_size,
@@ -17,6 +16,7 @@ from effstruct.ceersim import (
 from effstruct.errors import InputError
 
 from bruteforce import bf_relation_of_partition, bf_subset
+from reference import ceer_snapshot, runner_partition
 
 
 def _random_script(rng, elements=10, events=12, last_stage=40):
@@ -68,7 +68,7 @@ def test_script_runner_sized_by_mentioned_elements():
     with pytest.raises(InputError):  # only sizes of two or more have an oldest class
         runner.oldest_class_min(1)
     assert runner.oldest_class_min(2) == 0
-    assert runner.partition(3).classes() == [[0], [1], [2]]
+    assert runner_partition(runner, 3).classes() == [[0], [1], [2]]
 
 
 def test_snapshot_examples():
@@ -84,7 +84,7 @@ def test_snapshot_respects_out_of_window_links():
     # 0 ~ 5 through element 100: restriction happens after closure on omega
     fam = CeerFamily((CeerScript(((1, (0, 100)), (2, (100, 5)))),))
     snap = ceer_snapshot(fam, 0, 2, 6)
-    assert snap.same(0, 5)
+    assert snap.find(0) == snap.find(5)
 
 
 def test_snapshot_monotone_in_stage():

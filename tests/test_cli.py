@@ -6,7 +6,7 @@ import json
 import pytest
 
 from effstruct.ceersim import family_to_json
-from effstruct.cli import RunConfig, main, run
+from effstruct.cli import main
 from effstruct.core import cantor_unpair, delta02_to_json
 from effstruct.generators import (
     generate_b,
@@ -31,22 +31,29 @@ def family_file(tmp_path):
 
 
 def test_missing_input_is_exit_2(tmp_path):
-    assert run(RunConfig("pi01", g=str(tmp_path / "missing.json"), stages=5)) == 2
+    assert main(["pi01", "--g", str(tmp_path / "missing.json"), "--stages", "5"]) == 2
 
 
-def test_zero_stage_budget_is_exit_2(family_file):
-    assert run(RunConfig("coceer", family=family_file, columns=4, stages=0)) == 2
+@pytest.mark.parametrize("command", ["coceer", "pi01", "preorder"])
+def test_zero_stage_budget_is_exit_2(tmp_path, capsys, family_file, command):
+    inputs = {
+        "coceer": ["--family", family_file, "--columns", "4"],
+        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))],
+        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))],
+    }
+    assert main([command, *inputs[command], "--stages", "0", "--verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: stage ")
 
 
 def test_malformed_json_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    assert run(RunConfig("pi01", g=str(bad), stages=5)) == 2
+    assert main(["pi01", "--g", str(bad), "--stages", "5"]) == 2
 
 
 def test_schema_violation_is_exit_2(tmp_path):
     path = _write(tmp_path / "g.json", {"columns": [{"prefix": [], "period": []}]})
-    assert run(RunConfig("pi01", g=path, stages=5)) == 2
+    assert main(["pi01", "--g", path, "--stages", "5"]) == 2
     # true == 1 in Python, but it is not a format version
     path = _write(tmp_path / "g.json", {**gtable_to_json(generate_gtable(1, 4)), "format": True})
     assert main(["pi01", "--g", path, "--stages", "5"]) == 2
@@ -54,7 +61,7 @@ def test_schema_violation_is_exit_2(tmp_path):
 
 def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
     path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
-    code = run(RunConfig("pi01", g=path, stages=3, labels=4, verify=True))
+    code = main(["pi01", "--g", path, "--stages", "3", "--labels", "4", "--verify"])
     assert code == 2
     assert "required stages" in capsys.readouterr().err
 
@@ -189,7 +196,7 @@ def _as_format_1(trace: dict) -> dict:
     focused = {r["stage"]: r for r in trace["records"]}
     records = []
     for stage in range(1, trace["stages"] + 1):
-        e = cantor_unpair(stage).e
+        e, _ = cantor_unpair(stage)
         skip = {"stage": stage, "e": e, "case": 0, "Y": None, "flag": None, "exiled": []}
         records.append(focused.pop(stage) if e < trace["columns"] else skip)
     assert not focused

@@ -10,7 +10,6 @@ from effstruct.coceer import (
     compute_uv,
     init_coceer,
     run_coceer,
-    snapshot,
     trace_from_json,
     trace_to_json,
     verify_requirement,
@@ -19,6 +18,7 @@ from effstruct.core import cantor_pair, cantor_unpair
 from effstruct.errors import InputError
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
+from reference import coceer_snapshot
 
 EMPTY = CeerScript(())
 
@@ -134,7 +134,7 @@ def test_run_trace_length_and_budget():
 def test_run_skips_columns_beyond_family_width():
     fam = CeerFamily((CeerScript(()),))
     state, trace = run_coceer(fam, 1, 10)
-    assert [r.stage for r in trace.records] == [s for s in range(1, 11) if cantor_unpair(s).e < 1]
+    assert [r.stage for r in trace.records] == [s for s in range(1, 11) if cantor_unpair(s)[0] < 1]
     assert all(r.e == 0 for r in trace.records) and state.stage == 10
 
 
@@ -170,10 +170,11 @@ def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
 
 def test_snapshot_is_column_partition_initially():
     state = init_coceer(3)
-    snap = snapshot(state, 12)
+    snap = coceer_snapshot(state, 12)
     for z1 in range(12):
         for z2 in range(12):
-            assert snap.same(z1, z2) == (cantor_unpair(z1).e == cantor_unpair(z2).e)
+            same_column = cantor_unpair(z1)[0] == cantor_unpair(z2)[0]
+            assert (snap.find(z1) == snap.find(z2)) == same_column
 
 
 def test_snapshot_stays_equivalence_and_shrinks():
@@ -181,11 +182,11 @@ def test_snapshot_stays_equivalence_and_shrinks():
         (CeerScript(((1, (0, 1)), (3, (1, 2)))), ChurnGenerator(4, 2), CeerScript(()))
     )
     run = CoceerRun(fam, 3)
-    previous = bf_relation_of_partition(snapshot(run.state, 12).classes())
+    previous = bf_relation_of_partition(coceer_snapshot(run.state, 12).classes())
     assert bf_is_equivalence(12, previous)
     for stage in range(1, 381):  # the first 80 focused stages
         run.run_to(stage)
-        current = bf_relation_of_partition(snapshot(run.state, 12).classes())
+        current = bf_relation_of_partition(coceer_snapshot(run.state, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
         previous = current
@@ -251,7 +252,7 @@ def test_trace_json_round_trip():
     obj = trace_to_json(trace)
     assert obj["format"] == 2 and "mode" not in obj
     assert [r["stage"] for r in obj["records"]] == [
-        s for s in range(1, 31) if cantor_unpair(s).e < 2]
+        s for s in range(1, 31) if cantor_unpair(s)[0] < 2]
     assert trace_from_json(obj) == trace
     with pytest.raises(InputError):
         trace_from_json({"format": 2, "records": [{"stage": 1}]})

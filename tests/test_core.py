@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from effstruct.core import (
     Delta02SetApprox,
-    StagePair,
     UPSeq,
     cantor_pair,
     cantor_unpair,
@@ -25,9 +24,9 @@ def test_pair_base_cases():
     # frozen from the closed form (e+n)(e+n+1)/2 + e
     assert cantor_pair(0, 1) == 1
     assert cantor_pair(1, 0) == 2
-    assert cantor_unpair(0) == StagePair(0, 0)
-    assert cantor_unpair(1) == StagePair(0, 1)
-    assert cantor_unpair(2) == StagePair(1, 0)
+    assert cantor_unpair(0) == (0, 0)
+    assert cantor_unpair(1) == (0, 1)
+    assert cantor_unpair(2) == (1, 0)
 
 
 @settings(deadline=None, max_examples=200)

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from effstruct.ceersim import CeerRunner, CeerScript
 from effstruct.eqrel import (
     Character,
     Partition,
     character_of,
-    oldest_class_min,
     partition_from_json,
     partition_to_json,
 )
@@ -58,15 +58,26 @@ def test_merge_sequences_stay_equivalences():
         assert rel == bf_equivalence_closure(n, pairs)
 
 
+def _script_runner(pairs):
+    """A runner that has merged ``pairs``, all at stage 1."""
+    runner = CeerRunner(CeerScript(tuple((1, pair) for pair in pairs)))
+    runner.advance_to(1)
+    return runner
+
+
 def test_class_size_and_oldest():
     p = Partition(5)
-    assert oldest_class_min(p, 1) == 0
+    assert character_of(p) == Character({1: 5})
     p.merge(0, 1)
     assert p.classes() == [[0, 1], [2], [3], [4]]
-    assert oldest_class_min(p, 2) == 0
-    assert oldest_class_min(p, 3) is None
-    with pytest.raises(InputError):
-        oldest_class_min(p, 0)
+    assert character_of(p) == Character({1: 3, 2: 1})
+    # the oldest class of a size is the one with the least minimum
+    runner = _script_runner([(3, 4), (0, 1)])
+    assert runner.oldest_class_min(2) == 0
+    assert runner.oldest_class_min(3) is None
+    for k in (0, 1):   # only sizes of two or more have an oldest class
+        with pytest.raises(InputError):
+            runner.oldest_class_min(k)
 
 
 def test_oldest_class_min_against_bruteforce():
@@ -74,10 +85,13 @@ def test_oldest_class_min_against_bruteforce():
     for _ in range(250):
         n = rng.randint(1, 12)
         p = Partition(n)
-        for _ in range(rng.randint(0, 10)):
-            p.merge(rng.randrange(n), rng.randrange(n))
-        k = rng.randint(1, 6)
-        assert oldest_class_min(p, k) == bf_oldest_class_min(p.classes(), k)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        for x, y in pairs:
+            p.merge(x, y)
+        runner = _script_runner(pairs)
+        assert list(runner.classes) == [c for c in p.classes() if len(c) > 1]
+        for k in range(2, 7):
+            assert runner.oldest_class_min(k) == bf_oldest_class_min(runner.classes, k)
 
 
 def test_from_classes_matches_merges():
@@ -94,13 +108,14 @@ def test_from_classes_matches_merges():
         built = Partition.from_classes(n, classes)
         assert built.classes() == merged.classes()
         assert character_of(built) == character_of(merged)
-        for k in range(1, 7):
-            assert oldest_class_min(built, k) == oldest_class_min(merged, k)
+        for _ in range(3):   # each root's minimum is set as merges set it
+            stable = set(rng.sample(range(n), rng.randint(0, n)))
+            assert character_of(built, stable) == character_of(merged, stable)
         for _ in range(rng.randint(0, 6)):   # it stays a working union-find
             x, y = rng.randrange(n), rng.randrange(n)
             built.merge(x, y)
             merged.merge(x, y)
-            assert built.same(x, y)
+            assert built.find(x) == built.find(y)
         assert built.classes() == merged.classes()
         assert character_of(built) == character_of(merged)
 

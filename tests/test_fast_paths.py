@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effstruct import blocks, coceer, eqrel, pi01, preorder
-from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, ceer_snapshot
+from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
 from effstruct.coceer import (
     CoceerRun,
     CoceerTrace,
@@ -32,14 +32,17 @@ from reference import (
     ReferenceLabelState,
     ReferenceRunner,
     ReferenceVTable,
+    ceer_snapshot,
     reference_block_partition,
     reference_certificate,
     reference_check_column,
     reference_materialize,
     reference_pi01_step,
     reference_preorder_step,
+    reference_required_stages_for,
     reference_run_coceer,
     reference_verify_liminf_counts,
+    runner_partition,
 )
 
 
@@ -86,7 +89,7 @@ def test_script_replay_matches_reference():
             runner.advance_to(s)
             ref.advance_to(s)
             _assert_same_queries(runner, ref, range(1, 12))
-            assert runner.partition(8).classes() == ref.partition_classes(8)
+            assert runner_partition(runner, 8).classes() == ref.partition_classes(8)
             assert ceer_snapshot(fam, 0, s, 8).classes() == ref.partition_classes(8)
 
 
@@ -111,7 +114,7 @@ def _assert_run_matches_reference(fam, E, budget):
     # with a case-0 skip exactly where the focus lies beyond E
     assert trace.records == tuple(r for r in ref_trace.records if r.case != 0)
     assert [r.stage for r in ref_trace.records if r.case == 0] == [
-        s for s in range(1, budget + 1) if cantor_unpair(s).e >= E]
+        s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
     assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
     assert state.stage == ref_state.stage == budget
@@ -204,7 +207,7 @@ def test_churn_jump_matches_replay_property(k, s, window):
     runner.advance_to(s)
     ref.advance_to(s)
     _assert_same_queries(runner, ref, {1, 2, k - 1, k, k + 1, *range(1, 2 * s + 2, k)})
-    assert runner.partition(window).classes() == ref.partition_classes(window)
+    assert runner_partition(runner, window).classes() == ref.partition_classes(window)
 
 
 def test_run_coceer_operation_counts(monkeypatch):
@@ -351,15 +354,16 @@ def _assert_snapshot_matches_reference(t, na, nb):
     elements = snap.elements()
     for x in elements:
         for y in elements:
-            assert snap.le(x, y) == ref.le(x, y), (x, y)
+            assert ((x, y) in snap.leq) == ref.le(x, y), (x, y)
     outside = _FOREIGN + (preorder.elem_a(na), preorder.elem_b(nb))
     for x in elements[:3] + list(outside):
         for y in outside:
-            assert not snap.le(x, y) and not snap.le(y, x), (x, y)
+            assert (x, y) not in snap.leq and (y, x) not in snap.leq, (x, y)
+    # thresholds[i] counts the b's incomparable with a_i
     b = [preorder.elem_b(j) for j in range(nb)]
     for i in range(na):
         a = preorder.elem_a(i)
-        assert preorder.incomparable_b_count(snap, i) == sum(
+        assert snap.thresholds[i] == sum(
             1 for y in b if not ref.le(a, y) and not ref.le(y, a))
     return snap, ref
 
@@ -396,7 +400,7 @@ def test_block_layout_matches_merges():
     rng = random.Random(31)
     for n in list(range(12)) + [64, 200]:
         bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
-        built = blocks.encode_blocks(bits, n).partition
+        built = blocks.encode_blocks(bits, n)
         ref = reference_block_partition(bits, n)
         assert built.classes() == ref.classes()
         assert eqrel.character_of(built) == eqrel.character_of(ref)
@@ -452,18 +456,39 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("K", [None, 0, 8])
 def test_pi01_operation_counts(monkeypatch, K):
-    """pi01 asks g only about labels below the width; the verifier never rescans."""
+    """pi01 asks g only about labels below the width; the verifier checks each
+    (element, label <= K) assignment once and never rescans the trace."""
     g = pi01.GTable(()) if K is None else generate_gtable(7, K)
     stages = 1500
     lookups = _count_calls(monkeypatch, pi01.GTable, "g")
     trace = pi01.run_pi01(g, stages)
     assert lookups[0] == sum(min(s, g.width) for s in range(stages))
 
-    def rescan(self, k):
-        raise AssertionError("verify_liminf_counts rescanned the trace for a label")
+    bound = max(g.width - 1, 0)
+    checks = _count_calls(monkeypatch, pi01.PiTrace, "stable_window_label")
+    assert pi01.verify_liminf_counts(trace, g, bound).all_match
+    assert checks[0] == sum(1 for hist in trace.transitions.values()
+                            for _, label in hist if label is not None and label <= bound)
 
-    monkeypatch.setattr(pi01.PiTrace, "ever_labeled", rescan)
-    assert pi01.verify_liminf_counts(trace, g, max(g.width - 1, 0)).all_match
+
+def test_pi01_required_stages_matches_reference():
+    tables = [pi01.GTable(())] + [generate_gtable(seed, w) for seed in range(1, 11)
+                                  for w in (0, 1, 3, 8)]
+    for g in tables:
+        for K in range(g.width + 5):
+            assert pi01.required_stages_for(g, K) == reference_required_stages_for(g, K), \
+                (g.width, K)
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 8, 9, 10**7])
+def test_pi01_required_stages_reads_labels_below_width(monkeypatch, K):
+    """Labels past the width all have the shape (0, 1), so the horizon for
+    labels 0..K reads at most min(K+1, width) column shapes, whatever K is."""
+    shapes = _count_calls(monkeypatch, pi01.GTable, "column_shape")
+    for g in (pi01.GTable(()), generate_gtable(7, 0), generate_gtable(7, 8)):
+        shapes[0] = 0
+        pi01.required_stages_for(g, K)
+        assert shapes[0] <= min(K + 1, g.width)
 
 
 @pytest.mark.parametrize("K", [0, 1, 10])

@@ -22,6 +22,7 @@ from effstruct.pi01 import (
 )
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
+from reference import ever_labeled, snapshot_at
 
 CONSTANT_ONE = GTable(())
 
@@ -42,7 +43,7 @@ def test_gtable_validation():
 def test_constant_one_keeps_singletons():
     trace = run_pi01(CONSTANT_ONE, 50)
     for s in range(1, 51):
-        snap = trace.snapshot_at(s)
+        snap = snapshot_at(trace, s)
         assert all(len(c) == 1 for c in snap.classes())
     assert all(classify_history(trace, x) == "a" for x in trace.elements())
 
@@ -50,7 +51,7 @@ def test_constant_one_keeps_singletons():
 def test_first_stage():
     trace = run_pi01(CONSTANT_ONE, 1)
     assert trace.label_at(0, 1) == 0
-    assert trace.window_at(1) == 1
+    assert trace.windows[1] == 1
     # single steps on a raw state agree with the driver
     st = LabelState()
     pi01_step(st, CONSTANT_ONE)
@@ -85,7 +86,7 @@ def test_per_stage_count_identity():
         g = generate_gtable(300 + trial, K)
         stages = required_stages_for(g, K) + 3
         trace = run_pi01(g, stages)
-        window = trace.window_at(stages)
+        window = trace.windows[stages]
         for s in range(1, stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
@@ -115,9 +116,9 @@ def test_snapshots_shrink_and_stay_equivalences():
     g = _table(([2, 2, 2, 2], [1, 3]), ([5], [2]))
     trace = run_pi01(g, 30)
     for s in range(1, 30):
-        w = min(12, trace.window_at(s))
-        older = bf_relation_of_partition(trace.snapshot_at(s, w).classes())
-        newer = bf_relation_of_partition(trace.snapshot_at(s + 1, w).classes())
+        w = min(12, trace.windows[s])
+        older = bf_relation_of_partition(snapshot_at(trace, s, w).classes())
+        newer = bf_relation_of_partition(snapshot_at(trace, s + 1, w).classes())
         assert bf_is_equivalence(w, older)
         assert bf_subset(newer, older)
 
@@ -163,16 +164,16 @@ def test_stable_labels_partition_matches_final_snapshot():
     g = _table(([], [3]), ([2, 2, 2, 2], [1]), ([], [2, 4]))
     stages = required_stages_for(g, 2) + 2
     trace = run_pi01(g, stages)
-    snap = trace.snapshot_at(stages)
+    snap = snapshot_at(trace, stages)
     stable: dict[int, int] = {}
     for k in range(3):
         _, perlen = g.column_shape(k)
-        for x in trace.ever_labeled(k):
+        for x in ever_labeled(trace, k):
             if trace.stable_window_label(x, stages - 2 * perlen, stages) == k:
                 stable[x] = k
     for x in stable:
         for y in stable:
-            assert snap.same(x, y) == (stable[x] == stable[y])
+            assert (snap.find(x) == snap.find(y)) == (stable[x] == stable[y])
 
 
 def test_run_validation_and_json():

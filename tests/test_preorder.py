@@ -14,7 +14,6 @@ from effstruct.preorder import (
     elem_a,
     elem_b,
     fingerprint,
-    incomparable_b_count,
     materialize,
     preorder_step,
     required_stages_for,
@@ -36,6 +35,19 @@ def _approx(*limits_with_prefixes):
 
 
 EMPTY_SET = _approx(([], 0), ([], 0), ([], 0))
+
+
+def _le(snap, x, y):
+    return (x, y) in snap.leq
+
+
+def _incomparable(snap, x, y):
+    return not _le(snap, x, y) and not _le(snap, y, x)
+
+
+def _incomparable_b_count(snap, i):
+    """How many materialized b's are incomparable with a_i, read off the pairs."""
+    return sum(_incomparable(snap, elem_a(i), elem_b(j)) for j in range(snap.nb))
 
 
 def test_first_stage_assigns_zero():
@@ -74,29 +86,27 @@ def test_thresholds_change_at_most_once_and_only_to_zero():
 def test_materialize_skeleton():
     snap = materialize(VTable(), 1, 2)
     a0, b0, b1 = elem_a(0), elem_b(0), elem_b(1)
-    assert snap.le(ELEM_C, a0) and not snap.le(a0, ELEM_C)
-    assert snap.incomparable(a0, b0) and snap.incomparable(a0, b1)
-    assert snap.incomparable(a0, ELEM_D)
-    assert snap.incomparable(ELEM_C, ELEM_D)
-    assert snap.incomparable(b0, ELEM_C)
-    assert snap.le(b1, b0) and not snap.le(b0, b1)
-    assert snap.le(b0, ELEM_D) and snap.le(b1, ELEM_D)
+    assert _le(snap, ELEM_C, a0) and not _le(snap, a0, ELEM_C)
+    assert _incomparable(snap, a0, b0) and _incomparable(snap, a0, b1)
+    assert _incomparable(snap, a0, ELEM_D)
+    assert _incomparable(snap, ELEM_C, ELEM_D)
+    assert _incomparable(snap, b0, ELEM_C)
+    assert _le(snap, b1, b0) and not _le(snap, b0, b1)
+    assert _le(snap, b0, ELEM_D) and _le(snap, b1, ELEM_D)
 
 
 def test_materialize_threshold_facts():
     t = VTable(v={0: 2}, defined_at={0: 1}, change_count={0: 0}, next_fresh=1, stage=2)
     snap = materialize(t, 1, 4)
     a0 = elem_a(0)
-    assert snap.le(elem_b(2), a0) and snap.le(elem_b(3), a0)
-    assert snap.incomparable(a0, elem_b(0)) and snap.incomparable(a0, elem_b(1))
-    assert incomparable_b_count(snap, 0) == 2
+    assert _le(snap, elem_b(2), a0) and _le(snap, elem_b(3), a0)
+    assert _incomparable(snap, a0, elem_b(0)) and _incomparable(snap, a0, elem_b(1))
+    assert _incomparable_b_count(snap, 0) == snap.thresholds[0] == 2
     zero = materialize(VTable(v={0: 0}, defined_at={0: 1}, change_count={0: 0}, next_fresh=1, stage=1), 1, 4)
-    assert all(zero.le(elem_b(j), a0) for j in range(4))
-    assert incomparable_b_count(zero, 0) == 0
+    assert all(_le(zero, elem_b(j), a0) for j in range(4))
+    assert _incomparable_b_count(zero, 0) == zero.thresholds[0] == 0
     fresh = materialize(VTable(), 1, 4)
-    assert incomparable_b_count(fresh, 0) == 4
-    with pytest.raises(InputError):
-        incomparable_b_count(fresh, 1)
+    assert _incomparable_b_count(fresh, 0) == fresh.thresholds[0] == 4
 
 
 def test_materialize_matches_bruteforce_closure():
@@ -128,7 +138,7 @@ def test_materialize_matches_bruteforce_closure():
         for x in elements:
             for y in elements:
                 if x != y:
-                    assert not (snap.le(x, y) and snap.le(y, x))
+                    assert not (_le(snap, x, y) and _le(snap, y, x))
 
 
 def test_snapshots_only_gain_facts():
@@ -188,7 +198,7 @@ def test_incomparable_counts_equal_thresholds_at_limit():
     nb = max(t.v.values()) + 2
     snap = materialize(t, t.next_fresh, nb)
     for i in range(t.next_fresh):
-        assert incomparable_b_count(snap, i) == t.v[i]
+        assert _incomparable_b_count(snap, i) == snap.thresholds[i] == t.v[i]
 
 
 def test_snapshot_json_round_trip():
