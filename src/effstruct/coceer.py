@@ -3,10 +3,13 @@
 The relation S starts as the partition of omega into columns (pair-coded:
 <e,x> ~ <e',x'> iff e = e') and only ever separates elements by exiling
 them into permanent singletons, so S is given by negative information
-alone.  Column e maintains a witness set Y_e; the class of <e,0> restricted
-to its settled region is always {<e,0>} union {<e,x> : x in Y_e}, so its
-limit size is |Y_e| + 1 and is steered against the class sizes realized by
-the e-th member of a ceer family.
+alone.  Column e is two integers (:class:`ColumnState`): an optional extra
+witness and a pointer ``next_free``.  Its witness set Y_e is the initial
+segment plus the extra, and its exiles are the x strictly between the
+segment and ``next_free`` other than the extra.  So the class of <e,0>
+restricted to [0, max Y_e] is {<e,0>} union {<e,x> : x in Y_e}, its limit
+size is |Y_e| + 1, and that size is steered against the class sizes
+realized by the e-th member of a ceer family.
 
 Per column the construction keeps a latch flag that turns on whenever the
 family member exhibits a never-before-seen oldest class of the target
@@ -36,21 +39,44 @@ from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_h
 # perfbench/layers.py patches coceer.cantor_unpair by name.
 from .core import cantor_unpair  # noqa: F401
 from .core import check_format, is_nat
-from .errors import ConstructionBugError, InputError
+from .errors import InputError
 
 
 @dataclass
 class ColumnState:
-    """Per-column bookkeeping for one requirement."""
+    """Per-column bookkeeping for one requirement.
+
+    The witnesses are the initial segment {1, ..., base} plus ``extra``
+    when it is set; the exiles are every x with base < x < next_free other
+    than ``extra``.  Initially there is no extra and next_free = base + 1.
+    With v = next_free, :func:`_dispatch` sets (extra, next_free) to
+    (v, v + 2) in case 1, (None, next_free) in case 2, (v, v + 1) in case 3
+    and (extra, v + 1) in case 4.  The column invariants hold by this
+    representation:
+
+    - extra is None or base < extra < next_free: true initially, and a case
+      that sets extra to v raises next_free above v.  So the witness count
+      is base or base + 1, and no witness is exiled, as the segment lies
+      below the exile range and the extra is cut out of it.
+    - The initial witnesses are kept: no case touches the segment.
+    - The exiles are (base, next_free) - {extra} by definition, and they
+      are permanent: next_free never falls, the range gains no exile but
+      those listed (v + 1 in case 1, v in case 4; a new extra v is cut
+      out), and a dropped or replaced extra stays in the range, so it
+      becomes an exile (cases 2 and 3).  The record lists exactly these.
+    - Settled-region identity: for 0 <= x <= max(Y), x is unexiled iff x = 0
+      or x is a witness, since an x with base < x <= max(Y) lies in the
+      exile range below the extra or is the extra.  Every x with
+      max(Y) < x < next_free is exiled, so next_free is the least unexiled
+      element above the witnesses: the next recruit.
+    """
 
     k: int                      # target class size
-    witnesses: set[int]
+    next_free: int
+    extra: Optional[int] = None
     flag: bool = False
     seen_through: int = 0       # the flag is up to date through this stage
     seen_minima: set[int] = field(default_factory=set)  # oldest size-k minima (scripts)
-    exiled: set[int] = field(default_factory=set)
-    max_exiled: int = 0         # the largest exile, 0 while there is none
-    next_free: int = 0          # every x with max(witnesses) < x < next_free is exiled
     case3_count: int = 0
     last_case4_stage: Optional[int] = None
 
@@ -60,8 +86,10 @@ class ColumnState:
         return self.k - 1
 
     @property
-    def initial_witnesses(self) -> frozenset[int]:
-        return frozenset(range(1, self.base + 1))
+    def witnesses(self) -> tuple[int, ...]:
+        """The witness set, sorted: the initial segment, then the extra."""
+        initial = tuple(range(1, self.k))
+        return initial if self.extra is None else initial + (self.extra,)
 
 
 @dataclass
@@ -109,7 +137,7 @@ def init_coceer(E: int) -> CoceerState:
     """Fresh construction state for columns 0..E-1, all flags off."""
     if E < 1:
         raise InputError("need at least one column")
-    columns = [ColumnState(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2))) for e in range(E)]
+    columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
     return CoceerState(stage=0, columns=columns)
 
 
@@ -128,124 +156,26 @@ def focus_schedule(E: int, budget: Optional[int] = None) -> Iterator[tuple[int, 
         w += 1
 
 
-def compute_uv(state: CoceerState, e: int) -> tuple[Optional[int], int]:
-    """Replaceable witness and next recruit for column e.
-
-    ``u`` is the witness above the initial segment (absent when the
-    witness set is exactly the initial segment; the check after every
-    stage leaves at most one); ``v`` is the least element beyond all
-    current witnesses whose column entry has not been exiled, i.e. is
-    still in the class of <e,0>.
-    """
-    if not 0 <= e < state.width:
-        raise InputError(f"column {e} out of range")
-    col = state.columns[e]
-    top = max(col.witnesses)
-    return (top if top > col.base else None), _next_free(col, top)
-
-
-def _next_free(col: ColumnState, top: int) -> int:
-    """The least x > top that is not exiled.
-
-    ``col.next_free`` keeps the last answer, so the run of padding exiles
-    above the witnesses is stepped over once, not at every stage.  It stays
-    a lower bound: exiles are permanent, a recruit raises the top to the
-    answer itself, and case 2 lowers the top only across elements that the
-    settled-region identity shows exiled.
-    """
-    v = max(col.next_free, top + 1)
-    while v in col.exiled:
-        v += 1
-    col.next_free = v
-    return v
-
-
-def _exile(col: ColumnState, x: int) -> list[int]:
-    """Mark <e,x> as a permanent singleton; returns the newly exiled x."""
-    if x <= col.base:  # 0 or an initial witness
-        raise ConstructionBugError(f"attempt to exile protected element {x}")
-    if x in col.exiled:
-        return []
-    col.exiled.add(x)
-    col.max_exiled = max(col.max_exiled, x)
-    return [x]
-
-
-def _check_column(col: ColumnState, e: int) -> None:
-    """Raise :class:`ConstructionBugError` unless column e is well formed.
-
-    Besides the witness count, witnesses never exiled and the initial
-    witnesses kept, this checks the settled-region identity: for every
-    0 <= x <= top = max(Y), x is unexiled iff x = 0 or x is in Y.  It is
-    checked as the counter identity
-
-        0 not exiled  and  |Y - {0}| + |exiled & [1, top]| = top.
-
-    Proof: Y lies in [0, top], so A = Y - {0} and B = exiled & [1, top] are
-    subsets of [1, top], disjoint because no witness is exiled.  The identity
-    at x = 0 says 0 is unexiled; on [1, top] it says A and B cover [1, top],
-    which for disjoint subsets holds iff |A| + |B| = top.
-
-    B is counted without a scan: with v the least unexiled element above
-    top, the exiles above top are the run (top, v), v - top - 1 of them,
-    plus any beyond v.  Exiles enter only as the next recruit (case 4), the
-    element after a recruit (case 1) or an old witness (cases 2 and 3), so
-    none lies beyond v and the last term is 0; it is counted only if the
-    largest exile says otherwise.
-    """
-    n = len(col.witnesses)
-    if n not in (col.base, col.base + 1):
-        raise ConstructionBugError(f"column {e}: witness count {n} not in {{base, base+1}}")
-    if col.witnesses & col.exiled:
-        raise ConstructionBugError(f"column {e}: witness exiled")
-    if not col.initial_witnesses <= col.witnesses:
-        raise ConstructionBugError(f"column {e}: initial witness removed")
-    top = max(col.witnesses)
-    v = _next_free(col, top)
-    above = v - top - 1
-    if col.max_exiled > v:
-        above += sum(1 for x in col.exiled if x > v)
-    settled = len(col.exiled) - above
-    if 0 in col.exiled or n - (0 in col.witnesses) + settled != top:
-        raise ConstructionBugError(f"column {e}: settled-region identity fails below {top}")
-
-
 def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecord:
+    """Run focused stage ``stage`` on column e (cases as in :class:`ColumnState`)."""
     col = state.columns[e]
-    u, v = compute_uv(state, e)
-    baseline = len(col.witnesses) == col.base
-    newly: list[int] = []
+    u, v = col.extra, col.next_free
     if col.flag:
-        case = 3
-        if u is not None:
-            col.witnesses.discard(u)
-            newly += _exile(col, u)
-        col.witnesses.add(v)
+        case, newly = 3, () if u is None else (u,)
+        col.extra, col.next_free = v, v + 1
         col.flag = False
         col.case3_count += 1
-    elif baseline and has_k:
-        case = 1
-        col.witnesses.add(v)
-        newly += _exile(col, v + 1)
-    elif not baseline and not has_k:
-        case = 2
-        if u is None:
-            raise ConstructionBugError(f"column {e}: grown witness set without extra witness")
-        col.witnesses.discard(u)
-        newly += _exile(col, u)
+    elif u is None and has_k:
+        case, newly = 1, (v + 1,)
+        col.extra, col.next_free = v, v + 2
+    elif u is not None and not has_k:
+        case, newly = 2, (u,)
+        col.extra = None
     else:
-        case = 4
-        newly += _exile(col, v)
+        case, newly = 4, (v,)
+        col.next_free = v + 1
         col.last_case4_stage = stage
-    _check_column(col, e)
-    return StageRecord(
-        stage=stage,
-        e=e,
-        case=case,
-        witnesses=tuple(sorted(col.witnesses)),
-        flag=col.flag,
-        exiled=tuple((e, x) for x in newly),
-    )
+    return StageRecord(stage, e, case, col.witnesses, col.flag, tuple((e, x) for x in newly))
 
 
 class CoceerRun:
@@ -342,9 +272,9 @@ def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState,
     """Run the construction through stage ``stage_budget`` and trace it.
 
     The trace holds one record per focused stage, and every flag is brought
-    up to the budget at the end.  Construction invariants (witness count,
-    protected elements, settled-region identity) are checked on every
-    focused stage and raise :class:`ConstructionBugError`.
+    up to the budget at the end.  The column invariants (witness count,
+    protected elements, settled-region identity) hold by the representation
+    of :class:`ColumnState`, so no stage checks them.
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
@@ -353,65 +283,79 @@ def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState,
     return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
 
 
+def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:
+    """A stage T after which, for target size k, ``has_k`` is constant and no
+    flag latches; None for a churn generator of target k, which has none.
+
+    A script's classes are fixed after its last event.  For a churn
+    generator of target k' != k, only the class of 0 can have size k, of
+    size A*k' + 1, so only while A = r = (k-1)/k' (see
+    :func:`_churn_latches`); A never falls, and by :meth:`ChurnGenerator.rounds`
+    with spacing d the last stage with A = r is d*(2r + 1).  When k' does
+    not divide k - 1 no stage has a size-k class, and T = 0.
+    """
+    if isinstance(member, CeerScript):
+        return member.last_event_stage
+    if member.target_size == k:
+        return None
+    r, rest = divmod(k - 1, member.target_size)
+    return member.block_spacing * (2 * r + 1) if rest == 0 else 0
+
+
 def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> RequirementReport:
     """Check one requirement against the family's exact limit behavior.
 
-    For a script the limit relation is known exactly and the witness set
-    is final once, after the last event T, a focused stage L fell through to
-    the padding case 4.  That alone implies that the flag is off and that no
-    stage after L changed the witnesses:
+    When the member has a quiescence stage T (:func:`_quiescence_stage`:
+    every script, and a churn generator whose target is not k), the witness
+    set is final once a focused stage L > T fell through to the padding
+    case 4.  That alone implies that the flag is off and that no stage
+    after L changed the witnesses:
 
-    - Flags latch only at event stages, all at most T < L, and the latch at
-      L replayed every one of them before the dispatch.  Case 4 was taken,
-      so the flag was off then; nothing sets it after L, and case 4 leaves
-      it off.
+    - No flag latches after T < L, and the latch at L brought the flag up to
+      L before the dispatch.  Case 4 was taken, so the flag was off then;
+      nothing sets it after L, and case 4 leaves it off.
     - Case 4 at L means (baseline and not has_k) or (not baseline and
-      has_k), where baseline says the witnesses are the initial segment.
-      After T the member's classes are fixed, so has_k is the same at every
-      later stage; case 4 changes no witness, so baseline is the same too.
-      With the flag off, every later focused stage of the column is case 4
-      again, and the witnesses never change after L.
+      has_k), where baseline says there is no extra witness.  After T,
+      has_k is the same at every stage; case 4 changes no witness, so
+      baseline is the same too.  With the flag off, every later focused
+      stage of the column is case 4 again, and the witnesses never change
+      after L.
 
-    For a churn generator the witness set keeps cycling by design; its
-    limit is the initial segment I, certified from the fourth case-3 stage
-    on.  This is the rule "the witnesses kept by every version over the
-    last four case-3 stages are exactly I", whose intersection test always
-    passes: after case 3 the witnesses are I plus the recruit v.  The next
-    case 3, and any case 2 before it, discards and exiles that extra.  The
-    recruit of the next case 3 lies above the current witnesses and is
-    unexiled (:func:`_next_free`), while v is then a witness or exiled, and
-    exiles never leave; so the two extras differ.  :func:`_check_column`
-    keeps I among the witnesses at every stage, so across any two case-3
-    stages the witnesses kept throughout are exactly I.
+    A churn generator of target k keeps the witness set cycling by design;
+    its limit is the initial segment I, certified from the fourth case-3
+    stage on.  This is the rule "the witnesses kept by every version over
+    the last four case-3 stages are exactly I", whose intersection test
+    always passes: after a case 3 that recruits v, the witnesses are I plus
+    v and next_free is v + 1.  The next case 3, and any case 2 before it,
+    drops that extra.  The recruit of the next case 3 is the next_free of
+    that stage, which is above v since next_free never falls; so the two
+    extras differ.  No case removes I (:class:`ColumnState`), so across any
+    two case-3 stages the witnesses kept throughout are exactly I.
     """
     if not 0 <= e < state.width:
         raise InputError(f"column {e} out of range")
     col = state.columns[e]
     member = fam.member(e)
     r_has = limit_has_class_of_size(member, col.k)
-    y_limit = frozenset(col.witnesses)
-    if isinstance(member, CeerScript):
-        kind = "script"
-        certified = (
-            col.last_case4_stage is not None
-            and col.last_case4_stage > member.last_event_stage
-        )
+    y_limit = col.witnesses
+    quiet = _quiescence_stage(member, col.k)
+    if quiet is not None:
+        certified = col.last_case4_stage is not None and col.last_case4_stage > quiet
     else:
-        kind = "churn"
         certified = col.case3_count >= 4
         if certified:
-            y_limit = col.initial_witnesses
+            y_limit = y_limit[:col.base]
     witness_class_size = len(y_limit) + 1
     satisfied = (witness_class_size == col.k) == (not r_has)
     return RequirementReport(
         e=e,
         k=col.k,
-        kind=kind,
+        kind="script" if isinstance(member, CeerScript) else "churn",
         witness_class_size=witness_class_size,
         r_e_has_size_k=r_has,
         satisfied=satisfied,
         certified=certified,
-        y_limit=tuple(sorted(y_limit)),
+        y_limit=y_limit,
     )
 
 

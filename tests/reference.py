@@ -5,10 +5,13 @@ its merges from ``ChurnGenerator.events_at`` or by scanning
 ``CeerScript.events``, into a union-find of its own; it shares no code
 with ``ceersim.CeerRunner``.  :func:`reference_run_coceer` is the plain
 loop of the co-ceer construction over every stage, driven by that runner:
-it updates every flag at every stage from a seen-set of its own and
-rescans each dispatched column's settled region with
-:func:`reference_check_column`.  :func:`reference_certificate` gives a
-column's verdict by the witness-history rule, read off the trace alone.
+it updates every flag at every stage from a seen-set of its own, keeps
+each column's witnesses and exiles as explicit sets
+(:class:`ReferenceColumn`, :func:`reference_dispatch`) and rescans each
+dispatched column with :func:`reference_check_column`;
+:func:`column_exiles` expands a library column's two integers into the
+same set.  :func:`reference_certificate` gives a column's verdict by the
+witness-history rule, read off the trace and a replay of the member.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
@@ -34,14 +37,7 @@ from typing import Optional
 
 from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript
-from effstruct.coceer import (
-    CoceerState,
-    CoceerTrace,
-    ColumnState,
-    StageRecord,
-    _dispatch,
-    init_coceer,
-)
+from effstruct.coceer import CoceerState, CoceerTrace, ColumnState, StageRecord
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
@@ -136,13 +132,19 @@ def ceer_snapshot(fam: CeerFamily, e: int, s: int, window: int) -> Partition:
     return runner_partition(runner, window)
 
 
+def column_exiles(col: ColumnState) -> set[int]:
+    """The exiles of a library column: (base, next_free) minus the extra."""
+    return set(range(col.base + 1, col.next_free)) - {col.extra}
+
+
 def coceer_snapshot(state: CoceerState, window: int) -> Partition:
     """S[s] over pair codes [0, window): columns minus exiles, exiles single."""
     p = Partition(window)
+    exiles = [column_exiles(col) for col in state.columns]
     bycol: dict[int, list[int]] = {}
     for z in range(window):
         e, x = cantor_unpair(z)
-        if e < state.width and x in state.columns[e].exiled:
+        if e < state.width and x in exiles[e]:
             continue
         bycol.setdefault(e, []).append(z)
     for group in bycol.values():
@@ -151,10 +153,74 @@ def coceer_snapshot(state: CoceerState, window: int) -> Partition:
     return p
 
 
-def reference_check_column(col: ColumnState, e: int) -> None:
-    """The settled-region identity by a scan of [0, max(Y)]: below the
-    witness high-water mark, the surviving class members are exactly {0}
-    plus the witnesses."""
+@dataclass
+class ReferenceColumn:
+    """A co-ceer column with its witnesses and exiles as explicit sets."""
+
+    k: int
+    witnesses: set[int]
+    exiled: set[int] = field(default_factory=set)
+    flag: bool = False
+    case3_count: int = 0
+    last_case4_stage: Optional[int] = None
+
+    @property
+    def base(self) -> int:
+        return self.k - 1
+
+
+def _reference_exile(col: ReferenceColumn, x: int) -> list[int]:
+    if x <= col.base:  # 0 or an initial witness
+        raise ConstructionBugError(f"attempt to exile protected element {x}")
+    if x in col.exiled:
+        return []
+    col.exiled.add(x)
+    return [x]
+
+
+def reference_dispatch(col: ReferenceColumn, e: int, stage: int, has_k: bool) -> StageRecord:
+    """One focused stage on explicit sets: u is the witness above the initial
+    segment, v the least unexiled element above every witness."""
+    top = max(col.witnesses)
+    u = top if top > col.base else None
+    v = top + 1
+    while v in col.exiled:
+        v += 1
+    baseline = len(col.witnesses) == col.base
+    newly: list[int] = []
+    if col.flag:
+        case = 3
+        if u is not None:
+            col.witnesses.discard(u)
+            newly += _reference_exile(col, u)
+        col.witnesses.add(v)
+        col.flag = False
+        col.case3_count += 1
+    elif baseline and has_k:
+        case = 1
+        col.witnesses.add(v)
+        newly += _reference_exile(col, v + 1)
+    elif not baseline and not has_k:
+        case = 2
+        col.witnesses.discard(u)
+        newly += _reference_exile(col, u)
+    else:
+        case = 4
+        newly += _reference_exile(col, v)
+        col.last_case4_stage = stage
+    reference_check_column(col, e)
+    return StageRecord(stage, e, case, tuple(sorted(col.witnesses)), col.flag,
+                       tuple((e, x) for x in newly))
+
+
+def reference_check_column(col: ReferenceColumn, e: int) -> None:
+    """The witness count, no witness exiled, the initial witnesses kept, and
+    the settled-region identity by a scan of [0, max(Y)]: below the witness
+    high-water mark, the surviving class members are exactly {0} plus the
+    witnesses."""
+    if len(col.witnesses) not in (col.base, col.base + 1) or col.witnesses & col.exiled \
+            or not set(range(1, col.base + 1)) <= col.witnesses:
+        raise ConstructionBugError(f"column {e}: bad witness count, exiled or lost witness")
     for x in range(max(col.witnesses) + 1):
         surviving = x not in col.exiled
         expected = x == 0 or x in col.witnesses
@@ -165,16 +231,19 @@ def reference_check_column(col: ColumnState, e: int) -> None:
 def reference_run_coceer(
     fam: CeerFamily, E: int, stage_budget: int
 ) -> tuple[CoceerState, CoceerTrace]:
-    """The co-ceer construction visiting every stage, over reference runners.
+    """The co-ceer construction visiting every stage, over reference runners
+    and :class:`ReferenceColumn` states.
 
     Every stage advances every runner and latches every flag whose oldest
     size-k minimum is new to that column's seen-set; a stage whose focus
     lies beyond E is recorded as a case-0 skip.
     """
-    state = init_coceer(E)
+    columns = [ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
+               for e in range(E)]
+    state = CoceerState(stage=0, columns=columns)
     runners = [ReferenceRunner(fam.member(e)) for e in range(E)]
     seen: list[set[int]] = [set() for _ in range(E)]
-    for col, runner, minima in zip(state.columns, runners, seen):
+    for col, runner, minima in zip(columns, runners, seen):
         runner.advance_to(0)
         m = runner.oldest_class_min(col.k)
         if m is not None:
@@ -182,16 +251,15 @@ def reference_run_coceer(
     records = []
     for stage in range(1, stage_budget + 1):
         e_focus, _ = cantor_unpair(stage)
-        for col, runner, minima in zip(state.columns, runners, seen):
+        for col, runner, minima in zip(columns, runners, seen):
             runner.advance_to(stage)
             m = runner.oldest_class_min(col.k)
             if m is not None and m not in minima:
                 col.flag = True
                 minima.add(m)
         if e_focus < E:
-            has_k = runners[e_focus].has_class_of_size(state.columns[e_focus].k)
-            records.append(_dispatch(state, e_focus, stage, has_k))
-            reference_check_column(state.columns[e_focus], e_focus)
+            has_k = runners[e_focus].has_class_of_size(columns[e_focus].k)
+            records.append(reference_dispatch(columns[e_focus], e_focus, stage, has_k))
         else:
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
         state.stage = stage
@@ -204,23 +272,34 @@ def reference_certificate(
     """(certified, y_limit) for column e by the witness-history rule.
 
     The witness versions are the initial segment at stage 0 and the
-    witnesses of each record of the column whose case is not 4.  A script
-    is certified when its last case-4 record comes after the last event,
-    no version is newer than that record, and the column's last record has
-    the flag off.  A churn column is certified when the witnesses kept by
-    every version over its last four case-3 records are exactly the initial
-    segment, which is then the limit.
+    witnesses of each record of the column whose case is not 4.  A script,
+    or a churn generator whose target is not the column's size k, is
+    certified when its last case-4 record comes after the stage T after
+    which the member shows no size-k class, no version is newer than that
+    record, and the column's last record has the flag off.  T is a script's
+    last event, and for a churn generator the last stage with a size-k
+    class in a replay through the trace's stages.  A churn column of target
+    k is certified when the witnesses kept by every version over its last
+    four case-3 records are exactly the initial segment, which is then the
+    limit.
     """
-    initial = tuple(range(1, 2 * e + 2))
+    k = 2 * e + 2
+    initial = tuple(range(1, k))
     records = [r for r in trace.records if r.e == e]
     versions = [(0, initial)] + [(r.stage, r.witnesses) for r in records if r.case != 4]
     final = records[-1].witnesses if records else initial
     member = fam.member(e)
-    if isinstance(member, CeerScript):
+    quiet = member.last_event_stage if isinstance(member, CeerScript) else None
+    if quiet is None and member.target_size != k:
+        runner, quiet = ReferenceRunner(member), 0
+        for s in range(trace.stages + 1):
+            runner.advance_to(s)
+            quiet = s if runner.has_class_of_size(k) else quiet
+    if quiet is not None:
         case4 = [r.stage for r in records if r.case == 4]
         certified = (
             bool(case4)
-            and case4[-1] > member.last_event_stage
+            and case4[-1] > quiet
             and versions[-1][0] <= case4[-1]
             and not records[-1].flag
         )

@@ -7,7 +7,7 @@ import pytest
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
     CoceerRun,
-    compute_uv,
+    ColumnState,
     init_coceer,
     run_coceer,
     trace_from_json,
@@ -18,7 +18,7 @@ from effstruct.core import cantor_pair, cantor_unpair
 from effstruct.errors import InputError
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import coceer_snapshot
+from reference import coceer_snapshot, column_exiles
 
 EMPTY = CeerScript(())
 
@@ -27,8 +27,7 @@ def test_init_spaced():
     state = init_coceer(3)
     col = state.columns[2]
     assert col.k == 6
-    assert col.witnesses == {1, 2, 3, 4, 5}
-    assert col.initial_witnesses == frozenset(col.witnesses)
+    assert (col.witnesses, column_exiles(col)) == ((1, 2, 3, 4, 5), set())
     assert all(not c.flag for c in state.columns)
 
 
@@ -37,17 +36,14 @@ def test_init_validation():
         init_coceer(0)
 
 
-def test_compute_uv():
-    run = CoceerRun(CeerFamily((EMPTY, EMPTY)), 2)
-    col = run.state.columns[1]
-    assert (col.k, col.witnesses) == (4, {1, 2, 3})
-    assert compute_uv(run.state, 1) == (None, 4)
-    col.witnesses = {1, 2, 3, 7}
-    col.exiled = {8}
-    assert compute_uv(run.state, 1) == (7, 9)
-    assert compute_uv(run.state, 0) == (None, 2)
-    with pytest.raises(InputError):
-        compute_uv(run.state, 2)
+def test_column_witnesses_and_exiles_from_two_integers():
+    col = ColumnState(k=4, next_free=4)
+    assert (col.base, col.witnesses, column_exiles(col)) == (3, (1, 2, 3), set())
+    col.extra, col.next_free = 7, 9  # 4, 5, 6 and 8 were burned on the way to witness 7
+    assert col.witnesses == (1, 2, 3, 7)
+    assert column_exiles(col) == {4, 5, 6, 8}
+    col.extra = None
+    assert (col.witnesses, column_exiles(col)) == ((1, 2, 3), {4, 5, 6, 7, 8})
 
 
 def _run_before_column_one(member):
@@ -62,63 +58,52 @@ def _run_before_column_one(member):
     return run
 
 
-def _run_stage_two(run):
+def _step_column_one(run, case, witnesses, exiles):
+    """Run stage 2 and check column 1's case, witnesses and exiles, and that
+    the record lists exactly the new exiles."""
+    col = run.state.columns[1]
+    before = column_exiles(col)
     [record] = run.run_to(2)
-    return record
+    assert (record.case, record.witnesses, col.witnesses) == (case, witnesses, witnesses)
+    assert column_exiles(col) == exiles
+    assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
+    assert not col.flag and not record.flag
+    return col
 
 
 def test_step_case_one_declares_witness():
     # a size-4 class present from stage 0 is on record, so it latches no flag
     run = _run_before_column_one(CeerScript(tuple((0, (0, x)) for x in (1, 2, 3))))
-    record = _run_stage_two(run)
-    col = run.state.columns[1]
-    assert record.case == 1
-    assert col.witnesses == {1, 2, 3, 4}
-    assert col.exiled == {5}
-    assert not col.flag
+    _step_column_one(run, 1, (1, 2, 3, 4), {5})
 
 
 def test_step_case_two_retracts_witness():
     run = _run_before_column_one(EMPTY)
-    run.state.columns[1].witnesses = {1, 2, 3, 4}
-    assert _run_stage_two(run).case == 2
     col = run.state.columns[1]
-    assert col.witnesses == {1, 2, 3}
-    assert col.exiled == {4}
+    col.extra, col.next_free = 4, 5
+    _step_column_one(run, 2, (1, 2, 3), {4})
 
 
 def test_step_case_three_without_replaceable_witness():
     # a size-4 class formed at stage 1 is new to the history: the flag latches
     run = _run_before_column_one(CeerScript(tuple((1, (0, x)) for x in (1, 2, 3))))
     assert run.state.columns[1].flag
-    assert _run_stage_two(run).case == 3
-    col = run.state.columns[1]
-    assert col.witnesses == {1, 2, 3, 4}
-    assert not col.flag
-    assert col.exiled == set()
-    assert col.case3_count == 1
+    assert _step_column_one(run, 3, (1, 2, 3, 4), set()).case3_count == 1
 
 
 def test_step_case_three_swaps_witness():
     run = _run_before_column_one(EMPTY)
     # a reachable grown state: 4 and 5 were burned on the way to witness 6
     col = run.state.columns[1]
-    col.witnesses = {1, 2, 3, 6}
-    col.exiled = {4, 5}
+    col.extra, col.next_free = 6, 7
     col.flag = True
-    assert _run_stage_two(run).case == 3
-    assert col.witnesses == {1, 2, 3, 7}
-    assert col.exiled == {4, 5, 6}
-    assert not col.flag
+    _step_column_one(run, 3, (1, 2, 3, 7), {4, 5, 6})
 
 
 def test_step_case_four_pads():
     run = _run_before_column_one(EMPTY)
-    assert _run_stage_two(run).case == 4  # baseline, no size-4 class, flag off
-    col = run.state.columns[1]
-    assert col.witnesses == {1, 2, 3}
-    assert col.exiled == {4}
-    assert col.last_case4_stage == 2
+    # baseline, no size-4 class, flag off
+    assert _step_column_one(run, 4, (1, 2, 3), {4}).last_case4_stage == 2
 
 
 def test_run_trace_length_and_budget():
@@ -164,8 +149,9 @@ def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
             assert pair not in seen  # an element is exiled at most once
             seen.add(pair)
     for e, col in enumerate(state.columns):
-        assert {(e, x) for x in col.exiled} <= seen | set()
-        assert not col.witnesses & col.exiled
+        # the records list every exile of the column
+        assert {(e, x) for x in column_exiles(col)} == {(a, x) for a, x in seen if a == e}
+        assert not set(col.witnesses) & column_exiles(col)
 
 
 def test_snapshot_is_column_partition_initially():
@@ -223,10 +209,9 @@ def test_verify_churn_settles_on_initial_witnesses():
     assert report.satisfied and report.certified
     # every witness the churn ever forced in was forced out again
     col = state.columns[1]
-    extras = set().union(*(r.witnesses for r in trace.records if r.e == 1)) \
-        - col.initial_witnesses
+    extras = set().union(*(r.witnesses for r in trace.records if r.e == 1)) - {1, 2, 3}
     assert extras  # the adversary did provoke the construction
-    assert extras - col.witnesses <= col.exiled
+    assert extras - set(col.witnesses) <= column_exiles(col)
 
 
 def test_spaced_witness_sizes_disjoint_across_columns():
