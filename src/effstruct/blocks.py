@@ -29,14 +29,26 @@ def block_offset(i: int) -> int:
     return i * i + 3 * i
 
 
-def encode_blocks(bits: Sequence[int], n: int) -> Partition:
-    """Equivalence structure over the first n blocks, built from its layout."""
+def block_runs(bits: Sequence[int], n: int) -> list[list[tuple[int, int]]]:
+    """Classes of the first n blocks as half-open runs, ordered by minimum.
+
+    Block i is the run [block_offset(i), block_offset(i+1)), split off its
+    last element when bit i is 0, so every class is a single run.
+    """
     bits = _check_bits(bits, n)
-    classes = []
+    runs = []
     for i in range(n):
         start, stop = block_offset(i), block_offset(i + 1)
-        classes.append(range(start, stop if bits[i] == 1 else stop - 1))
-    return Partition.from_classes(block_offset(n), classes)
+        if bits[i] == 1:
+            runs.append([(start, stop)])
+        else:
+            runs += [[(start, stop - 1)], [(stop - 1, stop)]]
+    return runs
+
+
+def encode_blocks(bits: Sequence[int], n: int) -> Partition:
+    """Equivalence structure over the first n blocks, built from its runs."""
+    return Partition.from_classes(block_offset(n), (range(*run) for [run] in block_runs(bits, n)))
 
 
 def block_character(bits: Sequence[int], n: int) -> Character:

@@ -32,14 +32,19 @@ def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _dump_json(path: str, obj: object) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write ``obj`` as one compact line with sorted keys.
+
+    Without ``indent`` CPython encodes with its C encoder; ``indent``
+    would fall back to the pure-Python one.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -112,22 +117,20 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     if args.x is not None:
         bits = blocks_mod.parse_bits(args.x)
         n = len(bits)
-        partition = blocks_mod.encode_blocks(bits, n)
-        character = blocks_mod.block_character(bits, n)
-        payload = {
-            "format": 1,
-            "n_blocks": n,
-            "partition": partition_to_json(partition),
-            "character": character.to_pairs(),
-        }
+        window = blocks_mod.block_offset(n)
         if args.encode:
-            _dump_json(args.encode, payload)
-        print(f"encoded {n} bits into {partition.window} elements")
+            _dump_json(args.encode, {
+                "format": 2,
+                "n_blocks": n,
+                "partition": partition_to_json(window, blocks_mod.block_runs(bits, n)),
+                "character": blocks_mod.block_character(bits, n).to_pairs(),
+            })
+        print(f"encoded {n} bits into {window} elements")
         return EXIT_OK
     obj = _load_json(args.decode)
     if not isinstance(obj, dict) or "character" not in obj:
         raise InputError("character file needs a 'character' array")
-    check_format(obj, default=1)
+    check_format(obj, default=1, versions=(1, 2))
     ch = Character.from_pairs(obj["character"])
     n = obj.get("n_blocks", sum(1 for s in ch.sizes() if s >= 2))
     if not is_nat(n):

@@ -392,7 +392,7 @@ def trace_from_json(obj: object) -> CoceerTrace:
     """Load a format-2 trace whose records are exactly the focused stages."""
     if not isinstance(obj, dict):
         raise InputError("trace must be a format-2 object")
-    check_format(obj, version=2)
+    check_format(obj, versions=(2,))
     columns, stages = obj.get("columns"), obj.get("stages")
     if not is_nat(columns) or not is_nat(stages) or columns < 1:
         raise InputError("trace 'columns' must be a positive natural and 'stages' a natural")

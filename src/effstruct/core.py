@@ -37,14 +37,15 @@ def is_nat(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def check_format(obj: dict, default: object = None, version: int = 1) -> None:
-    """Accept only ``"format": version``; an absent key reads as ``default``.
+def check_format(obj: dict, default: object = None, versions: tuple[int, ...] = (1,)) -> None:
+    """Accept only ``"format"`` in ``versions``; an absent key reads as ``default``.
 
     ``true`` and ``1.0`` compare equal to 1 in Python but are not versions.
     """
     found = obj.get("format", default)
-    if not (is_nat(found) and found == version):
-        raise InputError(f"unsupported format version {found!r} (expected {version})")
+    if not (is_nat(found) and found in versions):
+        expected = " or ".join(map(str, versions))
+        raise InputError(f"unsupported format version {found!r} (expected {expected})")
 
 
 def _as_nat_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:

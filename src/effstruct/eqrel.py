@@ -161,27 +161,49 @@ def character_of(p: Partition, stable_only: Optional[Iterable[int]] = None) -> C
     return Character(tally)
 
 
-def partition_to_json(p: Partition) -> dict:
-    return {"window": p.window, "classes": p.classes()}
+def partition_to_json(window: int, runs: Iterable[Iterable[tuple[int, int]]]) -> dict:
+    """JSON form of a partition of [0, window) given by its classes' runs.
+
+    Each class is a list of its maximal half-open ``(start, stop)`` runs,
+    classes ordered by minimum: a class {0, 3} is ``[[0, 1], [3, 4]]``.
+    """
+    return {"window": window, "runs": [[[start, stop] for start, stop in cls] for cls in runs]}
 
 
 def partition_from_json(obj: object) -> Partition:
-    if not isinstance(obj, dict) or "window" not in obj or "classes" not in obj:
-        raise InputError("partition object must have 'window' and 'classes' keys")
+    """Partition from ``{"window": W, "runs": [[[start, stop], ...], ...]}``.
+
+    Every class must be a nonempty array of runs ``start < stop <= W``
+    over naturals, and the runs of all classes together must tile
+    [0, W): one sort of the R runs checks for gaps and overlaps in
+    O(R log R), whatever the window.  The member-list ``classes`` form
+    of format 1 is not read.
+    """
+    if not isinstance(obj, dict) or "window" not in obj or "runs" not in obj:
+        raise InputError("partition object must have 'window' and 'runs' keys")
     window = obj["window"]
-    classes = obj["classes"]
-    if not is_nat(window) or not isinstance(classes, list):
+    runs = obj["runs"]
+    if not is_nat(window) or not isinstance(runs, list):
         raise InputError("bad partition field types")
-    seen: set[int] = set()
-    for cls in classes:
+    spans = []
+    for cls in runs:
         if not isinstance(cls, list) or not cls:
-            raise InputError("classes must be nonempty arrays")
-        for m in cls:
-            if not is_nat(m) or m >= window:
-                raise InputError(f"class member {m!r} outside window")
-            if m in seen:
-                raise InputError(f"element {m} appears in two classes")
-            seen.add(m)
-    if len(seen) != window:
-        raise InputError("classes must cover the whole window")
-    return Partition.from_classes(window, classes)
+            raise InputError("classes must be nonempty arrays of runs")
+        for run in cls:
+            if not (isinstance(run, list) and len(run) == 2 and is_nat(run[0])
+                    and is_nat(run[1]) and run[0] < run[1] <= window):
+                raise InputError(f"run {run!r} is not [start, stop] with "
+                                 f"start < stop <= {window}")
+            spans.append(run)
+    spans.sort()
+    covered = 0
+    for start, stop in spans:
+        if start < covered:
+            raise InputError(f"element {start} appears in two runs")
+        if start > covered:
+            raise InputError(f"element {covered} is in no run")
+        covered = stop
+    if covered != window:
+        raise InputError(f"element {covered} is in no run")
+    return Partition.from_classes(
+        window, ([x for start, stop in cls for x in range(start, stop)] for cls in runs))

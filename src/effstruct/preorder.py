@@ -253,7 +253,7 @@ def snapshot_to_json(snap: PreorderSnapshot) -> dict:
 def snapshot_from_json(obj: object) -> PreorderSnapshot:
     if not isinstance(obj, dict):
         raise InputError("snapshot must be a format-2 object")
-    check_format(obj, version=2)
+    check_format(obj, versions=(2,))
     na, nb, thresholds = obj.get("na"), obj.get("nb"), obj.get("thresholds")
     if not is_nat(na) or not is_nat(nb):
         raise InputError("snapshot 'na' and 'nb' must be naturals")

@@ -20,7 +20,9 @@ to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
 scan of the whole trace (:func:`ever_labeled`).  :func:`reference_materialize`
 builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
-time.
+time, and :func:`reference_block_classes` lists its classes member by
+member.  :func:`partition_runs` cuts each class of a partition into its
+maximal runs, the form of the partition codec.
 
 The snapshot oracles give a construction's relation at one stage as a
 :class:`Partition` of a finite window, merged pair by pair:
@@ -537,3 +539,31 @@ def reference_block_partition(bits: list[int], n: int) -> Partition:
         if bits[i] == 1:
             p.merge(start, start + width - 1)
     return p
+
+
+def reference_block_classes(bits: list[int], n: int) -> list[list[int]]:
+    """The classes of the block coding of the first n bits as member lists,
+    ordered by minimum: block i is [block_offset(i), block_offset(i+1)),
+    its last element a singleton when bit i is 0."""
+    classes = []
+    for i in range(n):
+        start, stop = block_offset(i), block_offset(i + 1)
+        if bits[i] == 1:
+            classes.append(list(range(start, stop)))
+        else:
+            classes += [list(range(start, stop - 1)), [stop - 1]]
+    return classes
+
+
+def partition_runs(p: Partition) -> list[list[tuple[int, int]]]:
+    """Each class of ``p``, by minimum, as its maximal half-open runs."""
+    out = []
+    for members in p.classes():
+        runs = [[members[0], members[0] + 1]]
+        for x in members[1:]:
+            if x == runs[-1][1]:
+                runs[-1][1] = x + 1
+            else:
+                runs.append([x, x + 1])
+        out.append([(start, stop) for start, stop in runs])
+    return out

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from effstruct.ceersim import family_to_json
 from effstruct.cli import main
 from effstruct.core import cantor_unpair, delta02_to_json
+from effstruct.eqrel import Partition
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -49,6 +51,23 @@ def test_malformed_json_is_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["pi01", "--g", str(bad), "--stages", "5"]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "cannot read"),                          # not UTF-8
+    (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),  # nested past the recursion limit
+])
+@pytest.mark.parametrize("argv", [
+    ["coceer", "--columns", "1", "--stages", "5", "--family"],
+    ["pi01", "--stages", "5", "--g"],
+    ["preorder", "--stages", "5", "--b"],
+    ["blocks", "--decode"],
+])
+def test_unreadable_json_is_exit_2(tmp_path, capsys, content, message, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([*argv, str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_schema_violation_is_exit_2(tmp_path):
@@ -145,13 +164,32 @@ def test_blocks_encode_decode_round_trip(tmp_path, capsys):
     encoded = tmp_path / "blocks.json"
     assert main(["blocks", "--x", "10110", "--encode", str(encoded)]) == 0
     payload = json.loads(encoded.read_text())
+    assert payload["partition"] == {"window": 40, "runs": [
+        [[0, 4]], [[4, 9]], [[9, 10]], [[10, 18]], [[18, 28]], [[28, 39]], [[39, 40]]]}
     character_file = _write(
         tmp_path / "char.json",
         {"format": 1, "character": payload["character"], "n_blocks": payload["n_blocks"]},
     )
     capsys.readouterr()
-    assert main(["blocks", "--decode", character_file]) == 0
-    assert capsys.readouterr().out.strip() == "10110"
+    # a hand-written format-1 character file and the format-2 --encode output
+    for path in (character_file, str(encoded)):
+        assert main(["blocks", "--decode", path]) == 0
+        assert capsys.readouterr().out == "10110\n"
+
+
+def test_blocks_encode_is_linear_and_builds_no_partition(tmp_path, monkeypatch):
+    def no_partition(*args, **kwargs):
+        raise AssertionError("blocks --encode built a Partition")
+
+    monkeypatch.setattr(Partition, "__init__", no_partition)
+    n = 800
+    rng = random.Random(n)
+    bits = "".join(rng.choice("01") for _ in range(n))
+    encoded = tmp_path / "blocks.json"
+    assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
+    # at 800 bits a one bit writes one run and a size, about 25 bytes, and a
+    # zero bit two runs and a size, about 44; format 1 listed n^2 + 3n members
+    assert encoded.stat().st_size < 40 * n
 
 
 def test_blocks_flag_validation(tmp_path):
@@ -164,12 +202,12 @@ def test_blocks_flag_validation(tmp_path):
     # the character is read from 'character', the key --encode writes, only
     path = _write(tmp_path / "char.json", {"entries": [[4, 1]], "n_blocks": 1})
     assert main(["blocks", "--decode", path]) == 2
-    # the format, when given, must be the integer 1
-    for version in (7, "x", True):
+    # the format, when given, must be the integer 1 or 2
+    for version in (3, 7, "x", True):
         path = _write(tmp_path / "char.json",
                       {"format": version, "character": [[4, 1]], "n_blocks": 1})
         assert main(["blocks", "--decode", path]) == 2, version
-    for header in ({"format": 1}, {}):
+    for header in ({"format": 1}, {"format": 2}, {}):
         path = _write(tmp_path / "char.json", {**header, "character": [[4, 1]], "n_blocks": 1})
         assert main(["blocks", "--decode", path]) == 0, header
 
@@ -204,6 +242,24 @@ def _as_format_1(trace: dict) -> dict:
     return {**trace, "format": 1, "mode": "spaced", "records": records}
 
 
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _indented(obj) -> bytes:
+    """``obj`` as the CLI wrote files before they became one compact line."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _pin(path, compact, indented):
+    """The file hashes to ``compact``, and re-indented to ``indented``: the
+    digest pinned while files were written with ``indent=2``."""
+    assert _sha(path.read_bytes()) == compact
+    obj = json.loads(path.read_text())
+    assert _sha(_indented(obj)) == indented
+    return obj
+
+
 def test_coceer_output_files_are_pinned(tmp_path):
     # a refactor of the construction must leave its trace and report bytes alone
     fam, _ = generate_diagonalization_suite(7)
@@ -214,20 +270,14 @@ def test_coceer_output_files_are_pinned(tmp_path):
          "--trace", str(trace), "--report", str(report)]
     )
     assert code == 0
-    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, report)]
-    assert digests == [
-        "7404bb86ea86fff3f437fba999af72feeb4860953ce878fad4d07be460d67e53",
-        "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4",
-    ]
+    obj = _pin(trace, "b583b5ddc0dba257a7932f156d59d757fafd1218ea36b281913574f1779b2b35",
+               "7404bb86ea86fff3f437fba999af72feeb4860953ce878fad4d07be460d67e53")
+    _pin(report, "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863",
+         "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4")
     # expanded with its skip records, the format-2 trace is the format-1 file
     # byte for byte (the digest pinned before format 2)
-    old = json.dumps(_as_format_1(json.loads(trace.read_text())), indent=2, sort_keys=True)
-    assert hashlib.sha256((old + "\n").encode()).hexdigest() == \
+    assert _sha(_indented(_as_format_1(obj))) == \
         "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955"
-
-
-def _sha(data):
-    return hashlib.sha256(data).hexdigest()
 
 
 def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
@@ -237,26 +287,25 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     code = main(["pi01", "--g", g_path, "--stages", "1500", "--labels", "8", "--verify",
                  "--trace", str(trace)])
     assert code == 0
-    assert [_sha(trace.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
-        "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987",
-        "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838",
-    ]
+    _pin(trace, "f764cad88402f5e2721d2edc1f5be439e60173ff4524af6781945fb394ba3d83",
+         "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987")
+    assert _sha(capsys.readouterr().out.encode()) == \
+        "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838"
     b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
     snapshot = tmp_path / "snapshot.json"
     code = main(["preorder", "--b", b_path, "--stages", "250", "--verify",
                  "--snapshot", str(snapshot)])
     assert code == 0
-    assert [_sha(snapshot.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
-        "1fa78d5f91056e5454bebe8f597c2070d50bfbb6de5c4f5f5837bd85a4d0a469",
-        "4390d46cccef40ad5e9bdb77199455ea6f48f70906995eee40d8a10ce07e3ee6",
-    ]
+    obj = _pin(snapshot, "1327d68e9ba7d0bfb6212b778e6c65718f988ea49a29cd06887bd50578000254",
+               "1fa78d5f91056e5454bebe8f597c2070d50bfbb6de5c4f5f5837bd85a4d0a469")
+    assert _sha(capsys.readouterr().out.encode()) == \
+        "4390d46cccef40ad5e9bdb77199455ea6f48f70906995eee40d8a10ce07e3ee6"
     # expanded to its pairs, the format-2 snapshot is the format-1 file
     # byte for byte (the digest pinned before format 2)
-    obj = json.loads(snapshot.read_text())
     table = VTable(v=dict(enumerate(obj["thresholds"])))
     pairs = reference_materialize(table, obj["na"], obj["nb"]).leq
     old = {"format": 1, "na": obj["na"], "nb": obj["nb"], "leq": sorted(map(list, pairs))}
-    assert _sha((json.dumps(old, indent=2, sort_keys=True) + "\n").encode()) == \
+    assert _sha(_indented(old)) == \
         "8de11b9b6e542b82d45c5a887ed1e65d46cf4942227d802cd699261f91a9d621"
 
 
@@ -265,10 +314,18 @@ def test_blocks_output_is_pinned(tmp_path, capsys):
     bits = "".join(str((i * i + 3 * i) // 7 % 2) for i in range(400))
     encoded = tmp_path / "blocks.json"
     assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
-    assert [_sha(encoded.read_bytes()), _sha(capsys.readouterr().out.encode())] == [
-        "723cd3addae2cebde5da6daf88623d24190f051a7e9b83045eb2174adc11033a",
-        "e76287da6f7833adc11039f116145b1e6c404c59ab1a3742b8550b463155e0a9",
-    ]
+    assert _sha(encoded.read_bytes()) == \
+        "34048aa2330e65a535f0abc4bb181aa7ca03d109ff19c25333e6b359eeef9de4"
+    assert _sha(capsys.readouterr().out.encode()) == \
+        "e76287da6f7833adc11039f116145b1e6c404c59ab1a3742b8550b463155e0a9"
+    # with its runs expanded to member lists, the format-2 file is the
+    # format-1 file byte for byte (the digest pinned before format 2)
+    obj = json.loads(encoded.read_text())
+    window, runs = obj["partition"]["window"], obj["partition"]["runs"]
+    classes = [[x for start, stop in cls for x in range(start, stop)] for cls in runs]
+    old = {**obj, "format": 1, "partition": {"window": window, "classes": classes}}
+    assert _sha(_indented(old)) == \
+        "723cd3addae2cebde5da6daf88623d24190f051a7e9b83045eb2174adc11033a"
 
 
 def test_end_to_end_determinism(tmp_path, family_file):

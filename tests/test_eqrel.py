@@ -1,8 +1,11 @@
 """Partitions and characters against brute force."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effstruct.ceersim import CeerRunner, CeerScript
 from effstruct.eqrel import (
@@ -22,6 +25,7 @@ from bruteforce import (
     bf_oldest_class_min,
     bf_relation_of_partition,
 )
+from reference import partition_runs
 
 
 def test_merge_examples():
@@ -155,22 +159,55 @@ def test_character_validation_and_pairs():
             Character.from_pairs(pairs)
 
 
-def test_partition_json_round_trip():
+def test_partition_json_examples():
     p = Partition(5)
     p.merge(0, 3)
     p.merge(1, 4)
-    obj = partition_to_json(p)
-    assert obj == {"window": 5, "classes": [[0, 3], [1, 4], [2]]}
+    p.merge(1, 2)
+    obj = partition_to_json(5, partition_runs(p))
+    assert obj == {"window": 5, "runs": [[[0, 1], [3, 4]], [[1, 3], [4, 5]]]}
     assert partition_from_json(obj) == p
-    assert partition_from_json({"window": 5, "classes": [[4, 1], [2], [3, 0]]}) == p
-    with pytest.raises(InputError):
-        partition_from_json({"window": 2, "classes": [[0]]})  # incomplete cover
-    with pytest.raises(InputError):
-        partition_from_json({"window": 2, "classes": [[0, 1], [1]]})  # overlap
+    # classes and runs in any order; runs need not be maximal
+    assert partition_from_json({"window": 5, "runs": [[[4, 5], [1, 2], [2, 3]],
+                                                      [[3, 4], [0, 1]]]}) == p
+    assert partition_from_json({"window": 0, "runs": []}) == Partition(0)
     for bad in (
-        {"window": True, "classes": [[0]]},
-        {"window": 2, "classes": [[False, True]]},
-        {"window": 2, "classes": [[0], [True]]},
+        {"window": 3, "runs": [[[0, 1]], [[2, 3]]]},           # gap
+        {"window": 3, "runs": [[[0, 2]]]},                     # gap at the end
+        {"window": 3, "runs": [[[0, 2]], [[1, 3]]]},           # overlap
+        {"window": 2, "runs": [[[0, 1]], [[0, 1], [1, 2]]]},   # the same run twice
+        {"window": 2, "runs": [[[0, 3]]]},                     # run past the window
+        {"window": 2, "runs": [[[0, 2], [1, 1]]]},             # empty run
+        {"window": 2, "runs": [[[2, 0]]]},                     # reversed run
+        {"window": 2, "runs": [[[False, 2]]]},                 # bool endpoint
+        {"window": 2, "runs": [[[0, True], [1, 2]]]},
+        {"window": 2, "runs": [[[0, 2.0]]]},                   # float endpoint
+        {"window": 2, "runs": [[[0, 2]], []]},                 # empty class
+        {"window": 2, "runs": [[0, 2]]},                       # a run that is not an array
+        {"window": 2, "runs": [[[0, 1, 2]]]},
+        {"window": 2, "runs": [[[-1, 2]]]},                    # negative endpoint
+        {"window": 2, "classes": [[0, 1]]},                    # the format-1 member lists
+        {"window": True, "runs": [[[0, 1]]]},
+        {"window": 2, "runs": {"0": [[0, 2]]}},
+        [[0, 2]],
     ):
         with pytest.raises(InputError):
             partition_from_json(bad)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, 6), max_size=40), st.randoms(use_true_random=False))
+def test_partition_json_round_trip(labels, rng):
+    # element x joins class labels[x], so classes are rarely intervals
+    byclass: dict[int, list[int]] = {}
+    for x, label in enumerate(labels):
+        byclass.setdefault(label, []).append(x)
+    p = Partition.from_classes(len(labels), byclass.values())
+    obj = json.loads(json.dumps(partition_to_json(p.window, partition_runs(p))))
+    back = partition_from_json(obj)
+    assert back == p
+    assert partition_to_json(back.window, partition_runs(back)) == obj
+    # the reader takes the classes and their runs in any order
+    shuffled = [rng.sample(runs, len(runs)) for runs in obj["runs"]]
+    rng.shuffle(shuffled)
+    assert partition_from_json({"window": p.window, "runs": shuffled}) == p

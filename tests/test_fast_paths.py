@@ -32,6 +32,7 @@ from reference import (
     ReferenceVTable,
     ceer_snapshot,
     column_exiles,
+    reference_block_classes,
     reference_block_partition,
     reference_certificate,
     reference_materialize,
@@ -393,6 +394,17 @@ def test_block_layout_matches_merges():
         assert built.classes() == ref.classes()
         assert eqrel.character_of(built) == eqrel.character_of(ref)
         assert eqrel.character_of(built) == blocks.block_character(bits, n)
+
+
+def test_block_runs_match_member_lists():
+    rng = random.Random(37)
+    for n in range(65):
+        bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
+        runs = blocks.block_runs(bits, n)
+        members = [list(range(start, stop)) for [(start, stop)] in runs]   # one run each
+        assert members == reference_block_classes(bits, n)
+        assert eqrel.partition_from_json(
+            eqrel.partition_to_json(blocks.block_offset(n), runs)).classes() == members
 
 
 _prefixes = st.lists(st.integers(1, 9), max_size=8)
