@@ -74,7 +74,7 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
 
 def _cmd_pi01(args: argparse.Namespace) -> int:
     table = pi01.gtable_from_json(_load_json(args.g))
-    trace = pi01.run_pi01(table, args.stages)
+    trace = pi01.run_pi01(table, args.stages, history=bool(args.trace))
     if args.trace:
         _dump_json(args.trace, pi01.trace_to_json(trace))
     if not args.verify:

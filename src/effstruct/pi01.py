@@ -8,11 +8,17 @@ g(k, s+1) elements carry label k.  Elements with distinct labels are
 permanently separated (negative information only), removed elements are
 parked and recycled as future founders, and the number of elements whose
 label eventually settles on k is exactly liminf_s g(k, s).
+
+A run keeps each label's members as a stack, with the stage at which each
+member took the label; the verifier reads only that live state.  The
+per-element history of labels and removals, which the ``--trace`` file and
+:func:`classify_history` read, is recorded only when the caller asks.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,34 +75,34 @@ class GTable:
 
 @dataclass
 class LabelState:
-    """Active elements, their labels, and the full transition history.
+    """The live labeling, and the transition history when one is kept.
 
-    ``removed_pending`` is a ``heapq`` min-heap of the parked elements.
+    ``members[k]`` is label k's stack: the elements holding k in the order
+    they took it, and ``since[k][i]`` is the stage at which ``members[k][i]``
+    took k.  A label opens with its founder, a recycled or fresh element,
+    and every later member is fresh, so each stack is strictly increasing
+    with the founder at index 0, and each ``since[k]`` is nondecreasing.  A
+    strip therefore removes the top of the stack.
+
+    ``removed_pending`` is a ``heapq`` min-heap of the parked elements, an
+    element z stripped from label k stored as ``z * width + k`` (only labels
+    below the table width are ever stripped), so the heap orders by z and a
+    recycled founder still knows the label it left.
+
+    ``transitions`` maps each element to its tuple of ``(stage, label or
+    None)`` entries when the caller passes a dict, and stays ``None``
+    otherwise.  Tuples of one to three entries, rebuilt on each transition,
+    take less memory than lists, and a run hands them to its trace as they
+    are.
     """
 
-    ell: dict[int, int] = field(default_factory=dict)
-    members: dict[int, set[int]] = field(default_factory=dict)
+    members: list[list[int]] = field(default_factory=list)
+    since: list[list[int]] = field(default_factory=list)
     removed_pending: list[int] = field(default_factory=list)
     next_fresh: int = 0
     stage: int = 0
-    transitions: dict[int, list[tuple[int, Optional[int]]]] = field(default_factory=dict)
     windows: list[int] = field(default_factory=lambda: [0])
-
-
-def _set_label(st: LabelState, x: int, label: int, stage: int) -> None:
-    st.ell[x] = label
-    st.members.setdefault(label, set()).add(x)
-    st.transitions.setdefault(x, []).append((stage, label))
-
-
-def _remove_element(st: LabelState, z: int, stage: int) -> None:
-    history = st.transitions[z]
-    if len(history) >= 3:
-        raise ConstructionBugError(f"element {z} removed twice")
-    label = st.ell.pop(z)
-    st.members[label].discard(z)
-    heapq.heappush(st.removed_pending, z)
-    history.append((stage, None))
+    transitions: Optional[dict[int, tuple[tuple[int, Optional[int]], ...]]] = None
 
 
 def pi01_step(st: LabelState, g: GTable) -> LabelState:
@@ -108,33 +114,57 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
     ever adds to or strips label k.  By induction, at each later stage
     the count 1 equals the goal 1, so that body would add no element,
     strip none and pass its count check.
+
+    Two guarantees on element histories are checked as the run goes, so a
+    run without history keeps them too:
+
+    * No element is removed twice.  A strip of label k keeps the bottom
+      g(k, s+1) >= 1 entries of its stack, so it never reaches the founder
+      at index 0.  A parked element comes back only as a founder, so once
+      recycled it is never removed again.  The raise guards g >= 1.
+    * A recycled founder of label s had a label below s.  It was parked at
+      some stage t <= s (founders are taken before this stage's strips) by
+      a strip of a label k < t - 1 <= s - 1, the labels stepped at stage t.
     """
     s = st.stage
     stage = s + 1
+    width = g.width
+    history = st.transitions
     # founder: recycle the least parked element, else the least fresh one
     if st.removed_pending:
-        w = heapq.heappop(st.removed_pending)
+        w, old = divmod(heapq.heappop(st.removed_pending), width)
+        if old >= s:
+            raise ConstructionBugError(f"element {w} left label {old} to found label {s}")
     else:
         w = st.next_fresh
         st.next_fresh += 1
-    _set_label(st, w, s, stage)
-    for k in range(min(s, g.width)):
-        members = st.members.setdefault(k, set())
+    st.members.append([w])
+    st.since.append([stage])
+    if history is not None:
+        history[w] = history.get(w, ()) + ((stage, s),)
+    for k in range(min(s, width)):
+        members = st.members[k]
         delta = len(members)
         goal = g.g(k, stage)
         if goal > delta:
-            for _ in range(goal - delta):
-                y = st.next_fresh
-                st.next_fresh += 1
-                _set_label(st, y, k, stage)
+            fresh = range(st.next_fresh, st.next_fresh + goal - delta)
+            st.next_fresh = fresh.stop
+            members.extend(fresh)
+            st.since[k].extend([stage] * len(fresh))
+            if history is not None:
+                for y in fresh:
+                    history[y] = ((stage, k),)
         elif goal < delta:
-            keeper = min(members)
-            for z in sorted(members, reverse=True)[: delta - goal]:
-                if z == keeper:
-                    raise ConstructionBugError(f"label {k}: class minimum removed")
-                _remove_element(st, z, stage)
-        if len(st.members[k]) != goal:
-            raise ConstructionBugError(f"label {k}: count {len(st.members[k])} != g = {goal}")
+            if goal < 1:
+                raise ConstructionBugError(f"label {k}: a strip to {goal} removes its founder")
+            stripped = members[goal:]
+            del members[goal:], st.since[k][goal:]
+            for z in stripped:
+                heapq.heappush(st.removed_pending, z * width + k)
+                if history is not None:
+                    history[z] += ((stage, None),)
+        if len(members) != goal:
+            raise ConstructionBugError(f"label {k}: count {len(members)} != g = {goal}")
     st.stage = stage
     st.windows.append(st.next_fresh)
     return st
@@ -142,44 +172,33 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
 
 @dataclass(frozen=True)
 class PiTrace:
-    """Deterministic history of a run, sufficient to replay any snapshot."""
+    """The end of a run: each label's stack with its label stages (as in
+    :class:`LabelState`), the window after every stage, and the
+    per-element history, which is empty unless the run kept it."""
 
     stages: int
-    transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]
     windows: tuple[int, ...]
-
-    def label_at(self, x: int, s: int) -> Optional[int]:
-        label: Optional[int] = None
-        for st, value in self.transitions.get(x, ()):
-            if st > s:
-                break
-            label = value
-        return label
+    members: tuple[tuple[int, ...], ...]
+    since: tuple[tuple[int, ...], ...]
+    transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]
 
     def elements(self) -> list[int]:
         return sorted(self.transitions)
 
-    def stable_window_label(self, x: int, start: int, end: int) -> Optional[int]:
-        """The label x holds throughout [start, end], or None."""
-        label = self.label_at(x, start)
-        if label is None:
-            return None
-        for st, _ in self.transitions.get(x, ()):
-            if start < st <= end:
-                return None
-        return label
 
-
-def run_pi01(g: GTable, stages: int) -> PiTrace:
+def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
+    """Run ``stages`` stages; keep each element's history only if asked."""
     if stages < 1:
         raise InputError("stage count must be at least 1")
-    st = LabelState()
+    st = LabelState(transitions={} if history else None)
     for _ in range(stages):
         pi01_step(st, g)
     return PiTrace(
         stages=stages,
-        transitions={x: tuple(h) for x, h in st.transitions.items()},
         windows=tuple(st.windows),
+        members=tuple(map(tuple, st.members)),
+        since=tuple(map(tuple, st.since)),
+        transitions=st.transitions if history else {},
     )
 
 
@@ -245,9 +264,20 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
     """Compare certified-stable label counts against the exact liminfs.
 
     An element counts for label k if it holds that label throughout the
-    final window of two full column periods; by then the column has
-    cycled past its prefix, so the window contains a dip to the liminf
-    and survivors can never be removed again.
+    final window [start, stages], start = stages - 2 * perlen, of two full
+    column periods; by then the column has cycled past its prefix, so the
+    window contains a dip to the liminf and survivors can never be removed
+    again.
+
+    The count is read off the live stack of label k: it is the number of
+    members whose label stage is at most start, a prefix of the stack since
+    the label stages are nondecreasing.  These are exactly the elements
+    holding k throughout the window.  One that holds k at start and has no
+    transition in (start, stages] still holds k at the end, so it is in the
+    stack, and it took k at or before start.  Conversely, a member of the
+    stack that took k at a stage at or before start has had no transition
+    since: its next one would be a removal from k, after which it can only
+    come back as the founder of a label above k, never as a member of k.
     """
     if K < 0:
         raise InputError("label bound must be nonnegative")
@@ -258,20 +288,10 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
             f"requires at least {required}",
             required_stages=required,
         )
-    ever_labeled: dict[int, list[int]] = {}  # an element holds each label at most once
-    for x, hist in trace.transitions.items():
-        for _, label in hist:
-            if label is not None and label <= K:
-                ever_labeled.setdefault(label, []).append(x)
     entries = []
     for k in range(K + 1):
         _, perlen = g.column_shape(k)
-        start = trace.stages - 2 * perlen
-        observed = sum(
-            1
-            for x in ever_labeled.get(k, ())
-            if trace.stable_window_label(x, start, trace.stages) == k
-        )
+        observed = bisect_right(trace.since[k], trace.stages - 2 * perlen)
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
     return LiminfReport(entries=tuple(entries), required_stages=required)
 
@@ -288,6 +308,8 @@ def gtable_from_json(obj: object) -> GTable:
 
 
 def trace_to_json(trace: PiTrace) -> dict:
+    if not trace.transitions:
+        raise InputError("the run kept no history to write")
     return {
         "format": 1,
         "stages": trace.stages,
@@ -299,24 +321,49 @@ def trace_to_json(trace: PiTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> PiTrace:
+    """Decode a trace and rebuild each label's stack from the histories.
+
+    Every history is one to three entries, at strictly increasing stages in
+    [1, stages], each label below its stage (stage s opens label s - 1);
+    an element whose last entry is a label is a member of that label.
+    """
     if not isinstance(obj, dict):
         raise InputError("trace must be a format-1 object")
     check_format(obj)
     stages, windows = obj.get("stages"), obj.get("windows")
     if not is_nat(stages) or not isinstance(windows, list) or not all(map(is_nat, windows)):
         raise InputError("trace 'stages' and 'windows' entries must be naturals")
+    if len(windows) != stages + 1:
+        raise InputError(f"trace has {len(windows)} windows for {stages} stages")
     transitions = {}
+    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stages)]
     try:
         for x, hist in obj["transitions"]:
-            entries = tuple((s, v) for s, v in hist)
-            if not is_nat(x) or not all(
-                is_nat(s) and (v is None or is_nat(v)) for s, v in entries
-            ):
+            if not is_nat(x) or x in transitions or not 1 <= len(hist) <= 3:
                 raise InputError(
-                    f"trace element {x!r}: elements and stages must be naturals, "
-                    "labels naturals or null"
+                    f"trace element {x!r}: elements are distinct naturals, "
+                    "each with 1 to 3 history entries"
                 )
-            transitions[x] = entries
+            entries, at = [], 0
+            for s, v in hist:
+                if not (is_nat(s) and at < s <= stages and (v is None or is_nat(v) and v < s)):
+                    raise InputError(
+                        f"trace element {x}: history stages must increase within "
+                        f"[1, {stages}], and each label be a natural below its stage"
+                    )
+                entries.append((s, v))
+                at = s
+            transitions[x] = tuple(entries)
+            if v is not None:
+                stacks[v].append((x, s))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
-    return PiTrace(stages=stages, transitions=transitions, windows=tuple(windows))
+    members, since = [], []
+    for k, stack in enumerate(stacks):
+        stack.sort()
+        if any(a[1] > b[1] for a, b in zip(stack, stack[1:])):
+            raise InputError(f"trace label {k}: a greater member took the label earlier")
+        members.append(tuple(x for x, _ in stack))
+        since.append(tuple(s for _, s in stack))
+    return PiTrace(stages=stages, windows=tuple(windows), members=tuple(members),
+                   since=tuple(since), transitions=transitions)

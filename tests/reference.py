@@ -17,7 +17,9 @@ full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
 :func:`reference_required_stages_for` reads the shape of every label up
 to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
-scan of the whole trace (:func:`ever_labeled`).  :func:`reference_materialize`
+scan of the whole trace (:func:`ever_labeled`) and reads each element's
+history with :func:`stable_window_label` and :func:`label_at`, where the
+library reads only the live label stacks.  :func:`reference_materialize`
 builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time, and :func:`reference_block_classes` lists its classes member by
@@ -384,6 +386,27 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
     return st
 
 
+def label_at(trace: PiTrace, x: int, s: int) -> Optional[int]:
+    """The label x holds after stage s, read off its history, or None."""
+    label: Optional[int] = None
+    for st, value in trace.transitions.get(x, ()):
+        if st > s:
+            break
+        label = value
+    return label
+
+
+def stable_window_label(trace: PiTrace, x: int, start: int, end: int) -> Optional[int]:
+    """The label x holds throughout [start, end], or None."""
+    label = label_at(trace, x, start)
+    if label is None:
+        return None
+    for st, _ in trace.transitions.get(x, ()):
+        if start < st <= end:
+            return None
+    return label
+
+
 def snapshot_at(trace: PiTrace, s: int, window: Optional[int] = None) -> Partition:
     """R[s] as a partition: equal defined labels, singletons otherwise."""
     if window is None:
@@ -391,7 +414,7 @@ def snapshot_at(trace: PiTrace, s: int, window: Optional[int] = None) -> Partiti
     p = Partition(window)
     bylabel: dict[int, list[int]] = {}
     for x in range(window):
-        label = trace.label_at(x, s)
+        label = label_at(trace, x, s)
         if label is not None:
             bylabel.setdefault(label, []).append(x)
     for group in bylabel.values():
@@ -417,9 +440,12 @@ def reference_required_stages_for(g: GTable, K: int) -> int:
 
 
 def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
-    """The liminf verifier that calls :func:`ever_labeled` once per label.
+    """The liminf verifier by the trace-scanning rule: for each label, every
+    element that ever held it (:func:`ever_labeled`) is checked with
+    :func:`stable_window_label` over the final window.
 
-    The caller runs the trace past ``required_stages_for(g, K)``.
+    The caller runs the trace past ``required_stages_for(g, K)`` with
+    history kept.
     """
     entries = []
     for k in range(K + 1):
@@ -428,7 +454,7 @@ def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfR
         observed = sum(
             1
             for x in ever_labeled(trace, k)
-            if trace.stable_window_label(x, start, trace.stages) == k
+            if stable_window_label(trace, x, start, trace.stages) == k
         )
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
     return LiminfReport(entries=tuple(entries), required_stages=required_stages_for(g, K))

@@ -45,6 +45,7 @@ from bruteforce import (
     bf_preorder_closure,
     bf_subset,
 )
+from reference import label_at
 
 SEED = 7
 COCEER_BUDGET = 4000  # the criterion allows up to 20 000
@@ -139,7 +140,7 @@ def test_criterion_3_pi01_liminf_counts(pi01_runs):
         for s in range(1, trace.stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
-                label = trace.label_at(x, s)
+                label = label_at(trace, x, s)
                 if label is not None:
                     counts[label] = counts.get(label, 0) + 1
             for k in range(s - 1):
@@ -195,7 +196,7 @@ def test_criterion_4_monotone_shrinking_snapshots(diagonalization_run, pi01_runs
             pairs = set((x, x) for x in range(w))
             for x in range(w):
                 for y in range(w):
-                    lx, ly = pitrace.label_at(x, s), pitrace.label_at(y, s)
+                    lx, ly = label_at(pitrace, x, s), label_at(pitrace, y, s)
                     if lx is not None and lx == ly:
                         pairs.add((x, y))
             return frozenset(pairs)

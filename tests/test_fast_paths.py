@@ -283,22 +283,38 @@ def _pi01_past_width(g, extra):
     return pi01.required_stages_for(g, K) + g.width + extra
 
 
+def _assert_same_labeling(fast, ref, g):
+    """The stacks hold the reference's label sets in increasing order, each
+    member's label stage is the stage of its last reference transition, and
+    the parked elements and the labels they left agree."""
+    assert (fast.next_fresh, fast.stage, fast.windows) == (ref.next_fresh, ref.stage, ref.windows)
+    assert len(fast.members) == len(fast.since) == ref.stage
+    for k, (stack, since) in enumerate(zip(fast.members, fast.since)):
+        assert set(stack) == ref.members[k], k
+        assert all(a < b for a, b in zip(stack, stack[1:])), k
+        assert since == [ref.transitions[x][-1][0] for x in stack], k
+    assert sorted(divmod(z, g.width) for z in fast.removed_pending) == sorted(
+        (z, ref.transitions[z][-2][1]) for z in ref.removed_pending)
+
+
 def _assert_pi01_matches_reference(g, stages):
-    """Run past the horizon of labels up to width - 1; both verifiers then apply."""
-    fast, ref = pi01.LabelState(), ReferenceLabelState()
+    """Compare the states at every stage, then run past the horizon of labels
+    up to width - 1, where the live verifier and the trace scan both apply."""
+    fast, ref = pi01.LabelState(transitions={}), ReferenceLabelState()
     for _ in range(stages):
         pi01.pi01_step(fast, g)
         reference_pi01_step(ref, g)
-    assert fast.transitions == ref.transitions
-    assert fast.windows == ref.windows
-    assert (fast.ell, fast.members, fast.next_fresh, fast.stage) == (
-        ref.ell, ref.members, ref.next_fresh, ref.stage)
-    assert sorted(fast.removed_pending) == sorted(ref.removed_pending)
+        _assert_same_labeling(fast, ref, g)
+    assert fast.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
     trace = pi01.run_pi01(g, stages)
     assert trace.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
     assert trace.windows == tuple(ref.windows)
+    assert (trace.members, trace.since) == (tuple(map(tuple, fast.members)),
+                                            tuple(map(tuple, fast.since)))
+    live = pi01.run_pi01(g, stages, history=False)
+    assert live == pi01.PiTrace(trace.stages, trace.windows, trace.members, trace.since, {})
     K = max(g.width - 1, 0)
-    assert pi01.verify_liminf_counts(trace, g, K) == reference_verify_liminf_counts(trace, g, K)
+    assert pi01.verify_liminf_counts(live, g, K) == reference_verify_liminf_counts(trace, g, K)
 
 
 def _assert_preorder_matches_reference(gB, stages):
@@ -456,19 +472,27 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("K", [None, 0, 8])
 def test_pi01_operation_counts(monkeypatch, K):
-    """pi01 asks g only about labels below the width; the verifier checks each
-    (element, label <= K) assignment once and never rescans the trace."""
+    """pi01 asks g only about labels below the width.  A run without history
+    keeps each element in one place, a label stack or the parked heap, and its
+    verifier agrees with the trace-scanning reference on a full run."""
     g = pi01.GTable(()) if K is None else generate_gtable(7, K)
     stages = 1500
     lookups = _count_calls(monkeypatch, pi01.GTable, "g")
-    trace = pi01.run_pi01(g, stages)
+    live = pi01.run_pi01(g, stages, history=False)
     assert lookups[0] == sum(min(s, g.width) for s in range(stages))
+    assert live.transitions == {}
+
+    st = pi01.LabelState()
+    for _ in range(stages):
+        pi01.pi01_step(st, g)
+    assert st.transitions is None
+    assert sum(map(len, st.members)) + len(st.removed_pending) == st.next_fresh
+    assert list(map(len, st.since)) == list(map(len, st.members))
 
     bound = max(g.width - 1, 0)
-    checks = _count_calls(monkeypatch, pi01.PiTrace, "stable_window_label")
-    assert pi01.verify_liminf_counts(trace, g, bound).all_match
-    assert checks[0] == sum(1 for hist in trace.transitions.values()
-                            for _, label in hist if label is not None and label <= bound)
+    report = pi01.verify_liminf_counts(live, g, bound)
+    assert report.all_match
+    assert report == reference_verify_liminf_counts(pi01.run_pi01(g, stages), g, bound)
 
 
 def test_pi01_required_stages_matches_reference():

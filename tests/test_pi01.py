@@ -22,7 +22,7 @@ from effstruct.pi01 import (
 )
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import ever_labeled, snapshot_at
+from reference import ever_labeled, label_at, snapshot_at, stable_window_label
 
 CONSTANT_ONE = GTable(())
 
@@ -50,12 +50,13 @@ def test_constant_one_keeps_singletons():
 
 def test_first_stage():
     trace = run_pi01(CONSTANT_ONE, 1)
-    assert trace.label_at(0, 1) == 0
+    assert label_at(trace, 0, 1) == 0
     assert trace.windows[1] == 1
     # single steps on a raw state agree with the driver
     st = LabelState()
     pi01_step(st, CONSTANT_ONE)
-    assert st.ell == {0: 0} and st.next_fresh == 1
+    assert st.members == [[0]] and st.since == [[1]] and st.next_fresh == 1
+    assert (trace.members, trace.since) == (((0,),), ((1,),))
 
 
 def test_hand_simulated_drop_column():
@@ -90,7 +91,7 @@ def test_per_stage_count_identity():
         for s in range(1, stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
-                label = trace.label_at(x, s)
+                label = label_at(trace, x, s)
                 if label is not None:
                     counts[label] = counts.get(label, 0) + 1
             for k in range(s - 1):
@@ -106,10 +107,11 @@ def test_founder_is_class_minimum_and_never_removed():
         trace = run_pi01(g, 50)
         for x, hist in trace.transitions.items():
             first_label = hist[0][1]
-            owners = [y for y in trace.elements() if trace.label_at(y, trace.stages) == first_label]
+            owners = [y for y in trace.elements()
+                      if label_at(trace, y, trace.stages) == first_label]
             if owners and min(owners) == x:
                 # class minima keep their label to the horizon
-                assert trace.label_at(x, trace.stages) == first_label or len(hist) == 1
+                assert label_at(trace, x, trace.stages) == first_label or len(hist) == 1
 
 
 def test_snapshots_shrink_and_stay_equivalences():
@@ -169,7 +171,7 @@ def test_stable_labels_partition_matches_final_snapshot():
     for k in range(3):
         _, perlen = g.column_shape(k)
         for x in ever_labeled(trace, k):
-            if trace.stable_window_label(x, stages - 2 * perlen, stages) == k:
+            if stable_window_label(trace, x, stages - 2 * perlen, stages) == k:
                 stable[x] = k
     for x in stable:
         for y in stable:
@@ -183,6 +185,8 @@ def test_run_validation_and_json():
     assert gtable_from_json(gtable_to_json(g)) == g
     trace = run_pi01(g, 12)
     assert trace_from_json(trace_to_json(trace)) == trace
+    with pytest.raises(InputError):  # a run without history has no file to write
+        trace_to_json(run_pi01(g, 12, history=False))
     with pytest.raises(InputError):
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
@@ -195,7 +199,24 @@ def test_run_validation_and_json():
                 {"transitions": [[0, [[-1, 0]]]]}, {"transitions": [[0, [[1, "z"]]]]},
                 {"transitions": [[0, [[1, 1.0]]]]}, {"transitions": [[0, [[1, -2]]]]},
                 {"transitions": [[0, [[1, 0, 2]]]]}, {"transitions": [[0, "zz"]]},
-                {"transitions": "zz"}):
+                {"transitions": "zz"},
+                # a repeated element
+                {"transitions": [[0, [[1, 0]]], [0, [[2, 5]]]]},
+                {"transitions": [[0, [[1, 0]]], [0, [[1, 0]]]]},
+                # one window per stage and one before the first
+                {"windows": obj["windows"][:-1]}, {"windows": obj["windows"] + [99]},
+                # history stages strictly increasing within [1, stages]
+                {"transitions": [[0, [[2, 0], [1, None]]]]},
+                {"transitions": [[0, [[1, 0], [1, None]]]]},
+                {"transitions": [[0, [[0, 0]]]]}, {"transitions": [[0, [[13, 0]]]]},
+                # one to three entries
+                {"transitions": [[0, [[9, 0], [1, None], [1, None], [1, None]]]]},
+                {"transitions": [[0, [[1, 0], [2, None], [3, 2], [4, None]]]]},
+                {"transitions": [[0, []]]},
+                # stage s opens label s - 1, so labels sit below their stage
+                {"transitions": [[0, [[1, 1]]]]},
+                # a stack grows upward: a greater member never took the label first
+                {"transitions": [[0, [[2, 0]]], [1, [[1, 0]]]]}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
     removal = {**obj, "transitions": [[0, [[1, 0], [2, None]]]]}
