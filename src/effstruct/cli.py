@@ -53,7 +53,8 @@ def _dump_json(path: str, obj: object) -> None:
 
 def _cmd_coceer(args: argparse.Namespace) -> int:
     fam = family_from_json(_load_json(args.family))
-    state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages)
+    state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
+                                          records=bool(args.trace))
     if args.trace:
         _dump_json(args.trace, coceer_mod.trace_to_json(trace))
     if not args.verify:
@@ -142,7 +143,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 def _suite_coceer(seed: int, stages: int) -> tuple[bool, str]:
     fam, kinds = generators.generate_diagonalization_suite(seed)
-    state, _ = coceer_mod.run_coceer(fam, len(fam.members), stages)
+    state, _ = coceer_mod.run_coceer(fam, len(fam.members), stages, records=False)
     reports = [coceer_mod.verify_requirement(state, fam, e) for e in kinds]
     good = sum(1 for r in reports if r.satisfied and r.certified)
     return good == len(reports), (

@@ -23,15 +23,42 @@ Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-:class:`CoceerRun` runs the construction forward to a given stage, one
-focused stage at a time; :func:`run_coceer` runs it for a stage budget
-and traces every focused stage.  A stage whose focus lies beyond the last
-column changes nothing, so it is neither visited nor recorded.
+Records are kept on demand.  :class:`CoceerRun` runs the construction
+forward to a given stage, and :func:`run_coceer` runs it for a stage
+budget.  A stage whose focus lies beyond the last column changes nothing,
+so it is never visited.  With records (``--trace``, and the default of
+both) every focused stage is stepped by :func:`_dispatch` and recorded.
+Without them a column stops being stepped once it has *settled*, when
+every later focus of it is known to take one case, and its focused stages
+up to the end of the run are then applied in closed form
+(:meth:`CoceerRun._advance_settled`).  A settled column costs O(1) per
+run, so a run costs O(focused stages before settling + E) whatever the
+budget.  There are two settle rules:
+
+- **Case 4 after quiescence.**  A focus at a stage s > T that takes case
+  4, for T the member's quiescence stage (:func:`_quiescence_stage`), is
+  followed by case 4 at every later focus (proved in
+  :func:`verify_requirement`).  Each exiles the next_free and moves only
+  ``next_free`` and ``last_case4_stage``.
+- **Case-3 steadiness.**  Let column e follow a churn generator of target
+  k and spacing d.  After a focus on diagonal w (the stage w(w+1)/2 + e)
+  with w + 1 >= 2d, every later focus takes case 3.  Proof: the next focus
+  is w + 1 stages later, on diagonal w + 1, so the interval between the
+  two holds w + 1 >= 2d consecutive positive stages, and one of them is a
+  formation stage 1 + 2d*r.  The flag was off after the earlier focus
+  (every case leaves it off), and it is brought up to date over that
+  interval in one or more pieces (the end of an intermediate run latches
+  too), each a disjunction, so by :func:`_churn_latches` it is on at the
+  next focus, which therefore takes case 3.  The next focus lies on
+  diagonal w + 1, which meets the condition again, so by induction every
+  later focus takes case 3.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterator, Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
@@ -156,26 +183,30 @@ def focus_schedule(E: int, budget: Optional[int] = None) -> Iterator[tuple[int, 
         w += 1
 
 
-def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> StageRecord:
-    """Run focused stage ``stage`` on column e (cases as in :class:`ColumnState`)."""
+def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> tuple[int, Optional[int]]:
+    """Run focused stage ``stage`` on column e (cases as in :class:`ColumnState`).
+
+    Returns the case and the element x of the one exile <e, x> it made,
+    or None when it made none (case 3 without an extra).
+    """
     col = state.columns[e]
     u, v = col.extra, col.next_free
     if col.flag:
-        case, newly = 3, () if u is None else (u,)
+        case, exiled = 3, u
         col.extra, col.next_free = v, v + 1
         col.flag = False
         col.case3_count += 1
     elif u is None and has_k:
-        case, newly = 1, (v + 1,)
+        case, exiled = 1, v + 1
         col.extra, col.next_free = v, v + 2
     elif u is not None and not has_k:
-        case, newly = 2, (u,)
+        case, exiled = 2, u
         col.extra = None
     else:
-        case, newly = 4, (v,)
+        case, exiled = 4, v
         col.next_free = v + 1
         col.last_case4_stage = stage
-    return StageRecord(stage, e, case, col.witnesses, col.flag, tuple((e, x) for x in newly))
+    return case, exiled
 
 
 class CoceerRun:
@@ -184,43 +215,102 @@ class CoceerRun:
     The constructor builds one runner per column and seeds stage 0: the
     stage-0 approximations enter the oldest-class history, but flags stay
     off, since a class present from the start is not a mind change.
+
+    With ``records`` every focused stage is stepped and recorded.  Without
+    them a column that settles (see the module docstring) leaves the
+    schedule and is advanced in closed form; the state after every
+    :meth:`run_to` is the same either way.  The schedule is a heap of
+    (next focus stage, e, w) over the columns still stepped: column e is
+    focused on every diagonal w >= max(e, 1), at stage w(w+1)/2 + e, so its
+    next focus is w + 1 stages later.
     """
 
-    def __init__(self, fam: CeerFamily, E: int):
+    def __init__(self, fam: CeerFamily, E: int, records: bool = True):
         if E > len(fam.members):
             raise InputError("family has fewer members than requested columns")
         self.state = init_coceer(E)
+        self._records = records
         self.runners = [CeerRunner(fam.member(e)) for e in range(E)]
         for col, runner in zip(self.state.columns, self.runners):
             runner.advance_to(0)
             m = runner.oldest_class_min(col.k)
             if m is not None:
                 col.seen_minima.add(m)
-        self._schedule = focus_schedule(E)
-        self._next = next(self._schedule)
+        self._quiet = [_quiescence_stage(r.member, col.k)
+                       for col, r in zip(self.state.columns, self.runners)]
+        self._heap: list[tuple[int, int, int]] = []
+        for e in range(E):
+            w = max(e, 1)   # the first diagonal that focuses column e
+            heapq.heappush(self._heap, (w * (w + 1) // 2 + e, e, w))
+        self._settled: dict[int, tuple[int, int]] = {}  # e -> (last diagonal applied, case)
 
     def run_to(self, stage: int) -> list[StageRecord]:
-        """Run the construction through ``stage``; returns the focused stages' records.
+        """Run the construction through ``stage``; returns the focused stages'
+        records, or an empty list when the run keeps none.
 
-        Each focused stage brings its column's flag up to date, then
-        dispatches; at the end every flag is brought up to ``stage``.  A
-        stage the run has already reached is a no-op.
+        Each stepped focus brings its column's flag up to date, then
+        dispatches; then the settled columns are advanced in closed form,
+        and at the end every flag is brought up to ``stage``.  A stage the
+        run has already reached is a no-op.
         """
         if stage <= self.state.stage:
             return []
-        records = []
-        while self._next[0] <= stage:
-            s, e = self._next
-            self._next = next(self._schedule)
+        records, heap, columns = [], self._heap, self.state.columns
+        while heap and heap[0][0] <= stage:
+            s, e, w = heap[0]
             self._latch(e, s)
             runner = self.runners[e]
             runner.advance_to(s)
-            has_k = runner.has_class_of_size(self.state.columns[e].k)
-            records.append(_dispatch(self.state, e, s, has_k))
+            col = columns[e]
+            case, exiled = _dispatch(self.state, e, s, runner.has_class_of_size(col.k))
+            if self._records:
+                records.append(StageRecord(s, e, case, col.witnesses, col.flag,
+                                           () if exiled is None else ((e, exiled),)))
+            elif (steady := self._steady_case(e, s, w, case)) is not None:
+                heapq.heappop(heap)
+                self._settled[e] = (w, steady)
+                continue
+            heapq.heapreplace(heap, (s + w + 1, e, w + 1))
+        self._advance_settled(stage)
         for e in range(self.state.width):
             self._latch(e, stage)
         self.state.stage = stage
         return records
+
+    def _steady_case(self, e: int, s: int, w: int, case: int) -> Optional[int]:
+        """The case every focus of column e after stage s (on diagonal w, which
+        took ``case``) takes by a settle rule; None when no rule applies yet."""
+        quiet = self._quiet[e]
+        if quiet is None:   # a churn of target k: case-3 steadiness
+            return 3 if w + 1 >= 2 * self.runners[e].member.block_spacing else None
+        return 4 if case == 4 and s > quiet else None
+
+    def _advance_settled(self, stage: int) -> None:
+        """Apply each settled column's focuses up to ``stage`` in closed form.
+
+        Column e's last focus by ``stage`` lies on the diagonal W =
+        (isqrt(8(stage - e) + 1) - 1) // 2, so m = W - w focuses remain
+        after diagonal w.  Each adds one to ``next_free`` and leaves the
+        flag off.  A case-4 focus exiles the next_free and keeps the extra,
+        so m of them end on ``last_case4_stage``; a case-3 focus recruits
+        the next_free and exiles the old extra, so after m of them the
+        extra is one below ``next_free``.
+        """
+        columns = self.state.columns
+        for e, (w, case) in self._settled.items():
+            W = (isqrt(8 * (stage - e) + 1) - 1) // 2
+            m = W - w
+            if m <= 0:
+                continue
+            col, last = columns[e], W * (W + 1) // 2 + e
+            col.next_free += m
+            col.flag, col.seen_through = False, last
+            if case == 4:
+                col.last_case4_stage = last
+            else:
+                col.extra = col.next_free - 1
+                col.case3_count += m
+            self._settled[e] = (W, case)
 
     def _latch(self, e: int, stage: int) -> None:
         """Latch column e's flag if a never-seen oldest size-k class appeared in
@@ -268,19 +358,23 @@ def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
     return rest == 0 and absorbed0 < rounds <= absorbed1
 
 
-def run_coceer(fam: CeerFamily, E: int, stage_budget: int) -> tuple[CoceerState, CoceerTrace]:
+def run_coceer(
+    fam: CeerFamily, E: int, stage_budget: int, records: bool = True
+) -> tuple[CoceerState, CoceerTrace]:
     """Run the construction through stage ``stage_budget`` and trace it.
 
-    The trace holds one record per focused stage, and every flag is brought
-    up to the budget at the end.  The column invariants (witness count,
-    protected elements, settled-region identity) hold by the representation
-    of :class:`ColumnState`, so no stage checks them.
+    With ``records`` the trace holds one record per focused stage; without
+    them its records are empty, settled columns are advanced in closed form
+    (:class:`CoceerRun`), and the final state is the same.  Every flag is
+    brought up to the budget at the end.  The column invariants (witness
+    count, protected elements, settled-region identity) hold by the
+    representation of :class:`ColumnState`, so no stage checks them.
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
-    run = CoceerRun(fam, E)
-    records = run.run_to(stage_budget)
-    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
+    run = CoceerRun(fam, E, records)
+    kept = run.run_to(stage_budget)
+    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
 
 
 def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:

@@ -282,7 +282,9 @@ def reference_certificate(
     which the member shows no size-k class, no version is newer than that
     record, and the column's last record has the flag off.  T is a script's
     last event, and for a churn generator the last stage with a size-k
-    class in a replay through the trace's stages.  A churn column of target
+    class in a replay that runs, past the trace if need be, until the
+    class of 0 outgrows k; its other classes are then blocks of size k' !=
+    k, so no size-k class comes back.  A churn column of target
     k is certified when the witnesses kept by every version over its last
     four case-3 records are exactly the initial segment, which is then the
     limit.
@@ -295,10 +297,11 @@ def reference_certificate(
     member = fam.member(e)
     quiet = member.last_event_stage if isinstance(member, CeerScript) else None
     if quiet is None and member.target_size != k:
-        runner, quiet = ReferenceRunner(member), 0
-        for s in range(trace.stages + 1):
+        runner, quiet, s = ReferenceRunner(member), 0, 0
+        while len(runner.uf.class_of.get(0, (0,))) <= k:
             runner.advance_to(s)
             quiet = s if runner.has_class_of_size(k) else quiet
+            s += 1
     if quiet is not None:
         case4 = [r.stage for r in records if r.case == 4]
         certified = (

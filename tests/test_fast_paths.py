@@ -1,9 +1,12 @@
 """Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
-steppers against slow reference paths, co-ceer verdicts against the
-witness-history certificate, threshold snapshots and the closed-form
-block layout against explicit constructions, plus operation-count gates."""
+steppers against slow reference paths, co-ceer runs without records (whose
+settled columns advance in closed form) against stepped runs, co-ceer
+verdicts against the witness-history certificate, threshold snapshots and
+the closed-form block layout against explicit constructions, plus
+operation-count gates."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,11 @@ def test_churn_target_other_than_column_size_matches_reference():
     assert [(r.stage, r.e, r.case) for r in trace.records] == [(1, 0, 4), (2, 1, 3)]
     for budget in (1, 2, 3, 5, 40, 300):
         _assert_run_matches_reference(fam, 2, budget)
+    # with spacing 2 the class of 0 reaches size 4 only at stage 3, so a
+    # run of 2 stages has seen no size-4 class and is still uncertified
+    fam = CeerFamily((ChurnGenerator(2, 1), ChurnGenerator(3, 2)))
+    assert not verify_requirement(run_coceer(fam, 2, 2)[0], fam, 1).certified
+    _assert_run_matches_reference(fam, 2, 2)
     # every (k', d) under columns with k - 1 a multiple of k' and with none
     for target in (2, 3, 5, 7):
         for spacing in (1, 2, 3):
@@ -275,6 +283,84 @@ def test_run_coceer_operation_counts(monkeypatch):
         assert dispatches[0] == focused == len(trace.records)
         assert advances[0] <= focused + event_stages + E
         assert queries[0] <= event_stages + 2 * E
+
+
+def _assert_same_without_records(fam, E, stops):
+    """A run without records, stopped at each of ``stops`` in turn, has the
+    stepped run's state and reports at every stop.  Returns the number of
+    flags left on at the stops, where an end-of-run latch set them."""
+    stepped, fast = CoceerRun(fam, E), CoceerRun(fam, E, records=False)
+    flags = 0
+    for stop in stops:
+        stepped.run_to(stop)
+        assert fast.run_to(stop) == []
+        assert fast.state == stepped.state, stop
+        assert _reports(fast.state, fam) == _reports(stepped.state, fam), stop
+        flags += sum(col.flag for col in fast.state.columns)
+    return flags
+
+
+_BUDGETS = (1, 2, 3, 10, 57, 400, 2500, 10**4)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_unrecorded_suite_runs_match_stepped(seed):
+    fam, _ = generate_diagonalization_suite(seed)
+    E = len(fam.members)
+    for budget in _BUDGETS:
+        _assert_same_without_records(fam, E, [budget])
+        _assert_same_without_records(generate_family(seed, 8), 8, [budget])
+    fast, trace = run_coceer(fam, E, 10**4, records=False)
+    assert trace.records == () and fast == run_coceer(fam, E, 10**4)[0]
+
+
+def test_unrecorded_churn_runs_match_stepped():
+    """Churn of every target k' in 2..8 under columns 0..5, so k' = k in some
+    columns and not in the others, with spacing 1-4, which puts columns
+    below e = 2d - 1."""
+    for target in range(2, 9):
+        for spacing in range(1, 5):
+            fam = CeerFamily((ChurnGenerator(target, spacing),) * 6)
+            for budget in _BUDGETS:
+                _assert_same_without_records(fam, 6, [budget])
+
+
+def test_unrecorded_runs_match_stepped_at_random_stops():
+    rng = random.Random(17)
+    flags = 0
+    for _ in range(25):
+        fam, _ = generate_diagonalization_suite(rng.randrange(1000))
+        stops = sorted(rng.sample(range(1, 3000), rng.randint(1, 30)))
+        flags += _assert_same_without_records(fam, len(fam.members), stops)
+        churn = CeerFamily(tuple(ChurnGenerator(rng.randint(2, 8), rng.randint(1, 4))
+                                 for _ in range(6)))
+        flags += _assert_same_without_records(churn, 6, stops)
+    assert flags > 0   # some stop fell between a formation and the next focus
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_members, min_size=1, max_size=4),
+       st.lists(st.integers(1, 400), min_size=1, max_size=8))
+def test_unrecorded_runs_match_stepped_property(members, steps):
+    _assert_same_without_records(CeerFamily(tuple(members)), len(members), accumulate(steps))
+
+
+def test_unrecorded_run_steps_only_until_columns_settle(monkeypatch):
+    """Without records every column of the suite settles, so a run dispatches
+    as often at 10**6 stages as at 10**4; with records it dispatches every
+    focused stage."""
+    fam, _ = generate_diagonalization_suite(7)
+    E = len(fam.members)
+    dispatches = _count_calls(monkeypatch, coceer, "_dispatch")
+    counts = {}
+    for records in (False, True):
+        for budget in (10**4, 10**6):
+            dispatches[0] = 0
+            run_coceer(fam, E, budget, records=records)
+            counts[records, budget] = dispatches[0]
+    assert counts[False, 10**4] == counts[False, 10**6] < counts[True, 10**4]
+    for budget in (10**4, 10**6):
+        assert counts[True, budget] == sum(1 for _ in focus_schedule(E, budget))
 
 
 def _pi01_past_width(g, extra):
