@@ -34,7 +34,7 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError, or an over-long integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -52,6 +52,8 @@ def _dump_json(path: str, obj: object) -> None:
 
 
 def _cmd_coceer(args: argparse.Namespace) -> int:
+    if args.report is not None and not args.verify:
+        raise InputError("--report needs --verify")
     fam = family_from_json(_load_json(args.family))
     state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
                                           records=bool(args.trace))
@@ -113,7 +115,7 @@ def _cmd_preorder(args: argparse.Namespace) -> int:
 
 
 def _cmd_blocks(args: argparse.Namespace) -> int:
-    if (args.x is None) == (args.decode is None):
+    if (args.x is None) == (args.decode is None) or (args.x is None and args.encode is not None):
         raise InputError("use either --x with --encode, or --decode")
     if args.x is not None:
         bits = blocks_mod.parse_bits(args.x)

@@ -15,24 +15,25 @@ Per column the construction keeps a latch flag that turns on whenever the
 family member exhibits a never-before-seen oldest class of the target
 size; the flag is consumed (and the witness set churned) the next time the
 stage schedule focuses on that column.  Stage s focuses column e for
-``(e, n) = cantor_unpair(s)``; no other stage reads or consumes a column's
-flag, so the flag is brought up to date lazily, at the column's own focused
-stages, from the member's events in between (see :meth:`CoceerRun._latch`).
+``(e, n) = cantor_unpair(s)``: column e on each diagonal w >= max(e, 1), at
+stage w(w+1)/2 + e.  A focus reads and writes its own column and its own
+member only, so the construction is E independent column runs
+(:func:`_run_column`), and the flag is brought up to date lazily, at the
+column's own focused stages, from the member's events in between.
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-Records are kept on demand.  :class:`CoceerRun` runs the construction
-forward to a given stage, and :func:`run_coceer` runs it for a stage
-budget.  A stage whose focus lies beyond the last column changes nothing,
-so it is never visited.  With records (``--trace``, and the default of
-both) every focused stage is stepped by :func:`_dispatch` and recorded.
-Without them a column stops being stepped once it has *settled*, when
-every later focus of it is known to take one case, and its focused stages
-up to the end of the run are then applied in closed form
-(:meth:`CoceerRun._advance_settled`).  A settled column costs O(1) per
-run, so a run costs O(focused stages before settling + E) whatever the
+Records are kept on demand.  :func:`run_coceer` runs each column for a
+stage budget and merges their records by stage.  A stage whose focus lies
+beyond the last column changes nothing, so it is never visited.  With
+records (``--trace``, and the default of :func:`run_coceer`) every focused
+stage is stepped by :func:`_dispatch` and recorded.  Without them a column
+stops being stepped once it has *settled*, when every later focus of it is
+known to take one case, and its focused stages up to the budget are then
+applied in closed form (:func:`_advance_settled`).  A settled column costs
+O(1), so a run costs O(focused stages before settling + E) whatever the
 budget.  There are two settle rules:
 
 - **Case 4 after quiescence.**  A focus at a stage s > T that takes case
@@ -47,18 +48,17 @@ budget.  There are two settle rules:
   two holds w + 1 >= 2d consecutive positive stages, and one of them is a
   formation stage 1 + 2d*r.  The flag was off after the earlier focus
   (every case leaves it off), and it is brought up to date over that
-  interval in one or more pieces (the end of an intermediate run latches
-  too), each a disjunction, so by :func:`_churn_latches` it is on at the
-  next focus, which therefore takes case 3.  The next focus lies on
-  diagonal w + 1, which meets the condition again, so by induction every
-  later focus takes case 3.
+  interval, so by :func:`_churn_latches` it is on at the next focus, which
+  therefore takes case 3.  The next focus lies on diagonal w + 1, which
+  meets the condition again, so by induction every later focus takes
+  case 3.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
@@ -102,8 +102,6 @@ class ColumnState:
     next_free: int
     extra: Optional[int] = None
     flag: bool = False
-    seen_through: int = 0       # the flag is up to date through this stage
-    seen_minima: set[int] = field(default_factory=set)  # oldest size-k minima (scripts)
     case3_count: int = 0
     last_case4_stage: Optional[int] = None
 
@@ -183,13 +181,12 @@ def focus_schedule(E: int, budget: Optional[int] = None) -> Iterator[tuple[int, 
         w += 1
 
 
-def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> tuple[int, Optional[int]]:
-    """Run focused stage ``stage`` on column e (cases as in :class:`ColumnState`).
+def _dispatch(col: ColumnState, stage: int, has_k: bool) -> tuple[int, Optional[int]]:
+    """Run focused stage ``stage`` on column ``col`` (cases as in :class:`ColumnState`).
 
     Returns the case and the element x of the one exile <e, x> it made,
     or None when it made none (case 3 without an extra).
     """
-    col = state.columns[e]
     u, v = col.extra, col.next_free
     if col.flag:
         case, exiled = 3, u
@@ -209,129 +206,88 @@ def _dispatch(state: CoceerState, e: int, stage: int, has_k: bool) -> tuple[int,
     return case, exiled
 
 
-class CoceerRun:
-    """The construction over columns 0..E-1 of ``fam``, run forward by :meth:`run_to`.
+def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
+                budget: int, records: bool) -> list[StageRecord]:
+    """Run column e through stage ``budget``; returns its focused stages'
+    records, or an empty list when the run keeps none.
 
-    The constructor builds one runner per column and seeds stage 0: the
-    stage-0 approximations enter the oldest-class history, but flags stay
-    off, since a class present from the start is not a mind change.
-
-    With ``records`` every focused stage is stepped and recorded.  Without
-    them a column that settles (see the module docstring) leaves the
-    schedule and is advanced in closed form; the state after every
-    :meth:`run_to` is the same either way.  The schedule is a heap of
-    (next focus stage, e, w) over the columns still stepped: column e is
-    focused on every diagonal w >= max(e, 1), at stage w(w+1)/2 + e, so its
-    next focus is w + 1 stages later.
+    Stage 0 is seeded first: the stage-0 approximations enter the
+    oldest-class history, but the flag stays off, since a class present
+    from the start is not a mind change.  Column e is focused on every
+    diagonal w >= max(e, 1), at stage w(w+1)/2 + e.  Each focus brings the
+    flag up to date, then dispatches; without records the column stops
+    being stepped once a settle rule (module docstring) applies, and its
+    remaining focuses are applied in closed form (:func:`_advance_settled`).
+    At the end the flag is brought up to ``budget``.
     """
+    runner = CeerRunner(member)
+    runner.advance_to(0)
+    first = runner.oldest_class_min(col.k)
+    seen = set() if first is None else {first}   # oldest size-k minima (scripts)
+    quiet = _quiescence_stage(member, col.k)
 
-    def __init__(self, fam: CeerFamily, E: int, records: bool = True):
-        if E > len(fam.members):
-            raise InputError("family has fewer members than requested columns")
-        self.state = init_coceer(E)
-        self._records = records
-        self.runners = [CeerRunner(fam.member(e)) for e in range(E)]
-        for col, runner in zip(self.state.columns, self.runners):
-            runner.advance_to(0)
-            m = runner.oldest_class_min(col.k)
-            if m is not None:
-                col.seen_minima.add(m)
-        self._quiet = [_quiescence_stage(r.member, col.k)
-                       for col, r in zip(self.state.columns, self.runners)]
-        self._heap: list[tuple[int, int, int]] = []
-        for e in range(E):
-            w = max(e, 1)   # the first diagonal that focuses column e
-            heapq.heappush(self._heap, (w * (w + 1) // 2 + e, e, w))
-        self._settled: dict[int, tuple[int, int]] = {}  # e -> (last diagonal applied, case)
+    kept: list[StageRecord] = []
+    last, w = 0, max(e, 1)
+    while (s := w * (w + 1) // 2 + e) <= budget:
+        _latch(col, runner, seen, last, s)
+        runner.advance_to(s)
+        case, exiled = _dispatch(col, s, runner.has_class_of_size(col.k))
+        last = s
+        if records:
+            kept.append(StageRecord(s, e, case, col.witnesses, col.flag,
+                                    () if exiled is None else ((e, exiled),)))
+        elif quiet is None and w + 1 >= 2 * member.block_spacing:
+            last = _advance_settled(col, e, w, 3, budget)   # a churn of target k
+            break
+        elif quiet is not None and case == 4 and s > quiet:
+            last = _advance_settled(col, e, w, 4, budget)
+            break
+        w += 1
+    _latch(col, runner, seen, last, budget)
+    return kept
 
-    def run_to(self, stage: int) -> list[StageRecord]:
-        """Run the construction through ``stage``; returns the focused stages'
-        records, or an empty list when the run keeps none.
 
-        Each stepped focus brings its column's flag up to date, then
-        dispatches; then the settled columns are advanced in closed form,
-        and at the end every flag is brought up to ``stage``.  A stage the
-        run has already reached is a no-op.
-        """
-        if stage <= self.state.stage:
-            return []
-        records, heap, columns = [], self._heap, self.state.columns
-        while heap and heap[0][0] <= stage:
-            s, e, w = heap[0]
-            self._latch(e, s)
-            runner = self.runners[e]
-            runner.advance_to(s)
-            col = columns[e]
-            case, exiled = _dispatch(self.state, e, s, runner.has_class_of_size(col.k))
-            if self._records:
-                records.append(StageRecord(s, e, case, col.witnesses, col.flag,
-                                           () if exiled is None else ((e, exiled),)))
-            elif (steady := self._steady_case(e, s, w, case)) is not None:
-                heapq.heappop(heap)
-                self._settled[e] = (w, steady)
-                continue
-            heapq.heapreplace(heap, (s + w + 1, e, w + 1))
-        self._advance_settled(stage)
-        for e in range(self.state.width):
-            self._latch(e, stage)
-        self.state.stage = stage
-        return records
+def _latch(col: ColumnState, runner: CeerRunner, seen: set[int], last: int, stage: int) -> None:
+    """Latch the flag of ``col`` if a never-seen oldest size-k class of the
+    runner's member appeared in (last, stage].
 
-    def _steady_case(self, e: int, s: int, w: int, case: int) -> Optional[int]:
-        """The case every focus of column e after stage s (on diagonal w, which
-        took ``case``) takes by a settle rule; None when no rule applies yet."""
-        quiet = self._quiet[e]
-        if quiet is None:   # a churn of target k: case-3 steadiness
-            return 3 if w + 1 >= 2 * self.runners[e].member.block_spacing else None
-        return 4 if case == 4 and s > quiet else None
+    A script's oldest size-k class changes only at its event stages, so
+    those are replayed one at a time, and each minimum not in ``seen`` is
+    latched and added to it.  A churn member is answered by
+    :func:`_churn_latches` without replay.
+    """
+    member = runner.member
+    if isinstance(member, ChurnGenerator):
+        col.flag = col.flag or _churn_latches(member, col.k, last, stage)
+        return
+    while (t := runner.next_event_stage) is not None and t <= stage:
+        runner.advance_to(t)
+        m = runner.oldest_class_min(col.k)
+        if m is not None and m not in seen:
+            col.flag = True
+            seen.add(m)
 
-    def _advance_settled(self, stage: int) -> None:
-        """Apply each settled column's focuses up to ``stage`` in closed form.
 
-        Column e's last focus by ``stage`` lies on the diagonal W =
-        (isqrt(8(stage - e) + 1) - 1) // 2, so m = W - w focuses remain
-        after diagonal w.  Each adds one to ``next_free`` and leaves the
-        flag off.  A case-4 focus exiles the next_free and keeps the extra,
-        so m of them end on ``last_case4_stage``; a case-3 focus recruits
-        the next_free and exiles the old extra, so after m of them the
-        extra is one below ``next_free``.
-        """
-        columns = self.state.columns
-        for e, (w, case) in self._settled.items():
-            W = (isqrt(8 * (stage - e) + 1) - 1) // 2
-            m = W - w
-            if m <= 0:
-                continue
-            col, last = columns[e], W * (W + 1) // 2 + e
-            col.next_free += m
-            col.flag, col.seen_through = False, last
-            if case == 4:
-                col.last_case4_stage = last
-            else:
-                col.extra = col.next_free - 1
-                col.case3_count += m
-            self._settled[e] = (W, case)
+def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> int:
+    """Apply column e's focuses after diagonal w through ``budget`` in closed
+    form, each taking ``case``; returns the last focused stage.
 
-    def _latch(self, e: int, stage: int) -> None:
-        """Latch column e's flag if a never-seen oldest size-k class appeared in
-        (``seen_through``, stage].
-
-        A script's oldest size-k class changes only at its event stages, so
-        those are replayed one at a time and each new minimum is latched.  A
-        churn member is answered by :func:`_churn_latches` without replay.
-        """
-        col, runner = self.state.columns[e], self.runners[e]
-        last, col.seen_through = col.seen_through, stage
-        member = runner.member
-        if isinstance(member, ChurnGenerator):
-            col.flag = col.flag or _churn_latches(member, col.k, last, stage)
-            return
-        while (t := runner.next_event_stage) is not None and t <= stage:
-            runner.advance_to(t)
-            m = runner.oldest_class_min(col.k)
-            if m is not None and m not in col.seen_minima:
-                col.flag = True
-                col.seen_minima.add(m)
+    The last focus by ``budget`` lies on the diagonal W =
+    (isqrt(8(budget - e) + 1) - 1) // 2, so m = W - w focuses remain.  Each
+    adds one to ``next_free`` and leaves the flag off.  A case-4 focus
+    exiles the next_free and keeps the extra, so m of them end on
+    ``last_case4_stage``; a case-3 focus recruits the next_free and exiles
+    the old extra, so after m of them the extra is one below ``next_free``.
+    """
+    W = (isqrt(8 * (budget - e) + 1) - 1) // 2
+    m, last = W - w, W * (W + 1) // 2 + e
+    col.next_free += m
+    if case == 4:
+        col.last_case4_stage = last
+    elif m:
+        col.extra = col.next_free - 1
+        col.case3_count += m
+    return last
 
 
 def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
@@ -363,18 +319,24 @@ def run_coceer(
 ) -> tuple[CoceerState, CoceerTrace]:
     """Run the construction through stage ``stage_budget`` and trace it.
 
-    With ``records`` the trace holds one record per focused stage; without
-    them its records are empty, settled columns are advanced in closed form
-    (:class:`CoceerRun`), and the final state is the same.  Every flag is
-    brought up to the budget at the end.  The column invariants (witness
-    count, protected elements, settled-region identity) hold by the
-    representation of :class:`ColumnState`, so no stage checks them.
+    Each column runs on its own (:func:`_run_column`).  With ``records``
+    the trace holds one record per focused stage; without them its records
+    are empty, settled columns are advanced in closed form, and the final
+    state is the same.  Every flag is brought up to the budget at the end.
+    The column invariants (witness count, protected elements,
+    settled-region identity) hold by the representation of
+    :class:`ColumnState`, so no stage checks them.
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
-    run = CoceerRun(fam, E, records)
-    kept = run.run_to(stage_budget)
-    return run.state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
+    if E > len(fam.members):
+        raise InputError("family has fewer members than requested columns")
+    state = init_coceer(E)
+    kept = [r for e, col in enumerate(state.columns)
+            for r in _run_column(col, e, fam.member(e), stage_budget, records)]
+    kept.sort(key=attrgetter("stage"))   # the focused stages are distinct
+    state.stage = stage_budget
+    return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
 
 
 def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:

@@ -56,6 +56,7 @@ def test_malformed_json_is_exit_2(tmp_path):
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe{", "cannot read"),                          # not UTF-8
     (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),  # nested past the recursion limit
+    (b'{"format": ' + b"9" * 5000 + b"}", "is not valid JSON"),  # past the integer digit limit
 ])
 @pytest.mark.parametrize("argv", [
     ["coceer", "--columns", "1", "--stages", "5", "--family"],
@@ -112,6 +113,15 @@ def test_coceer_verify_and_reports(tmp_path, family_file):
     reports = json.loads(report_path.read_text())
     assert len(reports) == 4
     assert all(r["certified"] for r in reports)
+    # the reports come from --verify; without it the run is refused and writes nothing
+    report_path.unlink()
+    trace_path = tmp_path / "trace.json"
+    code = main(
+        ["coceer", "--family", family_file, "--columns", "4", "--stages", "600",
+         "--report", str(report_path), "--trace", str(trace_path)]
+    )
+    assert code == 2
+    assert not report_path.exists() and not trace_path.exists()
 
 
 def test_coceer_unsatisfied_is_exit_1(tmp_path, capsys):
@@ -210,6 +220,10 @@ def test_blocks_flag_validation(tmp_path):
     for header in ({"format": 1}, {"format": 2}, {}):
         path = _write(tmp_path / "char.json", {**header, "character": [[4, 1]], "n_blocks": 1})
         assert main(["blocks", "--decode", path]) == 0, header
+    # --encode goes with --x only
+    out = tmp_path / "out.json"
+    assert main(["blocks", "--decode", path, "--encode", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_all_runs_the_whole_budget(capsys):

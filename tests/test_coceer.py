@@ -1,12 +1,12 @@
 """Co-ceer diagonalization: stage cases, certification, and limit behavior."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
-    CoceerRun,
     ColumnState,
     init_coceer,
     run_coceer,
@@ -16,6 +16,7 @@ from effstruct.coceer import (
 )
 from effstruct.core import cantor_pair, cantor_unpair
 from effstruct.errors import InputError
+from effstruct.generators import generate_diagonalization_suite
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
 from reference import coceer_snapshot, column_exiles
@@ -46,24 +47,20 @@ def test_column_witnesses_and_exiles_from_two_integers():
     assert (col.witnesses, column_exiles(col)) == ((1, 2, 3), {4, 5, 6, 7, 8})
 
 
-def _run_before_column_one(member):
-    """Run on (empty script, member) through stage 1.
+def _step_column_one(member, stage, case, witnesses, exiles):
+    """Run (empty script, member) through ``stage``, a focus of column 1, and
+    check that focus's case, the witnesses and exiles after it, and that its
+    record lists exactly the new exiles.
 
-    Stage 2 = <1, 0>, so running to stage 2 dispatches column 1, whose
-    target size is 4 and whose initial witnesses are {1, 2, 3}.
+    Column 1 targets size 4 with the initial witnesses {1, 2, 3}, and it is
+    focused at stages 2 = <1, 0> and 4 = <1, 1>.
     """
-    assert cantor_pair(1, 0) == 2
-    run = CoceerRun(CeerFamily((EMPTY, member)), 2)
-    run.run_to(1)
-    return run
-
-
-def _step_column_one(run, case, witnesses, exiles):
-    """Run stage 2 and check column 1's case, witnesses and exiles, and that
-    the record lists exactly the new exiles."""
-    col = run.state.columns[1]
-    before = column_exiles(col)
-    [record] = run.run_to(2)
+    assert (cantor_pair(1, 0), cantor_pair(1, 1)) == (2, 4)
+    fam = CeerFamily((EMPTY, member))
+    before = column_exiles(run_coceer(fam, 2, stage - 1)[0].columns[1])
+    state, trace = run_coceer(fam, 2, stage)
+    record, col = trace.records[-1], state.columns[1]
+    assert (record.stage, record.e) == (stage, 1)
     assert (record.case, record.witnesses, col.witnesses) == (case, witnesses, witnesses)
     assert column_exiles(col) == exiles
     assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
@@ -71,39 +68,41 @@ def _step_column_one(run, case, witnesses, exiles):
     return col
 
 
+_SIZE_4_AT_0 = tuple((0, (0, x)) for x in (1, 2, 3))
+
+
 def test_step_case_one_declares_witness():
     # a size-4 class present from stage 0 is on record, so it latches no flag
-    run = _run_before_column_one(CeerScript(tuple((0, (0, x)) for x in (1, 2, 3))))
-    _step_column_one(run, 1, (1, 2, 3, 4), {5})
+    _step_column_one(CeerScript(_SIZE_4_AT_0), 2, 1, (1, 2, 3, 4), {5})
 
 
 def test_step_case_two_retracts_witness():
-    run = _run_before_column_one(EMPTY)
-    col = run.state.columns[1]
-    col.extra, col.next_free = 4, 5
-    _step_column_one(run, 2, (1, 2, 3), {4})
+    # stage 2 declares witness 4; at stage 3 the size-4 class grows to 5
+    member = CeerScript((*_SIZE_4_AT_0, (3, (0, 4))))
+    _step_column_one(member, 2, 1, (1, 2, 3, 4), {5})
+    _step_column_one(member, 4, 2, (1, 2, 3), {4, 5})
 
 
 def test_step_case_three_without_replaceable_witness():
     # a size-4 class formed at stage 1 is new to the history: the flag latches
-    run = _run_before_column_one(CeerScript(tuple((1, (0, x)) for x in (1, 2, 3))))
-    assert run.state.columns[1].flag
-    assert _step_column_one(run, 3, (1, 2, 3, 4), set()).case3_count == 1
+    member = CeerScript(tuple((1, (0, x)) for x in (1, 2, 3)))
+    fam = CeerFamily((EMPTY, member))
+    assert run_coceer(fam, 2, 1)[0].columns[1].flag
+    assert _step_column_one(member, 2, 3, (1, 2, 3, 4), set()).case3_count == 1
 
 
 def test_step_case_three_swaps_witness():
-    run = _run_before_column_one(EMPTY)
-    # a reachable grown state: 4 and 5 were burned on the way to witness 6
-    col = run.state.columns[1]
-    col.extra, col.next_free = 6, 7
-    col.flag = True
-    _step_column_one(run, 3, (1, 2, 3, 7), {4, 5, 6})
+    # stage 2 declares witness 4; at stage 3 that class grows to 5 and a new
+    # size-4 class forms, so the flag latches and stage 4 swaps 4 for 6
+    member = CeerScript((*_SIZE_4_AT_0, *((3, (10, x)) for x in (11, 12, 13)),
+                         (3, (0, 4))))
+    _step_column_one(member, 2, 1, (1, 2, 3, 4), {5})
+    assert _step_column_one(member, 4, 3, (1, 2, 3, 6), {4, 5}).case3_count == 1
 
 
 def test_step_case_four_pads():
-    run = _run_before_column_one(EMPTY)
     # baseline, no size-4 class, flag off
-    assert _step_column_one(run, 4, (1, 2, 3), {4}).last_case4_stage == 2
+    assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).last_case4_stage == 2
 
 
 def test_run_trace_length_and_budget():
@@ -123,21 +122,26 @@ def test_run_skips_columns_beyond_family_width():
     assert all(r.e == 0 for r in trace.records) and state.stage == 10
 
 
-def test_step_matches_run():
+def test_shorter_run_is_prefix_of_longer_run():
+    """A run to b has the records with stage <= b of a run to B > b, and a
+    run to b without records has the same state as one with them."""
     rng = random.Random(13)
     events = tuple(
         sorted((rng.randint(1, 20), (rng.randrange(8), rng.randrange(8))) for _ in range(10))
     )
     fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
-    run = CoceerRun(fam, 3)
-    records = []
-    for stage in (1, 2, 5, 5, 6, 17, 18, 40, 60):  # focused and unfocused stops, one repeated
-        records += run.run_to(stage)
-        assert run.state.stage == stage
-    assert run.run_to(59) == [] and run.state.stage == 60  # no running backwards
-    state, trace = run_coceer(fam, 3, 60)
-    assert run.state == state
-    assert tuple(records) == trace.records
+    _, full = run_coceer(fam, 3, 60)
+    for stage in (1, 2, 5, 6, 17, 18, 40, 59):  # focused and unfocused stops
+        state, trace = run_coceer(fam, 3, stage)
+        assert trace.records == tuple(r for r in full.records if r.stage <= stage)
+        assert state.stage == stage
+        assert run_coceer(fam, 3, stage, records=False) == (state, replace(trace, records=()))
+    suite, _ = generate_diagonalization_suite(7)
+    E = len(suite.members)
+    _, full = run_coceer(suite, E, 3000)
+    for stage in (1, 30, 351, 352, 1000, 2999):
+        _, trace = run_coceer(suite, E, stage)
+        assert trace.records == tuple(r for r in full.records if r.stage <= stage)
 
 
 def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
@@ -167,12 +171,11 @@ def test_snapshot_stays_equivalence_and_shrinks():
     fam = CeerFamily(
         (CeerScript(((1, (0, 1)), (3, (1, 2)))), ChurnGenerator(4, 2), CeerScript(()))
     )
-    run = CoceerRun(fam, 3)
-    previous = bf_relation_of_partition(coceer_snapshot(run.state, 12).classes())
+    previous = bf_relation_of_partition(coceer_snapshot(init_coceer(3), 12).classes())
     assert bf_is_equivalence(12, previous)
     for stage in range(1, 381):  # the first 80 focused stages
-        run.run_to(stage)
-        current = bf_relation_of_partition(coceer_snapshot(run.state, 12).classes())
+        state, _ = run_coceer(fam, 3, stage, records=False)
+        current = bf_relation_of_partition(coceer_snapshot(state, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
         previous = current

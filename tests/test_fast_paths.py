@@ -6,7 +6,9 @@ the closed-form block layout against explicit constructions, plus
 operation-count gates."""
 
 import random
+from bisect import bisect_right
 from itertools import accumulate
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from effstruct import blocks, coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
 from effstruct.coceer import (
-    CoceerRun,
     CoceerTrace,
     focus_schedule,
     run_coceer,
@@ -106,6 +107,12 @@ def _assert_certificates_match(state, trace, fam):
             reference_certificate(trace, fam, report.e), (trace.stages, report.e)
 
 
+def _prefix(trace, stage):
+    """The trace of a run to ``stage``, cut from the longer run ``trace``."""
+    kept = bisect_right(trace.records, stage, key=attrgetter("stage"))
+    return CoceerTrace(columns=trace.columns, stages=stage, records=trace.records[:kept])
+
+
 def _assert_run_matches_reference(fam, E, budget):
     state, trace = run_coceer(fam, E, budget)
     ref_state, ref_trace = reference_run_coceer(fam, E, budget)
@@ -172,13 +179,12 @@ def test_churn_certificate_is_final_once_given(target):
     E = 6
     for spacing in range(1, 5):
         fam = CeerFamily((ChurnGenerator(target, spacing),) * E)
-        run, records, given = CoceerRun(fam, E), [], {}
-        trace = CoceerTrace(columns=E, stages=0, records=())
+        _, full = run_coceer(fam, E, 300)
+        given, trace = {}, _prefix(full, 0)
         for stage in range(1, 301):
-            before = trace
-            records += run.run_to(stage)
-            trace = CoceerTrace(columns=E, stages=stage, records=tuple(records))
-            for report in _reports(run.state, fam):
+            before, trace = trace, _prefix(full, stage)
+            state, _ = run_coceer(fam, E, stage, records=False)
+            for report in _reports(state, fam):
                 verdict = (report.certified, report.y_limit)
                 if report.e in given:
                     assert verdict == given[report.e], (spacing, stage, report.e)
@@ -187,7 +193,7 @@ def test_churn_certificate_is_final_once_given(target):
                     assert verdict == reference_certificate(trace, fam, report.e)
                     assert not reference_certificate(before, fam, report.e)[0]
         assert {e for e in range(E) if 2 * e + 2 != target} <= set(given), spacing
-        _assert_certificates_match(run.state, trace, fam)
+        _assert_certificates_match(state, trace, fam)
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
@@ -201,14 +207,12 @@ def test_churn_certificate_turns_on_at_fourth_case3(seed):
     for e, kind in kinds.items():
         if kind == "churn":
             fourth[e] = [r.stage for r in full.records if r.e == e and r.case == 3][3]
-    run, records = CoceerRun(fam, E), []
     for stage in sorted({s for s4 in fourth.values() for s in (s4 - 1, s4)}):
-        records += run.run_to(stage)
-        trace = CoceerTrace(columns=E, stages=stage, records=tuple(records))
-        _assert_certificates_match(run.state, trace, fam)
+        state, _ = run_coceer(fam, E, stage, records=False)
+        _assert_certificates_match(state, _prefix(full, stage), fam)
         for e, s4 in fourth.items():
             if stage in (s4 - 1, s4):
-                assert verify_requirement(run.state, fam, e).certified == (stage == s4)
+                assert verify_requirement(state, fam, e).certified == (stage == s4)
 
 
 _members = st.one_of(
@@ -285,18 +289,16 @@ def test_run_coceer_operation_counts(monkeypatch):
         assert queries[0] <= event_stages + 2 * E
 
 
-def _assert_same_without_records(fam, E, stops):
-    """A run without records, stopped at each of ``stops`` in turn, has the
-    stepped run's state and reports at every stop.  Returns the number of
-    flags left on at the stops, where an end-of-run latch set them."""
-    stepped, fast = CoceerRun(fam, E), CoceerRun(fam, E, records=False)
+def _assert_same_without_records(fam, E, budgets):
+    """A run without records to each of ``budgets`` has the stepped run's
+    state, and so its reports.  Returns the number of flags left on at the
+    ends of the runs, where the end-of-run latch set them."""
     flags = 0
-    for stop in stops:
-        stepped.run_to(stop)
-        assert fast.run_to(stop) == []
-        assert fast.state == stepped.state, stop
-        assert _reports(fast.state, fam) == _reports(stepped.state, fam), stop
-        flags += sum(col.flag for col in fast.state.columns)
+    for budget in budgets:
+        fast, trace = run_coceer(fam, E, budget, records=False)
+        assert trace.records == ()
+        assert fast == run_coceer(fam, E, budget)[0], budget
+        flags += sum(col.flag for col in fast.columns)
     return flags
 
 
@@ -326,12 +328,14 @@ def test_unrecorded_churn_runs_match_stepped():
 
 
 def test_unrecorded_runs_match_stepped_at_random_stops():
+    """Each stop is a fresh pair of runs; a suite's runs replay its scripts,
+    so a suite is checked at every fourth of its stops only."""
     rng = random.Random(17)
     flags = 0
     for _ in range(25):
         fam, _ = generate_diagonalization_suite(rng.randrange(1000))
         stops = sorted(rng.sample(range(1, 3000), rng.randint(1, 30)))
-        flags += _assert_same_without_records(fam, len(fam.members), stops)
+        flags += _assert_same_without_records(fam, len(fam.members), stops[::4])
         churn = CeerFamily(tuple(ChurnGenerator(rng.randint(2, 8), rng.randint(1, 4))
                                  for _ in range(6)))
         flags += _assert_same_without_records(churn, 6, stops)
