@@ -76,13 +76,15 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
 
 
 def _cmd_pi01(args: argparse.Namespace) -> int:
+    if args.labels is not None and not args.verify:
+        raise InputError("--labels needs --verify")
     table = pi01.gtable_from_json(_load_json(args.g))
     trace = pi01.run_pi01(table, args.stages, history=bool(args.trace))
     if args.trace:
         _dump_json(args.trace, pi01.trace_to_json(trace))
     if not args.verify:
         return EXIT_OK
-    report = pi01.verify_liminf_counts(trace, table, args.labels)
+    report = pi01.verify_liminf_counts(trace, table, args.labels or 0)
     for entry in report.entries:
         status = "ok" if entry.match else "FAIL"
         print(
@@ -93,6 +95,8 @@ def _cmd_pi01(args: argparse.Namespace) -> int:
 
 
 def _cmd_preorder(args: argparse.Namespace) -> int:
+    if args.horizon is not None and not args.verify:
+        raise InputError("--horizon needs --verify")
     approx = delta02_from_json(_load_json(args.b))
     table = preorder.run_preorder(approx, args.stages)
     if args.snapshot:
@@ -159,13 +163,8 @@ def _suite_pi01(seed: int, runs: int = 50) -> tuple[bool, str]:
     for j in range(runs):
         K = 2 + j % 7
         table = generators.generate_gtable(seed + j, K)
-        trace = pi01.run_pi01(table, pi01.required_stages_for(table, K) + 4)
-        report = pi01.verify_liminf_counts(trace, table, K)
-        histories = all(
-            pi01.classify_history(trace, x) in ("a", "b", "unstable")
-            for x in trace.elements()
-        )
-        if not (report.all_match and histories):
+        trace = pi01.run_pi01(table, pi01.required_stages_for(table, K) + 4, history=False)
+        if not pi01.verify_liminf_counts(trace, table, K).all_match:
             bad += 1
     return bad == 0, f"liminf class sizes: {runs - bad}/{runs} tables verified exactly"
 
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pi01)
     p.add_argument("--g", required=True, help="class-size table JSON file")
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--labels", type=int, default=0, help="verify labels 0..K")
+    p.add_argument("--labels", type=int, help="verify labels 0..K")
     p.add_argument("--trace", help="write the run trace to this JSON file")
     p.add_argument("--verify", action="store_true")
 

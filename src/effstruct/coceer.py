@@ -166,16 +166,16 @@ def init_coceer(E: int) -> CoceerState:
     return CoceerState(stage=0, columns=columns)
 
 
-def focus_schedule(E: int, budget: Optional[int] = None) -> Iterator[tuple[int, int]]:
-    """The focused stages 1..budget (unbounded for None) as (stage, e), in order.
+def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
+    """The focused stages 1..budget as (stage, e), in order.
 
     Stage w(w+1)/2 + e focuses column e for e <= w; it is focused when e < E.
     """
     w = 1
-    while budget is None or w * (w + 1) // 2 <= budget:
+    while w * (w + 1) // 2 <= budget:
         base = w * (w + 1) // 2
         for e in range(min(w + 1, E)):
-            if budget is not None and base + e > budget:
+            if base + e > budget:
                 return
             yield base + e, e
         w += 1

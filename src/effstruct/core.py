@@ -16,15 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import InputError
 
 
-def cantor_pair(e: int, n: int) -> int:
-    """Bijection omega x omega -> omega, (e, n) |-> (e+n)(e+n+1)/2 + e."""
-    if e < 0 or n < 0:
-        raise InputError("cantor_pair arguments must be nonnegative")
-    return (e + n) * (e + n + 1) // 2 + e
-
-
 def cantor_unpair(s: int) -> tuple[int, int]:
-    """Inverse of :func:`cantor_pair`: the pair ``(e, n)`` with ``cantor_pair(e, n) == s``."""
+    """The pair ``(e, n)`` with ``(e+n)(e+n+1)/2 + e == s``: the inverse of
+    the Cantor pairing, a bijection omega x omega -> omega."""
     if s < 0:
         raise InputError("stage index must be nonnegative")
     w = (math.isqrt(8 * s + 1) - 1) // 2

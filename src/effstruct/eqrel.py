@@ -3,13 +3,12 @@
 A :class:`Partition` is a union-find over ``[0, window)`` where elements
 never mentioned by a merge stay singletons.  A :class:`Character` records
 which class sizes occur with which (exact, finite) multiplicities; at this
-scale "infinitely many" is never asserted, callers restrict counting to a
-certified-stable set of classes instead.
+scale "infinitely many" is never asserted.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import is_nat
 from .errors import InputError
@@ -24,7 +23,6 @@ class Partition:
         self.window = window
         self.parent = list(range(window))
         self._size = [1] * window
-        self._min = list(range(window))
 
     @classmethod
     def from_classes(cls, window: int, classes: Iterable[Sequence[int]]) -> "Partition":
@@ -40,7 +38,7 @@ class Partition:
             root = min(members)
             for x in members:
                 parent[x] = root
-            p._size[root] = len(members)   # and p._min[root] is root already
+            p._size[root] = len(members)
         return p
 
     def _check(self, x: int) -> None:
@@ -69,10 +67,6 @@ class Partition:
             rx, ry = ry, rx
         self.parent[ry] = rx
         self._size[rx] += self._size[ry]
-        self._min[rx] = min(self._min[rx], self._min[ry])
-
-    def roots(self) -> list[int]:
-        return [x for x in range(self.window) if self.find(x) == x]
 
     def classes(self) -> list[list[int]]:
         """All classes, sorted by minimum, members ascending.
@@ -140,24 +134,11 @@ class Character:
         return f"Character({self.entries})"
 
 
-def character_of(p: Partition, stable_only: Optional[Iterable[int]] = None) -> Character:
-    """Size/count character of ``p``.
-
-    Only classes whose minimum lies in ``stable_only`` are counted
-    (all classes when it is None).  Construction snapshots contain
-    classes still subject to change; restricting to certified-stable
-    minima makes character comparison exact.
-    """
-    stable = None if stable_only is None else set(stable_only)
-    if stable is not None:
-        for x in stable:
-            if not 0 <= x < p.window:
-                raise InputError(f"stable element {x} outside window")
+def character_of(p: Partition) -> Character:
+    """Size/count character of ``p``: how many classes have each size."""
     tally: dict[int, int] = {}
-    for r in p.roots():
-        if stable is not None and p._min[r] not in stable:
-            continue
-        tally[p._size[r]] = tally.get(p._size[r], 0) + 1
+    for c in p.classes():
+        tally[len(c)] = tally.get(len(c), 0) + 1
     return Character(tally)
 
 

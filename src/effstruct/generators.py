@@ -67,26 +67,6 @@ def _script_without_class(rng: random.Random, k: int) -> CeerScript:
     return script
 
 
-def generate_family(seed: int, count: int) -> CeerFamily:
-    """Mixed family of scripts and churn generators.
-
-    A churn member at position e targets size 2e+2, the size the co-ceer
-    construction diagonalizes that column at, so generated families are
-    verifiable end to end.
-    """
-    if count < 1:
-        raise InputError("family needs at least one member")
-    rng = random.Random(seed)
-    members = []
-    for e in range(count):
-        if rng.random() < 0.3:
-            members.append(ChurnGenerator(2 * e + 2, rng.randint(2, 4)))
-        else:
-            events = _noise_events(rng, rng.randint(5, 20))
-            members.append(CeerScript(tuple(sorted(events, key=lambda ev: ev[0]))))
-    return CeerFamily(tuple(members))
-
-
 def generate_diagonalization_suite(seed: int) -> tuple[CeerFamily, dict[int, str]]:
     """Family for the diagonalization suite, columns 1..25 under test.
 

@@ -11,8 +11,8 @@ label eventually settles on k is exactly liminf_s g(k, s).
 
 A run keeps each label's members as a stack, with the stage at which each
 member took the label; the verifier reads only that live state.  The
-per-element history of labels and removals, which the ``--trace`` file and
-:func:`classify_history` read, is recorded only when the caller asks.
+per-element history of labels and removals is recorded only when the
+caller asks, for the ``--trace`` file; ``verify-all`` keeps none.
 """
 
 from __future__ import annotations
@@ -182,9 +182,6 @@ class PiTrace:
     since: tuple[tuple[int, ...], ...]
     transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]
 
-    def elements(self) -> list[int]:
-        return sorted(self.transitions)
-
 
 def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
     """Run ``stages`` stages; keep each element's history only if asked."""
@@ -200,30 +197,6 @@ def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
         since=tuple(map(tuple, st.since)),
         transitions=st.transitions if history else {},
     )
-
-
-def classify_history(trace: PiTrace, x: int) -> str:
-    """Classify an element's label history.
-
-    ``"a"``: labeled once and kept it.  ``"b"``: labeled, removed, then
-    relabeled with a strictly larger label it keeps.  ``"unstable"``:
-    removed and still awaiting its second label at the horizon.
-    """
-    hist = trace.transitions.get(x)
-    if not hist:
-        raise InputError(f"element {x} never appeared in the trace")
-    values = [v for _, v in hist]
-    if values[0] is None:
-        raise ConstructionBugError(f"element {x} removed before being labeled")
-    if len(hist) == 1:
-        return "a"
-    if len(hist) == 2 and values[1] is None:
-        return "unstable"
-    if len(hist) == 3 and values[1] is None and values[2] is not None:
-        if values[2] <= values[0]:
-            raise ConstructionBugError(f"element {x} relabeled downward: {values}")
-        return "b"
-    raise ConstructionBugError(f"element {x} has an impossible history {hist}")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ class VTable:
     """
 
     v: dict[int, int] = field(default_factory=dict)
-    defined_at: dict[int, int] = field(default_factory=dict)
     change_count: dict[int, int] = field(default_factory=dict)
     next_fresh: int = 0
     stage: int = 0
@@ -66,7 +65,6 @@ def _assign_fresh(t: VTable, value: int, stage: int) -> None:
     t.next_fresh += 1
     t.v[i] = value
     t.holders.setdefault(value, set()).add(i)
-    t.defined_at[i] = stage
     t.change_count[i] = 0
     t.events.append((stage, i, None, value))
 

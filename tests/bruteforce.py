@@ -10,6 +10,11 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 
+def bf_cantor_pair(e: int, n: int) -> int:
+    """Cantor pairing omega x omega -> omega, (e, n) |-> (e+n)(e+n+1)/2 + e."""
+    return (e + n) * (e + n + 1) // 2 + e
+
+
 def bf_equivalence_closure(n: int, pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Reflexive-symmetric-transitive closure of pairs on range(n)."""
     rel = {(i, i) for i in range(n)}
@@ -63,11 +68,9 @@ def bf_is_equivalence(n: int, rel: frozenset[tuple[int, int]]) -> bool:
     return True
 
 
-def bf_character(classes: Sequence[Sequence[int]], stable: Optional[set[int]] = None) -> dict[int, int]:
+def bf_character(classes: Sequence[Sequence[int]]) -> dict[int, int]:
     tally: dict[int, int] = {}
     for cls in classes:
-        if stable is not None and min(cls) not in stable:
-            continue
         tally[len(cls)] = tally.get(len(cls), 0) + 1
     return tally
 

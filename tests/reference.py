@@ -19,7 +19,9 @@ every x is visited at every stage, over state classes of their own.
 to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
 scan of the whole trace (:func:`ever_labeled`) and reads each element's
 history with :func:`stable_window_label` and :func:`label_at`, where the
-library reads only the live label stacks.  :func:`reference_materialize`
+library reads only the live label stacks.  :func:`classify_history` checks
+one element's history against the two guarantees that ``pi01_step`` checks
+online.  :func:`reference_materialize`
 builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time, and :func:`reference_block_classes` lists its classes member by
@@ -30,21 +32,24 @@ The snapshot oracles give a construction's relation at one stage as a
 :class:`Partition` of a finite window, merged pair by pair:
 :func:`runner_partition` and :func:`ceer_snapshot` for a family member,
 :func:`coceer_snapshot` for the co-ceer and :func:`snapshot_at` for a
-pi01 trace.
+pi01 trace.  :func:`generate_family` draws a mixed family of scripts and
+churn generators for the co-ceer tests.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
 from effstruct.blocks import block_offset
-from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript
+from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
 from effstruct.coceer import CoceerState, CoceerTrace, ColumnState, StageRecord
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
+from effstruct.generators import _noise_events
 from effstruct.pi01 import GTable, LabelCount, LiminfReport, PiTrace, required_stages_for
 from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
@@ -410,6 +415,30 @@ def stable_window_label(trace: PiTrace, x: int, start: int, end: int) -> Optiona
     return label
 
 
+def classify_history(trace: PiTrace, x: int) -> str:
+    """Classify an element's label history.
+
+    ``"a"``: labeled once and kept it.  ``"b"``: labeled, removed, then
+    relabeled with a strictly larger label it keeps.  ``"unstable"``:
+    removed and still awaiting its second label at the horizon.
+    """
+    hist = trace.transitions.get(x)
+    if not hist:
+        raise InputError(f"element {x} never appeared in the trace")
+    values = [v for _, v in hist]
+    if values[0] is None:
+        raise ConstructionBugError(f"element {x} removed before being labeled")
+    if len(hist) == 1:
+        return "a"
+    if len(hist) == 2 and values[1] is None:
+        return "unstable"
+    if len(hist) == 3 and values[1] is None and values[2] is not None:
+        if values[2] <= values[0]:
+            raise ConstructionBugError(f"element {x} relabeled downward: {values}")
+        return "b"
+    raise ConstructionBugError(f"element {x} has an impossible history {hist}")
+
+
 def snapshot_at(trace: PiTrace, s: int, window: Optional[int] = None) -> Partition:
     """R[s] as a partition: equal defined labels, singletons otherwise."""
     if window is None:
@@ -596,3 +625,21 @@ def partition_runs(p: Partition) -> list[list[tuple[int, int]]]:
                 runs.append([x, x + 1])
         out.append([(start, stop) for start, stop in runs])
     return out
+
+
+def generate_family(seed: int, count: int) -> CeerFamily:
+    """Mixed family of scripts and churn generators.
+
+    A churn member at position e targets size 2e+2, the size the co-ceer
+    construction diagonalizes that column at, so generated families are
+    verifiable end to end.
+    """
+    rng = random.Random(seed)
+    members = []
+    for e in range(count):
+        if rng.random() < 0.3:
+            members.append(ChurnGenerator(2 * e + 2, rng.randint(2, 4)))
+        else:
+            events = _noise_events(rng, rng.randint(5, 20))
+            members.append(CeerScript(tuple(sorted(events, key=lambda ev: ev[0]))))
+    return CeerFamily(tuple(members))

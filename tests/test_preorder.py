@@ -96,13 +96,13 @@ def test_materialize_skeleton():
 
 
 def test_materialize_threshold_facts():
-    t = VTable(v={0: 2}, defined_at={0: 1}, change_count={0: 0}, next_fresh=1, stage=2)
+    t = VTable(v={0: 2}, change_count={0: 0}, next_fresh=1, stage=2)
     snap = materialize(t, 1, 4)
     a0 = elem_a(0)
     assert _le(snap, elem_b(2), a0) and _le(snap, elem_b(3), a0)
     assert _incomparable(snap, a0, elem_b(0)) and _incomparable(snap, a0, elem_b(1))
     assert _incomparable_b_count(snap, 0) == snap.thresholds[0] == 2
-    zero = materialize(VTable(v={0: 0}, defined_at={0: 1}, change_count={0: 0}, next_fresh=1, stage=1), 1, 4)
+    zero = materialize(VTable(v={0: 0}, change_count={0: 0}, next_fresh=1, stage=1), 1, 4)
     assert all(_le(zero, elem_b(j), a0) for j in range(4))
     assert _incomparable_b_count(zero, 0) == zero.thresholds[0] == 0
     fresh = materialize(VTable(), 1, 4)
@@ -117,7 +117,6 @@ def test_materialize_matches_bruteforce_closure():
         for i in range(na):
             if rng.random() < 0.7:
                 t.v[i] = rng.randint(0, nb + 1)
-                t.defined_at[i] = 1
                 t.change_count[i] = 0
         t.next_fresh = na
         t.stage = 2
