@@ -12,12 +12,14 @@ Two member kinds are supported:
   class: it has no class of size k at all even though size-k classes
   appear at infinitely many stages.
 
-:class:`CeerRunner` follows one member stage by stage and publishes, for
-either kind, the classes of two or more elements.  A script is replayed
-once into one :class:`~effstruct.eqrel.Partition` sized by the elements
-it mentions, each event merged at its stage and nothing after the last
-one; a churn generator's classes come in closed form from the stage
-number, without simulating its merges.
+:class:`CeerRunner` follows one member stage by stage and answers, for
+either kind, whether a class of size k exists and which is the oldest.
+A script is replayed once into one :class:`~effstruct.eqrel.Partition`
+sized by the elements it mentions, each event merged at its stage and
+nothing after the last one; each merge updates an index from class size
+to class minima, so a query never scans the partition.  A churn
+generator's classes come in closed form from the stage number, without
+simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -26,6 +28,7 @@ untouched by any event are singletons.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -150,29 +153,30 @@ class CeerFamily:
 class CeerRunner:
     """Incremental stage simulator for one family member.
 
-    After :meth:`advance_to` both member kinds publish the same state:
-    ``classes``, the classes of two or more elements ordered by minimum
-    (members ascending), and for each class size the least minimum of
-    that size.  Every query reads only that state.
+    After :meth:`advance_to` both member kinds hold the same index: for
+    each size k >= 2, the minima of the classes of size k.  The queries
+    read only that index; :attr:`classes` is built on demand.
 
-    A churn generator takes its classes from
+    A churn generator indexes the classes of
     :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.  A script
     is replayed through a cursor over its sorted events into ``uf``, a
     :class:`Partition` with one slot per element the script mentions,
-    slots in increasing element order so class minima map straight back.
-    Each event is merged once, and the classes are rebuilt only at stages
-    where the cursor merged something.
+    slots in increasing element order.  Each event is merged once; a merge
+    that joins two classes moves their minima out of the index under their
+    old sizes and the joined class's minimum in under its new one.  The
+    least element of each class is kept at its root slot.
     """
 
     def __init__(self, member: FamilyMember):
         self.member = member
         self.stage = -1
-        self.classes: tuple[Sequence[int], ...] = ()
-        self._oldest: dict[int, int] = {}  # class size -> least minimum of that size
+        # class size >= 2 -> minima of the classes of that size (possibly none)
+        self._minima: dict[int, set[int]] = defaultdict(set)
         self._applied = 0  # script events already merged into uf
         events = member.events if isinstance(member, CeerScript) else ()
         self._elements = sorted({z for _, pair in events for z in pair})
         self._slot = {x: i for i, x in enumerate(self._elements)}
+        self._least = list(self._elements)  # root slot -> least element of its class
         self.uf = Partition(len(self._elements))
 
     def advance_to(self, stage: int) -> None:
@@ -181,19 +185,36 @@ class CeerRunner:
         self.stage = stage
         member = self.member
         if isinstance(member, ChurnGenerator):
-            self._publish(member.classes_after(stage))
+            self._minima = {len(c): {c[0]} for c in member.classes_after(stage)}
             return
         events, applied = member.events, self._applied
+        uf, slot, least, minima = self.uf, self._slot, self._least, self._minima
+        size = uf.size
         while applied < len(events) and events[applied][0] <= stage:
             for x, y in member.events_at(events[applied][0]):
-                self.uf.merge(self._slot[x], self._slot[y])
                 applied += 1
-        if applied > self._applied:
-            self._applied = applied
-            elements = self._elements
-            self._publish(tuple(
-                [elements[i] for i in c] for c in self.uf.classes() if len(c) > 1
-            ))
+                joined = uf.merge(slot[x], slot[y])
+                if joined is None:
+                    continue
+                survivor, absorbed = joined
+                total, size_b = size[survivor], size[absorbed]
+                a, b = least[survivor], least[absorbed]
+                if total - size_b > 1:  # singletons are not indexed
+                    minima[total - size_b].remove(a)
+                if size_b > 1:
+                    minima[size_b].remove(b)
+                if b < a:
+                    least[survivor] = a = b
+                minima[total].add(a)
+        self._applied = applied
+
+    @property
+    def classes(self) -> tuple[Sequence[int], ...]:
+        """The classes of two or more elements, by minimum, members ascending."""
+        if isinstance(self.member, ChurnGenerator):
+            return self.member.classes_after(self.stage)
+        elements = self._elements
+        return tuple([elements[i] for i in c] for c in self.uf.classes() if len(c) > 1)
 
     @property
     def next_event_stage(self) -> Optional[int]:
@@ -202,20 +223,15 @@ class CeerRunner:
             return None
         return self.member.events[self._applied][0]
 
-    def _publish(self, classes: tuple[Sequence[int], ...]) -> None:
-        self.classes = classes
-        self._oldest = {}
-        for c in classes:  # by minimum, so the first class of a size is its oldest
-            self._oldest.setdefault(len(c), c[0])
-
     def has_class_of_size(self, k: int) -> bool:
-        return k == 1 or k in self._oldest  # cofinitely many singletons in omega
+        return k == 1 or bool(self._minima.get(k))  # cofinitely many singletons in omega
 
     def oldest_class_min(self, k: int) -> Optional[int]:
         """The least minimum of a class of size k >= 2; None when there is none."""
         if k < 2:
             raise InputError(f"oldest class queries need size at least 2, not {k}")
-        return self._oldest.get(k)
+        minima = self._minima.get(k)
+        return min(minima) if minima else None
 
 
 def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:

@@ -3,7 +3,8 @@
 Exit codes: 0 when every requested verification succeeded, 1 when a
 construction failed verification, 2 on input errors (bad files, bad
 flags, or an insufficient stage horizon, reported with the budget that
-would have sufficed).
+would have sufficed).  A command verifies before it writes any file, so
+one that stops on an insufficient horizon writes nothing.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
     fam = family_from_json(_load_json(args.family))
     state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
                                           records=bool(args.trace))
+    reports = ([coceer_mod.verify_requirement(state, fam, e) for e in range(args.columns)]
+               if args.verify else None)
     if args.trace:
         _dump_json(args.trace, coceer_mod.trace_to_json(trace))
-    if not args.verify:
+    if reports is None:
         return EXIT_OK
-    reports = [coceer_mod.verify_requirement(state, fam, e) for e in range(args.columns)]
     for rep in reports:
         status = "ok" if rep.satisfied and rep.certified else "FAIL"
         print(
@@ -80,11 +82,11 @@ def _cmd_pi01(args: argparse.Namespace) -> int:
         raise InputError("--labels needs --verify")
     table = pi01.gtable_from_json(_load_json(args.g))
     trace = pi01.run_pi01(table, args.stages, history=bool(args.trace))
+    report = pi01.verify_liminf_counts(trace, table, args.labels or 0) if args.verify else None
     if args.trace:
         _dump_json(args.trace, pi01.trace_to_json(trace))
-    if not args.verify:
+    if report is None:
         return EXIT_OK
-    report = pi01.verify_liminf_counts(trace, table, args.labels or 0)
     for entry in report.entries:
         status = "ok" if entry.match else "FAIL"
         print(
@@ -99,12 +101,12 @@ def _cmd_preorder(args: argparse.Namespace) -> int:
         raise InputError("--horizon needs --verify")
     approx = delta02_from_json(_load_json(args.b))
     table = preorder.run_preorder(approx, args.stages)
+    horizon = args.horizon if args.horizon is not None else approx.width - 1
+    report = preorder.verify_claim(table, approx, horizon) if args.verify else None
     if args.snapshot:
         _dump_json(args.snapshot, preorder.snapshot_to_json(preorder.materialize(table)))
-    if not args.verify:
+    if report is None:
         return EXIT_OK
-    horizon = args.horizon if args.horizon is not None else approx.width - 1
-    report = preorder.verify_claim(table, approx, horizon)
     for entry in report.entries:
         status = "ok" if entry.ok else "FAIL"
         print(

@@ -8,21 +8,25 @@ scale "infinitely many" is never asserted.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import is_nat
 from .errors import InputError
 
 
 class Partition:
-    """Equivalence relation on [0, window) with merge and size queries."""
+    """Equivalence relation on [0, window) with merge and size queries.
+
+    ``size[r]`` is the size of the class rooted at r; at an element that
+    is no longer a root it keeps the size its class had when absorbed.
+    """
 
     def __init__(self, window: int):
         if window < 0:
             raise InputError("window must be nonnegative")
         self.window = window
         self.parent = list(range(window))
-        self._size = [1] * window
+        self.size = [1] * window
 
     @classmethod
     def from_classes(cls, window: int, classes: Iterable[Sequence[int]]) -> "Partition":
@@ -38,7 +42,7 @@ class Partition:
             root = min(members)
             for x in members:
                 parent[x] = root
-            p._size[root] = len(members)
+            p.size[root] = len(members)
         return p
 
     def _check(self, x: int) -> None:
@@ -57,16 +61,25 @@ class Partition:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def merge(self, x: int, y: int) -> None:
+    def merge(self, x: int, y: int) -> Optional[tuple[int, int]]:
+        """Join the classes of x and y; None when they already share one.
+
+        Otherwise returns ``(survivor, absorbed)``: the root of the joined
+        class and the root hung under it, that of the smaller class (of
+        y's on a tie).  The classes had sizes ``size[survivor] -
+        size[absorbed]`` and ``size[absorbed]``.
+        """
         self._check(x)
         self._check(y)
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
-            return
-        if self._size[rx] < self._size[ry]:
+            return None
+        size = self.size
+        if size[rx] < size[ry]:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        self._size[rx] += self._size[ry]
+        size[rx] += size[ry]
+        return rx, ry
 
     def classes(self) -> list[list[int]]:
         """All classes, sorted by minimum, members ascending.

@@ -85,6 +85,25 @@ def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
     assert "required stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pi01", "preorder"])
+def test_insufficient_horizon_writes_no_file(tmp_path, capsys, command):
+    """The verifier runs before the output file is written, so a run that
+    stops on its horizon leaves no file behind; a long enough run writes it."""
+    inputs = {
+        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8))),
+                 "--trace"],
+        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10))),
+                     "--snapshot"],
+    }
+    out = tmp_path / "out.json"
+    short, enough = {"pi01": ("5", "9"), "preorder": ("20", "31")}[command]
+    assert main([command, *inputs[command], str(out), "--stages", short, "--verify"]) == 2
+    assert "(required stages: " + enough + ")" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, *inputs[command], str(out), "--stages", enough, "--verify"]) == 0
+    assert out.exists()
+
+
 def test_negative_label_bound_is_exit_2(tmp_path, capsys):
     path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
     assert main(["pi01", "--g", path, "--stages", "5", "--labels", "-1", "--verify"]) == 2

@@ -62,6 +62,34 @@ def test_merge_sequences_stay_equivalences():
         assert rel == bf_equivalence_closure(n, pairs)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))))
+def test_merge_result_against_bruteforce(case):
+    """merge returns None for related elements; otherwise the roots of the
+    larger class (x's on a tie) and of the other, whose old sizes it leaves
+    readable from ``size``."""
+    n, pairs = case
+    p = Partition(n)
+    done = []
+    for x, y in pairs:
+        before = bf_classes(n, bf_equivalence_closure(n, done))
+        cx = next(c for c in before if x in c)
+        cy = next(c for c in before if y in c)
+        rx, ry = p.find(x), p.find(y)
+        joined = p.merge(x, y)
+        done.append((x, y))
+        if cx == cy:
+            assert joined is None
+            continue
+        survivor, absorbed = joined
+        assert (survivor, absorbed) == ((ry, rx) if len(cx) < len(cy) else (rx, ry))
+        assert p.size[survivor] == len(cx) + len(cy)
+        assert p.size[absorbed] == min(len(cx), len(cy))
+        assert p.find(x) == p.find(y) == survivor
+    assert p.classes() == bf_classes(n, bf_equivalence_closure(n, done))
+
+
 def _script_runner(pairs):
     """A runner that has merged ``pairs``, all at stage 1."""
     runner = CeerRunner(CeerScript(tuple((1, pair) for pair in pairs)))

@@ -96,6 +96,41 @@ def test_script_replay_matches_reference():
             assert ceer_snapshot(fam, 0, s, 8).classes() == ref.partition_classes(8)
 
 
+@st.composite
+def _scripts(draw):
+    """Scripts over a few elements with self-merges (x == y), repeated and
+    reversed pairs, and so merges inside a class that is already joined."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14))
+    pairs += [(x, x) for x in draw(st.lists(st.integers(0, 7), max_size=3))]
+    if pairs:
+        pairs += [(y, x) if flip else (x, y) for (x, y), flip in draw(
+            st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=5))]
+    stages = draw(st.lists(st.integers(0, 20), min_size=len(pairs), max_size=len(pairs)))
+    return CeerScript(tuple(sorted(zip(stages, pairs))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(
+    st.tuples(_scripts(), st.just(None)),
+    st.tuples(st.builds(ChurnGenerator, st.integers(2, 6), st.integers(1, 3)),
+              st.integers(0, 60)),
+))
+def test_runner_index_matches_reference_property(member_and_last):
+    """At every stage through one past the last event, the size index
+    answers every size query as the reference replay does, and the
+    on-demand classes are the reference's classes of two or more."""
+    member, last = member_and_last
+    if last is None:
+        last = member.last_event_stage
+    runner, ref = CeerRunner(member), ReferenceRunner(member)
+    for s in range(last + 2):
+        runner.advance_to(s)
+        ref.advance_to(s)
+        _assert_same_queries(runner, ref, range(1, len(ref.uf.class_of) + 2))
+        assert [list(c) for c in runner.classes] == \
+            sorted(sorted(c) for c in ref.uf.lists.values()), s
+
+
 def _reports(state, fam):
     return [verify_requirement(state, fam, e) for e in range(state.width)]
 
@@ -258,7 +293,7 @@ def test_run_coceer_operation_counts(monkeypatch):
 
     def counting_merge(uf, x, y):
         merges[id(uf)] = merges.get(id(uf), 0) + 1
-        original_merge(uf, x, y)
+        return original_merge(uf, x, y)
 
     class RecordingRunner(CeerRunner):
         def __init__(self, member):
@@ -287,6 +322,21 @@ def test_run_coceer_operation_counts(monkeypatch):
         assert dispatches[0] == focused == len(trace.records)
         assert advances[0] <= focused + event_stages + E
         assert queries[0] <= event_stages + 2 * E
+
+
+def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
+    """A run without records and the verification of every column, at the
+    size of the benchmark's diag workload, read class sizes from the
+    runners' index: no partition lists its classes, and each merge finds
+    the two roots it joins and nothing more."""
+    fam, _ = generate_diagonalization_suite(7)  # its generator lists classes
+    rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
+    finds = _count_calls(monkeypatch, eqrel.Partition, "find")
+    merges = _count_calls(monkeypatch, eqrel.Partition, "merge")
+    state, _ = run_coceer(fam, len(fam.members), 8000, records=False)
+    assert len(_reports(state, fam)) == 26
+    assert rebuilds[0] == 0
+    assert merges[0] > 0 and finds[0] == 2 * merges[0]
 
 
 def _assert_same_without_records(fam, E, budgets):
