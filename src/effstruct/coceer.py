@@ -57,15 +57,11 @@ budget.  There are two settle rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import attrgetter
 from typing import Iterator, Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
-# Unused here (focus_schedule walks the pairs in order), but
-# perfbench/layers.py patches coceer.cantor_unpair by name.
-from .core import cantor_unpair  # noqa: F401
-from .core import check_format, is_nat
+from .core import cantor_unpair, check_format, is_nat
 from .errors import InputError
 
 
@@ -272,14 +268,15 @@ def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -
     """Apply column e's focuses after diagonal w through ``budget`` in closed
     form, each taking ``case``; returns the last focused stage.
 
-    The last focus by ``budget`` lies on the diagonal W =
-    (isqrt(8(budget - e) + 1) - 1) // 2, so m = W - w focuses remain.  Each
-    adds one to ``next_free`` and leaves the flag off.  A case-4 focus
-    exiles the next_free and keeps the extra, so m of them end on
+    The last focus by ``budget`` lies on the largest diagonal W with
+    W(W+1)/2 + e <= budget, which is the diagonal of stage budget - e (the
+    sum of its Cantor pair), so m = W - w focuses remain.  Each adds one to
+    ``next_free`` and leaves the flag off.  A case-4 focus exiles the
+    next_free and keeps the extra, so m of them end on
     ``last_case4_stage``; a case-3 focus recruits the next_free and exiles
     the old extra, so after m of them the extra is one below ``next_free``.
     """
-    W = (isqrt(8 * (budget - e) + 1) - 1) // 2
+    W = sum(cantor_unpair(budget - e))
     m, last = W - w, W * (W + 1) // 2 + e
     col.next_free += m
     if case == 4:
@@ -387,6 +384,14 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
     that stage, which is above v since next_free never falls; so the two
     extras differ.  No case removes I (:class:`ColumnState`), so across any
     two case-3 stages the witnesses kept throughout are exactly I.
+
+    ``r_e_has_size_k`` comes from a fresh replay of the member
+    (:func:`limit_has_class_of_size`), not from the run's runner.  After the
+    quiescence stage the run's own ``has_k`` decided case 4 against the
+    extra, so reading the limit from the run would make ``satisfied`` true
+    by construction for every certified column, and the check would test
+    nothing.  The replay is the price of an independent check (about a
+    fifth of a ``coceer --verify`` call on the 26-column suite).
     """
     if not 0 <= e < state.width:
         raise InputError(f"column {e} out of range")
@@ -416,16 +421,8 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
 
 
 def report_to_json(report: RequirementReport) -> dict:
-    return {
-        "e": report.e,
-        "k": report.k,
-        "kind": report.kind,
-        "witness_class_size": report.witness_class_size,
-        "r_e_has_size_k": report.r_e_has_size_k,
-        "satisfied": report.satisfied,
-        "certified": report.certified,
-        "y_limit": list(report.y_limit),
-    }
+    # vars, not dataclasses.asdict, which deep-copies every field one by one
+    return {**vars(report), "y_limit": list(report.y_limit)}
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:

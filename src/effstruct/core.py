@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -68,12 +68,6 @@ class UPSeq:
             raise InputError("period must be nonempty")
 
 
-class SeqLimits(NamedTuple):
-    liminf: int
-    limsup: int
-    limit: Optional[int]
-
-
 def upseq_eval(q: UPSeq, s: int) -> int:
     """Value of the sequence at index ``s``."""
     if s < 0:
@@ -81,17 +75,6 @@ def upseq_eval(q: UPSeq, s: int) -> int:
     if s < len(q.prefix):
         return q.prefix[s]
     return q.period[(s - len(q.prefix)) % len(q.period)]
-
-
-def upseq_limits(q: UPSeq) -> SeqLimits:
-    """Exact liminf / limsup / limit of the sequence.
-
-    The prefix is irrelevant: liminf is the minimum of the period,
-    limsup the maximum, and a limit exists iff the period is constant.
-    """
-    lo = min(q.period)
-    hi = max(q.period)
-    return SeqLimits(lo, hi, lo if lo == hi else None)
 
 
 def upseq_to_json(q: UPSeq) -> dict:
@@ -130,7 +113,7 @@ class Delta02SetApprox:
                 raise InputError(f"column {x} is not {{0,1}}-valued")
             if len(set(col.period)) != 1:
                 raise InputError(f"column {x} has a non-constant period; no limit")
-        if upseq_limits(self.columns[0]).limit != 0:
+        if self.limit(0) != 0:
             raise InputError("column 0 must have limit 0 (the set never contains 0)")
 
     @property
@@ -149,9 +132,7 @@ class Delta02SetApprox:
             raise InputError("set element must be nonnegative")
         if x >= self.width:
             return 0
-        lim = upseq_limits(self.columns[x]).limit
-        assert lim is not None  # guaranteed by validation
-        return lim
+        return self.columns[x].period[0]   # the period is constant
 
     def members(self, bound: int) -> frozenset[int]:
         """B restricted to [0, bound]."""

@@ -69,8 +69,6 @@ class Partition:
         y's on a tie).  The classes had sizes ``size[survivor] -
         size[absorbed]`` and ``size[absorbed]``.
         """
-        self._check(x)
-        self._check(y)
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_limits, upseq_to_json,
+    UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_to_json,
 )
 from .errors import ConstructionBugError, HorizonError, InputError
 
@@ -63,7 +63,7 @@ class GTable:
             raise InputError("label index must be nonnegative")
         if k >= self.width:
             return 1
-        return upseq_limits(self.columns[k]).liminf
+        return min(self.columns[k].period)
 
     def column_shape(self, k: int) -> tuple[int, int]:
         """(prefix length, period length), with defaults past the width."""
@@ -172,13 +172,12 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
 
 @dataclass(frozen=True)
 class PiTrace:
-    """The end of a run: each label's stack with its label stages (as in
-    :class:`LabelState`), the window after every stage, and the
+    """The end of a run: the stages at which each label's members took it
+    (``LabelState.since``), the window after every stage, and the
     per-element history, which is empty unless the run kept it."""
 
     stages: int
     windows: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
     since: tuple[tuple[int, ...], ...]
     transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]
 
@@ -193,7 +192,6 @@ def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
     return PiTrace(
         stages=stages,
         windows=tuple(st.windows),
-        members=tuple(map(tuple, st.members)),
         since=tuple(map(tuple, st.since)),
         transitions=st.transitions if history else {},
     )
@@ -210,16 +208,6 @@ class LabelCount:
         return self.expected == self.observed
 
 
-@dataclass(frozen=True)
-class LiminfReport:
-    entries: tuple[LabelCount, ...]
-    required_stages: int
-
-    @property
-    def all_match(self) -> bool:
-        return all(entry.match for entry in self.entries)
-
-
 def required_stages_for(g: GTable, K: int) -> int:
     """Horizon past which every label up to K is certified stable.
 
@@ -233,8 +221,9 @@ def required_stages_for(g: GTable, K: int) -> int:
     return K + 1 + worst
 
 
-def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
-    """Compare certified-stable label counts against the exact liminfs.
+def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount, ...]:
+    """Compare certified-stable label counts against the exact liminfs,
+    one :class:`LabelCount` per label 0..K.
 
     An element counts for label k if it holds that label throughout the
     final window [start, stages], start = stages - 2 * perlen, of two full
@@ -266,7 +255,7 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
         _, perlen = g.column_shape(k)
         observed = bisect_right(trace.since[k], trace.stages - 2 * perlen)
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
-    return LiminfReport(entries=tuple(entries), required_stages=required)
+    return tuple(entries)
 
 
 def gtable_to_json(g: GTable) -> dict:
@@ -294,7 +283,7 @@ def trace_to_json(trace: PiTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> PiTrace:
-    """Decode a trace and rebuild each label's stack from the histories.
+    """Decode a trace and rebuild each label's stages from the histories.
 
     Every history is one to three entries, at strictly increasing stages in
     [1, stages], each label below its stage (stage s opens label s - 1);
@@ -331,12 +320,11 @@ def trace_from_json(obj: object) -> PiTrace:
                 stacks[v].append((x, s))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
-    members, since = [], []
+    since = []
     for k, stack in enumerate(stacks):
         stack.sort()
         if any(a[1] > b[1] for a, b in zip(stack, stack[1:])):
             raise InputError(f"trace label {k}: a greater member took the label earlier")
-        members.append(tuple(x for x, _ in stack))
         since.append(tuple(s for _, s in stack))
-    return PiTrace(stages=stages, windows=tuple(windows), members=tuple(members),
-                   since=tuple(since), transitions=transitions)
+    return PiTrace(stages=stages, windows=tuple(windows), since=tuple(since),
+                   transitions=transitions)

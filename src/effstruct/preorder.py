@@ -189,7 +189,6 @@ class ClaimReport:
     zero_count_ok: bool
     fingerprint_values: tuple[int, ...]
     expected_members: tuple[int, ...]
-    required_stages: int
 
     @property
     def fingerprint_match(self) -> bool:
@@ -240,7 +239,6 @@ def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport
         zero_count_ok=zero_count >= horizon_x,
         fingerprint_values=fp,
         expected_members=expected,
-        required_stages=required,
     )
 
 

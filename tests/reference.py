@@ -50,7 +50,7 @@ from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
 from effstruct.generators import _noise_events
-from effstruct.pi01 import GTable, LabelCount, LiminfReport, PiTrace, required_stages_for
+from effstruct.pi01 import GTable, LabelCount, PiTrace
 from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
 
@@ -471,7 +471,7 @@ def reference_required_stages_for(g: GTable, K: int) -> int:
     return K + 1 + worst
 
 
-def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfReport:
+def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount, ...]:
     """The liminf verifier by the trace-scanning rule: for each label, every
     element that ever held it (:func:`ever_labeled`) is checked with
     :func:`stable_window_label` over the final window.
@@ -489,7 +489,7 @@ def reference_verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> LiminfR
             if stable_window_label(trace, x, start, trace.stages) == k
         )
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
-    return LiminfReport(entries=tuple(entries), required_stages=required_stages_for(g, K))
+    return tuple(entries)
 
 
 @dataclass

@@ -330,6 +330,23 @@ def test_coceer_output_files_are_pinned(tmp_path):
         "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955"
 
 
+@pytest.mark.parametrize("stages, code, fails, digest", [
+    (120, 1, 24, "8a2c6be175f9519c34158937e04a3543a42d7d3cfb9f5f57af8d26901c95a9be"),
+    (300, 1, 9, "1ddc8eb7739bcee8448e4cf690fd122deda22bdc57db26d55efa9314047bb749"),
+    (3000, 0, 0, "b447b56dda7f8c370d40ff9abd4610ed4888fe0ea2dbd2398e2b7e02f47fbf71"),
+])
+def test_coceer_short_budget_verdicts_are_pinned(tmp_path, capsys, stages, code, fails, digest):
+    # a change to a certificate or a settle rule must leave the verdicts of
+    # budgets too short for some columns alone
+    fam, _ = generate_diagonalization_suite(7)
+    fam_path = _write(tmp_path / "fam.json", family_to_json(fam))
+    assert main(["coceer", "--family", fam_path, "--columns", "26",
+                 "--stages", str(stages), "--verify"]) == code
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == fails
+    assert _sha(out.encode()) == digest
+
+
 def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     # a faster stepper must leave the trace, snapshot and verdict bytes alone
     g_path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8)))

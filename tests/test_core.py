@@ -12,10 +12,10 @@ from effstruct.core import (
     delta02_to_json,
     upseq_eval,
     upseq_from_json,
-    upseq_limits,
     upseq_to_json,
 )
 from effstruct.errors import InputError
+from effstruct.pi01 import GTable
 
 from bruteforce import bf_cantor_pair
 
@@ -64,11 +64,16 @@ def test_upseq_validation():
         upseq_eval(UPSeq((), (1,)), -1)
 
 
-def test_upseq_limits_examples():
-    assert upseq_limits(UPSeq((), (2,))) == (2, 2, 2)
-    assert upseq_limits(UPSeq((), (1, 5))) == (1, 5, None)
-    # prefix is ignored in the limit
-    assert upseq_limits(UPSeq((9,), (3, 3))) == (3, 3, 3)
+def test_liminf_and_limit_examples():
+    g = GTable((UPSeq((), (2,)), UPSeq((), (1, 5)), UPSeq((9,), (3, 3))))
+    # the prefix is ignored in the liminf; past the width columns are constant 1
+    assert [g.liminf(k) for k in range(4)] == [2, 1, 3, 1]
+    with pytest.raises(InputError):
+        g.liminf(-1)
+    b = Delta02SetApprox((UPSeq((1,), (0,)), UPSeq((0, 0), (1, 1)), UPSeq((), (0,))))
+    assert [b.limit(x) for x in range(4)] == [0, 1, 0, 0]
+    with pytest.raises(InputError):
+        b.limit(-1)
 
 
 @settings(deadline=None, max_examples=200)
@@ -88,16 +93,14 @@ def test_upseq_periodicity(prefix, period, s):
     st.lists(st.integers(0, 9), max_size=8),
     st.lists(st.integers(0, 9), min_size=1, max_size=6),
 )
-def test_upseq_limits_against_scan(prefix, period):
-    q = UPSeq(tuple(prefix), tuple(period))
+def test_liminf_and_limit_against_scan(prefix, period):
+    q = UPSeq(tuple(v + 1 for v in prefix), tuple(v + 1 for v in period))
     tail = [upseq_eval(q, s) for s in range(len(prefix), len(prefix) + 10 * len(period))]
-    lims = upseq_limits(q)
-    assert lims.liminf == min(tail)
-    assert lims.limsup == max(tail)
-    if lims.limit is not None:
-        assert all(v == lims.limit for v in tail)
-    else:
-        assert len(set(tail)) > 1
+    assert GTable((q,)).liminf(0) == min(tail)
+    # a binary column with a constant period: the limit is every tail value
+    bit = UPSeq(tuple(v % 2 for v in prefix), (period[0] % 2,) * len(period))
+    b = Delta02SetApprox((UPSeq((), (0,)), bit))
+    assert {b.limit(1)} == {upseq_eval(bit, s) for s in range(len(prefix), len(prefix) + 10)}
 
 
 def test_upseq_json_round_trip():
