@@ -29,24 +29,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import check_format, is_nat
+from .core import Record, check_format, is_nat
 from .eqrel import Partition
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class CeerScript:
+class CeerScript(Record):
     """Finite merge schedule: ((stage, (x, y)), ...) sorted by stage."""
 
-    events: tuple[tuple[int, tuple[int, int]], ...]
+    __slots__ = ("events",)
 
-    def __post_init__(self):
+    def __init__(self, events: Sequence[tuple[int, tuple[int, int]]]):
         norm = []
         last_stage = 0
-        for ev in self.events:
+        for ev in events:
             try:
                 stage, (x, y) = ev
             except (TypeError, ValueError) as exc:
@@ -57,7 +55,7 @@ class CeerScript:
                 raise InputError("script events must be sorted by stage")
             last_stage = stage
             norm.append((stage, (x, y)))
-        object.__setattr__(self, "events", tuple(norm))
+        self.events = tuple(norm)
 
     @property
     def last_event_stage(self) -> int:
@@ -69,8 +67,7 @@ class CeerScript:
         return [m for _, m in self.events[lo:hi]]
 
 
-@dataclass(frozen=True)
-class ChurnGenerator:
+class ChurnGenerator(Record):
     """Infinite generator churning the oldest class of one target size.
 
     Round r forms the block {1 + r*k, ..., (r+1)*k} at stage
@@ -81,14 +78,14 @@ class ChurnGenerator:
     :meth:`events_at` lists the merges only for independent replays.
     """
 
-    target_size: int
-    block_spacing: int
+    __slots__ = ("target_size", "block_spacing")
 
-    def __post_init__(self):
-        if not is_nat(self.target_size) or self.target_size < 2:
+    def __init__(self, target_size: int, block_spacing: int):
+        if not is_nat(target_size) or target_size < 2:
             raise InputError("churn target size must be an integer of at least 2")
-        if not is_nat(self.block_spacing) or self.block_spacing < 1:
+        if not is_nat(block_spacing) or block_spacing < 1:
             raise InputError("block spacing must be an integer of at least 1")
+        self.target_size, self.block_spacing = target_size, block_spacing
 
     def round_base(self, r: int) -> int:
         return 1 + r * self.target_size
@@ -132,14 +129,13 @@ class ChurnGenerator:
 FamilyMember = Union[CeerScript, ChurnGenerator]
 
 
-@dataclass(frozen=True)
-class CeerFamily:
+class CeerFamily(Record):
     """Finite indexed family; index e addresses members[e]."""
 
-    members: tuple[FamilyMember, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, members: Sequence[FamilyMember]):
+        self.members = tuple(members)
         for m in self.members:
             if not isinstance(m, (CeerScript, ChurnGenerator)):
                 raise InputError(f"bad family member {m!r}")

@@ -10,6 +10,7 @@ one that stops on an insufficient horizon writes nothing.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -266,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Parse ``argv`` and run its subcommand; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # what the imports built lives until exit: frozen, no collection in the command walks it
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         return args.handler(args)
     except HorizonError as exc:
@@ -277,6 +282,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EffstructError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

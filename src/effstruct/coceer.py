@@ -56,17 +56,15 @@ budget.  There are two settle rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
-from .core import cantor_unpair, check_format, is_nat
+from .core import Record, cantor_unpair, check_format, is_nat
 from .errors import InputError
 
 
-@dataclass
-class ColumnState:
+class ColumnState(Record):
     """Per-column bookkeeping for one requirement.
 
     The witnesses are the initial segment {1, ..., base} plus ``extra``
@@ -94,12 +92,14 @@ class ColumnState:
       element above the witnesses: the next recruit.
     """
 
-    k: int                      # target class size
-    next_free: int
-    extra: Optional[int] = None
-    flag: bool = False
-    case3_count: int = 0
-    last_case4_stage: Optional[int] = None
+    __slots__ = ("k", "next_free", "extra", "flag", "case3_count", "last_case4_stage")
+    __hash__ = None
+
+    def __init__(self, k: int, next_free: int, extra: Optional[int] = None, flag: bool = False,
+                 case3_count: int = 0, last_case4_stage: Optional[int] = None):
+        self.k = k                  # target class size
+        self.next_free, self.extra, self.flag = next_free, extra, flag
+        self.case3_count, self.last_case4_stage = case3_count, last_case4_stage
 
     @property
     def base(self) -> int:
@@ -113,45 +113,46 @@ class ColumnState:
         return initial if self.extra is None else initial + (self.extra,)
 
 
-@dataclass
-class CoceerState:
-    stage: int                  # the construction has run through this stage
-    columns: list[ColumnState]
+class CoceerState(Record):
+    __slots__ = ("stage", "columns")
+    __hash__ = None
+
+    def __init__(self, stage: int, columns: list[ColumnState]):
+        self.stage = stage          # the construction has run through this stage
+        self.columns = columns
 
     @property
     def width(self) -> int:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    stage: int
-    e: int
-    case: int                   # 1..4
-    witnesses: tuple[int, ...]
-    flag: bool
-    exiled: tuple[tuple[int, int], ...]
+class StageRecord(Record):
+    __slots__ = ("stage", "e", "case", "witnesses", "flag", "exiled")
+
+    def __init__(self, stage: int, e: int, case: int, witnesses: tuple[int, ...], flag: bool,
+                 exiled: tuple[tuple[int, int], ...]):
+        self.stage, self.e, self.case = stage, e, case   # case 1..4
+        self.witnesses, self.flag, self.exiled = witnesses, flag, exiled
 
 
-@dataclass(frozen=True)
-class CoceerTrace:
+class CoceerTrace(Record):
     """One record per focused stage in 1..stages, in stage order."""
 
-    columns: int
-    stages: int
-    records: tuple[StageRecord, ...]
+    __slots__ = ("columns", "stages", "records")
+
+    def __init__(self, columns: int, stages: int, records: tuple[StageRecord, ...]):
+        self.columns, self.stages, self.records = columns, stages, records
 
 
-@dataclass(frozen=True)
-class RequirementReport:
-    e: int
-    k: int
-    kind: str                   # "script" or "churn"
-    witness_class_size: int
-    r_e_has_size_k: bool
-    satisfied: bool
-    certified: bool
-    y_limit: tuple[int, ...]
+class RequirementReport(Record):
+    __slots__ = ("e", "k", "kind", "witness_class_size", "r_e_has_size_k", "satisfied",
+                 "certified", "y_limit")
+
+    def __init__(self, e: int, k: int, kind: str, witness_class_size: int, r_e_has_size_k: bool,
+                 satisfied: bool, certified: bool, y_limit: tuple[int, ...]):
+        self.e, self.k, self.kind = e, k, kind      # kind "script" or "churn"
+        self.witness_class_size, self.r_e_has_size_k = witness_class_size, r_e_has_size_k
+        self.satisfied, self.certified, self.y_limit = satisfied, certified, y_limit
 
 
 def init_coceer(E: int) -> CoceerState:
@@ -421,8 +422,7 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
 
 
 def report_to_json(report: RequirementReport) -> dict:
-    # vars, not dataclasses.asdict, which deep-copies every field one by one
-    return {**vars(report), "y_limit": list(report.y_limit)}
+    return {**{f: getattr(report, f) for f in report._fields}, "y_limit": list(report.y_limit)}
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:

@@ -10,7 +10,7 @@ and a limit exists precisely when the period is constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import InputError
@@ -50,20 +50,48 @@ def _as_nat_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class UPSeq:
+class Record:
+    """Value semantics over ``__slots__``, as a dataclass would give them.
+
+    Records of the same type are equal when their fields are, hash by
+    them and print as ``Name(field=value, ...)``.  The fields are the
+    slots, unless the class declares ``_fields`` to leave out a cache or
+    an index; a mutable record sets ``__hash__ = None``.  A dataclass
+    would compile these methods with ``exec`` at every import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields", cls.__slots__)
+        # an attrgetter, not a method: _key(record) is its field value(s)
+        cls._fields, cls._key = fields, attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class UPSeq(Record):
     """Ultimately periodic sequence of naturals.
 
     ``value(s)`` is ``prefix[s]`` for ``s < len(prefix)`` and cycles
     through ``period`` afterwards.  The period must be nonempty.
     """
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", _as_nat_tuple(self.prefix, "prefix"))
-        object.__setattr__(self, "period", _as_nat_tuple(self.period, "period"))
+    def __init__(self, prefix: Sequence[int], period: Sequence[int]):
+        self.prefix = _as_nat_tuple(prefix, "prefix")
+        self.period = _as_nat_tuple(period, "period")
         if not self.period:
             raise InputError("period must be nonempty")
 
@@ -90,8 +118,7 @@ def upseq_from_json(obj: object) -> UPSeq:
     return UPSeq(tuple(prefix), tuple(period))
 
 
-@dataclass(frozen=True)
-class Delta02SetApprox:
+class Delta02SetApprox(Record):
     """Binary limit approximation of a set B with 0 not in B.
 
     Each column is {0,1}-valued with a constant period, so the limit
@@ -100,10 +127,10 @@ class Delta02SetApprox:
     declared column range.
     """
 
-    columns: tuple[UPSeq, ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+    def __init__(self, columns: Sequence[UPSeq]):
+        self.columns = tuple(columns)
         if not self.columns:
             raise InputError("a set approximation needs at least column 0")
         for x, col in enumerate(self.columns):

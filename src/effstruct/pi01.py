@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
-    UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_to_json,
+    Record, UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_to_json,
 )
 from .errors import ConstructionBugError, HorizonError, InputError
 
 
-@dataclass(frozen=True)
-class GTable:
+class GTable(Record):
     """Class-size approximation table; all values >= 1.
 
     Column k is consulted from stage k+2 onward.  Columns beyond the
@@ -37,10 +35,10 @@ class GTable:
     construction is total for any stage budget.
     """
 
-    columns: tuple[UPSeq, ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+    def __init__(self, columns: Sequence[UPSeq]):
+        self.columns = tuple(columns)
         for k, col in enumerate(self.columns):
             if not isinstance(col, UPSeq):
                 raise InputError("table columns must be UPSeq values")
@@ -73,8 +71,7 @@ class GTable:
         return len(col.prefix), len(col.period)
 
 
-@dataclass
-class LabelState:
+class LabelState(Record):
     """The live labeling, and the transition history when one is kept.
 
     ``members[k]`` is label k's stack: the elements holding k in the order
@@ -96,13 +93,16 @@ class LabelState:
     are.
     """
 
-    members: list[list[int]] = field(default_factory=list)
-    since: list[list[int]] = field(default_factory=list)
-    removed_pending: list[int] = field(default_factory=list)
-    next_fresh: int = 0
-    stage: int = 0
-    windows: list[int] = field(default_factory=lambda: [0])
-    transitions: Optional[dict[int, tuple[tuple[int, Optional[int]], ...]]] = None
+    __slots__ = ("members", "since", "removed_pending", "next_fresh", "stage", "windows",
+                 "transitions")
+    __hash__ = None
+
+    def __init__(self, transitions: Optional[dict[int, tuple]] = None):
+        self.members: list[list[int]] = []
+        self.since: list[list[int]] = []
+        self.removed_pending: list[int] = []
+        self.next_fresh, self.stage, self.windows = 0, 0, [0]
+        self.transitions = transitions
 
 
 def pi01_step(st: LabelState, g: GTable) -> LabelState:
@@ -170,16 +170,16 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
     return st
 
 
-@dataclass(frozen=True)
-class PiTrace:
+class PiTrace(Record):
     """The end of a run: the stages at which each label's members took it
     (``LabelState.since``), the window after every stage, and the
     per-element history, which is empty unless the run kept it."""
 
-    stages: int
-    windows: tuple[int, ...]
-    since: tuple[tuple[int, ...], ...]
-    transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]
+    __slots__ = ("stages", "windows", "since", "transitions")
+
+    def __init__(self, stages: int, windows: tuple[int, ...], since: tuple[tuple[int, ...], ...],
+                 transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]):
+        self.stages, self.windows, self.since, self.transitions = stages, windows, since, transitions
 
 
 def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
@@ -197,11 +197,11 @@ def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
     )
 
 
-@dataclass(frozen=True)
-class LabelCount:
-    label: int
-    expected: int
-    observed: int
+class LabelCount(Record):
+    __slots__ = ("label", "expected", "observed")
+
+    def __init__(self, label: int, expected: int, observed: int):
+        self.label, self.expected, self.observed = label, expected, observed
 
     @property
     def match(self) -> bool:

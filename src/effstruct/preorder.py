@@ -14,11 +14,9 @@ in the limit the set of positive thresholds equals B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
-from .core import Delta02SetApprox, check_format, is_nat
+from .core import Delta02SetApprox, Record, check_format, is_nat
 from .errors import ConstructionBugError, HorizonError, InputError
 
 ELEM_C = "c"
@@ -33,8 +31,7 @@ def elem_b(j: int) -> str:
     return f"b{j}"
 
 
-@dataclass
-class VTable:
+class VTable(Record):
     """Threshold assignments v(i) with their change discipline.
 
     ``holders`` indexes ``v`` by value and is built from ``v`` at
@@ -44,15 +41,18 @@ class VTable:
     would go unseen by it.
     """
 
-    v: dict[int, int] = field(default_factory=dict)
-    change_count: dict[int, int] = field(default_factory=dict)
-    next_fresh: int = 0
-    stage: int = 0
-    events: list[tuple[int, int, Optional[int], int]] = field(default_factory=list)
-    holders: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("v", "change_count", "next_fresh", "stage", "events", "holders")
+    _fields = __slots__[:-1]
+    __hash__ = None
 
-    def __post_init__(self):
-        self.holders = {}
+    def __init__(self, v: Optional[dict[int, int]] = None,
+                 change_count: Optional[dict[int, int]] = None, next_fresh: int = 0,
+                 stage: int = 0):
+        self.v = {} if v is None else v
+        self.change_count = {} if change_count is None else change_count
+        self.next_fresh, self.stage = next_fresh, stage
+        self.events: list[tuple[int, int, Optional[int], int]] = []
+        self.holders: dict[int, set[int]] = {}
         for i, val in self.v.items():
             self.holders.setdefault(val, set()).add(i)
 
@@ -117,8 +117,7 @@ def run_preorder(gB: Delta02SetApprox, stages: int) -> VTable:
     return t
 
 
-@dataclass(frozen=True)
-class PreorderSnapshot:
+class PreorderSnapshot(Record):
     """The order on {c, d} union {a_i : i < na} union {b_j : j < nb}.
 
     The skeleton is fixed: c <= a_i, b_j <= d, and b_j <= b_jj for
@@ -129,18 +128,26 @@ class PreorderSnapshot:
     equal exactly when their ``leq`` sets are.
     """
 
-    na: int
-    nb: int
-    thresholds: tuple[int, ...]
+    __slots__ = ("na", "nb", "thresholds", "_leq")
+    _fields = __slots__[:-1]
+
+    def __init__(self, na: int, nb: int, thresholds: tuple[int, ...]):
+        self.na, self.nb, self.thresholds = na, nb, thresholds
+        self._leq: Optional[frozenset[tuple[str, str]]] = None
 
     def elements(self) -> list[str]:
         return [ELEM_C, ELEM_D] + [elem_a(i) for i in range(self.na)] + [
             elem_b(j) for j in range(self.nb)
         ]
 
-    @cached_property
+    @property
     def leq(self) -> frozenset[tuple[str, str]]:
-        """Every pair x <= y, O(na*nb + nb^2) of them."""
+        """Every pair x <= y, O(na*nb + nb^2) of them, built on first read."""
+        if self._leq is None:
+            self._leq = self._order()
+        return self._leq
+
+    def _order(self) -> frozenset[tuple[str, str]]:
         a = [elem_a(i) for i in range(self.na)]
         b = [elem_b(j) for j in range(self.nb)]
         pairs = {(z, z) for z in self.elements()}
@@ -171,24 +178,25 @@ def fingerprint(t: VTable) -> set[int]:
     return {val for val in t.v.values() if val >= 1}
 
 
-@dataclass(frozen=True)
-class ClaimEntry:
-    x: int
-    in_b: bool
-    holders: tuple[int, ...]
+class ClaimEntry(Record):
+    __slots__ = ("x", "in_b", "holders")
+
+    def __init__(self, x: int, in_b: bool, holders: tuple[int, ...]):
+        self.x, self.in_b, self.holders = x, in_b, holders
 
     @property
     def ok(self) -> bool:
         return len(self.holders) == (1 if self.in_b else 0)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    entries: tuple[ClaimEntry, ...]
-    zero_count: int
-    zero_count_ok: bool
-    fingerprint_values: tuple[int, ...]
-    expected_members: tuple[int, ...]
+class ClaimReport(Record):
+    __slots__ = ("entries", "zero_count", "zero_count_ok", "fingerprint_values",
+                 "expected_members")
+
+    def __init__(self, entries: tuple[ClaimEntry, ...], zero_count: int, zero_count_ok: bool,
+                 fingerprint_values: tuple[int, ...], expected_members: tuple[int, ...]):
+        self.entries, self.zero_count, self.zero_count_ok = entries, zero_count, zero_count_ok
+        self.fingerprint_values, self.expected_members = fingerprint_values, expected_members
 
     @property
     def fingerprint_match(self) -> bool:

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +446,26 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys, family_file):
     for argv in commands:
         assert main(argv) == 2, argv
         assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+_STARTUP_PROBE = """
+import json, sys
+import effstruct.cli, effstruct.generators
+mods = [m for name, m in sys.modules.items() if name.startswith("effstruct")]
+print(json.dumps({
+    "loaded": sorted({"dataclasses", "inspect"} & sys.modules.keys()),
+    "dataclasses": sorted(c.__qualname__ for m in mods for c in vars(m).values()
+                          if isinstance(c, type) and hasattr(c, "__dataclass_fields__")),
+}))
+"""
+
+
+def test_startup_loads_no_dataclasses():
+    """A fresh interpreter importing the CLI loads neither ``dataclasses`` nor
+    ``inspect``, and builds no dataclass: both cost start-up in every
+    process (README, start-up).  ``-S`` keeps site hooks out of the count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", _STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"loaded": [], "dataclasses": []}

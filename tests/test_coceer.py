@@ -1,12 +1,12 @@
 """Co-ceer diagonalization: stage cases, certification, and limit behavior."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
+    CoceerTrace,
     ColumnState,
     init_coceer,
     run_coceer,
@@ -135,7 +135,8 @@ def test_shorter_run_is_prefix_of_longer_run():
         state, trace = run_coceer(fam, 3, stage)
         assert trace.records == tuple(r for r in full.records if r.stage <= stage)
         assert state.stage == stage
-        assert run_coceer(fam, 3, stage, records=False) == (state, replace(trace, records=()))
+        assert run_coceer(fam, 3, stage, records=False) == (
+            state, CoceerTrace(trace.columns, trace.stages, ()))
     suite, _ = generate_diagonalization_suite(7)
     E = len(suite.members)
     _, full = run_coceer(suite, E, 3000)
