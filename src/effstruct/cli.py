@@ -57,9 +57,9 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
     if args.report is not None and not args.verify:
         raise InputError("--report needs --verify")
     fam = family_from_json(_load_json(args.family))
-    state, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
-                                          records=bool(args.trace))
-    reports = ([coceer_mod.verify_requirement(state, fam, e) for e in range(args.columns)]
+    columns, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
+                                            records=bool(args.trace))
+    reports = ([coceer_mod.verify_requirement(columns, fam, e) for e in range(args.columns)]
                if args.verify else None)
     if args.trace:
         _dump_json(args.trace, coceer_mod.trace_to_json(trace))
@@ -152,8 +152,8 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 def _suite_coceer(seed: int, stages: int) -> tuple[bool, str]:
     fam, kinds = generators.generate_diagonalization_suite(seed)
-    state, _ = coceer_mod.run_coceer(fam, len(fam.members), stages, records=False)
-    reports = [coceer_mod.verify_requirement(state, fam, e) for e in kinds]
+    columns, _ = coceer_mod.run_coceer(fam, len(fam.members), stages, records=False)
+    reports = [coceer_mod.verify_requirement(columns, fam, e) for e in kinds]
     good = sum(1 for r in reports if r.satisfied and r.certified)
     return good == len(reports), (
         f"diagonalization: {good}/{len(reports)} requirements satisfied and "
@@ -161,21 +161,21 @@ def _suite_coceer(seed: int, stages: int) -> tuple[bool, str]:
     )
 
 
-def _suite_pi01(seed: int, runs: int = 50) -> tuple[bool, str]:
+def _suite_pi01(seed: int) -> tuple[bool, str]:
     bad = 0
-    for j in range(runs):
+    for j in range(50):
         K = 2 + j % 7
         table = generators.generate_gtable(seed + j, K)
         trace = pi01.run_pi01(table, pi01.required_stages_for(table, K) + 4, history=False)
         if not all(entry.match for entry in pi01.verify_liminf_counts(trace, table, K)):
             bad += 1
-    return bad == 0, f"liminf class sizes: {runs - bad}/{runs} tables verified exactly"
+    return bad == 0, f"liminf class sizes: {50 - bad}/50 tables verified exactly"
 
 
-def _suite_preorder(seed: int, runs: int = 30) -> tuple[bool, str]:
+def _suite_preorder(seed: int) -> tuple[bool, str]:
     bad = 0
     flips = 0
-    for j in range(runs):
+    for j in range(30):
         K = 3 + j % 8
         approx = generators.generate_b(seed + j, K)
         flips += generators.has_membership_flip(approx)
@@ -183,15 +183,15 @@ def _suite_preorder(seed: int, runs: int = 30) -> tuple[bool, str]:
         if not preorder.verify_claim(table, approx, K).all_ok:
             bad += 1
     return bad == 0, (
-        f"preorder fingerprints: {runs - bad}/{runs} set approximations recovered "
+        f"preorder fingerprints: {30 - bad}/30 set approximations recovered "
         f"exactly ({flips} with membership flips)"
     )
 
 
-def _suite_blocks(seed: int, runs: int = 100) -> tuple[bool, str]:
+def _suite_blocks(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     bad = 0
-    for _ in range(runs):
+    for _ in range(100):
         bits = [rng.randint(0, 1) for _ in range(64)]
         if blocks_mod.decode_character(blocks_mod.block_character(bits, 64), 64) != bits:
             bad += 1
@@ -201,7 +201,7 @@ def _suite_blocks(seed: int, runs: int = 100) -> tuple[bool, str]:
         via_partition = character_of(blocks_mod.encode_blocks(bits, n))
         if direct != via_partition:
             bad += 1
-    return bad == 0, f"block coder: {runs} round trips and 33 character cross-checks exact"
+    return bad == 0, "block coder: 100 round trips and 33 character cross-checks exact"
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:

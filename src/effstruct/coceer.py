@@ -11,15 +11,15 @@ restricted to [0, max Y_e] is {<e,0>} union {<e,x> : x in Y_e}, its limit
 size is |Y_e| + 1, and that size is steered against the class sizes
 realized by the e-th member of a ceer family.
 
-Per column the construction keeps a latch flag that turns on whenever the
-family member exhibits a never-before-seen oldest class of the target
-size; the flag is consumed (and the witness set churned) the next time the
-stage schedule focuses on that column.  Stage s focuses column e for
+When the family member exhibits a never-before-seen oldest class of the
+target size, the witness set is churned the next time the stage schedule
+focuses on that column.  Stage s focuses column e for
 ``(e, n) = cantor_unpair(s)``: column e on each diagonal w >= max(e, 1), at
 stage w(w+1)/2 + e.  A focus reads and writes its own column and its own
 member only, so the construction is E independent column runs
-(:func:`_run_column`), and the flag is brought up to date lazily, at the
-column's own focused stages, from the member's events in between.
+(:func:`_run_column`).  Each focus latches (:func:`_latch`) from the
+member's events since the column's previous focus, and its dispatch reads
+the latch, so no latch outlives the focus that takes it.
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
@@ -46,12 +46,10 @@ budget.  There are two settle rules:
   with w + 1 >= 2d, every later focus takes case 3.  Proof: the next focus
   is w + 1 stages later, on diagonal w + 1, so the interval between the
   two holds w + 1 >= 2d consecutive positive stages, and one of them is a
-  formation stage 1 + 2d*r.  The flag was off after the earlier focus
-  (every case leaves it off), and it is brought up to date over that
-  interval, so by :func:`_churn_latches` it is on at the next focus, which
-  therefore takes case 3.  The next focus lies on diagonal w + 1, which
-  meets the condition again, so by induction every later focus takes
-  case 3.
+  formation stage 1 + 2d*r.  The next focus latches over that interval,
+  so by :func:`_churn_latches` it takes case 3.  It lies on diagonal
+  w + 1, which meets the condition again, so by induction every later
+  focus takes case 3.
 """
 
 from __future__ import annotations
@@ -92,13 +90,13 @@ class ColumnState(Record):
       element above the witnesses: the next recruit.
     """
 
-    __slots__ = ("k", "next_free", "extra", "flag", "case3_count", "last_case4_stage")
+    __slots__ = ("k", "next_free", "extra", "case3_count", "last_case4_stage")
     __hash__ = None
 
-    def __init__(self, k: int, next_free: int, extra: Optional[int] = None, flag: bool = False,
+    def __init__(self, k: int, next_free: int, extra: Optional[int] = None,
                  case3_count: int = 0, last_case4_stage: Optional[int] = None):
         self.k = k                  # target class size
-        self.next_free, self.extra, self.flag = next_free, extra, flag
+        self.next_free, self.extra = next_free, extra
         self.case3_count, self.last_case4_stage = case3_count, last_case4_stage
 
     @property
@@ -113,26 +111,13 @@ class ColumnState(Record):
         return initial if self.extra is None else initial + (self.extra,)
 
 
-class CoceerState(Record):
-    __slots__ = ("stage", "columns")
-    __hash__ = None
-
-    def __init__(self, stage: int, columns: list[ColumnState]):
-        self.stage = stage          # the construction has run through this stage
-        self.columns = columns
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-
 class StageRecord(Record):
     __slots__ = ("stage", "e", "case", "witnesses", "flag", "exiled")
 
     def __init__(self, stage: int, e: int, case: int, witnesses: tuple[int, ...], flag: bool,
                  exiled: tuple[tuple[int, int], ...]):
         self.stage, self.e, self.case = stage, e, case   # case 1..4
-        self.witnesses, self.flag, self.exiled = witnesses, flag, exiled
+        self.witnesses, self.flag, self.exiled = witnesses, flag, exiled   # a run writes flag off
 
 
 class CoceerTrace(Record):
@@ -155,14 +140,6 @@ class RequirementReport(Record):
         self.satisfied, self.certified, self.y_limit = satisfied, certified, y_limit
 
 
-def init_coceer(E: int) -> CoceerState:
-    """Fresh construction state for columns 0..E-1, all flags off."""
-    if E < 1:
-        raise InputError("need at least one column")
-    columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
-    return CoceerState(stage=0, columns=columns)
-
-
 def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
     """The focused stages 1..budget as (stage, e), in order.
 
@@ -178,17 +155,18 @@ def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
         w += 1
 
 
-def _dispatch(col: ColumnState, stage: int, has_k: bool) -> tuple[int, Optional[int]]:
-    """Run focused stage ``stage`` on column ``col`` (cases as in :class:`ColumnState`).
+def _dispatch(col: ColumnState, stage: int, has_k: bool,
+              latched: bool) -> tuple[int, Optional[int]]:
+    """Run focused stage ``stage`` on column ``col`` (cases as in :class:`ColumnState`);
+    case 3 is taken exactly when the focus ``latched``.
 
     Returns the case and the element x of the one exile <e, x> it made,
     or None when it made none (case 3 without an extra).
     """
     u, v = col.extra, col.next_free
-    if col.flag:
+    if latched:
         case, exiled = 3, u
         col.extra, col.next_free = v, v + 1
-        col.flag = False
         col.case3_count += 1
     elif u is None and has_k:
         case, exiled = 1, v + 1
@@ -209,13 +187,13 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     records, or an empty list when the run keeps none.
 
     Stage 0 is seeded first: the stage-0 approximations enter the
-    oldest-class history, but the flag stays off, since a class present
-    from the start is not a mind change.  Column e is focused on every
-    diagonal w >= max(e, 1), at stage w(w+1)/2 + e.  Each focus brings the
-    flag up to date, then dispatches; without records the column stops
-    being stepped once a settle rule (module docstring) applies, and its
-    remaining focuses are applied in closed form (:func:`_advance_settled`).
-    At the end the flag is brought up to ``budget``.
+    oldest-class history but latch nothing, since a class present from the
+    start is not a mind change.  Column e is focused on every diagonal
+    w >= max(e, 1), at stage w(w+1)/2 + e.  Each focus latches over the
+    stages since the previous one, then dispatches; without records the
+    column stops being stepped once a settle rule (module docstring)
+    applies, and its remaining focuses are applied in closed form
+    (:func:`_advance_settled`).
     """
     runner = CeerRunner(member)
     runner.advance_to(0)
@@ -226,27 +204,26 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     kept: list[StageRecord] = []
     last, w = 0, max(e, 1)
     while (s := w * (w + 1) // 2 + e) <= budget:
-        _latch(col, runner, seen, last, s)
+        latched = _latch(col.k, runner, seen, last, s)
         runner.advance_to(s)
-        case, exiled = _dispatch(col, s, runner.has_class_of_size(col.k))
+        case, exiled = _dispatch(col, s, runner.has_class_of_size(col.k), latched)
         last = s
         if records:
-            kept.append(StageRecord(s, e, case, col.witnesses, col.flag,
+            kept.append(StageRecord(s, e, case, col.witnesses, False,
                                     () if exiled is None else ((e, exiled),)))
         elif quiet is None and w + 1 >= 2 * member.block_spacing:
-            last = _advance_settled(col, e, w, 3, budget)   # a churn of target k
+            _advance_settled(col, e, w, 3, budget)   # a churn of target k
             break
         elif quiet is not None and case == 4 and s > quiet:
-            last = _advance_settled(col, e, w, 4, budget)
+            _advance_settled(col, e, w, 4, budget)
             break
         w += 1
-    _latch(col, runner, seen, last, budget)
     return kept
 
 
-def _latch(col: ColumnState, runner: CeerRunner, seen: set[int], last: int, stage: int) -> None:
-    """Latch the flag of ``col`` if a never-seen oldest size-k class of the
-    runner's member appeared in (last, stage].
+def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
+    """Whether a never-seen oldest size-k class of the runner's member
+    appeared in (last, stage].
 
     A script's oldest size-k class changes only at its event stages, so
     those are replayed one at a time, and each minimum not in ``seen`` is
@@ -255,27 +232,28 @@ def _latch(col: ColumnState, runner: CeerRunner, seen: set[int], last: int, stag
     """
     member = runner.member
     if isinstance(member, ChurnGenerator):
-        col.flag = col.flag or _churn_latches(member, col.k, last, stage)
-        return
+        return _churn_latches(member, k, last, stage)
+    latched = False
     while (t := runner.next_event_stage) is not None and t <= stage:
         runner.advance_to(t)
-        m = runner.oldest_class_min(col.k)
+        m = runner.oldest_class_min(k)
         if m is not None and m not in seen:
-            col.flag = True
+            latched = True
             seen.add(m)
+    return latched
 
 
-def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> int:
+def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> None:
     """Apply column e's focuses after diagonal w through ``budget`` in closed
-    form, each taking ``case``; returns the last focused stage.
+    form, each taking ``case``.
 
     The last focus by ``budget`` lies on the largest diagonal W with
     W(W+1)/2 + e <= budget, which is the diagonal of stage budget - e (the
     sum of its Cantor pair), so m = W - w focuses remain.  Each adds one to
-    ``next_free`` and leaves the flag off.  A case-4 focus exiles the
-    next_free and keeps the extra, so m of them end on
-    ``last_case4_stage``; a case-3 focus recruits the next_free and exiles
-    the old extra, so after m of them the extra is one below ``next_free``.
+    ``next_free``.  A case-4 focus exiles the next_free and keeps the
+    extra, so m of them end on ``last_case4_stage``; a case-3 focus
+    recruits the next_free and exiles the old extra, so after m of them the
+    extra is one below ``next_free``.
     """
     W = sum(cantor_unpair(budget - e))
     m, last = W - w, W * (W + 1) // 2 + e
@@ -285,7 +263,6 @@ def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -
     elif m:
         col.extra = col.next_free - 1
         col.case3_count += m
-    return last
 
 
 def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
@@ -314,32 +291,33 @@ def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
 
 def run_coceer(
     fam: CeerFamily, E: int, stage_budget: int, records: bool = True
-) -> tuple[CoceerState, CoceerTrace]:
-    """Run the construction through stage ``stage_budget`` and trace it.
+) -> tuple[list[ColumnState], CoceerTrace]:
+    """Run columns 0..E-1 through stage ``stage_budget``; returns the
+    columns and the trace.
 
     Each column runs on its own (:func:`_run_column`).  With ``records``
     the trace holds one record per focused stage; without them its records
     are empty, settled columns are advanced in closed form, and the final
-    state is the same.  Every flag is brought up to the budget at the end.
-    The column invariants (witness count, protected elements,
-    settled-region identity) hold by the representation of
+    columns are the same.  The column invariants (witness count, protected
+    elements, settled-region identity) hold by the representation of
     :class:`ColumnState`, so no stage checks them.
     """
     if stage_budget < 1:
         raise InputError("stage budget must be at least 1")
     if E > len(fam.members):
         raise InputError("family has fewer members than requested columns")
-    state = init_coceer(E)
-    kept = [r for e, col in enumerate(state.columns)
+    if E < 1:
+        raise InputError("need at least one column")
+    columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
+    kept = [r for e, col in enumerate(columns)
             for r in _run_column(col, e, fam.member(e), stage_budget, records)]
     kept.sort(key=attrgetter("stage"))   # the focused stages are distinct
-    state.stage = stage_budget
-    return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
+    return columns, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
 
 
 def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:
     """A stage T after which, for target size k, ``has_k`` is constant and no
-    flag latches; None for a churn generator of target k, which has none.
+    focus latches; None for a churn generator of target k, which has none.
 
     A script's classes are fixed after its last event.  For a churn
     generator of target k' != k, only the class of 0 can have size k, of
@@ -356,22 +334,20 @@ def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[i
     return member.block_spacing * (2 * r + 1) if rest == 0 else 0
 
 
-def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> RequirementReport:
+def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> RequirementReport:
     """Check one requirement against the family's exact limit behavior.
 
     When the member has a quiescence stage T (:func:`_quiescence_stage`:
     every script, and a churn generator whose target is not k), the witness
     set is final once a focused stage L > T fell through to the padding
-    case 4.  That alone implies that the flag is off and that no stage
-    after L changed the witnesses:
+    case 4.  That alone implies that no stage after L changed the witnesses:
 
-    - No flag latches after T < L, and the latch at L brought the flag up to
-      L before the dispatch.  Case 4 was taken, so the flag was off then;
-      nothing sets it after L, and case 4 leaves it off.
+    - After T no size-k oldest class appears that was not seen before, so
+      no focus after L latches, and none takes case 3.
     - Case 4 at L means (baseline and not has_k) or (not baseline and
       has_k), where baseline says there is no extra witness.  After T,
       has_k is the same at every stage; case 4 changes no witness, so
-      baseline is the same too.  With the flag off, every later focused
+      baseline is the same too.  With no latch, every later focused
       stage of the column is case 4 again, and the witnesses never change
       after L.
 
@@ -394,9 +370,9 @@ def verify_requirement(state: CoceerState, fam: CeerFamily, e: int) -> Requireme
     nothing.  The replay is the price of an independent check (about a
     fifth of a ``coceer --verify`` call on the 26-column suite).
     """
-    if not 0 <= e < state.width:
+    if not 0 <= e < len(columns):
         raise InputError(f"column {e} out of range")
-    col = state.columns[e]
+    col = columns[e]
     member = fam.member(e)
     r_has = limit_has_class_of_size(member, col.k)
     y_limit = col.witnesses

@@ -41,16 +41,15 @@ class VTable(Record):
     would go unseen by it.
     """
 
-    __slots__ = ("v", "change_count", "next_fresh", "stage", "events", "holders")
+    __slots__ = ("v", "change_count", "stage", "events", "holders")
     _fields = __slots__[:-1]
     __hash__ = None
 
     def __init__(self, v: Optional[dict[int, int]] = None,
-                 change_count: Optional[dict[int, int]] = None, next_fresh: int = 0,
-                 stage: int = 0):
+                 change_count: Optional[dict[int, int]] = None, stage: int = 0):
         self.v = {} if v is None else v
         self.change_count = {} if change_count is None else change_count
-        self.next_fresh, self.stage = next_fresh, stage
+        self.stage = stage
         self.events: list[tuple[int, int, Optional[int], int]] = []
         self.holders: dict[int, set[int]] = {}
         for i, val in self.v.items():
@@ -61,8 +60,7 @@ class VTable(Record):
 
 
 def _assign_fresh(t: VTable, value: int, stage: int) -> None:
-    i = t.next_fresh
-    t.next_fresh += 1
+    i = len(t.v)   # a_0, a_1, ... are assigned in index order
     t.v[i] = value
     t.holders.setdefault(value, set()).add(i)
     t.change_count[i] = 0
@@ -159,18 +157,13 @@ class PreorderSnapshot(Record):
         return frozenset(pairs)
 
 
-def materialize(t: VTable, n_a: Optional[int] = None, n_b: Optional[int] = None) -> PreorderSnapshot:
-    """Snapshot of the first n_a a's and n_b b's, in O(n_a).
+def materialize(t: VTable) -> PreorderSnapshot:
+    """Snapshot of the first n a's and n b's for n stages, in O(n).
 
-    Defaults make every assigned threshold visible: one a per stage and
-    one b per stage are more than enough.
+    One a per stage and one b per stage make every assigned threshold visible.
     """
-    na = t.stage if n_a is None else n_a
-    nb = t.stage if n_b is None else n_b
-    if na < 0 or nb < 0:
-        raise InputError("snapshot bounds must be nonnegative")
-    thresholds = tuple(min(t.v.get(i, nb), nb) for i in range(na))
-    return PreorderSnapshot(na=na, nb=nb, thresholds=thresholds)
+    n = t.stage
+    return PreorderSnapshot(na=n, nb=n, thresholds=tuple(min(t.v.get(i, n), n) for i in range(n)))
 
 
 def fingerprint(t: VTable) -> set[int]:

@@ -45,7 +45,7 @@ from typing import Optional
 
 from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import CoceerState, CoceerTrace, ColumnState, StageRecord
+from effstruct.coceer import CoceerTrace, ColumnState, StageRecord
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
@@ -146,14 +146,14 @@ def column_exiles(col: ColumnState) -> set[int]:
     return set(range(col.base + 1, col.next_free)) - {col.extra}
 
 
-def coceer_snapshot(state: CoceerState, window: int) -> Partition:
+def coceer_snapshot(columns: list[ColumnState], window: int) -> Partition:
     """S[s] over pair codes [0, window): columns minus exiles, exiles single."""
     p = Partition(window)
-    exiles = [column_exiles(col) for col in state.columns]
+    exiles = [column_exiles(col) for col in columns]
     bycol: dict[int, list[int]] = {}
     for z in range(window):
         e, x = cantor_unpair(z)
-        if e < state.width and x in exiles[e]:
+        if e < len(columns) and x in exiles[e]:
             continue
         bycol.setdefault(e, []).append(z)
     for group in bycol.values():
@@ -164,7 +164,8 @@ def coceer_snapshot(state: CoceerState, window: int) -> Partition:
 
 @dataclass
 class ReferenceColumn:
-    """A co-ceer column with its witnesses and exiles as explicit sets."""
+    """A co-ceer column with its witnesses and exiles as explicit sets, and
+    the paper's latch flag, kept from stage to stage."""
 
     k: int
     witnesses: set[int]
@@ -239,9 +240,9 @@ def reference_check_column(col: ReferenceColumn, e: int) -> None:
 
 def reference_run_coceer(
     fam: CeerFamily, E: int, stage_budget: int
-) -> tuple[CoceerState, CoceerTrace]:
+) -> tuple[list[ReferenceColumn], CoceerTrace]:
     """The co-ceer construction visiting every stage, over reference runners
-    and :class:`ReferenceColumn` states.
+    and :class:`ReferenceColumn` states; returns the columns and the trace.
 
     Every stage advances every runner and latches every flag whose oldest
     size-k minimum is new to that column's seen-set; a stage whose focus
@@ -249,7 +250,6 @@ def reference_run_coceer(
     """
     columns = [ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
                for e in range(E)]
-    state = CoceerState(stage=0, columns=columns)
     runners = [ReferenceRunner(fam.member(e)) for e in range(E)]
     seen: list[set[int]] = [set() for _ in range(E)]
     for col, runner, minima in zip(columns, runners, seen):
@@ -271,8 +271,7 @@ def reference_run_coceer(
             records.append(reference_dispatch(columns[e_focus], e_focus, stage, has_k))
         else:
             records.append(StageRecord(stage, e_focus, 0, None, None, ()))
-        state.stage = stage
-    return state, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
+    return columns, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
 
 
 def reference_certificate(

@@ -28,7 +28,7 @@ from effstruct.pi01 import required_stages_for, run_pi01, verify_liminf_counts
 from effstruct.preorder import (
     ELEM_C,
     ELEM_D,
-    VTable,
+    PreorderSnapshot,
     elem_a,
     elem_b,
     materialize,
@@ -57,10 +57,10 @@ PREORDER_RUNS = 30
 def diagonalization_run():
     fam, kinds = generate_diagonalization_suite(SEED)
     start = time.monotonic()
-    state, trace = run_coceer(fam, len(fam.members), COCEER_BUDGET)
-    reports = {e: verify_requirement(state, fam, e) for e in kinds}
+    columns, trace = run_coceer(fam, len(fam.members), COCEER_BUDGET)
+    reports = {e: verify_requirement(columns, fam, e) for e in kinds}
     elapsed = time.monotonic() - start
-    return fam, kinds, state, trace, reports, elapsed
+    return fam, kinds, columns, trace, reports, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def pi01_runs():
 
 
 def test_criterion_1_coceer_diagonalization(diagonalization_run):
-    fam, kinds, state, _, reports, elapsed = diagonalization_run
+    fam, kinds, _, _, reports, elapsed = diagonalization_run
     tally = {"with": 0, "without": 0, "churn": 0}
     for e, kind in kinds.items():
         tally[kind] += 1
@@ -99,7 +99,7 @@ def test_criterion_1_coceer_diagonalization(diagonalization_run):
 
 
 def test_criterion_2_corrected_witness_identity(diagonalization_run):
-    _, kinds, state, trace, reports, _ = diagonalization_run
+    _, kinds, columns, trace, reports, _ = diagonalization_run
     exiled: dict[int, set[int]] = {}
     checked = 0
     for record in trace.records:
@@ -116,7 +116,7 @@ def test_criterion_2_corrected_witness_identity(diagonalization_run):
     for e, kind in kinds.items():
         if kind == "churn":
             assert reports[e].y_limit == tuple(range(1, 2 * e + 2))
-            col = state.columns[e]
+            col = columns[e]
             assert col.witnesses[:col.base] == reports[e].y_limit
     print(
         f"\ncriterion 2: PASS — witness-class identity held on all {checked} "
@@ -238,8 +238,10 @@ def test_criterion_5_preorder_fingerprints():
             assert old is None or new == 0
         for s in range(10, stages + 1, 10):
             replay = run_preorder(approx, s)
-            snap = materialize(replay, 8, 8)
-            assert bf_is_preorder(snap.elements(), snap.leq)
+            # the snapshot restricted to c, d, a_0..a_7 and b_0..b_7
+            window = {ELEM_C, ELEM_D, *map(elem_a, range(8)), *map(elem_b, range(8))}
+            leq = frozenset(p for p in materialize(replay).leq if window.issuperset(p))
+            assert bf_is_preorder(sorted(window), leq)
             snapshot_checks += 1
     elapsed = time.monotonic() - start
     assert flip_instances >= 10
@@ -282,19 +284,14 @@ def test_criterion_7_oracle_cross_checks():
         assert character_of(p).entries == bf_character(classes)
     for _ in range(220):
         na, nb = rng.randint(0, 5), rng.randint(0, 5)
-        t = VTable(next_fresh=na, stage=2)
-        for i in range(na):
-            if rng.random() < 0.7:
-                t.v[i] = rng.randint(0, nb + 1)
-                t.change_count[i] = 0
-        snap = materialize(t, na, nb)
+        snap = PreorderSnapshot(na, nb, tuple(rng.randint(0, nb) for _ in range(na)))
         generators = [(ELEM_C, elem_a(i)) for i in range(na)]
         generators += [(elem_b(j + 1), elem_b(j)) for j in range(nb - 1)]
         if nb:
             generators.append((elem_b(0), ELEM_D))
-        for i in range(na):
-            if i in t.v and t.v[i] < nb:
-                generators.append((elem_b(t.v[i]), elem_a(i)))
+        for i, v in enumerate(snap.thresholds):
+            if v < nb:
+                generators.append((elem_b(v), elem_a(i)))
         assert snap.leq == bf_preorder_closure(snap.elements(), generators)
     print(
         "\ncriterion 7: PASS — 220 oldest-class and character cross-checks, "

@@ -8,7 +8,6 @@ from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
     CoceerTrace,
     ColumnState,
-    init_coceer,
     run_coceer,
     trace_from_json,
     trace_to_json,
@@ -22,19 +21,22 @@ from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partiti
 from reference import coceer_snapshot, column_exiles
 
 EMPTY = CeerScript(())
+# the columns of a run before its first focus
+INITIAL = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(3)]
 
 
 def test_init_spaced():
-    state = init_coceer(3)
-    col = state.columns[2]
+    # stage 1 focuses column 0 only, so columns 1 and 2 are still initial
+    columns, _ = run_coceer(CeerFamily((EMPTY,) * 3), 3, 1)
+    assert columns[1:] == INITIAL[1:]
+    col = columns[2]
     assert col.k == 6
     assert (col.witnesses, column_exiles(col)) == ((1, 2, 3, 4, 5), set())
-    assert all(not c.flag for c in state.columns)
 
 
 def test_init_validation():
-    with pytest.raises(InputError):
-        init_coceer(0)
+    with pytest.raises(InputError, match="need at least one column"):
+        run_coceer(CeerFamily((EMPTY,)), 0, 5)
 
 
 def test_column_witnesses_and_exiles_from_two_integers():
@@ -57,14 +59,14 @@ def _step_column_one(member, stage, case, witnesses, exiles):
     """
     assert (bf_cantor_pair(1, 0), bf_cantor_pair(1, 1)) == (2, 4)
     fam = CeerFamily((EMPTY, member))
-    before = column_exiles(run_coceer(fam, 2, stage - 1)[0].columns[1])
-    state, trace = run_coceer(fam, 2, stage)
-    record, col = trace.records[-1], state.columns[1]
+    before = column_exiles(run_coceer(fam, 2, stage - 1)[0][1])
+    columns, trace = run_coceer(fam, 2, stage)
+    record, col = trace.records[-1], columns[1]
     assert (record.stage, record.e) == (stage, 1)
     assert (record.case, record.witnesses, col.witnesses) == (case, witnesses, witnesses)
     assert column_exiles(col) == exiles
     assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
-    assert not col.flag and not record.flag
+    assert not record.flag
     return col
 
 
@@ -72,7 +74,7 @@ _SIZE_4_AT_0 = tuple((0, (0, x)) for x in (1, 2, 3))
 
 
 def test_step_case_one_declares_witness():
-    # a size-4 class present from stage 0 is on record, so it latches no flag
+    # a size-4 class present from stage 0 is on record, so it latches nothing
     _step_column_one(CeerScript(_SIZE_4_AT_0), 2, 1, (1, 2, 3, 4), {5})
 
 
@@ -84,16 +86,18 @@ def test_step_case_two_retracts_witness():
 
 
 def test_step_case_three_without_replaceable_witness():
-    # a size-4 class formed at stage 1 is new to the history: the flag latches
+    # a size-4 class formed at stage 1 is new to the history: it latches,
+    # and column 1's next focus, stage 2, reads the latch and takes case 3
     member = CeerScript(tuple((1, (0, x)) for x in (1, 2, 3)))
     fam = CeerFamily((EMPTY, member))
-    assert run_coceer(fam, 2, 1)[0].columns[1].flag
+    columns, trace = run_coceer(fam, 2, 1)   # column 1 not yet focused, and it holds no latch
+    assert [r.e for r in trace.records] == [0] and columns[1] == ColumnState(k=4, next_free=4)
     assert _step_column_one(member, 2, 3, (1, 2, 3, 4), set()).case3_count == 1
 
 
 def test_step_case_three_swaps_witness():
     # stage 2 declares witness 4; at stage 3 that class grows to 5 and a new
-    # size-4 class forms, so the flag latches and stage 4 swaps 4 for 6
+    # size-4 class forms, so stage 4 latches and swaps 4 for 6
     member = CeerScript((*_SIZE_4_AT_0, *((3, (10, x)) for x in (11, 12, 13)),
                          (3, (0, 4))))
     _step_column_one(member, 2, 1, (1, 2, 3, 4), {5})
@@ -101,13 +105,13 @@ def test_step_case_three_swaps_witness():
 
 
 def test_step_case_four_pads():
-    # baseline, no size-4 class, flag off
+    # baseline, no size-4 class, no latch
     assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).last_case4_stage == 2
 
 
 def test_run_trace_length_and_budget():
     fam = CeerFamily((CeerScript(()),))
-    state, trace = run_coceer(fam, 1, 1)
+    _, trace = run_coceer(fam, 1, 1)
     assert len(trace.records) == 1
     with pytest.raises(InputError):
         run_coceer(fam, 1, 0)
@@ -117,14 +121,14 @@ def test_run_trace_length_and_budget():
 
 def test_run_skips_columns_beyond_family_width():
     fam = CeerFamily((CeerScript(()),))
-    state, trace = run_coceer(fam, 1, 10)
+    columns, trace = run_coceer(fam, 1, 10)
     assert [r.stage for r in trace.records] == [s for s in range(1, 11) if cantor_unpair(s)[0] < 1]
-    assert all(r.e == 0 for r in trace.records) and state.stage == 10
+    assert all(r.e == 0 for r in trace.records) and trace.stages == 10 and len(columns) == 1
 
 
 def test_shorter_run_is_prefix_of_longer_run():
     """A run to b has the records with stage <= b of a run to B > b, and a
-    run to b without records has the same state as one with them."""
+    run to b without records has the same columns as one with them."""
     rng = random.Random(13)
     events = tuple(
         sorted((rng.randint(1, 20), (rng.randrange(8), rng.randrange(8))) for _ in range(10))
@@ -132,11 +136,11 @@ def test_shorter_run_is_prefix_of_longer_run():
     fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
     _, full = run_coceer(fam, 3, 60)
     for stage in (1, 2, 5, 6, 17, 18, 40, 59):  # focused and unfocused stops
-        state, trace = run_coceer(fam, 3, stage)
+        columns, trace = run_coceer(fam, 3, stage)
         assert trace.records == tuple(r for r in full.records if r.stage <= stage)
-        assert state.stage == stage
+        assert trace.stages == stage
         assert run_coceer(fam, 3, stage, records=False) == (
-            state, CoceerTrace(trace.columns, trace.stages, ()))
+            columns, CoceerTrace(trace.columns, trace.stages, ()))
     suite, _ = generate_diagonalization_suite(7)
     E = len(suite.members)
     _, full = run_coceer(suite, E, 3000)
@@ -147,21 +151,20 @@ def test_shorter_run_is_prefix_of_longer_run():
 
 def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
     fam = CeerFamily((CeerScript(((2, (0, 1)),)), ChurnGenerator(4, 2)))
-    state, trace = run_coceer(fam, 2, 120)
+    columns, trace = run_coceer(fam, 2, 120)
     seen: set[tuple[int, int]] = set()
     for record in trace.records:
         for pair in record.exiled:
             assert pair not in seen  # an element is exiled at most once
             seen.add(pair)
-    for e, col in enumerate(state.columns):
+    for e, col in enumerate(columns):
         # the records list every exile of the column
         assert {(e, x) for x in column_exiles(col)} == {(a, x) for a, x in seen if a == e}
         assert not set(col.witnesses) & column_exiles(col)
 
 
 def test_snapshot_is_column_partition_initially():
-    state = init_coceer(3)
-    snap = coceer_snapshot(state, 12)
+    snap = coceer_snapshot(INITIAL, 12)
     for z1 in range(12):
         for z2 in range(12):
             same_column = cantor_unpair(z1)[0] == cantor_unpair(z2)[0]
@@ -172,11 +175,11 @@ def test_snapshot_stays_equivalence_and_shrinks():
     fam = CeerFamily(
         (CeerScript(((1, (0, 1)), (3, (1, 2)))), ChurnGenerator(4, 2), CeerScript(()))
     )
-    previous = bf_relation_of_partition(coceer_snapshot(init_coceer(3), 12).classes())
+    previous = bf_relation_of_partition(coceer_snapshot(INITIAL, 12).classes())
     assert bf_is_equivalence(12, previous)
     for stage in range(1, 381):  # the first 80 focused stages
-        state, _ = run_coceer(fam, 3, stage, records=False)
-        current = bf_relation_of_partition(coceer_snapshot(state, 12).classes())
+        columns, _ = run_coceer(fam, 3, stage, records=False)
+        current = bf_relation_of_partition(coceer_snapshot(columns, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
         previous = current
@@ -186,8 +189,8 @@ def test_verify_script_with_target_class():
     # column 1 (spaced) targets size 4; give its script a size-4 limit class
     events = tuple((s, (10, 10 + i)) for i, s in enumerate(range(1, 4), start=1))
     fam = CeerFamily((CeerScript(()), CeerScript(events)))
-    state, _ = run_coceer(fam, 2, 200)
-    report = verify_requirement(state, fam, 1)
+    columns, _ = run_coceer(fam, 2, 200)
+    report = verify_requirement(columns, fam, 1)
     assert report.k == 4
     assert report.r_e_has_size_k
     assert report.witness_class_size == 5
@@ -196,8 +199,8 @@ def test_verify_script_with_target_class():
 
 def test_verify_script_without_target_class():
     fam = CeerFamily((CeerScript(()), CeerScript(((1, (0, 1)),))))
-    state, _ = run_coceer(fam, 2, 200)
-    report = verify_requirement(state, fam, 1)
+    columns, _ = run_coceer(fam, 2, 200)
+    report = verify_requirement(columns, fam, 1)
     assert not report.r_e_has_size_k
     assert report.witness_class_size == 4
     assert report.satisfied and report.certified
@@ -205,23 +208,23 @@ def test_verify_script_without_target_class():
 
 def test_verify_churn_settles_on_initial_witnesses():
     fam = CeerFamily((CeerScript(()), ChurnGenerator(4, 2)))
-    state, trace = run_coceer(fam, 2, 400)
-    report = verify_requirement(state, fam, 1)
+    columns, trace = run_coceer(fam, 2, 400)
+    report = verify_requirement(columns, fam, 1)
     assert report.kind == "churn"
     assert report.y_limit == (1, 2, 3)
     assert report.witness_class_size == 4
     assert report.satisfied and report.certified
     # every witness the churn ever forced in was forced out again
-    col = state.columns[1]
+    col = columns[1]
     extras = set().union(*(r.witnesses for r in trace.records if r.e == 1)) - {1, 2, 3}
     assert extras  # the adversary did provoke the construction
     assert extras - set(col.witnesses) <= column_exiles(col)
 
 
 def test_spaced_witness_sizes_disjoint_across_columns():
-    state = init_coceer(30)
+    columns, _ = run_coceer(CeerFamily((EMPTY,) * 30), 30, 1)
     taken: set[int] = set()
-    for col in state.columns:
+    for col in columns:
         sizes = {col.k, col.k + 1}
         assert 1 not in sizes  # exile singletons can never be mistaken for a witness class
         assert not sizes & taken
@@ -230,8 +233,8 @@ def test_spaced_witness_sizes_disjoint_across_columns():
 
 def test_verify_uncertified_on_tiny_budget():
     fam = CeerFamily((CeerScript(()), ChurnGenerator(4, 2)))
-    state, _ = run_coceer(fam, 2, 3)
-    report = verify_requirement(state, fam, 1)
+    columns, _ = run_coceer(fam, 2, 3)
+    report = verify_requirement(columns, fam, 1)
     assert not report.certified
 
 

@@ -131,13 +131,13 @@ def test_runner_index_matches_reference_property(member_and_last):
             sorted(sorted(c) for c in ref.uf.lists.values()), s
 
 
-def _reports(state, fam):
-    return [verify_requirement(state, fam, e) for e in range(state.width)]
+def _reports(columns, fam):
+    return [verify_requirement(columns, fam, e) for e in range(len(columns))]
 
 
-def _assert_certificates_match(state, trace, fam):
+def _assert_certificates_match(columns, trace, fam):
     """The counter verdicts equal the witness-history rule on the trace."""
-    for report in _reports(state, fam):
+    for report in _reports(columns, fam):
         assert (report.certified, report.y_limit) == \
             reference_certificate(trace, fam, report.e), (trace.stages, report.e)
 
@@ -149,8 +149,8 @@ def _prefix(trace, stage):
 
 
 def _assert_run_matches_reference(fam, E, budget):
-    state, trace = run_coceer(fam, E, budget)
-    ref_state, ref_trace = reference_run_coceer(fam, E, budget)
+    columns, trace = run_coceer(fam, E, budget)
+    ref_columns, ref_trace = reference_run_coceer(fam, E, budget)
     # the fast run records the focused stages; the reference every stage,
     # with a case-0 skip exactly where the focus lies beyond E
     assert trace.records == tuple(r for r in ref_trace.records if r.case != 0)
@@ -158,25 +158,38 @@ def _assert_run_matches_reference(fam, E, budget):
         s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
     assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
-    assert state.stage == ref_state.stage == budget
-    for col, ref in zip(state.columns, ref_state.columns, strict=True):
-        assert (col.witnesses, column_exiles(col), col.flag, col.case3_count,
-                col.last_case4_stage) == (tuple(sorted(ref.witnesses)), ref.exiled, ref.flag,
-                                          ref.case3_count, ref.last_case4_stage)
-    reports = _reports(state, fam)
-    _assert_certificates_match(state, trace, fam)
+    assert trace.stages == budget
+    for col, ref in zip(columns, ref_columns, strict=True):
+        assert (col.witnesses, column_exiles(col), col.case3_count, col.last_case4_stage) == (
+            tuple(sorted(ref.witnesses)), ref.exiled, ref.case3_count, ref.last_case4_stage)
+    reports = _reports(columns, fam)
+    _assert_certificates_match(columns, trace, fam)
     for e, report in enumerate(reports):
         member = fam.member(e)
         if isinstance(member, CeerScript):
             ref = ReferenceRunner(member)
             ref.advance_to(member.last_event_stage)
-            assert report.r_e_has_size_k == ref.has_class_of_size(state.columns[e].k)
+            assert report.r_e_has_size_k == ref.has_class_of_size(columns[e].k)
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_suite_runs_match_reference(seed):
     fam, _ = generate_diagonalization_suite(seed)
     _assert_run_matches_reference(fam, len(fam.members), 2500)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_traced_runs_leave_no_latch_on(seed):
+    """The reference keeps the paper's latch flag from stage to stage, and
+    each of its records has the flag after the focus: off, as every case
+    clears the latch it reads.  A run keeps no flag and writes it off."""
+    fam, _ = generate_diagonalization_suite(seed)
+    E = len(fam.members)
+    _, ref_trace = reference_run_coceer(fam, E, 3000)
+    focused = [r for r in ref_trace.records if r.case != 0]
+    assert focused and all(r.flag is False for r in focused)
+    _, trace = run_coceer(fam, E, 3000)
+    assert all(r["flag"] == "off" for r in coceer.trace_to_json(trace)["records"])
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -186,8 +199,8 @@ def test_family_runs_match_reference(seed):
 
 def test_churn_target_other_than_column_size_matches_reference():
     # column 1 targets k = 4; a size-3 churn makes its class of 0 size
-    # 3A+1 = 4 once one block is absorbed (stage 2), so the flag latches on
-    # minimum 0 and stage 2 is case 3, not the case 1 its has-size-4 alone gives
+    # 3A+1 = 4 once one block is absorbed (stage 2), so stage 2 latches on
+    # minimum 0 and is case 3, not the case 1 its has-size-4 alone gives
     fam = CeerFamily((CeerScript(()), ChurnGenerator(3, 1)))
     _, trace = run_coceer(fam, 2, 2)
     assert [(r.stage, r.e, r.case) for r in trace.records] == [(1, 0, 4), (2, 1, 3)]
@@ -218,8 +231,8 @@ def test_churn_certificate_is_final_once_given(target):
         given, trace = {}, _prefix(full, 0)
         for stage in range(1, 301):
             before, trace = trace, _prefix(full, stage)
-            state, _ = run_coceer(fam, E, stage, records=False)
-            for report in _reports(state, fam):
+            columns, _ = run_coceer(fam, E, stage, records=False)
+            for report in _reports(columns, fam):
                 verdict = (report.certified, report.y_limit)
                 if report.e in given:
                     assert verdict == given[report.e], (spacing, stage, report.e)
@@ -228,7 +241,7 @@ def test_churn_certificate_is_final_once_given(target):
                     assert verdict == reference_certificate(trace, fam, report.e)
                     assert not reference_certificate(before, fam, report.e)[0]
         assert {e for e in range(E) if 2 * e + 2 != target} <= set(given), spacing
-        _assert_certificates_match(state, trace, fam)
+        _assert_certificates_match(columns, trace, fam)
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
@@ -243,11 +256,11 @@ def test_churn_certificate_turns_on_at_fourth_case3(seed):
         if kind == "churn":
             fourth[e] = [r.stage for r in full.records if r.e == e and r.case == 3][3]
     for stage in sorted({s for s4 in fourth.values() for s in (s4 - 1, s4)}):
-        state, _ = run_coceer(fam, E, stage, records=False)
-        _assert_certificates_match(state, _prefix(full, stage), fam)
+        columns, _ = run_coceer(fam, E, stage, records=False)
+        _assert_certificates_match(columns, _prefix(full, stage), fam)
         for e, s4 in fourth.items():
             if stage in (s4 - 1, s4):
-                assert verify_requirement(state, fam, e).certified == (stage == s4)
+                assert verify_requirement(columns, fam, e).certified == (stage == s4)
 
 
 @pytest.mark.parametrize("spacing", range(5, 9))
@@ -264,9 +277,9 @@ def test_same_target_churn_certificate_at_fourth_case3(spacing):
     for e in range(E):
         s4 = [r.stage for r in full.records if r.e == e and r.case == 3][3]
         for stage in (s4 - 1, s4):
-            state, _ = run_coceer(fam, E, stage, records=False)
-            assert verify_requirement(state, fam, e).certified == (stage == s4), (e, stage)
-        _assert_certificates_match(state, _prefix(full, s4), fam)
+            columns, _ = run_coceer(fam, E, stage, records=False)
+            assert verify_requirement(columns, fam, e).certified == (stage == s4), (e, stage)
+        _assert_certificates_match(columns, _prefix(full, s4), fam)
         w = max(e, 1, 2 * spacing - 1)
         earlier += s4 < w * (w + 1) // 2 + e
     assert earlier > 0
@@ -357,23 +370,19 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
     finds = _count_calls(monkeypatch, eqrel.Partition, "find")
     merges = _count_calls(monkeypatch, eqrel.Partition, "merge")
-    state, _ = run_coceer(fam, len(fam.members), 8000, records=False)
-    assert len(_reports(state, fam)) == 26
+    columns, _ = run_coceer(fam, len(fam.members), 8000, records=False)
+    assert len(_reports(columns, fam)) == 26
     assert rebuilds[0] == 0
     assert merges[0] > 0 and finds[0] == 2 * merges[0]
 
 
 def _assert_same_without_records(fam, E, budgets):
     """A run without records to each of ``budgets`` has the stepped run's
-    state, and so its reports.  Returns the number of flags left on at the
-    ends of the runs, where the end-of-run latch set them."""
-    flags = 0
+    columns, and so its reports."""
     for budget in budgets:
         fast, trace = run_coceer(fam, E, budget, records=False)
         assert trace.records == ()
         assert fast == run_coceer(fam, E, budget)[0], budget
-        flags += sum(col.flag for col in fast.columns)
-    return flags
 
 
 _BUDGETS = (1, 2, 3, 10, 57, 400, 2500, 10**4)
@@ -405,15 +414,13 @@ def test_unrecorded_runs_match_stepped_at_random_stops():
     """Each stop is a fresh pair of runs; a suite's runs replay its scripts,
     so a suite is checked at every fourth of its stops only."""
     rng = random.Random(17)
-    flags = 0
     for _ in range(25):
         fam, _ = generate_diagonalization_suite(rng.randrange(1000))
         stops = sorted(rng.sample(range(1, 3000), rng.randint(1, 30)))
-        flags += _assert_same_without_records(fam, len(fam.members), stops[::4])
+        _assert_same_without_records(fam, len(fam.members), stops[::4])
         churn = CeerFamily(tuple(ChurnGenerator(rng.randint(2, 8), rng.randint(1, 4))
                                  for _ in range(6)))
-        flags += _assert_same_without_records(churn, 6, stops)
-    assert flags > 0   # some stop fell between a formation and the next focus
+        _assert_same_without_records(churn, 6, stops)
 
 
 @settings(deadline=None, max_examples=60)
@@ -486,8 +493,9 @@ def _assert_preorder_matches_reference(gB, stages):
     for _ in range(stages):
         preorder.preorder_step(fast, gB)
         reference_preorder_step(ref, gB)
-    for name in ("v", "change_count", "next_fresh", "stage", "events"):
+    for name in ("v", "change_count", "stage", "events"):
         assert getattr(fast, name) == getattr(ref, name), name
+    assert len(fast.v) == ref.next_fresh
     for x in range(gB.width + 3):
         assert fast.holders_of(x) == ref.holders_of(x), x
     assert preorder.run_preorder(gB, stages) == fast
@@ -515,8 +523,8 @@ def test_preorder_matches_reference(K):
 _FOREIGN = ("a01", "b-1", "b+1", "a 1", "a", "b", "", "e", "c0", "d1", "A0", "a\u0661", "ab")
 
 
-def _assert_snapshot_matches_reference(t, na, nb):
-    snap, ref = preorder.materialize(t, na, nb), reference_materialize(t, na, nb)
+def _assert_snapshot_matches_reference(t):
+    snap, ref = preorder.materialize(t), reference_materialize(t)
     assert (snap.na, snap.nb, snap.leq) == (ref.na, ref.nb, ref.leq)
     na, nb = snap.na, snap.nb
     elements = snap.elements()
@@ -536,32 +544,31 @@ def _assert_snapshot_matches_reference(t, na, nb):
     return snap, ref
 
 
-def _random_vtable(rng, na, nb):
-    """Thresholds for some of 0..na+1: undefined, below nb, at nb and beyond."""
-    v = {i: rng.randint(0, nb + 2) for i in range(na + 2) if rng.random() < 0.7}
-    return preorder.VTable(v=v, stage=rng.randint(0, 9))
+def _random_vtable(rng, n):
+    """A table at stage n with thresholds for some of 0..n+1: undefined,
+    below n, at n and beyond."""
+    v = {i: rng.randint(0, n + 2) for i in range(n + 2) if rng.random() < 0.7}
+    return preorder.VTable(v=v, stage=n)
 
 
 def test_materialize_matches_reference_random_tables():
     rng = random.Random(29)
     for _ in range(300):
-        na, nb = rng.randint(0, 8), rng.randint(0, 8)
-        t1, t2 = _random_vtable(rng, na, nb), _random_vtable(rng, na, nb)
-        snap1, ref1 = _assert_snapshot_matches_reference(t1, na, nb)
-        snap2, ref2 = _assert_snapshot_matches_reference(t2, na, nb)
+        n = rng.randint(0, 8)
+        t1, t2 = _random_vtable(rng, n), _random_vtable(rng, n)
+        snap1, ref1 = _assert_snapshot_matches_reference(t1)
+        snap2, ref2 = _assert_snapshot_matches_reference(t2)
         # the normal form makes snapshot equality pair-set equality
         assert (snap1 == snap2) == (ref1.leq == ref2.leq)
         assert preorder.snapshot_from_json(preorder.snapshot_to_json(snap1)) == snap1
-    for t in (preorder.VTable(), _random_vtable(rng, 5, 5)):
-        _assert_snapshot_matches_reference(t, None, None)
+    _assert_snapshot_matches_reference(preorder.VTable())
 
 
 @pytest.mark.parametrize("K", [0, 3, 10])
 def test_materialize_matches_reference_on_runs(K):
     for seed in range(1, 5):
         t = preorder.run_preorder(generate_b(seed, K), 60 + 7 * seed)
-        _assert_snapshot_matches_reference(t, None, None)
-        _assert_snapshot_matches_reference(t, t.next_fresh, K + 2)
+        _assert_snapshot_matches_reference(t)
 
 
 def test_block_layout_matches_merges():

@@ -10,6 +10,7 @@ from effstruct.generators import generate_b
 from effstruct.preorder import (
     ELEM_C,
     ELEM_D,
+    PreorderSnapshot,
     VTable,
     elem_a,
     elem_b,
@@ -84,7 +85,7 @@ def test_thresholds_change_at_most_once_and_only_to_zero():
 
 
 def test_materialize_skeleton():
-    snap = materialize(VTable(), 1, 2)
+    snap = PreorderSnapshot(1, 2, (2,))   # a_0 without a threshold
     a0, b0, b1 = elem_a(0), elem_b(0), elem_b(1)
     assert _le(snap, ELEM_C, a0) and not _le(snap, a0, ELEM_C)
     assert _incomparable(snap, a0, b0) and _incomparable(snap, a0, b1)
@@ -96,31 +97,29 @@ def test_materialize_skeleton():
 
 
 def test_materialize_threshold_facts():
-    t = VTable(v={0: 2}, change_count={0: 0}, next_fresh=1, stage=2)
-    snap = materialize(t, 1, 4)
+    t = VTable(v={0: 2}, change_count={0: 0}, stage=4)
+    snap = materialize(t)
     a0 = elem_a(0)
     assert _le(snap, elem_b(2), a0) and _le(snap, elem_b(3), a0)
     assert _incomparable(snap, a0, elem_b(0)) and _incomparable(snap, a0, elem_b(1))
     assert _incomparable_b_count(snap, 0) == snap.thresholds[0] == 2
-    zero = materialize(VTable(v={0: 0}, change_count={0: 0}, next_fresh=1, stage=1), 1, 4)
+    zero = materialize(VTable(v={0: 0}, change_count={0: 0}, stage=4))
     assert all(_le(zero, elem_b(j), a0) for j in range(4))
     assert _incomparable_b_count(zero, 0) == zero.thresholds[0] == 0
-    fresh = materialize(VTable(), 1, 4)
+    fresh = materialize(VTable(stage=4))
     assert _incomparable_b_count(fresh, 0) == fresh.thresholds[0] == 4
 
 
 def test_materialize_matches_bruteforce_closure():
     rng = random.Random(17)
     for _ in range(220):
-        na, nb = rng.randint(0, 5), rng.randint(0, 5)
-        t = VTable()
+        na = nb = rng.randint(0, 5)
+        t = VTable(stage=na)
         for i in range(na):
             if rng.random() < 0.7:
                 t.v[i] = rng.randint(0, nb + 1)
                 t.change_count[i] = 0
-        t.next_fresh = na
-        t.stage = 2
-        snap = materialize(t, na, nb)
+        snap = materialize(t)
         elements = snap.elements()
         generators = []
         generators += [(ELEM_C, elem_a(i)) for i in range(na)]
@@ -143,10 +142,10 @@ def test_materialize_matches_bruteforce_closure():
 def test_snapshots_only_gain_facts():
     b = _approx(([1], 0), ([], 1), ([0, 1, 1, 0], 0), ([], 1))
     t = VTable()
-    previous = materialize(t, 8, 8).leq
+    previous = materialize(t).leq
     for _ in range(40):
         preorder_step(t, b)
-        current = materialize(t, 8, 8).leq
+        current = materialize(t).leq
         assert bf_subset(previous, current)
         previous = current
 
@@ -194,15 +193,15 @@ def test_incomparable_counts_equal_thresholds_at_limit():
     b = _approx(([], 1), ([0, 1], 1), ([1, 1], 0))  # B = {1, 2}
     t = run_preorder(b, required_stages_for(b, 3) + 3)
     assert verify_claim(t, b, 3).all_ok
-    nb = max(t.v.values()) + 2
-    snap = materialize(t, t.next_fresh, nb)
-    for i in range(t.next_fresh):
+    snap = materialize(t)
+    assert snap.nb > max(t.v.values())
+    for i in range(len(t.v)):
         assert _incomparable_b_count(snap, i) == snap.thresholds[i] == t.v[i]
 
 
 def test_snapshot_json_round_trip():
-    t = run_preorder(_approx(([], 1)), 6)
-    snap = materialize(t, 3, 3)
+    t = run_preorder(_approx(([], 1)), 3)
+    snap = materialize(t)
     obj = snapshot_to_json(snap)
     assert snapshot_from_json(obj) == snap
     assert obj == {"format": 2, "na": 3, "nb": 3, "thresholds": [0, 1, 0]}
@@ -217,4 +216,4 @@ def test_snapshot_json_round_trip():
                 {"thresholds": [0, 1]}, {"thresholds": [0, 1, 0, 0]}, {"thresholds": "010"}):
         with pytest.raises(InputError):
             snapshot_from_json({**obj, **bad})
-    assert snapshot_from_json({**obj, "thresholds": [3, 3, 3]}) == materialize(VTable(), 3, 3)
+    assert snapshot_from_json({**obj, "thresholds": [3, 3, 3]}) == materialize(VTable(stage=3))

@@ -7,17 +7,18 @@ import pytest
 import effstruct.cli  # noqa: F401  (loads every module)
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
-    CoceerState, CoceerTrace, ColumnState, RequirementReport, StageRecord,
+    CoceerTrace, ColumnState, RequirementReport, StageRecord,
 )
 from effstruct.core import Delta02SetApprox, Record, UPSeq
 from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace
 from effstruct.preorder import ClaimEntry, ClaimReport, PreorderSnapshot, VTable
 
-MUTABLE = (ColumnState, CoceerState, LabelState, VTable)
+MUTABLE = (ColumnState, LabelState, VTable)
 _STEP = StageRecord(3, 0, 4, (1,), False, ((0, 2),))
 _ENTRY = ClaimEntry(1, True, (0,))
 
-# each record next to the text its former dataclass printed
+# each record next to its repr text: the former dataclass's, but for the
+# fields that ColumnState (flag) and VTable (next_fresh) no longer have
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -27,11 +28,7 @@ RECORDS = [
     (CeerFamily([ChurnGenerator(4, 2)]),
      "CeerFamily(members=(ChurnGenerator(target_size=4, block_spacing=2),))"),
     (ColumnState(k=4, next_free=4),
-     "ColumnState(k=4, next_free=4, extra=None, flag=False, case3_count=0, "
-     "last_case4_stage=None)"),
-    (CoceerState(0, [ColumnState(2, 3, extra=2)]),
-     "CoceerState(stage=0, columns=[ColumnState(k=2, next_free=3, extra=2, flag=False, "
-     "case3_count=0, last_case4_stage=None)])"),
+     "ColumnState(k=4, next_free=4, extra=None, case3_count=0, last_case4_stage=None)"),
     (_STEP, "StageRecord(stage=3, e=0, case=4, witnesses=(1,), flag=False, exiled=((0, 2),))"),
     (CoceerTrace(1, 3, (_STEP,)),
      "CoceerTrace(columns=1, stages=3, records=(StageRecord(stage=3, e=0, case=4, "
@@ -45,7 +42,7 @@ RECORDS = [
     (PiTrace(1, (0, 1), ((1,),), {0: ((1, 0),)}),
      "PiTrace(stages=1, windows=(0, 1), since=((1,),), transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
-    (VTable(v={0: 2}), "VTable(v={0: 2}, change_count={}, next_fresh=0, stage=0, events=[])"),
+    (VTable(v={0: 2}), "VTable(v={0: 2}, change_count={}, stage=0, events=[])"),
     (PreorderSnapshot(2, 3, (1, 3)), "PreorderSnapshot(na=2, nb=3, thresholds=(1, 3))"),
     (_ENTRY, "ClaimEntry(x=1, in_b=True, holders=(0,))"),
     (ClaimReport((_ENTRY,), 2, True, (1,), (1,)),
