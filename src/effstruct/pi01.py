@@ -10,9 +10,36 @@ parked and recycled as future founders, and the number of elements whose
 label eventually settles on k is exactly liminf_s g(k, s).
 
 A run keeps each label's members as a stack, with the stage at which each
-member took the label; the verifier reads only that live state.  The
+member took the label; the verifier reads only those label stages.  The
 per-element history of labels and removals is recorded only when the
 caller asks, for the ``--trace`` file; ``verify-all`` keeps none.
+
+Without history a run steps only to its settle stage and takes each
+label's stages at the budget S from the shift rule.  Label k's stack
+changes only by top-ups (pushes of stage t, at stage t) and strips (pops),
+and from stage k+2 on it holds g(k, t) entries after stage t.  Let
+(plen, perlen) be column k's shape, m = liminf_k,
+A = max(plen, k + 2) and base = A + perlen.
+
+* Shift rule.  For S >= base and S' = base + (S - base) mod perlen, the
+  stages ``since_S[k]`` are ``since_S'[k][:m]`` followed by every entry of
+  ``since_S'[k][m:]`` plus S - S'.  Proof: from stage A on every stage is
+  stepped and g(k, .) is periodic, so each period of stages from A on
+  holds a dip to m and no goal below it.  The bottom m entries are
+  therefore fixed from the first dip at or after A, before base.  Let d
+  be the last dip at or before S; d > S - perlen >= A, so the stack
+  holds just the bottom m after stage d, and the entries above them are
+  a function of the goals at the stages in (d, S] that shifts with them.
+  S' >= base has the same residue, so its last dip is d - (S - S') and
+  its goals in (d - (S - S'), S'] are those of (d, S].
+* Labels at or past the width hold only the founder, taken at stage
+  k + 1 (see :func:`pi01_step`), so a run without history stores the
+  stages of the labels below min(width, S) only.
+
+The run steps to min(S, settle), where :func:`settle_stage` is the
+greatest base + perlen - 1 over the labels below the width: it bounds
+every S' and does not depend on S.  Past it the two guarantees of
+:func:`pi01_step` hold by their proofs, which no stepped check adds to.
 """
 
 from __future__ import annotations
@@ -115,8 +142,8 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
     the count 1 equals the goal 1, so that body would add no element,
     strip none and pass its count check.
 
-    Two guarantees on element histories are checked as the run goes, so a
-    run without history keeps them too:
+    Two guarantees on element histories are checked at every stepped
+    stage, and hold at every stage by these proofs:
 
     * No element is removed twice.  A strip of label k keeps the bottom
       g(k, s+1) >= 1 entries of its stack, so it never reaches the founder
@@ -173,7 +200,9 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
 class PiTrace(Record):
     """The end of a run: the stages at which each label's members took it
     (``LabelState.since``), the window after every stage, and the
-    per-element history, which is empty unless the run kept it."""
+    per-element history.  A run without history keeps no windows and no
+    history, and stores the stages of the labels below min(width, stages)
+    only; every later label holds just its founder, taken at stage k + 1."""
 
     __slots__ = ("stages", "windows", "since", "transitions")
 
@@ -182,19 +211,50 @@ class PiTrace(Record):
         self.stages, self.windows, self.since, self.transitions = stages, windows, since, transitions
 
 
+def settle_stage(g: GTable) -> int:
+    """The last stage a run without history steps, whatever its budget:
+    the greatest max(plen, k + 2) + 2 * perlen - 1 over the labels k below
+    the width, 0 with none (module docstring)."""
+    worst = 0
+    for k in range(g.width):
+        plen, perlen = g.column_shape(k)
+        worst = max(worst, max(plen, k + 2) + 2 * perlen - 1)
+    return worst
+
+
+def _repeat_stage(g: GTable, k: int, stages: int) -> int:
+    """The stage S' whose stack label k repeats at ``stages`` by the shift rule."""
+    plen, perlen = g.column_shape(k)
+    base = max(plen, k + 2) + perlen
+    return stages if stages < base else base + (stages - base) % perlen
+
+
 def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
-    """Run ``stages`` stages; keep each element's history only if asked."""
+    """Run ``stages`` stages; keep each element's history only if asked.
+
+    Without history the run steps to min(stages, settle_stage(g)) and reads
+    each label below the width at its repeat stage, shifted by the shift
+    rule of the module docstring.
+    """
     if stages < 1:
         raise InputError("stage count must be at least 1")
     st = LabelState(transitions={} if history else None)
-    for _ in range(stages):
+    if history:
+        for _ in range(stages):
+            pi01_step(st, g)
+        return PiTrace(stages, tuple(st.windows), tuple(map(tuple, st.since)), st.transitions)
+    labels = range(min(g.width, stages))
+    reads: dict[int, list[int]] = {}
+    for k in labels:
+        reads.setdefault(_repeat_stage(g, k, stages), []).append(k)
+    since: list[tuple[int, ...]] = [()] * len(labels)
+    for _ in range(min(stages, settle_stage(g))):
         pi01_step(st, g)
-    return PiTrace(
-        stages=stages,
-        windows=tuple(st.windows),
-        since=tuple(map(tuple, st.since)),
-        transitions=st.transitions if history else {},
-    )
+        shift = stages - st.stage
+        for k in reads.get(st.stage, ()):
+            m, stack = g.liminf(k), st.since[k]
+            since[k] = (*stack[:m], *(t + shift for t in stack[m:]))
+    return PiTrace(stages, (), tuple(since), {})
 
 
 class LabelCount(Record):
@@ -233,10 +293,11 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
 
     The count is read off the live stack of label k: it is the number of
     members whose label stage is at most start, a prefix of the stack since
-    the label stages are nondecreasing.  These are exactly the elements
-    holding k throughout the window.  One that holds k at start and has no
-    transition in (start, stages] still holds k at the end, so it is in the
-    stack, and it took k at or before start.  Conversely, a member of the
+    the label stages are nondecreasing.  A label the trace stores no
+    stages for holds only its founder, taken at stage k + 1.  These are
+    exactly the elements holding k throughout the window.  One that holds
+    k at start and has no transition in (start, stages] still holds k at
+    the end, so it is in the stack, and it took k at or before start.  Conversely, a member of the
     stack that took k at a stage at or before start has had no transition
     since: its next one would be a removal from k, after which it can only
     come back as the founder of a label above k, never as a member of k.
@@ -253,7 +314,8 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
     entries = []
     for k in range(K + 1):
         _, perlen = g.column_shape(k)
-        observed = bisect_right(trace.since[k], trace.stages - 2 * perlen)
+        since = trace.since[k] if k < len(trace.since) else (k + 1,)
+        observed = bisect_right(since, trace.stages - 2 * perlen)
         entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
     return tuple(entries)
 

@@ -10,6 +10,21 @@ for every x in B, exactly one a_i with threshold x, resetting thresholds
 whose x has left the approximation.  Once defined, a threshold changes at
 most once and only to 0, which keeps the enumerated facts consistent, and
 in the limit the set of positive thresholds equals B.
+
+A run steps only to the settle stage P = max(T, W) + 2, where W is the
+width and T = stabilization_stage(W - 1), and keeps the rest as a count.
+Claim: past P a step only gives a fresh a_i the threshold 0 at each odd
+stage.  Proof: an even stage s+1 reads g(x, s) for 1 <= x < min(s+1, W);
+no x >= W is read or ever held.  Let e be the first even stage with
+e - 1 >= T and e >= W, so e <= max(T + 1, W) + 1 <= P.  At e every x < W
+is read at its limit B(x): an x in B with no holder gets one, and the
+holders of an x not in B are reset to 0.  After e an x in B has exactly
+one holder, since a positive x is assigned only when it has none, and an
+x not in B has none.  Every later even stage reads the same limits, so it
+finds each x in B held and each x not in B free, and resets and assigns
+nothing.  Odd stages always assign a fresh 0.  The once-only change rule,
+checked online by the steps, needs no check past P: no threshold changes
+there.
 """
 
 from __future__ import annotations
@@ -39,9 +54,16 @@ class VTable(Record):
     ``_assign_fresh`` and ``_reset_to_zero``, which keep the index up
     to date; ``holders_of`` reads the index, so a direct write to ``v``
     would go unseen by it.
+
+    ``tail`` counts the a's that :func:`run_preorder` assigned past its
+    settle stage without stepping: a_i for len(v) <= i < len(v) + tail,
+    each given the threshold 0 at one of the last ``tail`` odd stages up to
+    ``stage`` and never changed.  They are in none of ``v``,
+    ``change_count``, ``events`` and ``holders``, and a table with a tail
+    is not stepped further.
     """
 
-    __slots__ = ("v", "change_count", "stage", "events", "holders")
+    __slots__ = ("v", "change_count", "stage", "events", "tail", "holders")
     _fields = __slots__[:-1]
     __hash__ = None
 
@@ -51,6 +73,7 @@ class VTable(Record):
         self.change_count = {} if change_count is None else change_count
         self.stage = stage
         self.events: list[tuple[int, int, Optional[int], int]] = []
+        self.tail = 0
         self.holders: dict[int, set[int]] = {}
         for i, val in self.v.items():
             self.holders.setdefault(val, set()).add(i)
@@ -106,12 +129,22 @@ def preorder_step(t: VTable, gB: Delta02SetApprox) -> VTable:
     return t
 
 
+def settle_stage(gB: Delta02SetApprox) -> int:
+    """P = max(stabilization_stage(width - 1), width) + 2: past it a step
+    only gives a fresh a_i the threshold 0 at each odd stage (module
+    docstring)."""
+    return max(gB.stabilization_stage(gB.width - 1), gB.width) + 2
+
+
 def run_preorder(gB: Delta02SetApprox, stages: int) -> VTable:
+    """Step to min(stages, P), then count the odd stages left as the tail."""
     if stages < 1:
         raise InputError("stage count must be at least 1")
     t = VTable()
-    for _ in range(stages):
+    for _ in range(min(stages, settle_stage(gB))):
         preorder_step(t, gB)
+    t.tail = (stages + 1) // 2 - (t.stage + 1) // 2
+    t.stage = stages
     return t
 
 
@@ -160,10 +193,14 @@ class PreorderSnapshot(Record):
 def materialize(t: VTable) -> PreorderSnapshot:
     """Snapshot of the first n a's and n b's for n stages, in O(n).
 
-    One a per stage and one b per stage make every assigned threshold visible.
+    One a per stage and one b per stage make every assigned threshold
+    visible.  The tail's a's follow the stepped ones, with threshold 0.
     """
-    n = t.stage
-    return PreorderSnapshot(na=n, nb=n, thresholds=tuple(min(t.v.get(i, n), n) for i in range(n)))
+    n, head = t.stage, len(t.v)
+    stop = min(head + t.tail, n)
+    thresholds = [min(t.v.get(i, n), n) for i in range(n)]
+    thresholds[head:stop] = [0] * (stop - head)
+    return PreorderSnapshot(na=n, nb=n, thresholds=tuple(thresholds))
 
 
 def fingerprint(t: VTable) -> set[int]:
@@ -231,7 +268,7 @@ def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport
         ClaimEntry(x=x, in_b=gB.limit(x) == 1, holders=tuple(t.holders_of(x)))
         for x in range(1, horizon_x + 1)
     )
-    zero_count = len(t.holders_of(0))
+    zero_count = len(t.holders.get(0, ())) + t.tail
     expected = tuple(sorted(gB.members(horizon_x) - {0}))
     fp = tuple(sorted(v for v in fingerprint(t) if v <= horizon_x))
     return ClaimReport(

@@ -21,7 +21,8 @@ scan of the whole trace (:func:`ever_labeled`) and reads each element's
 history with :func:`stable_window_label` and :func:`label_at`, where the
 library reads only the live label stacks.  :func:`classify_history` checks
 one element's history against the two guarantees that ``pi01_step`` checks
-online.  :func:`reference_materialize`
+online.  :func:`expand_tail` writes a preorder run's closed-form tail out
+as the entries a stepped run holds.  :func:`reference_materialize`
 builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time, and :func:`reference_block_classes` lists its classes member by
@@ -543,6 +544,21 @@ def reference_preorder_step(t: ReferenceVTable, gB: Delta02SetApprox) -> Referen
                 _ref_assign_fresh(t, x, stage)
     t.stage = stage
     return t
+
+
+def expand_tail(t: VTable) -> VTable:
+    """A copy of ``t`` with its tail written out as a stepped run keeps it:
+    a fresh a_i with threshold 0, unchanged, at each of the last ``tail``
+    odd stages up to ``t.stage``."""
+    out = VTable(v=dict(t.v), change_count=dict(t.change_count), stage=t.stage)
+    out.events = list(t.events)
+    first = t.stage - (t.stage + 1) % 2 - 2 * (t.tail - 1)   # the earliest tail stage
+    for stage in range(first, t.stage + 1, 2):
+        i = len(out.v)
+        out.v[i], out.change_count[i] = 0, 0
+        out.holders.setdefault(0, set()).add(i)
+        out.events.append((stage, i, None, 0))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
 steppers against slow reference paths, co-ceer runs without records (whose
-settled columns advance in closed form) against stepped runs, co-ceer
-verdicts against the witness-history certificate, threshold snapshots and
-the closed-form block layout against explicit constructions, plus
-operation-count gates."""
+settled columns advance in closed form) and pi01 runs without history and
+preorder runs (which close the run past a settle stage) against stepped
+runs, co-ceer verdicts against the witness-history certificate, threshold
+snapshots and the closed-form block layout against explicit constructions,
+plus operation-count gates."""
 
 import random
 from bisect import bisect_right
@@ -35,6 +36,7 @@ from reference import (
     ReferenceVTable,
     ceer_snapshot,
     column_exiles,
+    expand_tail,
     generate_family,
     reference_block_classes,
     reference_block_partition,
@@ -482,13 +484,13 @@ def _assert_pi01_matches_reference(g, stages):
     assert trace.windows == tuple(ref.windows)
     assert trace.since == tuple(map(tuple, fast.since))
     live = pi01.run_pi01(g, stages, history=False)
-    assert live == pi01.PiTrace(trace.stages, trace.windows, trace.since, {})
+    assert live == pi01.PiTrace(trace.stages, (), trace.since[:g.width], {})
     K = max(g.width - 1, 0)
     assert pi01.verify_liminf_counts(live, g, K) == reference_verify_liminf_counts(trace, g, K)
 
 
 def _assert_preorder_matches_reference(gB, stages):
-    """Run past the horizon width - 1; both verifiers then apply."""
+    """Run past the horizon width - 1; the verifier then applies."""
     fast, ref = preorder.VTable(), ReferenceVTable()
     for _ in range(stages):
         preorder.preorder_step(fast, gB)
@@ -498,10 +500,10 @@ def _assert_preorder_matches_reference(gB, stages):
     assert len(fast.v) == ref.next_fresh
     for x in range(gB.width + 3):
         assert fast.holders_of(x) == ref.holders_of(x), x
-    assert preorder.run_preorder(gB, stages) == fast
-    # the verifier reads only stage, holders_of and v, so it runs on either table
+    run = preorder.run_preorder(gB, stages)
+    assert expand_tail(run) == fast
     horizon = gB.width - 1
-    assert preorder.verify_claim(fast, gB, horizon) == preorder.verify_claim(ref, gB, horizon)
+    assert preorder.verify_claim(run, gB, horizon) == preorder.verify_claim(fast, gB, horizon)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 5, 8, 12])
@@ -524,7 +526,7 @@ _FOREIGN = ("a01", "b-1", "b+1", "a 1", "a", "b", "", "e", "c0", "d1", "A0", "a\
 
 
 def _assert_snapshot_matches_reference(t):
-    snap, ref = preorder.materialize(t), reference_materialize(t)
+    snap, ref = preorder.materialize(t), reference_materialize(expand_tail(t))
     assert (snap.na, snap.nb, snap.leq) == (ref.na, ref.nb, ref.leq)
     na, nb = snap.na, snap.nb
     elements = snap.elements()
@@ -628,6 +630,43 @@ def test_preorder_matches_reference_property(gB, extra):
     _assert_preorder_matches_reference(gB, stages)
 
 
+@settings(deadline=None, max_examples=60)
+@given(_gtables, st.integers(1, 400))
+def test_pi01_closed_form_matches_stepped_property(g, stages):
+    """A run without history, stopped before or past its settle stage, has
+    the stepped stacks' stages for every label below the width, and its
+    verdict is the trace-scanning reference's."""
+    state = pi01.LabelState()
+    for _ in range(stages):
+        pi01.pi01_step(state, g)
+    live = pi01.run_pi01(g, stages, history=False)
+    assert live.since == tuple(map(tuple, state.since[:g.width]))
+    K = max(g.width - 1, 0)
+    if stages >= pi01.required_stages_for(g, K):
+        assert pi01.verify_liminf_counts(live, g, K) == reference_verify_liminf_counts(
+            pi01.run_pi01(g, stages), g, K)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_set_approxes, st.integers(1, 200))
+def test_preorder_tail_matches_stepped_property(gB, stages):
+    """A run stopped before or past its settle stage, its tail written out,
+    is the stepped table, and its verdict and snapshot file are the stepped
+    table's."""
+    stepped = preorder.VTable()
+    for _ in range(stages):
+        preorder.preorder_step(stepped, gB)
+    run = preorder.run_preorder(gB, stages)
+    assert expand_tail(run) == stepped
+    assert run.tail == sum(1 for event in stepped.events if event[0] > preorder.settle_stage(gB))
+    horizon = gB.width - 1
+    if stages >= preorder.required_stages_for(gB, horizon):
+        assert preorder.verify_claim(run, gB, horizon) == preorder.verify_claim(
+            stepped, gB, horizon)
+    assert preorder.snapshot_to_json(preorder.materialize(run)) == preorder.snapshot_to_json(
+        preorder.materialize(stepped))
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = [0]
     original = getattr(owner, name)
@@ -642,27 +681,35 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("K", [None, 0, 8])
 def test_pi01_operation_counts(monkeypatch, K):
-    """pi01 asks g only about labels below the width.  A run without history
-    keeps each element in one place, a label stack or the parked heap, and its
-    verifier agrees with the trace-scanning reference on a full run."""
+    """A run without history steps pi01_step to its settle stage and asks g
+    only there, so it makes as many calls at 10**6 stages as at 10**4.  A
+    history run steps every stage and asks g only about labels below the
+    width, and a stepped state keeps each element in one place, a label
+    stack or the parked heap."""
     g = pi01.GTable(()) if K is None else generate_gtable(7, K)
-    stages = 1500
+    steps = _count_calls(monkeypatch, pi01, "pi01_step")
     lookups = _count_calls(monkeypatch, pi01.GTable, "g")
-    live = pi01.run_pi01(g, stages, history=False)
-    assert lookups[0] == sum(min(s, g.width) for s in range(stages))
-    assert live.transitions == {}
+    settle = pi01.settle_stage(g)
+    bound = max(g.width - 1, 0)
+    for budget in (10**4, 10**6):
+        steps[0] = lookups[0] = 0
+        live = pi01.run_pi01(g, budget, history=False)
+        assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
+        assert live.windows == () and live.transitions == {}
+        assert len(live.since) == g.width
+        assert all(entry.match for entry in pi01.verify_liminf_counts(live, g, bound))
 
+    stages = 1500
+    steps[0] = lookups[0] = 0
+    trace = pi01.run_pi01(g, stages)
+    assert (steps[0], lookups[0]) == (stages, sum(min(s, g.width) for s in range(stages)))
+    assert len(trace.windows) == len(trace.since) + 1 == stages + 1
     st = pi01.LabelState()
     for _ in range(stages):
         pi01.pi01_step(st, g)
     assert st.transitions is None
     assert sum(map(len, st.members)) + len(st.removed_pending) == st.next_fresh
     assert list(map(len, st.since)) == list(map(len, st.members))
-
-    bound = max(g.width - 1, 0)
-    counts = pi01.verify_liminf_counts(live, g, bound)
-    assert all(entry.match for entry in counts)
-    assert counts == reference_verify_liminf_counts(pi01.run_pi01(g, stages), g, bound)
 
 
 def test_verify_all_pi01_suite_keeps_no_history(monkeypatch):
@@ -703,13 +750,25 @@ def test_pi01_required_stages_reads_labels_below_width(monkeypatch, K):
 
 @pytest.mark.parametrize("K", [0, 1, 10])
 def test_preorder_operation_counts(monkeypatch, K):
-    """preorder reads g and the holders of x only below the width, at even stages."""
+    """preorder steps to its settle stage P only, and reads g and the holders
+    of x below the width at the even stages up to P, so a run makes as many
+    calls at 10**6 stages as at 10**4 and keeps as many thresholds; the
+    verifier asks for the holders of each positive x once."""
     gB = generate_b(7, K)
-    stages = 601
+    settle = preorder.settle_stage(gB)
+    steps = _count_calls(monkeypatch, preorder, "preorder_step")
     lookups = _count_calls(monkeypatch, Delta02SetApprox, "g")
     holder_queries = _count_calls(monkeypatch, preorder.VTable, "holders_of")
-    preorder.run_preorder(gB, stages)
     # stage s+1 is even when s is odd, and then reads 1 <= x < min(s+1, width)
-    expected = sum(min(s + 1, gB.width) - 1 for s in range(1, stages, 2))
-    assert lookups[0] == holder_queries[0] == expected
-    assert expected <= -(-stages // 2) * gB.width
+    expected = sum(min(s + 1, gB.width) - 1 for s in range(1, settle, 2))
+    sizes = set()
+    for budget in (10**4, 10**6):
+        steps[0] = lookups[0] = holder_queries[0] = 0
+        t = preorder.run_preorder(gB, budget)
+        assert steps[0] == settle and lookups[0] == holder_queries[0] == expected
+        sizes.add((len(t.v), len(t.events), sum(map(len, t.holders.values()))))
+        assert t.tail == (budget + 1) // 2 - (settle + 1) // 2
+        holder_queries[0] = 0
+        assert preorder.verify_claim(t, gB, K).all_ok
+        assert holder_queries[0] == K
+    assert len(sizes) == 1

@@ -18,7 +18,8 @@ _STEP = StageRecord(3, 0, 4, (1,), False, ((0, 2),))
 _ENTRY = ClaimEntry(1, True, (0,))
 
 # each record next to its repr text: the former dataclass's, but for the
-# fields that ColumnState (flag) and VTable (next_fresh) no longer have
+# fields that ColumnState (flag) and VTable (next_fresh) no longer have and
+# the count of VTable's closed-form tail
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -42,7 +43,7 @@ RECORDS = [
     (PiTrace(1, (0, 1), ((1,),), {0: ((1, 0),)}),
      "PiTrace(stages=1, windows=(0, 1), since=((1,),), transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
-    (VTable(v={0: 2}), "VTable(v={0: 2}, change_count={}, stage=0, events=[])"),
+    (VTable(v={0: 2}), "VTable(v={0: 2}, change_count={}, stage=0, events=[], tail=0)"),
     (PreorderSnapshot(2, 3, (1, 3)), "PreorderSnapshot(na=2, nb=3, thresholds=(1, 3))"),
     (_ENTRY, "ClaimEntry(x=1, in_b=True, holders=(0,))"),
     (ClaimReport((_ENTRY,), 2, True, (1,), (1,)),
