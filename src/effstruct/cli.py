@@ -57,8 +57,7 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
     if args.report is not None and not args.verify:
         raise InputError("--report needs --verify")
     fam = family_from_json(_load_json(args.family))
-    columns, trace = coceer_mod.run_coceer(fam, args.columns, args.stages,
-                                            records=bool(args.trace))
+    columns, trace = coceer_mod.run_coceer(fam, args.columns, args.stages)
     reports = ([coceer_mod.verify_requirement(columns, fam, e) for e in range(args.columns)]
                if args.verify else None)
     if args.trace:
@@ -152,7 +151,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 
 def _suite_coceer(seed: int, stages: int) -> tuple[bool, str]:
     fam, kinds = generators.generate_diagonalization_suite(seed)
-    columns, _ = coceer_mod.run_coceer(fam, len(fam.members), stages, records=False)
+    columns, _ = coceer_mod.run_coceer(fam, len(fam.members), stages)
     reports = [coceer_mod.verify_requirement(columns, fam, e) for e in kinds]
     good = sum(1 for r in reports if r.satisfied and r.certified)
     return good == len(reports), (

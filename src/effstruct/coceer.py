@@ -25,16 +25,16 @@ Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-Records are kept on demand.  :func:`run_coceer` runs each column for a
-stage budget and merges their records by stage.  A stage whose focus lies
-beyond the last column changes nothing, so it is never visited.  With
-records (``--trace``, and the default of :func:`run_coceer`) every focused
-stage is stepped by :func:`_dispatch` and recorded.  Without them a column
-stops being stepped once it has *settled*, when every later focus of it is
-known to take one case, and its focused stages up to the budget are then
-applied in closed form (:func:`_advance_settled`).  A settled column costs
-O(1), so a run costs O(focused stages before settling + E) whatever the
-budget.  There are two settle rules:
+A run records only the focuses it steps.  :func:`run_coceer` runs each
+column for a stage budget and merges their records by stage.  A stage
+whose focus lies beyond the last column changes nothing, so it is never
+visited.  A column is stepped by :func:`_dispatch`, one record per focus,
+until it has *settled*, when every later focus of it is known to take one
+case; its focused stages up to the budget are then applied in closed form
+(:func:`_advance_settled`), and the trace keeps one tail for the column in
+place of their records.  A settled column costs O(1), so a run and its
+trace cost O(focused stages before settling + E) whatever the budget.
+There are two settle rules:
 
 - **Case 4 after quiescence.**  A focus at a stage s > T that takes case
   4, for T the member's quiescence stage (:func:`_quiescence_stage`), is
@@ -112,21 +112,32 @@ class ColumnState(Record):
 
 
 class StageRecord(Record):
-    __slots__ = ("stage", "e", "case", "witnesses", "flag", "exiled")
+    """One stepped focus: its case, the column's extra after it and its exile."""
 
-    def __init__(self, stage: int, e: int, case: int, witnesses: tuple[int, ...], flag: bool,
+    __slots__ = ("stage", "e", "case", "extra", "exiled")
+
+    def __init__(self, stage: int, e: int, case: int, extra: Optional[int],
                  exiled: tuple[tuple[int, int], ...]):
         self.stage, self.e, self.case = stage, e, case   # case 1..4
-        self.witnesses, self.flag, self.exiled = witnesses, flag, exiled   # a run writes flag off
+        self.extra, self.exiled = extra, exiled
+
+    @property
+    def witnesses(self) -> tuple[int, ...]:
+        """The column's witness set after the focus, as in :class:`ColumnState`."""
+        initial = tuple(range(1, 2 * self.e + 2))
+        return initial if self.extra is None else initial + (self.extra,)
 
 
 class CoceerTrace(Record):
-    """One record per focused stage in 1..stages, in stage order."""
+    """One record per stepped focus in 1..stages, in stage order, and one
+    tail (e, w, case) per settled column: its focuses after diagonal w take
+    ``case`` (3 or 4) in closed form."""
 
-    __slots__ = ("columns", "stages", "records")
+    __slots__ = ("columns", "stages", "records", "tails")
 
-    def __init__(self, columns: int, stages: int, records: tuple[StageRecord, ...]):
-        self.columns, self.stages, self.records = columns, stages, records
+    def __init__(self, columns: int, stages: int, records: tuple[StageRecord, ...],
+                 tails: tuple[tuple[int, int, int], ...]):
+        self.columns, self.stages, self.records, self.tails = columns, stages, records, tails
 
 
 class RequirementReport(Record):
@@ -182,17 +193,18 @@ def _dispatch(col: ColumnState, stage: int, has_k: bool,
 
 
 def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
-                budget: int, records: bool) -> list[StageRecord]:
-    """Run column e through stage ``budget``; returns its focused stages'
-    records, or an empty list when the run keeps none.
+                budget: int) -> tuple[list[StageRecord], Optional[tuple[int, int, int]]]:
+    """Run column e through stage ``budget``; returns the records of the
+    focuses it stepped and its tail (e, w, case), or None if it has not
+    settled by ``budget``.
 
     Stage 0 is seeded first: the stage-0 approximations enter the
     oldest-class history but latch nothing, since a class present from the
     start is not a mind change.  Column e is focused on every diagonal
     w >= max(e, 1), at stage w(w+1)/2 + e.  Each focus latches over the
-    stages since the previous one, then dispatches; without records the
-    column stops being stepped once a settle rule (module docstring)
-    applies, and its remaining focuses are applied in closed form
+    stages since the previous one, then dispatches.  The column stops being
+    stepped once a settle rule (module docstring) applies after the focus
+    on diagonal w, and its remaining focuses are applied in closed form
     (:func:`_advance_settled`).
     """
     runner = CeerRunner(member)
@@ -208,17 +220,17 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
         runner.advance_to(s)
         case, exiled = _dispatch(col, s, runner.has_class_of_size(col.k), latched)
         last = s
-        if records:
-            kept.append(StageRecord(s, e, case, col.witnesses, False,
-                                    () if exiled is None else ((e, exiled),)))
-        elif quiet is None and w + 1 >= 2 * member.block_spacing:
-            _advance_settled(col, e, w, 3, budget)   # a churn of target k
-            break
+        kept.append(StageRecord(s, e, case, col.extra, () if exiled is None else ((e, exiled),)))
+        if quiet is None and w + 1 >= 2 * member.block_spacing:
+            settled = 3   # a churn of target k
         elif quiet is not None and case == 4 and s > quiet:
-            _advance_settled(col, e, w, 4, budget)
-            break
-        w += 1
-    return kept
+            settled = 4
+        else:
+            w += 1
+            continue
+        _advance_settled(col, e, w, settled, budget)
+        return kept, (e, w, settled)
+    return kept, None
 
 
 def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
@@ -289,17 +301,15 @@ def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
     return rest == 0 and absorbed0 < rounds <= absorbed1
 
 
-def run_coceer(
-    fam: CeerFamily, E: int, stage_budget: int, records: bool = True
-) -> tuple[list[ColumnState], CoceerTrace]:
+def run_coceer(fam: CeerFamily, E: int,
+               stage_budget: int) -> tuple[list[ColumnState], CoceerTrace]:
     """Run columns 0..E-1 through stage ``stage_budget``; returns the
     columns and the trace.
 
-    Each column runs on its own (:func:`_run_column`).  With ``records``
-    the trace holds one record per focused stage; without them its records
-    are empty, settled columns are advanced in closed form, and the final
-    columns are the same.  The column invariants (witness count, protected
-    elements, settled-region identity) hold by the representation of
+    Each column runs on its own (:func:`_run_column`), and the trace holds
+    the records of the focuses stepped and one tail per settled column.
+    The column invariants (witness count, protected elements,
+    settled-region identity) hold by the representation of
     :class:`ColumnState`, so no stage checks them.
     """
     if stage_budget < 1:
@@ -309,10 +319,11 @@ def run_coceer(
     if E < 1:
         raise InputError("need at least one column")
     columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
-    kept = [r for e, col in enumerate(columns)
-            for r in _run_column(col, e, fam.member(e), stage_budget, records)]
-    kept.sort(key=attrgetter("stage"))   # the focused stages are distinct
-    return columns, CoceerTrace(columns=E, stages=stage_budget, records=tuple(kept))
+    runs = [_run_column(col, e, fam.member(e), stage_budget) for e, col in enumerate(columns)]
+    # the focused stages are distinct
+    kept = sorted((r for records, _ in runs for r in records), key=attrgetter("stage"))
+    tails = tuple(tail for _, tail in runs if tail is not None)
+    return columns, CoceerTrace(E, stage_budget, tuple(kept), tails)
 
 
 def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:
@@ -402,57 +413,64 @@ def report_to_json(report: RequirementReport) -> dict:
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:
-    """Format 2: the focused records only; every other stage is a skip."""
-    records = [
-        {
-            "stage": r.stage,
-            "e": r.e,
-            "case": r.case,
-            "Y": list(r.witnesses),
-            "flag": "on" if r.flag else "off",
-            "exiled": [[e, x] for e, x in r.exiled],
-        }
-        for r in trace.records
-    ]
-    return {"format": 2, "columns": trace.columns, "stages": trace.stages, "records": records}
+    """Format 3: the stepped records and the tails; every other stage is a skip."""
+    records = [{"stage": r.stage, "e": r.e, "case": r.case, "Y": r.witnesses, "exiled": r.exiled}
+               for r in trace.records]   # the C encoder writes tuples as arrays
+    return {"format": 3, "columns": trace.columns, "stages": trace.stages, "records": records,
+            "tails": trace.tails}
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    """Load a format-2 trace whose records are exactly the focused stages."""
+    """Load a format-3 trace.  Its tails are in increasing column order, and
+    each column's records are exactly its focused stages up to its tail
+    stage w(w+1)/2 + e, or up to ``stages`` when it has no tail."""
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-2 object")
-    check_format(obj, versions=(2,))
+        raise InputError("trace must be a format-3 object")
+    check_format(obj, versions=(3,))
     columns, stages = obj.get("columns"), obj.get("stages")
     if not is_nat(columns) or not is_nat(stages) or columns < 1:
         raise InputError("trace 'columns' must be a positive natural and 'stages' a natural")
-    schedule = focus_schedule(columns, stages)
     try:
+        tails = tuple(map(tuple, obj["tails"]))
+        ends, last = {}, -1
+        for e, w, case in tails:
+            if not (is_nat(e) and last < e < columns and is_nat(w)
+                    and w >= max(e, 1) and is_nat(case) and case in (3, 4)
+                    and w * (w + 1) // 2 + e <= stages):
+                raise InputError(f"trace tail {[e, w, case]!r}: columns must increase below "
+                                 "'columns', w >= max(e, 1), case be 3 or 4 and the tail "
+                                 "stage w(w+1)/2 + e at most 'stages'")
+            ends[e], last = w * (w + 1) // 2 + e, e
+        stop = max(ends.values()) if len(ends) == columns else stages
+        schedule = (f for f in focus_schedule(columns, stop) if f[0] <= ends.get(f[1], stop))
         records = tuple(_record_from_json(r, next(schedule, None)) for r in obj["records"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
     missing = next(schedule, None)
     if missing is not None:
         raise InputError(f"trace has no record for focused stage {missing[0]}")
-    return CoceerTrace(columns=columns, stages=stages, records=records)
+    return CoceerTrace(columns, stages, records, tails)
 
 
-_FLAGS = {"on": True, "off": False}
+_RECORD_KEYS = {"stage", "e", "case", "Y", "exiled"}
 
 
 def _record_from_json(r: dict, focus: Optional[tuple[int, int]]) -> StageRecord:
     """One record, which must be the focused stage ``focus`` = (stage, e)."""
-    stage, e, case, flag = r["stage"], r["e"], r["case"], r["flag"]
-    witnesses = tuple(r["Y"])
+    if set(r) != _RECORD_KEYS:
+        raise InputError(f"trace records must have exactly the keys {sorted(_RECORD_KEYS)}")
+    stage, e, case, Y = r["stage"], r["e"], r["case"], tuple(r["Y"])
     exiled = tuple((a, b) for a, b in r["exiled"])
-    if not (
-        is_nat(stage) and is_nat(e) and is_nat(case) and 1 <= case <= 4 and flag in _FLAGS
-        and all(map(is_nat, witnesses)) and all(is_nat(a) and is_nat(b) for a, b in exiled)
-    ):
-        raise InputError(
-            f"trace record {stage!r}: stage, e, case (1..4), Y and exiled must hold "
-            "naturals, flag must be 'on' or 'off'"
-        )
+    if not (is_nat(stage) and is_nat(e) and is_nat(case) and 1 <= case <= 4
+            and all(is_nat(a) and is_nat(b) for a, b in exiled)):
+        raise InputError(f"trace record {stage!r}: stage, e, case (1..4) and exiled must "
+                         "hold naturals")
     if (stage, e) != focus:
         raise InputError(f"trace record (stage, column) = {(stage, e)} is not the next "
                          f"focused stage, {focus or 'of which there are no more'}")
-    return StageRecord(stage, e, case, witnesses, _FLAGS[flag], exiled)
+    base = 2 * e + 1
+    if not (all(map(is_nat, Y)) and Y[:base] == tuple(range(1, base + 1))
+            and (len(Y) == base or len(Y) == base + 1 and Y[-1] > base)):
+        raise InputError(f"trace record {stage}: Y must be 1..{base} and at most one "
+                         f"extra above {base}")
+    return StageRecord(stage, e, case, Y[base] if len(Y) > base else None, exiled)

@@ -334,14 +334,9 @@ def gtable_from_json(obj: object) -> GTable:
 def trace_to_json(trace: PiTrace) -> dict:
     if not trace.transitions:
         raise InputError("the run kept no history to write")
-    return {
-        "format": 1,
-        "stages": trace.stages,
-        "windows": list(trace.windows),
-        "transitions": [
-            [x, [[s, v] for s, v in hist]] for x, hist in sorted(trace.transitions.items())
-        ],
-    }
+    # the C encoder writes tuples as arrays, so the histories go out as they are
+    return {"format": 1, "stages": trace.stages, "windows": trace.windows,
+            "transitions": sorted(trace.transitions.items())}
 
 
 def trace_from_json(obj: object) -> PiTrace:

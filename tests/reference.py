@@ -8,10 +8,14 @@ loop of the co-ceer construction over every stage, driven by that runner:
 it updates every flag at every stage from a seen-set of its own, keeps
 each column's witnesses and exiles as explicit sets
 (:class:`ReferenceColumn`, :func:`reference_dispatch`) and rescans each
-dispatched column with :func:`reference_check_column`;
-:func:`column_exiles` expands a library column's two integers into the
-same set.  :func:`reference_certificate` gives a column's verdict by the
-witness-history rule, read off the trace and a replay of the member.
+dispatched column with :func:`reference_check_column`, and records every
+stage as a :class:`ReferenceRecord`; :func:`column_exiles` expands a
+library column's two integers into the same set.  :func:`expand_tails`
+writes a run's tails out as the records of the focuses they stand for,
+and :func:`stepped_run_coceer` steps every focus with the library's latch
+and dispatch and no settle rule.  :func:`reference_certificate` gives a
+column's verdict by the witness-history rule, read off such a trace and a
+replay of the member.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
@@ -44,9 +48,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
+from effstruct import coceer
 from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import CoceerTrace, ColumnState, StageRecord
+from effstruct.coceer import CoceerTrace, ColumnState
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
@@ -163,6 +168,82 @@ def coceer_snapshot(columns: list[ColumnState], window: int) -> Partition:
     return p
 
 
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """A stage of a co-ceer run: the column's witnesses and the latch flag
+    after its focus, or ``case`` 0 and ``None`` for a skip."""
+
+    stage: int
+    e: int
+    case: int
+    witnesses: Optional[tuple[int, ...]]
+    flag: Optional[bool]
+    exiled: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class ReferenceTrace:
+    columns: int
+    stages: int
+    records: tuple[ReferenceRecord, ...]
+
+
+# how far each case moves a column's next_free (coceer.ColumnState)
+_NEXT_FREE_STEP = {1: 2, 2: 0, 3: 1, 4: 1}
+
+
+def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
+    """Every focused stage of a run, its tails written out as the records a
+    stepped run keeps, with the flag off (no case leaves the latch on).
+
+    A tail (e, w, case) stands for column e's focuses on diagonals w + 1,
+    w + 2, ... through ``trace.stages``.  The column's next_free after its
+    last record is 2e + 2 plus the steps of its cases; a case-4 focus
+    exiles it and keeps the extra, and a case-3 focus recruits it and
+    exiles the old extra.
+    """
+    records = [ReferenceRecord(r.stage, r.e, r.case, r.witnesses, False, r.exiled)
+               for r in trace.records]
+    for e, w, case in trace.tails:
+        mine = [r for r in trace.records if r.e == e]
+        assert mine[-1].stage == w * (w + 1) // 2 + e
+        extra, v = mine[-1].extra, 2 * e + 2 + sum(_NEXT_FREE_STEP[r.case] for r in mine)
+        initial = tuple(range(1, 2 * e + 2))
+        while (s := (w + 1) * (w + 2) // 2 + e) <= trace.stages:
+            exiled = v
+            if case == 3:
+                exiled, extra = extra, v
+            witnesses = initial if extra is None else initial + (extra,)
+            records.append(ReferenceRecord(s, e, case, witnesses, False,
+                                           () if exiled is None else ((e, exiled),)))
+            v, w = v + 1, w + 1
+    records.sort(key=lambda r: r.stage)
+    return ReferenceTrace(trace.columns, trace.stages, tuple(records))
+
+
+def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
+                       ) -> tuple[list[ColumnState], ReferenceTrace]:
+    """The library's latch and dispatch at every focused stage, with no
+    settle rule: a run that never advances a column in closed form."""
+    columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
+    records = []
+    for e, col in enumerate(columns):
+        runner = CeerRunner(fam.member(e))
+        runner.advance_to(0)
+        first = runner.oldest_class_min(col.k)
+        seen = set() if first is None else {first}
+        last, w = 0, max(e, 1)
+        while (s := w * (w + 1) // 2 + e) <= stage_budget:
+            latched = coceer._latch(col.k, runner, seen, last, s)
+            runner.advance_to(s)
+            case, x = coceer._dispatch(col, s, runner.has_class_of_size(col.k), latched)
+            records.append(ReferenceRecord(s, e, case, col.witnesses, False,
+                                           () if x is None else ((e, x),)))
+            last, w = s, w + 1
+    records.sort(key=lambda r: r.stage)
+    return columns, ReferenceTrace(E, stage_budget, tuple(records))
+
+
 @dataclass
 class ReferenceColumn:
     """A co-ceer column with its witnesses and exiles as explicit sets, and
@@ -189,7 +270,7 @@ def _reference_exile(col: ReferenceColumn, x: int) -> list[int]:
     return [x]
 
 
-def reference_dispatch(col: ReferenceColumn, e: int, stage: int, has_k: bool) -> StageRecord:
+def reference_dispatch(col: ReferenceColumn, e: int, stage: int, has_k: bool) -> ReferenceRecord:
     """One focused stage on explicit sets: u is the witness above the initial
     segment, v the least unexiled element above every witness."""
     top = max(col.witnesses)
@@ -220,8 +301,8 @@ def reference_dispatch(col: ReferenceColumn, e: int, stage: int, has_k: bool) ->
         newly += _reference_exile(col, v)
         col.last_case4_stage = stage
     reference_check_column(col, e)
-    return StageRecord(stage, e, case, tuple(sorted(col.witnesses)), col.flag,
-                       tuple((e, x) for x in newly))
+    return ReferenceRecord(stage, e, case, tuple(sorted(col.witnesses)), col.flag,
+                           tuple((e, x) for x in newly))
 
 
 def reference_check_column(col: ReferenceColumn, e: int) -> None:
@@ -241,7 +322,7 @@ def reference_check_column(col: ReferenceColumn, e: int) -> None:
 
 def reference_run_coceer(
     fam: CeerFamily, E: int, stage_budget: int
-) -> tuple[list[ReferenceColumn], CoceerTrace]:
+) -> tuple[list[ReferenceColumn], ReferenceTrace]:
     """The co-ceer construction visiting every stage, over reference runners
     and :class:`ReferenceColumn` states; returns the columns and the trace.
 
@@ -271,14 +352,15 @@ def reference_run_coceer(
             has_k = runners[e_focus].has_class_of_size(columns[e_focus].k)
             records.append(reference_dispatch(columns[e_focus], e_focus, stage, has_k))
         else:
-            records.append(StageRecord(stage, e_focus, 0, None, None, ()))
-    return columns, CoceerTrace(columns=E, stages=stage_budget, records=tuple(records))
+            records.append(ReferenceRecord(stage, e_focus, 0, None, None, ()))
+    return columns, ReferenceTrace(E, stage_budget, tuple(records))
 
 
 def reference_certificate(
-    trace: CoceerTrace, fam: CeerFamily, e: int
+    trace: ReferenceTrace, fam: CeerFamily, e: int
 ) -> tuple[bool, tuple[int, ...]]:
-    """(certified, y_limit) for column e by the witness-history rule.
+    """(certified, y_limit) for column e by the witness-history rule, from
+    a trace with a record for every focused stage (:func:`expand_tails`).
 
     The witness versions are the initial segment at stage 0 and the
     witnesses of each record of the column whose case is not 4.  A script,

@@ -45,7 +45,7 @@ from bruteforce import (
     bf_preorder_closure,
     bf_subset,
 )
-from reference import classify_history, label_at
+from reference import classify_history, expand_tails, label_at
 
 SEED = 7
 COCEER_BUDGET = 4000  # the criterion allows up to 20 000
@@ -102,9 +102,7 @@ def test_criterion_2_corrected_witness_identity(diagonalization_run):
     _, kinds, columns, trace, reports, _ = diagonalization_run
     exiled: dict[int, set[int]] = {}
     checked = 0
-    for record in trace.records:
-        if record.case == 0:
-            continue
+    for record in expand_tails(trace).records:
         col_exiles = exiled.setdefault(record.e, set())
         for _, x in record.exiled:
             col_exiles.add(x)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from effstruct.ceersim import family_to_json
+from effstruct.coceer import trace_from_json
 from effstruct.cli import main
 from effstruct.core import cantor_unpair, delta02_to_json
 from effstruct.eqrel import Partition
@@ -22,7 +23,7 @@ from effstruct.generators import (
 from effstruct.pi01 import gtable_to_json
 from effstruct.preorder import VTable
 
-from reference import generate_family, reference_materialize
+from reference import expand_tails, generate_family, reference_materialize
 
 
 def _write(path, obj):
@@ -283,6 +284,16 @@ def test_verify_all_green(capsys):
     ]
 
 
+def _as_format_2(trace: dict) -> dict:
+    """The format-3 trace in format 2: its tails written out as records, and
+    every record with the latch flag left after its focus, off."""
+    records = [{"stage": r.stage, "e": r.e, "case": r.case, "Y": list(r.witnesses),
+                "flag": "off", "exiled": [list(pair) for pair in r.exiled]}
+               for r in expand_tails(trace_from_json(trace)).records]
+    return {"format": 2, "columns": trace["columns"], "stages": trace["stages"],
+            "records": records}
+
+
 def _as_format_1(trace: dict) -> dict:
     """The same trace in format 1: every stage recorded, a case-0 skip where
     the focus lies beyond the columns, and the constant mode field."""
@@ -305,6 +316,11 @@ def _indented(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _compact(obj) -> bytes:
+    """``obj`` as the CLI writes files: one compact line with sorted keys."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
 def _pin(path, compact, indented):
     """The file hashes to ``compact``, and re-indented to ``indented``: the
     digest pinned while files were written with ``indent=2``."""
@@ -324,13 +340,20 @@ def test_coceer_output_files_are_pinned(tmp_path):
          "--trace", str(trace), "--report", str(report)]
     )
     assert code == 0
-    obj = _pin(trace, "b583b5ddc0dba257a7932f156d59d757fafd1218ea36b281913574f1779b2b35",
-               "7404bb86ea86fff3f437fba999af72feeb4860953ce878fad4d07be460d67e53")
+    assert _sha(trace.read_bytes()) == \
+        "64f0c2e531c67997dc6c4e69adbf6d81d3b49c686d908a8c05f94439b2765d04"
     _pin(report, "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863",
          "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4")
+    # with its tails written out and the flag put back, the format-3 trace is
+    # the format-2 file byte for byte (the digests pinned before format 3)
+    old = _as_format_2(json.loads(trace.read_text()))
+    assert _sha(_compact(old)) == \
+        "b583b5ddc0dba257a7932f156d59d757fafd1218ea36b281913574f1779b2b35"
+    assert _sha(_indented(old)) == \
+        "7404bb86ea86fff3f437fba999af72feeb4860953ce878fad4d07be460d67e53"
     # expanded with its skip records, the format-2 trace is the format-1 file
     # byte for byte (the digest pinned before format 2)
-    assert _sha(_indented(_as_format_1(obj))) == \
+    assert _sha(_indented(_as_format_1(old))) == \
         "32ceccc6ec59b627d5289a4d71a45e0e61afc690957d8f7b45542e6fe5416955"
 
 

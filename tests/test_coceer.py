@@ -1,12 +1,12 @@
 """Co-ceer diagonalization: stage cases, certification, and limit behavior."""
 
+import json
 import random
 
 import pytest
 
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
-    CoceerTrace,
     ColumnState,
     run_coceer,
     trace_from_json,
@@ -18,7 +18,7 @@ from effstruct.errors import InputError
 from effstruct.generators import generate_diagonalization_suite
 
 from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import coceer_snapshot, column_exiles
+from reference import coceer_snapshot, column_exiles, expand_tails
 
 EMPTY = CeerScript(())
 # the columns of a run before its first focus
@@ -66,7 +66,6 @@ def _step_column_one(member, stage, case, witnesses, exiles):
     assert (record.case, record.witnesses, col.witnesses) == (case, witnesses, witnesses)
     assert column_exiles(col) == exiles
     assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
-    assert not record.flag
     return col
 
 
@@ -122,38 +121,44 @@ def test_run_trace_length_and_budget():
 def test_run_skips_columns_beyond_family_width():
     fam = CeerFamily((CeerScript(()),))
     columns, trace = run_coceer(fam, 1, 10)
-    assert [r.stage for r in trace.records] == [s for s in range(1, 11) if cantor_unpair(s)[0] < 1]
-    assert all(r.e == 0 for r in trace.records) and trace.stages == 10 and len(columns) == 1
+    # column 0 takes case 4 at stage 1, after its script's last change, and settles
+    assert [(r.stage, r.case) for r in trace.records] == [(1, 4)] and trace.tails == ((0, 1, 4),)
+    records = expand_tails(trace).records
+    assert [r.stage for r in records] == [s for s in range(1, 11) if cantor_unpair(s)[0] < 1]
+    assert all(r.e == 0 for r in records) and trace.stages == 10 and len(columns) == 1
+
+
+def _cut(trace, stage):
+    """The records and the tails of ``trace`` by ``stage``."""
+    return (tuple(r for r in trace.records if r.stage <= stage),
+            tuple(t for t in trace.tails if t[1] * (t[1] + 1) // 2 + t[0] <= stage))
 
 
 def test_shorter_run_is_prefix_of_longer_run():
-    """A run to b has the records with stage <= b of a run to B > b, and a
-    run to b without records has the same columns as one with them."""
+    """A run to b has the records and the tails with stage <= b of a run to
+    B > b, and its tails write out as the longer run's records to b."""
     rng = random.Random(13)
     events = tuple(
         sorted((rng.randint(1, 20), (rng.randrange(8), rng.randrange(8))) for _ in range(10))
     )
     fam = CeerFamily((CeerScript(events), ChurnGenerator(4, 2), EMPTY))
-    _, full = run_coceer(fam, 3, 60)
-    for stage in (1, 2, 5, 6, 17, 18, 40, 59):  # focused and unfocused stops
-        columns, trace = run_coceer(fam, 3, stage)
-        assert trace.records == tuple(r for r in full.records if r.stage <= stage)
-        assert trace.stages == stage
-        assert run_coceer(fam, 3, stage, records=False) == (
-            columns, CoceerTrace(trace.columns, trace.stages, ()))
     suite, _ = generate_diagonalization_suite(7)
-    E = len(suite.members)
-    _, full = run_coceer(suite, E, 3000)
-    for stage in (1, 30, 351, 352, 1000, 2999):
-        _, trace = run_coceer(suite, E, stage)
-        assert trace.records == tuple(r for r in full.records if r.stage <= stage)
+    for fam, E, stops in ((fam, 3, (1, 2, 5, 6, 17, 18, 40, 59)),   # focused and unfocused
+                          (suite, 26, (1, 30, 351, 352, 1000, 2999))):
+        _, full = run_coceer(fam, E, stops[-1] + 1)
+        expanded = expand_tails(full).records
+        for stage in stops:
+            _, trace = run_coceer(fam, E, stage)
+            assert (trace.records, trace.tails) == _cut(full, stage)
+            assert expand_tails(trace).records == tuple(r for r in expanded if r.stage <= stage)
+            assert trace.stages == stage
 
 
 def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
     fam = CeerFamily((CeerScript(((2, (0, 1)),)), ChurnGenerator(4, 2)))
     columns, trace = run_coceer(fam, 2, 120)
     seen: set[tuple[int, int]] = set()
-    for record in trace.records:
+    for record in expand_tails(trace).records:
         for pair in record.exiled:
             assert pair not in seen  # an element is exiled at most once
             seen.add(pair)
@@ -178,7 +183,7 @@ def test_snapshot_stays_equivalence_and_shrinks():
     previous = bf_relation_of_partition(coceer_snapshot(INITIAL, 12).classes())
     assert bf_is_equivalence(12, previous)
     for stage in range(1, 381):  # the first 80 focused stages
-        columns, _ = run_coceer(fam, 3, stage, records=False)
+        columns, _ = run_coceer(fam, 3, stage)
         current = bf_relation_of_partition(coceer_snapshot(columns, 12).classes())
         assert bf_is_equivalence(12, current)
         assert bf_subset(current, previous)
@@ -216,7 +221,8 @@ def test_verify_churn_settles_on_initial_witnesses():
     assert report.satisfied and report.certified
     # every witness the churn ever forced in was forced out again
     col = columns[1]
-    extras = set().union(*(r.witnesses for r in trace.records if r.e == 1)) - {1, 2, 3}
+    extras = set().union(*(r.witnesses for r in expand_tails(trace).records if r.e == 1)) \
+        - {1, 2, 3}
     assert extras  # the adversary did provoke the construction
     assert extras - set(col.witnesses) <= column_exiles(col)
 
@@ -241,14 +247,14 @@ def test_verify_uncertified_on_tiny_budget():
 def test_trace_json_round_trip():
     fam = CeerFamily((CeerScript(((1, (0, 1)),)), ChurnGenerator(4, 2)))
     _, trace = run_coceer(fam, 2, 30)
-    obj = trace_to_json(trace)
-    assert obj["format"] == 2 and "mode" not in obj
-    assert [r["stage"] for r in obj["records"]] == [
-        s for s in range(1, 31) if cantor_unpair(s)[0] < 2]
+    obj = json.loads(json.dumps(trace_to_json(trace)))
+    assert obj["format"] == 3 and "mode" not in obj
+    # column 0 settles at its focus on diagonal 2 (stage 3), column 1 on diagonal 3 (stage 7)
+    assert obj["tails"] == [[0, 2, 4], [1, 3, 3]]
+    assert [(r["stage"], r["e"]) for r in obj["records"]] == [(1, 0), (2, 1), (3, 0), (4, 1),
+                                                               (7, 1)]
     assert trace_from_json(obj) == trace
-    with pytest.raises(InputError):
-        trace_from_json({"format": 2, "records": [{"stage": 1}]})
-    for bad in ({"format": 1}, {"format": True}, {"format": 2.0}, {"columns": "z"},
+    for bad in ({"format": 2}, {"format": 1}, {"format": True}, {"format": 3.0}, {"columns": "z"},
                 {"columns": -1}, {"stages": -1}, {"stages": False}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
@@ -257,23 +263,56 @@ def test_trace_json_round_trip():
     def patched(i, **fields):
         return {**obj, "records": [*records[:i], {**records[i], **fields}, *records[i + 1:]]}
 
+    def tailed(*tails):
+        return {**obj, "tails": list(tails)}
+
     for bad in ({"stage": -5}, {"stage": True}, {"e": "x"}, {"e": 1.0}, {"case": 9},
-                {"case": -1}, {"case": "1"}, {"case": 0}, {"flag": "maybe"}, {"flag": True},
-                {"flag": None}, {"Y": None}, {"Y": [-1]}, {"Y": ["0"]}, {"Y": 3},
+                {"case": -1}, {"case": "1"}, {"case": 0}, {"flag": "off"}, {"flag": None},
+                {"Y": None}, {"Y": [-1]}, {"Y": ["1"]}, {"Y": [True]}, {"Y": 3}, {"Y": []},
+                {"Y": [2]}, {"Y": [1, 1]}, {"Y": [1, 5, 6]}, {"Y": [1, 2.0]},
                 {"exiled": [[0, -1]]}, {"exiled": [["0", 1]]}, {"exiled": [[0, 1, 2]]},
                 {"exiled": None}):
         with pytest.raises(InputError):
             trace_from_json(patched(0, **bad))
-    for good in ({"flag": "on"}, {"Y": []}, {"case": 4}, {"exiled": []}):
+    with pytest.raises(InputError):   # a key missing
+        trace_from_json({**obj, "records": [{k: v for k, v in records[0].items() if k != "Y"},
+                                            *records[1:]]})
+    for good in ({"Y": [1]}, {"Y": [1, 9]}, {"case": 4}, {"exiled": []}):
         trace_from_json(patched(0, **good))
-    # the records must be exactly the focused stages, in order
+    # the tails: columns increase below 'columns', w >= max(e, 1), case 3 or 4,
+    # and the tail stage w(w+1)/2 + e within 'stages'
+    tail_breaks = [
+        tailed([0, 2, 4], [0, 2, 4], [1, 3, 3]),   # duplicate e
+        tailed([1, 3, 3], [0, 2, 4]),              # e not increasing
+        tailed([0, 2, 4], [1, 3, 3], [2, 3, 3]),   # e >= columns
+        tailed([0, 0, 4], [1, 3, 3]),              # w < max(e, 1)
+        tailed([0, 2, 4], [1, 0, 3]),
+        {**tailed([0, 2, 4], [1, 0, 3]), "records": [r for r in records if r["e"] == 0]},
+        tailed([0, 2, 5], [1, 3, 3]),              # case not 3 or 4
+        tailed([0, 2, 2], [1, 3, 3]),
+        tailed([0, 2, "4"], [1, 3, 3]),
+        tailed([0, 2, 4.0], [1, 3, 3]),
+        tailed([0, 2, 4], [1, 8, 3]),              # tail stage 37 > stages
+        {**obj, "stages": 6},                      # tail stage 7 > stages, with its record
+        tailed([0, 1, 4], [1, 3, 3]),              # record (3, 0) past column 0's tail stage 1
+        tailed([0, 3, 4], [1, 3, 3]),              # record (6, 0) missing before its tail
+        tailed([1, 3, 3]),                         # column 0 untailed: (6, 0) .. (28, 0) missing
+        tailed([0, 2], [1, 3, 3]), tailed([0, 2, 4, 1], [1, 3, 3]), tailed(0), tailed(None),
+        {**obj, "tails": None}, {**obj, "tails": {"0": [2, 4]}},
+        {k: v for k, v in obj.items() if k != "tails"},
+    ]
+    for broken in tail_breaks:
+        with pytest.raises(InputError):
+            trace_from_json(broken)
+    # the records must be exactly the focused stages up to each tail, in order
     schedule_breaks = [
         {**obj, "records": [records[1], records[0], *records[2:]]},   # not increasing
         {**obj, "records": [records[0], *records]},                   # repeated stage
-        {**obj, "stages": records[-1]["stage"] - 1},                  # stage > stages
+        {**obj, "stages": 6},                                         # stage, tail > stages
         patched(1, e=0),                                              # e != focus of stage
         patched(1, stage=3, e=1),                                     # stage 3 focuses 0
         {**obj, "columns": 1},                                        # e >= columns
+        {**obj, "columns": 3},                                        # column 2 lost
         {**obj, "records": records[:-1]},                             # a focused stage lost
         {**obj, "records": [*records[:3], *records[4:]]},
     ]
@@ -282,4 +321,4 @@ def test_trace_json_round_trip():
             trace_from_json(broken)
     assert trace_from_json({**obj, "stages": 31}).stages == 31  # stage 31 focuses column 3
     with pytest.raises(InputError):  # no run has zero columns
-        trace_from_json({**obj, "columns": 0, "records": []})
+        trace_from_json({**obj, "columns": 0, "records": [], "tails": []})

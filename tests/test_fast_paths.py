@@ -1,10 +1,10 @@
 """Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
-steppers against slow reference paths, co-ceer runs without records (whose
-settled columns advance in closed form) and pi01 runs without history and
-preorder runs (which close the run past a settle stage) against stepped
-runs, co-ceer verdicts against the witness-history certificate, threshold
-snapshots and the closed-form block layout against explicit constructions,
-plus operation-count gates."""
+steppers against slow reference paths, co-ceer runs (whose settled columns
+advance in closed form) and pi01 runs without history and preorder runs
+(which close the run past a settle stage) against stepped runs, co-ceer
+verdicts against the witness-history certificate, threshold snapshots and
+the closed-form block layout against explicit constructions, plus
+operation-count gates."""
 
 import random
 from bisect import bisect_right
@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 
 from effstruct import blocks, cli, coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import (
-    CoceerTrace,
-    focus_schedule,
-    run_coceer,
-    verify_requirement,
-)
+from effstruct.coceer import focus_schedule, run_coceer, verify_requirement
 from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
 from effstruct.generators import (
     generate_b,
@@ -33,10 +28,12 @@ from effstruct.generators import (
 from reference import (
     ReferenceLabelState,
     ReferenceRunner,
+    ReferenceTrace,
     ReferenceVTable,
     ceer_snapshot,
     column_exiles,
     expand_tail,
+    expand_tails,
     generate_family,
     reference_block_classes,
     reference_block_partition,
@@ -48,6 +45,7 @@ from reference import (
     reference_run_coceer,
     reference_verify_liminf_counts,
     runner_partition,
+    stepped_run_coceer,
 )
 
 
@@ -138,40 +136,43 @@ def _reports(columns, fam):
 
 
 def _assert_certificates_match(columns, trace, fam):
-    """The counter verdicts equal the witness-history rule on the trace."""
+    """The counter verdicts equal the witness-history rule on ``trace``, a
+    record of every focused stage (:func:`expand_tails`)."""
     for report in _reports(columns, fam):
         assert (report.certified, report.y_limit) == \
             reference_certificate(trace, fam, report.e), (trace.stages, report.e)
 
 
 def _prefix(trace, stage):
-    """The trace of a run to ``stage``, cut from the longer run ``trace``."""
+    """The expanded trace of a run to ``stage``, cut from the expanded trace
+    of a longer run."""
     kept = bisect_right(trace.records, stage, key=attrgetter("stage"))
-    return CoceerTrace(columns=trace.columns, stages=stage, records=trace.records[:kept])
+    return ReferenceTrace(trace.columns, stage, trace.records[:kept])
 
 
 def _assert_run_matches_reference(fam, E, budget):
+    """The run's records with its tails written out are the reference's
+    focused stages; the reference records every stage, with a case-0 skip
+    exactly where the focus lies beyond E.  Returns the run's trace."""
     columns, trace = run_coceer(fam, E, budget)
     ref_columns, ref_trace = reference_run_coceer(fam, E, budget)
-    # the fast run records the focused stages; the reference every stage,
-    # with a case-0 skip exactly where the focus lies beyond E
-    assert trace.records == tuple(r for r in ref_trace.records if r.case != 0)
+    assert expand_tails(trace).records == tuple(r for r in ref_trace.records if r.case != 0)
     assert [r.stage for r in ref_trace.records if r.case == 0] == [
         s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
-    assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages)
+    assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages) == (E, budget)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
-    assert trace.stages == budget
     for col, ref in zip(columns, ref_columns, strict=True):
         assert (col.witnesses, column_exiles(col), col.case3_count, col.last_case4_stage) == (
             tuple(sorted(ref.witnesses)), ref.exiled, ref.case3_count, ref.last_case4_stage)
     reports = _reports(columns, fam)
-    _assert_certificates_match(columns, trace, fam)
+    _assert_certificates_match(columns, ref_trace, fam)
     for e, report in enumerate(reports):
         member = fam.member(e)
         if isinstance(member, CeerScript):
             ref = ReferenceRunner(member)
             ref.advance_to(member.last_event_stage)
             assert report.r_e_has_size_k == ref.has_class_of_size(columns[e].k)
+    return trace
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
@@ -180,18 +181,29 @@ def test_suite_runs_match_reference(seed):
     _assert_run_matches_reference(fam, len(fam.members), 2500)
 
 
+def test_runs_match_reference_at_random_stops():
+    """Suites stopped at random budgets, some of them before some column
+    settles, so a run ends with records and no tail for that column."""
+    rng = random.Random(23)
+    unsettled = 0
+    for _ in range(6):
+        fam, _ = generate_diagonalization_suite(rng.randrange(1000))
+        E = len(fam.members)
+        for budget in sorted(rng.sample(range(1, 1200), 3)):
+            unsettled += len(_assert_run_matches_reference(fam, E, budget).tails) < E
+    assert unsettled > 0
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_traced_runs_leave_no_latch_on(seed):
     """The reference keeps the paper's latch flag from stage to stage, and
     each of its records has the flag after the focus: off, as every case
-    clears the latch it reads.  A run keeps no flag and writes it off."""
+    clears the latch it reads.  A run keeps no flag at all."""
     fam, _ = generate_diagonalization_suite(seed)
     E = len(fam.members)
     _, ref_trace = reference_run_coceer(fam, E, 3000)
     focused = [r for r in ref_trace.records if r.case != 0]
     assert focused and all(r.flag is False for r in focused)
-    _, trace = run_coceer(fam, E, 3000)
-    assert all(r["flag"] == "off" for r in coceer.trace_to_json(trace)["records"])
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -229,11 +241,11 @@ def test_churn_certificate_is_final_once_given(target):
     E = 6
     for spacing in range(1, 5):
         fam = CeerFamily((ChurnGenerator(target, spacing),) * E)
-        _, full = run_coceer(fam, E, 300)
+        full = expand_tails(run_coceer(fam, E, 300)[1])
         given, trace = {}, _prefix(full, 0)
         for stage in range(1, 301):
             before, trace = trace, _prefix(full, stage)
-            columns, _ = run_coceer(fam, E, stage, records=False)
+            columns, _ = run_coceer(fam, E, stage)
             for report in _reports(columns, fam):
                 verdict = (report.certified, report.y_limit)
                 if report.e in given:
@@ -252,13 +264,13 @@ def test_churn_certificate_turns_on_at_fourth_case3(seed):
     certified at it, under the counter rule and the witness-history rule."""
     fam, kinds = generate_diagonalization_suite(seed)
     E = len(fam.members)
-    _, full = run_coceer(fam, E, 2500)
+    full = expand_tails(run_coceer(fam, E, 2500)[1])
     fourth = {}
     for e, kind in kinds.items():
         if kind == "churn":
             fourth[e] = [r.stage for r in full.records if r.e == e and r.case == 3][3]
     for stage in sorted({s for s4 in fourth.values() for s in (s4 - 1, s4)}):
-        columns, _ = run_coceer(fam, E, stage, records=False)
+        columns, _ = run_coceer(fam, E, stage)
         _assert_certificates_match(columns, _prefix(full, stage), fam)
         for e, s4 in fourth.items():
             if stage in (s4 - 1, s4):
@@ -274,12 +286,12 @@ def test_same_target_churn_certificate_at_fourth_case3(spacing):
     such columns (spacing 5, column 1: stage 37 against 46)."""
     E = 8
     fam = CeerFamily(tuple(ChurnGenerator(2 * e + 2, spacing) for e in range(E)))
-    _, full = run_coceer(fam, E, 3000)
+    full = expand_tails(run_coceer(fam, E, 3000)[1])
     earlier = 0
     for e in range(E):
         s4 = [r.stage for r in full.records if r.e == e and r.case == 3][3]
         for stage in (s4 - 1, s4):
-            columns, _ = run_coceer(fam, E, stage, records=False)
+            columns, _ = run_coceer(fam, E, stage)
             assert verify_requirement(columns, fam, e).certified == (stage == s4), (e, stage)
         _assert_certificates_match(columns, _prefix(full, s4), fam)
         w = max(e, 1, 2 * spacing - 1)
@@ -321,8 +333,9 @@ def test_churn_jump_matches_replay_property(k, s, window):
 
 def test_run_coceer_operation_counts(monkeypatch):
     """Churn runners hold no union-find elements; each script event is merged
-    once; the run dispatches each focused stage once and otherwise touches a
-    runner only at its column's focused stages and script event stages."""
+    once; the run dispatches each stepped focus once, and its tails stand
+    for the other focused stages; it otherwise touches a runner only at
+    its column's stepped focuses and script event stages."""
     fam, kinds = generate_diagonalization_suite(7)  # its generator runs runners too
     E = len(fam.members)
     event_stages = sum(len({s for s, _ in m.events}) for m in fam.members
@@ -357,14 +370,14 @@ def test_run_coceer_operation_counts(monkeypatch):
                 assert id(runner.uf) not in merges
             else:
                 assert merges.get(id(runner.uf), 0) == len(runner.member.events)
-        focused = sum(1 for _ in focus_schedule(E, budget))
-        assert dispatches[0] == focused == len(trace.records)
-        assert advances[0] <= focused + event_stages + E
+        stepped, focused = len(trace.records), sum(1 for _ in focus_schedule(E, budget))
+        assert dispatches[0] == stepped < focused == len(expand_tails(trace).records)
+        assert advances[0] <= stepped + event_stages + E
         assert queries[0] <= event_stages + 2 * E
 
 
 def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
-    """A run without records and the verification of every column, at the
+    """A run and the verification of every column, at the
     size of the benchmark's diag workload, read class sizes from the
     runners' index: no partition lists its classes, and each merge finds
     the two roots it joins and nothing more."""
@@ -372,19 +385,21 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
     finds = _count_calls(monkeypatch, eqrel.Partition, "find")
     merges = _count_calls(monkeypatch, eqrel.Partition, "merge")
-    columns, _ = run_coceer(fam, len(fam.members), 8000, records=False)
+    columns, _ = run_coceer(fam, len(fam.members), 8000)
     assert len(_reports(columns, fam)) == 26
     assert rebuilds[0] == 0
     assert merges[0] > 0 and finds[0] == 2 * merges[0]
 
 
-def _assert_same_without_records(fam, E, budgets):
-    """A run without records to each of ``budgets`` has the stepped run's
-    columns, and so its reports."""
+def _assert_same_as_stepped(fam, E, budgets):
+    """A run to each of ``budgets`` has the columns, and so the reports, of
+    a run that steps every focus, and its tails write out as that run's
+    records."""
     for budget in budgets:
-        fast, trace = run_coceer(fam, E, budget, records=False)
-        assert trace.records == ()
-        assert fast == run_coceer(fam, E, budget)[0], budget
+        columns, trace = run_coceer(fam, E, budget)
+        stepped, stepped_trace = stepped_run_coceer(fam, E, budget)
+        assert columns == stepped, budget
+        assert expand_tails(trace) == stepped_trace, budget
 
 
 _BUDGETS = (1, 2, 3, 10, 57, 400, 2500, 10**4)
@@ -395,10 +410,8 @@ def test_unrecorded_suite_runs_match_stepped(seed):
     fam, _ = generate_diagonalization_suite(seed)
     E = len(fam.members)
     for budget in _BUDGETS:
-        _assert_same_without_records(fam, E, [budget])
-        _assert_same_without_records(generate_family(seed, 8), 8, [budget])
-    fast, trace = run_coceer(fam, E, 10**4, records=False)
-    assert trace.records == () and fast == run_coceer(fam, E, 10**4)[0]
+        _assert_same_as_stepped(fam, E, [budget])
+        _assert_same_as_stepped(generate_family(seed, 8), 8, [budget])
 
 
 def test_unrecorded_churn_runs_match_stepped():
@@ -409,7 +422,7 @@ def test_unrecorded_churn_runs_match_stepped():
         for spacing in range(1, 5):
             fam = CeerFamily((ChurnGenerator(target, spacing),) * 6)
             for budget in _BUDGETS:
-                _assert_same_without_records(fam, 6, [budget])
+                _assert_same_as_stepped(fam, 6, [budget])
 
 
 def test_unrecorded_runs_match_stepped_at_random_stops():
@@ -419,35 +432,38 @@ def test_unrecorded_runs_match_stepped_at_random_stops():
     for _ in range(25):
         fam, _ = generate_diagonalization_suite(rng.randrange(1000))
         stops = sorted(rng.sample(range(1, 3000), rng.randint(1, 30)))
-        _assert_same_without_records(fam, len(fam.members), stops[::4])
+        _assert_same_as_stepped(fam, len(fam.members), stops[::4])
         churn = CeerFamily(tuple(ChurnGenerator(rng.randint(2, 8), rng.randint(1, 4))
                                  for _ in range(6)))
-        _assert_same_without_records(churn, 6, stops)
+        _assert_same_as_stepped(churn, 6, stops)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(_members, min_size=1, max_size=4),
        st.lists(st.integers(1, 400), min_size=1, max_size=8))
 def test_unrecorded_runs_match_stepped_property(members, steps):
-    _assert_same_without_records(CeerFamily(tuple(members)), len(members), accumulate(steps))
+    _assert_same_as_stepped(CeerFamily(tuple(members)), len(members), accumulate(steps))
 
 
 def test_unrecorded_run_steps_only_until_columns_settle(monkeypatch):
-    """Without records every column of the suite settles, so a run dispatches
-    as often at 10**6 stages as at 10**4; with records it dispatches every
-    focused stage."""
+    """Every column of suite 7 settles by stage 2,500, so a run dispatches
+    as often, and its trace keeps as many records, at 2,500, 8,000 and
+    10**6 stages; a run that steps every focus dispatches every focused
+    stage."""
     fam, _ = generate_diagonalization_suite(7)
     E = len(fam.members)
     dispatches = _count_calls(monkeypatch, coceer, "_dispatch")
     counts = {}
-    for records in (False, True):
-        for budget in (10**4, 10**6):
-            dispatches[0] = 0
-            run_coceer(fam, E, budget, records=records)
-            counts[records, budget] = dispatches[0]
-    assert counts[False, 10**4] == counts[False, 10**6] < counts[True, 10**4]
-    for budget in (10**4, 10**6):
-        assert counts[True, budget] == sum(1 for _ in focus_schedule(E, budget))
+    for budget in (2500, 8000, 10**6):
+        dispatches[0] = 0
+        _, trace = run_coceer(fam, E, budget)
+        counts[budget] = (dispatches[0], len(trace.records), len(trace.tails))
+    assert counts[2500] == counts[8000] == counts[10**6]
+    stepped, records, tails = counts[2500]
+    assert stepped == records and tails == E
+    dispatches[0] = 0
+    stepped_run_coceer(fam, E, 10**4)
+    assert dispatches[0] == sum(1 for _ in focus_schedule(E, 10**4)) > stepped
 
 
 def _pi01_past_width(g, extra):

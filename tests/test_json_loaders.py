@@ -1,12 +1,12 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
-InputError."""
+InputError; a coceer trace with a malformed tail or record raises it."""
 
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effstruct import ceersim, coceer, core, pi01, preorder
@@ -18,8 +18,9 @@ from reference import generate_family, partition_runs
 
 
 def _coceer_trace(rng):
+    """A run long enough that about half of them settle some column."""
     E = rng.randint(1, 4)
-    return coceer.run_coceer(generate_family(rng.randrange(1000), E), E, rng.randint(1, 40))[1]
+    return coceer.run_coceer(generate_family(rng.randrange(1000), E), E, rng.randint(1, 150))[1]
 
 
 def _partition(rng):
@@ -99,3 +100,85 @@ def test_loader_round_trips_and_rejects_mutations(name, data):
         load(doc)
     except InputError:
         pass
+
+
+def _bad_y(data, e):
+    """A Y that is not 1..2e+1 and at most one extra above 2e+1."""
+    initial = list(range(1, 2 * e + 2))
+    i = data.draw(st.integers(0, 2 * e), label="index")
+    form = data.draw(st.sampled_from(["replaced", "low extra", "other"]), label="form")
+    if form == "replaced":   # an initial witness replaced, with or without an extra
+        v = data.draw(st.integers(0, 2 * e + 4).filter(lambda v: v != i + 1), label="v")
+        return initial[:i] + [v] + initial[i + 1:] + data.draw(
+            st.sampled_from([[], [2 * e + 2]]), label="extra")
+    if form == "low extra":
+        return initial + [data.draw(st.integers(0, 2 * e + 1), label="x")]
+    return data.draw(st.sampled_from([
+        initial[:i] + initial[i + 1:],          # an initial witness lost
+        initial + [2 * e + 2, 2 * e + 3],       # two extras
+        [2 * e + 2] + initial,                  # out of order
+        initial + [-1], initial + [True], initial + ["9"],
+    ]), label="Y")
+
+
+def _break_tail_or_record(data, doc, kind):
+    """Make ``doc``, a coceer trace with a tail, malformed in the way ``kind`` names."""
+    tails, records = doc["tails"], doc["records"]
+    tail = data.draw(st.sampled_from(tails), label="tail")
+    e, w, _ = tail
+    mine = [r for r in records if r["e"] == e]
+    if kind == "duplicate e":
+        tails.insert(tails.index(tail), list(tail))
+    elif kind == "e >= columns":
+        tail[0] = doc["columns"] + data.draw(st.integers(0, 3), label="past")
+    elif kind == "w < max(e, 1)":
+        # with or without the column's records
+        tail[1] = data.draw(st.integers(0, max(e, 1) - 1), label="w")
+        if data.draw(st.booleans(), label="drop records"):
+            doc["records"] = [r for r in records if r["e"] != e]
+    elif kind == "case not 3 or 4":
+        tail[2] = data.draw(st.sampled_from([0, 1, 2, 5, 9, 3.0, "3", True, None]), label="case")
+    elif kind == "tail stage > stages":
+        # with the records that reach it, or with 'stages' cut below it; a cut
+        # keeps only the columns below the first one without a tail (a run
+        # of fewer columns), so that no untailed column's records pass it
+        if data.draw(st.booleans(), label="cut stages"):
+            tailed = {t[0] for t in tails}
+            kept = next(c for c in range(doc["columns"] + 1) if c not in tailed)
+            assume(kept > 0)
+            doc["columns"] = kept
+            doc["tails"] = [t for t in tails if t[0] < kept]
+            doc["records"] = [r for r in records if r["e"] < kept]
+            end = max(t[1] * (t[1] + 1) // 2 + t[0] for t in doc["tails"])
+            doc["stages"] = data.draw(st.integers(0, end - 1), label="stages")
+        else:
+            W = max(e, 1)
+            while W * (W + 1) // 2 + e <= doc["stages"]:
+                W += 1
+            tail[1] = W + data.draw(st.integers(0, 3), label="beyond")
+    elif kind == "record past its tail":
+        records.append({**mine[-1], "stage": (w + 1) * (w + 2) // 2 + e})
+        records.sort(key=lambda r: r["stage"])
+    elif kind == "record missing":
+        records.remove(data.draw(st.sampled_from(mine), label="record"))
+    elif kind == "flag key":
+        data.draw(st.sampled_from(records), label="record")["flag"] = "off"
+    elif kind == "format 2":
+        doc["format"] = 2
+    else:
+        r = data.draw(st.sampled_from(records), label="record")
+        r["Y"] = _bad_y(data, r["e"])
+
+
+@pytest.mark.parametrize("kind", [
+    "duplicate e", "e >= columns", "w < max(e, 1)", "case not 3 or 4", "tail stage > stages",
+    "record past its tail", "record missing", "flag key", "format 2", "Y"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_coceer_trace_rejects_malformed_tails(kind, data):
+    trace = _coceer_trace(random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    assume(trace.tails)
+    doc = json.loads(json.dumps(coceer.trace_to_json(trace)))
+    _break_tail_or_record(data, doc, kind)
+    with pytest.raises(InputError):
+        coceer.trace_from_json(doc)

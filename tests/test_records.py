@@ -14,11 +14,12 @@ from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace
 from effstruct.preorder import ClaimEntry, ClaimReport, PreorderSnapshot, VTable
 
 MUTABLE = (ColumnState, LabelState, VTable)
-_STEP = StageRecord(3, 0, 4, (1,), False, ((0, 2),))
+_STEP = StageRecord(3, 0, 4, None, ((0, 2),))
 _ENTRY = ClaimEntry(1, True, (0,))
 
 # each record next to its repr text: the former dataclass's, but for the
-# fields that ColumnState (flag) and VTable (next_fresh) no longer have and
+# fields that ColumnState (flag), StageRecord (witnesses, flag) and VTable
+# (next_fresh) no longer have, StageRecord's extra, CoceerTrace's tails and
 # the count of VTable's closed-form tail
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
@@ -30,10 +31,10 @@ RECORDS = [
      "CeerFamily(members=(ChurnGenerator(target_size=4, block_spacing=2),))"),
     (ColumnState(k=4, next_free=4),
      "ColumnState(k=4, next_free=4, extra=None, case3_count=0, last_case4_stage=None)"),
-    (_STEP, "StageRecord(stage=3, e=0, case=4, witnesses=(1,), flag=False, exiled=((0, 2),))"),
-    (CoceerTrace(1, 3, (_STEP,)),
+    (_STEP, "StageRecord(stage=3, e=0, case=4, extra=None, exiled=((0, 2),))"),
+    (CoceerTrace(1, 3, (_STEP,), ((0, 2, 4),)),
      "CoceerTrace(columns=1, stages=3, records=(StageRecord(stage=3, e=0, case=4, "
-     "witnesses=(1,), flag=False, exiled=((0, 2),)),))"),
+     "extra=None, exiled=((0, 2),)),), tails=((0, 2, 4),))"),
     (RequirementReport(0, 2, "script", 2, False, True, True, (1,)),
      "RequirementReport(e=0, k=2, kind='script', witness_class_size=2, r_e_has_size_k=False, "
      "satisfied=True, certified=True, y_limit=(1,))"),
