@@ -421,9 +421,10 @@ def trace_to_json(trace: CoceerTrace) -> dict:
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    """Load a format-3 trace.  Its tails are in increasing column order, and
+    """Load a format-3 trace.  Its tails are in increasing column order,
     each column's records are exactly its focused stages up to its tail
-    stage w(w+1)/2 + e, or up to ``stages`` when it has no tail."""
+    stage w(w+1)/2 + e, or up to ``stages`` when it has no tail, and each
+    record exiles at most one element, of its own column."""
     if not isinstance(obj, dict):
         raise InputError("trace must be a format-3 object")
     check_format(obj, versions=(3,))
@@ -468,6 +469,9 @@ def _record_from_json(r: dict, focus: Optional[tuple[int, int]]) -> StageRecord:
     if (stage, e) != focus:
         raise InputError(f"trace record (stage, column) = {(stage, e)} is not the next "
                          f"focused stage, {focus or 'of which there are no more'}")
+    if len(exiled) > 1 or any(a != e for a, _ in exiled):
+        raise InputError(f"trace record {stage}: a focus exiles at most one element, of "
+                         f"its own column {e}")
     base = 2 * e + 1
     if not (all(map(is_nat, Y)) and Y[:base] == tuple(range(1, base + 1))
             and (len(Y) == base or len(Y) == base + 1 and Y[-1] > base)):

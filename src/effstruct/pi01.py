@@ -11,15 +11,16 @@ label eventually settles on k is exactly liminf_s g(k, s).
 
 A run keeps each label's members as a stack, with the stage at which each
 member took the label; the verifier reads only those label stages.  The
-per-element history of labels and removals is recorded only when the
-caller asks, for the ``--trace`` file; ``verify-all`` keeps none.
+per-element history of labels and removals, and the window after each
+stage, are kept only when the caller asks, for the ``--trace`` file;
+``verify-all`` keeps none.
 
-Without history a run steps only to its settle stage and takes each
-label's stages at the budget S from the shift rule.  Label k's stack
-changes only by top-ups (pushes of stage t, at stage t) and strips (pops),
-and from stage k+2 on it holds g(k, t) entries after stage t.  Let
-(plen, perlen) be column k's shape, m = liminf_k,
-A = max(plen, k + 2) and base = A + perlen.
+With or without history a run steps only to its settle stage and takes
+each label's stages at the budget S from the shift rule, so a history
+covers the stepped stages only.  Label k's stack changes only by top-ups
+(pushes of stage t, at stage t) and strips (pops), and from stage k+2 on
+it holds g(k, t) entries after stage t.  Let (plen, perlen) be column k's
+shape, m = liminf_k, A = max(plen, k + 2) and base = A + perlen.
 
 * Shift rule.  For S >= base and S' = base + (S - base) mod perlen, the
   stages ``since_S[k]`` are ``since_S'[k][:m]`` followed by every entry of
@@ -33,8 +34,8 @@ A = max(plen, k + 2) and base = A + perlen.
   S' >= base has the same residue, so its last dip is d - (S - S') and
   its goals in (d - (S - S'), S'] are those of (d, S].
 * Labels at or past the width hold only the founder, taken at stage
-  k + 1 (see :func:`pi01_step`), so a run without history stores the
-  stages of the labels below min(width, S) only.
+  k + 1 (see :func:`pi01_step`), so a run stores the stages of the labels
+  below min(width, S) only.
 
 The run steps to min(S, settle), where :func:`settle_stage` is the
 greatest base + perlen - 1 over the labels below the width: it bounds
@@ -199,10 +200,12 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
 
 class PiTrace(Record):
     """The end of a run: the stages at which each label's members took it
-    (``LabelState.since``), the window after every stage, and the
-    per-element history.  A run without history keeps no windows and no
-    history, and stores the stages of the labels below min(width, stages)
-    only; every later label holds just its founder, taken at stage k + 1."""
+    (``LabelState.since``) at ``stages``, for the labels below
+    min(width, stages) only, since every later label holds just its
+    founder, taken at stage k + 1.  A run with history also keeps the
+    window after each stepped stage, 0 through T = min(stages, settle
+    stage), and each element's history through T; one without keeps no
+    windows and no history."""
 
     __slots__ = ("stages", "windows", "since", "transitions")
 
@@ -212,9 +215,9 @@ class PiTrace(Record):
 
 
 def settle_stage(g: GTable) -> int:
-    """The last stage a run without history steps, whatever its budget:
-    the greatest max(plen, k + 2) + 2 * perlen - 1 over the labels k below
-    the width, 0 with none (module docstring)."""
+    """The last stage a run steps, whatever its budget: the greatest
+    max(plen, k + 2) + 2 * perlen - 1 over the labels k below the width,
+    0 with none (module docstring)."""
     worst = 0
     for k in range(g.width):
         plen, perlen = g.column_shape(k)
@@ -230,19 +233,16 @@ def _repeat_stage(g: GTable, k: int, stages: int) -> int:
 
 
 def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
-    """Run ``stages`` stages; keep each element's history only if asked.
+    """Run ``stages`` stages: step to T = min(stages, settle_stage(g)) and
+    read each label below the width at its repeat stage, shifted by the
+    shift rule of the module docstring.
 
-    Without history the run steps to min(stages, settle_stage(g)) and reads
-    each label below the width at its repeat stage, shifted by the shift
-    rule of the module docstring.
+    ``history`` decides only whether the windows and the element histories
+    of the T stepped stages are kept.
     """
     if stages < 1:
         raise InputError("stage count must be at least 1")
     st = LabelState(transitions={} if history else None)
-    if history:
-        for _ in range(stages):
-            pi01_step(st, g)
-        return PiTrace(stages, tuple(st.windows), tuple(map(tuple, st.since)), st.transitions)
     labels = range(min(g.width, stages))
     reads: dict[int, list[int]] = {}
     for k in labels:
@@ -254,7 +254,8 @@ def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
         for k in reads.get(st.stage, ()):
             m, stack = g.liminf(k), st.since[k]
             since[k] = (*stack[:m], *(t + shift for t in stack[m:]))
-    return PiTrace(stages, (), tuple(since), {})
+    windows = tuple(st.windows) if history else ()
+    return PiTrace(stages, windows, tuple(since), st.transitions if history else {})
 
 
 class LabelCount(Record):
@@ -332,30 +333,37 @@ def gtable_from_json(obj: object) -> GTable:
 
 
 def trace_to_json(trace: PiTrace) -> dict:
-    if not trace.transitions:
+    if not trace.windows:
         raise InputError("the run kept no history to write")
     # the C encoder writes tuples as arrays, so the histories go out as they are
-    return {"format": 1, "stages": trace.stages, "windows": trace.windows,
-            "transitions": sorted(trace.transitions.items())}
+    return {"format": 2, "stages": trace.stages, "windows": trace.windows,
+            "transitions": sorted(trace.transitions.items()), "since": trace.since}
 
 
 def trace_from_json(obj: object) -> PiTrace:
-    """Decode a trace and rebuild each label's stages from the histories.
+    """Decode a trace; its histories cover the T = len(windows) - 1 <= stages
+    stepped stages.
 
     Every history is one to three entries, at strictly increasing stages in
-    [1, stages], each label below its stage (stage s opens label s - 1);
-    an element whose last entry is a label is a member of that label.
+    [1, T], each label below its stage (stage s opens label s - 1); an
+    element whose last entry is a label is a member of that label, and the
+    members rebuilt for each label took it in increasing order, a founder
+    at stage k + 1 first.  ``since`` holds at most T stacks of stages:
+    stack k starts at k + 1 and does not decrease up to ``stages``.  Every
+    rebuilt label past them holds its founder alone, and when T == stages
+    the stacks are the rebuilt ones.
     """
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-1 object")
-    check_format(obj)
+        raise InputError("trace must be a format-2 object")
+    check_format(obj, versions=(2,))
     stages, windows = obj.get("stages"), obj.get("windows")
     if not is_nat(stages) or not isinstance(windows, list) or not all(map(is_nat, windows)):
         raise InputError("trace 'stages' and 'windows' entries must be naturals")
-    if len(windows) != stages + 1:
+    stepped = len(windows) - 1
+    if not 0 <= stepped <= stages:
         raise InputError(f"trace has {len(windows)} windows for {stages} stages")
     transitions = {}
-    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stages)]
+    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stepped)]
     try:
         for x, hist in obj["transitions"]:
             if not is_nat(x) or x in transitions or not 1 <= len(hist) <= 3:
@@ -365,23 +373,35 @@ def trace_from_json(obj: object) -> PiTrace:
                 )
             entries, at = [], 0
             for s, v in hist:
-                if not (is_nat(s) and at < s <= stages and (v is None or is_nat(v) and v < s)):
+                if not (is_nat(s) and at < s <= stepped and (v is None or is_nat(v) and v < s)):
                     raise InputError(
                         f"trace element {x}: history stages must increase within "
-                        f"[1, {stages}], and each label be a natural below its stage"
+                        f"[1, {stepped}], and each label be a natural below its stage"
                     )
                 entries.append((s, v))
                 at = s
             transitions[x] = tuple(entries)
             if v is not None:
                 stacks[v].append((x, s))
+        since = tuple(map(tuple, obj["since"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
-    since = []
+    if len(since) > stepped:
+        raise InputError(f"trace has {len(since)} label stacks for {stepped} stepped stages")
+    for k, stack in enumerate(since):
+        if not (all(map(is_nat, stack)) and stack[:1] == (k + 1,)
+                and all(a <= b for a, b in zip(stack, stack[1:])) and stack[-1] <= stages):
+            raise InputError(f"trace label {k}: its stages must start at {k + 1} and not "
+                             f"decrease up to {stages}")
     for k, stack in enumerate(stacks):
         stack.sort()
         if any(a[1] > b[1] for a, b in zip(stack, stack[1:])):
             raise InputError(f"trace label {k}: a greater member took the label earlier")
-        since.append(tuple(s for _, s in stack))
-    return PiTrace(stages=stages, windows=tuple(windows), since=tuple(since),
-                   transitions=transitions)
+        rebuilt = tuple(s for _, s in stack)
+        if rebuilt[:1] != (k + 1,):
+            raise InputError(f"trace label {k}: no founder took it at stage {k + 1}")
+        want = (k + 1,) if k >= len(since) else since[k] if stepped == stages else rebuilt
+        if rebuilt != want:
+            raise InputError(f"trace label {k}: the histories give its stages as {rebuilt}, "
+                             f"not {want}")
+    return PiTrace(stages, tuple(windows), since, transitions)

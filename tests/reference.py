@@ -19,6 +19,9 @@ replay of the member.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
+:func:`stepped_run_pi01` steps the library's ``pi01_step`` at every stage
+with history and no settle rule, and :func:`cut_history` cuts its
+histories at the last stage a library run steps.
 :func:`reference_required_stages_for` reads the shape of every label up
 to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
 scan of the whole trace (:func:`ever_labeled`) and reads each element's
@@ -56,7 +59,7 @@ from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
 from effstruct.generators import _noise_events
-from effstruct.pi01 import GTable, LabelCount, PiTrace
+from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, pi01_step
 from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
 
@@ -474,6 +477,24 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
     st.stage = stage
     st.windows.append(st.next_fresh)
     return st
+
+
+def stepped_run_pi01(g: GTable, stages: int) -> PiTrace:
+    """The library's ``pi01_step`` at every stage with history kept and no
+    settle rule: the window after every stage, each element's whole
+    history, and the stack of every label opened."""
+    st = LabelState(transitions={})
+    for _ in range(stages):
+        pi01_step(st, g)
+    return PiTrace(stages, tuple(st.windows), tuple(map(tuple, st.since)), st.transitions)
+
+
+def cut_history(trace: PiTrace, last: int) -> dict[int, tuple]:
+    """Each element's history through stage ``last``, without the elements
+    that have no entry by then."""
+    cut = {x: tuple(entry for entry in hist if entry[0] <= last)
+           for x, hist in trace.transitions.items()}
+    return {x: hist for x, hist in cut.items() if hist}
 
 
 def label_at(trace: PiTrace, x: int, s: int) -> Optional[int]:

@@ -45,7 +45,7 @@ from bruteforce import (
     bf_preorder_closure,
     bf_subset,
 )
-from reference import classify_history, expand_tails, label_at
+from reference import classify_history, expand_tails, label_at, stepped_run_pi01
 
 SEED = 7
 COCEER_BUDGET = 4000  # the criterion allows up to 20 000
@@ -65,6 +65,9 @@ def diagonalization_run():
 
 @pytest.fixture(scope="module")
 def pi01_runs():
+    """Each table's run, timed, and the same table stepped at every stage:
+    a run keeps histories only up to its settle stage, and the criteria
+    read whole histories."""
     runs = []
     start = time.monotonic()
     for j in range(PI01_RUNS):
@@ -74,7 +77,8 @@ def pi01_runs():
         trace = run_pi01(table, stages)
         runs.append((table, K, trace))
     elapsed = time.monotonic() - start
-    return runs, elapsed
+    return [(table, K, trace, stepped_run_pi01(table, trace.stages))
+            for table, K, trace in runs], elapsed
 
 
 def test_criterion_1_coceer_diagonalization(diagonalization_run):
@@ -125,25 +129,26 @@ def test_criterion_2_corrected_witness_identity(diagonalization_run):
 def test_criterion_3_pi01_liminf_counts(pi01_runs):
     runs, elapsed = pi01_runs
     label_checks = 0
-    for table, K, trace in runs:
+    for table, K, trace, stepped in runs:
+        assert verify_liminf_counts(stepped, table, K) == verify_liminf_counts(trace, table, K)
         for entry in verify_liminf_counts(trace, table, K):
             # independent oracle: the liminf of an ultimately periodic
             # column is the minimum of its period, read off directly
             assert entry.expected == min(table.columns[entry.label].period)
             assert entry.observed == entry.expected, (table, entry)
             label_checks += 1
-        # the per-stage count identity, re-derived from the trace alone
-        window = trace.windows[trace.stages]
-        for s in range(1, trace.stages + 1):
+        # the per-stage count identity, re-derived from the whole histories alone
+        window = stepped.windows[stepped.stages]
+        for s in range(1, stepped.stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
-                label = label_at(trace, x, s)
+                label = label_at(stepped, x, s)
                 if label is not None:
                     counts[label] = counts.get(label, 0) + 1
             for k in range(s - 1):
                 assert counts.get(k, 0) == table.g(k, s)
-        for x in sorted(trace.transitions):
-            pattern = classify_history(trace, x)  # raises on any b-discipline breach
+        for x in sorted(stepped.transitions):
+            pattern = classify_history(stepped, x)  # raises on any b-discipline breach
             assert pattern in ("a", "b", "unstable")
     assert elapsed < 5.0
     print(
@@ -188,7 +193,7 @@ def test_criterion_4_monotone_shrinking_snapshots(diagonalization_run, pi01_runs
 
     pi01_checks = 0
     runs, _ = pi01_runs
-    for _, _, pitrace in runs:
+    for _, _, _, pitrace in runs:
         def pi01_relation(s: int, w: int) -> frozenset:
             pairs = set((x, x) for x in range(w))
             for x in range(w):

@@ -20,10 +20,12 @@ from effstruct.generators import (
     generate_diagonalization_suite,
     generate_gtable,
 )
-from effstruct.pi01 import gtable_to_json
+from effstruct.pi01 import gtable_to_json, settle_stage
 from effstruct.preorder import VTable
 
-from reference import expand_tails, generate_family, reference_materialize
+from reference import (
+    cut_history, expand_tails, generate_family, reference_materialize, stepped_run_pi01,
+)
 
 
 def _write(path, obj):
@@ -123,7 +125,7 @@ def test_pi01_verify_ok(tmp_path):
          "--trace", str(trace_path)]
     )
     assert code == 0
-    assert json.loads(trace_path.read_text())["format"] == 1
+    assert json.loads(trace_path.read_text())["format"] == 2
 
 
 @pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
@@ -376,15 +378,30 @@ def test_coceer_short_budget_verdicts_are_pinned(tmp_path, capsys, stages, code,
 
 def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     # a faster stepper must leave the trace, snapshot and verdict bytes alone
-    g_path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8)))
+    table = generate_gtable(7, 8)
+    g_path = _write(tmp_path / "g.json", gtable_to_json(table))
     trace = tmp_path / "trace.json"
     code = main(["pi01", "--g", g_path, "--stages", "1500", "--labels", "8", "--verify",
                  "--trace", str(trace)])
     assert code == 0
-    _pin(trace, "f764cad88402f5e2721d2edc1f5be439e60173ff4524af6781945fb394ba3d83",
-         "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987")
+    assert _sha(trace.read_bytes()) == \
+        "8e67941dacef5a65b4fa91530d7b41c05acc1922243273423c1e7301fe1c4c29"
     assert _sha(capsys.readouterr().out.encode()) == \
         "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838"
+    # the format-2 trace is the run stepped at every stage cut at its settle
+    # stage, and that run written in format 1 is the format-1 file byte for
+    # byte (the digests pinned before format 2)
+    obj, stepped = json.loads(trace.read_text()), stepped_run_pi01(table, 1500)
+    last = settle_stage(table)
+    assert obj["windows"] == list(stepped.windows[:last + 1])
+    assert obj["transitions"] == json.loads(json.dumps(sorted(cut_history(stepped, last).items())))
+    assert obj["since"] == json.loads(json.dumps(stepped.since[:table.width]))
+    old = {"format": 1, "stages": 1500, "windows": stepped.windows,
+           "transitions": sorted(stepped.transitions.items())}
+    assert _sha(_compact(old)) == \
+        "f764cad88402f5e2721d2edc1f5be439e60173ff4524af6781945fb394ba3d83"
+    assert _sha(_indented(json.loads(_compact(old)))) == \
+        "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987"
     b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
     snapshot = tmp_path / "snapshot.json"
     code = main(["preorder", "--b", b_path, "--stages", "250", "--verify",

@@ -1,13 +1,17 @@
 """Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
 steppers against slow reference paths, co-ceer runs (whose settled columns
-advance in closed form) and pi01 runs without history and preorder runs
-(which close the run past a settle stage) against stepped runs, co-ceer
-verdicts against the witness-history certificate, threshold snapshots and
-the closed-form block layout against explicit constructions, plus
-operation-count gates."""
+advance in closed form) and pi01 and preorder runs (which close the run
+past a settle stage) against stepped runs, co-ceer verdicts against the
+witness-history certificate, threshold snapshots and the closed-form block
+layout against explicit constructions, plus operation-count gates."""
 
+import io
+import json
+import os
 import random
+import tempfile
 from bisect import bisect_right
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
 from operator import attrgetter
 
@@ -32,6 +36,7 @@ from reference import (
     ReferenceVTable,
     ceer_snapshot,
     column_exiles,
+    cut_history,
     expand_tail,
     expand_tails,
     generate_family,
@@ -46,6 +51,7 @@ from reference import (
     reference_verify_liminf_counts,
     runner_partition,
     stepped_run_coceer,
+    stepped_run_pi01,
 )
 
 
@@ -486,6 +492,23 @@ def _assert_same_labeling(fast, ref, g):
         (z, ref.transitions[z][-2][1]) for z in ref.removed_pending)
 
 
+def _assert_run_is_cut(g, stepped):
+    """A run with history is the run stepped at every stage cut at its last
+    stepped stage T = min(stages, settle stage): the windows 0..T, each
+    history through T (an element created after T has none) and the stepped
+    stacks at ``stages`` of the labels below min(width, stages).  A run
+    without history keeps the same stacks and nothing else."""
+    stages = stepped.stages
+    last = min(stages, pi01.settle_stage(g))
+    run = pi01.run_pi01(g, stages)
+    assert run.stages == stages
+    assert run.windows == stepped.windows[:last + 1]
+    assert run.transitions == cut_history(stepped, last)
+    assert run.since == stepped.since[:g.width]
+    assert pi01.run_pi01(g, stages, history=False) == pi01.PiTrace(stages, (), run.since, {})
+    return run
+
+
 def _assert_pi01_matches_reference(g, stages):
     """Compare the states at every stage, then run past the horizon of labels
     up to width - 1, where the live verifier and the trace scan both apply."""
@@ -495,14 +518,11 @@ def _assert_pi01_matches_reference(g, stages):
         reference_pi01_step(ref, g)
         _assert_same_labeling(fast, ref, g)
     assert fast.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
-    trace = pi01.run_pi01(g, stages)
-    assert trace.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
-    assert trace.windows == tuple(ref.windows)
-    assert trace.since == tuple(map(tuple, fast.since))
-    live = pi01.run_pi01(g, stages, history=False)
-    assert live == pi01.PiTrace(trace.stages, (), trace.since[:g.width], {})
+    stepped = stepped_run_pi01(g, stages)
+    assert stepped.transitions == fast.transitions and stepped.windows == tuple(ref.windows)
+    run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
-    assert pi01.verify_liminf_counts(live, g, K) == reference_verify_liminf_counts(trace, g, K)
+    assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(stepped, g, K)
 
 
 def _assert_preorder_matches_reference(gB, stages):
@@ -649,18 +669,49 @@ def test_preorder_matches_reference_property(gB, extra):
 @settings(deadline=None, max_examples=60)
 @given(_gtables, st.integers(1, 400))
 def test_pi01_closed_form_matches_stepped_property(g, stages):
-    """A run without history, stopped before or past its settle stage, has
-    the stepped stacks' stages for every label below the width, and its
-    verdict is the trace-scanning reference's."""
-    state = pi01.LabelState()
-    for _ in range(stages):
-        pi01.pi01_step(state, g)
-    live = pi01.run_pi01(g, stages, history=False)
-    assert live.since == tuple(map(tuple, state.since[:g.width]))
+    """A run with or without history, stopped before or past its settle
+    stage, is the stepped run cut at its last stepped stage, and its verdict
+    is the trace-scanning reference's on the stepped run."""
+    stepped = stepped_run_pi01(g, stages)
+    run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
     if stages >= pi01.required_stages_for(g, K):
-        assert pi01.verify_liminf_counts(live, g, K) == reference_verify_liminf_counts(
-            pi01.run_pi01(g, stages), g, K)
+        assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(
+            stepped, g, K)
+
+
+def _run_cli(argv):
+    """(exit code, stdout) of one in-process CLI command."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_gtables, st.integers(1, 400), st.booleans())
+def test_pi01_trace_file_and_stdout_property(g, stages, verify):
+    """A run's trace file, written before or past its settle stage, loads
+    back to the run.  The CLI prints the same and exits the same with and
+    without ``--trace``, and a ``--verify`` run too short for its labels
+    writes no file."""
+    run = pi01.run_pi01(g, stages)
+    assert pi01.trace_from_json(json.loads(json.dumps(pi01.trace_to_json(run)))) == run
+    with tempfile.TemporaryDirectory() as work:
+        g_path, trace_path = f"{work}/g.json", f"{work}/trace.json"
+        with open(g_path, "w") as f:
+            json.dump(pi01.gtable_to_json(g), f)
+        argv = ["pi01", "--g", g_path, "--stages", str(stages)]
+        if verify:
+            argv += ["--labels", str(max(g.width - 1, 0)), "--verify"]
+        live = _run_cli(argv)
+        assert _run_cli(argv + ["--trace", trace_path]) == live
+        if live[0] == 2:   # a --verify run too short for its labels
+            assert verify and stages < pi01.required_stages_for(g, max(g.width - 1, 0))
+            assert not os.path.exists(trace_path)
+        else:
+            with open(trace_path) as f:
+                assert pi01.trace_from_json(json.load(f)) == run
 
 
 @settings(deadline=None, max_examples=60)
@@ -697,32 +748,37 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("K", [None, 0, 8])
 def test_pi01_operation_counts(monkeypatch, K):
-    """A run without history steps pi01_step to its settle stage and asks g
-    only there, so it makes as many calls at 10**6 stages as at 10**4.  A
-    history run steps every stage and asks g only about labels below the
-    width, and a stepped state keeps each element in one place, a label
-    stack or the parked heap."""
+    """A run with or without history steps pi01_step to its settle stage and
+    asks g only there, so it makes as many calls at 10**6 stages as at
+    1,500 and keeps as many histories.  Stepped at every stage, a state
+    asks g only about labels below the width and keeps each element in one
+    place, a label stack or the parked heap."""
     g = pi01.GTable(()) if K is None else generate_gtable(7, K)
     steps = _count_calls(monkeypatch, pi01, "pi01_step")
     lookups = _count_calls(monkeypatch, pi01.GTable, "g")
     settle = pi01.settle_stage(g)
     bound = max(g.width - 1, 0)
-    for budget in (10**4, 10**6):
-        steps[0] = lookups[0] = 0
-        live = pi01.run_pi01(g, budget, history=False)
-        assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
-        assert live.windows == () and live.transitions == {}
-        assert len(live.since) == g.width
-        assert all(entry.match for entry in pi01.verify_liminf_counts(live, g, bound))
+    sizes = set()
+    for budget in (1500, 10**4, 10**6):
+        for history in (False, True):
+            steps[0] = lookups[0] = 0
+            run = pi01.run_pi01(g, budget, history=history)
+            assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
+            assert len(run.since) == g.width
+            assert all(entry.match for entry in pi01.verify_liminf_counts(run, g, bound))
+            if history:
+                assert len(run.windows) == settle + 1
+                sizes.add(len(run.transitions))
+            else:
+                assert run.windows == () and run.transitions == {}
+    assert len(sizes) == 1
 
     stages = 1500
-    steps[0] = lookups[0] = 0
-    trace = pi01.run_pi01(g, stages)
-    assert (steps[0], lookups[0]) == (stages, sum(min(s, g.width) for s in range(stages)))
-    assert len(trace.windows) == len(trace.since) + 1 == stages + 1
+    lookups[0] = 0
     st = pi01.LabelState()
     for _ in range(stages):
         pi01.pi01_step(st, g)
+    assert lookups[0] == sum(min(s, g.width) for s in range(stages))
     assert st.transitions is None
     assert sum(map(len, st.members)) + len(st.removed_pending) == st.next_fresh
     assert list(map(len, st.since)) == list(map(len, st.members))

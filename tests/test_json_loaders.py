@@ -1,6 +1,7 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
-InputError; a coceer trace with a malformed tail or record raises it."""
+InputError; a coceer trace with a malformed tail or record, and a pi01
+trace with a malformed history or label stack, raise it."""
 
 import json
 import random
@@ -23,6 +24,12 @@ def _coceer_trace(rng):
     return coceer.run_coceer(generate_family(rng.randrange(1000), E), E, rng.randint(1, 150))[1]
 
 
+def _pi01_trace(rng):
+    """A run stopped before, at or past its settle stage."""
+    g = generate_gtable(rng.randrange(1000), rng.randint(0, 4))
+    return pi01.run_pi01(g, rng.randint(1, pi01.settle_stage(g) + 12))
+
+
 def _partition(rng):
     n = rng.randint(0, 20)
     p = Partition(n)
@@ -40,9 +47,7 @@ LOADERS = {
     "delta02": (lambda rng: generate_b(rng.randrange(1000), rng.randint(0, 4)),
                 core.delta02_to_json, core.delta02_from_json),
     "coceer-trace": (_coceer_trace, coceer.trace_to_json, coceer.trace_from_json),
-    "pi01-trace": (lambda rng: pi01.run_pi01(generate_gtable(rng.randrange(1000), 3),
-                                             rng.randint(1, 12)),
-                   pi01.trace_to_json, pi01.trace_from_json),
+    "pi01-trace": (_pi01_trace, pi01.trace_to_json, pi01.trace_from_json),
     "snapshot": (lambda rng: preorder.materialize(preorder.run_preorder(
                      generate_b(rng.randrange(1000), 3), rng.randint(1, 12))),
                  preorder.snapshot_to_json, preorder.snapshot_from_json),
@@ -165,6 +170,15 @@ def _break_tail_or_record(data, doc, kind):
         data.draw(st.sampled_from(records), label="record")["flag"] = "off"
     elif kind == "format 2":
         doc["format"] = 2
+    elif kind == "exiled":
+        # a focus exiles at most one element, of its own column
+        r = data.draw(st.sampled_from(records), label="record")
+        e, x = r["e"], data.draw(st.integers(2 * r["e"] + 2, 2 * r["e"] + 40), label="x")
+        other = data.draw(st.integers(0, doc["columns"] + 2).filter(lambda a: a != e),
+                          label="other column")
+        r["exiled"] = data.draw(st.sampled_from([
+            [[other, x]], [[e, x], [e, x + 1]], [[e, x], [e, x]], [[e, x], [other, x]],
+            r["exiled"] + [[e, x], [other, x]]]), label="exiled")
     else:
         r = data.draw(st.sampled_from(records), label="record")
         r["Y"] = _bad_y(data, r["e"])
@@ -172,7 +186,7 @@ def _break_tail_or_record(data, doc, kind):
 
 @pytest.mark.parametrize("kind", [
     "duplicate e", "e >= columns", "w < max(e, 1)", "case not 3 or 4", "tail stage > stages",
-    "record past its tail", "record missing", "flag key", "format 2", "Y"])
+    "record past its tail", "record missing", "flag key", "format 2", "exiled", "Y"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_coceer_trace_rejects_malformed_tails(kind, data):
@@ -182,3 +196,68 @@ def test_coceer_trace_rejects_malformed_tails(kind, data):
     _break_tail_or_record(data, doc, kind)
     with pytest.raises(InputError):
         coceer.trace_from_json(doc)
+
+
+def _break_pi01_trace(data, doc, kind):
+    """Make ``doc``, a pi01 trace with T = len(windows) - 1 stepped stages,
+    malformed in the way ``kind`` names."""
+    stages, since = doc["stages"], doc["since"]
+    stepped = len(doc["windows"]) - 1
+    if kind == "history stage past T":
+        hist = data.draw(st.sampled_from(doc["transitions"]), label="element")[1]
+        hist[-1][0] = data.draw(st.integers(stepped + 1, stages + 3), label="stage")
+    elif kind == "more than S+1 windows":
+        # with a founder for each label the extra stages open
+        more = stages + 1 - stepped + data.draw(st.integers(0, 3), label="more")
+        fresh = doc["windows"][-1]
+        doc["windows"] += [fresh + i + 1 for i in range(more)]
+        doc["transitions"] += [[fresh + i, [[k + 1, k]]]
+                               for i, k in enumerate(range(stepped, stepped + more))]
+    elif kind == "more than T stacks":
+        since += [[k + 1] for k in range(len(since), stepped + 1
+                                          + data.draw(st.integers(0, 3), label="more"))]
+    elif kind == "since differs at T == S":
+        assume(stepped == stages and since)
+        stack = data.draw(st.sampled_from(since), label="stack")
+        if len(stack) > 1 and data.draw(st.booleans(), label="drop"):
+            stack.pop()
+        else:
+            stack.append(data.draw(st.integers(stack[-1], stages), label="entry"))
+    elif kind == "format 1":
+        doc["format"] = 1
+    elif kind == "no founder":
+        # the element founding a label at stage k + 1 is dropped with its history
+        founders = [item for item in doc["transitions"]
+                    for s, v in item[1][-1:] if v is not None and s == v + 1]
+        assume(founders)
+        doc["transitions"].remove(data.draw(st.sampled_from(founders), label="founder"))
+    elif kind == "stack dropped":
+        # the last stack is dropped although its label holds more than its founder at T
+        assume(since and sum(hist[-1][1] == len(since) - 1 for _, hist in doc["transitions"]) > 1)
+        since.pop()
+    else:
+        assume(since)
+        k = data.draw(st.integers(0, len(since) - 1), label="label")
+        stack = since[k]
+        if kind == "stack not at k+1":
+            stack[0] = data.draw(st.integers(0, stages + 3).filter(lambda v: v != k + 1),
+                                 label="founder stage")
+        elif kind == "decreasing stack":
+            stack.append(data.draw(st.integers(0, stack[-1] - 1), label="entry"))
+        else:   # "entry above S"
+            stack.append(data.draw(st.integers(stages + 1, stages + 9), label="entry"))
+
+
+@pytest.mark.parametrize("kind", [
+    "history stage past T", "more than S+1 windows", "stack not at k+1", "decreasing stack",
+    "entry above S", "more than T stacks", "since differs at T == S", "format 1", "no founder",
+    "stack dropped"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_pi01_trace_rejects_malformed_stacks(kind, data):
+    trace = _pi01_trace(random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    doc = json.loads(json.dumps(pi01.trace_to_json(trace)))
+    assume(doc["transitions"])
+    _break_pi01_trace(data, doc, kind)
+    with pytest.raises(InputError):
+        pi01.trace_from_json(doc)

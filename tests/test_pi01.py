@@ -1,4 +1,8 @@
-"""Liminf-realizing construction: stage traces, histories, certified counts."""
+"""Liminf-realizing construction: stage traces, histories, certified counts.
+
+A library run keeps histories only up to its settle stage, so the
+properties of whole histories are checked on :func:`stepped_run_pi01`,
+the library's stepper run at every stage."""
 
 import json
 import random
@@ -11,18 +15,22 @@ from effstruct.generators import generate_gtable
 from effstruct.pi01 import (
     GTable,
     LabelState,
+    PiTrace,
     gtable_from_json,
     gtable_to_json,
     pi01_step,
     required_stages_for,
     run_pi01,
+    settle_stage,
     trace_from_json,
     trace_to_json,
     verify_liminf_counts,
 )
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import classify_history, ever_labeled, label_at, snapshot_at, stable_window_label
+from reference import (
+    classify_history, ever_labeled, label_at, snapshot_at, stable_window_label, stepped_run_pi01,
+)
 
 CONSTANT_ONE = GTable(())
 
@@ -41,7 +49,7 @@ def test_gtable_validation():
 
 
 def test_constant_one_keeps_singletons():
-    trace = run_pi01(CONSTANT_ONE, 50)
+    trace = stepped_run_pi01(CONSTANT_ONE, 50)
     for s in range(1, 51):
         snap = snapshot_at(trace, s)
         assert all(len(c) == 1 for c in snap.classes())
@@ -49,7 +57,7 @@ def test_constant_one_keeps_singletons():
 
 
 def test_first_stage():
-    trace = run_pi01(CONSTANT_ONE, 1)
+    trace = stepped_run_pi01(CONSTANT_ONE, 1)
     assert label_at(trace, 0, 1) == 0
     assert trace.windows[1] == 1
     # single steps on a raw state agree with the driver
@@ -86,7 +94,7 @@ def test_per_stage_count_identity():
         K = rng.randint(0, 6)
         g = generate_gtable(300 + trial, K)
         stages = required_stages_for(g, K) + 3
-        trace = run_pi01(g, stages)
+        trace = stepped_run_pi01(g, stages)
         window = trace.windows[stages]
         for s in range(1, stages + 1):
             counts: dict[int, int] = {}
@@ -104,7 +112,7 @@ def test_founder_is_class_minimum_and_never_removed():
     rng = random.Random(33)
     for trial in range(15):
         g = generate_gtable(500 + trial, rng.randint(1, 6))
-        trace = run_pi01(g, 50)
+        trace = stepped_run_pi01(g, 50)
         for x, hist in trace.transitions.items():
             first_label = hist[0][1]
             owners = [y for y in sorted(trace.transitions)
@@ -116,7 +124,7 @@ def test_founder_is_class_minimum_and_never_removed():
 
 def test_snapshots_shrink_and_stay_equivalences():
     g = _table(([2, 2, 2, 2], [1, 3]), ([5], [2]))
-    trace = run_pi01(g, 30)
+    trace = stepped_run_pi01(g, 30)
     for s in range(1, 30):
         w = min(12, trace.windows[s])
         older = bf_relation_of_partition(snapshot_at(trace, s, w).classes())
@@ -129,11 +137,11 @@ def test_histories_classify_everywhere():
     rng = random.Random(8)
     for trial in range(25):
         g = generate_gtable(700 + trial, rng.randint(0, 8))
-        trace = run_pi01(g, rng.randint(5, 60))
+        trace = stepped_run_pi01(g, rng.randint(5, 60))
         for x in sorted(trace.transitions):
             assert classify_history(trace, x) in ("a", "b", "unstable")
     with pytest.raises(InputError):
-        classify_history(run_pi01(CONSTANT_ONE, 2), 99)
+        classify_history(stepped_run_pi01(CONSTANT_ONE, 2), 99)
 
 
 def test_verify_liminf_examples():
@@ -165,7 +173,7 @@ def test_stable_labels_partition_matches_final_snapshot():
     # on certified-stable elements, sharing a class means sharing a label
     g = _table(([], [3]), ([2, 2, 2, 2], [1]), ([], [2, 4]))
     stages = required_stages_for(g, 2) + 2
-    trace = run_pi01(g, stages)
+    trace = stepped_run_pi01(g, stages)
     snap = snapshot_at(trace, stages)
     stable: dict[int, int] = {}
     for k in range(3):
@@ -192,8 +200,8 @@ def test_run_validation_and_json():
     with pytest.raises(InputError):
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
-        trace_from_json({"format": 1, "stages": 1})
-    for bad in ({"format": True}, {"format": 1.0}, {"format": None},
+        trace_from_json({"format": 2, "stages": 1})
+    for bad in ({"format": True}, {"format": 2.0}, {"format": None}, {"format": 1},
                 {"stages": -3}, {"stages": True}, {"windows": ["x"]}, {"windows": [-1]},
                 {"transitions": [[-1, [[True, "z"]]]]}, {"transitions": [[-1, [[1, 0]]]]},
                 {"transitions": [["0", [[1, 0]]]]}, {"transitions": [[0, [[True, 0]]]]},
@@ -220,8 +228,25 @@ def test_run_validation_and_json():
                 {"transitions": [[0, [[2, 0]]], [1, [[1, 0]]]]}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
-    removal = {**obj, "transitions": [[0, [[1, 0], [2, None]]]]}
-    assert trace_from_json(removal).transitions == {0: ((1, 0), (2, None))}
+    # a removed and recycled element loads with its whole history
+    drop = run_pi01(_table(([2, 2, 2], [1])), 4)
+    assert trace_from_json(json.loads(json.dumps(trace_to_json(drop)))).transitions[2] == \
+        ((2, 0), (3, None), (4, 3))
     for version in (True, 1.0):
         with pytest.raises(InputError):
             gtable_from_json({**gtable_to_json(g), "format": version})
+
+
+@pytest.mark.parametrize("stages", [1, 7, 10**6])
+def test_width_zero_trace_writes_and_loads(stages):
+    """A table of width 0 settles at stage 0, so a run steps no stage: its
+    trace has the one window before the first stage and no history, and
+    is still written and read back."""
+    assert settle_stage(CONSTANT_ONE) == 0
+    trace = run_pi01(CONSTANT_ONE, stages)
+    assert trace == PiTrace(stages, (0,), (), {})
+    obj = json.loads(json.dumps(trace_to_json(trace)))
+    assert obj == {"format": 2, "stages": stages, "windows": [0], "transitions": [], "since": []}
+    assert trace_from_json(obj) == trace
+    with pytest.raises(InputError):   # a run without history still has no file to write
+        trace_to_json(run_pi01(CONSTANT_ONE, stages, history=False))
