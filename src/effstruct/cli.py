@@ -1,5 +1,9 @@
 """Command-line entry point and the suite driver behind ``verify-all``.
 
+Each subcommand is one entry of ``_COMMANDS`` (handler, help line, flags).
+A call builds only its command's parser; help, usage errors and leftover
+words go to the full ``build_parser()``, whose messages they keep.
+
 Exit codes: 0 when every requested verification succeeded, 1 when a
 construction failed verification, 2 on input errors (bad files, bad
 flags, or an insufficient stage horizon, reported with the budget that
@@ -217,55 +221,65 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+_COMMANDS = {
+    "coceer": (_cmd_coceer, "diagonalize a co-ceer against a ceer family", (
+        ("--family", dict(required=True, help="family JSON file")),
+        ("--columns", dict(type=int, required=True, help="number of columns E")),
+        ("--stages", dict(type=int, required=True, help="stage budget")),
+        ("--trace", dict(help="write the stage trace to this JSON file")),
+        ("--report", dict(help="write per-column verification reports here")),
+        ("--verify", dict(action="store_true")))),
+    "pi01": (_cmd_pi01, "build class sizes from a liminf table", (
+        ("--g", dict(required=True, help="class-size table JSON file")),
+        ("--stages", dict(type=int, required=True)),
+        ("--labels", dict(type=int, help="verify labels 0..K")),
+        ("--trace", dict(help="write the run trace to this JSON file")),
+        ("--verify", dict(action="store_true")))),
+    "preorder": (_cmd_preorder, "encode a binary limit set into a preorder", (
+        ("--b", dict(required=True, help="set approximation JSON file")),
+        ("--stages", dict(type=int, required=True)),
+        ("--horizon", dict(type=int, help="verify membership up to this value")),
+        ("--snapshot", dict(help="write the materialized order here")),
+        ("--verify", dict(action="store_true")))),
+    "blocks": (_cmd_blocks, "encode/decode bit vectors as block structures", (
+        ("--x", dict(help="bit string to encode")),
+        ("--encode", dict(help="write the encoded structure here")),
+        ("--decode", dict(help="character JSON file to decode")))),
+    "verify-all": (_cmd_verify_all, "run every generated property suite", (
+        ("--seed", dict(type=int, default=0)),
+        ("--stages", dict(type=int, default=5000, help="diagonalization budget")))),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the handler and the flags of command ``name``."""
+    handler, _, flags = _COMMANDS[name]
+    parser.set_defaults(handler=handler)
+    for flag, keywords in flags:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effstruct",
         description="Stage constructions for effective equivalence structures and preorders",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("coceer", help="diagonalize a co-ceer against a ceer family")
-    p.set_defaults(handler=_cmd_coceer)
-    p.add_argument("--family", required=True, help="family JSON file")
-    p.add_argument("--columns", type=int, required=True, help="number of columns E")
-    p.add_argument("--stages", type=int, required=True, help="stage budget")
-    p.add_argument("--trace", help="write the stage trace to this JSON file")
-    p.add_argument("--report", help="write per-column verification reports here")
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("pi01", help="build class sizes from a liminf table")
-    p.set_defaults(handler=_cmd_pi01)
-    p.add_argument("--g", required=True, help="class-size table JSON file")
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--labels", type=int, help="verify labels 0..K")
-    p.add_argument("--trace", help="write the run trace to this JSON file")
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("preorder", help="encode a binary limit set into a preorder")
-    p.set_defaults(handler=_cmd_preorder)
-    p.add_argument("--b", required=True, help="set approximation JSON file")
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--horizon", type=int, help="verify membership up to this value")
-    p.add_argument("--snapshot", help="write the materialized order here")
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("blocks", help="encode/decode bit vectors as block structures")
-    p.set_defaults(handler=_cmd_blocks)
-    p.add_argument("--x", help="bit string to encode")
-    p.add_argument("--encode", help="write the encoded structure here")
-    p.add_argument("--decode", help="character JSON file to decode")
-
-    p = sub.add_parser("verify-all", help="run every generated property suite")
-    p.set_defaults(handler=_cmd_verify_all)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stages", type=int, default=5000, help="diagonalization budget")
-
+    for name, (_, help_line, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Parse ``argv`` and run its subcommand; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    """Parse ``argv`` (``sys.argv[1:]`` if None), run its subcommand, return the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        own = _add_command(argparse.ArgumentParser(prog=f"effstruct {name}"), name)
+        args, rest = own.parse_known_args(argv[1:])
+    if name not in _COMMANDS or rest:
+        args = build_parser().parse_args(argv)
     # what the imports built lives until exit: frozen, no collection in the command walks it
     freeze = gc.get_freeze_count() == 0
     if freeze:

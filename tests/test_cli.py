@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file round trips, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from effstruct import cli
 from effstruct.ceersim import family_to_json
 from effstruct.coceer import trace_from_json
 from effstruct.cli import main
@@ -509,3 +511,117 @@ def test_startup_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", _STARTUP_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {"loaded": [], "dataclasses": []}
+
+
+COMMANDS = ("coceer", "pi01", "preorder", "blocks", "verify-all")
+# the fewest flags each command parses without error; no file is read while parsing
+VALID = {
+    "coceer": ["--family", "f.json", "--columns", "1", "--stages", "1"],
+    "pi01": ["--g", "g.json", "--stages", "1"],
+    "preorder": ["--b", "b.json", "--stages", "1"],
+    "blocks": [],
+    "verify-all": [],
+}
+ARGV_BATTERY = [
+    [], ["-h"], ["--help"], ["nope"], ["-h", "coceer"], ["--verify"], ["coceer=1"],
+    *([name, "-h"] for name in COMMANDS),
+    *([name, *VALID[name]] for name in COMMANDS),
+    ["coceer", "--columns", "1", "--stages", "1"],
+    ["pi01", "--g", "g.json", "--stages", "zz"],
+    ["coceer", "--fam", "f.json", "--col", "1", "--stages=1", "--verify"],
+    ["coceer", *VALID["coceer"], "--bogus"],
+    ["coceer", "--bogus"],
+    ["coceer", *VALID["coceer"], "-h"],
+    ["blocks", "extra"],
+    ["blocks", "--x=101", "--", "extra"],
+    ["coceer", "--", "--x"],
+    ["verify-all", "--seed"],
+    ["verify-all", "--seed", "3", "--stages", "-9", "--seed", "4"],
+    ["verify-all", "--s", "3"],
+    ["pi01", *VALID["pi01"], "--labels", "-1", "--verify", "--trace", "t.json"],
+    ["preorder", *VALID["preorder"], "--horizon", "2", "--snapshot", "s.json", "pi01"],
+    ["blocks", "coceer", *VALID["coceer"]],
+]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every command's handler records its namespace instead of running."""
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+    monkeypatch.setattr(cli, "_COMMANDS", {name: (record, help_line, flags)
+                                           for name, (_, help_line, flags) in cli._COMMANDS.items()})
+    return seen
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``ArgumentParser`` built, in order."""
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return parsers
+
+
+def _outcome(capsys, seen, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, seen.pop() if seen else None
+
+
+def _run_full_parser(argv):
+    args = cli.build_parser().parse_args(argv)
+    del args.subcommand
+    return args.handler(args)
+
+
+@pytest.mark.parametrize("argv", ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "<none>")
+def test_command_parser_behaves_as_full_parser(monkeypatch, capsys, recorded, argv):
+    """``main`` parses with the named command's parser alone and falls back to the
+    full parser: stdout, stderr, exit code and namespace (but for ``subcommand``)
+    are the full parser's, whether ``argv`` is passed or read from ``sys.argv``."""
+    full = _outcome(capsys, recorded, lambda: _run_full_parser(list(argv)))
+    via_main = _outcome(capsys, recorded, lambda: main(list(argv)))
+    monkeypatch.setattr(sys, "argv", ["effstruct", *argv])
+    via_sys_argv = _outcome(capsys, recorded, main)
+    assert via_main == via_sys_argv == full
+
+
+def _full_subparser(name):
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_valid_call_builds_one_parser(recorded, built, name):
+    """A valid call builds exactly one ``ArgumentParser``, its command's, whose help
+    and usage are those of the full parser's subparser.  Counted, not timed."""
+    assert main([name, *VALID[name]]) == 0
+    [own] = built
+    assert recorded
+    full = _full_subparser(name)
+    assert (own.format_help(), own.format_usage()) == (full.format_help(), full.format_usage())
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["-h", "coceer"],
+                                  ["coceer", *VALID["coceer"], "--bogus"], ["blocks", "extra"]],
+                         ids=lambda argv: " ".join(argv) or "<none>")
+def test_help_and_fallback_build_the_full_parser(recorded, built, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    full = ["effstruct", *(f"effstruct {name}" for name in COMMANDS)]
+    own = [f"effstruct {argv[0]}"] if argv and argv[0] in COMMANDS else []
+    assert [p.prog for p in built] == own + full
+    assert not recorded
+
