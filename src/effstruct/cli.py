@@ -85,7 +85,7 @@ def _cmd_pi01(args: argparse.Namespace) -> int:
     if args.labels is not None and not args.verify:
         raise InputError("--labels needs --verify")
     table = pi01.gtable_from_json(_load_json(args.g))
-    trace = pi01.run_pi01(table, args.stages, history=bool(args.trace))
+    trace = pi01.run_pi01(table, args.stages)
     counts = pi01.verify_liminf_counts(trace, table, args.labels or 0) if args.verify else None
     if args.trace:
         _dump_json(args.trace, pi01.trace_to_json(trace))
@@ -169,7 +169,7 @@ def _suite_pi01(seed: int) -> tuple[bool, str]:
     for j in range(50):
         K = 2 + j % 7
         table = generators.generate_gtable(seed + j, K)
-        trace = pi01.run_pi01(table, pi01.required_stages_for(table, K) + 4, history=False)
+        trace = pi01.run_pi01(table, pi01.required_stages_for(table, K) + 4)
         if not all(entry.match for entry in pi01.verify_liminf_counts(trace, table, K)):
             bad += 1
     return bad == 0, f"liminf class sizes: {50 - bad}/50 tables verified exactly"

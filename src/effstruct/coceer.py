@@ -40,7 +40,7 @@ There are two settle rules:
   4, for T the member's quiescence stage (:func:`_quiescence_stage`), is
   followed by case 4 at every later focus (proved in
   :func:`verify_requirement`).  Each exiles the next_free and moves only
-  ``next_free`` and ``last_case4_stage``.
+  ``next_free``.
 - **Case-3 steadiness.**  Let column e follow a churn generator of target
   k and spacing d.  After a focus on diagonal w (the stage w(w+1)/2 + e)
   with w + 1 >= 2d, every later focus takes case 3.  Proof: the next focus
@@ -90,14 +90,15 @@ class ColumnState(Record):
       element above the witnesses: the next recruit.
     """
 
-    __slots__ = ("k", "next_free", "extra", "case3_count", "last_case4_stage")
+    __slots__ = ("k", "next_free", "extra", "case3_count", "tail")
     __hash__ = None
 
     def __init__(self, k: int, next_free: int, extra: Optional[int] = None,
-                 case3_count: int = 0, last_case4_stage: Optional[int] = None):
+                 case3_count: int = 0, tail: Optional[tuple[int, int]] = None):
         self.k = k                  # target class size
         self.next_free, self.extra = next_free, extra
-        self.case3_count, self.last_case4_stage = case3_count, last_case4_stage
+        self.case3_count = case3_count
+        self.tail = tail            # (w, case) once settled after diagonal w
 
     @property
     def base(self) -> int:
@@ -166,9 +167,8 @@ def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
         w += 1
 
 
-def _dispatch(col: ColumnState, stage: int, has_k: bool,
-              latched: bool) -> tuple[int, Optional[int]]:
-    """Run focused stage ``stage`` on column ``col`` (cases as in :class:`ColumnState`);
+def _dispatch(col: ColumnState, has_k: bool, latched: bool) -> tuple[int, Optional[int]]:
+    """Run a focused stage on column ``col`` (cases as in :class:`ColumnState`);
     case 3 is taken exactly when the focus ``latched``.
 
     Returns the case and the element x of the one exile <e, x> it made,
@@ -188,15 +188,13 @@ def _dispatch(col: ColumnState, stage: int, has_k: bool,
     else:
         case, exiled = 4, v
         col.next_free = v + 1
-        col.last_case4_stage = stage
     return case, exiled
 
 
 def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
-                budget: int) -> tuple[list[StageRecord], Optional[tuple[int, int, int]]]:
+                budget: int) -> list[StageRecord]:
     """Run column e through stage ``budget``; returns the records of the
-    focuses it stepped and its tail (e, w, case), or None if it has not
-    settled by ``budget``.
+    focuses it stepped.  ``col.tail`` is set if the column settled.
 
     Stage 0 is seeded first: the stage-0 approximations enter the
     oldest-class history but latch nothing, since a class present from the
@@ -218,7 +216,7 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     while (s := w * (w + 1) // 2 + e) <= budget:
         latched = _latch(col.k, runner, seen, last, s)
         runner.advance_to(s)
-        case, exiled = _dispatch(col, s, runner.has_class_of_size(col.k), latched)
+        case, exiled = _dispatch(col, runner.has_class_of_size(col.k), latched)
         last = s
         kept.append(StageRecord(s, e, case, col.extra, () if exiled is None else ((e, exiled),)))
         if quiet is None and w + 1 >= 2 * member.block_spacing:
@@ -229,8 +227,8 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
             w += 1
             continue
         _advance_settled(col, e, w, settled, budget)
-        return kept, (e, w, settled)
-    return kept, None
+        break
+    return kept
 
 
 def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
@@ -257,22 +255,19 @@ def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) ->
 
 def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> None:
     """Apply column e's focuses after diagonal w through ``budget`` in closed
-    form, each taking ``case``.
+    form, each taking ``case``, and set the column's tail to (w, case).
 
     The last focus by ``budget`` lies on the largest diagonal W with
     W(W+1)/2 + e <= budget, which is the diagonal of stage budget - e (the
     sum of its Cantor pair), so m = W - w focuses remain.  Each adds one to
     ``next_free``.  A case-4 focus exiles the next_free and keeps the
-    extra, so m of them end on ``last_case4_stage``; a case-3 focus
-    recruits the next_free and exiles the old extra, so after m of them the
-    extra is one below ``next_free``.
+    extra; a case-3 focus recruits the next_free and exiles the old extra,
+    so after m of them the extra is one below ``next_free``.
     """
-    W = sum(cantor_unpair(budget - e))
-    m, last = W - w, W * (W + 1) // 2 + e
+    m = sum(cantor_unpair(budget - e)) - w
     col.next_free += m
-    if case == 4:
-        col.last_case4_stage = last
-    elif m:
+    col.tail = (w, case)
+    if case == 3 and m:
         col.extra = col.next_free - 1
         col.case3_count += m
 
@@ -319,10 +314,11 @@ def run_coceer(fam: CeerFamily, E: int,
     if E < 1:
         raise InputError("need at least one column")
     columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
-    runs = [_run_column(col, e, fam.member(e), stage_budget) for e, col in enumerate(columns)]
     # the focused stages are distinct
-    kept = sorted((r for records, _ in runs for r in records), key=attrgetter("stage"))
-    tails = tuple(tail for _, tail in runs if tail is not None)
+    kept = sorted((r for e, col in enumerate(columns)
+                   for r in _run_column(col, e, fam.member(e), stage_budget)),
+                  key=attrgetter("stage"))
+    tails = tuple((e, *col.tail) for e, col in enumerate(columns) if col.tail is not None)
     return columns, CoceerTrace(E, stage_budget, tuple(kept), tails)
 
 
@@ -351,7 +347,10 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
     When the member has a quiescence stage T (:func:`_quiescence_stage`:
     every script, and a churn generator whose target is not k), the witness
     set is final once a focused stage L > T fell through to the padding
-    case 4.  That alone implies that no stage after L changed the witnesses:
+    case 4.  Such a column settles by the case-4 rule (module docstring) at
+    the first such L and by no other rule, so it is certified exactly when
+    it has a tail.  That alone implies that no stage after L changed the
+    witnesses:
 
     - After T no size-k oldest class appears that was not seen before, so
       no focus after L latches, and none takes case 3.
@@ -389,7 +388,7 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
     y_limit = col.witnesses
     quiet = _quiescence_stage(member, col.k)
     if quiet is not None:
-        certified = col.last_case4_stage is not None and col.last_case4_stage > quiet
+        certified = col.tail is not None
     else:
         certified = col.case3_count >= 4
         if certified:

@@ -9,30 +9,29 @@ permanently separated (negative information only), removed elements are
 parked and recycled as future founders, and the number of elements whose
 label eventually settles on k is exactly liminf_s g(k, s).
 
-A run keeps each label's members as a stack, with the stage at which each
-member took the label; the verifier reads only those label stages.  The
-per-element history of labels and removals, and the window after each
-stage, are kept only when the caller asks, for the ``--trace`` file;
-``verify-all`` keeps none.
+A run keeps each element's history of labels and removals, and each
+label's members as a stack; the stage at which a member took its label is
+its last history entry, and the verifier reads only those label stages.
+The window after each stage is the number of histories.
 
-With or without history a run steps only to its settle stage and takes
-each label's stages at the budget S from the shift rule, so a history
-covers the stepped stages only.  Label k's stack changes only by top-ups
-(pushes of stage t, at stage t) and strips (pops), and from stage k+2 on
-it holds g(k, t) entries after stage t.  Let (plen, perlen) be column k's
-shape, m = liminf_k, A = max(plen, k + 2) and base = A + perlen.
+A run steps only to its settle stage and takes each label's stages at the
+budget S from the shift rule, so its histories cover the stepped stages
+only.  Label k's stack changes only by top-ups (pushes of stage t, at stage
+t) and strips (pops), and from stage k+2 on it holds g(k, t) entries after
+stage t.  Let (plen, perlen) be column k's shape, m = liminf_k,
+A = max(plen, k + 2) and base = A + perlen.
 
-* Shift rule.  For S >= base and S' = base + (S - base) mod perlen, the
-  stages ``since_S[k]`` are ``since_S'[k][:m]`` followed by every entry of
-  ``since_S'[k][m:]`` plus S - S'.  Proof: from stage A on every stage is
-  stepped and g(k, .) is periodic, so each period of stages from A on
-  holds a dip to m and no goal below it.  The bottom m entries are
-  therefore fixed from the first dip at or after A, before base.  Let d
-  be the last dip at or before S; d > S - perlen >= A, so the stack
-  holds just the bottom m after stage d, and the entries above them are
-  a function of the goals at the stages in (d, S] that shifts with them.
-  S' >= base has the same residue, so its last dip is d - (S - S') and
-  its goals in (d - (S - S'), S'] are those of (d, S].
+* Shift rule.  For S >= base and S' = base + (S - base) mod perlen,
+  label k's stages ``since_S[k]`` at S are ``since_S'[k][:m]`` followed
+  by every entry of ``since_S'[k][m:]`` plus S - S'.  Proof: from stage
+  A on every stage is stepped and g(k, .) is periodic, so each period of
+  stages from A on holds a dip to m and no goal below it.  The bottom m
+  entries are therefore fixed from the first dip at or after A, before
+  base.  Let d be the last dip at or before S; d > S - perlen >= A, so
+  the stack holds just the bottom m after stage d, and the entries above
+  them are a function of the goals at the stages in (d, S] that shifts
+  with them.  S' >= base has the same residue, so its last dip is
+  d - (S - S') and its goals in (d - (S - S'), S'] are those of (d, S].
 * Labels at or past the width hold only the founder, taken at stage
   k + 1 (see :func:`pi01_step`), so a run stores the stages of the labels
   below min(width, S) only.
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -100,37 +100,41 @@ class GTable(Record):
 
 
 class LabelState(Record):
-    """The live labeling, and the transition history when one is kept.
+    """The live labeling and the history of every element.
+
+    ``history[x]`` is element x's tuple of ``(stage, label or None)``
+    entries, one to three: the label it took, then None when it was
+    stripped, then the label it founded when recycled.  Elements are
+    0, 1, 2, ... in the order they are created, so ``len(history)`` is the
+    next fresh element.  Tuples rebuilt on each transition take less memory
+    than lists, and a run hands them to its trace as they are.
 
     ``members[k]`` is label k's stack: the elements holding k in the order
-    they took it, and ``since[k][i]`` is the stage at which ``members[k][i]``
-    took k.  A label opens with its founder, a recycled or fresh element,
-    and every later member is fresh, so each stack is strictly increasing
-    with the founder at index 0, and each ``since[k]`` is nondecreasing.  A
-    strip therefore removes the top of the stack.
+    they took it.  A label opens with its founder, a recycled or fresh
+    element, and every later member is fresh, so each stack is strictly
+    increasing with the founder at index 0, and a strip removes the top of
+    the stack.  A member's last history entry is the label it holds and
+    the stage it took it (:func:`label_stages`).
 
-    ``removed_pending`` is a ``heapq`` min-heap of the parked elements, an
-    element z stripped from label k stored as ``z * width + k`` (only labels
-    below the table width are ever stripped), so the heap orders by z and a
-    recycled founder still knows the label it left.
-
-    ``transitions`` maps each element to its tuple of ``(stage, label or
-    None)`` entries when the caller passes a dict, and stays ``None``
-    otherwise.  Tuples of one to three entries, rebuilt on each transition,
-    take less memory than lists, and a run hands them to its trace as they
-    are.
+    ``removed_pending`` is a ``heapq`` min-heap of the parked elements.  A
+    parked element's history is exactly ``(t, k), (r, None)``, so a
+    recycled founder reads the label it left from its first entry.
     """
 
-    __slots__ = ("members", "since", "removed_pending", "next_fresh", "stage", "windows",
-                 "transitions")
+    __slots__ = ("members", "removed_pending", "stage", "windows", "history")
     __hash__ = None
 
-    def __init__(self, transitions: Optional[dict[int, tuple]] = None):
+    def __init__(self):
         self.members: list[list[int]] = []
-        self.since: list[list[int]] = []
         self.removed_pending: list[int] = []
-        self.next_fresh, self.stage, self.windows = 0, 0, [0]
-        self.transitions = transitions
+        self.stage, self.windows = 0, [0]
+        self.history: list[tuple[tuple[int, Optional[int]], ...]] = []
+
+
+def label_stages(st: LabelState, k: int) -> list[int]:
+    """The stages at which label k's members took it, in stack order; they
+    do not decrease."""
+    return [st.history[x][-1][0] for x in st.members[k]]
 
 
 def pi01_step(st: LabelState, g: GTable) -> LabelState:
@@ -156,56 +160,46 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
     """
     s = st.stage
     stage = s + 1
-    width = g.width
-    history = st.transitions
+    history = st.history
     # founder: recycle the least parked element, else the least fresh one
     if st.removed_pending:
-        w, old = divmod(heapq.heappop(st.removed_pending), width)
+        w = heapq.heappop(st.removed_pending)
+        old = history[w][0][1]
         if old >= s:
             raise ConstructionBugError(f"element {w} left label {old} to found label {s}")
+        history[w] += ((stage, s),)
     else:
-        w = st.next_fresh
-        st.next_fresh += 1
+        w = len(history)
+        history.append(((stage, s),))
     st.members.append([w])
-    st.since.append([stage])
-    if history is not None:
-        history[w] = history.get(w, ()) + ((stage, s),)
-    for k in range(min(s, width)):
+    for k in range(min(s, g.width)):
         members = st.members[k]
         delta = len(members)
         goal = g.g(k, stage)
         if goal > delta:
-            fresh = range(st.next_fresh, st.next_fresh + goal - delta)
-            st.next_fresh = fresh.stop
-            members.extend(fresh)
-            st.since[k].extend([stage] * len(fresh))
-            if history is not None:
-                for y in fresh:
-                    history[y] = ((stage, k),)
+            members.extend(range(len(history), len(history) + goal - delta))
+            history.extend([((stage, k),)] * (goal - delta))
         elif goal < delta:
             if goal < 1:
                 raise ConstructionBugError(f"label {k}: a strip to {goal} removes its founder")
-            stripped = members[goal:]
-            del members[goal:], st.since[k][goal:]
-            for z in stripped:
-                heapq.heappush(st.removed_pending, z * width + k)
-                if history is not None:
-                    history[z] += ((stage, None),)
+            for z in members[goal:]:
+                heapq.heappush(st.removed_pending, z)
+                history[z] += ((stage, None),)
+            del members[goal:]
         if len(members) != goal:
             raise ConstructionBugError(f"label {k}: count {len(members)} != g = {goal}")
     st.stage = stage
-    st.windows.append(st.next_fresh)
+    st.windows.append(len(history))
     return st
 
 
 class PiTrace(Record):
     """The end of a run: the stages at which each label's members took it
-    (``LabelState.since``) at ``stages``, for the labels below
+    (:func:`label_stages`) at ``stages``, for the labels below
     min(width, stages) only, since every later label holds just its
-    founder, taken at stage k + 1.  A run with history also keeps the
-    window after each stepped stage, 0 through T = min(stages, settle
-    stage), and each element's history through T; one without keeps no
-    windows and no history."""
+    founder, taken at stage k + 1; the window after each stepped stage, 0
+    through T = min(stages, settle stage); and each element's history
+    through T."""
 
     __slots__ = ("stages", "windows", "since", "transitions")
 
@@ -232,17 +226,14 @@ def _repeat_stage(g: GTable, k: int, stages: int) -> int:
     return stages if stages < base else base + (stages - base) % perlen
 
 
-def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
-    """Run ``stages`` stages: step to T = min(stages, settle_stage(g)) and
-    read each label below the width at its repeat stage, shifted by the
-    shift rule of the module docstring.
-
-    ``history`` decides only whether the windows and the element histories
-    of the T stepped stages are kept.
-    """
+def run_pi01(g: GTable, stages: int) -> PiTrace:
+    """Run ``stages`` stages: step to T = min(stages, settle_stage(g)),
+    keeping the windows and histories of the stepped stages, and read each
+    label below the width at its repeat stage, shifted by the shift rule of
+    the module docstring."""
     if stages < 1:
         raise InputError("stage count must be at least 1")
-    st = LabelState(transitions={} if history else None)
+    st = LabelState()
     labels = range(min(g.width, stages))
     reads: dict[int, list[int]] = {}
     for k in labels:
@@ -252,10 +243,9 @@ def run_pi01(g: GTable, stages: int, history: bool = True) -> PiTrace:
         pi01_step(st, g)
         shift = stages - st.stage
         for k in reads.get(st.stage, ()):
-            m, stack = g.liminf(k), st.since[k]
+            m, stack = g.liminf(k), label_stages(st, k)
             since[k] = (*stack[:m], *(t + shift for t in stack[m:]))
-    windows = tuple(st.windows) if history else ()
-    return PiTrace(stages, windows, tuple(since), st.transitions if history else {})
+    return PiTrace(stages, tuple(st.windows), tuple(since), dict(enumerate(st.history)))
 
 
 class LabelCount(Record):
@@ -292,16 +282,17 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
     window contains a dip to the liminf and survivors can never be removed
     again.
 
-    The count is read off the live stack of label k: it is the number of
-    members whose label stage is at most start, a prefix of the stack since
-    the label stages are nondecreasing.  A label the trace stores no
-    stages for holds only its founder, taken at stage k + 1.  These are
-    exactly the elements holding k throughout the window.  One that holds
-    k at start and has no transition in (start, stages] still holds k at
-    the end, so it is in the stack, and it took k at or before start.  Conversely, a member of the
-    stack that took k at a stage at or before start has had no transition
-    since: its next one would be a removal from k, after which it can only
-    come back as the founder of a label above k, never as a member of k.
+    The count is read off label k's stages at ``stages`` (``trace.since``,
+    from :func:`label_stages`): it is the number of members whose label
+    stage is at most start, a prefix of the stack since the label stages are
+    nondecreasing.  A label the trace stores no stages for holds only its
+    founder, taken at stage k + 1.  These are exactly the elements holding k
+    throughout the window.  One that holds k at start and has no transition
+    in (start, stages] still holds k at the end, so it is in the stack, and
+    it took k at or before start.  Conversely, a member of the stack that
+    took k at a stage at or before start has had no transition since: its
+    next one would be a removal from k, after which it can only come back as
+    the founder of a label above k, never as a member of k.
     """
     if K < 0:
         raise InputError("label bound must be nonnegative")
@@ -333,8 +324,6 @@ def gtable_from_json(obj: object) -> GTable:
 
 
 def trace_to_json(trace: PiTrace) -> dict:
-    if not trace.windows:
-        raise InputError("the run kept no history to write")
     # the C encoder writes tuples as arrays, so the histories go out as they are
     return {"format": 2, "stages": trace.stages, "windows": trace.windows,
             "transitions": sorted(trace.transitions.items()), "since": trace.since}
@@ -348,10 +337,11 @@ def trace_from_json(obj: object) -> PiTrace:
     [1, T], each label below its stage (stage s opens label s - 1); an
     element whose last entry is a label is a member of that label, and the
     members rebuilt for each label took it in increasing order, a founder
-    at stage k + 1 first.  ``since`` holds at most T stacks of stages:
-    stack k starts at k + 1 and does not decrease up to ``stages``.  Every
-    rebuilt label past them holds its founder alone, and when T == stages
-    the stacks are the rebuilt ones.
+    at stage k + 1 first.  Window s counts the elements whose history
+    starts at or before stage s.  ``since`` holds at most T stacks of
+    stages: stack k starts at k + 1 and does not decrease up to
+    ``stages``.  Every rebuilt label past them holds its founder alone, and
+    when T == stages the stacks are the rebuilt ones.
     """
     if not isinstance(obj, dict):
         raise InputError("trace must be a format-2 object")
@@ -364,6 +354,7 @@ def trace_from_json(obj: object) -> PiTrace:
         raise InputError(f"trace has {len(windows)} windows for {stages} stages")
     transitions = {}
     stacks: list[list[tuple[int, int]]] = [[] for _ in range(stepped)]
+    born = [0] * (stepped + 1)   # the elements created at each stage
     try:
         for x, hist in obj["transitions"]:
             if not is_nat(x) or x in transitions or not 1 <= len(hist) <= 3:
@@ -381,11 +372,14 @@ def trace_from_json(obj: object) -> PiTrace:
                 entries.append((s, v))
                 at = s
             transitions[x] = tuple(entries)
+            born[entries[0][0]] += 1
             if v is not None:
                 stacks[v].append((x, s))
         since = tuple(map(tuple, obj["since"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
+    if list(accumulate(born)) != windows:
+        raise InputError("trace windows must count the elements created by each stage")
     if len(since) > stepped:
         raise InputError(f"trace has {len(since)} label stacks for {stepped} stepped stages")
     for k, stack in enumerate(since):

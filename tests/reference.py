@@ -20,13 +20,13 @@ replay of the member.
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
 :func:`stepped_run_pi01` steps the library's ``pi01_step`` at every stage
-with history and no settle rule, and :func:`cut_history` cuts its
+with no settle rule, and :func:`cut_history` cuts its
 histories at the last stage a library run steps.
 :func:`reference_required_stages_for` reads the shape of every label up
 to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
 scan of the whole trace (:func:`ever_labeled`) and reads each element's
 history with :func:`stable_window_label` and :func:`label_at`, where the
-library reads only the live label stacks.  :func:`classify_history` checks
+library reads only the label stages.  :func:`classify_history` checks
 one element's history against the two guarantees that ``pi01_step`` checks
 online.  :func:`expand_tail` writes a preorder run's closed-form tail out
 as the entries a stepped run holds.  :func:`reference_materialize`
@@ -59,7 +59,7 @@ from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
 from effstruct.generators import _noise_events
-from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, pi01_step
+from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, label_stages, pi01_step
 from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
 
@@ -239,7 +239,7 @@ def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
         while (s := w * (w + 1) // 2 + e) <= stage_budget:
             latched = coceer._latch(col.k, runner, seen, last, s)
             runner.advance_to(s)
-            case, x = coceer._dispatch(col, s, runner.has_class_of_size(col.k), latched)
+            case, x = coceer._dispatch(col, runner.has_class_of_size(col.k), latched)
             records.append(ReferenceRecord(s, e, case, col.witnesses, False,
                                            () if x is None else ((e, x),)))
             last, w = s, w + 1
@@ -480,13 +480,14 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
 
 
 def stepped_run_pi01(g: GTable, stages: int) -> PiTrace:
-    """The library's ``pi01_step`` at every stage with history kept and no
-    settle rule: the window after every stage, each element's whole
-    history, and the stack of every label opened."""
-    st = LabelState(transitions={})
+    """The library's ``pi01_step`` at every stage with no settle rule: the
+    window after every stage, each element's whole history, and the label
+    stages of every label opened."""
+    st = LabelState()
     for _ in range(stages):
         pi01_step(st, g)
-    return PiTrace(stages, tuple(st.windows), tuple(map(tuple, st.since)), st.transitions)
+    since = tuple(tuple(label_stages(st, k)) for k in range(stages))
+    return PiTrace(stages, tuple(st.windows), since, dict(enumerate(st.history)))
 
 
 def cut_history(trace: PiTrace, last: int) -> dict[int, tuple]:

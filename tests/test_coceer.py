@@ -105,7 +105,7 @@ def test_step_case_three_swaps_witness():
 
 def test_step_case_four_pads():
     # baseline, no size-4 class, no latch
-    assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).last_case4_stage == 2
+    assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).tail == (1, 4)
 
 
 def test_run_trace_length_and_budget():

@@ -167,9 +167,14 @@ def _assert_run_matches_reference(fam, E, budget):
         s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
     assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages) == (E, budget)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
-    for col, ref in zip(columns, ref_columns, strict=True):
-        assert (col.witnesses, column_exiles(col), col.case3_count, col.last_case4_stage) == (
-            tuple(sorted(ref.witnesses)), ref.exiled, ref.case3_count, ref.last_case4_stage)
+    for e, (col, ref) in enumerate(zip(columns, ref_columns, strict=True)):
+        assert (col.witnesses, column_exiles(col), col.case3_count) == (
+            tuple(sorted(ref.witnesses)), ref.exiled, ref.case3_count)
+        # a quiescent column has a tail exactly when it took case 4 after quiescence
+        quiet = coceer._quiescence_stage(fam.member(e), col.k)
+        if quiet is not None:
+            took_case4 = ref.last_case4_stage is not None and ref.last_case4_stage > quiet
+            assert (col.tail is not None) == took_case4, (budget, e)
     reports = _reports(columns, fam)
     _assert_certificates_match(columns, ref_trace, fam)
     for e, report in enumerate(reports):
@@ -236,6 +241,45 @@ def test_churn_target_other_than_column_size_matches_reference():
         for spacing in (1, 2, 3):
             fam = CeerFamily((ChurnGenerator(target, spacing),) * 4)
             _assert_run_matches_reference(fam, 4, 250)
+
+
+_TAIL_BUDGETS = (120, 300, 2500, 8000)
+
+
+def _assert_quiescent_tails_match_reference(fam, E):
+    """At each of ``_TAIL_BUDGETS``, a quiescent column has a tail exactly when
+    the reference column took case 4 after the quiescence stage.  One
+    reference run to the last budget gives the reference column's last
+    case-4 stage at every earlier budget from its records."""
+    ref_columns, ref_trace = reference_run_coceer(fam, E, _TAIL_BUDGETS[-1])
+    for budget in _TAIL_BUDGETS:
+        columns, _ = run_coceer(fam, E, budget)
+        for e, col in enumerate(columns):
+            quiet = coceer._quiescence_stage(fam.member(e), col.k)
+            if quiet is None:
+                continue
+            last_case4 = max((r.stage for r in ref_trace.records
+                              if r.e == e and r.case == 4 and r.stage <= budget), default=None)
+            if budget == _TAIL_BUDGETS[-1]:
+                assert last_case4 == ref_columns[e].last_case4_stage, e
+            took_case4 = last_case4 is not None and last_case4 > quiet
+            assert (col.tail is not None) == took_case4, (budget, e)
+            assert col.tail is None or col.tail[1] == 4, (budget, e)
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_suite_quiescent_tails_match_reference(seed):
+    fam, _ = generate_diagonalization_suite(seed)
+    _assert_quiescent_tails_match_reference(fam, len(fam.members))
+
+
+def test_churn_quiescent_tails_match_reference():
+    """Churn of every target k' in 2..8 with spacing 1-4 under columns 0..5,
+    so k - 1 is a multiple of k' in some columns and not in others."""
+    for target in range(2, 9):
+        for spacing in range(1, 5):
+            _assert_quiescent_tails_match_reference(
+                CeerFamily((ChurnGenerator(target, spacing),) * 6), 6)
 
 
 @pytest.mark.parametrize("target", range(2, 9))
@@ -399,11 +443,13 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
 
 def _assert_same_as_stepped(fam, E, budgets):
     """A run to each of ``budgets`` has the columns, and so the reports, of
-    a run that steps every focus, and its tails write out as that run's
-    records."""
+    a run that steps every focus, with the trace's tails, and its tails
+    write out as that run's records."""
     for budget in budgets:
         columns, trace = run_coceer(fam, E, budget)
         stepped, stepped_trace = stepped_run_coceer(fam, E, budget)
+        for e, w, case in trace.tails:
+            stepped[e].tail = (w, case)
         assert columns == stepped, budget
         assert expand_tails(trace) == stepped_trace, budget
 
@@ -478,26 +524,28 @@ def _pi01_past_width(g, extra):
     return pi01.required_stages_for(g, K) + g.width + extra
 
 
-def _assert_same_labeling(fast, ref, g):
+def _assert_same_labeling(fast, ref):
     """The stacks hold the reference's label sets in increasing order, each
     member's label stage is the stage of its last reference transition, and
-    the parked elements and the labels they left agree."""
-    assert (fast.next_fresh, fast.stage, fast.windows) == (ref.next_fresh, ref.stage, ref.windows)
-    assert len(fast.members) == len(fast.since) == ref.stage
-    for k, (stack, since) in enumerate(zip(fast.members, fast.since)):
+    the parked elements agree, each with a history of a label and a removal
+    whose first entry is the label it left."""
+    assert (len(fast.history), fast.stage, fast.windows) == (
+        ref.next_fresh, ref.stage, ref.windows)
+    assert len(fast.members) == ref.stage
+    for k, stack in enumerate(fast.members):
         assert set(stack) == ref.members[k], k
         assert all(a < b for a, b in zip(stack, stack[1:])), k
-        assert since == [ref.transitions[x][-1][0] for x in stack], k
-    assert sorted(divmod(z, g.width) for z in fast.removed_pending) == sorted(
+        assert pi01.label_stages(fast, k) == [ref.transitions[x][-1][0] for x in stack], k
+    assert all(len(fast.history[z]) == 2 for z in fast.removed_pending)
+    assert sorted((z, fast.history[z][0][1]) for z in fast.removed_pending) == sorted(
         (z, ref.transitions[z][-2][1]) for z in ref.removed_pending)
 
 
 def _assert_run_is_cut(g, stepped):
-    """A run with history is the run stepped at every stage cut at its last
-    stepped stage T = min(stages, settle stage): the windows 0..T, each
-    history through T (an element created after T has none) and the stepped
-    stacks at ``stages`` of the labels below min(width, stages).  A run
-    without history keeps the same stacks and nothing else."""
+    """A run is the run stepped at every stage cut at its last stepped stage
+    T = min(stages, settle stage): the windows 0..T, each history through T
+    (an element created after T has none) and the stepped stacks at
+    ``stages`` of the labels below min(width, stages)."""
     stages = stepped.stages
     last = min(stages, pi01.settle_stage(g))
     run = pi01.run_pi01(g, stages)
@@ -505,21 +553,21 @@ def _assert_run_is_cut(g, stepped):
     assert run.windows == stepped.windows[:last + 1]
     assert run.transitions == cut_history(stepped, last)
     assert run.since == stepped.since[:g.width]
-    assert pi01.run_pi01(g, stages, history=False) == pi01.PiTrace(stages, (), run.since, {})
     return run
 
 
 def _assert_pi01_matches_reference(g, stages):
     """Compare the states at every stage, then run past the horizon of labels
     up to width - 1, where the live verifier and the trace scan both apply."""
-    fast, ref = pi01.LabelState(transitions={}), ReferenceLabelState()
+    fast, ref = pi01.LabelState(), ReferenceLabelState()
     for _ in range(stages):
         pi01.pi01_step(fast, g)
         reference_pi01_step(ref, g)
-        _assert_same_labeling(fast, ref, g)
-    assert fast.transitions == {x: tuple(h) for x, h in ref.transitions.items()}
+        _assert_same_labeling(fast, ref)
+    assert dict(enumerate(fast.history)) == {x: tuple(h) for x, h in ref.transitions.items()}
     stepped = stepped_run_pi01(g, stages)
-    assert stepped.transitions == fast.transitions and stepped.windows == tuple(ref.windows)
+    assert stepped.transitions == dict(enumerate(fast.history))
+    assert stepped.windows == tuple(ref.windows)
     run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
     assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(stepped, g, K)
@@ -669,9 +717,9 @@ def test_preorder_matches_reference_property(gB, extra):
 @settings(deadline=None, max_examples=60)
 @given(_gtables, st.integers(1, 400))
 def test_pi01_closed_form_matches_stepped_property(g, stages):
-    """A run with or without history, stopped before or past its settle
-    stage, is the stepped run cut at its last stepped stage, and its verdict
-    is the trace-scanning reference's on the stepped run."""
+    """A run, stopped before or past its settle stage, is the stepped run cut
+    at its last stepped stage, and its verdict is the trace-scanning
+    reference's on the stepped run."""
     stepped = stepped_run_pi01(g, stages)
     run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
@@ -748,11 +796,11 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("K", [None, 0, 8])
 def test_pi01_operation_counts(monkeypatch, K):
-    """A run with or without history steps pi01_step to its settle stage and
-    asks g only there, so it makes as many calls at 10**6 stages as at
-    1,500 and keeps as many histories.  Stepped at every stage, a state
-    asks g only about labels below the width and keeps each element in one
-    place, a label stack or the parked heap."""
+    """A run steps pi01_step to its settle stage and asks g only there, so
+    it makes as many calls at 10**6 stages as at 1,500 and keeps as many
+    histories.  Stepped at every stage, a state asks g only about labels
+    below the width and keeps each element in one place, a label stack or
+    the parked heap."""
     g = pi01.GTable(()) if K is None else generate_gtable(7, K)
     steps = _count_calls(monkeypatch, pi01, "pi01_step")
     lookups = _count_calls(monkeypatch, pi01.GTable, "g")
@@ -760,17 +808,13 @@ def test_pi01_operation_counts(monkeypatch, K):
     bound = max(g.width - 1, 0)
     sizes = set()
     for budget in (1500, 10**4, 10**6):
-        for history in (False, True):
-            steps[0] = lookups[0] = 0
-            run = pi01.run_pi01(g, budget, history=history)
-            assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
-            assert len(run.since) == g.width
-            assert all(entry.match for entry in pi01.verify_liminf_counts(run, g, bound))
-            if history:
-                assert len(run.windows) == settle + 1
-                sizes.add(len(run.transitions))
-            else:
-                assert run.windows == () and run.transitions == {}
+        steps[0] = lookups[0] = 0
+        run = pi01.run_pi01(g, budget)
+        assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
+        assert len(run.since) == g.width
+        assert all(entry.match for entry in pi01.verify_liminf_counts(run, g, bound))
+        assert len(run.windows) == settle + 1
+        sizes.add(len(run.transitions))
     assert len(sizes) == 1
 
     stages = 1500
@@ -779,25 +823,7 @@ def test_pi01_operation_counts(monkeypatch, K):
     for _ in range(stages):
         pi01.pi01_step(st, g)
     assert lookups[0] == sum(min(s, g.width) for s in range(stages))
-    assert st.transitions is None
-    assert sum(map(len, st.members)) + len(st.removed_pending) == st.next_fresh
-    assert list(map(len, st.since)) == list(map(len, st.members))
-
-
-def test_verify_all_pi01_suite_keeps_no_history(monkeypatch):
-    """The pi01 suite of verify-all runs each of its 50 tables without
-    per-element histories."""
-    runs = []
-    original = pi01.run_pi01
-
-    def recorded(*args, **kwargs):
-        runs.append(original(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(pi01, "run_pi01", recorded)
-    assert cli._suite_pi01(7) == (True, "liminf class sizes: 50/50 tables verified exactly")
-    assert len(runs) == 50
-    assert all(trace.transitions == {} for trace in runs)
+    assert sum(map(len, st.members)) + len(st.removed_pending) == len(st.history)
 
 
 def test_pi01_required_stages_matches_reference():

@@ -1,7 +1,7 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
 InputError; a coceer trace with a malformed tail or record, and a pi01
-trace with a malformed history or label stack, raise it."""
+trace with a malformed history, window or label stack, raise it."""
 
 import json
 import random
@@ -223,6 +223,17 @@ def _break_pi01_trace(data, doc, kind):
             stack.pop()
         else:
             stack.append(data.draw(st.integers(stack[-1], stages), label="entry"))
+    elif kind == "windows flattened":
+        windows = [0] + [data.draw(st.integers(0, 999), label="window")] * stepped
+        assume(windows != doc["windows"])
+        doc["windows"] = windows
+    elif kind == "windows reversed":
+        doc["windows"].reverse()
+    elif kind == "window moved":
+        s = data.draw(st.integers(0, stepped), label="stage")
+        doc["windows"][s] = data.draw(
+            st.integers(0, doc["windows"][-1] + 3).filter(lambda v: v != doc["windows"][s]),
+            label="window")
     elif kind == "format 1":
         doc["format"] = 1
     elif kind == "no founder":
@@ -250,8 +261,8 @@ def _break_pi01_trace(data, doc, kind):
 
 @pytest.mark.parametrize("kind", [
     "history stage past T", "more than S+1 windows", "stack not at k+1", "decreasing stack",
-    "entry above S", "more than T stacks", "since differs at T == S", "format 1", "no founder",
-    "stack dropped"])
+    "entry above S", "more than T stacks", "since differs at T == S", "windows flattened",
+    "windows reversed", "window moved", "format 1", "no founder", "stack dropped"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_pi01_trace_rejects_malformed_stacks(kind, data):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from effstruct.core import UPSeq
-from effstruct.errors import HorizonError, InputError
+from effstruct.errors import ConstructionBugError, HorizonError, InputError
 from effstruct.generators import generate_gtable
 from effstruct.pi01 import (
     GTable,
@@ -18,6 +18,7 @@ from effstruct.pi01 import (
     PiTrace,
     gtable_from_json,
     gtable_to_json,
+    label_stages,
     pi01_step,
     required_stages_for,
     run_pi01,
@@ -63,7 +64,7 @@ def test_first_stage():
     # single steps on a raw state agree with the driver
     st = LabelState()
     pi01_step(st, CONSTANT_ONE)
-    assert st.members == [[0]] and st.since == [[1]] and st.next_fresh == 1
+    assert st.members == [[0]] and label_stages(st, 0) == [1] and st.history == [((1, 0),)]
     assert trace.since == ((1,),)
 
 
@@ -195,8 +196,6 @@ def test_run_validation_and_json():
     # the writer hands its history tuples to the encoder, so read back the file
     obj = json.loads(json.dumps(trace_to_json(trace)))
     assert trace_from_json(obj) == trace
-    with pytest.raises(InputError):  # a run without history has no file to write
-        trace_to_json(run_pi01(g, 12, history=False))
     with pytest.raises(InputError):
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
@@ -214,6 +213,9 @@ def test_run_validation_and_json():
                 {"transitions": [[0, [[1, 0]]], [0, [[1, 0]]]]},
                 # one window per stage and one before the first
                 {"windows": obj["windows"][:-1]}, {"windows": obj["windows"] + [99]},
+                # window s counts the elements created by stage s
+                {"windows": [0] + [999] * (len(obj["windows"]) - 1)},
+                {"windows": obj["windows"][::-1]},
                 # history stages strictly increasing within [1, stages]
                 {"transitions": [[0, [[2, 0], [1, None]]]]},
                 {"transitions": [[0, [[1, 0], [1, None]]]]},
@@ -237,6 +239,39 @@ def test_run_validation_and_json():
             gtable_from_json({**gtable_to_json(g), "format": version})
 
 
+def test_step_guards_raise_on_corrupted_states():
+    """Each of pi01_step's three guards raises on a state or table that
+    breaks what it guards."""
+    g = _table(([2, 2, 2], [1]))   # element 2 is parked at stage 3
+    st = LabelState()
+    for _ in range(3):
+        pi01_step(st, g)
+    assert st.removed_pending == [2] and st.history[2] == ((2, 0), (3, None))
+    # the parked element's history says it left label 3, not below the new label 3
+    st.history[2] = ((2, 3), (3, None))
+    with pytest.raises(ConstructionBugError, match="left label 3 to found label 3"):
+        pi01_step(st, g)
+
+    class ZeroTable:   # a goal of 0 would strip a label's founder
+        width = 1
+
+        def g(self, k, s):
+            return 0
+
+    st = pi01_step(LabelState(), ZeroTable())
+    with pytest.raises(ConstructionBugError, match="strip to 0 removes its founder"):
+        pi01_step(st, ZeroTable())
+
+    class LeakyStack(list):   # a stack that loses its top-ups
+        def extend(self, items):
+            pass
+
+    st = pi01_step(LabelState(), g)
+    st.members[0] = LeakyStack(st.members[0])
+    with pytest.raises(ConstructionBugError, match="count 1 != g = 2"):
+        pi01_step(st, g)
+
+
 @pytest.mark.parametrize("stages", [1, 7, 10**6])
 def test_width_zero_trace_writes_and_loads(stages):
     """A table of width 0 settles at stage 0, so a run steps no stage: its
@@ -248,5 +283,3 @@ def test_width_zero_trace_writes_and_loads(stages):
     obj = json.loads(json.dumps(trace_to_json(trace)))
     assert obj == {"format": 2, "stages": stages, "windows": [0], "transitions": [], "since": []}
     assert trace_from_json(obj) == trace
-    with pytest.raises(InputError):   # a run without history still has no file to write
-        trace_to_json(run_pi01(CONSTANT_ONE, stages, history=False))

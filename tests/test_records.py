@@ -18,9 +18,10 @@ _STEP = StageRecord(3, 0, 4, None, ((0, 2),))
 _ENTRY = ClaimEntry(1, True, (0,))
 
 # each record next to its repr text: the former dataclass's, but for the
-# fields that ColumnState (flag), StageRecord (witnesses, flag) and VTable
-# (next_fresh) no longer have, StageRecord's extra, CoceerTrace's tails and
-# the count of VTable's closed-form tail
+# fields that ColumnState (flag, last_case4_stage), StageRecord (witnesses,
+# flag), VTable (next_fresh) and LabelState (since, next_fresh) no longer
+# have, StageRecord's extra, CoceerTrace's tails, ColumnState's tail, the
+# count of VTable's closed-form tail and LabelState's history list
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -30,7 +31,7 @@ RECORDS = [
     (CeerFamily([ChurnGenerator(4, 2)]),
      "CeerFamily(members=(ChurnGenerator(target_size=4, block_spacing=2),))"),
     (ColumnState(k=4, next_free=4),
-     "ColumnState(k=4, next_free=4, extra=None, case3_count=0, last_case4_stage=None)"),
+     "ColumnState(k=4, next_free=4, extra=None, case3_count=0, tail=None)"),
     (_STEP, "StageRecord(stage=3, e=0, case=4, extra=None, exiled=((0, 2),))"),
     (CoceerTrace(1, 3, (_STEP,), ((0, 2, 4),)),
      "CoceerTrace(columns=1, stages=3, records=(StageRecord(stage=3, e=0, case=4, "
@@ -39,8 +40,8 @@ RECORDS = [
      "RequirementReport(e=0, k=2, kind='script', witness_class_size=2, r_e_has_size_k=False, "
      "satisfied=True, certified=True, y_limit=(1,))"),
     (GTable([UPSeq((), (1,))]), "GTable(columns=(UPSeq(prefix=(), period=(1,)),))"),
-    (LabelState(), "LabelState(members=[], since=[], removed_pending=[], next_fresh=0, "
-     "stage=0, windows=[0], transitions=None)"),
+    (LabelState(), "LabelState(members=[], removed_pending=[], stage=0, windows=[0], "
+     "history=[])"),
     (PiTrace(1, (0, 1), ((1,),), {0: ((1, 0),)}),
      "PiTrace(stages=1, windows=(0, 1), since=((1,),), transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
