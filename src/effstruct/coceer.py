@@ -34,7 +34,9 @@ case; its focused stages up to the budget are then applied in closed form
 (:func:`_advance_settled`), and the trace keeps one tail for the column in
 place of their records.  A settled column costs O(1), so a run and its
 trace cost O(focused stages before settling + E) whatever the budget.
-There are two settle rules:
+A settle rule proves that the column's witness set has reached its
+limit, so a column is certified exactly when it has settled
+(:func:`verify_requirement`).  There are two settle rules:
 
 - **Case 4 after quiescence.**  A focus at a stage s > T that takes case
   4, for T the member's quiescence stage (:func:`_quiescence_stage`), is
@@ -49,7 +51,9 @@ There are two settle rules:
   formation stage 1 + 2d*r.  The next focus latches over that interval,
   so by :func:`_churn_latches` it takes case 3.  It lies on diagonal
   w + 1, which meets the condition again, so by induction every later
-  focus takes case 3.
+  focus takes case 3.  Each exiles the extra that the focus before it
+  left, so every extra is exiled, and the limit witness set is the
+  initial segment.
 """
 
 from __future__ import annotations
@@ -90,15 +94,14 @@ class ColumnState(Record):
       element above the witnesses: the next recruit.
     """
 
-    __slots__ = ("k", "next_free", "extra", "case3_count", "tail")
+    __slots__ = ("k", "next_free", "extra", "tail")
     __hash__ = None
 
     def __init__(self, k: int, next_free: int, extra: Optional[int] = None,
-                 case3_count: int = 0, tail: Optional[tuple[int, int]] = None):
+                 tail: Optional[tuple[int, int]] = None):
         self.k = k                  # target class size
         self.next_free, self.extra = next_free, extra
-        self.case3_count = case3_count
-        self.tail = tail            # (w, case) once settled after diagonal w
+        self.tail = tail            # (w, case) once settled after diagonal w: certified
 
     @property
     def base(self) -> int:
@@ -122,17 +125,13 @@ class StageRecord(Record):
         self.stage, self.e, self.case = stage, e, case   # case 1..4
         self.extra, self.exiled = extra, exiled
 
-    @property
-    def witnesses(self) -> tuple[int, ...]:
-        """The column's witness set after the focus, as in :class:`ColumnState`."""
-        initial = tuple(range(1, 2 * self.e + 2))
-        return initial if self.extra is None else initial + (self.extra,)
-
 
 class CoceerTrace(Record):
     """One record per stepped focus in 1..stages, in stage order, and one
     tail (e, w, case) per settled column: its focuses after diagonal w take
-    ``case`` (3 or 4) in closed form."""
+    ``case`` (3 or 4) in closed form.  A record keeps the column's extra
+    after its focus and its exile, from which :func:`trace_from_json`
+    replays the column."""
 
     __slots__ = ("columns", "stages", "records", "tails")
 
@@ -178,7 +177,6 @@ def _dispatch(col: ColumnState, has_k: bool, latched: bool) -> tuple[int, Option
     if latched:
         case, exiled = 3, u
         col.extra, col.next_free = v, v + 1
-        col.case3_count += 1
     elif u is None and has_k:
         case, exiled = 1, v + 1
         col.extra, col.next_free = v, v + 2
@@ -255,7 +253,8 @@ def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) ->
 
 def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> None:
     """Apply column e's focuses after diagonal w through ``budget`` in closed
-    form, each taking ``case``, and set the column's tail to (w, case).
+    form, each taking ``case``, and set the column's tail to (w, case),
+    which certifies it.
 
     The last focus by ``budget`` lies on the largest diagonal W with
     W(W+1)/2 + e <= budget, which is the diagonal of stage budget - e (the
@@ -269,7 +268,6 @@ def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -
     col.tail = (w, case)
     if case == 3 and m:
         col.extra = col.next_free - 1
-        col.case3_count += m
 
 
 def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
@@ -344,33 +342,26 @@ def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[i
 def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> RequirementReport:
     """Check one requirement against the family's exact limit behavior.
 
-    When the member has a quiescence stage T (:func:`_quiescence_stage`:
-    every script, and a churn generator whose target is not k), the witness
-    set is final once a focused stage L > T fell through to the padding
-    case 4.  Such a column settles by the case-4 rule (module docstring) at
-    the first such L and by no other rule, so it is certified exactly when
-    it has a tail.  That alone implies that no stage after L changed the
-    witnesses:
+    A column is certified exactly when it has settled, that is, has a tail,
+    and its settle rule (module docstring) gives the limit witness set:
 
-    - After T no size-k oldest class appears that was not seen before, so
-      no focus after L latches, and none takes case 3.
-    - Case 4 at L means (baseline and not has_k) or (not baseline and
-      has_k), where baseline says there is no extra witness.  After T,
-      has_k is the same at every stage; case 4 changes no witness, so
-      baseline is the same too.  With no latch, every later focused
-      stage of the column is case 4 again, and the witnesses never change
-      after L.
+    - **Case-4 tail.**  The member has a quiescence stage T
+      (:func:`_quiescence_stage`: every script, and a churn generator whose
+      target is not k), and the column settled at the first focused stage
+      L > T that fell through to the padding case 4.  No stage after L
+      changes the witnesses, so the limit is the run's final witness set:
 
-    A churn generator of target k keeps the witness set cycling by design;
-    its limit is the initial segment I, certified from the fourth case-3
-    stage on.  This is the rule "the witnesses kept by every version over
-    the last four case-3 stages are exactly I", whose intersection test
-    always passes: after a case 3 that recruits v, the witnesses are I plus
-    v and next_free is v + 1.  The next case 3, and any case 2 before it,
-    drops that extra.  The recruit of the next case 3 is the next_free of
-    that stage, which is above v since next_free never falls; so the two
-    extras differ.  No case removes I (:class:`ColumnState`), so across any
-    two case-3 stages the witnesses kept throughout are exactly I.
+      - After T no size-k oldest class appears that was not seen before, so
+        no focus after L latches, and none takes case 3.
+      - Case 4 at L means (baseline and not has_k) or (not baseline and
+        has_k), where baseline says there is no extra witness.  After T,
+        has_k is the same at every stage; case 4 changes no witness, so
+        baseline is the same too.  With no latch, every later focused
+        stage of the column is case 4 again.
+
+    - **Case-3 tail.**  A churn generator of target k keeps the witness set
+      cycling by design; by the case-3 steadiness lemma its limit is the
+      initial segment {1, ..., k - 1}.
 
     ``r_e_has_size_k`` comes from a fresh replay of the member
     (:func:`limit_has_class_of_size`), not from the run's runner.  After the
@@ -385,14 +376,8 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
     col = columns[e]
     member = fam.member(e)
     r_has = limit_has_class_of_size(member, col.k)
-    y_limit = col.witnesses
-    quiet = _quiescence_stage(member, col.k)
-    if quiet is not None:
-        certified = col.tail is not None
-    else:
-        certified = col.case3_count >= 4
-        if certified:
-            y_limit = y_limit[:col.base]
+    certified = col.tail is not None
+    y_limit = col.witnesses[:col.base] if certified and col.tail[1] == 3 else col.witnesses
     witness_class_size = len(y_limit) + 1
     satisfied = (witness_class_size == col.k) == (not r_has)
     return RequirementReport(
@@ -412,21 +397,22 @@ def report_to_json(report: RequirementReport) -> dict:
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:
-    """Format 3: the stepped records and the tails; every other stage is a skip."""
-    records = [{"stage": r.stage, "e": r.e, "case": r.case, "Y": r.witnesses, "exiled": r.exiled}
-               for r in trace.records]   # the C encoder writes tuples as arrays
-    return {"format": 3, "columns": trace.columns, "stages": trace.stages, "records": records,
+    """Format 4: the stepped records and the tails; every other stage is a skip."""
+    records = [{"stage": r.stage, "e": r.e, "case": r.case, "extra": r.extra,
+                "exiled": r.exiled} for r in trace.records]   # the C encoder writes tuples as arrays
+    return {"format": 4, "columns": trace.columns, "stages": trace.stages, "records": records,
             "tails": trace.tails}
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    """Load a format-3 trace.  Its tails are in increasing column order,
+    """Load a format-4 trace.  Its tails are in increasing column order,
     each column's records are exactly its focused stages up to its tail
     stage w(w+1)/2 + e, or up to ``stages`` when it has no tail, and each
-    record exiles at most one element, of its own column."""
+    record is the focus that :func:`_dispatch` takes in its case from the
+    column its earlier records left: the same extra and the same exile."""
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-3 object")
-    check_format(obj, versions=(3,))
+        raise InputError("trace must be a format-4 object")
+    check_format(obj, versions=(4,))
     columns, stages = obj.get("columns"), obj.get("stages")
     if not is_nat(columns) or not is_nat(stages) or columns < 1:
         raise InputError("trace 'columns' must be a positive natural and 'stages' a natural")
@@ -443,7 +429,9 @@ def trace_from_json(obj: object) -> CoceerTrace:
             ends[e], last = w * (w + 1) // 2 + e, e
         stop = max(ends.values()) if len(ends) == columns else stages
         schedule = (f for f in focus_schedule(columns, stop) if f[0] <= ends.get(f[1], stop))
-        records = tuple(_record_from_json(r, next(schedule, None)) for r in obj["records"])
+        replay = {}   # column e as its records so far leave it
+        records = tuple(_record_from_json(r, next(schedule, None), replay)
+                        for r in obj["records"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
     missing = next(schedule, None)
@@ -452,28 +440,31 @@ def trace_from_json(obj: object) -> CoceerTrace:
     return CoceerTrace(columns, stages, records, tails)
 
 
-_RECORD_KEYS = {"stage", "e", "case", "Y", "exiled"}
+_RECORD_KEYS = {"stage", "e", "case", "extra", "exiled"}
 
 
-def _record_from_json(r: dict, focus: Optional[tuple[int, int]]) -> StageRecord:
-    """One record, which must be the focused stage ``focus`` = (stage, e)."""
+def _record_from_json(r: dict, focus: Optional[tuple[int, int]],
+                      replay: dict[int, ColumnState]) -> StageRecord:
+    """One record, which must be the focused stage ``focus`` = (stage, e),
+    and the focus :func:`_dispatch` takes on column e as the earlier records
+    left it (``replay``) with the latch and has_k that the record's case and
+    extra give: the same case, extra (so null or above 2e + 1) and exile."""
     if set(r) != _RECORD_KEYS:
         raise InputError(f"trace records must have exactly the keys {sorted(_RECORD_KEYS)}")
-    stage, e, case, Y = r["stage"], r["e"], r["case"], tuple(r["Y"])
+    stage, e, case, extra = r["stage"], r["e"], r["case"], r["extra"]
     exiled = tuple((a, b) for a, b in r["exiled"])
     if not (is_nat(stage) and is_nat(e) and is_nat(case) and 1 <= case <= 4
+            and (extra is None or is_nat(extra))
             and all(is_nat(a) and is_nat(b) for a, b in exiled)):
-        raise InputError(f"trace record {stage!r}: stage, e, case (1..4) and exiled must "
-                         "hold naturals")
+        raise InputError(f"trace record {stage!r}: stage, e, case (1..4), extra (or null) "
+                         "and exiled must hold naturals")
     if (stage, e) != focus:
         raise InputError(f"trace record (stage, column) = {(stage, e)} is not the next "
                          f"focused stage, {focus or 'of which there are no more'}")
-    if len(exiled) > 1 or any(a != e for a, _ in exiled):
-        raise InputError(f"trace record {stage}: a focus exiles at most one element, of "
-                         f"its own column {e}")
-    base = 2 * e + 1
-    if not (all(map(is_nat, Y)) and Y[:base] == tuple(range(1, base + 1))
-            and (len(Y) == base or len(Y) == base + 1 and Y[-1] > base)):
-        raise InputError(f"trace record {stage}: Y must be 1..{base} and at most one "
-                         f"extra above {base}")
-    return StageRecord(stage, e, case, Y[base] if len(Y) > base else None, exiled)
+    col = replay.setdefault(e, ColumnState(2 * e + 2, 2 * e + 2))
+    took, x = _dispatch(col, case == 1 or case == 4 and extra is not None, case == 3)
+    if (took, col.extra, exiled) != (case, extra, () if x is None else ((e, x),)):
+        raise InputError(f"trace record {stage}: case {case} with extra {extra} and exiled "
+                         f"{list(exiled)} is not a focus of column {e} as its earlier "
+                         "records leave it")
+    return StageRecord(stage, e, case, extra, exiled)

@@ -333,11 +333,13 @@ def trace_from_json(obj: object) -> PiTrace:
     """Decode a trace; its histories cover the T = len(windows) - 1 <= stages
     stepped stages.
 
-    Every history is one to three entries, at strictly increasing stages in
-    [1, T], each label below its stage (stage s opens label s - 1); an
-    element whose last entry is a label is a member of that label, and the
-    members rebuilt for each label took it in increasing order, a founder
-    at stage k + 1 first.  Window s counts the elements whose history
+    The i-th history is element i's, and no history starts before the one
+    before it (elements are numbered in creation order).  Every history is
+    one to three entries, at strictly increasing stages in [1, T], each
+    label below its stage (stage s opens label s - 1); an element whose
+    last entry is a label is a member of that label, and the members
+    rebuilt for each label took it in increasing order, a founder at stage
+    k + 1 first.  Window s counts the elements whose history
     starts at or before stage s.  ``since`` holds at most T stacks of
     stages: stack k starts at k + 1 and does not decrease up to
     ``stages``.  Every rebuilt label past them holds its founder alone, and
@@ -357,10 +359,10 @@ def trace_from_json(obj: object) -> PiTrace:
     born = [0] * (stepped + 1)   # the elements created at each stage
     try:
         for x, hist in obj["transitions"]:
-            if not is_nat(x) or x in transitions or not 1 <= len(hist) <= 3:
+            if not is_nat(x) or x != len(transitions) or not 1 <= len(hist) <= 3:
                 raise InputError(
-                    f"trace element {x!r}: elements are distinct naturals, "
-                    "each with 1 to 3 history entries"
+                    f"trace element {x!r}: the i-th element is i, "
+                    "and each has 1 to 3 history entries"
                 )
             entries, at = [], 0
             for s, v in hist:
@@ -378,8 +380,10 @@ def trace_from_json(obj: object) -> PiTrace:
         since = tuple(map(tuple, obj["since"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
-    if list(accumulate(born)) != windows:
-        raise InputError("trace windows must count the elements created by each stage")
+    starts = [hist[0][0] for hist in transitions.values()]
+    if list(accumulate(born)) != windows or starts != sorted(starts):
+        raise InputError("trace windows must count the elements created by each stage, "
+                         "and the elements be numbered in creation order")
     if len(since) > stepped:
         raise InputError(f"trace has {len(since)} label stacks for {stepped} stepped stages")
     for k, stack in enumerate(since):

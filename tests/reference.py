@@ -13,9 +13,11 @@ stage as a :class:`ReferenceRecord`; :func:`column_exiles` expands a
 library column's two integers into the same set.  :func:`expand_tails`
 writes a run's tails out as the records of the focuses they stand for,
 and :func:`stepped_run_coceer` steps every focus with the library's latch
-and dispatch and no settle rule.  :func:`reference_certificate` gives a
-column's verdict by the witness-history rule, read off such a trace and a
-replay of the member.
+and dispatch and no settle rule; :func:`record_witnesses` spells out the
+witnesses of a library record.  :func:`reference_columns_at` rebuilds the
+reference columns at a stage from a longer reference trace.
+:func:`reference_certificate` gives a column's verdict by the
+witness-history rule, read off such a trace and a replay of the member.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
@@ -54,7 +56,7 @@ from typing import Optional
 from effstruct import coceer
 from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import CoceerTrace, ColumnState
+from effstruct.coceer import CoceerTrace, ColumnState, StageRecord
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
@@ -195,6 +197,13 @@ class ReferenceTrace:
 _NEXT_FREE_STEP = {1: 2, 2: 0, 3: 1, 4: 1}
 
 
+def record_witnesses(r: StageRecord) -> tuple[int, ...]:
+    """The witnesses of a library record's column after its focus: the
+    initial segment 1..2e+1, then the extra if there is one."""
+    initial = tuple(range(1, 2 * r.e + 2))
+    return initial if r.extra is None else initial + (r.extra,)
+
+
 def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
     """Every focused stage of a run, its tails written out as the records a
     stepped run keeps, with the flag off (no case leaves the latch on).
@@ -205,7 +214,7 @@ def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
     exiles it and keeps the extra, and a case-3 focus recruits it and
     exiles the old extra.
     """
-    records = [ReferenceRecord(r.stage, r.e, r.case, r.witnesses, False, r.exiled)
+    records = [ReferenceRecord(r.stage, r.e, r.case, record_witnesses(r), False, r.exiled)
                for r in trace.records]
     for e, w, case in trace.tails:
         mine = [r for r in trace.records if r.e == e]
@@ -256,7 +265,6 @@ class ReferenceColumn:
     witnesses: set[int]
     exiled: set[int] = field(default_factory=set)
     flag: bool = False
-    case3_count: int = 0
     last_case4_stage: Optional[int] = None
 
     @property
@@ -290,7 +298,6 @@ def reference_dispatch(col: ReferenceColumn, e: int, stage: int, has_k: bool) ->
             newly += _reference_exile(col, u)
         col.witnesses.add(v)
         col.flag = False
-        col.case3_count += 1
     elif baseline and has_k:
         case = 1
         col.witnesses.add(v)
@@ -357,6 +364,22 @@ def reference_run_coceer(
         else:
             records.append(ReferenceRecord(stage, e_focus, 0, None, None, ()))
     return columns, ReferenceTrace(E, stage_budget, tuple(records))
+
+
+def reference_columns_at(trace: ReferenceTrace, stage: int) -> list[ReferenceColumn]:
+    """The columns of a reference run to ``stage``, rebuilt from the records
+    through ``stage`` of a reference run at least that long: each column's
+    last witnesses, its exiles so far and its last case-4 stage."""
+    columns = [ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
+               for e in range(trace.columns)]
+    for r in trace.records[:stage]:   # the records of stages 1..stage
+        if r.case:
+            col = columns[r.e]
+            col.witnesses = set(r.witnesses)
+            col.exiled.update(x for _, x in r.exiled)
+            if r.case == 4:
+                col.last_case4_stage = r.stage
+    return columns
 
 
 def reference_certificate(

@@ -18,7 +18,7 @@ from effstruct.errors import InputError
 from effstruct.generators import generate_diagonalization_suite
 
 from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import coceer_snapshot, column_exiles, expand_tails
+from reference import coceer_snapshot, column_exiles, expand_tails, record_witnesses
 
 EMPTY = CeerScript(())
 # the columns of a run before its first focus
@@ -63,7 +63,7 @@ def _step_column_one(member, stage, case, witnesses, exiles):
     columns, trace = run_coceer(fam, 2, stage)
     record, col = trace.records[-1], columns[1]
     assert (record.stage, record.e) == (stage, 1)
-    assert (record.case, record.witnesses, col.witnesses) == (case, witnesses, witnesses)
+    assert (record.case, record_witnesses(record), col.witnesses) == (case, witnesses, witnesses)
     assert column_exiles(col) == exiles
     assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
     return col
@@ -91,7 +91,7 @@ def test_step_case_three_without_replaceable_witness():
     fam = CeerFamily((EMPTY, member))
     columns, trace = run_coceer(fam, 2, 1)   # column 1 not yet focused, and it holds no latch
     assert [r.e for r in trace.records] == [0] and columns[1] == ColumnState(k=4, next_free=4)
-    assert _step_column_one(member, 2, 3, (1, 2, 3, 4), set()).case3_count == 1
+    _step_column_one(member, 2, 3, (1, 2, 3, 4), set())
 
 
 def test_step_case_three_swaps_witness():
@@ -100,7 +100,7 @@ def test_step_case_three_swaps_witness():
     member = CeerScript((*_SIZE_4_AT_0, *((3, (10, x)) for x in (11, 12, 13)),
                          (3, (0, 4))))
     _step_column_one(member, 2, 1, (1, 2, 3, 4), {5})
-    assert _step_column_one(member, 4, 3, (1, 2, 3, 6), {4, 5}).case3_count == 1
+    _step_column_one(member, 4, 3, (1, 2, 3, 6), {4, 5})
 
 
 def test_step_case_four_pads():
@@ -248,13 +248,14 @@ def test_trace_json_round_trip():
     fam = CeerFamily((CeerScript(((1, (0, 1)),)), ChurnGenerator(4, 2)))
     _, trace = run_coceer(fam, 2, 30)
     obj = json.loads(json.dumps(trace_to_json(trace)))
-    assert obj["format"] == 3 and "mode" not in obj
+    assert obj["format"] == 4 and "mode" not in obj
     # column 0 settles at its focus on diagonal 2 (stage 3), column 1 on diagonal 3 (stage 7)
     assert obj["tails"] == [[0, 2, 4], [1, 3, 3]]
     assert [(r["stage"], r["e"]) for r in obj["records"]] == [(1, 0), (2, 1), (3, 0), (4, 1),
                                                                (7, 1)]
     assert trace_from_json(obj) == trace
-    for bad in ({"format": 2}, {"format": 1}, {"format": True}, {"format": 3.0}, {"columns": "z"},
+    for bad in ({"format": 3}, {"format": 2}, {"format": 1}, {"format": True}, {"format": 4.0},
+                {"columns": "z"},
                 {"columns": -1}, {"stages": -1}, {"stages": False}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
@@ -268,17 +269,31 @@ def test_trace_json_round_trip():
 
     for bad in ({"stage": -5}, {"stage": True}, {"e": "x"}, {"e": 1.0}, {"case": 9},
                 {"case": -1}, {"case": "1"}, {"case": 0}, {"flag": "off"}, {"flag": None},
-                {"Y": None}, {"Y": [-1]}, {"Y": ["1"]}, {"Y": [True]}, {"Y": 3}, {"Y": []},
-                {"Y": [2]}, {"Y": [1, 1]}, {"Y": [1, 5, 6]}, {"Y": [1, 2.0]},
-                {"exiled": [[0, -1]]}, {"exiled": [["0", 1]]}, {"exiled": [[0, 1, 2]]},
-                {"exiled": None}):
+                {"Y": [1, 2]}, {"extra": -1}, {"extra": "2"}, {"extra": True}, {"extra": 2.0},
+                {"extra": [2]}, {"exiled": [[0, -1]]}, {"exiled": [["0", 1]]},
+                {"exiled": [[0, 1, 2]]}, {"exiled": None}):
         with pytest.raises(InputError):
             trace_from_json(patched(0, **bad))
     with pytest.raises(InputError):   # a key missing
-        trace_from_json({**obj, "records": [{k: v for k, v in records[0].items() if k != "Y"},
-                                            *records[1:]]})
-    for good in ({"Y": [1]}, {"Y": [1, 9]}, {"case": 4}, {"exiled": []}):
-        trace_from_json(patched(0, **good))
+        trace_from_json({**obj, "records": [{k: v for k, v in records[0].items()
+                                             if k != "extra"}, *records[1:]]})
+    # each record is the focus that _dispatch takes in its case from the column
+    # its earlier records left: stage 1 latched column 0 (case 3), recruited 2
+    # and exiled nothing, and stage 4 dropped column 1's extra 4 (case 2)
+    replay_breaks = [
+        patched(0, case=1), patched(0, case=2), patched(0, case=4),   # case against extra
+        patched(0, extra=None), patched(0, extra=1), patched(0, extra=3),
+        patched(0, exiled=[[0, 2]]), patched(0, exiled=[[0, 3]]),
+        patched(3, case=4), patched(3, case=1, extra=5, exiled=[[1, 6]]),
+        patched(3, exiled=[[1, 5]]), patched(3, exiled=[]), patched(3, exiled=[[1, 4], [1, 5]]),
+        patched(3, exiled=[[0, 4]]),
+        # a case-4 focus that keeps the extra 4 replays alone, but then the
+        # case 3 at stage 7 would exile 4 and recruit 6
+        patched(3, case=4, extra=4, exiled=[[1, 5]]),
+    ]
+    for broken in replay_breaks:
+        with pytest.raises(InputError):
+            trace_from_json(broken)
     # the tails: columns increase below 'columns', w >= max(e, 1), case 3 or 4,
     # and the tail stage w(w+1)/2 + e within 'stages'
     tail_breaks = [

@@ -43,6 +43,7 @@ from reference import (
     reference_block_classes,
     reference_block_partition,
     reference_certificate,
+    reference_columns_at,
     reference_materialize,
     reference_pi01_step,
     reference_preorder_step,
@@ -141,43 +142,70 @@ def _reports(columns, fam):
     return [verify_requirement(columns, fam, e) for e in range(len(columns))]
 
 
-def _assert_certificates_match(columns, trace, fam):
-    """The counter verdicts equal the witness-history rule on ``trace``, a
-    record of every focused stage (:func:`expand_tails`)."""
+def _horizon(fam, E, budget):
+    """``budget``, or a later stage by which the witness-history rule
+    (:func:`reference_certificate`) certifies every column that settles:
+    four focuses past each column's tail stage, since after a case-3 tail it
+    needs four case-3 records."""
+    tails = run_coceer(fam, E, 10**6)[1].tails
+    return max([budget] + [(w + 4) * (w + 5) // 2 + e for e, w, _ in tails])
+
+
+def _long_verdicts(fam, E, reference):
+    """Each column's settle stage in a run as long as ``reference`` (None if
+    it has not settled by then), and its witness-history certificate on
+    ``reference``, a reference run to at least :func:`_horizon`."""
+    assert reference.stages >= _horizon(fam, E, 0)
+    settled = [None] * E
+    for e, w, _ in run_coceer(fam, E, reference.stages)[1].tails:
+        settled[e] = w * (w + 1) // 2 + e
+    return settled, [reference_certificate(reference, fam, e) for e in range(E)]
+
+
+def _assert_certificates_match(columns, budget, fam, long_verdicts):
+    """A column of a run to ``budget`` is uncertified exactly when its settle
+    stage in the long run is past ``budget``, and a certified one has the
+    witness-history certificate (True, y_limit) on the long reference run
+    (:func:`_long_verdicts`)."""
+    settled, oracle = long_verdicts
     for report in _reports(columns, fam):
-        assert (report.certified, report.y_limit) == \
-            reference_certificate(trace, fam, report.e), (trace.stages, report.e)
+        e = report.e
+        assert report.certified == (settled[e] is not None and settled[e] <= budget), (budget, e)
+        assert not report.certified or oracle[e] == (True, report.y_limit), (budget, e)
 
 
 def _prefix(trace, stage):
-    """The expanded trace of a run to ``stage``, cut from the expanded trace
-    of a longer run."""
+    """The trace of a run to ``stage``, cut from the trace of a longer run."""
     kept = bisect_right(trace.records, stage, key=attrgetter("stage"))
     return ReferenceTrace(trace.columns, stage, trace.records[:kept])
 
 
-def _assert_run_matches_reference(fam, E, budget):
+def _assert_run_matches_reference(fam, E, budget, reference=None):
     """The run's records with its tails written out are the reference's
     focused stages; the reference records every stage, with a case-0 skip
-    exactly where the focus lies beyond E.  Returns the run's trace."""
+    exactly where the focus lies beyond E.  ``reference`` is a reference
+    trace to at least :func:`_horizon`, cut at ``budget`` for the run and
+    read whole for the certificates; by default one is run.  Returns the
+    run's trace."""
+    if reference is None:
+        reference = reference_run_coceer(fam, E, _horizon(fam, E, budget))[1]
     columns, trace = run_coceer(fam, E, budget)
-    ref_columns, ref_trace = reference_run_coceer(fam, E, budget)
+    ref_trace = _prefix(reference, budget)
     assert expand_tails(trace).records == tuple(r for r in ref_trace.records if r.case != 0)
     assert [r.stage for r in ref_trace.records if r.case == 0] == [
         s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
     assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages) == (E, budget)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
+    ref_columns = reference_columns_at(reference, budget)
     for e, (col, ref) in enumerate(zip(columns, ref_columns, strict=True)):
-        assert (col.witnesses, column_exiles(col), col.case3_count) == (
-            tuple(sorted(ref.witnesses)), ref.exiled, ref.case3_count)
+        assert (col.witnesses, column_exiles(col)) == (tuple(sorted(ref.witnesses)), ref.exiled)
         # a quiescent column has a tail exactly when it took case 4 after quiescence
         quiet = coceer._quiescence_stage(fam.member(e), col.k)
         if quiet is not None:
             took_case4 = ref.last_case4_stage is not None and ref.last_case4_stage > quiet
             assert (col.tail is not None) == took_case4, (budget, e)
-    reports = _reports(columns, fam)
-    _assert_certificates_match(columns, ref_trace, fam)
-    for e, report in enumerate(reports):
+    _assert_certificates_match(columns, budget, fam, _long_verdicts(fam, E, reference))
+    for e, report in enumerate(_reports(columns, fam)):
         member = fam.member(e)
         if isinstance(member, CeerScript):
             ref = ReferenceRunner(member)
@@ -186,10 +214,22 @@ def _assert_run_matches_reference(fam, E, budget):
     return trace
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_suite_runs_match_reference(seed):
-    fam, _ = generate_diagonalization_suite(seed)
-    _assert_run_matches_reference(fam, len(fam.members), 2500)
+# every suite column has settled by stage 350, its first focus of column 25
+_LONG = 8000
+
+
+@pytest.fixture(scope="module", params=range(1, 31))
+def suite_reference(request):
+    """Suite ``request.param``, its kinds and its reference run to ``_LONG``
+    stages.  The suite tests that take it share one reference run per suite:
+    pytest runs them together for each suite before it makes the next."""
+    fam, kinds = generate_diagonalization_suite(request.param)
+    return fam, kinds, *reference_run_coceer(fam, len(fam.members), _LONG)
+
+
+def test_suite_runs_match_reference(suite_reference):
+    fam, _, _, reference = suite_reference
+    _assert_run_matches_reference(fam, len(fam.members), 2500, reference)
 
 
 def test_runs_match_reference_at_random_stops():
@@ -246,12 +286,12 @@ def test_churn_target_other_than_column_size_matches_reference():
 _TAIL_BUDGETS = (120, 300, 2500, 8000)
 
 
-def _assert_quiescent_tails_match_reference(fam, E):
+def _assert_quiescent_tails_match_reference(fam, E, ref_columns, ref_trace):
     """At each of ``_TAIL_BUDGETS``, a quiescent column has a tail exactly when
     the reference column took case 4 after the quiescence stage.  One
     reference run to the last budget gives the reference column's last
     case-4 stage at every earlier budget from its records."""
-    ref_columns, ref_trace = reference_run_coceer(fam, E, _TAIL_BUDGETS[-1])
+    assert ref_trace.stages == _TAIL_BUDGETS[-1]
     for budget in _TAIL_BUDGETS:
         columns, _ = run_coceer(fam, E, budget)
         for e, col in enumerate(columns):
@@ -267,10 +307,9 @@ def _assert_quiescent_tails_match_reference(fam, E):
             assert col.tail is None or col.tail[1] == 4, (budget, e)
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_suite_quiescent_tails_match_reference(seed):
-    fam, _ = generate_diagonalization_suite(seed)
-    _assert_quiescent_tails_match_reference(fam, len(fam.members))
+def test_suite_quiescent_tails_match_reference(suite_reference):
+    fam, _, ref_columns, ref_trace = suite_reference
+    _assert_quiescent_tails_match_reference(fam, len(fam.members), ref_columns, ref_trace)
 
 
 def test_churn_quiescent_tails_match_reference():
@@ -278,77 +317,80 @@ def test_churn_quiescent_tails_match_reference():
     so k - 1 is a multiple of k' in some columns and not in others."""
     for target in range(2, 9):
         for spacing in range(1, 5):
+            fam = CeerFamily((ChurnGenerator(target, spacing),) * 6)
             _assert_quiescent_tails_match_reference(
-                CeerFamily((ChurnGenerator(target, spacing),) * 6), 6)
+                fam, 6, *reference_run_coceer(fam, 6, _TAIL_BUDGETS[-1]))
 
 
 @pytest.mark.parametrize("target", range(2, 9))
 def test_churn_certificate_is_final_once_given(target):
     """Under a churn of target k' (spacing 1-4), every column with k = 2e+2 != k'
     is certified within 300 stages, and no column's verdict or y_limit changes
-    once it is certified.  Each agrees with the witness-history rule at the
-    stage before it is certified, at that stage and at the end."""
+    once it is certified.  At every stage the verdicts agree with the
+    settle stages and the witness-history certificates of a long run."""
     E = 6
     for spacing in range(1, 5):
         fam = CeerFamily((ChurnGenerator(target, spacing),) * E)
-        full = expand_tails(run_coceer(fam, E, 300)[1])
-        given, trace = {}, _prefix(full, 0)
+        reference = reference_run_coceer(fam, E, _horizon(fam, E, 300))[1]
+        long_verdicts = _long_verdicts(fam, E, reference)
+        given = {}
         for stage in range(1, 301):
-            before, trace = trace, _prefix(full, stage)
             columns, _ = run_coceer(fam, E, stage)
+            _assert_certificates_match(columns, stage, fam, long_verdicts)
             for report in _reports(columns, fam):
                 verdict = (report.certified, report.y_limit)
                 if report.e in given:
                     assert verdict == given[report.e], (spacing, stage, report.e)
                 elif report.certified:
                     given[report.e] = verdict
-                    assert verdict == reference_certificate(trace, fam, report.e)
-                    assert not reference_certificate(before, fam, report.e)[0]
         assert {e for e in range(E) if 2 * e + 2 != target} <= set(given), spacing
-        _assert_certificates_match(columns, trace, fam)
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_churn_certificate_turns_on_at_fourth_case3(seed):
-    """Each churn column is uncertified just before its fourth case-3 stage and
-    certified at it, under the counter rule and the witness-history rule."""
-    fam, kinds = generate_diagonalization_suite(seed)
+def test_churn_certificate_turns_on_at_fourth_case3(suite_reference):
+    """Each churn column of the suite settles, and so is certified, at or
+    before its fourth case-3 stage, where the witness-history rule of
+    :func:`reference_certificate` first certifies it, and it is uncertified
+    just before its settle stage.  At those stages and at ``_TAIL_BUDGETS``
+    every column's verdict agrees with the long reference run."""
+    fam, kinds, _, reference = suite_reference
     E = len(fam.members)
-    full = expand_tails(run_coceer(fam, E, 2500)[1])
-    fourth = {}
+    long_verdicts = _long_verdicts(fam, E, reference)
+    settled = long_verdicts[0]
+    stops = set(_TAIL_BUDGETS)
     for e, kind in kinds.items():
         if kind == "churn":
-            fourth[e] = [r.stage for r in full.records if r.e == e and r.case == 3][3]
-    for stage in sorted({s for s4 in fourth.values() for s in (s4 - 1, s4)}):
+            fourth = [r.stage for r in reference.records if r.e == e and r.case == 3][3]
+            assert settled[e] <= fourth, e
+            stops |= {settled[e] - 1, settled[e], fourth}
+    for stage in sorted(stops - {0}):
         columns, _ = run_coceer(fam, E, stage)
-        _assert_certificates_match(columns, _prefix(full, stage), fam)
-        for e, s4 in fourth.items():
-            if stage in (s4 - 1, s4):
-                assert verify_requirement(columns, fam, e).certified == (stage == s4)
+        _assert_certificates_match(columns, stage, fam, long_verdicts)
 
 
 @pytest.mark.parametrize("spacing", range(5, 9))
 def test_same_target_churn_certificate_at_fourth_case3(spacing):
     """Column e (0-7) under a churn of its own target 2e+2 and spacing 5-8
-    is uncertified just before its fourth case-3 stage and certified at it.
-    At these spacings that stage can come before the focus on diagonal
-    max(e, 1, 2d - 1), so a certificate that waits for that diagonal delays
-    such columns (spacing 5, column 1: stage 37 against 46)."""
+    is uncertified just before its focus on the steadiness diagonal
+    max(e, 1, 2d - 1) and certified at it.  At these spacings the fourth
+    case-3 stage, where the witness-history rule first certifies, can come
+    earlier, so the settle rule trades a later verdict for a proof (spacing
+    5, column 1: stage 46 against 37)."""
     E = 8
     fam = CeerFamily(tuple(ChurnGenerator(2 * e + 2, spacing) for e in range(E)))
-    full = expand_tails(run_coceer(fam, E, 3000)[1])
-    earlier = 0
+    reference = reference_run_coceer(fam, E, _horizon(fam, E, 0))[1]
+    long_verdicts = _long_verdicts(fam, E, reference)
+    fourth, later = {}, 0
     for e in range(E):
-        s4 = [r.stage for r in full.records if r.e == e and r.case == 3][3]
-        for stage in (s4 - 1, s4):
-            columns, _ = run_coceer(fam, E, stage)
-            assert verify_requirement(columns, fam, e).certified == (stage == s4), (e, stage)
-        _assert_certificates_match(columns, _prefix(full, s4), fam)
         w = max(e, 1, 2 * spacing - 1)
-        earlier += s4 < w * (w + 1) // 2 + e
-    assert earlier > 0
+        assert long_verdicts[0][e] == w * (w + 1) // 2 + e
+        for stage in (w * (w + 1) // 2 + e - 1, w * (w + 1) // 2 + e):
+            columns, _ = run_coceer(fam, E, stage)
+            _assert_certificates_match(columns, stage, fam, long_verdicts)
+        fourth[e] = [r.stage for r in reference.records if r.e == e and r.case == 3][3]
+        later += fourth[e] < long_verdicts[0][e]
+    assert later > 0
     if spacing == 5:
-        assert [r.stage for r in full.records if r.e == 1 and r.case == 3][3] == 37
+        assert (fourth[1], long_verdicts[0][1]) == (37, 46)
 
 
 _members = st.one_of(

@@ -1,7 +1,8 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
 InputError; a coceer trace with a malformed tail or record, and a pi01
-trace with a malformed history, window or label stack, raise it."""
+trace with a malformed history, window or label stack, raise it, as does
+a coceer record that is not the focus its column's earlier records leave."""
 
 import json
 import random
@@ -107,23 +108,29 @@ def test_loader_round_trips_and_rejects_mutations(name, data):
         pass
 
 
-def _bad_y(data, e):
-    """A Y that is not 1..2e+1 and at most one extra above 2e+1."""
-    initial = list(range(1, 2 * e + 2))
-    i = data.draw(st.integers(0, 2 * e), label="index")
-    form = data.draw(st.sampled_from(["replaced", "low extra", "other"]), label="form")
-    if form == "replaced":   # an initial witness replaced, with or without an extra
-        v = data.draw(st.integers(0, 2 * e + 4).filter(lambda v: v != i + 1), label="v")
-        return initial[:i] + [v] + initial[i + 1:] + data.draw(
-            st.sampled_from([[], [2 * e + 2]]), label="extra")
-    if form == "low extra":
-        return initial + [data.draw(st.integers(0, 2 * e + 1), label="x")]
-    return data.draw(st.sampled_from([
-        initial[:i] + initial[i + 1:],          # an initial witness lost
-        initial + [2 * e + 2, 2 * e + 3],       # two extras
-        [2 * e + 2] + initial,                  # out of order
-        initial + [-1], initial + [True], initial + ["9"],
-    ]), label="Y")
+def _bad_extra(data, e):
+    """An extra that is not null or a natural above 2e+1."""
+    return data.draw(st.one_of(
+        st.integers(-2, 2 * e + 1),                    # at or below the initial segment
+        st.sampled_from([True, "9", 2.0 * e + 3, [2 * e + 2], {}]),
+    ), label="extra")
+
+
+def _off_replay(data, r):
+    """Change one of record ``r``'s case, extra and exile, each still of the
+    right shape, so that it is not the focus its column's earlier records
+    leave (:func:`coceer._dispatch` on the replayed column)."""
+    e, field = r["e"], data.draw(st.sampled_from(["case", "extra", "exiled"]), label="field")
+    if field == "case":
+        r["case"] = data.draw(st.sampled_from([c for c in range(1, 5) if c != r["case"]]),
+                              label="case")
+    elif field == "extra":
+        r["extra"] = data.draw(st.one_of(st.none(), st.integers(2 * e + 2, 2 * e + 60)).filter(
+            lambda x: x != r["extra"]), label="extra")
+    else:
+        r["exiled"] = data.draw(st.one_of(st.just([]), st.builds(
+            lambda x: [[e, x]], st.integers(2 * e + 2, 2 * e + 60))).filter(
+            lambda x: x != r["exiled"]), label="exiled")
 
 
 def _break_tail_or_record(data, doc, kind):
@@ -168,8 +175,8 @@ def _break_tail_or_record(data, doc, kind):
         records.remove(data.draw(st.sampled_from(mine), label="record"))
     elif kind == "flag key":
         data.draw(st.sampled_from(records), label="record")["flag"] = "off"
-    elif kind == "format 2":
-        doc["format"] = 2
+    elif kind in ("format 2", "format 3"):
+        doc["format"] = int(kind[-1])
     elif kind == "exiled":
         # a focus exiles at most one element, of its own column
         r = data.draw(st.sampled_from(records), label="record")
@@ -179,14 +186,17 @@ def _break_tail_or_record(data, doc, kind):
         r["exiled"] = data.draw(st.sampled_from([
             [[other, x]], [[e, x], [e, x + 1]], [[e, x], [e, x]], [[e, x], [other, x]],
             r["exiled"] + [[e, x], [other, x]]]), label="exiled")
+    elif kind == "replay":
+        _off_replay(data, data.draw(st.sampled_from(records), label="record"))
     else:
         r = data.draw(st.sampled_from(records), label="record")
-        r["Y"] = _bad_y(data, r["e"])
+        r["extra"] = _bad_extra(data, r["e"])
 
 
 @pytest.mark.parametrize("kind", [
     "duplicate e", "e >= columns", "w < max(e, 1)", "case not 3 or 4", "tail stage > stages",
-    "record past its tail", "record missing", "flag key", "format 2", "exiled", "Y"])
+    "record past its tail", "record missing", "flag key", "format 2", "format 3", "exiled",
+    "replay", "extra"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_coceer_trace_rejects_malformed_tails(kind, data):

@@ -230,6 +230,15 @@ def test_run_validation_and_json():
                 {"transitions": [[0, [[2, 0]]], [1, [[1, 0]]]]}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
+    # elements are 0, 1, 2, ... in creation order: the i-th history is element
+    # i's, and none starts before the one before it
+    one = json.loads(json.dumps(trace_to_json(run_pi01(GTable([UPSeq((), (1,))]), 3))))
+    assert one["transitions"] == [[0, [[1, 0]]], [1, [[2, 1]]], [2, [[3, 2]]]]
+    (_, h0), (_, h1), (_, h2) = one["transitions"]
+    for transitions in ([[7, h0], [8, h1], [9, h2]], one["transitions"][::-1],
+                        [[0, h1], [1, h0], [2, h2]]):
+        with pytest.raises(InputError):
+            trace_from_json({**one, "transitions": transitions})
     # a removed and recycled element loads with its whole history
     drop = run_pi01(_table(([2, 2, 2], [1])), 4)
     assert trace_from_json(json.loads(json.dumps(trace_to_json(drop)))).transitions[2] == \

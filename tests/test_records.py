@@ -18,10 +18,10 @@ _STEP = StageRecord(3, 0, 4, None, ((0, 2),))
 _ENTRY = ClaimEntry(1, True, (0,))
 
 # each record next to its repr text: the former dataclass's, but for the
-# fields that ColumnState (flag, last_case4_stage), StageRecord (witnesses,
-# flag), VTable (next_fresh) and LabelState (since, next_fresh) no longer
-# have, StageRecord's extra, CoceerTrace's tails, ColumnState's tail, the
-# count of VTable's closed-form tail and LabelState's history list
+# fields that ColumnState (flag, last_case4_stage, case3_count), StageRecord
+# (witnesses, flag), VTable (next_fresh) and LabelState (since, next_fresh)
+# no longer have, StageRecord's extra, CoceerTrace's tails, ColumnState's
+# tail, the count of VTable's closed-form tail and LabelState's history list
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -31,7 +31,7 @@ RECORDS = [
     (CeerFamily([ChurnGenerator(4, 2)]),
      "CeerFamily(members=(ChurnGenerator(target_size=4, block_spacing=2),))"),
     (ColumnState(k=4, next_free=4),
-     "ColumnState(k=4, next_free=4, extra=None, case3_count=0, tail=None)"),
+     "ColumnState(k=4, next_free=4, extra=None, tail=None)"),
     (_STEP, "StageRecord(stage=3, e=0, case=4, extra=None, exiled=((0, 2),))"),
     (CoceerTrace(1, 3, (_STEP,), ((0, 2, 4),)),
      "CoceerTrace(columns=1, stages=3, records=(StageRecord(stage=3, e=0, case=4, "
