@@ -59,7 +59,7 @@ limit, so a column is certified exactly when it has settled
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
 from .core import Record, cantor_unpair, check_format, is_nat
@@ -129,9 +129,9 @@ class StageRecord(Record):
 class CoceerTrace(Record):
     """One record per stepped focus in 1..stages, in stage order, and one
     tail (e, w, case) per settled column: its focuses after diagonal w take
-    ``case`` (3 or 4) in closed form.  A record keeps the column's extra
-    after its focus and its exile, from which :func:`trace_from_json`
-    replays the column."""
+    ``case`` (3 or 4) in closed form.  A record's extra and exile follow
+    from the cases of its column's records up to it, so a trace file keeps
+    only the cases (:func:`trace_from_json`)."""
 
     __slots__ = ("columns", "stages", "records", "tails")
 
@@ -149,21 +149,6 @@ class RequirementReport(Record):
         self.e, self.k, self.kind = e, k, kind      # kind "script" or "churn"
         self.witness_class_size, self.r_e_has_size_k = witness_class_size, r_e_has_size_k
         self.satisfied, self.certified, self.y_limit = satisfied, certified, y_limit
-
-
-def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
-    """The focused stages 1..budget as (stage, e), in order.
-
-    Stage w(w+1)/2 + e focuses column e for e <= w; it is focused when e < E.
-    """
-    w = 1
-    while w * (w + 1) // 2 <= budget:
-        base = w * (w + 1) // 2
-        for e in range(min(w + 1, E)):
-            if base + e > budget:
-                return
-            yield base + e, e
-        w += 1
 
 
 def _dispatch(col: ColumnState, has_k: bool, latched: bool) -> tuple[int, Optional[int]]:
@@ -397,74 +382,52 @@ def report_to_json(report: RequirementReport) -> dict:
 
 
 def trace_to_json(trace: CoceerTrace) -> dict:
-    """Format 4: the stepped records and the tails; every other stage is a skip."""
-    records = [{"stage": r.stage, "e": r.e, "case": r.case, "extra": r.extra,
-                "exiled": r.exiled} for r in trace.records]   # the C encoder writes tuples as arrays
-    return {"format": 4, "columns": trace.columns, "stages": trace.stages, "records": records,
-            "tails": trace.tails}
+    """Format 5: each column's stepped cases and its tail case; every other
+    stage is a skip, and :func:`trace_from_json` replays the rest."""
+    cases, tails = [[] for _ in range(trace.columns)], [None] * trace.columns
+    for r in trace.records:
+        cases[r.e].append(r.case)
+    for e, _, case in trace.tails:
+        tails[e] = case
+    return {"format": 5, "stages": trace.stages, "cases": cases, "tails": tails}
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    """Load a format-4 trace.  Its tails are in increasing column order,
-    each column's records are exactly its focused stages up to its tail
-    stage w(w+1)/2 + e, or up to ``stages`` when it has no tail, and each
-    record is the focus that :func:`_dispatch` takes in its case from the
-    column its earlier records left: the same extra and the same exile."""
+    """Load a format-5 trace: one case list and one tail (null, 3 or 4) per
+    column.  Column e's list holds the cases of its stepped focuses on the
+    diagonals max(e, 1), max(e, 1) + 1, ..., so a tail stands for the
+    focuses after the last of them.  Each column is replayed through
+    :func:`_dispatch` with latched = (case 3) and has_k = (case 1, or case 4
+    with an extra), which rebuilds its records; each case must be the one
+    :func:`_dispatch` takes and lie within ``stages``, an untailed column
+    must list every focused stage up to ``stages``, and a tail must follow
+    at least one case."""
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-4 object")
-    check_format(obj, versions=(4,))
-    columns, stages = obj.get("columns"), obj.get("stages")
-    if not is_nat(columns) or not is_nat(stages) or columns < 1:
-        raise InputError("trace 'columns' must be a positive natural and 'stages' a natural")
-    try:
-        tails = tuple(map(tuple, obj["tails"]))
-        ends, last = {}, -1
-        for e, w, case in tails:
-            if not (is_nat(e) and last < e < columns and is_nat(w)
-                    and w >= max(e, 1) and is_nat(case) and case in (3, 4)
-                    and w * (w + 1) // 2 + e <= stages):
-                raise InputError(f"trace tail {[e, w, case]!r}: columns must increase below "
-                                 "'columns', w >= max(e, 1), case be 3 or 4 and the tail "
-                                 "stage w(w+1)/2 + e at most 'stages'")
-            ends[e], last = w * (w + 1) // 2 + e, e
-        stop = max(ends.values()) if len(ends) == columns else stages
-        schedule = (f for f in focus_schedule(columns, stop) if f[0] <= ends.get(f[1], stop))
-        replay = {}   # column e as its records so far leave it
-        records = tuple(_record_from_json(r, next(schedule, None), replay)
-                        for r in obj["records"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed trace: {exc}") from exc
-    missing = next(schedule, None)
-    if missing is not None:
-        raise InputError(f"trace has no record for focused stage {missing[0]}")
-    return CoceerTrace(columns, stages, records, tails)
-
-
-_RECORD_KEYS = {"stage", "e", "case", "extra", "exiled"}
-
-
-def _record_from_json(r: dict, focus: Optional[tuple[int, int]],
-                      replay: dict[int, ColumnState]) -> StageRecord:
-    """One record, which must be the focused stage ``focus`` = (stage, e),
-    and the focus :func:`_dispatch` takes on column e as the earlier records
-    left it (``replay``) with the latch and has_k that the record's case and
-    extra give: the same case, extra (so null or above 2e + 1) and exile."""
-    if set(r) != _RECORD_KEYS:
-        raise InputError(f"trace records must have exactly the keys {sorted(_RECORD_KEYS)}")
-    stage, e, case, extra = r["stage"], r["e"], r["case"], r["extra"]
-    exiled = tuple((a, b) for a, b in r["exiled"])
-    if not (is_nat(stage) and is_nat(e) and is_nat(case) and 1 <= case <= 4
-            and (extra is None or is_nat(extra))
-            and all(is_nat(a) and is_nat(b) for a, b in exiled)):
-        raise InputError(f"trace record {stage!r}: stage, e, case (1..4), extra (or null) "
-                         "and exiled must hold naturals")
-    if (stage, e) != focus:
-        raise InputError(f"trace record (stage, column) = {(stage, e)} is not the next "
-                         f"focused stage, {focus or 'of which there are no more'}")
-    col = replay.setdefault(e, ColumnState(2 * e + 2, 2 * e + 2))
-    took, x = _dispatch(col, case == 1 or case == 4 and extra is not None, case == 3)
-    if (took, col.extra, exiled) != (case, extra, () if x is None else ((e, x),)):
-        raise InputError(f"trace record {stage}: case {case} with extra {extra} and exiled "
-                         f"{list(exiled)} is not a focus of column {e} as its earlier "
-                         "records leave it")
-    return StageRecord(stage, e, case, extra, exiled)
+        raise InputError("trace must be a format-5 object")
+    check_format(obj, versions=(5,))
+    stages, cases, tails = obj.get("stages"), obj.get("cases"), obj.get("tails")
+    if not (is_nat(stages) and isinstance(cases, list) and isinstance(tails, list)
+            and len(cases) == len(tails) >= 1):
+        raise InputError("trace 'stages' must be a natural, and 'cases' and 'tails' arrays "
+                         "with one entry for each of at least one column")
+    records, settled = [], []
+    for e, (mine, tail) in enumerate(zip(cases, tails)):
+        if not (isinstance(mine, list) and (tail is None or is_nat(tail) and tail in (3, 4))):
+            raise InputError(f"trace column {e}: its cases must be an array and its tail "
+                             "null, 3 or 4")
+        col, w = ColumnState(2 * e + 2, 2 * e + 2), max(e, 1)
+        for case in mine:
+            s = w * (w + 1) // 2 + e
+            took, x = _dispatch(col, case == 1 or case == 4 and col.extra is not None, case == 3)
+            if not (is_nat(case) and took == case and s <= stages):
+                raise InputError(f"trace column {e}: case {case!r} at stage {s} is not the "
+                                 "case its earlier cases leave, or lies past 'stages'")
+            records.append(StageRecord(s, e, case, col.extra, () if x is None else ((e, x),)))
+            w += 1
+        if tail is not None and mine:
+            settled.append((e, w - 1, tail))
+        elif tail is not None or w * (w + 1) // 2 + e <= stages:
+            raise InputError(f"trace column {e}: a tail must follow a case, and an untailed "
+                             f"column list a case for each focused stage up to {stages}")
+    records.sort(key=attrgetter("stage"))
+    return CoceerTrace(len(cases), stages, tuple(records), tuple(settled))

@@ -12,7 +12,6 @@ label eventually settles on k is exactly liminf_s g(k, s).
 A run keeps each element's history of labels and removals, and each
 label's members as a stack; the stage at which a member took its label is
 its last history entry, and the verifier reads only those label stages.
-The window after each stage is the number of histories.
 
 A run steps only to its settle stage and takes each label's stages at the
 budget S from the shift rule, so its histories cover the stepped stages
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -121,13 +119,13 @@ class LabelState(Record):
     recycled founder reads the label it left from its first entry.
     """
 
-    __slots__ = ("members", "removed_pending", "stage", "windows", "history")
+    __slots__ = ("members", "removed_pending", "stage", "history")
     __hash__ = None
 
     def __init__(self):
         self.members: list[list[int]] = []
         self.removed_pending: list[int] = []
-        self.stage, self.windows = 0, [0]
+        self.stage = 0
         self.history: list[tuple[tuple[int, Optional[int]], ...]] = []
 
 
@@ -189,7 +187,6 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
         if len(members) != goal:
             raise ConstructionBugError(f"label {k}: count {len(members)} != g = {goal}")
     st.stage = stage
-    st.windows.append(len(history))
     return st
 
 
@@ -197,15 +194,16 @@ class PiTrace(Record):
     """The end of a run: the stages at which each label's members took it
     (:func:`label_stages`) at ``stages``, for the labels below
     min(width, stages) only, since every later label holds just its
-    founder, taken at stage k + 1; the window after each stepped stage, 0
-    through T = min(stages, settle stage); and each element's history
-    through T."""
+    founder, taken at stage k + 1; and each element's history through
+    T = min(stages, settle stage).  Stage s gives label s - 1's founder the
+    entry (s, s - 1), so T is the greatest stage in the histories, and the
+    window after stage s is the number of histories that start by s."""
 
-    __slots__ = ("stages", "windows", "since", "transitions")
+    __slots__ = ("stages", "since", "transitions")
 
-    def __init__(self, stages: int, windows: tuple[int, ...], since: tuple[tuple[int, ...], ...],
+    def __init__(self, stages: int, since: tuple[tuple[int, ...], ...],
                  transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]):
-        self.stages, self.windows, self.since, self.transitions = stages, windows, since, transitions
+        self.stages, self.since, self.transitions = stages, since, transitions
 
 
 def settle_stage(g: GTable) -> int:
@@ -228,7 +226,7 @@ def _repeat_stage(g: GTable, k: int, stages: int) -> int:
 
 def run_pi01(g: GTable, stages: int) -> PiTrace:
     """Run ``stages`` stages: step to T = min(stages, settle_stage(g)),
-    keeping the windows and histories of the stepped stages, and read each
+    keeping the histories of the stepped stages, and read each
     label below the width at its repeat stage, shifted by the shift rule of
     the module docstring."""
     if stages < 1:
@@ -245,7 +243,7 @@ def run_pi01(g: GTable, stages: int) -> PiTrace:
         for k in reads.get(st.stage, ()):
             m, stack = g.liminf(k), label_stages(st, k)
             since[k] = (*stack[:m], *(t + shift for t in stack[m:]))
-    return PiTrace(stages, tuple(st.windows), tuple(since), dict(enumerate(st.history)))
+    return PiTrace(stages, tuple(since), dict(enumerate(st.history)))
 
 
 class LabelCount(Record):
@@ -325,65 +323,58 @@ def gtable_from_json(obj: object) -> GTable:
 
 def trace_to_json(trace: PiTrace) -> dict:
     # the C encoder writes tuples as arrays, so the histories go out as they are
-    return {"format": 2, "stages": trace.stages, "windows": trace.windows,
-            "transitions": sorted(trace.transitions.items()), "since": trace.since}
+    return {"format": 3, "stages": trace.stages, "transitions": list(trace.transitions.values()),
+            "since": trace.since}
 
 
 def trace_from_json(obj: object) -> PiTrace:
-    """Decode a trace; its histories cover the T = len(windows) - 1 <= stages
-    stepped stages.
+    """Decode a trace; the i-th history is element i's, and its histories
+    cover the T <= stages stepped stages, T the greatest stage in them.
 
-    The i-th history is element i's, and no history starts before the one
-    before it (elements are numbered in creation order).  Every history is
-    one to three entries, at strictly increasing stages in [1, T], each
-    label below its stage (stage s opens label s - 1); an element whose
-    last entry is a label is a member of that label, and the members
-    rebuilt for each label took it in increasing order, a founder at stage
-    k + 1 first.  Window s counts the elements whose history
-    starts at or before stage s.  ``since`` holds at most T stacks of
-    stages: stack k starts at k + 1 and does not decrease up to
-    ``stages``.  Every rebuilt label past them holds its founder alone, and
-    when T == stages the stacks are the rebuilt ones.
+    No history starts before the one before it (elements are numbered in
+    creation order).  Every history is one to three entries, at strictly
+    increasing stages in [1, stages], each label below its stage (stage s
+    opens label s - 1); an element whose last entry is a label is a member
+    of that label, and the members rebuilt for each label took it in
+    increasing order, a founder at stage k + 1 first, so no stage up to T
+    is missing.  ``since`` holds at most T stacks of stages: stack k starts
+    at k + 1 and does not decrease up to ``stages``.  Every rebuilt label
+    past them holds its founder alone, and when T == stages the stacks are
+    the rebuilt ones.
     """
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-2 object")
-    check_format(obj, versions=(2,))
-    stages, windows = obj.get("stages"), obj.get("windows")
-    if not is_nat(stages) or not isinstance(windows, list) or not all(map(is_nat, windows)):
-        raise InputError("trace 'stages' and 'windows' entries must be naturals")
-    stepped = len(windows) - 1
-    if not 0 <= stepped <= stages:
-        raise InputError(f"trace has {len(windows)} windows for {stages} stages")
+        raise InputError("trace must be a format-3 object")
+    check_format(obj, versions=(3,))
+    stages = obj.get("stages")
+    if not is_nat(stages):
+        raise InputError("trace 'stages' must be a natural")
     transitions = {}
-    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stepped)]
-    born = [0] * (stepped + 1)   # the elements created at each stage
     try:
-        for x, hist in obj["transitions"]:
-            if not is_nat(x) or x != len(transitions) or not 1 <= len(hist) <= 3:
-                raise InputError(
-                    f"trace element {x!r}: the i-th element is i, "
-                    "and each has 1 to 3 history entries"
-                )
+        for x, hist in enumerate(obj["transitions"]):
+            if not 1 <= len(hist) <= 3:
+                raise InputError(f"trace element {x}: each has 1 to 3 history entries")
             entries, at = [], 0
             for s, v in hist:
-                if not (is_nat(s) and at < s <= stepped and (v is None or is_nat(v) and v < s)):
+                if not (is_nat(s) and at < s <= stages and (v is None or is_nat(v) and v < s)):
                     raise InputError(
                         f"trace element {x}: history stages must increase within "
-                        f"[1, {stepped}], and each label be a natural below its stage"
+                        f"[1, {stages}], and each label be a natural below its stage"
                     )
                 entries.append((s, v))
                 at = s
             transitions[x] = tuple(entries)
-            born[entries[0][0]] += 1
-            if v is not None:
-                stacks[v].append((x, s))
         since = tuple(map(tuple, obj["since"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
+    stepped = max((hist[-1][0] for hist in transitions.values()), default=0)
+    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stepped)]
+    for x, hist in transitions.items():
+        s, v = hist[-1]
+        if v is not None:
+            stacks[v].append((x, s))
     starts = [hist[0][0] for hist in transitions.values()]
-    if list(accumulate(born)) != windows or starts != sorted(starts):
-        raise InputError("trace windows must count the elements created by each stage, "
-                         "and the elements be numbered in creation order")
+    if starts != sorted(starts):
+        raise InputError("trace elements must be numbered in creation order")
     if len(since) > stepped:
         raise InputError(f"trace has {len(since)} label stacks for {stepped} stepped stages")
     for k, stack in enumerate(since):
@@ -392,7 +383,6 @@ def trace_from_json(obj: object) -> PiTrace:
             raise InputError(f"trace label {k}: its stages must start at {k + 1} and not "
                              f"decrease up to {stages}")
     for k, stack in enumerate(stacks):
-        stack.sort()
         if any(a[1] > b[1] for a, b in zip(stack, stack[1:])):
             raise InputError(f"trace label {k}: a greater member took the label earlier")
         rebuilt = tuple(s for _, s in stack)
@@ -402,4 +392,4 @@ def trace_from_json(obj: object) -> PiTrace:
         if rebuilt != want:
             raise InputError(f"trace label {k}: the histories give its stages as {rebuilt}, "
                              f"not {want}")
-    return PiTrace(stages, tuple(windows), since, transitions)
+    return PiTrace(stages, since, transitions)

@@ -49,6 +49,11 @@ def elem_b(j: int) -> str:
 class VTable(Record):
     """Threshold assignments v(i) with their change discipline.
 
+    A threshold changes only by a reset, and a reset sets it to 0, so a
+    second change would be a reset of a 0: the "reset while already 0"
+    guard of :func:`_reset_to_zero` is the once-only rule, and no change
+    count is kept.
+
     ``holders`` indexes ``v`` by value and is built from ``v`` at
     construction.  After that, ``v`` changes only through
     ``_assign_fresh`` and ``_reset_to_zero``, which keep the index up
@@ -58,19 +63,16 @@ class VTable(Record):
     ``tail`` counts the a's that :func:`run_preorder` assigned past its
     settle stage without stepping: a_i for len(v) <= i < len(v) + tail,
     each given the threshold 0 at one of the last ``tail`` odd stages up to
-    ``stage`` and never changed.  They are in none of ``v``,
-    ``change_count``, ``events`` and ``holders``, and a table with a tail
-    is not stepped further.
+    ``stage`` and never changed.  They are in none of ``v``, ``events`` and
+    ``holders``, and a table with a tail is not stepped further.
     """
 
-    __slots__ = ("v", "change_count", "stage", "events", "tail", "holders")
+    __slots__ = ("v", "stage", "events", "tail", "holders")
     _fields = __slots__[:-1]
     __hash__ = None
 
-    def __init__(self, v: Optional[dict[int, int]] = None,
-                 change_count: Optional[dict[int, int]] = None, stage: int = 0):
+    def __init__(self, v: Optional[dict[int, int]] = None, stage: int = 0):
         self.v = {} if v is None else v
-        self.change_count = {} if change_count is None else change_count
         self.stage = stage
         self.events: list[tuple[int, int, Optional[int], int]] = []
         self.tail = 0
@@ -86,20 +88,16 @@ def _assign_fresh(t: VTable, value: int, stage: int) -> None:
     i = len(t.v)   # a_0, a_1, ... are assigned in index order
     t.v[i] = value
     t.holders.setdefault(value, set()).add(i)
-    t.change_count[i] = 0
     t.events.append((stage, i, None, value))
 
 
 def _reset_to_zero(t: VTable, i: int, stage: int) -> None:
     old = t.v[i]
-    if t.change_count[i] >= 1:
-        raise ConstructionBugError(f"threshold v({i}) changed a second time")
     if old == 0:
         raise ConstructionBugError(f"threshold v({i}) reset while already 0")
     t.v[i] = 0
     t.holders[old].discard(i)
     t.holders.setdefault(0, set()).add(i)
-    t.change_count[i] += 1
     t.events.append((stage, i, old, 0))
 
 

@@ -12,9 +12,11 @@ dispatched column with :func:`reference_check_column`, and records every
 stage as a :class:`ReferenceRecord`; :func:`column_exiles` expands a
 library column's two integers into the same set.  :func:`expand_tails`
 writes a run's tails out as the records of the focuses they stand for,
-and :func:`stepped_run_coceer` steps every focus with the library's latch
+:func:`focus_schedule` lists every focused stage of a run, and
+:func:`stepped_run_coceer` steps every focus with the library's latch
 and dispatch and no settle rule; :func:`record_witnesses` spells out the
-witnesses of a library record.  :func:`reference_columns_at` rebuilds the
+witnesses of a library record, and :func:`reference_trace_from_json`
+rebuilds a run from a trace file's cases on explicit sets.  :func:`reference_columns_at` rebuilds the
 reference columns at a stage from a longer reference trace.
 :func:`reference_certificate` gives a column's verdict by the
 witness-history rule, read off such a trace and a replay of the member.
@@ -22,8 +24,9 @@ witness-history rule, read off such a trace and a replay of the member.
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
 :func:`stepped_run_pi01` steps the library's ``pi01_step`` at every stage
-with no settle rule, and :func:`cut_history` cuts its
-histories at the last stage a library run steps.
+with no settle rule, :func:`cut_history` cuts its
+histories at the last stage a library run steps, and :func:`windows`
+counts the elements created by each stage from the histories.
 :func:`reference_required_stages_for` reads the shape of every label up
 to K.  :func:`reference_verify_liminf_counts` finds each label's elements by a
 scan of the whole trace (:func:`ever_labeled`) and reads each element's
@@ -49,9 +52,9 @@ churn generators for the co-ceer tests.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from effstruct import coceer
 from effstruct.blocks import block_offset
@@ -231,6 +234,46 @@ def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
             v, w = v + 1, w + 1
     records.sort(key=lambda r: r.stage)
     return ReferenceTrace(trace.columns, trace.stages, tuple(records))
+
+
+def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
+    """The focused stages 1..budget as (stage, e), in order.
+
+    Stage w(w+1)/2 + e focuses column e for e <= w; it is focused when e < E.
+    """
+    w = 1
+    while w * (w + 1) // 2 <= budget:
+        base = w * (w + 1) // 2
+        for e in range(min(w + 1, E)):
+            if base + e > budget:
+                return
+            yield base + e, e
+        w += 1
+
+
+def reference_trace_from_json(obj: dict) -> CoceerTrace:
+    """A format-5 coceer trace file as the run it stands for, each column's
+    cases replayed on explicit sets (:func:`reference_dispatch`): a case-3
+    focus latched, and has_k is case 1, or case 4 with an extra.  It checks
+    only that each focus takes its case."""
+    records, tails = [], []
+    for e, (cases, tail) in enumerate(zip(obj["cases"], obj["tails"])):
+        col = ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
+        w = max(e, 1)
+        for case in cases:
+            extra = max(col.witnesses) if len(col.witnesses) > col.base else None
+            col.flag = case == 3
+            r = reference_dispatch(col, e, w * (w + 1) // 2 + e,
+                                   case == 1 or case == 4 and extra is not None)
+            if r.case != case:
+                raise InputError(f"column {e}: case {case} replays as case {r.case}")
+            extra = r.witnesses[-1] if len(r.witnesses) > col.base else None
+            records.append(StageRecord(r.stage, e, case, extra, r.exiled))
+            w += 1
+        if tail is not None:
+            tails.append((e, w - 1, tail))
+    records.sort(key=lambda r: r.stage)
+    return CoceerTrace(len(obj["cases"]), obj["stages"], tuple(records), tuple(tails))
 
 
 def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
@@ -450,7 +493,7 @@ class ReferenceLabelState:
     next_fresh: int = 0
     stage: int = 0
     transitions: dict[int, list[tuple[int, Optional[int]]]] = field(default_factory=dict)
-    windows: list[int] = field(default_factory=lambda: [0])
+    windows: list[int] = field(default_factory=lambda: [0])   # after each stage
 
 
 def _ref_set_label(st: ReferenceLabelState, x: int, label: int, stage: int) -> None:
@@ -503,14 +546,20 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
 
 
 def stepped_run_pi01(g: GTable, stages: int) -> PiTrace:
-    """The library's ``pi01_step`` at every stage with no settle rule: the
-    window after every stage, each element's whole history, and the label
-    stages of every label opened."""
+    """The library's ``pi01_step`` at every stage with no settle rule: each
+    element's whole history, and the label stages of every label opened."""
     st = LabelState()
     for _ in range(stages):
         pi01_step(st, g)
     since = tuple(tuple(label_stages(st, k)) for k in range(stages))
-    return PiTrace(stages, tuple(st.windows), since, dict(enumerate(st.history)))
+    return PiTrace(stages, since, dict(enumerate(st.history)))
+
+
+def windows(histories, last: int) -> list[int]:
+    """The window after each stage 0..last: the number of ``histories``
+    (a trace's, or a trace file's) that start by then."""
+    starts = sorted(hist[0][0] for hist in histories)
+    return [bisect_right(starts, s) for s in range(last + 1)]
 
 
 def cut_history(trace: PiTrace, last: int) -> dict[int, tuple]:
@@ -569,7 +618,7 @@ def classify_history(trace: PiTrace, x: int) -> str:
 def snapshot_at(trace: PiTrace, s: int, window: Optional[int] = None) -> Partition:
     """R[s] as a partition: equal defined labels, singletons otherwise."""
     if window is None:
-        window = trace.windows[s]
+        window = windows(trace.transitions.values(), s)[s]
     p = Partition(window)
     bylabel: dict[int, list[int]] = {}
     for x in range(window):
@@ -677,12 +726,12 @@ def expand_tail(t: VTable) -> VTable:
     """A copy of ``t`` with its tail written out as a stepped run keeps it:
     a fresh a_i with threshold 0, unchanged, at each of the last ``tail``
     odd stages up to ``t.stage``."""
-    out = VTable(v=dict(t.v), change_count=dict(t.change_count), stage=t.stage)
+    out = VTable(v=dict(t.v), stage=t.stage)
     out.events = list(t.events)
     first = t.stage - (t.stage + 1) % 2 - 2 * (t.tail - 1)   # the earliest tail stage
     for stage in range(first, t.stage + 1, 2):
         i = len(out.v)
-        out.v[i], out.change_count[i] = 0, 0
+        out.v[i] = 0
         out.holders.setdefault(0, set()).add(i)
         out.events.append((stage, i, None, 0))
     return out

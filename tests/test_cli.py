@@ -13,7 +13,6 @@ import pytest
 
 from effstruct import cli
 from effstruct.ceersim import family_to_json
-from effstruct.coceer import trace_from_json
 from effstruct.cli import main
 from effstruct.core import cantor_unpair, delta02_to_json
 from effstruct.eqrel import Partition
@@ -26,7 +25,8 @@ from effstruct.pi01 import gtable_to_json, settle_stage
 from effstruct.preorder import VTable
 
 from reference import (
-    cut_history, expand_tails, generate_family, reference_materialize, stepped_run_pi01,
+    cut_history, expand_tails, generate_family, reference_materialize, reference_trace_from_json,
+    stepped_run_pi01, windows,
 )
 
 
@@ -127,7 +127,7 @@ def test_pi01_verify_ok(tmp_path):
          "--trace", str(trace_path)]
     )
     assert code == 0
-    assert json.loads(trace_path.read_text())["format"] == 2
+    assert json.loads(trace_path.read_text())["format"] == 3
 
 
 @pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
@@ -288,6 +288,17 @@ def test_verify_all_green(capsys):
     ]
 
 
+def _as_format_4(run) -> dict:
+    """A run's trace in format 4: one record per stepped focus with its
+    column's extra after it and its exile, and the tails as (e, w, case).
+    Pass it the run that :func:`reference_trace_from_json` replays from a
+    format-5 file."""
+    records = [{"stage": r.stage, "e": r.e, "case": r.case, "extra": r.extra,
+                "exiled": [list(pair) for pair in r.exiled]} for r in run.records]
+    return {"format": 4, "columns": run.columns, "stages": run.stages, "records": records,
+            "tails": [list(tail) for tail in run.tails]}
+
+
 def _as_format_3(trace: dict) -> dict:
     """The format-4 trace in format 3: each record's extra spelled out as the
     column's witnesses "Y", the initial segment 1..2e+1 and then the extra."""
@@ -297,14 +308,13 @@ def _as_format_3(trace: dict) -> dict:
     return {**trace, "format": 3, "records": records}
 
 
-def _as_format_2(trace: dict) -> dict:
-    """The format-4 trace in format 2: its tails written out as records, and
+def _as_format_2(run) -> dict:
+    """A run's trace in format 2: its tails written out as records, and
     every record with the latch flag left after its focus, off."""
     records = [{"stage": r.stage, "e": r.e, "case": r.case, "Y": list(r.witnesses),
                 "flag": "off", "exiled": [list(pair) for pair in r.exiled]}
-               for r in expand_tails(trace_from_json(trace)).records]
-    return {"format": 2, "columns": trace["columns"], "stages": trace["stages"],
-            "records": records}
+               for r in expand_tails(run).records]
+    return {"format": 2, "columns": run.columns, "stages": run.stages, "records": records}
 
 
 def _as_format_1(trace: dict) -> dict:
@@ -354,16 +364,22 @@ def test_coceer_output_files_are_pinned(tmp_path):
     )
     assert code == 0
     assert _sha(trace.read_bytes()) == \
-        "e84b2b581d5a9b075c0639ed0f78674da66516ab5b3d80c08f7fc390d33bb3a4"
+        "3abf9dbd60d3c5e45a3a35399ccb7f83469370f8c3373661661885fe429a6124"
     _pin(report, "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863",
          "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4")
+    # replayed column by column by the reference, the format-5 trace is the
+    # format-4 file byte for byte (the digest pinned before format 5)
+    run = reference_trace_from_json(json.loads(trace.read_text()))
+    four = _as_format_4(run)
+    assert _sha(_compact(four)) == \
+        "e84b2b581d5a9b075c0639ed0f78674da66516ab5b3d80c08f7fc390d33bb3a4"
     # with "Y" put back, the format-4 trace is the format-3 file byte for byte
     # (the digest pinned before format 4)
-    assert _sha(_compact(_as_format_3(json.loads(trace.read_text())))) == \
+    assert _sha(_compact(_as_format_3(four))) == \
         "64f0c2e531c67997dc6c4e69adbf6d81d3b49c686d908a8c05f94439b2765d04"
     # with its tails written out and the flag put back, it is the format-2
     # file byte for byte (the digests pinned before format 3)
-    old = _as_format_2(json.loads(trace.read_text()))
+    old = _as_format_2(run)
     assert _sha(_compact(old)) == \
         "b583b5ddc0dba257a7932f156d59d757fafd1218ea36b281913574f1779b2b35"
     assert _sha(_indented(old)) == \
@@ -392,6 +408,17 @@ def test_coceer_short_budget_verdicts_are_pinned(tmp_path, capsys, stages, code,
     assert _sha(out.encode()) == digest
 
 
+def _as_pi01_format_2(trace: dict) -> dict:
+    """The format-3 pi01 trace in format 2: the i-th history numbered i, and
+    the window after each stage 0..T, for T the greatest stage in the
+    histories, counted from the histories' first entries."""
+    histories = trace["transitions"]
+    last = max((hist[-1][0] for hist in histories), default=0)
+    return {"format": 2, "stages": trace["stages"], "windows": windows(histories, last),
+            "transitions": [[x, hist] for x, hist in enumerate(histories)],
+            "since": trace["since"]}
+
+
 def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     # a faster stepper must leave the trace, snapshot and verdict bytes alone
     table = generate_gtable(7, 8)
@@ -401,18 +428,22 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
                  "--trace", str(trace)])
     assert code == 0
     assert _sha(trace.read_bytes()) == \
-        "8e67941dacef5a65b4fa91530d7b41c05acc1922243273423c1e7301fe1c4c29"
+        "9395c14a2d74c08a0558d45dab22fe03960cba70bb8cfbd5bbf5c3178ea17bca"
     assert _sha(capsys.readouterr().out.encode()) == \
         "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838"
+    # with the element numbers and the windows put back, the format-3 trace is
+    # the format-2 file byte for byte (the digest pinned before format 3)
+    obj = _as_pi01_format_2(json.loads(trace.read_text()))
+    assert _sha(_compact(obj)) == \
+        "8e67941dacef5a65b4fa91530d7b41c05acc1922243273423c1e7301fe1c4c29"
     # the format-2 trace is the run stepped at every stage cut at its settle
     # stage, and that run written in format 1 is the format-1 file byte for
     # byte (the digests pinned before format 2)
-    obj, stepped = json.loads(trace.read_text()), stepped_run_pi01(table, 1500)
-    last = settle_stage(table)
-    assert obj["windows"] == list(stepped.windows[:last + 1])
+    stepped, last = stepped_run_pi01(table, 1500), settle_stage(table)
+    assert obj["windows"] == windows(stepped.transitions.values(), last)
     assert obj["transitions"] == json.loads(json.dumps(sorted(cut_history(stepped, last).items())))
     assert obj["since"] == json.loads(json.dumps(stepped.since[:table.width]))
-    old = {"format": 1, "stages": 1500, "windows": stepped.windows,
+    old = {"format": 1, "stages": 1500, "windows": windows(stepped.transitions.values(), 1500),
            "transitions": sorted(stepped.transitions.items())}
     assert _sha(_compact(old)) == \
         "f764cad88402f5e2721d2edc1f5be439e60173ff4524af6781945fb394ba3d83"

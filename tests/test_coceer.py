@@ -8,6 +8,7 @@ import pytest
 from effstruct.ceersim import CeerFamily, CeerScript, ChurnGenerator
 from effstruct.coceer import (
     ColumnState,
+    StageRecord,
     run_coceer,
     trace_from_json,
     trace_to_json,
@@ -248,92 +249,57 @@ def test_trace_json_round_trip():
     fam = CeerFamily((CeerScript(((1, (0, 1)),)), ChurnGenerator(4, 2)))
     _, trace = run_coceer(fam, 2, 30)
     obj = json.loads(json.dumps(trace_to_json(trace)))
-    assert obj["format"] == 4 and "mode" not in obj
     # column 0 settles at its focus on diagonal 2 (stage 3), column 1 on diagonal 3 (stage 7)
-    assert obj["tails"] == [[0, 2, 4], [1, 3, 3]]
-    assert [(r["stage"], r["e"]) for r in obj["records"]] == [(1, 0), (2, 1), (3, 0), (4, 1),
-                                                               (7, 1)]
+    assert obj == {"format": 5, "stages": 30, "cases": [[3, 4], [3, 2, 3]], "tails": [4, 3]}
+    assert trace.tails == ((0, 2, 4), (1, 3, 3))
     assert trace_from_json(obj) == trace
-    for bad in ({"format": 3}, {"format": 2}, {"format": 1}, {"format": True}, {"format": 4.0},
-                {"columns": "z"},
-                {"columns": -1}, {"stages": -1}, {"stages": False}):
+    _, short = run_coceer(fam, 2, 2)   # neither column has settled by stage 2
+    assert trace_to_json(short) == {"format": 5, "stages": 2, "cases": [[3], [3]],
+                                    "tails": [None, None]}
+    assert trace_from_json(trace_to_json(short)) == short
+    for bad in ({"format": 4}, {"format": 3}, {"format": 2}, {"format": 1}, {"format": True},
+                {"format": 5.0}, {"stages": -1}, {"stages": False}, {"stages": "30"}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
-    records = obj["records"]
 
-    def patched(i, **fields):
-        return {**obj, "records": [*records[:i], {**records[i], **fields}, *records[i + 1:]]}
+    def cased(*cases, tails=(4, 3)):
+        return {**obj, "cases": [list(c) for c in cases], "tails": list(tails)}
 
-    def tailed(*tails):
-        return {**obj, "tails": list(tails)}
-
-    for bad in ({"stage": -5}, {"stage": True}, {"e": "x"}, {"e": 1.0}, {"case": 9},
-                {"case": -1}, {"case": "1"}, {"case": 0}, {"flag": "off"}, {"flag": None},
-                {"Y": [1, 2]}, {"extra": -1}, {"extra": "2"}, {"extra": True}, {"extra": 2.0},
-                {"extra": [2]}, {"exiled": [[0, -1]]}, {"exiled": [["0", 1]]},
-                {"exiled": [[0, 1, 2]]}, {"exiled": None}):
-        with pytest.raises(InputError):
-            trace_from_json(patched(0, **bad))
-    with pytest.raises(InputError):   # a key missing
-        trace_from_json({**obj, "records": [{k: v for k, v in records[0].items()
-                                             if k != "extra"}, *records[1:]]})
-    # each record is the focus that _dispatch takes in its case from the column
-    # its earlier records left: stage 1 latched column 0 (case 3), recruited 2
-    # and exiled nothing, and stage 4 dropped column 1's extra 4 (case 2)
+    # each case is the one _dispatch takes from the column its earlier cases
+    # leave: stage 1 latched column 0 (case 3) and recruited the extra 2, and
+    # stage 4 dropped column 1's extra 4 (case 2)
     replay_breaks = [
-        patched(0, case=1), patched(0, case=2), patched(0, case=4),   # case against extra
-        patched(0, extra=None), patched(0, extra=1), patched(0, extra=3),
-        patched(0, exiled=[[0, 2]]), patched(0, exiled=[[0, 3]]),
-        patched(3, case=4), patched(3, case=1, extra=5, exiled=[[1, 6]]),
-        patched(3, exiled=[[1, 5]]), patched(3, exiled=[]), patched(3, exiled=[[1, 4], [1, 5]]),
-        patched(3, exiled=[[0, 4]]),
-        # a case-4 focus that keeps the extra 4 replays alone, but then the
-        # case 3 at stage 7 would exile 4 and recruit 6
-        patched(3, case=4, extra=4, exiled=[[1, 5]]),
+        cased([2, 4], [3, 2, 3]),   # case 2 on a column without an extra
+        cased([3, 1], [3, 2, 3]),   # case 1 on a column with the extra 2
+        cased([3, 4], [3, 1, 3]),   # case 1 on a column with the extra 4
+        cased([3, 4], [3, 2, 2]),   # case 2 after case 2 dropped the extra
+        *(cased([3, bad], [3, 2, 3]) for bad in (0, 5, -1, "4", 4.0, True, None, [4])),
     ]
     for broken in replay_breaks:
         with pytest.raises(InputError):
             trace_from_json(broken)
-    # the tails: columns increase below 'columns', w >= max(e, 1), case 3 or 4,
-    # and the tail stage w(w+1)/2 + e within 'stages'
-    tail_breaks = [
-        tailed([0, 2, 4], [0, 2, 4], [1, 3, 3]),   # duplicate e
-        tailed([1, 3, 3], [0, 2, 4]),              # e not increasing
-        tailed([0, 2, 4], [1, 3, 3], [2, 3, 3]),   # e >= columns
-        tailed([0, 0, 4], [1, 3, 3]),              # w < max(e, 1)
-        tailed([0, 2, 4], [1, 0, 3]),
-        {**tailed([0, 2, 4], [1, 0, 3]), "records": [r for r in records if r["e"] == 0]},
-        tailed([0, 2, 5], [1, 3, 3]),              # case not 3 or 4
-        tailed([0, 2, 2], [1, 3, 3]),
-        tailed([0, 2, "4"], [1, 3, 3]),
-        tailed([0, 2, 4.0], [1, 3, 3]),
-        tailed([0, 2, 4], [1, 8, 3]),              # tail stage 37 > stages
-        {**obj, "stages": 6},                      # tail stage 7 > stages, with its record
-        tailed([0, 1, 4], [1, 3, 3]),              # record (3, 0) past column 0's tail stage 1
-        tailed([0, 3, 4], [1, 3, 3]),              # record (6, 0) missing before its tail
-        tailed([1, 3, 3]),                         # column 0 untailed: (6, 0) .. (28, 0) missing
-        tailed([0, 2], [1, 3, 3]), tailed([0, 2, 4, 1], [1, 3, 3]), tailed(0), tailed(None),
-        {**obj, "tails": None}, {**obj, "tails": {"0": [2, 4]}},
+    # the cases and tails: one of each per column, and at least one column; a
+    # case's stage within 'stages'; an untailed column lists every focused
+    # stage up to 'stages'; a tail is null, 3 or 4 and follows a case
+    shape_breaks = [
+        {**obj, "stages": 6},                       # column 1's stage 7 > stages
+        cased([3, 4], [3, 2, 3, 3, 3, 3, 3, 3]),    # its eighth focus, stage 37 > stages
+        cased([3, 4], [3, 2, 3], tails=(None, 3)),  # column 0 lacks stages 6 .. 28
+        cased([3, 4], [3, 2, 3], tails=(4, None)),  # column 1 lacks stages 11 .. 29
+        cased([], [3, 2, 3]),                       # a tail before any case
+        *(cased([3, 4], [3, 2, 3], tails=(bad, 3)) for bad in (5, 2, 0, "4", 4.0, True, [4])),
+        cased([3, 4], [3, 2, 3], tails=(4,)), cased([3, 4], [3, 2, 3], tails=(4, 3, None)),
+        cased([3, 4], tails=(4, 3)), cased(tails=()),
+        {**obj, "cases": None}, {**obj, "cases": "zz"}, {**obj, "cases": [[3, 4], 7]},
+        {**obj, "tails": None}, {**obj, "tails": {"0": 4, "1": 3}},
         {k: v for k, v in obj.items() if k != "tails"},
+        {k: v for k, v in obj.items() if k != "cases"},
     ]
-    for broken in tail_breaks:
-        with pytest.raises(InputError):
-            trace_from_json(broken)
-    # the records must be exactly the focused stages up to each tail, in order
-    schedule_breaks = [
-        {**obj, "records": [records[1], records[0], *records[2:]]},   # not increasing
-        {**obj, "records": [records[0], *records]},                   # repeated stage
-        {**obj, "stages": 6},                                         # stage, tail > stages
-        patched(1, e=0),                                              # e != focus of stage
-        patched(1, stage=3, e=1),                                     # stage 3 focuses 0
-        {**obj, "columns": 1},                                        # e >= columns
-        {**obj, "columns": 3},                                        # column 2 lost
-        {**obj, "records": records[:-1]},                             # a focused stage lost
-        {**obj, "records": [*records[:3], *records[4:]]},
-    ]
-    for broken in schedule_breaks:
+    for broken in shape_breaks:
         with pytest.raises(InputError):
             trace_from_json(broken)
     assert trace_from_json({**obj, "stages": 31}).stages == 31  # stage 31 focuses column 3
-    with pytest.raises(InputError):  # no run has zero columns
-        trace_from_json({**obj, "columns": 0, "records": [], "tails": []})
+    # the trade of a file that keeps only cases: a case flipped to another one
+    # that _dispatch takes loads as a different run (only the input can tell)
+    flipped = trace_from_json(cased([3, 3], [3, 2, 3]))
+    assert flipped.records[2] == StageRecord(3, 0, 3, 3, ((0, 2),)) != trace.records[2]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from effstruct import blocks, cli, coceer, eqrel, pi01, preorder
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import focus_schedule, run_coceer, verify_requirement
+from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
 from effstruct.generators import (
     generate_b,
@@ -39,6 +39,7 @@ from reference import (
     cut_history,
     expand_tail,
     expand_tails,
+    focus_schedule,
     generate_family,
     reference_block_classes,
     reference_block_partition,
@@ -53,6 +54,7 @@ from reference import (
     runner_partition,
     stepped_run_coceer,
     stepped_run_pi01,
+    windows,
 )
 
 
@@ -571,8 +573,7 @@ def _assert_same_labeling(fast, ref):
     member's label stage is the stage of its last reference transition, and
     the parked elements agree, each with a history of a label and a removal
     whose first entry is the label it left."""
-    assert (len(fast.history), fast.stage, fast.windows) == (
-        ref.next_fresh, ref.stage, ref.windows)
+    assert (len(fast.history), fast.stage) == (ref.next_fresh, ref.stage)
     assert len(fast.members) == ref.stage
     for k, stack in enumerate(fast.members):
         assert set(stack) == ref.members[k], k
@@ -585,14 +586,14 @@ def _assert_same_labeling(fast, ref):
 
 def _assert_run_is_cut(g, stepped):
     """A run is the run stepped at every stage cut at its last stepped stage
-    T = min(stages, settle stage): the windows 0..T, each history through T
-    (an element created after T has none) and the stepped stacks at
-    ``stages`` of the labels below min(width, stages)."""
+    T = min(stages, settle stage), the greatest stage in its histories: each
+    history through T (an element created after T has none) and the stepped
+    stacks at ``stages`` of the labels below min(width, stages)."""
     stages = stepped.stages
     last = min(stages, pi01.settle_stage(g))
     run = pi01.run_pi01(g, stages)
     assert run.stages == stages
-    assert run.windows == stepped.windows[:last + 1]
+    assert max((hist[-1][0] for hist in run.transitions.values()), default=0) == last
     assert run.transitions == cut_history(stepped, last)
     assert run.since == stepped.since[:g.width]
     return run
@@ -609,7 +610,7 @@ def _assert_pi01_matches_reference(g, stages):
     assert dict(enumerate(fast.history)) == {x: tuple(h) for x, h in ref.transitions.items()}
     stepped = stepped_run_pi01(g, stages)
     assert stepped.transitions == dict(enumerate(fast.history))
-    assert stepped.windows == tuple(ref.windows)
+    assert windows(stepped.transitions.values(), stages) == ref.windows
     run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
     assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(stepped, g, K)
@@ -621,8 +622,11 @@ def _assert_preorder_matches_reference(gB, stages):
     for _ in range(stages):
         preorder.preorder_step(fast, gB)
         reference_preorder_step(ref, gB)
-    for name in ("v", "change_count", "stage", "events"):
+    for name in ("v", "stage", "events"):
         assert getattr(fast, name) == getattr(ref, name), name
+    # the reference counts each index's changes; the library keeps them as reset events
+    assert ref.change_count == {i: sum(j == i for _, j, old, _ in fast.events if old is not None)
+                                for i in fast.v}
     assert len(fast.v) == ref.next_fresh
     for x in range(gB.width + 3):
         assert fast.holders_of(x) == ref.holders_of(x), x
@@ -855,7 +859,7 @@ def test_pi01_operation_counts(monkeypatch, K):
         assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
         assert len(run.since) == g.width
         assert all(entry.match for entry in pi01.verify_liminf_counts(run, g, bound))
-        assert len(run.windows) == settle + 1
+        assert max((hist[-1][0] for hist in run.transitions.values()), default=0) == settle
         sizes.add(len(run.transitions))
     assert len(sizes) == 1
 

@@ -1,8 +1,8 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
-InputError; a coceer trace with a malformed tail or record, and a pi01
-trace with a malformed history, window or label stack, raise it, as does
-a coceer record that is not the focus its column's earlier records leave."""
+InputError; a coceer trace with a malformed case list or tail, and a pi01
+trace with a malformed history or label stack, raise it, as does a coceer
+case that is not the focus its column's earlier cases leave."""
 
 import json
 import random
@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from effstruct import ceersim, coceer, core, pi01, preorder
 from effstruct.eqrel import Character, Partition, partition_from_json, partition_to_json
 from effstruct.errors import InputError
-from effstruct.generators import generate_b, generate_gtable
+from effstruct.generators import generate_b, generate_diagonalization_suite, generate_gtable
 
-from reference import generate_family, partition_runs
+from reference import (
+    ReferenceLabelState, generate_family, partition_runs, reference_pi01_step,
+    reference_trace_from_json, windows,
+)
 
 
 def _coceer_trace(rng):
@@ -108,121 +111,90 @@ def test_loader_round_trips_and_rejects_mutations(name, data):
         pass
 
 
-def _bad_extra(data, e):
-    """An extra that is not null or a natural above 2e+1."""
-    return data.draw(st.one_of(
-        st.integers(-2, 2 * e + 1),                    # at or below the initial segment
-        st.sampled_from([True, "9", 2.0 * e + 3, [2 * e + 2], {}]),
-    ), label="extra")
+def _break_columns(data, doc, trace, kind):
+    """Make ``doc``, the format-5 file of the coceer ``trace``, malformed in
+    the way ``kind`` names."""
+    cases, tails, stages = doc["cases"], doc["tails"], doc["stages"]
 
+    def column(tailed, nonempty=False):
+        found = [e for e, tail in enumerate(tails)
+                 if (tail is not None) == tailed and (cases[e] or not nonempty)]
+        assume(found)
+        return data.draw(st.sampled_from(found), label="column")
 
-def _off_replay(data, r):
-    """Change one of record ``r``'s case, extra and exile, each still of the
-    right shape, so that it is not the focus its column's earlier records
-    leave (:func:`coceer._dispatch` on the replayed column)."""
-    e, field = r["e"], data.draw(st.sampled_from(["case", "extra", "exiled"]), label="field")
-    if field == "case":
-        r["case"] = data.draw(st.sampled_from([c for c in range(1, 5) if c != r["case"]]),
-                              label="case")
-    elif field == "extra":
-        r["extra"] = data.draw(st.one_of(st.none(), st.integers(2 * e + 2, 2 * e + 60)).filter(
-            lambda x: x != r["extra"]), label="extra")
-    else:
-        r["exiled"] = data.draw(st.one_of(st.just([]), st.builds(
-            lambda x: [[e, x]], st.integers(2 * e + 2, 2 * e + 60))).filter(
-            lambda x: x != r["exiled"]), label="exiled")
+    def position(e):
+        return data.draw(st.integers(0, len(cases[e]) - 1), label="position")
 
-
-def _break_tail_or_record(data, doc, kind):
-    """Make ``doc``, a coceer trace with a tail, malformed in the way ``kind`` names."""
-    tails, records = doc["tails"], doc["records"]
-    tail = data.draw(st.sampled_from(tails), label="tail")
-    e, w, _ = tail
-    mine = [r for r in records if r["e"] == e]
-    if kind == "duplicate e":
-        tails.insert(tails.index(tail), list(tail))
-    elif kind == "e >= columns":
-        tail[0] = doc["columns"] + data.draw(st.integers(0, 3), label="past")
-    elif kind == "w < max(e, 1)":
-        # with or without the column's records
-        tail[1] = data.draw(st.integers(0, max(e, 1) - 1), label="w")
-        if data.draw(st.booleans(), label="drop records"):
-            doc["records"] = [r for r in records if r["e"] != e]
+    if kind == "duplicate e":   # a column's tail given twice: one tail more than columns
+        e = column(tailed=True)
+        tails.insert(e, tails[e])
+    elif kind == "e >= columns":   # a tail for a column past the case lists
+        tails.append(data.draw(st.sampled_from([3, 4]), label="tail"))
+    elif kind == "w < max(e, 1)":   # w = max(e, 1) + len - 1, so a tail on no case
+        cases[column(tailed=True)] = []
     elif kind == "case not 3 or 4":
-        tail[2] = data.draw(st.sampled_from([0, 1, 2, 5, 9, 3.0, "3", True, None]), label="case")
+        tails[column(tailed=True)] = data.draw(
+            st.sampled_from([0, 1, 2, 5, 9, 3.0, "3", True, [3]]), label="tail")
     elif kind == "tail stage > stages":
-        # with the records that reach it, or with 'stages' cut below it; a cut
-        # keeps only the columns below the first one without a tail (a run
-        # of fewer columns), so that no untailed column's records pass it
+        # 'stages' cut below a tail stage, or the tailed column's cases (3 and
+        # 4 are always taken) run on past 'stages'
+        e = column(tailed=True)
+        w = max(e, 1) + len(cases[e]) - 1
         if data.draw(st.booleans(), label="cut stages"):
-            tailed = {t[0] for t in tails}
-            kept = next(c for c in range(doc["columns"] + 1) if c not in tailed)
-            assume(kept > 0)
-            doc["columns"] = kept
-            doc["tails"] = [t for t in tails if t[0] < kept]
-            doc["records"] = [r for r in records if r["e"] < kept]
-            end = max(t[1] * (t[1] + 1) // 2 + t[0] for t in doc["tails"])
-            doc["stages"] = data.draw(st.integers(0, end - 1), label="stages")
+            doc["stages"] = data.draw(st.integers(0, w * (w + 1) // 2 + e - 1), label="stages")
         else:
-            W = max(e, 1)
-            while W * (W + 1) // 2 + e <= doc["stages"]:
-                W += 1
-            tail[1] = W + data.draw(st.integers(0, 3), label="beyond")
-    elif kind == "record past its tail":
-        records.append({**mine[-1], "stage": (w + 1) * (w + 2) // 2 + e})
-        records.sort(key=lambda r: r["stage"])
-    elif kind == "record missing":
-        records.remove(data.draw(st.sampled_from(mine), label="record"))
-    elif kind == "flag key":
-        data.draw(st.sampled_from(records), label="record")["flag"] = "off"
-    elif kind in ("format 2", "format 3"):
+            while w * (w + 1) // 2 + e <= stages:
+                cases[e].append(data.draw(st.sampled_from([3, 4]), label="case"))
+                w += 1
+    elif kind == "record missing":   # an untailed column one case short
+        e = column(tailed=False, nonempty=True)
+        del cases[e][position(e)]
+    elif kind == "one case long":   # an untailed column with a case past 'stages'
+        cases[column(tailed=False)].append(data.draw(st.sampled_from([3, 4]), label="case"))
+    elif kind in ("format 2", "format 3", "format 4"):
         doc["format"] = int(kind[-1])
-    elif kind == "exiled":
-        # a focus exiles at most one element, of its own column
-        r = data.draw(st.sampled_from(records), label="record")
-        e, x = r["e"], data.draw(st.integers(2 * r["e"] + 2, 2 * r["e"] + 40), label="x")
-        other = data.draw(st.integers(0, doc["columns"] + 2).filter(lambda a: a != e),
-                          label="other column")
-        r["exiled"] = data.draw(st.sampled_from([
-            [[other, x]], [[e, x], [e, x + 1]], [[e, x], [e, x]], [[e, x], [other, x]],
-            r["exiled"] + [[e, x], [other, x]]]), label="exiled")
     elif kind == "replay":
-        _off_replay(data, data.draw(st.sampled_from(records), label="record"))
-    else:
-        r = data.draw(st.sampled_from(records), label="record")
-        r["extra"] = _bad_extra(data, r["e"])
+        # case 1 on a column with an extra, or case 2 on one without
+        e = column(tailed=data.draw(st.booleans(), label="tailed"), nonempty=True)
+        i = position(e)
+        before = [r.extra for r in trace.records if r.e == e][i - 1] if i else None
+        cases[e][i] = 2 if before is None else 1
+    elif kind == "case outside 1..4":
+        e = column(tailed=data.draw(st.booleans(), label="tailed"), nonempty=True)
+        cases[e][position(e)] = data.draw(
+            st.sampled_from([0, 5, 9, -1, "3", 3.0, True, None, [3]]), label="case")
+    elif kind == "cases and tails differ":
+        data.draw(st.sampled_from([cases.pop, tails.pop, lambda: cases.append([]),
+                                   lambda: tails.append(None)]), label="edit")()
+    else:   # "no columns"
+        doc["cases"], doc["tails"] = [], []
 
 
 @pytest.mark.parametrize("kind", [
     "duplicate e", "e >= columns", "w < max(e, 1)", "case not 3 or 4", "tail stage > stages",
-    "record past its tail", "record missing", "flag key", "format 2", "format 3", "exiled",
-    "replay", "extra"])
+    "record missing", "one case long", "format 2", "format 3", "format 4", "replay",
+    "case outside 1..4", "cases and tails differ", "no columns"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_coceer_trace_rejects_malformed_tails(kind, data):
     trace = _coceer_trace(random.Random(data.draw(st.integers(0, 2**32), label="seed")))
-    assume(trace.tails)
     doc = json.loads(json.dumps(coceer.trace_to_json(trace)))
-    _break_tail_or_record(data, doc, kind)
+    _break_columns(data, doc, trace, kind)
     with pytest.raises(InputError):
         coceer.trace_from_json(doc)
 
 
 def _break_pi01_trace(data, doc, kind):
-    """Make ``doc``, a pi01 trace with T = len(windows) - 1 stepped stages,
-    malformed in the way ``kind`` names."""
-    stages, since = doc["stages"], doc["since"]
-    stepped = len(doc["windows"]) - 1
+    """Make ``doc``, a pi01 trace with T stepped stages, T the greatest stage
+    in its histories, malformed in the way ``kind`` names."""
+    stages, since, histories = doc["stages"], doc["since"], doc["transitions"]
+    stepped = max(hist[-1][0] for hist in histories)
     if kind == "history stage past T":
-        hist = data.draw(st.sampled_from(doc["transitions"]), label="element")[1]
+        hist = data.draw(st.sampled_from(histories), label="element")
         hist[-1][0] = data.draw(st.integers(stepped + 1, stages + 3), label="stage")
-    elif kind == "more than S+1 windows":
-        # with a founder for each label the extra stages open
-        more = stages + 1 - stepped + data.draw(st.integers(0, 3), label="more")
-        fresh = doc["windows"][-1]
-        doc["windows"] += [fresh + i + 1 for i in range(more)]
-        doc["transitions"] += [[fresh + i, [[k + 1, k]]]
-                               for i, k in enumerate(range(stepped, stepped + more))]
+    elif kind == "history stage above S":
+        hist = data.draw(st.sampled_from(histories), label="element")
+        hist[-1][0] = data.draw(st.integers(stages + 1, stages + 9), label="stage")
     elif kind == "more than T stacks":
         since += [[k + 1] for k in range(len(since), stepped + 1
                                           + data.draw(st.integers(0, 3), label="more"))]
@@ -233,28 +205,18 @@ def _break_pi01_trace(data, doc, kind):
             stack.pop()
         else:
             stack.append(data.draw(st.integers(stack[-1], stages), label="entry"))
-    elif kind == "windows flattened":
-        windows = [0] + [data.draw(st.integers(0, 999), label="window")] * stepped
-        assume(windows != doc["windows"])
-        doc["windows"] = windows
-    elif kind == "windows reversed":
-        doc["windows"].reverse()
-    elif kind == "window moved":
-        s = data.draw(st.integers(0, stepped), label="stage")
-        doc["windows"][s] = data.draw(
-            st.integers(0, doc["windows"][-1] + 3).filter(lambda v: v != doc["windows"][s]),
-            label="window")
-    elif kind == "format 1":
-        doc["format"] = 1
+    elif kind in ("format 1", "format 2"):
+        doc["format"] = int(kind[-1])
     elif kind == "no founder":
-        # the element founding a label at stage k + 1 is dropped with its history
-        founders = [item for item in doc["transitions"]
-                    for s, v in item[1][-1:] if v is not None and s == v + 1]
+        # the element founding a label at stage k + 1 < T is dropped with its
+        # history; T's own founder keeps T, which no window pins any more
+        founders = [hist for hist in histories
+                    for s, v in hist[-1:] if v is not None and s == v + 1 < stepped]
         assume(founders)
-        doc["transitions"].remove(data.draw(st.sampled_from(founders), label="founder"))
+        histories.remove(data.draw(st.sampled_from(founders), label="founder"))
     elif kind == "stack dropped":
         # the last stack is dropped although its label holds more than its founder at T
-        assume(since and sum(hist[-1][1] == len(since) - 1 for _, hist in doc["transitions"]) > 1)
+        assume(since and sum(hist[-1][1] == len(since) - 1 for hist in histories) > 1)
         since.pop()
     else:
         assume(since)
@@ -270,9 +232,9 @@ def _break_pi01_trace(data, doc, kind):
 
 
 @pytest.mark.parametrize("kind", [
-    "history stage past T", "more than S+1 windows", "stack not at k+1", "decreasing stack",
-    "entry above S", "more than T stacks", "since differs at T == S", "windows flattened",
-    "windows reversed", "window moved", "format 1", "no founder", "stack dropped"])
+    "history stage past T", "history stage above S", "stack not at k+1", "decreasing stack",
+    "entry above S", "more than T stacks", "since differs at T == S", "format 1", "format 2",
+    "no founder", "stack dropped"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_pi01_trace_rejects_malformed_stacks(kind, data):
@@ -282,3 +244,41 @@ def test_pi01_trace_rejects_malformed_stacks(kind, data):
     _break_pi01_trace(data, doc, kind)
     with pytest.raises(InputError):
         pi01.trace_from_json(doc)
+
+
+# suites 0-29 and one family of every churn target 2..8 with spacing 1..4
+_COCEER_FAMILIES = [generate_diagonalization_suite(seed)[0] for seed in range(30)] + [
+    ceersim.CeerFamily(tuple(ceersim.ChurnGenerator(k, d) for k in range(2, 9)
+                             for d in range(1, 5)))]
+_BUDGETS = (1, 3, 10, 120, 300, 2500, 8000, 10**6)
+
+
+@pytest.mark.parametrize("fam", _COCEER_FAMILIES, ids=[*map(str, range(30)), "churn"])
+def test_coceer_trace_file_replays_like_the_reference(fam):
+    """A run's format-5 file loads as the run, and the reference's own
+    column replay of its cases gives the same records and tails; E is 1, 3
+    and every member, at budgets 1 to 10^6."""
+    for E in (1, 3, len(fam.members)):
+        for budget in _BUDGETS:
+            trace = coceer.run_coceer(fam, E, budget)[1]
+            doc = json.loads(json.dumps(coceer.trace_to_json(trace)))
+            assert coceer.trace_from_json(doc) == trace == reference_trace_from_json(doc)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8])
+def test_pi01_trace_file_keeps_what_the_windows_held(width):
+    """A run's format-3 file loads as the run; T, the greatest stage in its
+    histories, is min(stages, settle stage), and the window after each stage
+    up to T, counted from the histories, is the reference stepper's."""
+    for seed in range(40):
+        g = pi01.GTable(()) if width == 0 else generate_gtable(seed, width - 1)
+        settle, ref = pi01.settle_stage(g), ReferenceLabelState()
+        for _ in range(settle):
+            reference_pi01_step(ref, g)
+        for budget in _BUDGETS:
+            trace = pi01.run_pi01(g, budget)
+            doc = json.loads(json.dumps(pi01.trace_to_json(trace)))
+            assert pi01.trace_from_json(doc) == trace
+            last = max((hist[-1][0] for hist in doc["transitions"]), default=0)
+            assert last == min(budget, settle)
+            assert windows(doc["transitions"], last) == ref.windows[:last + 1]

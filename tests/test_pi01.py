@@ -31,6 +31,7 @@ from effstruct.pi01 import (
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
 from reference import (
     classify_history, ever_labeled, label_at, snapshot_at, stable_window_label, stepped_run_pi01,
+    windows,
 )
 
 CONSTANT_ONE = GTable(())
@@ -60,7 +61,7 @@ def test_constant_one_keeps_singletons():
 def test_first_stage():
     trace = stepped_run_pi01(CONSTANT_ONE, 1)
     assert label_at(trace, 0, 1) == 0
-    assert trace.windows[1] == 1
+    assert len(trace.transitions) == 1
     # single steps on a raw state agree with the driver
     st = LabelState()
     pi01_step(st, CONSTANT_ONE)
@@ -96,7 +97,7 @@ def test_per_stage_count_identity():
         g = generate_gtable(300 + trial, K)
         stages = required_stages_for(g, K) + 3
         trace = stepped_run_pi01(g, stages)
-        window = trace.windows[stages]
+        window = len(trace.transitions)
         for s in range(1, stages + 1):
             counts: dict[int, int] = {}
             for x in range(window):
@@ -126,8 +127,9 @@ def test_founder_is_class_minimum_and_never_removed():
 def test_snapshots_shrink_and_stay_equivalences():
     g = _table(([2, 2, 2, 2], [1, 3]), ([5], [2]))
     trace = stepped_run_pi01(g, 30)
+    sizes = windows(trace.transitions.values(), 30)
     for s in range(1, 30):
-        w = min(12, trace.windows[s])
+        w = min(12, sizes[s])
         older = bf_relation_of_partition(snapshot_at(trace, s, w).classes())
         newer = bf_relation_of_partition(snapshot_at(trace, s + 1, w).classes())
         assert bf_is_equivalence(w, older)
@@ -199,44 +201,37 @@ def test_run_validation_and_json():
     with pytest.raises(InputError):
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
-        trace_from_json({"format": 2, "stages": 1})
-    for bad in ({"format": True}, {"format": 2.0}, {"format": None}, {"format": 1},
-                {"stages": -3}, {"stages": True}, {"windows": ["x"]}, {"windows": [-1]},
-                {"transitions": [[-1, [[True, "z"]]]]}, {"transitions": [[-1, [[1, 0]]]]},
-                {"transitions": [["0", [[1, 0]]]]}, {"transitions": [[0, [[True, 0]]]]},
-                {"transitions": [[0, [[-1, 0]]]]}, {"transitions": [[0, [[1, "z"]]]]},
-                {"transitions": [[0, [[1, 1.0]]]]}, {"transitions": [[0, [[1, -2]]]]},
-                {"transitions": [[0, [[1, 0, 2]]]]}, {"transitions": [[0, "zz"]]},
-                {"transitions": "zz"},
-                # a repeated element
-                {"transitions": [[0, [[1, 0]]], [0, [[2, 5]]]]},
-                {"transitions": [[0, [[1, 0]]], [0, [[1, 0]]]]},
-                # one window per stage and one before the first
-                {"windows": obj["windows"][:-1]}, {"windows": obj["windows"] + [99]},
-                # window s counts the elements created by stage s
-                {"windows": [0] + [999] * (len(obj["windows"]) - 1)},
-                {"windows": obj["windows"][::-1]},
-                # history stages strictly increasing within [1, stages]
-                {"transitions": [[0, [[2, 0], [1, None]]]]},
-                {"transitions": [[0, [[1, 0], [1, None]]]]},
-                {"transitions": [[0, [[0, 0]]]]}, {"transitions": [[0, [[13, 0]]]]},
+        trace_from_json({"format": 3, "stages": 1})
+    for bad in ({"format": True}, {"format": 3.0}, {"format": None}, {"format": 2},
+                {"format": 1}, {"stages": -3}, {"stages": True},
+                {"transitions": [[[True, "z"]]]}, {"transitions": [[[True, 0]]]},
+                {"transitions": [[[-1, 0]]]}, {"transitions": [[[1, "z"]]]},
+                {"transitions": [[[1, 1.0]]]}, {"transitions": [[[1, -2]]]},
+                {"transitions": [[[1, 0, 2]]]}, {"transitions": ["zz"]},
+                {"transitions": [7]}, {"transitions": "zz"}, {"transitions": None},
+                # a history stage within [1, stages]: no T above S
+                {"stages": 3}, {"transitions": [[[13, 0]]]},
+                # history stages strictly increasing
+                {"transitions": [[[2, 0], [1, None]]]},
+                {"transitions": [[[1, 0], [1, None]]]}, {"transitions": [[[0, 0]]]},
                 # one to three entries
-                {"transitions": [[0, [[9, 0], [1, None], [1, None], [1, None]]]]},
-                {"transitions": [[0, [[1, 0], [2, None], [3, 2], [4, None]]]]},
-                {"transitions": [[0, []]]},
+                {"transitions": [[[9, 0], [1, None], [1, None], [1, None]]]},
+                {"transitions": [[[1, 0], [2, None], [3, 2], [4, None]]]},
+                {"transitions": [[]]},
                 # stage s opens label s - 1, so labels sit below their stage
-                {"transitions": [[0, [[1, 1]]]]},
+                {"transitions": [[[1, 1]]]},
                 # a stack grows upward: a greater member never took the label first
-                {"transitions": [[0, [[2, 0]]], [1, [[1, 0]]]]}):
+                {"transitions": [[[2, 0]], [[1, 0]]]},
+                # T is the greatest stage, and each stage up to it opens a label
+                {"transitions": obj["transitions"] + [[[12, 0]]]}):
         with pytest.raises(InputError):
             trace_from_json({**obj, **bad})
     # elements are 0, 1, 2, ... in creation order: the i-th history is element
     # i's, and none starts before the one before it
     one = json.loads(json.dumps(trace_to_json(run_pi01(GTable([UPSeq((), (1,))]), 3))))
-    assert one["transitions"] == [[0, [[1, 0]]], [1, [[2, 1]]], [2, [[3, 2]]]]
-    (_, h0), (_, h1), (_, h2) = one["transitions"]
-    for transitions in ([[7, h0], [8, h1], [9, h2]], one["transitions"][::-1],
-                        [[0, h1], [1, h0], [2, h2]]):
+    assert one["transitions"] == [[[1, 0]], [[2, 1]], [[3, 2]]]
+    h0, h1, h2 = one["transitions"]
+    for transitions in (one["transitions"][::-1], [h1, h0, h2]):
         with pytest.raises(InputError):
             trace_from_json({**one, "transitions": transitions})
     # a removed and recycled element loads with its whole history
@@ -284,11 +279,10 @@ def test_step_guards_raise_on_corrupted_states():
 @pytest.mark.parametrize("stages", [1, 7, 10**6])
 def test_width_zero_trace_writes_and_loads(stages):
     """A table of width 0 settles at stage 0, so a run steps no stage: its
-    trace has the one window before the first stage and no history, and
-    is still written and read back."""
+    trace has no history, and is still written and read back."""
     assert settle_stage(CONSTANT_ONE) == 0
     trace = run_pi01(CONSTANT_ONE, stages)
-    assert trace == PiTrace(stages, (0,), (), {})
+    assert trace == PiTrace(stages, (), {})
     obj = json.loads(json.dumps(trace_to_json(trace)))
-    assert obj == {"format": 2, "stages": stages, "windows": [0], "transitions": [], "since": []}
+    assert obj == {"format": 3, "stages": stages, "transitions": [], "since": []}
     assert trace_from_json(obj) == trace

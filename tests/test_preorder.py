@@ -5,7 +5,7 @@ import random
 import pytest
 
 from effstruct.core import Delta02SetApprox, UPSeq
-from effstruct.errors import HorizonError, InputError
+from effstruct.errors import ConstructionBugError, HorizonError, InputError
 from effstruct.generators import generate_b
 from effstruct.preorder import (
     ELEM_C,
@@ -62,7 +62,7 @@ def test_member_gets_unique_threshold():
     assert t.holders_of(2) == [2]  # assigned at the first even stage seeing x=2
     t = run_preorder(b, 40)
     assert len(t.holders_of(2)) == 1
-    assert all(t.change_count[i] == 0 for i in t.holders_of(2))
+    assert not any(i in t.holders_of(2) for _, i, old, _ in t.events if old is not None)
 
 
 def test_flip_assigns_then_resets():
@@ -72,7 +72,20 @@ def test_flip_assigns_then_resets():
     assert t.holders_of(3) == [2]
     t = run_preorder(b, 6)
     assert t.holders_of(3) == []
-    assert t.v[2] == 0 and t.change_count[2] == 1
+    assert t.v[2] == 0 and [old for _, i, old, _ in t.events if i == 2] == [None, 3]
+
+
+def test_reset_guard_raises_on_corrupted_table():
+    """A threshold is reset only from a positive value, so a second change
+    would reset a 0; a table whose ``holders`` file a zero under x = 1 makes
+    the next even stage, which reads g(1, .) = 0, try it."""
+    b = _approx(([], 0), ([], 0), ([1, 1, 1, 1], 0))
+    for stages, i in ((3, 0), (7, 2)):   # a fresh zero; index 2, reset at stage 6
+        t = run_preorder(b, stages)
+        assert t.v[i] == 0 and stages % 2 == 1
+        t.holders[1] = {i}
+        with pytest.raises(ConstructionBugError, match=f"v\\({i}\\) reset while already 0"):
+            preorder_step(t, b)
 
 
 def test_thresholds_change_at_most_once_and_only_to_zero():
@@ -81,7 +94,8 @@ def test_thresholds_change_at_most_once_and_only_to_zero():
         t = run_preorder(b, 80)
         for stage, i, old, new in t.events:
             assert new == 0 or old is None  # changes always land on 0
-        assert all(c <= 1 for c in t.change_count.values())
+        resets = [i for _, i, old, _ in t.events if old is not None]
+        assert len(resets) == len(set(resets))   # at most one reset per index
 
 
 def test_materialize_skeleton():
@@ -97,13 +111,13 @@ def test_materialize_skeleton():
 
 
 def test_materialize_threshold_facts():
-    t = VTable(v={0: 2}, change_count={0: 0}, stage=4)
+    t = VTable(v={0: 2}, stage=4)
     snap = materialize(t)
     a0 = elem_a(0)
     assert _le(snap, elem_b(2), a0) and _le(snap, elem_b(3), a0)
     assert _incomparable(snap, a0, elem_b(0)) and _incomparable(snap, a0, elem_b(1))
     assert _incomparable_b_count(snap, 0) == snap.thresholds[0] == 2
-    zero = materialize(VTable(v={0: 0}, change_count={0: 0}, stage=4))
+    zero = materialize(VTable(v={0: 0}, stage=4))
     assert all(_le(zero, elem_b(j), a0) for j in range(4))
     assert _incomparable_b_count(zero, 0) == zero.thresholds[0] == 0
     fresh = materialize(VTable(stage=4))
@@ -118,7 +132,6 @@ def test_materialize_matches_bruteforce_closure():
         for i in range(na):
             if rng.random() < 0.7:
                 t.v[i] = rng.randint(0, nb + 1)
-                t.change_count[i] = 0
         snap = materialize(t)
         elements = snap.elements()
         generators = []

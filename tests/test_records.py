@@ -40,12 +40,11 @@ RECORDS = [
      "RequirementReport(e=0, k=2, kind='script', witness_class_size=2, r_e_has_size_k=False, "
      "satisfied=True, certified=True, y_limit=(1,))"),
     (GTable([UPSeq((), (1,))]), "GTable(columns=(UPSeq(prefix=(), period=(1,)),))"),
-    (LabelState(), "LabelState(members=[], removed_pending=[], stage=0, windows=[0], "
-     "history=[])"),
-    (PiTrace(1, (0, 1), ((1,),), {0: ((1, 0),)}),
-     "PiTrace(stages=1, windows=(0, 1), since=((1,),), transitions={0: ((1, 0),)})"),
+    (LabelState(), "LabelState(members=[], removed_pending=[], stage=0, history=[])"),
+    (PiTrace(1, ((1,),), {0: ((1, 0),)}),
+     "PiTrace(stages=1, since=((1,),), transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
-    (VTable(v={0: 2}), "VTable(v={0: 2}, change_count={}, stage=0, events=[], tail=0)"),
+    (VTable(v={0: 2}), "VTable(v={0: 2}, stage=0, events=[], tail=0)"),
     (PreorderSnapshot(2, 3, (1, 3)), "PreorderSnapshot(na=2, nb=3, thresholds=(1, 3))"),
     (_ENTRY, "ClaimEntry(x=1, in_b=True, holders=(0,))"),
     (ClaimReport((_ENTRY,), 2, True, (1,), (1,)),
