@@ -15,9 +15,11 @@ Two member kinds are supported:
 :class:`CeerRunner` follows one member stage by stage and answers, for
 either kind, whether a class of size k exists and which is the oldest.
 A script is replayed once into one :class:`~effstruct.eqrel.Partition`
-sized by the elements it mentions, each event merged at its stage and
-nothing after the last one; each merge updates an index from class size
-to class minima, so a query never scans the partition.  A churn
+sized by the elements it mentions: each event is merged once, from the
+cursor over the sorted events, at its stage and nothing after the last
+one.  Each merge updates an index from class size to class minima, so a
+query never scans the partition.  :func:`limit_has_class_of_size` reads
+a script's limit in one union-find pass of its own, with no runner.  A churn
 generator's classes come in closed form from the stage number, without
 simulating its merges.
 
@@ -62,6 +64,11 @@ class CeerScript(Record):
         return self.events[-1][0] if self.events else 0
 
     def events_at(self, stage: int) -> list[tuple[int, int]]:
+        """The merges of one stage, in script order.
+
+        :class:`CeerRunner` reads the events from its own cursor instead;
+        this is kept for independent replays and the benchmark's hook.
+        """
         lo = bisect_left(self.events, (stage,))
         hi = bisect_left(self.events, (stage + 1,), lo)
         return [m for _, m in self.events[lo:hi]]
@@ -155,12 +162,14 @@ class CeerRunner:
 
     A churn generator indexes the classes of
     :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.  A script
-    is replayed through a cursor over its sorted events into ``uf``, a
-    :class:`Partition` with one slot per element the script mentions,
-    slots in increasing element order.  Each event is merged once; a merge
-    that joins two classes moves their minima out of the index under their
-    old sizes and the joined class's minimum in under its new one.  The
-    least element of each class is kept at its root slot.
+    is replayed into ``uf``, a :class:`Partition` with one slot per element
+    the script mentions, slots in increasing element order.  Each event is
+    merged once, from the cursor: :meth:`advance_to` reads
+    ``member.events`` from the first event not merged yet through the
+    stage, in script order.  A merge that joins two classes moves their
+    minima out of the index under their old sizes and the joined class's
+    minimum in under its new one.  The least element of each class is kept
+    at its root slot.
     """
 
     def __init__(self, member: FamilyMember):
@@ -184,24 +193,26 @@ class CeerRunner:
             self._minima = {len(c): {c[0]} for c in member.classes_after(stage)}
             return
         events, applied = member.events, self._applied
-        uf, slot, least, minima = self.uf, self._slot, self._least, self._minima
-        size = uf.size
-        while applied < len(events) and events[applied][0] <= stage:
-            for x, y in member.events_at(events[applied][0]):
-                applied += 1
-                joined = uf.merge(slot[x], slot[y])
-                if joined is None:
-                    continue
-                survivor, absorbed = joined
-                total, size_b = size[survivor], size[absorbed]
-                a, b = least[survivor], least[absorbed]
-                if total - size_b > 1:  # singletons are not indexed
-                    minima[total - size_b].remove(a)
-                if size_b > 1:
-                    minima[size_b].remove(b)
-                if b < a:
-                    least[survivor] = a = b
-                minima[total].add(a)
+        slot, least, minima = self._slot, self._least, self._minima
+        merge, size = self.uf.merge, self.uf.size
+        while applied < len(events):
+            at, (x, y) = events[applied]
+            if at > stage:
+                break
+            applied += 1
+            joined = merge(slot[x], slot[y])
+            if joined is None:
+                continue
+            survivor, absorbed = joined
+            total, size_b = size[survivor], size[absorbed]
+            a, b = least[survivor], least[absorbed]
+            if total - size_b > 1:  # singletons are not indexed
+                minima[total - size_b].remove(a)
+            if size_b > 1:
+                minima[size_b].remove(b)
+            if b < a:
+                least[survivor] = a = b
+            minima[total].add(a)
         self._applied = applied
 
     @property
@@ -233,16 +244,26 @@ class CeerRunner:
 def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
     """Whether the member's limit relation has a class of exactly k elements.
 
-    A script's limit is its relation after the last event.  A churn
-    generator's limit is a single infinite class, so no size k >= 1 occurs.
+    A script's limit is its relation after the last event, read in one
+    pass: every event's pair is merged into a :class:`Partition` over slots
+    numbered by first mention, and a class of size k is a root of that
+    size.  No :class:`CeerRunner` is built, so a verifier shares only the
+    union-find with the run.  A churn generator's limit is a single
+    infinite class, so no size k >= 1 occurs.
     """
     if k < 1:
         raise InputError("class size must be at least 1")
     if isinstance(member, ChurnGenerator):
         return False
-    runner = CeerRunner(member)
-    runner.advance_to(member.last_event_stage)
-    return runner.has_class_of_size(k)
+    if k == 1:  # cofinitely many singletons in omega
+        return True
+    mentioned = dict.fromkeys(z for _, pair in member.events for z in pair)
+    slot = {z: i for i, z in enumerate(mentioned)}
+    uf = Partition(len(slot))
+    for _, (x, y) in member.events:
+        uf.merge(slot[x], slot[y])
+    size = uf.size
+    return any(size[r] == k for r, p in enumerate(uf.parent) if r == p)
 
 
 def family_to_json(fam: CeerFamily) -> dict:

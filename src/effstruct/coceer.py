@@ -349,12 +349,13 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
       initial segment {1, ..., k - 1}.
 
     ``r_e_has_size_k`` comes from a fresh replay of the member
-    (:func:`limit_has_class_of_size`), not from the run's runner.  After the
-    quiescence stage the run's own ``has_k`` decided case 4 against the
-    extra, so reading the limit from the run would make ``satisfied`` true
-    by construction for every certified column, and the check would test
-    nothing.  The replay is the price of an independent check (about a
-    fifth of a ``coceer --verify`` call on the 26-column suite).
+    (:func:`limit_has_class_of_size`, one union-find pass with no runner),
+    not from the run's runner.  After the quiescence stage the run's own
+    ``has_k`` decided case 4 against the extra, so reading the limit from
+    the run would make ``satisfied`` true by construction for every
+    certified column, and the check would test nothing.  The replay is the
+    price of an independent check (about a sixth of an in-process
+    ``coceer --verify`` call on the 26-column suite).
     """
     if not 0 <= e < len(columns):
         raise InputError(f"column {e} out of range")

@@ -68,14 +68,31 @@ class Partition:
         class and the root hung under it, that of the smaller class (of
         y's on a tie).  The classes had sizes ``size[survivor] -
         size[absorbed]`` and ``size[absorbed]``.
+
+        Both roots are found here, as :meth:`find` would find them (x's
+        path compressed first), without a call per root.
         """
-        rx, ry = self.find(x), self.find(y)
+        window = self.window
+        if not (0 <= x < window and 0 <= y < window):
+            self._check(x)
+            self._check(y)
+        parent = self.parent
+        rx = x
+        while parent[rx] != rx:
+            rx = parent[rx]
+        while parent[x] != rx:
+            parent[x], x = rx, parent[x]
+        ry = y
+        while parent[ry] != ry:
+            ry = parent[ry]
+        while parent[y] != ry:
+            parent[y], y = ry, parent[y]
         if rx == ry:
             return None
         size = self.size
         if size[rx] < size[ry]:
             rx, ry = ry, rx
-        self.parent[ry] = rx
+        parent[ry] = rx
         size[rx] += size[ry]
         return rx, ry
 

@@ -80,6 +80,30 @@ def bf_oldest_class_min(classes: Sequence[Sequence[int]], k: int) -> Optional[in
     return min(minima) if minima else None
 
 
+def bf_generated_classes(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of the elements ``pairs`` mention under the equivalence they
+    generate: each class grows from its least element by adding every
+    element paired with a member until nothing is added.  Only mentioned
+    elements are visited, so elements may be any naturals."""
+    neighbours: dict[int, set[int]] = {}
+    for a, b in pairs:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    out: list[list[int]] = []
+    seen: set[int] = set()
+    for x in sorted(neighbours):
+        if x in seen:
+            continue
+        cls, frontier = {x}, [x]
+        while frontier:
+            new = neighbours[frontier.pop()] - cls
+            cls |= new
+            frontier.extend(new)
+        seen |= cls
+        out.append(sorted(cls))
+    return out
+
+
 def bf_preorder_closure(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     """Reflexive-transitive closure of ordered pairs."""
     rel = {(z, z) for z in elements}

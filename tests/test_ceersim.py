@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from effstruct import ceersim
 from effstruct.ceersim import (
     CeerFamily,
     CeerRunner,
@@ -143,6 +144,21 @@ def test_limit_has_class_of_size_script():
     assert [limit_has_class_of_size(merged, k) for k in (1, 2, 3, 4)] == [True, True, True, False]
     with pytest.raises(InputError):
         limit_has_class_of_size(empty, 0)
+
+
+def test_limit_has_class_of_size_sized_by_mentioned_elements(monkeypatch):
+    # the limit check's union-find has one slot per mentioned element, not per value
+    windows = []
+
+    class RecordingPartition(ceersim.Partition):
+        def __init__(self, window):
+            windows.append(window)
+            super().__init__(window)
+
+    monkeypatch.setattr(ceersim, "Partition", RecordingPartition)
+    far = CeerScript(((1, (0, 10**12)),))
+    assert [limit_has_class_of_size(far, k) for k in (1, 2, 3)] == [True, True, False]
+    assert windows == [2, 2]
 
 
 def test_limit_has_class_of_size_churn():

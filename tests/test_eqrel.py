@@ -43,10 +43,13 @@ def test_merge_examples():
 
 def test_merge_out_of_window():
     p = Partition(3)
-    with pytest.raises(InputError):
-        p.merge(0, 3)
-    with pytest.raises(InputError):
-        p.merge(-1, 0)
+    for x, y, bad in ((0, 3, 3), (3, 0, 3), (-1, 0, -1), (0, -2, -2), (5, -1, 5), (-1, 7, -1)):
+        # x is reported before y when both are outside
+        with pytest.raises(InputError, match=rf"^element {bad} outside window \[0, 3\)$"):
+            p.merge(x, y)
+    with pytest.raises(InputError, match=r"^element 0 outside window \[0, 0\)$"):
+        Partition(0).merge(0, 0)
+    assert p.classes() == [[0], [1], [2]]  # a rejected merge changes nothing
 
 
 def test_merge_sequences_stay_equivalences():

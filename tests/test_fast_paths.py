@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effstruct import blocks, cli, coceer, eqrel, pi01, preorder
-from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
+from effstruct.ceersim import (
+    CeerFamily,
+    CeerRunner,
+    CeerScript,
+    ChurnGenerator,
+    limit_has_class_of_size,
+)
 from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
 from effstruct.generators import (
@@ -29,6 +35,7 @@ from effstruct.generators import (
     generate_gtable,
 )
 
+from bruteforce import bf_generated_classes
 from reference import (
     ReferenceLabelState,
     ReferenceRunner,
@@ -138,6 +145,40 @@ def test_runner_index_matches_reference_property(member_and_last):
         _assert_same_queries(runner, ref, range(1, len(ref.uf.class_of) + 2))
         assert [list(c) for c in runner.classes] == \
             sorted(sorted(c) for c in ref.uf.lists.values()), s
+
+
+@st.composite
+def _wide_scripts(draw):
+    """:func:`_scripts` with its eight elements renamed to naturals up to 10**12."""
+    names = draw(st.lists(st.integers(0, 10**12), min_size=8, max_size=8, unique=True))
+    return CeerScript(tuple((s, (names[x], names[y])) for s, (x, y) in draw(_scripts()).events))
+
+
+def _assert_limit_check_matches(script, sizes):
+    """The one-pass limit check answers every size as a runner advanced to
+    the last event and as the closure of the script's pairs do."""
+    runner = CeerRunner(script)
+    runner.advance_to(script.last_event_stage)
+    classes = bf_generated_classes(pair for _, pair in script.events)
+    for k in sizes:
+        expected = k == 1 or any(len(c) == k for c in classes)
+        assert limit_has_class_of_size(script, k) == runner.has_class_of_size(k) == expected, k
+
+
+@settings(deadline=None, max_examples=150)
+@given(_wide_scripts())
+def test_limit_check_matches_runner_and_closure_property(script):
+    _assert_limit_check_matches(script, range(1, 18))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_limit_check_matches_runner_and_closure_on_suites(seed):
+    fam, _ = generate_diagonalization_suite(seed)
+    for member in fam.members:
+        if isinstance(member, CeerScript):
+            _assert_limit_check_matches(member, range(1, 61))
+        else:
+            assert not any(limit_has_class_of_size(member, k) for k in range(1, 61))
 
 
 def _reports(columns, fam):
@@ -473,8 +514,10 @@ def test_run_coceer_operation_counts(monkeypatch):
 def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     """A run and the verification of every column, at the
     size of the benchmark's diag workload, read class sizes from the
-    runners' index: no partition lists its classes, and each merge finds
-    the two roots it joins and nothing more."""
+    runners' index and the limit check's root sizes: no partition lists
+    its classes, no root is looked up outside a merge, and each script
+    event is merged twice, once by the run's replay and once by the
+    verifier's pass."""
     fam, _ = generate_diagonalization_suite(7)  # its generator lists classes
     rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
     finds = _count_calls(monkeypatch, eqrel.Partition, "find")
@@ -482,7 +525,25 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     columns, _ = run_coceer(fam, len(fam.members), 8000)
     assert len(_reports(columns, fam)) == 26
     assert rebuilds[0] == 0
-    assert merges[0] > 0 and finds[0] == 2 * merges[0]
+    assert finds[0] == 0
+    events = sum(len(m.events) for m in fam.members if isinstance(m, CeerScript))
+    assert events > 0 and merges[0] == 2 * events
+
+
+def test_replays_read_events_without_runner_or_stage_lookup(monkeypatch):
+    """A runner merges its script's events from its own cursor, with no
+    ``events_at`` lookup, and the limit check builds no runner."""
+    fam, _ = generate_diagonalization_suite(7)
+    lookups = _count_calls(monkeypatch, CeerScript, "events_at")
+    runners = _count_calls(monkeypatch, CeerRunner, "__init__")
+    for e, member in enumerate(fam.members):
+        for k in range(1, 2 * e + 4):
+            limit_has_class_of_size(member, k)
+    assert runners[0] == 0
+    columns, _ = run_coceer(fam, len(fam.members), 8000)
+    assert runners[0] == len(fam.members)
+    _reports(columns, fam)
+    assert runners[0] == len(fam.members) and lookups[0] == 0
 
 
 def _assert_same_as_stepped(fam, E, budgets):
