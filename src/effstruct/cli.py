@@ -1,8 +1,9 @@
 """Command-line entry point and the suite driver behind ``verify-all``.
 
 Each subcommand is one entry of ``_COMMANDS`` (handler, help line, flags).
-A call builds only its command's parser; help, usage errors and leftover
-words go to the full ``build_parser()``, whose messages they keep.
+A well-formed call is read straight from that table and builds no parser;
+every other line (help, usage errors, any form the table reader does not
+take) goes to the full ``build_parser()``, whose messages it keeps.
 
 Exit codes: 0 when every requested verification succeeded, 1 when a
 construction failed verification, 2 on input errors (bad files, bad
@@ -251,35 +252,67 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``parser`` the handler and the flags of command ``name``."""
-    handler, _, flags = _COMMANDS[name]
-    parser.set_defaults(handler=handler)
-    for flag, keywords in flags:
-        parser.add_argument(flag, **keywords)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effstruct",
         description="Stage constructions for effective equivalence structures and preorders",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_line, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (handler, help_line, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.set_defaults(handler=handler)
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
     return parser
+
+
+def _read_command_line(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser()`` gives ``argv``, less ``subcommand``, or None.
+
+    Only a plain line is read: a command name, then that command's flags
+    spelled exactly and each given at most once, every valued flag followed
+    by a value not starting with ``-`` (and passing ``int()`` for an ``int``
+    flag), every required flag present.  Any other line is None, so help,
+    ``--``, ``--flag=value``, abbreviations, repeats and errors stay argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    spec = dict(flags)
+    values: dict[str, object] = {}
+    words = iter(argv[1:])
+    for word in words:
+        keywords = spec.get(word)
+        if keywords is None or word in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[word] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if keywords.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[word] = value
+    args = argparse.Namespace(handler=handler)
+    for flag, keywords in flags:
+        if flag not in values and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        setattr(args, flag[2:], values.get(flag, default))
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Parse ``argv`` (``sys.argv[1:]`` if None), run its subcommand, return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        own = _add_command(argparse.ArgumentParser(prog=f"effstruct {name}"), name)
-        args, rest = own.parse_known_args(argv[1:])
-    if name not in _COMMANDS or rest:
+    args = _read_command_line(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
+        del args.subcommand
     # what the imports built lives until exit: frozen, no collection in the command walks it
     freeze = gc.get_freeze_count() == 0
     if freeze:

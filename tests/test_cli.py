@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from effstruct import cli
 from effstruct.ceersim import family_to_json
@@ -586,6 +588,10 @@ ARGV_BATTERY = [
     ["pi01", *VALID["pi01"], "--labels", "-1", "--verify", "--trace", "t.json"],
     ["preorder", *VALID["preorder"], "--horizon", "2", "--snapshot", "s.json", "pi01"],
     ["blocks", "coceer", *VALID["coceer"]],
+    ["coceer", *VALID["coceer"], "--verify", "--verify"],
+    ["pi01", "--g", "", "--stages", "1"],
+    ["pi01", "--g", "g.json", "--stages", " 7"],
+    ["coceer", "--family", "--verify", "--columns", "1", "--stages", "1"],
 ]
 
 
@@ -632,7 +638,7 @@ def _run_full_parser(argv):
 
 @pytest.mark.parametrize("argv", ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "<none>")
 def test_command_parser_behaves_as_full_parser(monkeypatch, capsys, recorded, argv):
-    """``main`` parses with the named command's parser alone and falls back to the
+    """``main`` reads a plain line from the command table and falls back to the
     full parser: stdout, stderr, exit code and namespace (but for ``subcommand``)
     are the full parser's, whether ``argv`` is passed or read from ``sys.argv``."""
     full = _outcome(capsys, recorded, lambda: _run_full_parser(list(argv)))
@@ -642,31 +648,69 @@ def test_command_parser_behaves_as_full_parser(monkeypatch, capsys, recorded, ar
     assert via_main == via_sys_argv == full
 
 
-def _full_subparser(name):
-    parser = cli.build_parser()
-    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return commands.choices[name]
+_FLAGS = sorted({flag for _, _, flags in cli._COMMANDS.values() for flag, _ in flags})
+_VALUE = st.sampled_from(["7", "-3", " 7", "5_000", "9" * 5000, "zz", "", "f.json", "101"])
+_WORD = st.one_of(_VALUE, st.sampled_from([
+    *COMMANDS, *_FLAGS,
+    "--fam", "--col", "--s", "--st", "--ver", "--lab", "--hor", "--snap", "--enc", "--dec",
+    "--stages=1", "--g=g.json", "--x=101", "--seed=2", "-h", "--help", "--",
+]))
+
+
+def _pair(spec):
+    """A flag with a value its type takes, or alone if it takes none."""
+    flag, keywords = spec
+    if keywords.get("action") == "store_true":
+        return st.just((flag,))
+    values = ["7", " 7", "5_000", "0"] if keywords.get("type") is int else ["f.json", "101", ""]
+    return st.tuples(st.just(flag), st.sampled_from(values))
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed line (a command, its required flags and some others, each with
+    a value its type takes, in any order), then up to two words inserted or
+    replaced anywhere: flags of any command, odd forms, odd values."""
+    name = draw(st.sampled_from(COMMANDS))
+    specs = cli._COMMANDS[name][2]
+    chosen = [spec for spec in specs if spec[1].get("required") or draw(st.booleans())]
+    words = [name, *(word for spec in draw(st.permutations(chosen)) for word in draw(_pair(spec)))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        if at < len(words) and draw(st.booleans()):
+            words[at] = draw(_WORD)
+        else:
+            words.insert(at, draw(_WORD))
+    return words
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_table_reader_agrees_with_full_parser(capsys, recorded, argv):
+    """On drawn lines ``main`` prints, exits and records what the full parser does,
+    and the table reader gives either None or the full parser's namespace."""
+    full = _outcome(capsys, recorded, lambda: _run_full_parser(list(argv)))
+    assert _outcome(capsys, recorded, lambda: main(list(argv))) == full
+    read = cli._read_command_line(list(argv))
+    assert read is None or (full[0] == 0 and vars(read) == full[3])
 
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_valid_call_builds_one_parser(recorded, built, name):
-    """A valid call builds exactly one ``ArgumentParser``, its command's, whose help
-    and usage are those of the full parser's subparser.  Counted, not timed."""
+    """A valid call builds no ``ArgumentParser``: the table reader reads it.
+    Counted, not timed."""
     assert main([name, *VALID[name]]) == 0
-    [own] = built
+    assert built == []
     assert recorded
-    full = _full_subparser(name)
-    assert (own.format_help(), own.format_usage()) == (full.format_help(), full.format_usage())
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["-h", "coceer"],
                                   ["coceer", *VALID["coceer"], "--bogus"], ["blocks", "extra"]],
                          ids=lambda argv: " ".join(argv) or "<none>")
 def test_help_and_fallback_build_the_full_parser(recorded, built, argv):
+    """Help and usage errors build the full parser and nothing before it."""
     with pytest.raises(SystemExit):
         main(argv)
-    full = ["effstruct", *(f"effstruct {name}" for name in COMMANDS)]
-    own = [f"effstruct {argv[0]}"] if argv and argv[0] in COMMANDS else []
-    assert [p.prog for p in built] == own + full
+    assert [p.prog for p in built] == ["effstruct", *(f"effstruct {name}" for name in COMMANDS)]
     assert not recorded
-
