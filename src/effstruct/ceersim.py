@@ -14,14 +14,15 @@ Two member kinds are supported:
 
 :class:`CeerRunner` follows one member stage by stage and answers, for
 either kind, whether a class of size k exists and which is the oldest.
-A script is replayed once into one :class:`~effstruct.eqrel.Partition`
-sized by the elements it mentions: each event is merged once, from the
-cursor over the sorted events, at its stage and nothing after the last
-one.  Each merge updates an index from class size to class minima, so a
-query never scans the partition.  :func:`limit_has_class_of_size` reads
-a script's limit in one union-find pass of its own, with no runner.  A churn
-generator's classes come in closed form from the stage number, without
-simulating its merges.
+It serves :mod:`effstruct.generators` and the tests; the co-ceer run
+builds none.  A script is replayed once into one
+:class:`~effstruct.eqrel.Partition` sized by the elements it mentions:
+each event is merged once, from the cursor over the sorted events, at
+its stage and nothing after the last one.  Each merge updates an index
+from class size to class minima, so a query never scans the partition.
+:func:`limit_has_class_of_size` reads a script's limit in one union-find
+pass of its own, with no runner.  A churn generator's classes come in
+closed form from the stage number, without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -222,13 +223,6 @@ class CeerRunner:
             return self.member.classes_after(self.stage)
         elements = self._elements
         return tuple([elements[i] for i in c] for c in self.uf.classes() if len(c) > 1)
-
-    @property
-    def next_event_stage(self) -> Optional[int]:
-        """Stage of the first script event not merged yet; None past the last (scripts only)."""
-        if self._applied == len(self.member.events):
-            return None
-        return self.member.events[self._applied][0]
 
     def has_class_of_size(self, k: int) -> bool:
         return k == 1 or bool(self._minima.get(k))  # cofinitely many singletons in omega

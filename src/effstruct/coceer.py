@@ -17,9 +17,10 @@ focuses on that column.  Stage s focuses column e for
 ``(e, n) = cantor_unpair(s)``: column e on each diagonal w >= max(e, 1), at
 stage w(w+1)/2 + e.  A focus reads and writes its own column and its own
 member only, so the construction is E independent column runs
-(:func:`_run_column`).  Each focus latches (:func:`_latch`) from the
-member's events since the column's previous focus, and its dispatch reads
-the latch, so no latch outlives the focus that takes it.
+(:func:`_run_column`).  Each focus latches from the member's events
+since the column's previous focus, and its dispatch reads the latch, so
+no latch outlives the focus that takes it.  A script column reads both
+from its size-k timeline (:func:`_script_timeline`), built in one pass.
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
@@ -61,8 +62,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Optional
 
-from .ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator, limit_has_class_of_size
+from .ceersim import CeerFamily, CeerScript, ChurnGenerator, limit_has_class_of_size
 from .core import Record, cantor_unpair, check_format, is_nat
+from .eqrel import Partition
 from .errors import InputError
 
 
@@ -179,27 +181,31 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     """Run column e through stage ``budget``; returns the records of the
     focuses it stepped.  ``col.tail`` is set if the column settled.
 
-    Stage 0 is seeded first: the stage-0 approximations enter the
-    oldest-class history but latch nothing, since a class present from the
-    start is not a mind change.  Column e is focused on every diagonal
-    w >= max(e, 1), at stage w(w+1)/2 + e.  Each focus latches over the
-    stages since the previous one, then dispatches.  The column stops being
-    stepped once a settle rule (module docstring) applies after the focus
-    on diagonal w, and its remaining focuses are applied in closed form
-    (:func:`_advance_settled`).
+    Column e is focused on every diagonal w >= max(e, 1), at stage
+    w(w+1)/2 + e.  A focus at s latches when an event stage in (last, s] of
+    the script's timeline (:func:`_script_timeline`, walked by one cursor)
+    latched, or by :func:`_churn_latches`, and dispatches on ``has_k`` at s.
+    The column stops being stepped once a settle rule (module docstring)
+    applies after the focus on diagonal w, and its remaining focuses are
+    applied in closed form (:func:`_advance_settled`).
     """
-    runner = CeerRunner(member)
-    runner.advance_to(0)
-    first = runner.oldest_class_min(col.k)
-    seen = set() if first is None else {first}   # oldest size-k minima (scripts)
-    quiet = _quiescence_stage(member, col.k)
+    k = col.k
+    timeline = _script_timeline(member.events, k) if isinstance(member, CeerScript) else None
+    quiet = _quiescence_stage(member, k)
 
     kept: list[StageRecord] = []
-    last, w = 0, max(e, 1)
+    i, has_k, last, w = 0, False, 0, max(e, 1)
     while (s := w * (w + 1) // 2 + e) <= budget:
-        latched = _latch(col.k, runner, seen, last, s)
-        runner.advance_to(s)
-        case, exiled = _dispatch(col, runner.has_class_of_size(col.k), latched)
+        if timeline is None:
+            latched = _churn_latches(member, k, last, s)
+            has_k = any(len(c) == k for c in member.classes_after(s))
+        else:
+            latched = False
+            while i < len(timeline) and timeline[i][0] <= s:
+                _, fresh, has_k = timeline[i]
+                latched = latched or fresh
+                i += 1
+        case, exiled = _dispatch(col, has_k, latched)
         last = s
         kept.append(StageRecord(s, e, case, col.extra, () if exiled is None else ((e, exiled),)))
         if quiet is None and w + 1 >= 2 * member.block_spacing:
@@ -214,26 +220,36 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     return kept
 
 
-def _latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
-    """Whether a never-seen oldest size-k class of the runner's member
-    appeared in (last, stage].
+def _script_timeline(events: tuple, k: int) -> list[tuple[int, bool, bool]]:
+    """(t, latched, has_k) at each event stage t of a script, in order, for
+    target size k >= 2: whether t latches, and whether a size-k class
+    exists after it.
 
-    A script's oldest size-k class changes only at its event stages, so
-    those are replayed one at a time, and each minimum not in ``seen`` is
-    latched and added to it.  A churn member is answered by
-    :func:`_churn_latches` without replay.
+    One pass merges the events into a :class:`Partition` over slots
+    numbered by first mention, keeping each root's least element and the
+    size-k class minima.  t latches when its oldest size-k minimum was not
+    seen at an earlier event stage; stage 0 only seeds that history, as a
+    class present from the start is not a mind change.
     """
-    member = runner.member
-    if isinstance(member, ChurnGenerator):
-        return _churn_latches(member, k, last, stage)
-    latched = False
-    while (t := runner.next_event_stage) is not None and t <= stage:
-        runner.advance_to(t)
-        m = runner.oldest_class_min(k)
-        if m is not None and m not in seen:
-            latched = True
-            seen.add(m)
-    return latched
+    slot = {z: i for i, z in enumerate(dict.fromkeys(z for _, pair in events for z in pair))}
+    least = list(slot)   # root slot -> least element of its class
+    uf = Partition(len(least))
+    merge, size = uf.merge, uf.size
+    minima, seen, timeline = set(), {None}, []   # size-k minima; oldest ones (None: no class)
+    for i, (t, (x, y)) in enumerate(events, 1):
+        if (joined := merge(slot[x], slot[y])) is not None:
+            r, b = joined   # a class's minimum is no other class's
+            minima.discard(least[r])
+            minima.discard(least[b])
+            least[r] = a = min(least[r], least[b])
+            if size[r] == k:
+                minima.add(a)
+        if i < len(events) and events[i][0] == t:
+            continue   # the stage's later events
+        m = min(minima) if minima else None
+        timeline.append((t, t > 0 and m not in seen, m is not None))
+        seen.add(m)
+    return timeline
 
 
 def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> None:

@@ -13,8 +13,9 @@ stage as a :class:`ReferenceRecord`; :func:`column_exiles` expands a
 library column's two integers into the same set.  :func:`expand_tails`
 writes a run's tails out as the records of the focuses they stand for,
 :func:`focus_schedule` lists every focused stage of a run, and
-:func:`stepped_run_coceer` steps every focus with the library's latch
-and dispatch and no settle rule; :func:`record_witnesses` spells out the
+:func:`stepped_run_coceer` steps every focus through a ``CeerRunner``,
+replaying each event stage (:func:`stepped_latch`), with the library's
+dispatch and no settle rule; :func:`record_witnesses` spells out the
 witnesses of a library record, and :func:`reference_trace_from_json`
 rebuilds a run from a trace file's cases on explicit sets.  :func:`reference_columns_at` rebuilds the
 reference columns at a stage from a longer reference trace.
@@ -276,10 +277,34 @@ def reference_trace_from_json(obj: dict) -> CoceerTrace:
     return CoceerTrace(len(obj["cases"]), obj["stages"], tuple(records), tuple(tails))
 
 
+def stepped_latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
+    """Whether a never-seen oldest size-k class of the runner's member
+    appeared in (last, stage], for a runner advanced to ``last``.
+
+    A script's event stages in (last, stage] are read from its events and
+    replayed one at a time; each oldest size-k minimum not in ``seen`` is
+    latched and added to it.  A churn member is answered by the library's
+    ``_churn_latches``.
+    """
+    member = runner.member
+    if isinstance(member, ChurnGenerator):
+        return coceer._churn_latches(member, k, last, stage)
+    latched = False
+    for t in sorted({t for t, _ in member.events if last < t <= stage}):
+        runner.advance_to(t)
+        m = runner.oldest_class_min(k)
+        if m is not None and m not in seen:
+            latched = True
+            seen.add(m)
+    return latched
+
+
 def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
                        ) -> tuple[list[ColumnState], ReferenceTrace]:
-    """The library's latch and dispatch at every focused stage, with no
-    settle rule: a run that never advances a column in closed form."""
+    """A co-ceer run with no script timeline: a ``CeerRunner`` per column,
+    :func:`stepped_latch` and the library's dispatch at every focused
+    stage, with no settle rule, so no column is advanced in closed form.
+    Stage 0 seeds the oldest-minimum history and latches nothing."""
     columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
     records = []
     for e, col in enumerate(columns):
@@ -289,7 +314,7 @@ def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
         seen = set() if first is None else {first}
         last, w = 0, max(e, 1)
         while (s := w * (w + 1) // 2 + e) <= stage_budget:
-            latched = coceer._latch(col.k, runner, seen, last, s)
+            latched = stepped_latch(col.k, runner, seen, last, s)
             runner.advance_to(s)
             case, x = coceer._dispatch(col, runner.has_class_of_size(col.k), latched)
             records.append(ReferenceRecord(s, e, case, col.witnesses, False,
@@ -381,11 +406,13 @@ def reference_run_coceer(
 
     Every stage advances every runner and latches every flag whose oldest
     size-k minimum is new to that column's seen-set; a stage whose focus
-    lies beyond E is recorded as a case-0 skip.
+    lies beyond E is recorded as a case-0 skip.  Equal members share one
+    runner, advanced once per stage.
     """
     columns = [ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
                for e in range(E)]
-    runners = [ReferenceRunner(fam.member(e)) for e in range(E)]
+    shared: dict = {}
+    runners = [shared.setdefault(m, ReferenceRunner(m)) for m in map(fam.member, range(E))]
     seen: list[set[int]] = [set() for _ in range(E)]
     for col, runner, minima in zip(columns, runners, seen):
         runner.advance_to(0)
@@ -395,8 +422,9 @@ def reference_run_coceer(
     records = []
     for stage in range(1, stage_budget + 1):
         e_focus, _ = cantor_unpair(stage)
-        for col, runner, minima in zip(columns, runners, seen):
+        for runner in shared.values():
             runner.advance_to(stage)
+        for col, runner, minima in zip(columns, runners, seen):
             m = runner.oldest_class_min(col.k)
             if m is not None and m not in minima:
                 col.flag = True

@@ -467,48 +467,40 @@ def test_churn_jump_matches_replay_property(k, s, window):
 
 
 def test_run_coceer_operation_counts(monkeypatch):
-    """Churn runners hold no union-find elements; each script event is merged
-    once; the run dispatches each stepped focus once, and its tails stand
-    for the other focused stages; it otherwise touches a runner only at
-    its column's stepped focuses and script event stages."""
-    fam, kinds = generate_diagonalization_suite(7)  # its generator runs runners too
+    """A run builds no ``CeerRunner``: each script column merges its
+    script's events once, into one partition of its own, and a churn column
+    builds none.  The run dispatches each stepped focus once, and its
+    tails stand for the other focused stages."""
+    fam, _ = generate_diagonalization_suite(7)  # its generator runs runners too
     E = len(fam.members)
-    event_stages = sum(len({s for s, _ in m.events}) for m in fam.members
-                       if isinstance(m, CeerScript))
-    runners, merges = [], {}
-    original_merge = eqrel.Partition.merge
+    scripts = [m for m in fam.members if isinstance(m, CeerScript)]
+    made, merges = [], {}
+    original_init, original_merge = eqrel.Partition.__init__, eqrel.Partition.merge
+
+    def recording_init(uf, window):
+        original_init(uf, window)
+        made.append(uf)   # kept alive, so no two partitions share an id
 
     def counting_merge(uf, x, y):
         merges[id(uf)] = merges.get(id(uf), 0) + 1
         return original_merge(uf, x, y)
 
-    class RecordingRunner(CeerRunner):
-        def __init__(self, member):
-            super().__init__(member)
-            runners.append(self)
-
+    monkeypatch.setattr(eqrel.Partition, "__init__", recording_init)
     monkeypatch.setattr(eqrel.Partition, "merge", counting_merge)
-    monkeypatch.setattr(coceer, "CeerRunner", RecordingRunner)
+    runners = _count_calls(monkeypatch, CeerRunner, "__init__")
     dispatches = _count_calls(monkeypatch, coceer, "_dispatch")
-    advances = _count_calls(monkeypatch, CeerRunner, "advance_to")
-    queries = _count_calls(monkeypatch, CeerRunner, "oldest_class_min")
+    assert 0 < len(scripts) < E
     for budget in (3000, 30000):
-        for counter in (dispatches, advances, queries):
-            counter[0] = 0
-        runners.clear()
+        dispatches[0] = 0
+        made.clear()
         merges.clear()
         _, trace = run_coceer(fam, E, budget)
-        assert len(runners) == E
-        for e, runner in enumerate(runners):
-            if kinds.get(e) == "churn":
-                assert len(runner.uf.parent) == 0
-                assert id(runner.uf) not in merges
-            else:
-                assert merges.get(id(runner.uf), 0) == len(runner.member.events)
+        assert runners[0] == 0
+        assert [merges.get(id(uf), 0) for uf in made] == [len(m.events) for m in scripts]
+        assert [uf.window for uf in made] == [len({z for _, p in m.events for z in p})
+                                              for m in scripts]
         stepped, focused = len(trace.records), sum(1 for _ in focus_schedule(E, budget))
         assert dispatches[0] == stepped < focused == len(expand_tails(trace).records)
-        assert advances[0] <= stepped + event_stages + E
-        assert queries[0] <= event_stages + 2 * E
 
 
 def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
@@ -531,19 +523,17 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
 
 
 def test_replays_read_events_without_runner_or_stage_lookup(monkeypatch):
-    """A runner merges its script's events from its own cursor, with no
-    ``events_at`` lookup, and the limit check builds no runner."""
+    """The run reads each script's events in order, with no ``events_at``
+    lookup, and neither the run nor the limit check builds a runner."""
     fam, _ = generate_diagonalization_suite(7)
     lookups = _count_calls(monkeypatch, CeerScript, "events_at")
     runners = _count_calls(monkeypatch, CeerRunner, "__init__")
     for e, member in enumerate(fam.members):
         for k in range(1, 2 * e + 4):
             limit_has_class_of_size(member, k)
-    assert runners[0] == 0
     columns, _ = run_coceer(fam, len(fam.members), 8000)
-    assert runners[0] == len(fam.members)
     _reports(columns, fam)
-    assert runners[0] == len(fam.members) and lookups[0] == 0
+    assert runners[0] == 0 and lookups[0] == 0
 
 
 def _assert_same_as_stepped(fam, E, budgets):
@@ -600,6 +590,74 @@ def test_unrecorded_runs_match_stepped_at_random_stops():
        st.lists(st.integers(1, 400), min_size=1, max_size=8))
 def test_unrecorded_runs_match_stepped_property(members, steps):
     _assert_same_as_stepped(CeerFamily(tuple(members)), len(members), accumulate(steps))
+
+
+_BIG = 10**12
+_ELEMENT = st.one_of(st.integers(0, 9), st.sampled_from((_BIG - 1, _BIG, _BIG + 1)))
+
+
+@st.composite
+def _timeline_scripts(draw, k):
+    """A script for target size k: merges of small elements and 10**12 +- 1
+    at stages 0-30, several to a stage, self-merges and repeats included;
+    and, when drawn, a story: a size-k class with minimum 10**12 + 2, at a
+    later stage one with the smaller minimum 100, which later grows past k.
+    So the oldest size-k minimum falls to 100, a latch, and returns to
+    10**12 + 2, seen before, which latches nothing."""
+    events = draw(st.lists(st.tuples(st.integers(0, 30), st.tuples(_ELEMENT, _ELEMENT)),
+                           max_size=14))
+    if draw(st.booleans()):
+        t, formed, grown = draw(st.tuples(st.integers(0, 10), st.integers(1, 6),
+                                          st.integers(1, 6)))
+        events += [(t, (_BIG + 2, _BIG + 2 + j)) for j in range(1, k)]
+        events += [(t + formed, (100, 100 + j)) for j in range(1, k)]
+        events.append((t + formed + grown, (100, 100 + k)))
+    return CeerScript(tuple(sorted(events, key=lambda ev: ev[0])))
+
+
+def _replayed_timeline(script, k):
+    """(t, latched, has_k) at each event stage t, from a reference replay."""
+    ref, seen, timeline = ReferenceRunner(script), set(), []
+    for t in sorted({t for t, _ in script.events}):
+        ref.advance_to(t)
+        m = ref.oldest_class_min(k)
+        timeline.append((t, t > 0 and m is not None and m not in seen, ref.has_class_of_size(k)))
+        seen.add(m)
+    return timeline
+
+
+def test_script_timeline_story():
+    """k = 4: the class of 10**12 reaches size 4 at stage 0, which latches
+    nothing; the smaller minimum 5 latches at stage 3; at stage 6 its class
+    grows past 4, and the oldest minimum returns to 10**12, which was seen;
+    a self-merge at stage 8 changes nothing, and at stage 9 the class of
+    10**12 grows too, so has_k turns off.  Column 1 of a run reads this."""
+    big = 10**12
+    script = CeerScript(tuple([(0, (big, big + j)) for j in (1, 2, 3)]
+                              + [(3, (5, 6)), (3, (6, 7)), (3, (5, 8)), (6, (8, 9)),
+                                 (8, (9, 9)), (9, (big, 0))]))
+    timeline = [(0, False, True), (3, True, True), (6, False, True), (8, False, True),
+                (9, False, False)]
+    assert coceer._script_timeline(script.events, 4) == _replayed_timeline(script, 4) == timeline
+    _assert_same_as_stepped(CeerFamily((CeerScript(()), script)), 2, (1, 2, 4, 7, 11, 30, 100))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 3).flatmap(lambda e: st.tuples(st.just(2 * e + 2),
+                                                    _timeline_scripts(2 * e + 2))))
+def test_script_timeline_matches_replay(drawn):
+    k, script = drawn
+    assert coceer._script_timeline(script.events, k) == _replayed_timeline(script, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda E: st.tuples(*(_timeline_scripts(2 * e + 2) for e in range(E)))))
+def test_timeline_runs_match_stepped(scripts):
+    """Runs that step each script column from its timeline have the columns
+    and the focus records of runs that replay every event stage through a
+    ``CeerRunner``."""
+    _assert_same_as_stepped(CeerFamily(scripts), len(scripts), (1, 3, 10, 45, 120, 400))
 
 
 def test_unrecorded_run_steps_only_until_columns_settle(monkeypatch):
