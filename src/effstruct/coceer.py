@@ -26,15 +26,15 @@ Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
 across columns and disjoint from the size-1 exile classes.
 
-A run records only the focuses it steps.  :func:`run_coceer` runs each
-column for a stage budget and merges their records by stage.  A stage
-whose focus lies beyond the last column changes nothing, so it is never
-visited.  A column is stepped by :func:`_dispatch`, one record per focus,
-until it has *settled*, when every later focus of it is known to take one
-case; its focused stages up to the budget are then applied in closed form
-(:func:`_advance_settled`), and the trace keeps one tail for the column in
-place of their records.  A settled column costs O(1), so a run and its
-trace cost O(focused stages before settling + E) whatever the budget.
+A run keeps the case of each focus it steps.  :func:`run_coceer` runs
+each column for a stage budget; a stage whose focus lies beyond the last
+column changes nothing, so it is never visited.  A column is stepped by
+:func:`_dispatch` until it has *settled*, when every later focus of it is
+known to take one case; its focused stages up to the budget are then
+applied in closed form (:func:`_advance_settled`), and the trace keeps
+that case as the column's tail.  A settled column costs O(1), so a run
+and its trace cost O(focused stages before settling + E) whatever the
+budget.
 A settle rule proves that the column's witness set has reached its
 limit, so a column is certified exactly when it has settled
 (:func:`verify_requirement`).  There are two settle rules:
@@ -60,7 +60,7 @@ limit, so a column is certified exactly when it has settled
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ceersim import CeerFamily, CeerScript, ChurnGenerator, limit_has_class_of_size
 from .core import Record, cantor_unpair, check_format, is_nat
@@ -100,10 +100,10 @@ class ColumnState(Record):
     __hash__ = None
 
     def __init__(self, k: int, next_free: int, extra: Optional[int] = None,
-                 tail: Optional[tuple[int, int]] = None):
+                 tail: Optional[int] = None):
         self.k = k                  # target class size
         self.next_free, self.extra = next_free, extra
-        self.tail = tail            # (w, case) once settled after diagonal w: certified
+        self.tail = tail            # the case (3 or 4) of every focus once settled: certified
 
     @property
     def base(self) -> int:
@@ -129,17 +129,27 @@ class StageRecord(Record):
 
 
 class CoceerTrace(Record):
-    """One record per stepped focus in 1..stages, in stage order, and one
-    tail (e, w, case) per settled column: its focuses after diagonal w take
-    ``case`` (3 or 4) in closed form.  A record's extra and exile follow
-    from the cases of its column's records up to it, so a trace file keeps
-    only the cases (:func:`trace_from_json`)."""
+    """A run through ``stages`` as its trace file holds it: ``cases[e]``
+    holds the cases of column e's stepped focuses, on the diagonals
+    max(e, 1), max(e, 1) + 1, ..., and ``tails[e]`` is None or the case
+    (3 or 4) of every later focus.  ``records`` replays them on first read
+    (:func:`_replay`), one :class:`StageRecord` per focus in stage order."""
 
-    __slots__ = ("columns", "stages", "records", "tails")
+    __slots__ = ("stages", "cases", "tails", "_records")
+    _fields = __slots__[:-1]
 
-    def __init__(self, columns: int, stages: int, records: tuple[StageRecord, ...],
-                 tails: tuple[tuple[int, int, int], ...]):
-        self.columns, self.stages, self.records, self.tails = columns, stages, records, tails
+    def __init__(self, stages: int, cases: tuple[tuple[int, ...], ...],
+                 tails: tuple[Optional[int], ...]):
+        self.stages, self.cases, self.tails = stages, cases, tails
+        self._records: Optional[tuple[StageRecord, ...]] = None
+
+    @property
+    def records(self) -> tuple[StageRecord, ...]:
+        if self._records is None:
+            self._records = tuple(sorted(
+                (r for e, mine in enumerate(self.cases) for r in _replay(e, mine)),
+                key=attrgetter("stage")))
+        return self._records
 
 
 class RequirementReport(Record):
@@ -177,8 +187,8 @@ def _dispatch(col: ColumnState, has_k: bool, latched: bool) -> tuple[int, Option
 
 
 def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
-                budget: int) -> list[StageRecord]:
-    """Run column e through stage ``budget``; returns the records of the
+                budget: int) -> tuple[int, ...]:
+    """Run column e through stage ``budget``; returns the cases of the
     focuses it stepped.  ``col.tail`` is set if the column settled.
 
     Column e is focused on every diagonal w >= max(e, 1), at stage
@@ -193,7 +203,7 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     timeline = _script_timeline(member.events, k) if isinstance(member, CeerScript) else None
     quiet = _quiescence_stage(member, k)
 
-    kept: list[StageRecord] = []
+    cases: list[int] = []
     i, has_k, last, w = 0, False, 0, max(e, 1)
     while (s := w * (w + 1) // 2 + e) <= budget:
         if timeline is None:
@@ -205,9 +215,8 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
                 _, fresh, has_k = timeline[i]
                 latched = latched or fresh
                 i += 1
-        case, exiled = _dispatch(col, has_k, latched)
+        cases.append(case := _dispatch(col, has_k, latched)[0])
         last = s
-        kept.append(StageRecord(s, e, case, col.extra, () if exiled is None else ((e, exiled),)))
         if quiet is None and w + 1 >= 2 * member.block_spacing:
             settled = 3   # a churn of target k
         elif quiet is not None and case == 4 and s > quiet:
@@ -217,7 +226,7 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
             continue
         _advance_settled(col, e, w, settled, budget)
         break
-    return kept
+    return tuple(cases)
 
 
 def _script_timeline(events: tuple, k: int) -> list[tuple[int, bool, bool]]:
@@ -254,8 +263,8 @@ def _script_timeline(events: tuple, k: int) -> list[tuple[int, bool, bool]]:
 
 def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -> None:
     """Apply column e's focuses after diagonal w through ``budget`` in closed
-    form, each taking ``case``, and set the column's tail to (w, case),
-    which certifies it.
+    form, each taking ``case``, and set the column's tail to ``case``, which
+    certifies it; w is the diagonal of the column's last stepped focus.
 
     The last focus by ``budget`` lies on the largest diagonal W with
     W(W+1)/2 + e <= budget, which is the diagonal of stage budget - e (the
@@ -266,7 +275,7 @@ def _advance_settled(col: ColumnState, e: int, w: int, case: int, budget: int) -
     """
     m = sum(cantor_unpair(budget - e)) - w
     col.next_free += m
-    col.tail = (w, case)
+    col.tail = case
     if case == 3 and m:
         col.extra = col.next_free - 1
 
@@ -301,7 +310,7 @@ def run_coceer(fam: CeerFamily, E: int,
     columns and the trace.
 
     Each column runs on its own (:func:`_run_column`), and the trace holds
-    the records of the focuses stepped and one tail per settled column.
+    the cases of the focuses each stepped and its tail.
     The column invariants (witness count, protected elements,
     settled-region identity) hold by the representation of
     :class:`ColumnState`, so no stage checks them.
@@ -313,12 +322,9 @@ def run_coceer(fam: CeerFamily, E: int,
     if E < 1:
         raise InputError("need at least one column")
     columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
-    # the focused stages are distinct
-    kept = sorted((r for e, col in enumerate(columns)
-                   for r in _run_column(col, e, fam.member(e), stage_budget)),
-                  key=attrgetter("stage"))
-    tails = tuple((e, *col.tail) for e, col in enumerate(columns) if col.tail is not None)
-    return columns, CoceerTrace(E, stage_budget, tuple(kept), tails)
+    cases = tuple(_run_column(col, e, fam.member(e), stage_budget)
+                  for e, col in enumerate(columns))
+    return columns, CoceerTrace(stage_budget, cases, tuple(col.tail for col in columns))
 
 
 def _quiescence_stage(member: CeerScript | ChurnGenerator, k: int) -> Optional[int]:
@@ -365,13 +371,11 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
       initial segment {1, ..., k - 1}.
 
     ``r_e_has_size_k`` comes from a fresh replay of the member
-    (:func:`limit_has_class_of_size`, one union-find pass with no runner),
-    not from the run's runner.  After the quiescence stage the run's own
-    ``has_k`` decided case 4 against the extra, so reading the limit from
-    the run would make ``satisfied`` true by construction for every
-    certified column, and the check would test nothing.  The replay is the
-    price of an independent check (about a sixth of an in-process
-    ``coceer --verify`` call on the 26-column suite).
+    (:func:`limit_has_class_of_size`), not from the run: after the
+    quiescence stage the run's own ``has_k`` decided case 4 against the
+    extra, so reading the limit from the run would make ``satisfied`` true
+    by construction for every certified column, and the check would test
+    nothing.
     """
     if not 0 <= e < len(columns):
         raise InputError(f"column {e} out of range")
@@ -379,7 +383,7 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
     member = fam.member(e)
     r_has = limit_has_class_of_size(member, col.k)
     certified = col.tail is not None
-    y_limit = col.witnesses[:col.base] if certified and col.tail[1] == 3 else col.witnesses
+    y_limit = col.witnesses[:col.base] if col.tail == 3 else col.witnesses
     witness_class_size = len(y_limit) + 1
     satisfied = (witness_class_size == col.k) == (not r_has)
     return RequirementReport(
@@ -398,53 +402,47 @@ def report_to_json(report: RequirementReport) -> dict:
     return {**{f: getattr(report, f) for f in report._fields}, "y_limit": list(report.y_limit)}
 
 
+def _replay(e: int, cases: Sequence[int]) -> list[StageRecord]:
+    """Column e's records, rebuilt by running each case through
+    :func:`_dispatch` with latched = (case 3) and has_k = (case 1, or case
+    4 with an extra); :class:`InputError` if it takes another case."""
+    col, records = ColumnState(2 * e + 2, 2 * e + 2), []
+    for w, case in enumerate(cases, max(e, 1)):
+        took, x = _dispatch(col, case == 1 or case == 4 and col.extra is not None, case == 3)
+        s = w * (w + 1) // 2 + e
+        if not (is_nat(case) and took == case):
+            raise InputError(f"trace column {e}: case {case!r} at stage {s} is not {took}")
+        records.append(StageRecord(s, e, case, col.extra, () if x is None else ((e, x),)))
+    return records
+
+
 def trace_to_json(trace: CoceerTrace) -> dict:
-    """Format 5: each column's stepped cases and its tail case; every other
-    stage is a skip, and :func:`trace_from_json` replays the rest."""
-    cases, tails = [[] for _ in range(trace.columns)], [None] * trace.columns
-    for r in trace.records:
-        cases[r.e].append(r.case)
-    for e, _, case in trace.tails:
-        tails[e] = case
-    return {"format": 5, "stages": trace.stages, "cases": cases, "tails": tails}
+    """Format 5: the trace's own fields; every other stage is a skip."""
+    return {"format": 5, **{f: getattr(trace, f) for f in trace._fields}}
 
 
 def trace_from_json(obj: object) -> CoceerTrace:
-    """Load a format-5 trace: one case list and one tail (null, 3 or 4) per
-    column.  Column e's list holds the cases of its stepped focuses on the
-    diagonals max(e, 1), max(e, 1) + 1, ..., so a tail stands for the
-    focuses after the last of them.  Each column is replayed through
-    :func:`_dispatch` with latched = (case 3) and has_k = (case 1, or case 4
-    with an extra), which rebuilds its records; each case must be the one
-    :func:`_dispatch` takes and lie within ``stages``, an untailed column
-    must list every focused stage up to ``stages``, and a tail must follow
-    at least one case."""
+    """Load a format-5 trace, the fields of :class:`CoceerTrace`.  Each
+    column's cases must replay (:func:`_replay`) and lie within ``stages``,
+    a tail (null, 3 or 4) must follow a case, and an untailed column must
+    list every focused stage up to ``stages``."""
     if not isinstance(obj, dict):
         raise InputError("trace must be a format-5 object")
     check_format(obj, versions=(5,))
     stages, cases, tails = obj.get("stages"), obj.get("cases"), obj.get("tails")
-    if not (is_nat(stages) and isinstance(cases, list) and isinstance(tails, list)
-            and len(cases) == len(tails) >= 1):
+    if not (is_nat(stages) and isinstance(cases, (list, tuple))
+            and isinstance(tails, (list, tuple)) and len(cases) == len(tails) >= 1):
         raise InputError("trace 'stages' must be a natural, and 'cases' and 'tails' arrays "
                          "with one entry for each of at least one column")
-    records, settled = [], []
     for e, (mine, tail) in enumerate(zip(cases, tails)):
-        if not (isinstance(mine, list) and (tail is None or is_nat(tail) and tail in (3, 4))):
+        if not (isinstance(mine, (list, tuple))
+                and (tail is None or is_nat(tail) and tail in (3, 4))):
             raise InputError(f"trace column {e}: its cases must be an array and its tail "
                              "null, 3 or 4")
-        col, w = ColumnState(2 * e + 2, 2 * e + 2), max(e, 1)
-        for case in mine:
-            s = w * (w + 1) // 2 + e
-            took, x = _dispatch(col, case == 1 or case == 4 and col.extra is not None, case == 3)
-            if not (is_nat(case) and took == case and s <= stages):
-                raise InputError(f"trace column {e}: case {case!r} at stage {s} is not the "
-                                 "case its earlier cases leave, or lies past 'stages'")
-            records.append(StageRecord(s, e, case, col.extra, () if x is None else ((e, x),)))
-            w += 1
-        if tail is not None and mine:
-            settled.append((e, w - 1, tail))
-        elif tail is not None or w * (w + 1) // 2 + e <= stages:
-            raise InputError(f"trace column {e}: a tail must follow a case, and an untailed "
-                             f"column list a case for each focused stage up to {stages}")
-    records.sort(key=attrgetter("stage"))
-    return CoceerTrace(len(cases), stages, tuple(records), tuple(settled))
+        _replay(e, mine)
+        w = max(e, 1) + len(mine)   # the first diagonal not listed
+        if mine and (w - 1) * w // 2 + e > stages or (
+                not mine if tail is not None else w * (w + 1) // 2 + e <= stages):
+            raise InputError(f"trace column {e}: its cases must lie within stage {stages}, a "
+                             "tail follow a case, and an untailed column list every focus")
+    return CoceerTrace(stages, tuple(map(tuple, cases)), tuple(tails))

@@ -9,31 +9,29 @@ permanently separated (negative information only), removed elements are
 parked and recycled as future founders, and the number of elements whose
 label eventually settles on k is exactly liminf_s g(k, s).
 
-A run keeps each element's history of labels and removals, and each
-label's members as a stack; the stage at which a member took its label is
-its last history entry, and the verifier reads only those label stages.
-
-A run steps only to its settle stage and takes each label's stages at the
-budget S from the shift rule, so its histories cover the stepped stages
-only.  Label k's stack changes only by top-ups (pushes of stage t, at stage
-t) and strips (pops), and from stage k+2 on it holds g(k, t) entries after
+A run keeps each element's history of labels and removals up to its
+settle stage.  The verifier reads only label stages, the stage at which
+each member of a label took it, which it rebuilds from the histories at
+the budget S by the shift rule (:func:`verify_liminf_counts`).  Label k's
+stack of stages changes only by top-ups (pushes of stage t, at stage t)
+and strips (pops), and from stage k+2 on it holds g(k, t) entries after
 stage t.  Let (plen, perlen) be column k's shape, m = liminf_k,
 A = max(plen, k + 2) and base = A + perlen.
 
 * Shift rule.  For S >= base and S' = base + (S - base) mod perlen,
-  label k's stages ``since_S[k]`` at S are ``since_S'[k][:m]`` followed
-  by every entry of ``since_S'[k][m:]`` plus S - S'.  Proof: from stage
-  A on every stage is stepped and g(k, .) is periodic, so each period of
-  stages from A on holds a dip to m and no goal below it.  The bottom m
-  entries are therefore fixed from the first dip at or after A, before
-  base.  Let d be the last dip at or before S; d > S - perlen >= A, so
-  the stack holds just the bottom m after stage d, and the entries above
-  them are a function of the goals at the stages in (d, S] that shifts
-  with them.  S' >= base has the same residue, so its last dip is
-  d - (S - S') and its goals in (d - (S - S'), S'] are those of (d, S].
+  label k's stages at S are its first m stages at S' followed by every
+  later stage at S' plus S - S'.  Proof: from stage A on every stage is
+  stepped and g(k, .) is periodic, so each period of stages from A on
+  holds a dip to m and no goal below it.  The bottom m entries are
+  therefore fixed from the first dip at or after A, before base.  Let d
+  be the last dip at or before S; d > S - perlen >= A, so the stack holds
+  just the bottom m after stage d, and the entries above them are a
+  function of the goals at the stages in (d, S] that shifts with them.
+  S' >= base has the same residue, so its last dip is d - (S - S') and
+  its goals in (d - (S - S'), S'] are those of (d, S].
 * Labels at or past the width hold only the founder, taken at stage
-  k + 1 (see :func:`pi01_step`), so a run stores the stages of the labels
-  below min(width, S) only.
+  k + 1 (see :func:`pi01_step`), so only the labels below min(width, S)
+  are read from the histories.
 
 The run steps to min(S, settle), where :func:`settle_stage` is the
 greatest base + perlen - 1 over the labels below the width: it bounds
@@ -112,7 +110,7 @@ class LabelState(Record):
     element, and every later member is fresh, so each stack is strictly
     increasing with the founder at index 0, and a strip removes the top of
     the stack.  A member's last history entry is the label it holds and
-    the stage it took it (:func:`label_stages`).
+    the stage it took it.
 
     ``removed_pending`` is a ``heapq`` min-heap of the parked elements.  A
     parked element's history is exactly ``(t, k), (r, None)``, so a
@@ -127,12 +125,6 @@ class LabelState(Record):
         self.removed_pending: list[int] = []
         self.stage = 0
         self.history: list[tuple[tuple[int, Optional[int]], ...]] = []
-
-
-def label_stages(st: LabelState, k: int) -> list[int]:
-    """The stages at which label k's members took it, in stack order; they
-    do not decrease."""
-    return [st.history[x][-1][0] for x in st.members[k]]
 
 
 def pi01_step(st: LabelState, g: GTable) -> LabelState:
@@ -191,19 +183,17 @@ def pi01_step(st: LabelState, g: GTable) -> LabelState:
 
 
 class PiTrace(Record):
-    """The end of a run: the stages at which each label's members took it
-    (:func:`label_stages`) at ``stages``, for the labels below
-    min(width, stages) only, since every later label holds just its
-    founder, taken at stage k + 1; and each element's history through
-    T = min(stages, settle stage).  Stage s gives label s - 1's founder the
-    entry (s, s - 1), so T is the greatest stage in the histories, and the
-    window after stage s is the number of histories that start by s."""
+    """A run of ``stages`` stages, as its trace file holds it: each
+    element's history through T = min(stages, settle stage), by element.
+    Stage s gives label s - 1's founder the entry (s, s - 1), so T is the
+    greatest stage in the histories, and the window after stage s is the
+    number of histories that start by s.  The label stacks at ``stages``
+    follow by the shift rule (:func:`verify_liminf_counts`)."""
 
-    __slots__ = ("stages", "since", "transitions")
+    __slots__ = ("stages", "transitions")
 
-    def __init__(self, stages: int, since: tuple[tuple[int, ...], ...],
-                 transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]):
-        self.stages, self.since, self.transitions = stages, since, transitions
+    def __init__(self, stages: int, transitions: dict[int, tuple[tuple[int, Optional[int]], ...]]):
+        self.stages, self.transitions = stages, transitions
 
 
 def settle_stage(g: GTable) -> int:
@@ -217,33 +207,15 @@ def settle_stage(g: GTable) -> int:
     return worst
 
 
-def _repeat_stage(g: GTable, k: int, stages: int) -> int:
-    """The stage S' whose stack label k repeats at ``stages`` by the shift rule."""
-    plen, perlen = g.column_shape(k)
-    base = max(plen, k + 2) + perlen
-    return stages if stages < base else base + (stages - base) % perlen
-
-
 def run_pi01(g: GTable, stages: int) -> PiTrace:
     """Run ``stages`` stages: step to T = min(stages, settle_stage(g)),
-    keeping the histories of the stepped stages, and read each
-    label below the width at its repeat stage, shifted by the shift rule of
-    the module docstring."""
+    keeping the histories of the stepped stages."""
     if stages < 1:
         raise InputError("stage count must be at least 1")
     st = LabelState()
-    labels = range(min(g.width, stages))
-    reads: dict[int, list[int]] = {}
-    for k in labels:
-        reads.setdefault(_repeat_stage(g, k, stages), []).append(k)
-    since: list[tuple[int, ...]] = [()] * len(labels)
     for _ in range(min(stages, settle_stage(g))):
         pi01_step(st, g)
-        shift = stages - st.stage
-        for k in reads.get(st.stage, ()):
-            m, stack = g.liminf(k), label_stages(st, k)
-            since[k] = (*stack[:m], *(t + shift for t in stack[m:]))
-    return PiTrace(stages, tuple(since), dict(enumerate(st.history)))
+    return PiTrace(stages, dict(enumerate(st.history)))
 
 
 class LabelCount(Record):
@@ -270,6 +242,37 @@ def required_stages_for(g: GTable, K: int) -> int:
     return K + 1 + worst
 
 
+def _label_stages(trace: PiTrace, g: GTable, labels: int) -> list[list[int]]:
+    """Each label k < ``labels`` <= min(width, S)'s stages at S =
+    ``trace.stages``: its stack at the stage S' <= T it repeats by the
+    shift rule (module docstring), shifted to S.  Element x holds k after
+    S' when its last entry by S' is (t, k): its first entry, if x was not
+    stripped by S', or the label it founded when recycled.  Elements are
+    numbered in creation order, which is stack order, so one pass builds
+    every stack, up to the first history that starts after the greatest S'.
+    """
+    S, repeat = trace.stages, []
+    for k in range(labels):
+        plen, perlen = g.column_shape(k)
+        base = max(plen, k + 2) + perlen
+        repeat.append(S if S < base else base + (S - base) % perlen)
+    last = max(repeat, default=0)
+    at, stacks = repeat + [0] * last, [[] for _ in repeat]   # S' by label, 0 if not read
+    for hist in trace.transitions.values():
+        t, k = hist[0]
+        if t > last:
+            break   # so k < t <= last, and the same for a founded label below
+        if t <= at[k] and (len(hist) == 1 or at[k] < hist[1][0]):
+            stacks[k].append(t)
+        if len(hist) == 3:
+            t, k = hist[2]
+            if t <= last and t <= at[k]:
+                stacks[k].append(t)
+    for k, stack in enumerate(stacks):
+        stack[g.liminf(k):] = [t + S - repeat[k] for t in stack[g.liminf(k):]]
+    return stacks
+
+
 def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount, ...]:
     """Compare certified-stable label counts against the exact liminfs,
     one :class:`LabelCount` per label 0..K.
@@ -280,17 +283,18 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
     window contains a dip to the liminf and survivors can never be removed
     again.
 
-    The count is read off label k's stages at ``stages`` (``trace.since``,
-    from :func:`label_stages`): it is the number of members whose label
-    stage is at most start, a prefix of the stack since the label stages are
-    nondecreasing.  A label the trace stores no stages for holds only its
-    founder, taken at stage k + 1.  These are exactly the elements holding k
-    throughout the window.  One that holds k at start and has no transition
-    in (start, stages] still holds k at the end, so it is in the stack, and
-    it took k at or before start.  Conversely, a member of the stack that
-    took k at a stage at or before start has had no transition since: its
-    next one would be a removal from k, after which it can only come back as
-    the founder of a label above k, never as a member of k.
+    The count is the number of label k's stages at ``stages`` that are at
+    most start, a prefix of the stack as label stages do not decrease.  A
+    run stops stepping at T, so the shift rule is applied here: the stages
+    are the stack at a stage S' <= T, shifted (:func:`_label_stages`); a
+    label at or past the width holds only its founder, taken at stage
+    k + 1.  These are exactly the elements holding k throughout the window.
+    One that holds k at start and has no transition in (start, stages]
+    still holds k at the end, so it is in the stack, and it took k at or
+    before start.  Conversely, a member of the stack that took k at a stage
+    at or before start has had no transition since: its next one would be
+    a removal from k, after which it can only come back as the founder of a
+    label above k, never as a member of k.
     """
     if K < 0:
         raise InputError("label bound must be nonnegative")
@@ -301,13 +305,10 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
             f"requires at least {required}",
             required_stages=required,
         )
-    entries = []
-    for k in range(K + 1):
-        _, perlen = g.column_shape(k)
-        since = trace.since[k] if k < len(trace.since) else (k + 1,)
-        observed = bisect_right(since, trace.stages - 2 * perlen)
-        entries.append(LabelCount(label=k, expected=g.liminf(k), observed=observed))
-    return tuple(entries)
+    S, stacks = trace.stages, _label_stages(trace, g, min(K + 1, g.width))
+    stacks += ([k + 1] for k in range(len(stacks), K + 1))   # a founder alone
+    return tuple(LabelCount(k, g.liminf(k), bisect_right(stack, S - 2 * g.column_shape(k)[1]))
+                 for k, stack in enumerate(stacks))
 
 
 def gtable_to_json(g: GTable) -> dict:
@@ -323,73 +324,52 @@ def gtable_from_json(obj: object) -> GTable:
 
 def trace_to_json(trace: PiTrace) -> dict:
     # the C encoder writes tuples as arrays, so the histories go out as they are
-    return {"format": 3, "stages": trace.stages, "transitions": list(trace.transitions.values()),
-            "since": trace.since}
+    return {"format": 4, "stages": trace.stages, "transitions": list(trace.transitions.values())}
 
 
 def trace_from_json(obj: object) -> PiTrace:
-    """Decode a trace; the i-th history is element i's, and its histories
-    cover the T <= stages stepped stages, T the greatest stage in them.
+    """Decode a format-4 trace; the i-th history is element i's, and its
+    histories cover the T <= stages stepped stages, T the greatest stage in
+    them.
 
     No history starts before the one before it (elements are numbered in
-    creation order).  Every history is one to three entries, at strictly
-    increasing stages in [1, stages], each label below its stage (stage s
-    opens label s - 1); an element whose last entry is a label is a member
-    of that label, and the members rebuilt for each label took it in
-    increasing order, a founder at stage k + 1 first, so no stage up to T
-    is missing.  ``since`` holds at most T stacks of stages: stack k starts
-    at k + 1 and does not decrease up to ``stages``.  Every rebuilt label
-    past them holds its founder alone, and when T == stages the stacks are
-    the rebuilt ones.
+    creation order).  Every history is a label, then a removal (None), then
+    a label, or a prefix of that, at strictly increasing stages in
+    [1, stages], each label below its stage (stage s opens label s - 1); an
+    element whose last entry is a label is a member of that label, and the
+    members rebuilt for each label took it in increasing order, a founder
+    at stage k + 1 first, so no stage up to T is missing.
     """
     if not isinstance(obj, dict):
-        raise InputError("trace must be a format-3 object")
-    check_format(obj, versions=(3,))
+        raise InputError("trace must be a format-4 object")
+    check_format(obj, versions=(4,))
     stages = obj.get("stages")
     if not is_nat(stages):
         raise InputError("trace 'stages' must be a natural")
-    transitions = {}
+    transitions, stacks, start = {}, {}, 0
     try:
         for x, hist in enumerate(obj["transitions"]):
             if not 1 <= len(hist) <= 3:
                 raise InputError(f"trace element {x}: each has 1 to 3 history entries")
             entries, at = [], 0
-            for s, v in hist:
-                if not (is_nat(s) and at < s <= stages and (v is None or is_nat(v) and v < s)):
-                    raise InputError(
-                        f"trace element {x}: history stages must increase within "
-                        f"[1, {stages}], and each label be a natural below its stage"
-                    )
+            for i, (s, v) in enumerate(hist):
+                if not (is_nat(s) and at < s <= stages
+                        and (v is None if i == 1 else is_nat(v) and v < s)):
+                    raise InputError(f"trace element {x}: history stages must increase within "
+                                     f"[1, {stages}], and its entries be a label below its "
+                                     "stage, a removal (null) and a label")
                 entries.append((s, v))
                 at = s
-            transitions[x] = tuple(entries)
-        since = tuple(map(tuple, obj["since"]))
+            if entries[0][0] < start:
+                raise InputError("trace elements must be numbered in creation order")
+            start, transitions[x] = entries[0][0], tuple(entries)
+            if v is not None:   # x is a member of label v, which it took at stage s
+                stacks.setdefault(v, []).append(s)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed trace: {exc}") from exc
-    stepped = max((hist[-1][0] for hist in transitions.values()), default=0)
-    stacks: list[list[tuple[int, int]]] = [[] for _ in range(stepped)]
-    for x, hist in transitions.items():
-        s, v = hist[-1]
-        if v is not None:
-            stacks[v].append((x, s))
-    starts = [hist[0][0] for hist in transitions.values()]
-    if starts != sorted(starts):
-        raise InputError("trace elements must be numbered in creation order")
-    if len(since) > stepped:
-        raise InputError(f"trace has {len(since)} label stacks for {stepped} stepped stages")
-    for k, stack in enumerate(since):
-        if not (all(map(is_nat, stack)) and stack[:1] == (k + 1,)
-                and all(a <= b for a, b in zip(stack, stack[1:])) and stack[-1] <= stages):
-            raise InputError(f"trace label {k}: its stages must start at {k + 1} and not "
-                             f"decrease up to {stages}")
-    for k, stack in enumerate(stacks):
-        if any(a[1] > b[1] for a, b in zip(stack, stack[1:])):
-            raise InputError(f"trace label {k}: a greater member took the label earlier")
-        rebuilt = tuple(s for _, s in stack)
-        if rebuilt[:1] != (k + 1,):
-            raise InputError(f"trace label {k}: no founder took it at stage {k + 1}")
-        want = (k + 1,) if k >= len(since) else since[k] if stepped == stages else rebuilt
-        if rebuilt != want:
-            raise InputError(f"trace label {k}: the histories give its stages as {rebuilt}, "
-                             f"not {want}")
-    return PiTrace(stages, since, transitions)
+    for k in range(max((hist[-1][0] for hist in transitions.values()), default=0)):
+        stack = stacks.get(k, [])
+        if stack[:1] != [k + 1] or stack != sorted(stack):
+            raise InputError(f"trace label {k}: its members must take it in increasing order, "
+                             f"a founder at stage {k + 1} first")
+    return PiTrace(stages, transitions)

@@ -10,22 +10,30 @@ each column's witnesses and exiles as explicit sets
 (:class:`ReferenceColumn`, :func:`reference_dispatch`) and rescans each
 dispatched column with :func:`reference_check_column`, and records every
 stage as a :class:`ReferenceRecord`; :func:`column_exiles` expands a
-library column's two integers into the same set.  :func:`expand_tails`
+library column's two integers into the same set.  :func:`tail_triples`
+spells a trace's tails out as (e, w, case), w the diagonal of the column's
+last stepped focus, :class:`RecordedTrace` is a trace with its records and
+those triples (:func:`as_recorded`), and :func:`expand_tails`
 writes a run's tails out as the records of the focuses they stand for,
 :func:`focus_schedule` lists every focused stage of a run, and
 :func:`stepped_run_coceer` steps every focus through a ``CeerRunner``,
 replaying each event stage (:func:`stepped_latch`), with the library's
 dispatch and no settle rule; :func:`record_witnesses` spells out the
 witnesses of a library record, and :func:`reference_trace_from_json`
-rebuilds a run from a trace file's cases on explicit sets.  :func:`reference_columns_at` rebuilds the
+rebuilds a run's records and tails from a trace file's cases on explicit
+sets.  :func:`reference_columns_at` rebuilds the
 reference columns at a stage from a longer reference trace.
 :func:`reference_certificate` gives a column's verdict by the
 witness-history rule, read off such a trace and a replay of the member.
 :func:`reference_pi01_step` and :func:`reference_preorder_step` are the
 full-scan steppers of the two positive constructions: every label and
 every x is visited at every stage, over state classes of their own.
-:func:`stepped_run_pi01` steps the library's ``pi01_step`` at every stage
-with no settle rule, :func:`cut_history` cuts its
+:func:`stepped_state_pi01` steps the library's ``pi01_step`` at every
+stage with no settle rule, :func:`stepped_run_pi01` is its trace, and
+:func:`label_stages` reads a label's stack of stages off such a state, the
+stacks the verifier rebuilds by the shift rule, and
+:func:`shifted_label_stages` reads them at the budget the way a run did
+while it stepped; :func:`cut_history` cuts its
 histories at the last stage a library run steps, and :func:`windows`
 counts the elements created by each stage from the histories.
 :func:`reference_required_stages_for` reads the shape of every label up
@@ -65,7 +73,7 @@ from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
 from effstruct.generators import _noise_events
-from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, label_stages, pi01_step
+from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, pi01_step
 from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
 
 
@@ -197,6 +205,30 @@ class ReferenceTrace:
     records: tuple[ReferenceRecord, ...]
 
 
+def tail_triples(trace: CoceerTrace) -> tuple[tuple[int, int, int], ...]:
+    """(e, w, case) for each tailed column e of a trace: its focuses after
+    diagonal w, the diagonal of its last stepped focus, take ``case``."""
+    return tuple((e, max(e, 1) + len(trace.cases[e]) - 1, case)
+                 for e, case in enumerate(trace.tails) if case is not None)
+
+
+@dataclass(frozen=True)
+class RecordedTrace:
+    """A co-ceer trace in the form a run kept before its trace became its
+    cases and tails: a record per stepped focus, in stage order, and the
+    tails as (e, w, case) (:func:`tail_triples`)."""
+
+    columns: int
+    stages: int
+    records: tuple[StageRecord, ...]
+    tails: tuple[tuple[int, int, int], ...]
+
+
+def as_recorded(trace: CoceerTrace) -> RecordedTrace:
+    """A library trace with its records replayed and its tails spelled out."""
+    return RecordedTrace(len(trace.cases), trace.stages, trace.records, tail_triples(trace))
+
+
 # how far each case moves a column's next_free (coceer.ColumnState)
 _NEXT_FREE_STEP = {1: 2, 2: 0, 3: 1, 4: 1}
 
@@ -212,15 +244,15 @@ def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
     """Every focused stage of a run, its tails written out as the records a
     stepped run keeps, with the flag off (no case leaves the latch on).
 
-    A tail (e, w, case) stands for column e's focuses on diagonals w + 1,
-    w + 2, ... through ``trace.stages``.  The column's next_free after its
-    last record is 2e + 2 plus the steps of its cases; a case-4 focus
-    exiles it and keeps the extra, and a case-3 focus recruits it and
-    exiles the old extra.
+    A tail (e, w, case) (:func:`tail_triples`) stands for column e's
+    focuses on diagonals w + 1, w + 2, ... through ``trace.stages``.  The
+    column's next_free after its last record is 2e + 2 plus the steps of
+    its cases; a case-4 focus exiles it and keeps the extra, and a case-3
+    focus recruits it and exiles the old extra.
     """
     records = [ReferenceRecord(r.stage, r.e, r.case, record_witnesses(r), False, r.exiled)
                for r in trace.records]
-    for e, w, case in trace.tails:
+    for e, w, case in tail_triples(trace):
         mine = [r for r in trace.records if r.e == e]
         assert mine[-1].stage == w * (w + 1) // 2 + e
         extra, v = mine[-1].extra, 2 * e + 2 + sum(_NEXT_FREE_STEP[r.case] for r in mine)
@@ -234,7 +266,7 @@ def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
                                            () if exiled is None else ((e, exiled),)))
             v, w = v + 1, w + 1
     records.sort(key=lambda r: r.stage)
-    return ReferenceTrace(trace.columns, trace.stages, tuple(records))
+    return ReferenceTrace(len(trace.cases), trace.stages, tuple(records))
 
 
 def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
@@ -252,11 +284,12 @@ def focus_schedule(E: int, budget: int) -> Iterator[tuple[int, int]]:
         w += 1
 
 
-def reference_trace_from_json(obj: dict) -> CoceerTrace:
-    """A format-5 coceer trace file as the run it stands for, each column's
-    cases replayed on explicit sets (:func:`reference_dispatch`): a case-3
-    focus latched, and has_k is case 1, or case 4 with an extra.  It checks
-    only that each focus takes its case."""
+def reference_trace_from_json(obj: dict) -> RecordedTrace:
+    """A format-5 coceer trace file as the records and tails of the run it
+    stands for, each column's cases replayed on explicit sets
+    (:func:`reference_dispatch`): a case-3 focus latched, and has_k is case
+    1, or case 4 with an extra.  It checks only that each focus takes its
+    case."""
     records, tails = [], []
     for e, (cases, tail) in enumerate(zip(obj["cases"], obj["tails"])):
         col = ReferenceColumn(k=2 * e + 2, witnesses=set(range(1, 2 * e + 2)))
@@ -274,7 +307,7 @@ def reference_trace_from_json(obj: dict) -> CoceerTrace:
         if tail is not None:
             tails.append((e, w - 1, tail))
     records.sort(key=lambda r: r.stage)
-    return CoceerTrace(len(obj["cases"]), obj["stages"], tuple(records), tuple(tails))
+    return RecordedTrace(len(obj["cases"]), obj["stages"], tuple(records), tuple(tails))
 
 
 def stepped_latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
@@ -573,14 +606,46 @@ def reference_pi01_step(st: ReferenceLabelState, g: GTable) -> ReferenceLabelSta
     return st
 
 
-def stepped_run_pi01(g: GTable, stages: int) -> PiTrace:
-    """The library's ``pi01_step`` at every stage with no settle rule: each
-    element's whole history, and the label stages of every label opened."""
+def stepped_state_pi01(g: GTable, stages: int) -> LabelState:
+    """The library's ``pi01_step`` at every stage 1..stages, with no settle rule."""
     st = LabelState()
     for _ in range(stages):
         pi01_step(st, g)
-    since = tuple(tuple(label_stages(st, k)) for k in range(stages))
-    return PiTrace(stages, since, dict(enumerate(st.history)))
+    return st
+
+
+def stepped_run_pi01(g: GTable, stages: int) -> PiTrace:
+    """The trace of :func:`stepped_state_pi01`: each element's whole history."""
+    return PiTrace(stages, dict(enumerate(stepped_state_pi01(g, stages).history)))
+
+
+def label_stages(st: LabelState, k: int) -> list[int]:
+    """The stages at which label k's members took it, in stack order; they
+    do not decrease."""
+    return [st.history[x][-1][0] for x in st.members[k]]
+
+
+def shifted_label_stages(g: GTable, budgets) -> dict[int, list[list[int]]]:
+    """For each budget S, the stages of each label k below min(width, S) at
+    S, as a run read them while it stepped: :func:`label_stages` at the
+    label's repeat stage S' (the shift rule of ``pi01``), every entry past
+    the first liminf_k moved up by S - S'.  One stepped state serves every
+    budget."""
+    repeat = {}
+    for S in budgets:
+        repeat[S] = []
+        for k in range(min(g.width, S)):
+            plen, perlen = g.column_shape(k)
+            base = max(plen, k + 2) + perlen
+            repeat[S].append(S if S < base else base + (S - base) % perlen)
+    st, stacks = LabelState(), {S: [[] for _ in r] for S, r in repeat.items()}
+    for s in range(1, max((max(r, default=0) for r in repeat.values()), default=0) + 1):
+        pi01_step(st, g)
+        for S, r in repeat.items():
+            for k in (k for k, at in enumerate(r) if at == s):
+                m, stack = g.liminf(k), label_stages(st, k)
+                stacks[S][k] = stack[:m] + [t + S - s for t in stack[m:]]
+    return stacks
 
 
 def windows(histories, last: int) -> list[int]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from effstruct import cli
+from effstruct import cli, coceer
 from effstruct.ceersim import family_to_json
 from effstruct.cli import main
 from effstruct.core import cantor_unpair, delta02_to_json
@@ -27,8 +27,8 @@ from effstruct.pi01 import gtable_to_json, settle_stage
 from effstruct.preorder import VTable
 
 from reference import (
-    cut_history, expand_tails, generate_family, reference_materialize, reference_trace_from_json,
-    stepped_run_pi01, windows,
+    as_recorded, cut_history, expand_tails, generate_family, label_stages, reference_materialize,
+    reference_trace_from_json, stepped_run_pi01, stepped_state_pi01, windows,
 )
 
 
@@ -129,7 +129,7 @@ def test_pi01_verify_ok(tmp_path):
          "--trace", str(trace_path)]
     )
     assert code == 0
-    assert json.loads(trace_path.read_text())["format"] == 3
+    assert json.loads(trace_path.read_text())["format"] == 4
 
 
 @pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
@@ -293,8 +293,8 @@ def test_verify_all_green(capsys):
 def _as_format_4(run) -> dict:
     """A run's trace in format 4: one record per stepped focus with its
     column's extra after it and its exile, and the tails as (e, w, case).
-    Pass it the run that :func:`reference_trace_from_json` replays from a
-    format-5 file."""
+    Pass it the records and tails that :func:`reference_trace_from_json`
+    replays from a format-5 file."""
     records = [{"stage": r.stage, "e": r.e, "case": r.case, "extra": r.extra,
                 "exiled": [list(pair) for pair in r.exiled]} for r in run.records]
     return {"format": 4, "columns": run.columns, "stages": run.stages, "records": records,
@@ -316,7 +316,7 @@ def _as_format_2(run) -> dict:
     records = [{"stage": r.stage, "e": r.e, "case": r.case, "Y": list(r.witnesses),
                 "flag": "off", "exiled": [list(pair) for pair in r.exiled]}
                for r in expand_tails(run).records]
-    return {"format": 2, "columns": run.columns, "stages": run.stages, "records": records}
+    return {"format": 2, "columns": len(run.cases), "stages": run.stages, "records": records}
 
 
 def _as_format_1(trace: dict) -> dict:
@@ -370,8 +370,11 @@ def test_coceer_output_files_are_pinned(tmp_path):
     _pin(report, "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863",
          "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4")
     # replayed column by column by the reference, the format-5 trace is the
-    # format-4 file byte for byte (the digest pinned before format 5)
+    # format-4 file byte for byte (the digest pinned before format 5), and
+    # the library's replay of the loaded trace gives the same records
     run = reference_trace_from_json(json.loads(trace.read_text()))
+    loaded = coceer.trace_from_json(json.loads(trace.read_text()))
+    assert as_recorded(loaded) == run
     four = _as_format_4(run)
     assert _sha(_compact(four)) == \
         "e84b2b581d5a9b075c0639ed0f78674da66516ab5b3d80c08f7fc390d33bb3a4"
@@ -381,7 +384,7 @@ def test_coceer_output_files_are_pinned(tmp_path):
         "64f0c2e531c67997dc6c4e69adbf6d81d3b49c686d908a8c05f94439b2765d04"
     # with its tails written out and the flag put back, it is the format-2
     # file byte for byte (the digests pinned before format 3)
-    old = _as_format_2(run)
+    old = _as_format_2(loaded)
     assert _sha(_compact(old)) == \
         "b583b5ddc0dba257a7932f156d59d757fafd1218ea36b281913574f1779b2b35"
     assert _sha(_indented(old)) == \
@@ -410,6 +413,12 @@ def test_coceer_short_budget_verdicts_are_pinned(tmp_path, capsys, stages, code,
     assert _sha(out.encode()) == digest
 
 
+def _as_pi01_format_3(trace: dict, since: list) -> dict:
+    """The format-4 pi01 trace in format 3: ``since``, each label's stages
+    at S for the labels below min(width, S), put back."""
+    return {**trace, "format": 3, "since": since}
+
+
 def _as_pi01_format_2(trace: dict) -> dict:
     """The format-3 pi01 trace in format 2: the i-th history numbered i, and
     the window after each stage 0..T, for T the greatest stage in the
@@ -430,12 +439,20 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
                  "--trace", str(trace)])
     assert code == 0
     assert _sha(trace.read_bytes()) == \
-        "9395c14a2d74c08a0558d45dab22fe03960cba70bb8cfbd5bbf5c3178ea17bca"
+        "647646cb8d5a4ee7f44762603720e33c4d2cb3988e0468f4793d3675995420e9"
     assert _sha(capsys.readouterr().out.encode()) == \
         "63b759712b73d4ff16ad7a2883ffe39d9612036c6d9ae564966bd9dda0d7e838"
+    # with the stacks of the run stepped at every stage put back as 'since',
+    # the format-4 trace is the format-3 file byte for byte (the digest
+    # pinned before format 4)
+    state = stepped_state_pi01(table, 1500)
+    three = _as_pi01_format_3(json.loads(trace.read_text()),
+                              [label_stages(state, k) for k in range(table.width)])
+    assert _sha(_compact(three)) == \
+        "9395c14a2d74c08a0558d45dab22fe03960cba70bb8cfbd5bbf5c3178ea17bca"
     # with the element numbers and the windows put back, the format-3 trace is
     # the format-2 file byte for byte (the digest pinned before format 3)
-    obj = _as_pi01_format_2(json.loads(trace.read_text()))
+    obj = _as_pi01_format_2(three)
     assert _sha(_compact(obj)) == \
         "8e67941dacef5a65b4fa91530d7b41c05acc1922243273423c1e7301fe1c4c29"
     # the format-2 trace is the run stepped at every stage cut at its settle
@@ -444,7 +461,6 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     stepped, last = stepped_run_pi01(table, 1500), settle_stage(table)
     assert obj["windows"] == windows(stepped.transitions.values(), last)
     assert obj["transitions"] == json.loads(json.dumps(sorted(cut_history(stepped, last).items())))
-    assert obj["since"] == json.loads(json.dumps(stepped.since[:table.width]))
     old = {"format": 1, "stages": 1500, "windows": windows(stepped.transitions.values(), 1500),
            "transitions": sorted(stepped.transitions.items())}
     assert _sha(_compact(old)) == \

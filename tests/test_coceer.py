@@ -19,7 +19,7 @@ from effstruct.errors import InputError
 from effstruct.generators import generate_diagonalization_suite
 
 from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import coceer_snapshot, column_exiles, expand_tails, record_witnesses
+from reference import coceer_snapshot, column_exiles, expand_tails, record_witnesses, tail_triples
 
 EMPTY = CeerScript(())
 # the columns of a run before its first focus
@@ -106,7 +106,7 @@ def test_step_case_three_swaps_witness():
 
 def test_step_case_four_pads():
     # baseline, no size-4 class, no latch
-    assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).tail == (1, 4)
+    assert _step_column_one(EMPTY, 2, 4, (1, 2, 3), {4}).tail == 4
 
 
 def test_run_trace_length_and_budget():
@@ -123,16 +123,16 @@ def test_run_skips_columns_beyond_family_width():
     fam = CeerFamily((CeerScript(()),))
     columns, trace = run_coceer(fam, 1, 10)
     # column 0 takes case 4 at stage 1, after its script's last change, and settles
-    assert [(r.stage, r.case) for r in trace.records] == [(1, 4)] and trace.tails == ((0, 1, 4),)
+    assert [(r.stage, r.case) for r in trace.records] == [(1, 4)] and trace.tails == (4,)
     records = expand_tails(trace).records
     assert [r.stage for r in records] == [s for s in range(1, 11) if cantor_unpair(s)[0] < 1]
     assert all(r.e == 0 for r in records) and trace.stages == 10 and len(columns) == 1
 
 
 def _cut(trace, stage):
-    """The records and the tails of ``trace`` by ``stage``."""
+    """The records and the tails (e, w, case) of ``trace`` by ``stage``."""
     return (tuple(r for r in trace.records if r.stage <= stage),
-            tuple(t for t in trace.tails if t[1] * (t[1] + 1) // 2 + t[0] <= stage))
+            tuple(t for t in tail_triples(trace) if t[1] * (t[1] + 1) // 2 + t[0] <= stage))
 
 
 def test_shorter_run_is_prefix_of_longer_run():
@@ -150,7 +150,7 @@ def test_shorter_run_is_prefix_of_longer_run():
         expanded = expand_tails(full).records
         for stage in stops:
             _, trace = run_coceer(fam, E, stage)
-            assert (trace.records, trace.tails) == _cut(full, stage)
+            assert (trace.records, tail_triples(trace)) == _cut(full, stage)
             assert expand_tails(trace).records == tuple(r for r in expanded if r.stage <= stage)
             assert trace.stages == stage
 
@@ -251,11 +251,13 @@ def test_trace_json_round_trip():
     obj = json.loads(json.dumps(trace_to_json(trace)))
     # column 0 settles at its focus on diagonal 2 (stage 3), column 1 on diagonal 3 (stage 7)
     assert obj == {"format": 5, "stages": 30, "cases": [[3, 4], [3, 2, 3]], "tails": [4, 3]}
-    assert trace.tails == ((0, 2, 4), (1, 3, 3))
-    assert trace_from_json(obj) == trace
+    assert (trace.cases, trace.tails) == (((3, 4), (3, 2, 3)), (4, 3))
+    assert trace_to_json(trace) == {"format": 5, "stages": 30, "cases": trace.cases,
+                                    "tails": trace.tails}
+    assert trace_from_json(obj) == trace == trace_from_json(trace_to_json(trace))
     _, short = run_coceer(fam, 2, 2)   # neither column has settled by stage 2
-    assert trace_to_json(short) == {"format": 5, "stages": 2, "cases": [[3], [3]],
-                                    "tails": [None, None]}
+    assert trace_to_json(short) == {"format": 5, "stages": 2, "cases": ((3,), (3,)),
+                                    "tails": (None, None)}
     assert trace_from_json(trace_to_json(short)) == short
     for bad in ({"format": 4}, {"format": 3}, {"format": 2}, {"format": 1}, {"format": True},
                 {"format": 5.0}, {"stages": -1}, {"stages": False}, {"stages": "30"}):

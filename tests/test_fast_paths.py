@@ -41,6 +41,7 @@ from reference import (
     ReferenceRunner,
     ReferenceTrace,
     ReferenceVTable,
+    as_recorded,
     ceer_snapshot,
     column_exiles,
     cut_history,
@@ -48,6 +49,7 @@ from reference import (
     expand_tails,
     focus_schedule,
     generate_family,
+    label_stages,
     reference_block_classes,
     reference_block_partition,
     reference_certificate,
@@ -57,10 +59,13 @@ from reference import (
     reference_preorder_step,
     reference_required_stages_for,
     reference_run_coceer,
+    reference_trace_from_json,
     reference_verify_liminf_counts,
     runner_partition,
+    shifted_label_stages,
     stepped_run_coceer,
-    stepped_run_pi01,
+    stepped_state_pi01,
+    tail_triples,
     windows,
 )
 
@@ -190,7 +195,7 @@ def _horizon(fam, E, budget):
     (:func:`reference_certificate`) certifies every column that settles:
     four focuses past each column's tail stage, since after a case-3 tail it
     needs four case-3 records."""
-    tails = run_coceer(fam, E, 10**6)[1].tails
+    tails = tail_triples(run_coceer(fam, E, 10**6)[1])
     return max([budget] + [(w + 4) * (w + 5) // 2 + e for e, w, _ in tails])
 
 
@@ -200,7 +205,7 @@ def _long_verdicts(fam, E, reference):
     ``reference``, a reference run to at least :func:`_horizon`."""
     assert reference.stages >= _horizon(fam, E, 0)
     settled = [None] * E
-    for e, w, _ in run_coceer(fam, E, reference.stages)[1].tails:
+    for e, w, _ in tail_triples(run_coceer(fam, E, reference.stages)[1]):
         settled[e] = w * (w + 1) // 2 + e
     return settled, [reference_certificate(reference, fam, e) for e in range(E)]
 
@@ -237,7 +242,7 @@ def _assert_run_matches_reference(fam, E, budget, reference=None):
     assert expand_tails(trace).records == tuple(r for r in ref_trace.records if r.case != 0)
     assert [r.stage for r in ref_trace.records if r.case == 0] == [
         s for s in range(1, budget + 1) if cantor_unpair(s)[0] >= E]
-    assert (trace.columns, trace.stages) == (ref_trace.columns, ref_trace.stages) == (E, budget)
+    assert (len(trace.cases), trace.stages) == (ref_trace.columns, ref_trace.stages) == (E, budget)
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
     ref_columns = reference_columns_at(reference, budget)
     for e, (col, ref) in enumerate(zip(columns, ref_columns, strict=True)):
@@ -284,7 +289,7 @@ def test_runs_match_reference_at_random_stops():
         fam, _ = generate_diagonalization_suite(rng.randrange(1000))
         E = len(fam.members)
         for budget in sorted(rng.sample(range(1, 1200), 3)):
-            unsettled += len(_assert_run_matches_reference(fam, E, budget).tails) < E
+            unsettled += None in _assert_run_matches_reference(fam, E, budget).tails
     assert unsettled > 0
 
 
@@ -347,7 +352,7 @@ def _assert_quiescent_tails_match_reference(fam, E, ref_columns, ref_trace):
                 assert last_case4 == ref_columns[e].last_case4_stage, e
             took_case4 = last_case4 is not None and last_case4 > quiet
             assert (col.tail is not None) == took_case4, (budget, e)
-            assert col.tail is None or col.tail[1] == 4, (budget, e)
+            assert col.tail in (None, 4), (budget, e)
 
 
 def test_suite_quiescent_tails_match_reference(suite_reference):
@@ -499,16 +504,34 @@ def test_run_coceer_operation_counts(monkeypatch):
         assert [merges.get(id(uf), 0) for uf in made] == [len(m.events) for m in scripts]
         assert [uf.window for uf in made] == [len({z for _, p in m.events for z in p})
                                               for m in scripts]
-        stepped, focused = len(trace.records), sum(1 for _ in focus_schedule(E, budget))
+        stepped, focused = sum(map(len, trace.cases)), sum(1 for _ in focus_schedule(E, budget))
         assert dispatches[0] == stepped < focused == len(expand_tails(trace).records)
+
+
+def test_run_builds_no_stage_records(monkeypatch):
+    """A run keeps only its cases and tails, as its file does: it builds no
+    ``StageRecord``, its trace file is its fields, and the records it
+    replays on first read are those the reference replays from that file."""
+    fam, _ = generate_diagonalization_suite(7)
+    made = _count_calls(monkeypatch, coceer.StageRecord, "__init__")
+    for budget in (3000, 30000):
+        made[0] = 0
+        _, trace = run_coceer(fam, len(fam.members), budget)
+        assert made[0] == 0
+        fields = {f: getattr(trace, f) for f in ("stages", "cases", "tails")}
+        assert coceer.trace_to_json(trace) == {"format": 5, **fields}
+        records = trace.records   # replayed once, on first read
+        assert made[0] == len(records) > 0 and trace.records is records
+        doc = json.loads(json.dumps(coceer.trace_to_json(trace)))
+        assert as_recorded(trace) == reference_trace_from_json(doc)
 
 
 def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     """A run and the verification of every column, at the
-    size of the benchmark's diag workload, read class sizes from the
-    runners' index and the limit check's root sizes: no partition lists
+    size of the benchmark's diag workload, read class sizes from each
+    script's timeline and the limit check's root sizes: no partition lists
     its classes, no root is looked up outside a merge, and each script
-    event is merged twice, once by the run's replay and once by the
+    event is merged twice, once by the run's timeline pass and once by the
     verifier's pass."""
     fam, _ = generate_diagonalization_suite(7)  # its generator lists classes
     rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
@@ -543,8 +566,8 @@ def _assert_same_as_stepped(fam, E, budgets):
     for budget in budgets:
         columns, trace = run_coceer(fam, E, budget)
         stepped, stepped_trace = stepped_run_coceer(fam, E, budget)
-        for e, w, case in trace.tails:
-            stepped[e].tail = (w, case)
+        for e, case in enumerate(trace.tails):
+            stepped[e].tail = case
         assert columns == stepped, budget
         assert expand_tails(trace) == stepped_trace, budget
 
@@ -672,10 +695,10 @@ def test_unrecorded_run_steps_only_until_columns_settle(monkeypatch):
     for budget in (2500, 8000, 10**6):
         dispatches[0] = 0
         _, trace = run_coceer(fam, E, budget)
-        counts[budget] = (dispatches[0], len(trace.records), len(trace.tails))
+        counts[budget] = (dispatches[0], sum(map(len, trace.cases)), trace.tails.count(None))
     assert counts[2500] == counts[8000] == counts[10**6]
-    stepped, records, tails = counts[2500]
-    assert stepped == records and tails == E
+    stepped, cases, untailed = counts[2500]
+    assert stepped == cases and untailed == 0
     dispatches[0] = 0
     stepped_run_coceer(fam, E, 10**4)
     assert dispatches[0] == sum(1 for _ in focus_schedule(E, 10**4)) > stepped
@@ -697,25 +720,32 @@ def _assert_same_labeling(fast, ref):
     for k, stack in enumerate(fast.members):
         assert set(stack) == ref.members[k], k
         assert all(a < b for a, b in zip(stack, stack[1:])), k
-        assert pi01.label_stages(fast, k) == [ref.transitions[x][-1][0] for x in stack], k
+        assert label_stages(fast, k) == [ref.transitions[x][-1][0] for x in stack], k
     assert all(len(fast.history[z]) == 2 for z in fast.removed_pending)
     assert sorted((z, fast.history[z][0][1]) for z in fast.removed_pending) == sorted(
         (z, ref.transitions[z][-2][1]) for z in ref.removed_pending)
 
 
-def _assert_run_is_cut(g, stepped):
+def _assert_run_is_cut(g, state):
     """A run is the run stepped at every stage cut at its last stepped stage
     T = min(stages, settle stage), the greatest stage in its histories: each
-    history through T (an element created after T has none) and the stepped
-    stacks at ``stages`` of the labels below min(width, stages)."""
-    stages = stepped.stages
+    history through T (an element created after T has none).  ``state`` is
+    the state stepped at every stage 1..stages.  The stacks the verifier
+    rebuilds from the run's histories by the shift rule, and from the
+    stepped ones, are the stepped stacks at ``stages`` of the labels below
+    min(width, stages).  Returns the run and the stepped trace."""
+    stages = state.stage
+    stepped = pi01.PiTrace(stages, dict(enumerate(state.history)))
     last = min(stages, pi01.settle_stage(g))
     run = pi01.run_pi01(g, stages)
     assert run.stages == stages
     assert max((hist[-1][0] for hist in run.transitions.values()), default=0) == last
     assert run.transitions == cut_history(stepped, last)
-    assert run.since == stepped.since[:g.width]
-    return run
+    labels = min(g.width, stages)
+    stacks = [label_stages(state, k) for k in range(labels)]
+    assert pi01._label_stages(run, g, labels) == stacks
+    assert pi01._label_stages(stepped, g, labels) == stacks
+    return run, stepped
 
 
 def _assert_pi01_matches_reference(g, stages):
@@ -727,10 +757,8 @@ def _assert_pi01_matches_reference(g, stages):
         reference_pi01_step(ref, g)
         _assert_same_labeling(fast, ref)
     assert dict(enumerate(fast.history)) == {x: tuple(h) for x, h in ref.transitions.items()}
-    stepped = stepped_run_pi01(g, stages)
-    assert stepped.transitions == dict(enumerate(fast.history))
+    run, stepped = _assert_run_is_cut(g, fast)
     assert windows(stepped.transitions.values(), stages) == ref.windows
-    run = _assert_run_is_cut(g, stepped)
     K = max(g.width - 1, 0)
     assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(stepped, g, K)
 
@@ -885,12 +913,45 @@ def test_pi01_closed_form_matches_stepped_property(g, stages):
     """A run, stopped before or past its settle stage, is the stepped run cut
     at its last stepped stage, and its verdict is the trace-scanning
     reference's on the stepped run."""
-    stepped = stepped_run_pi01(g, stages)
-    run = _assert_run_is_cut(g, stepped)
+    run, stepped = _assert_run_is_cut(g, stepped_state_pi01(g, stages))
     K = max(g.width - 1, 0)
     if stages >= pi01.required_stages_for(g, K):
         assert pi01.verify_liminf_counts(run, g, K) == reference_verify_liminf_counts(
             stepped, g, K)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_gtables, st.integers(-20, 20))
+def test_pi01_verifier_stacks_match_stepped_property(g, offset):
+    """The verifier's stacks, rebuilt by the shift rule from a run stopped
+    below, at or past its settle stage, are the stepped run's stacks."""
+    _assert_run_is_cut(g, stepped_state_pi01(g, max(1, pi01.settle_stage(g) + offset)))
+
+
+def test_pi01_counts_match_stacks_read_while_stepping():
+    """The verifier's counts equal those read off each label's stack as a
+    run read it while stepping, at its repeat stage
+    (:func:`shifted_label_stages`), on 400 tables of each width 1..12 at six
+    budgets from the horizon to 10**6.  The horizon is past the settle
+    stage, so a run steps the same stages at each budget."""
+    cases = 0
+    for seed in range(400):
+        for K in range(12):
+            g = generate_gtable(seed, K)
+            required = pi01.required_stages_for(g, K)
+            assert pi01.settle_stage(g) <= required
+            histories = pi01.run_pi01(g, required).transitions
+            budgets = (required, required + 1, required + 7, required + 50,
+                       max(required, 1500), 10**6)
+            for stages, stacks in shifted_label_stages(g, budgets).items():
+                want = tuple(pi01.LabelCount(
+                    k, g.liminf(k), bisect_right(stacks[k] if k < len(stacks) else [k + 1],
+                                                 stages - 2 * g.column_shape(k)[1]))
+                    for k in range(K + 1))
+                run = pi01.PiTrace(stages, histories)
+                assert pi01.verify_liminf_counts(run, g, K) == want, (seed, K, stages)
+                cases += 1
+    assert cases == 400 * 12 * 6
 
 
 def _run_cli(argv):
@@ -976,7 +1037,6 @@ def test_pi01_operation_counts(monkeypatch, K):
         steps[0] = lookups[0] = 0
         run = pi01.run_pi01(g, budget)
         assert (steps[0], lookups[0]) == (settle, sum(min(s, g.width) for s in range(settle)))
-        assert len(run.since) == g.width
         assert all(entry.match for entry in pi01.verify_liminf_counts(run, g, bound))
         assert max((hist[-1][0] for hist in run.transitions.values()), default=0) == settle
         sizes.add(len(run.transitions))

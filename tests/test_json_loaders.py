@@ -1,8 +1,8 @@
 """Every JSON loader round-trips a valid object, and given that object with
 one or two values swapped for arbitrary JSON it raises nothing but
 InputError; a coceer trace with a malformed case list or tail, and a pi01
-trace with a malformed history or label stack, raise it, as does a coceer
-case that is not the focus its column's earlier cases leave."""
+trace with a malformed history, raise it, as does a coceer case that is not
+the focus its column's earlier cases leave."""
 
 import json
 import random
@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effstruct import ceersim, coceer, core, pi01, preorder
+from effstruct.core import UPSeq
 from effstruct.eqrel import Character, Partition, partition_from_json, partition_to_json
 from effstruct.errors import InputError
 from effstruct.generators import generate_b, generate_diagonalization_suite, generate_gtable
 
 from reference import (
-    ReferenceLabelState, generate_family, partition_runs, reference_pi01_step,
-    reference_trace_from_json, windows,
+    ReferenceLabelState, as_recorded, generate_family, label_stages, partition_runs,
+    reference_pi01_step, reference_trace_from_json, stepped_state_pi01, windows,
 )
 
 
@@ -187,7 +188,7 @@ def test_coceer_trace_rejects_malformed_tails(kind, data):
 def _break_pi01_trace(data, doc, kind):
     """Make ``doc``, a pi01 trace with T stepped stages, T the greatest stage
     in its histories, malformed in the way ``kind`` names."""
-    stages, since, histories = doc["stages"], doc["since"], doc["transitions"]
+    stages, histories = doc["stages"], doc["transitions"]
     stepped = max(hist[-1][0] for hist in histories)
     if kind == "history stage past T":
         hist = data.draw(st.sampled_from(histories), label="element")
@@ -195,46 +196,36 @@ def _break_pi01_trace(data, doc, kind):
     elif kind == "history stage above S":
         hist = data.draw(st.sampled_from(histories), label="element")
         hist[-1][0] = data.draw(st.integers(stages + 1, stages + 9), label="stage")
-    elif kind == "more than T stacks":
-        since += [[k + 1] for k in range(len(since), stepped + 1
-                                          + data.draw(st.integers(0, 3), label="more"))]
-    elif kind == "since differs at T == S":
-        assume(stepped == stages and since)
-        stack = data.draw(st.sampled_from(since), label="stack")
-        if len(stack) > 1 and data.draw(st.booleans(), label="drop"):
-            stack.pop()
-        else:
-            stack.append(data.draw(st.integers(stack[-1], stages), label="entry"))
-    elif kind in ("format 1", "format 2"):
+    elif kind in ("format 1", "format 2", "format 3"):
         doc["format"] = int(kind[-1])
-    elif kind == "no founder":
+    elif kind in ("stack not at k+1", "decreasing stack"):
+        # a member's label stage moved, so the stack the loader rebuilds from
+        # the members' last entries does not start at k + 1, or decreases
+        stacks: dict[int, list] = {}
+        for hist in histories:
+            if hist[-1][1] is not None:
+                stacks.setdefault(hist[-1][1], []).append(hist[-1])
+        if kind == "stack not at k+1":
+            k = data.draw(st.sampled_from(sorted(stacks)), label="label")
+            stacks[k][0][0] = data.draw(st.integers(k + 2, max(k + 2, stages)), label="stage")
+        else:
+            k = data.draw(st.sampled_from([k for k in sorted(stacks) if len(stacks[k]) > 1]
+                                          or [None]), label="label")
+            assume(k is not None)
+            i = data.draw(st.integers(1, len(stacks[k]) - 1), label="member")
+            stacks[k][i][0] = data.draw(st.integers(0, stacks[k][i - 1][0] - 1), label="stage")
+    else:   # "no founder"
         # the element founding a label at stage k + 1 < T is dropped with its
         # history; T's own founder keeps T, which no window pins any more
         founders = [hist for hist in histories
                     for s, v in hist[-1:] if v is not None and s == v + 1 < stepped]
         assume(founders)
         histories.remove(data.draw(st.sampled_from(founders), label="founder"))
-    elif kind == "stack dropped":
-        # the last stack is dropped although its label holds more than its founder at T
-        assume(since and sum(hist[-1][1] == len(since) - 1 for hist in histories) > 1)
-        since.pop()
-    else:
-        assume(since)
-        k = data.draw(st.integers(0, len(since) - 1), label="label")
-        stack = since[k]
-        if kind == "stack not at k+1":
-            stack[0] = data.draw(st.integers(0, stages + 3).filter(lambda v: v != k + 1),
-                                 label="founder stage")
-        elif kind == "decreasing stack":
-            stack.append(data.draw(st.integers(0, stack[-1] - 1), label="entry"))
-        else:   # "entry above S"
-            stack.append(data.draw(st.integers(stages + 1, stages + 9), label="entry"))
 
 
 @pytest.mark.parametrize("kind", [
     "history stage past T", "history stage above S", "stack not at k+1", "decreasing stack",
-    "entry above S", "more than T stacks", "since differs at T == S", "format 1", "format 2",
-    "no founder", "stack dropped"])
+    "format 1", "format 2", "format 3", "no founder"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_pi01_trace_rejects_malformed_stacks(kind, data):
@@ -244,6 +235,24 @@ def test_pi01_trace_rejects_malformed_stacks(kind, data):
     _break_pi01_trace(data, doc, kind)
     with pytest.raises(InputError):
         pi01.trace_from_json(doc)
+
+
+def test_pi01_trace_with_a_forged_stack_is_refused():
+    """A format-3 file kept each label's stages at S as ``since``, which its
+    loader could not check once the run stopped stepping before S: a
+    trace whose label 0 settles to 1 at stage 6, at 100 stages, with
+    ``since[0]`` forged from [1] to [1, 50], loaded and verified as 2
+    members.  Format 3 is refused, and the format-4 file of the same run,
+    which has no stacks to forge, verifies label 0 as 1 member."""
+    g = pi01.GTable([UPSeq((2, 2, 2, 2, 2), (1,))])
+    trace = pi01.run_pi01(g, 100)
+    doc = json.loads(json.dumps(pi01.trace_to_json(trace)))
+    assert max(hist[-1][0] for hist in doc["transitions"]) == pi01.settle_stage(g) == 6 < 100
+    assert [label_stages(stepped_state_pi01(g, 100), 0)] == [[1]]
+    with pytest.raises(InputError):
+        pi01.trace_from_json({**doc, "format": 3, "since": [[1, 50]]})
+    loaded = pi01.trace_from_json(doc)
+    assert pi01.verify_liminf_counts(loaded, g, 0) == (pi01.LabelCount(0, 1, 1),)
 
 
 # suites 0-29 and one family of every churn target 2..8 with spacing 1..4
@@ -262,12 +271,13 @@ def test_coceer_trace_file_replays_like_the_reference(fam):
         for budget in _BUDGETS:
             trace = coceer.run_coceer(fam, E, budget)[1]
             doc = json.loads(json.dumps(coceer.trace_to_json(trace)))
-            assert coceer.trace_from_json(doc) == trace == reference_trace_from_json(doc)
+            loaded = coceer.trace_from_json(doc)
+            assert loaded == trace and as_recorded(loaded) == reference_trace_from_json(doc)
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8])
 def test_pi01_trace_file_keeps_what_the_windows_held(width):
-    """A run's format-3 file loads as the run; T, the greatest stage in its
+    """A run's format-4 file loads as the run; T, the greatest stage in its
     histories, is min(stages, settle stage), and the window after each stage
     up to T, counted from the histories, is the reference stepper's."""
     for seed in range(40):

@@ -18,7 +18,6 @@ from effstruct.pi01 import (
     PiTrace,
     gtable_from_json,
     gtable_to_json,
-    label_stages,
     pi01_step,
     required_stages_for,
     run_pi01,
@@ -30,8 +29,8 @@ from effstruct.pi01 import (
 
 from bruteforce import bf_is_equivalence, bf_relation_of_partition, bf_subset
 from reference import (
-    classify_history, ever_labeled, label_at, snapshot_at, stable_window_label, stepped_run_pi01,
-    windows,
+    classify_history, ever_labeled, label_at, label_stages, snapshot_at, stable_window_label,
+    stepped_run_pi01, windows,
 )
 
 CONSTANT_ONE = GTable(())
@@ -66,7 +65,6 @@ def test_first_stage():
     st = LabelState()
     pi01_step(st, CONSTANT_ONE)
     assert st.members == [[0]] and label_stages(st, 0) == [1] and st.history == [((1, 0),)]
-    assert trace.since == ((1,),)
 
 
 def test_hand_simulated_drop_column():
@@ -201,9 +199,9 @@ def test_run_validation_and_json():
     with pytest.raises(InputError):
         gtable_from_json({"columns": "zzz"})
     with pytest.raises(InputError):
-        trace_from_json({"format": 3, "stages": 1})
-    for bad in ({"format": True}, {"format": 3.0}, {"format": None}, {"format": 2},
-                {"format": 1}, {"stages": -3}, {"stages": True},
+        trace_from_json({"format": 4, "stages": 1})
+    for bad in ({"format": True}, {"format": 4.0}, {"format": None}, {"format": 3},
+                {"format": 2}, {"format": 1}, {"stages": -3}, {"stages": True},
                 {"transitions": [[[True, "z"]]]}, {"transitions": [[[True, 0]]]},
                 {"transitions": [[[-1, 0]]]}, {"transitions": [[[1, "z"]]]},
                 {"transitions": [[[1, 1.0]]]}, {"transitions": [[[1, -2]]]},
@@ -220,6 +218,9 @@ def test_run_validation_and_json():
                 {"transitions": [[]]},
                 # stage s opens label s - 1, so labels sit below their stage
                 {"transitions": [[[1, 1]]]},
+                # a label, a removal, then the label founded when recycled
+                {"transitions": [[[1, None]]]}, {"transitions": [[[1, 0], [2, 1]]]},
+                {"transitions": [[[1, 0], [2, None], [3, None]]]},
                 # a stack grows upward: a greater member never took the label first
                 {"transitions": [[[2, 0]], [[1, 0]]]},
                 # T is the greatest stage, and each stage up to it opens a label
@@ -282,7 +283,7 @@ def test_width_zero_trace_writes_and_loads(stages):
     trace has no history, and is still written and read back."""
     assert settle_stage(CONSTANT_ONE) == 0
     trace = run_pi01(CONSTANT_ONE, stages)
-    assert trace == PiTrace(stages, (), {})
+    assert trace == PiTrace(stages, {})
     obj = json.loads(json.dumps(trace_to_json(trace)))
-    assert obj == {"format": 3, "stages": stages, "transitions": [], "since": []}
+    assert obj == {"format": 4, "stages": stages, "transitions": []}
     assert trace_from_json(obj) == trace

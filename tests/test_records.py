@@ -19,9 +19,10 @@ _ENTRY = ClaimEntry(1, True, (0,))
 
 # each record next to its repr text: the former dataclass's, but for the
 # fields that ColumnState (flag, last_case4_stage, case3_count), StageRecord
-# (witnesses, flag), VTable (next_fresh) and LabelState (since, next_fresh)
-# no longer have, StageRecord's extra, CoceerTrace's tails, ColumnState's
-# tail, the count of VTable's closed-form tail and LabelState's history list
+# (witnesses, flag), VTable (next_fresh), LabelState (since, next_fresh),
+# CoceerTrace (columns, records) and PiTrace (since) no longer have,
+# StageRecord's extra, CoceerTrace's cases and tails, ColumnState's tail, the
+# count of VTable's closed-form tail and LabelState's history list
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -33,16 +34,13 @@ RECORDS = [
     (ColumnState(k=4, next_free=4),
      "ColumnState(k=4, next_free=4, extra=None, tail=None)"),
     (_STEP, "StageRecord(stage=3, e=0, case=4, extra=None, exiled=((0, 2),))"),
-    (CoceerTrace(1, 3, (_STEP,), ((0, 2, 4),)),
-     "CoceerTrace(columns=1, stages=3, records=(StageRecord(stage=3, e=0, case=4, "
-     "extra=None, exiled=((0, 2),)),), tails=((0, 2, 4),))"),
+    (CoceerTrace(3, ((4,),), (4,)), "CoceerTrace(stages=3, cases=((4,),), tails=(4,))"),
     (RequirementReport(0, 2, "script", 2, False, True, True, (1,)),
      "RequirementReport(e=0, k=2, kind='script', witness_class_size=2, r_e_has_size_k=False, "
      "satisfied=True, certified=True, y_limit=(1,))"),
     (GTable([UPSeq((), (1,))]), "GTable(columns=(UPSeq(prefix=(), period=(1,)),))"),
     (LabelState(), "LabelState(members=[], removed_pending=[], stage=0, history=[])"),
-    (PiTrace(1, ((1,),), {0: ((1, 0),)}),
-     "PiTrace(stages=1, since=((1,),), transitions={0: ((1, 0),)})"),
+    (PiTrace(1, {0: ((1, 0),)}), "PiTrace(stages=1, transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
     (VTable(v={0: 2}), "VTable(v={0: 2}, stage=0, events=[], tail=0)"),
     (PreorderSnapshot(2, 3, (1, 3)), "PreorderSnapshot(na=2, nb=3, thresholds=(1, 3))"),
@@ -90,6 +88,14 @@ def test_vtable_equality_ignores_holders_index():
     assert t == u and "holders" not in repr(u)
     u.v[2] = 5
     assert t != u
+
+
+def test_coceer_records_are_replayed_once_and_are_no_field():
+    trace = CoceerTrace(3, ((4,),), (4,))
+    # column 0's focus at stage 1 pads: it exiles its next_free 2
+    assert trace.records == (StageRecord(1, 0, 4, None, ((0, 2),)),)
+    assert trace.records is trace.records and "records" not in repr(trace)
+    assert trace == CoceerTrace(3, ((4,),), (4,)) and trace._fields == ("stages", "cases", "tails")
 
 
 def test_snapshot_order_is_built_once_and_is_no_field(monkeypatch):
