@@ -19,7 +19,7 @@ def _check_bits(bits: Sequence[int], n: int) -> tuple[int, ...]:
     out = tuple(bits)
     if len(out) < n:
         raise InputError(f"need at least {n} bits, got {len(out)}")
-    if any(b not in (0, 1) for b in out):
+    if out.count(0) + out.count(1) != len(out):
         raise InputError("bits must be 0 or 1")
     return out
 
@@ -29,20 +29,21 @@ def block_offset(i: int) -> int:
     return i * i + 3 * i
 
 
-def block_runs(bits: Sequence[int], n: int) -> list[list[tuple[int, int]]]:
+def block_runs(bits: Sequence[int], n: int) -> list[list[list[int]]]:
     """Classes of the first n blocks as half-open runs, ordered by minimum.
 
     Block i is the run [block_offset(i), block_offset(i+1)), split off its
-    last element when bit i is 0, so every class is a single run.
+    last element when bit i is 0, so every class is a single ``[start, stop]``.
     """
-    bits = _check_bits(bits, n)
     runs = []
-    for i in range(n):
-        start, stop = block_offset(i), block_offset(i + 1)
-        if bits[i] == 1:
-            runs.append([(start, stop)])
+    start = 0
+    for i, bit in enumerate(_check_bits(bits, n)[:n]):
+        stop = start + 2 * i + 4
+        if bit == 1:
+            runs.append([[start, stop]])
         else:
-            runs += [[(start, stop - 1)], [(stop - 1, stop)]]
+            runs += [[[start, stop - 1]], [[stop - 1, stop]]]
+        start = stop
     return runs
 
 
@@ -52,30 +53,29 @@ def encode_blocks(bits: Sequence[int], n: int) -> Partition:
 
 
 def block_character(bits: Sequence[int], n: int) -> Character:
-    """Character computed directly from the coding formula."""
-    bits = _check_bits(bits, n)
-    entries: dict[int, int] = {}
-    zeros = sum(1 for b in bits[:n] if b == 0)
-    if zeros:
-        entries[1] = zeros
-    for i in range(n):
-        entries[2 * i + 4 if bits[i] == 1 else 2 * i + 3] = 1
-    return Character(entries)
+    """Character computed directly from the coding formula, in size order."""
+    head = _check_bits(bits, n)[:n]
+    zeros = head.count(0)
+    return Character(([(1, zeros)] if zeros else [])
+                     + [(2 * i + 3 + (bit == 1), 1) for i, bit in enumerate(head)])
 
 
 def decode_character(ch: Character, n: int) -> list[int]:
     """Recover the bit vector from a block-structure character."""
+    entries = ch.entries
     bits = []
     for i in range(n):
-        joined = ch.count(2 * i + 4) == 1
-        split = ch.count(2 * i + 3) == 1
-        if joined == split:
+        joined = entries.get(2 * i + 4) == 1
+        if joined == (entries.get(2 * i + 3) == 1):
             raise InputError(
                 f"character is not a block coding: block {i} needs exactly one "
                 f"of sizes {2 * i + 3} and {2 * i + 4}"
             )
         bits.append(1 if joined else 0)
-    if ch != block_character(bits, n):
+    # each block's size has count 1, so ``entries`` is the coding's exactly
+    # when the singletons count the zeros and it holds nothing else
+    zeros = bits.count(0)
+    if entries.get(1, 0) != zeros or len(entries) != n + (zeros > 0):
         raise InputError("character does not match any block coding on "
                          f"{n} blocks")
     return bits

@@ -47,17 +47,20 @@ class CeerScript(Record):
     def __init__(self, events: Sequence[tuple[int, tuple[int, int]]]):
         norm = []
         last_stage = 0
+        problem = None   # a bad value or order, reported once every event has its shape
         for ev in events:
             try:
                 stage, (x, y) = ev
             except (TypeError, ValueError) as exc:
-                raise InputError(f"bad script event {ev!r}") from exc
-            if not (is_nat(stage) and is_nat(x) and is_nat(y)):
-                raise InputError(f"bad script event {ev!r}: stage, x and y must be naturals")
-            if stage < last_stage:
-                raise InputError("script events must be sorted by stage")
+                raise InputError("script events must be [stage, [x, y]] entries") from exc
+            if problem is None and not (is_nat(stage) and is_nat(x) and is_nat(y)):
+                problem = f"bad script event {(stage, (x, y))!r}: stage, x and y must be naturals"
+            elif problem is None and stage < last_stage:
+                problem = "script events must be sorted by stage"
             last_stage = stage
             norm.append((stage, (x, y)))
+        if problem is not None:
+            raise InputError(problem)
         self.events = tuple(norm)
 
     @property
@@ -285,11 +288,7 @@ def family_from_json(obj: object) -> CeerFamily:
             events = m.get("events")
             if not isinstance(events, list):
                 raise InputError("script member needs an 'events' array")
-            try:
-                parsed = tuple((s, (x, y)) for s, (x, y) in events)
-            except (TypeError, ValueError) as exc:
-                raise InputError("script events must be [stage, [x, y]] entries") from exc
-            members.append(CeerScript(parsed))
+            members.append(CeerScript(events))
         elif kind == "churn":
             if "k" not in m or "spacing" not in m:
                 raise InputError("churn member needs 'k' and 'spacing'")

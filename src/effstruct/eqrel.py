@@ -118,22 +118,32 @@ class Partition:
 
 
 class Character:
-    """Exact finite map from class size to number of classes of that size."""
+    """Exact finite map from class size to number of classes of that size.
+
+    Each pair is checked once; a bad count or size 0 is reported after
+    every pair's shape, and the entries are sorted only when out of order.
+    """
 
     def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = dict(entries)
-        for size, count in items.items():
-            if not is_nat(size) or not is_nat(count):
-                raise InputError(f"character entries must be naturals, got ({size!r}, {count!r})")
-            if size < 1:
-                raise InputError(f"bad character entry ({size}, {count})")
-        self.entries: dict[int, int] = {s: c for s, c in sorted(items.items()) if c > 0}
-
-    def count(self, size: int) -> int:
-        return self.entries.get(size, 0)
-
-    def sizes(self) -> list[int]:
-        return list(self.entries)
+        out: dict[int, int] = {}
+        bad = None
+        for pair in entries.items() if isinstance(entries, Mapping) else entries:
+            try:
+                size, count = pair
+            except (TypeError, ValueError):
+                size = None
+            if not is_nat(size):
+                raise InputError(f"character entries must be [size, count] pairs, got {pair!r}")
+            if size in out:
+                raise InputError(f"duplicate character size {size}")
+            out[size] = count
+            if bad is None and not (is_nat(count) and size >= 1):
+                bad = InputError(f"bad character entry ({size}, {count})" if is_nat(count) else
+                                 f"character entries must be naturals, got ({size!r}, {count!r})")
+        if bad is not None:
+            raise bad
+        in_order = list(out) == sorted(out) and 0 not in out.values()
+        self.entries = out if in_order else {s: c for s, c in sorted(out.items()) if c}
 
     def to_pairs(self) -> list[list[int]]:
         return [[s, c] for s, c in self.entries.items()]
@@ -143,15 +153,7 @@ class Character:
         """Character from its JSON form ``[[size, count], ...]``."""
         if not isinstance(pairs, list):
             raise InputError("a character must be an array of [size, count] pairs")
-        out: dict[int, int] = {}
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2 or not is_nat(pair[0]):
-                raise InputError(f"character entries must be [size, count] pairs, got {pair!r}")
-            size, count = pair
-            if size in out:
-                raise InputError(f"duplicate character size {size}")
-            out[size] = count
-        return cls(out)
+        return cls(pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Character):
@@ -170,13 +172,14 @@ def character_of(p: Partition) -> Character:
     return Character(tally)
 
 
-def partition_to_json(window: int, runs: Iterable[Iterable[tuple[int, int]]]) -> dict:
+def partition_to_json(window: int, runs: list[list[list[int]]]) -> dict:
     """JSON form of a partition of [0, window) given by its classes' runs.
 
-    Each class is a list of its maximal half-open ``(start, stop)`` runs,
+    Each class is a list of its maximal half-open ``[start, stop]`` runs,
     classes ordered by minimum: a class {0, 3} is ``[[0, 1], [3, 4]]``.
+    ``runs`` is already in that form and is written as given, not copied.
     """
-    return {"window": window, "runs": [[[start, stop] for start, stop in cls] for cls in runs]}
+    return {"window": window, "runs": runs}
 
 
 def partition_from_json(obj: object) -> Partition:

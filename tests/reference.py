@@ -1,8 +1,8 @@
 """Slow reference paths that the library's fast paths are compared against.
 
 :class:`ReferenceRunner` replays a family member stage by stage, taking
-its merges from ``ChurnGenerator.events_at`` or by scanning
-``CeerScript.events``, into a union-find of its own; it shares no code
+its merges from ``ChurnGenerator.events_at`` or from ``CeerScript.events``
+indexed by stage, into a union-find of its own; it shares no code
 with ``ceersim.CeerRunner``.  :func:`reference_run_coceer` is the plain
 loop of the co-ceer construction over every stage, driven by that runner:
 it updates every flag at every stage from a seen-set of its own, keeps
@@ -47,8 +47,11 @@ as the entries a stepped run holds.  :func:`reference_materialize`
 builds a preorder snapshot as its explicit set of ``leq`` pairs, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time, and :func:`reference_block_classes` lists its classes member by
-member.  :func:`partition_runs` cuts each class of a partition into its
-maximal runs, the form of the partition codec.
+member.  :func:`reference_character_from_pairs` and
+:func:`reference_decode_character` read a character file in two checking
+passes and decode it against a second, whole character.
+:func:`partition_runs` cuts each class of a partition into its maximal
+runs, the form of the partition codec.
 
 The snapshot oracles give a construction's relation at one stage as a
 :class:`Partition` of a finite window, merged pair by pair:
@@ -112,10 +115,16 @@ class ReferenceRunner:
         self.uf = NaiveUnionFind()
         self.stage = -1
         self._shape: list[tuple[int, int]] = []   # (min, size) of classes of 2+
+        # a script's merges by stage, in script order within a stage
+        self._script: Optional[dict[int, list[tuple[int, int]]]] = None
+        if isinstance(member, CeerScript):
+            self._script = {}
+            for s, m in member.events:
+                self._script.setdefault(s, []).append(m)
 
     def _merges_at(self, stage: int) -> list[tuple[int, int]]:
-        if isinstance(self.member, CeerScript):
-            return [m for s, m in self.member.events if s == stage]
+        if self._script is not None:
+            return self._script.get(stage, [])
         return self.member.events_at(stage)
 
     def advance_to(self, stage: int) -> None:
@@ -897,8 +906,59 @@ def reference_block_classes(bits: list[int], n: int) -> list[list[int]]:
     return classes
 
 
-def partition_runs(p: Partition) -> list[list[tuple[int, int]]]:
-    """Each class of ``p``, by minimum, as its maximal half-open runs."""
+def _nat(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def reference_character_from_pairs(pairs: object) -> dict[int, int]:
+    """The entries of a character file's ``[[size, count], ...]``, checked
+    in the loader's two passes: each pair's shape and size, and that no
+    size repeats; then each count, and that no size is 0.  Sizes of count
+    0 are dropped and the rest sorted by size."""
+    if not isinstance(pairs, list):
+        raise InputError("a character must be an array of [size, count] pairs")
+    out: dict[int, int] = {}
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2 or not _nat(pair[0]):
+            raise InputError(f"character entries must be [size, count] pairs, got {pair!r}")
+        size, count = pair
+        if size in out:
+            raise InputError(f"duplicate character size {size}")
+        out[size] = count
+    for size, count in out.items():
+        if not _nat(size) or not _nat(count):
+            raise InputError(f"character entries must be naturals, got ({size!r}, {count!r})")
+        if size < 1:
+            raise InputError(f"bad character entry ({size}, {count})")
+    return {s: c for s, c in sorted(out.items()) if c > 0}
+
+
+def reference_decode_character(entries: dict[int, int], n: int) -> list[int]:
+    """The bits of a block-coding character's entries: each block's bit
+    read off its two sizes, then the entries compared with the whole
+    character the bits code, built from the formula."""
+    bits = []
+    for i in range(n):
+        joined = entries.get(2 * i + 4, 0) == 1
+        split = entries.get(2 * i + 3, 0) == 1
+        if joined == split:
+            raise InputError(
+                f"character is not a block coding: block {i} needs exactly one "
+                f"of sizes {2 * i + 3} and {2 * i + 4}"
+            )
+        bits.append(1 if joined else 0)
+    zeros = bits.count(0)
+    expected = {1: zeros} if zeros else {}
+    for i, bit in enumerate(bits):
+        expected[2 * i + 4 if bit else 2 * i + 3] = 1
+    if entries != expected:
+        raise InputError(f"character does not match any block coding on {n} blocks")
+    return bits
+
+
+def partition_runs(p: Partition) -> list[list[list[int]]]:
+    """Each class of ``p``, by minimum, as its maximal half-open runs,
+    ``[start, stop]`` lists: the form ``partition_to_json`` writes as given."""
     out = []
     for members in p.classes():
         runs = [[members[0], members[0] + 1]]
@@ -907,7 +967,7 @@ def partition_runs(p: Partition) -> list[list[tuple[int, int]]]:
                 runs[-1][1] = x + 1
             else:
                 runs.append([x, x + 1])
-        out.append([(start, stop) for start, stop in runs])
+        out.append(runs)
     return out
 
 

@@ -44,6 +44,30 @@ def test_script_validation():
             CeerScript(((1, (0, bad)),))
 
 
+def test_malformed_script_event_messages():
+    # a shape fault anywhere in the list is reported before a bad value or
+    # order earlier on; of those, the first is reported
+    shape = "script events must be [stage, [x, y]] entries"
+    cases = [
+        ([[0, [1, 2, 3]]], shape),
+        ([[0, [1, 2]], 7], shape),
+        ([None], shape),
+        ([[0, [1, -2]]], "bad script event (0, (1, -2)): stage, x and y must be naturals"),
+        ([[0, "xy"]], "bad script event (0, ('x', 'y')): stage, x and y must be naturals"),
+        ([[1.5, [0, 1]]], "bad script event (1.5, (0, 1)): stage, x and y must be naturals"),
+        ([[2, [1, 2]], [1, [1, 2]]], "script events must be sorted by stage"),
+        ([[0, [1, -2]], [1, 2]], shape),
+        ([[5, [1, 2]], [3, [1, 2]], "xy"], shape),
+        ([[5, [1, 2]], [3, [1, 2]], [1, [True, 2]]], "script events must be sorted by stage"),
+        ([[0, [1, True]], [2, [0, 1]], [1, [1, 2]]],
+         "bad script event (0, (1, True)): stage, x and y must be naturals"),
+    ]
+    for events, message in cases:
+        with pytest.raises(InputError) as err:
+            family_from_json({"members": [{"type": "script", "events": events}]})
+        assert str(err.value) == message, events
+
+
 def test_churn_validation():
     ChurnGenerator(2, 1)
     with pytest.raises(InputError):

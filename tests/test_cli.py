@@ -504,6 +504,38 @@ def test_blocks_output_is_pinned(tmp_path, capsys):
         "723cd3addae2cebde5da6daf88623d24190f051a7e9b83045eb2174adc11033a"
 
 
+def test_written_files_match_default_json_dumps(tmp_path, monkeypatch):
+    # _dump_json skips the encoder's circular-reference check; every file
+    # kind, written from the README commands, is byte for byte what
+    # json.dumps writes with the check
+    written = []
+    dump = cli._dump_json
+
+    def recording(path, obj):
+        dump(path, obj)
+        written.append((path, obj))
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    fam = _write(tmp_path / "fam.json", family_to_json(generate_diagonalization_suite(7)[0]))
+    g = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8)))
+    b = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
+    out = {name: str(tmp_path / f"{name}.json")
+           for name in ("coceer_trace", "report", "pi01_trace", "snapshot", "blocks")}
+    for argv in (
+        ["coceer", "--family", fam, "--columns", "4", "--stages", "2000",
+         "--trace", out["coceer_trace"], "--verify", "--report", out["report"]],
+        ["pi01", "--g", g, "--stages", "60", "--labels", "4", "--trace", out["pi01_trace"],
+         "--verify"],
+        ["preorder", "--b", b, "--stages", "40", "--verify", "--snapshot", out["snapshot"]],
+        ["blocks", "--x", "10110", "--encode", out["blocks"]],
+    ):
+        assert main(argv) == 0, argv
+    assert sorted(path for path, _ in written) == sorted(out.values())
+    for path, obj in written:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        assert Path(path).read_bytes() == text.encode(), path
+
+
 def test_end_to_end_determinism(tmp_path, family_file):
     paths = []
     for name in ("a", "b"):

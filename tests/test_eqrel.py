@@ -182,6 +182,28 @@ def test_character_validation_and_pairs():
             Character.from_pairs(pairs)
 
 
+def test_character_error_messages():
+    # a pair's shape, size and uniqueness are checked over every pair before
+    # a bad count or size 0 is reported, the first of those in pair order
+    cases = [
+        ([[4, 1], [True, 1]], "character entries must be [size, count] pairs, got [True, 1]"),
+        ([[0, 1], [True, 1]], "character entries must be [size, count] pairs, got [True, 1]"),
+        ([[1, -1], [1, 2]], "duplicate character size 1"),
+        ([[1, "x"], [0, 2], [3]], "character entries must be [size, count] pairs, got [3]"),
+        ([[1, "x"], [0, 2]], "character entries must be naturals, got (1, 'x')"),
+        ([[0, 2], [1, "x"]], "bad character entry (0, 2)"),
+        ([[3, 1], [1, 1.0]], "character entries must be naturals, got (1, 1.0)"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(InputError) as err:
+            Character.from_pairs(pairs)
+        assert str(err.value) == message, pairs
+    # sizes of count 0 are dropped, in order or not, and the entries kept by size
+    assert Character.from_pairs([[1, 2], [3, 0], [5, 1]]).entries == {1: 2, 5: 1}
+    assert Character.from_pairs([[5, 1], [3, 0], [1, 2]]).entries == {1: 2, 5: 1}
+    assert list(Character({5: 1, 1: 2}).entries) == [1, 5]
+
+
 def test_partition_json_examples():
     p = Partition(5)
     p.merge(0, 3)

@@ -29,6 +29,7 @@ from effstruct.ceersim import (
 )
 from effstruct.coceer import run_coceer, verify_requirement
 from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
+from effstruct.errors import InputError
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
@@ -50,8 +51,11 @@ from reference import (
     focus_schedule,
     generate_family,
     label_stages,
+    partition_runs,
     reference_block_classes,
     reference_block_partition,
+    reference_character_from_pairs,
+    reference_decode_character,
     reference_certificate,
     reference_columns_at,
     reference_materialize,
@@ -872,6 +876,77 @@ def test_block_runs_match_member_lists():
             eqrel.partition_to_json(blocks.block_offset(n), runs)).classes() == members
 
 
+def test_block_encode_file_matches_general_path():
+    """``blocks --encode`` writes, byte for byte, the file of the partition
+    the bits code: its maximal runs and its counted character."""
+    rng = random.Random(43)
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/blocks.json"
+        assert _run_cli(["blocks", "--x", "", "--encode", path])[0] == 2   # n = 0
+        assert not os.path.exists(path)
+        for n in list(range(1, 201)) + [400]:
+            bits = [rng.randint(0, 1) for _ in range(n)]
+            p = blocks.encode_blocks(bits, n)
+            obj = {"format": 2, "n_blocks": n,
+                   "partition": {"window": p.window, "runs": partition_runs(p)},
+                   "character": eqrel.character_of(p).to_pairs()}
+            summary = f"encoded {n} bits into {p.window} elements\n"
+            assert _run_cli(["blocks", "--x", "".join(map(str, bits)),
+                             "--encode", path]) == (0, summary, "")
+            with open(path, encoding="utf-8") as f:
+                assert f.read() == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _character_mutations(obj):
+    """A block file's character, then each single mutation of it or of
+    its ``n_blocks``."""
+    pairs = obj["character"]
+    yield pairs
+    for i in range(len(pairs)):
+        yield pairs[:i] + pairs[i + 1:]                      # a pair dropped
+        yield pairs[:i + 1] + pairs[i:]                      # a pair repeated
+        for j in range(2):
+            for value in (pairs[i][j] - 1, pairs[i][j] + 1, True, 1.0, "2"):
+                pair = list(pairs[i])
+                pair[j] = value
+                yield pairs[:i] + [pair] + pairs[i + 1:]
+    yield obj["n_blocks"] - 1
+    yield obj["n_blocks"] + 1
+
+
+def test_block_decode_matches_reference_on_mutations():
+    """On every single mutation of valid block files, ``blocks --decode``
+    prints the bits or the error of the loader and decoder it replaced:
+    two checking passes, and a comparison with a second, whole character."""
+    rng = random.Random(47)
+    kinds = ("character entries must be [size, count] pairs", "duplicate character size",
+             "character entries must be naturals", "bad character entry",
+             "character is not a block coding", "character does not match any block coding")
+    outcomes = set()
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/blocks.json"
+        for n in list(range(1, 17)) + [40, 100]:
+            bits = "".join(rng.choice("01") for _ in range(n))
+            assert _run_cli(["blocks", "--x", bits, "--encode", path])[0] == 0
+            with open(path, encoding="utf-8") as f:
+                valid = json.load(f)
+            for mutation in _character_mutations(valid):
+                key = "n_blocks" if isinstance(mutation, int) else "character"
+                obj = {**valid, key: mutation}
+                with open(path, "w", encoding="utf-8") as f:
+                    json.dump(obj, f)
+                try:
+                    entries = reference_character_from_pairs(obj["character"])
+                    want = (0, "".join(map(str, reference_decode_character(
+                        entries, obj["n_blocks"]))) + "\n", "")
+                except InputError as exc:
+                    want = (2, "", f"error: {exc}\n")
+                assert _run_cli(["blocks", "--decode", path]) == want, obj
+                outcomes.add(next((kind for kind in kinds if kind in want[2]), want[0]))
+    # the files reach every outcome: a decode, and each kind of error
+    assert outcomes == {0, *kinds}, outcomes
+
+
 _prefixes = st.lists(st.integers(1, 9), max_size=8)
 _gtables = st.lists(
     st.builds(lambda p, q: UPSeq(tuple(p), tuple(q)), _prefixes,
@@ -955,11 +1030,11 @@ def test_pi01_counts_match_stacks_read_while_stepping():
 
 
 def _run_cli(argv):
-    """(exit code, stdout) of one in-process CLI command."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    """(exit code, stdout, stderr) of one in-process CLI command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(deadline=None, max_examples=60)
