@@ -20,9 +20,12 @@ builds none.  A script is replayed once into one
 each event is merged once, from the cursor over the sorted events, at
 its stage and nothing after the last one.  Each merge updates an index
 from class size to class minima, so a query never scans the partition.
-:func:`limit_has_class_of_size` reads a script's limit in one union-find
-pass of its own, with no runner.  A churn generator's classes come in
-closed form from the stage number, without simulating its merges.
+A script numbers its elements by first mention once, in the pass that
+checks its events (:attr:`CeerScript.pairs`); the co-ceer run's timeline
+and :func:`limit_has_class_of_size` each merge those slot pairs in a
+union-find pass of their own, with no runner and no numbering of their
+own.  A churn generator's classes come in closed form from the stage
+number, without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -40,12 +43,21 @@ from .errors import InputError
 
 
 class CeerScript(Record):
-    """Finite merge schedule: ((stage, (x, y)), ...) sorted by stage."""
+    """Finite merge schedule: ((stage, (x, y)), ...) sorted by stage.
 
-    __slots__ = ("events",)
+    The pass that checks the events also numbers the elements: ``elements``
+    lists them by first mention, and ``pairs`` holds each event as (stage,
+    slot of x, slot of y), a slot being an index into ``elements``.  Both
+    are derived from ``events``, so equality, hashing and repr read
+    ``events`` alone.
+    """
+
+    __slots__ = ("events", "elements", "pairs")
+    _fields = ("events",)
 
     def __init__(self, events: Sequence[tuple[int, tuple[int, int]]]):
-        norm = []
+        norm, pairs, slot = [], [], {}
+        number = slot.setdefault
         last_stage = 0
         problem = None   # a bad value or order, reported once every event has its shape
         for ev in events:
@@ -53,15 +65,23 @@ class CeerScript(Record):
                 stage, (x, y) = ev
             except (TypeError, ValueError) as exc:
                 raise InputError("script events must be [stage, [x, y]] entries") from exc
-            if problem is None and not (is_nat(stage) and is_nat(x) and is_nat(y)):
-                problem = f"bad script event {(stage, (x, y))!r}: stage, x and y must be naturals"
-            elif problem is None and stage < last_stage:
-                problem = "script events must be sorted by stage"
+            if problem is None:
+                # an exact int passes at once; anything else (a bool, a float, an
+                # int subclass) takes the general test
+                if not (type(stage) is int and stage >= 0 and type(x) is int and x >= 0
+                        and type(y) is int and y >= 0
+                        or is_nat(stage) and is_nat(x) and is_nat(y)):
+                    problem = (f"bad script event {(stage, (x, y))!r}: "
+                               "stage, x and y must be naturals")
+                elif stage < last_stage:
+                    problem = "script events must be sorted by stage"
+                else:   # numbered only once its values are naturals
+                    pairs.append((stage, number(x, len(slot)), number(y, len(slot))))
             last_stage = stage
             norm.append((stage, (x, y)))
         if problem is not None:
             raise InputError(problem)
-        self.events = tuple(norm)
+        self.events, self.elements, self.pairs = tuple(norm), tuple(slot), tuple(pairs)
 
     @property
     def last_event_stage(self) -> int:
@@ -242,11 +262,12 @@ def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
     """Whether the member's limit relation has a class of exactly k elements.
 
     A script's limit is its relation after the last event, read in one
-    pass: every event's pair is merged into a :class:`Partition` over slots
-    numbered by first mention, and a class of size k is a root of that
-    size.  No :class:`CeerRunner` is built, so a verifier shares only the
-    union-find with the run.  A churn generator's limit is a single
-    infinite class, so no size k >= 1 occurs.
+    pass: every event's slot pair (:attr:`CeerScript.pairs`, numbered when
+    the script was read) is merged into a :class:`Partition` of its own,
+    and a class of size k is a root of that size.  No :class:`CeerRunner`
+    is built and the run's timeline is not read, so a verifier shares only
+    the input's numbering and the union-find with the run.  A churn
+    generator's limit is a single infinite class, so no size k >= 1 occurs.
     """
     if k < 1:
         raise InputError("class size must be at least 1")
@@ -254,11 +275,10 @@ def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
         return False
     if k == 1:  # cofinitely many singletons in omega
         return True
-    mentioned = dict.fromkeys(z for _, pair in member.events for z in pair)
-    slot = {z: i for i, z in enumerate(mentioned)}
-    uf = Partition(len(slot))
-    for _, (x, y) in member.events:
-        uf.merge(slot[x], slot[y])
+    uf = Partition(len(member.elements))
+    merge = uf.merge
+    for _, x, y in member.pairs:
+        merge(x, y)
     size = uf.size
     return any(size[r] == k for r, p in enumerate(uf.parent) if r == p)
 

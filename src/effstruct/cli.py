@@ -153,6 +153,16 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     if not is_nat(n):
         raise InputError(f"n_blocks must be a nonnegative integer, got {n!r}")
     bits = blocks_mod.decode_character(ch, n)
+    if obj.get("format") == 2 and "partition" in obj:
+        # a block file's partition is checked for its shape: its window, and one
+        # run list per class the character counts; the runs themselves are not read
+        part, window = obj["partition"], blocks_mod.block_offset(n)
+        classes = sum(ch.entries.values())
+        if not (isinstance(part, dict) and is_nat(part.get("window"))
+                and part["window"] == window and isinstance(part.get("runs"), list)
+                and len(part["runs"]) == classes):
+            raise InputError(f"block file 'partition' must be an object with 'window' {window} "
+                             f"and 'runs' an array of {classes} classes")
     print("".join(str(b) for b in bits))
     return EXIT_OK
 

@@ -193,14 +193,15 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
 
     Column e is focused on every diagonal w >= max(e, 1), at stage
     w(w+1)/2 + e.  A focus at s latches when an event stage in (last, s] of
-    the script's timeline (:func:`_script_timeline`, walked by one cursor)
-    latched, or by :func:`_churn_latches`, and dispatches on ``has_k`` at s.
+    the script's timeline (:func:`_script_timeline`, merged from the slot
+    pairs the script was read with and walked by one cursor) latched, or by
+    :func:`_churn_latches`, and dispatches on ``has_k`` at s.
     The column stops being stepped once a settle rule (module docstring)
     applies after the focus on diagonal w, and its remaining focuses are
     applied in closed form (:func:`_advance_settled`).
     """
     k = col.k
-    timeline = _script_timeline(member.events, k) if isinstance(member, CeerScript) else None
+    timeline = _script_timeline(member, k) if isinstance(member, CeerScript) else None
     quiet = _quiescence_stage(member, k)
 
     cases: list[int] = []
@@ -229,31 +230,32 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     return tuple(cases)
 
 
-def _script_timeline(events: tuple, k: int) -> list[tuple[int, bool, bool]]:
+def _script_timeline(script: CeerScript, k: int) -> list[tuple[int, bool, bool]]:
     """(t, latched, has_k) at each event stage t of a script, in order, for
     target size k >= 2: whether t latches, and whether a size-k class
     exists after it.
 
-    One pass merges the events into a :class:`Partition` over slots
-    numbered by first mention, keeping each root's least element and the
-    size-k class minima.  t latches when its oldest size-k minimum was not
-    seen at an earlier event stage; stage 0 only seeds that history, as a
+    One pass merges the script's slot pairs (:attr:`CeerScript.pairs`,
+    numbered by first mention when the script was read) into a
+    :class:`Partition`, keeping each root's least element and the size-k
+    class minima.  t latches when its oldest size-k minimum was not seen
+    at an earlier event stage; stage 0 only seeds that history, as a
     class present from the start is not a mind change.
     """
-    slot = {z: i for i, z in enumerate(dict.fromkeys(z for _, pair in events for z in pair))}
-    least = list(slot)   # root slot -> least element of its class
+    pairs = script.pairs
+    least = list(script.elements)   # root slot -> least element of its class
     uf = Partition(len(least))
     merge, size = uf.merge, uf.size
     minima, seen, timeline = set(), {None}, []   # size-k minima; oldest ones (None: no class)
-    for i, (t, (x, y)) in enumerate(events, 1):
-        if (joined := merge(slot[x], slot[y])) is not None:
+    for i, (t, x, y) in enumerate(pairs, 1):
+        if (joined := merge(x, y)) is not None:
             r, b = joined   # a class's minimum is no other class's
             minima.discard(least[r])
             minima.discard(least[b])
             least[r] = a = min(least[r], least[b])
             if size[r] == k:
                 minima.add(a)
-        if i < len(events) and events[i][0] == t:
+        if i < len(pairs) and pairs[i][0] == t:
             continue   # the stage's later events
         m = min(minima) if minima else None
         timeline.append((t, t > 0 and m not in seen, m is not None))

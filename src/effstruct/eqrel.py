@@ -132,12 +132,14 @@ class Character:
                 size, count = pair
             except (TypeError, ValueError):
                 size = None
-            if not is_nat(size):
+            # an exact int passes at once; anything else takes the general test
+            if not (type(size) is int and size >= 0 or is_nat(size)):
                 raise InputError(f"character entries must be [size, count] pairs, got {pair!r}")
             if size in out:
                 raise InputError(f"duplicate character size {size}")
             out[size] = count
-            if bad is None and not (is_nat(count) and size >= 1):
+            if bad is None and not (
+                    (type(count) is int and count >= 0 or is_nat(count)) and size >= 1):
                 bad = InputError(f"bad character entry ({size}, {count})" if is_nat(count) else
                                  f"character entries must be naturals, got ({size!r}, {count!r})")
         if bad is not None:

@@ -50,6 +50,8 @@ time, and :func:`reference_block_classes` lists its classes member by
 member.  :func:`reference_character_from_pairs` and
 :func:`reference_decode_character` read a character file in two checking
 passes and decode it against a second, whole character.
+:func:`reference_script_events` reads a script's events as the script
+constructor did before it numbered their elements.
 :func:`partition_runs` cuts each class of a partition into its maximal
 runs, the form of the partition codec.
 
@@ -908,6 +910,30 @@ def reference_block_classes(bits: list[int], n: int) -> list[list[int]]:
 
 def _nat(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def reference_script_events(events: object) -> tuple:
+    """The events of a ``CeerScript`` as its constructor read them before
+    it numbered the elements: each event unpacked and its shape checked,
+    the first bad value or order reported only once every event has its
+    shape, three natural tests per event."""
+    norm = []
+    last_stage = 0
+    problem = None
+    for ev in events:
+        try:
+            stage, (x, y) = ev
+        except (TypeError, ValueError) as exc:
+            raise InputError("script events must be [stage, [x, y]] entries") from exc
+        if problem is None and not (_nat(stage) and _nat(x) and _nat(y)):
+            problem = f"bad script event {(stage, (x, y))!r}: stage, x and y must be naturals"
+        elif problem is None and stage < last_stage:
+            problem = "script events must be sorted by stage"
+        last_stage = stage
+        norm.append((stage, (x, y)))
+    if problem is not None:
+        raise InputError(problem)
+    return tuple(norm)
 
 
 def reference_character_from_pairs(pairs: object) -> dict[int, int]:

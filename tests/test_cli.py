@@ -273,6 +273,30 @@ def test_blocks_flag_validation(tmp_path):
     assert not out.exists()
 
 
+def test_blocks_decode_checks_partition_shape(tmp_path, capsys):
+    encoded = tmp_path / "blocks.json"
+    assert main(["blocks", "--x", "10110", "--encode", str(encoded)]) == 0
+    valid = json.loads(encoded.read_text())
+    runs = valid["partition"]["runs"]
+    capsys.readouterr()
+    message = ("error: block file 'partition' must be an object with 'window' 40 and 'runs' "
+               "an array of 7 classes\n")
+    # the window and the number of classes are checked, not the runs themselves
+    for partition in ({"window": 1, "runs": "garbage"}, {"window": 40, "runs": "garbage"},
+                      {"window": 40.0, "runs": runs}, {"window": 41, "runs": runs},
+                      {"window": 40, "runs": runs[:-1]}, {"window": 40, "runs": runs + [[]]},
+                      {"window": 40}, {"runs": runs}, runs, None):
+        path = _write(tmp_path / "bad.json", {**valid, "partition": partition})
+        assert main(["blocks", "--decode", path]) == 2, partition
+        assert capsys.readouterr() == ("", message), partition
+    # a format-2 file without a partition, and a format-1 file, whose
+    # partition is not read, still decode
+    for obj in ({k: v for k, v in valid.items() if k != "partition"},
+                {**valid, "format": 1, "partition": {"window": 1, "runs": "garbage"}}):
+        assert main(["blocks", "--decode", _write(tmp_path / "ok.json", obj)]) == 0
+        assert capsys.readouterr().out == "10110\n"
+
+
 def test_verify_all_runs_the_whole_budget(capsys):
     assert main(["verify-all", "--seed", "7", "--stages", "30000"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (

@@ -1,9 +1,10 @@
-"""Differential tests: ceer runners, co-ceer runs and the pi01 and preorder
-steppers against slow reference paths, co-ceer runs (whose settled columns
-advance in closed form) and pi01 and preorder runs (which close the run
-past a settle stage) against stepped runs, co-ceer verdicts against the
-witness-history certificate, threshold snapshots and the closed-form block
-layout against explicit constructions, plus operation-count gates."""
+"""Differential tests: the script constructor, ceer runners, co-ceer runs
+and the pi01 and preorder steppers against slow reference paths, co-ceer
+runs (whose settled columns advance in closed form) and pi01 and preorder
+runs (which close the run past a settle stage) against stepped runs,
+co-ceer verdicts against the witness-history certificate, threshold
+snapshots and the closed-form block layout against explicit
+constructions, plus operation-count gates."""
 
 import io
 import json
@@ -12,11 +13,12 @@ import random
 import tempfile
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from itertools import accumulate
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effstruct import blocks, cli, coceer, eqrel, pi01, preorder
@@ -63,6 +65,7 @@ from reference import (
     reference_preorder_step,
     reference_required_stages_for,
     reference_run_coceer,
+    reference_script_events,
     reference_trace_from_json,
     reference_verify_liminf_counts,
     runner_partition,
@@ -174,10 +177,85 @@ def _assert_limit_check_matches(script, sizes):
         assert limit_has_class_of_size(script, k) == runner.has_class_of_size(k) == expected, k
 
 
+@st.composite
+def _falling_mention_scripts(draw):
+    """:func:`_scripts` renamed so that its elements, listed by first
+    mention, fall: the slot order is the reverse of the element order."""
+    script = draw(_scripts())
+    mentioned = list(dict.fromkeys(z for _, pair in script.events for z in pair))
+    names = sorted(draw(st.lists(st.integers(0, 10**12), min_size=len(mentioned),
+                                 max_size=len(mentioned), unique=True)), reverse=True)
+    name = dict(zip(mentioned, names))
+    return CeerScript(tuple((s, (name[x], name[y])) for s, (x, y) in script.events))
+
+
 @settings(deadline=None, max_examples=150)
-@given(_wide_scripts())
+@given(st.one_of(_wide_scripts(), _falling_mention_scripts()))
 def test_limit_check_matches_runner_and_closure_property(script):
     _assert_limit_check_matches(script, range(1, 18))
+
+
+class _Small(IntEnum):
+    ONE = 1
+    SEVEN = 7
+
+
+_ODD_VALUES = st.sampled_from(
+    [True, False, 1.0, 2.5, -1, -7, "2", "", [], None, _Small.ONE, _Small.SEVEN, [1, 2]])
+_BAD_EVENTS = st.sampled_from(
+    [None, 7, "xy", [], [3], [0, [1]], [0, [1, 2, 3]], [[], 21], [0, 5], [1, [2, 3], 4]])
+
+
+@st.composite
+def _raw_script_events(draw):
+    """An event list as a family file may hold it: [stage, [x, y]] over
+    naturals, sorted by stage or not, with up to three stages, elements or
+    whole events swapped for a bool, a float, an ``IntEnum`` member, a
+    negative, a string, ``[]``, ``None`` or a bad shape."""
+    events = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9), st.integers(0, 9))
+                           .map(lambda t: [t[0], [t[1], t[2]]]), max_size=10))
+    if draw(st.booleans()):
+        events.sort(key=lambda ev: ev[0])
+    for _ in range(draw(st.integers(0, 3)) if events else 0):
+        i = draw(st.integers(0, len(events) - 1))
+        where = draw(st.sampled_from((0, 1, 2, None)))
+        if where is None:
+            events[i] = draw(_BAD_EVENTS)
+        elif isinstance(events[i], list) and len(events[i]) == 2:
+            stage, pair = events[i]
+            if where == 0:
+                events[i] = [draw(_ODD_VALUES), pair]
+            elif isinstance(pair, list):
+                events[i] = [stage, [draw(_ODD_VALUES) if j == where - 1 else z
+                                     for j, z in enumerate(pair)]]
+    return events
+
+
+@settings(deadline=None, max_examples=400)
+@given(_raw_script_events())
+@example([[0, [[], 1]]])
+@example([[[], 21]])
+@example([[2, [1, 2]], [1, [_Small.ONE, 2]]])
+@example([[_Small.SEVEN, [_Small.ONE, 3]], [7, [1, _Small.SEVEN]]])
+@example([[0, [True, 1]], [1.0, [2, 3]]])
+def test_script_constructor_matches_reference(events):
+    """The script constructor, which checks exact ints first and numbers
+    the elements in the same pass, accepts exactly the event lists the
+    reference constructor accepts, refuses the others with its message and
+    raises nothing else; an accepted script's slots spell out its events."""
+    try:
+        want = reference_script_events(events)
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            CeerScript(events)
+        assert str(err.value) == str(exc)
+        return
+    script = CeerScript(events)
+    assert script.events == want
+    assert script.elements == tuple(dict.fromkeys(z for _, pair in want for z in pair))
+    elements = script.elements
+    assert tuple((s, (elements[x], elements[y])) for s, x, y in script.pairs) == want
+    assert script == CeerScript(want) and hash(script) == hash(CeerScript(want))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -665,7 +743,7 @@ def test_script_timeline_story():
                                  (8, (9, 9)), (9, (big, 0))]))
     timeline = [(0, False, True), (3, True, True), (6, False, True), (8, False, True),
                 (9, False, False)]
-    assert coceer._script_timeline(script.events, 4) == _replayed_timeline(script, 4) == timeline
+    assert coceer._script_timeline(script, 4) == _replayed_timeline(script, 4) == timeline
     _assert_same_as_stepped(CeerFamily((CeerScript(()), script)), 2, (1, 2, 4, 7, 11, 30, 100))
 
 
@@ -674,7 +752,7 @@ def test_script_timeline_story():
                                                     _timeline_scripts(2 * e + 2))))
 def test_script_timeline_matches_replay(drawn):
     k, script = drawn
-    assert coceer._script_timeline(script.events, k) == _replayed_timeline(script, k)
+    assert coceer._script_timeline(script, k) == _replayed_timeline(script, k)
 
 
 @settings(deadline=None, max_examples=60)
