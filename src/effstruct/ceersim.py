@@ -15,17 +15,12 @@ Two member kinds are supported:
 :class:`CeerRunner` follows one member stage by stage and answers, for
 either kind, whether a class of size k exists and which is the oldest.
 It serves :mod:`effstruct.generators` and the tests; the co-ceer run
-builds none.  A script is replayed once into one
-:class:`~effstruct.eqrel.Partition` sized by the elements it mentions:
-each event is merged once, from the cursor over the sorted events, at
-its stage and nothing after the last one.  Each merge updates an index
-from class size to class minima, so a query never scans the partition.
-A script numbers its elements by first mention once, in the pass that
-checks its events (:attr:`CeerScript.pairs`); the co-ceer run's timeline
-and :func:`limit_has_class_of_size` each merge those slot pairs in a
-union-find pass of their own, with no runner and no numbering of their
-own.  A churn generator's classes come in closed form from the stage
-number, without simulating its merges.
+builds none.  A script numbers its elements by first mention once, in
+the pass that checks its events (:attr:`CeerScript.pairs`); the runner,
+the co-ceer run's timeline and :func:`limit_has_class_of_size` each
+merge those slot pairs in a union-find pass of their own, with no
+numbering of their own.  A churn generator's classes come in closed form
+from the stage number, without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -34,7 +29,6 @@ untouched by any event are singletons.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from typing import Optional, Sequence, Union
 
 from .core import Record, check_format, is_nat
@@ -90,8 +84,8 @@ class CeerScript(Record):
     def events_at(self, stage: int) -> list[tuple[int, int]]:
         """The merges of one stage, in script order.
 
-        :class:`CeerRunner` reads the events from its own cursor instead;
-        this is kept for independent replays and the benchmark's hook.
+        No library path calls this (:class:`CeerRunner` merges :attr:`pairs`);
+        it is kept for independent replays and the benchmark's hook.
         """
         lo = bisect_left(self.events, (stage,))
         hi = bisect_left(self.events, (stage + 1,), lo)
@@ -178,84 +172,58 @@ class CeerFamily(Record):
 
 
 class CeerRunner:
-    """Incremental stage simulator for one family member.
+    """Stage-by-stage replay of one family member.
 
-    After :meth:`advance_to` both member kinds hold the same index: for
-    each size k >= 2, the minima of the classes of size k.  The queries
-    read only that index; :attr:`classes` is built on demand.
-
-    A churn generator indexes the classes of
-    :meth:`ChurnGenerator.classes_after` and leaves ``uf`` empty.  A script
-    is replayed into ``uf``, a :class:`Partition` with one slot per element
-    the script mentions, slots in increasing element order.  Each event is
-    merged once, from the cursor: :meth:`advance_to` reads
-    ``member.events`` from the first event not merged yet through the
-    stage, in script order.  A merge that joins two classes moves their
-    minima out of the index under their old sizes and the joined class's
-    minimum in under its new one.  The least element of each class is kept
-    at its root slot.
+    A script is replayed into ``uf``, a :class:`Partition` over the slots
+    the script numbered when it was read (:attr:`CeerScript.elements`):
+    :meth:`advance_to` merges :attr:`CeerScript.pairs` from the first pair
+    not merged yet through the stage.  A churn generator's classes come
+    from :meth:`ChurnGenerator.classes_after`, and its ``uf`` stays empty.
+    Every query reads :attr:`classes`, which a script lists once per
+    advance that merged.
     """
 
     def __init__(self, member: FamilyMember):
         self.member = member
         self.stage = -1
-        # class size >= 2 -> minima of the classes of that size (possibly none)
-        self._minima: dict[int, set[int]] = defaultdict(set)
-        self._applied = 0  # script events already merged into uf
-        events = member.events if isinstance(member, CeerScript) else ()
-        self._elements = sorted({z for _, pair in events for z in pair})
-        self._slot = {x: i for i, x in enumerate(self._elements)}
-        self._least = list(self._elements)  # root slot -> least element of its class
-        self.uf = Partition(len(self._elements))
+        self._merged = 0   # script pairs already merged into uf
+        self._classes: Optional[tuple[tuple[int, ...], ...]] = ()
+        self.uf = Partition(len(member.elements) if isinstance(member, CeerScript) else 0)
 
     def advance_to(self, stage: int) -> None:
         if stage <= self.stage:
             return
         self.stage = stage
-        member = self.member
-        if isinstance(member, ChurnGenerator):
-            self._minima = {len(c): {c[0]} for c in member.classes_after(stage)}
+        if isinstance(self.member, ChurnGenerator):
             return
-        events, applied = member.events, self._applied
-        slot, least, minima = self._slot, self._least, self._minima
-        merge, size = self.uf.merge, self.uf.size
-        while applied < len(events):
-            at, (x, y) = events[applied]
-            if at > stage:
-                break
-            applied += 1
-            joined = merge(slot[x], slot[y])
-            if joined is None:
-                continue
-            survivor, absorbed = joined
-            total, size_b = size[survivor], size[absorbed]
-            a, b = least[survivor], least[absorbed]
-            if total - size_b > 1:  # singletons are not indexed
-                minima[total - size_b].remove(a)
-            if size_b > 1:
-                minima[size_b].remove(b)
-            if b < a:
-                least[survivor] = a = b
-            minima[total].add(a)
-        self._applied = applied
+        pairs, merged, merge = self.member.pairs, self._merged, self.uf.merge
+        while merged < len(pairs) and pairs[merged][0] <= stage:
+            _, x, y = pairs[merged]
+            merge(x, y)
+            merged += 1
+        if merged > self._merged:
+            self._merged, self._classes = merged, None
 
     @property
     def classes(self) -> tuple[Sequence[int], ...]:
         """The classes of two or more elements, by minimum, members ascending."""
-        if isinstance(self.member, ChurnGenerator):
-            return self.member.classes_after(self.stage)
-        elements = self._elements
-        return tuple([elements[i] for i in c] for c in self.uf.classes() if len(c) > 1)
+        member = self.member
+        if isinstance(member, ChurnGenerator):
+            return member.classes_after(self.stage)
+        if self._classes is None:
+            elements = member.elements
+            self._classes = tuple(sorted(tuple(sorted(elements[i] for i in c))
+                                         for c in self.uf.classes() if len(c) > 1))
+        return self._classes
 
     def has_class_of_size(self, k: int) -> bool:
-        return k == 1 or bool(self._minima.get(k))  # cofinitely many singletons in omega
+        return k == 1 or any(len(c) == k for c in self.classes)  # cofinitely many singletons
 
     def oldest_class_min(self, k: int) -> Optional[int]:
         """The least minimum of a class of size k >= 2; None when there is none."""
         if k < 2:
             raise InputError(f"oldest class queries need size at least 2, not {k}")
-        minima = self._minima.get(k)
-        return min(minima) if minima else None
+        return next((c[0] for c in self.classes if len(c) == k), None)
 
 
 def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:

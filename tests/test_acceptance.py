@@ -283,7 +283,7 @@ def test_criterion_7_oracle_cross_checks():
         classes = p.classes()
         runner = CeerRunner(CeerScript(tuple((1, pair) for pair in pairs)))
         runner.advance_to(1)
-        assert list(runner.classes) == [c for c in classes if len(c) > 1]
+        assert [list(c) for c in runner.classes] == [c for c in classes if len(c) > 1]
         k = rng.randint(2, 6)
         assert runner.oldest_class_min(k) == bf_oldest_class_min(runner.classes, k)
         assert character_of(p).entries == bf_character(classes)

@@ -124,7 +124,7 @@ def test_oldest_class_min_against_bruteforce():
         for x, y in pairs:
             p.merge(x, y)
         runner = _script_runner(pairs)
-        assert list(runner.classes) == [c for c in p.classes() if len(c) > 1]
+        assert [list(c) for c in runner.classes] == [c for c in p.classes() if len(c) > 1]
         for k in range(2, 7):
             assert runner.oldest_class_min(k) == bf_oldest_class_min(runner.classes, k)
 

@@ -137,28 +137,6 @@ def _scripts(draw):
     return CeerScript(tuple(sorted(zip(stages, pairs))))
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.one_of(
-    st.tuples(_scripts(), st.just(None)),
-    st.tuples(st.builds(ChurnGenerator, st.integers(2, 6), st.integers(1, 3)),
-              st.integers(0, 60)),
-))
-def test_runner_index_matches_reference_property(member_and_last):
-    """At every stage through one past the last event, the size index
-    answers every size query as the reference replay does, and the
-    on-demand classes are the reference's classes of two or more."""
-    member, last = member_and_last
-    if last is None:
-        last = member.last_event_stage
-    runner, ref = CeerRunner(member), ReferenceRunner(member)
-    for s in range(last + 2):
-        runner.advance_to(s)
-        ref.advance_to(s)
-        _assert_same_queries(runner, ref, range(1, len(ref.uf.class_of) + 2))
-        assert [list(c) for c in runner.classes] == \
-            sorted(sorted(c) for c in ref.uf.lists.values()), s
-
-
 @st.composite
 def _wide_scripts(draw):
     """:func:`_scripts` with its eight elements renamed to naturals up to 10**12."""
@@ -193,6 +171,30 @@ def _falling_mention_scripts(draw):
 @given(st.one_of(_wide_scripts(), _falling_mention_scripts()))
 def test_limit_check_matches_runner_and_closure_property(script):
     _assert_limit_check_matches(script, range(1, 18))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(
+    st.tuples(st.one_of(_scripts(), _wide_scripts(), _falling_mention_scripts()),
+              st.just(None)),
+    st.tuples(st.builds(ChurnGenerator, st.integers(2, 6), st.integers(1, 3)),
+              st.integers(0, 60)),
+))
+def test_runner_matches_reference_property(member_and_last):
+    """At every stage through one past the last event, the runner answers
+    every size query as the reference replay does, and its classes are the
+    reference's classes of two or more.  A wide or falling script puts the
+    runner's slots, numbered by first mention, out of element order."""
+    member, last = member_and_last
+    if last is None:
+        last = member.last_event_stage
+    runner, ref = CeerRunner(member), ReferenceRunner(member)
+    for s in range(last + 2):
+        runner.advance_to(s)
+        ref.advance_to(s)
+        _assert_same_queries(runner, ref, range(1, len(ref.uf.class_of) + 2))
+        assert [list(c) for c in runner.classes] == \
+            sorted(sorted(c) for c in ref.uf.lists.values()), s
 
 
 class _Small(IntEnum):
@@ -639,6 +641,36 @@ def test_replays_read_events_without_runner_or_stage_lookup(monkeypatch):
     columns, _ = run_coceer(fam, len(fam.members), 8000)
     _reports(columns, fam)
     assert runners[0] == 0 and lookups[0] == 0
+
+
+def test_runner_operation_counts(monkeypatch):
+    """A runner advanced on a random schedule of stages, and queried at
+    each, merges each script event once, looks up no root outside a merge,
+    holds one slot per element the script mentions and lists its
+    partition's classes at most once per advance that merged."""
+    rng = random.Random(29)
+    suite, _ = generate_diagonalization_suite(7)  # its generator runs runners too
+    scripts = [m for m in suite.members if isinstance(m, CeerScript)]
+    scripts += [_random_script(rng) for _ in range(40)]
+    merges = _count_calls(monkeypatch, eqrel.Partition, "merge")
+    finds = _count_calls(monkeypatch, eqrel.Partition, "find")
+    listings = _count_calls(monkeypatch, eqrel.Partition, "classes")
+    for script in scripts:
+        merges[0] = finds[0] = listings[0] = 0
+        runner, merging_advances = CeerRunner(script), 0
+        last = script.last_event_stage
+        for stage in sorted(rng.sample(range(last + 1), rng.randint(0, last + 1))) + [last + 1]:
+            before = merges[0]
+            runner.advance_to(stage)
+            merging_advances += merges[0] > before
+            for k in (2, 3, rng.randint(2, 12)):
+                runner.has_class_of_size(k)
+                runner.oldest_class_min(k)
+            runner.classes
+        assert merges[0] == len(script.events)
+        assert finds[0] == 0
+        assert runner.uf.window == len(script.elements)
+        assert listings[0] <= merging_advances
 
 
 def _assert_same_as_stepped(fam, E, budgets):

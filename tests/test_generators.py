@@ -93,3 +93,13 @@ def test_diagonalization_suite_is_pinned(seed, digest):
     fam, _ = generate_diagonalization_suite(seed)
     blob = json.dumps(family_to_json(fam)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_diagonalization_suites_0_to_199_are_pinned():
+    # one digest over the families of seeds 0-199, one JSON line each, so a
+    # runner change that moves any seed's family shows here
+    digest = hashlib.sha256()
+    for seed in range(200):
+        fam, _ = generate_diagonalization_suite(seed)
+        digest.update(json.dumps(family_to_json(fam)).encode() + b"\n")
+    assert digest.hexdigest() == "8ec0395ba30691139fe1dc88e262cec8be31cab24e8b6ecd6b38c9acc8f416f9"
