@@ -16,11 +16,14 @@ Two member kinds are supported:
 either kind, whether a class of size k exists and which is the oldest.
 It serves :mod:`effstruct.generators` and the tests; the co-ceer run
 builds none.  A script numbers its elements by first mention once, in
-the pass that checks its events (:attr:`CeerScript.pairs`); the runner,
-the co-ceer run's timeline and :func:`limit_has_class_of_size` each
-merge those slot pairs in a union-find pass of their own, with no
-numbering of their own.  A churn generator's classes come in closed form
-from the stage number, without simulating its merges.
+the pass that checks its events (:attr:`CeerScript.pairs`); the runner
+merges those slot pairs in a union-find pass of its own, with no
+numbering of its own, and so do the co-ceer run's timeline and
+:func:`limit_has_class_of_size` for a target size k up to the number of
+elements the script mentions.  Above it no class of size k ever exists
+(an unmentioned element stays a singleton), and both answer without a
+pass.  A churn generator's classes come in closed form from the stage
+number, without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -236,6 +239,11 @@ def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
     is built and the run's timeline is not read, so a verifier shares only
     the input's numbering and the union-find with the run.  A churn
     generator's limit is a single infinite class, so no size k >= 1 occurs.
+
+    A script that mentions fewer than k >= 2 elements is answered without
+    a pass: an element no event mentions is never merged, so a class of two
+    or more elements holds only mentioned ones, and none has size k.  The
+    bound is read from the member itself, not from the run.
     """
     if k < 1:
         raise InputError("class size must be at least 1")
@@ -243,6 +251,8 @@ def limit_has_class_of_size(member: FamilyMember, k: int) -> bool:
         return False
     if k == 1:  # cofinitely many singletons in omega
         return True
+    if k > len(member.elements):
+        return False
     uf = Partition(len(member.elements))
     merge = uf.merge
     for _, x, y in member.pairs:

@@ -14,13 +14,13 @@ one that stops on an insufficient horizon writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from . import blocks as blocks_mod
 from . import coceer as coceer_mod
@@ -29,6 +29,9 @@ from .ceersim import family_from_json
 from .core import check_format, delta02_from_json, is_nat
 from .eqrel import Character, character_of, partition_to_json
 from .errors import EffstructError, HorizonError, InputError
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,7 +64,7 @@ def _dump_json(path: str, obj: object) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_coceer(args: argparse.Namespace) -> int:
+def _cmd_coceer(args: SimpleNamespace) -> int:
     if args.report is not None and not args.verify:
         raise InputError("--report needs --verify")
     fam = family_from_json(_load_json(args.family))
@@ -72,6 +75,8 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
         _dump_json(args.trace, coceer_mod.trace_to_json(trace))
     if reports is None:
         return EXIT_OK
+    if args.report:
+        _dump_json(args.report, [coceer_mod.report_to_json(r) for r in reports])
     for rep in reports:
         status = "ok" if rep.satisfied and rep.certified else "FAIL"
         print(
@@ -79,13 +84,11 @@ def _cmd_coceer(args: argparse.Namespace) -> int:
             f"{rep.witness_class_size}, family realizes size: {rep.r_e_has_size_k}, "
             f"satisfied={rep.satisfied}, certified={rep.certified} [{status}]"
         )
-    if args.report:
-        _dump_json(args.report, [coceer_mod.report_to_json(r) for r in reports])
     ok = all(r.satisfied and r.certified for r in reports)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_pi01(args: argparse.Namespace) -> int:
+def _cmd_pi01(args: SimpleNamespace) -> int:
     if args.labels is not None and not args.verify:
         raise InputError("--labels needs --verify")
     table = pi01.gtable_from_json(_load_json(args.g))
@@ -104,7 +107,7 @@ def _cmd_pi01(args: argparse.Namespace) -> int:
     return EXIT_OK if all(entry.match for entry in counts) else EXIT_VERIFY_FAILED
 
 
-def _cmd_preorder(args: argparse.Namespace) -> int:
+def _cmd_preorder(args: SimpleNamespace) -> int:
     if args.horizon is not None and not args.verify:
         raise InputError("--horizon needs --verify")
     approx = delta02_from_json(_load_json(args.b))
@@ -128,7 +131,7 @@ def _cmd_preorder(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_blocks(args: argparse.Namespace) -> int:
+def _cmd_blocks(args: SimpleNamespace) -> int:
     if (args.x is None) == (args.decode is None) or (args.x is None and args.encode is not None):
         raise InputError("use either --x with --encode, or --decode")
     if args.x is not None:
@@ -221,7 +224,7 @@ def _suite_blocks(seed: int) -> tuple[bool, str]:
     return bad == 0, "block coder: 100 round trips and 33 character cross-checks exact"
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> int:
+def _cmd_verify_all(args: SimpleNamespace) -> int:
     suites = [
         _suite_coceer(args.seed, args.stages),
         _suite_pi01(args.seed),
@@ -266,6 +269,10 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built only for a line the table reader does not take;
+    ``argparse`` (and the ``gettext`` it loads) is imported here, not at start-up."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="effstruct",
         description="Stage constructions for effective equivalence structures and preorders",
@@ -279,14 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_command_line(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace ``build_parser()`` gives ``argv``, less ``subcommand``, or None.
+def _read_command_line(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The attributes ``build_parser()`` gives ``argv``, less ``subcommand``, or None.
 
     Only a plain line is read: a command name, then that command's flags
     spelled exactly and each given at most once, every valued flag followed
     by a value not starting with ``-`` (and passing ``int()`` for an ``int``
     flag), every required flag present.  Any other line is None, so help,
     ``--``, ``--flag=value``, abbreviations, repeats and errors stay argparse's.
+    A handler reads attributes only, so it takes either namespace.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -310,7 +318,7 @@ def _read_command_line(argv: list[str]) -> Optional[argparse.Namespace]:
             except ValueError:
                 return None
         values[word] = value
-    args = argparse.Namespace(handler=handler)
+    args = SimpleNamespace(handler=handler)
     for flag, keywords in flags:
         if flag not in values and keywords.get("required"):
             return None

@@ -20,7 +20,8 @@ member only, so the construction is E independent column runs
 (:func:`_run_column`).  Each focus latches from the member's events
 since the column's previous focus, and its dispatch reads the latch, so
 no latch outlives the focus that takes it.  A script column reads both
-from its size-k timeline (:func:`_script_timeline`), built in one pass.
+from its size-k timeline (:func:`_script_timeline`), built in one pass,
+or empty when the script mentions fewer than k elements.
 
 Column e has the target size k_e = 2e+2 and the initial witnesses
 {1, ..., k_e - 1}, so its witness class sizes are {k_e, k_e + 1}, unique
@@ -199,9 +200,20 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     The column stops being stepped once a settle rule (module docstring)
     applies after the focus on diagonal w, and its remaining focuses are
     applied in closed form (:func:`_advance_settled`).
+
+    A script that mentions fewer than k elements reads an empty timeline,
+    with no pass.  Proof: an element no event mentions is never merged, so
+    it stays a singleton, and a class of two or more elements holds only
+    mentioned ones; with k >= 2 no stage has a class of size k.  So the
+    full timeline latches nowhere and has ``has_k`` false at every event
+    stage, and a focus reads the same from an empty one.  The quiescence
+    stage is kept, so such a column settles where the full timeline would
+    settle it.
     """
     k = col.k
-    timeline = _script_timeline(member, k) if isinstance(member, CeerScript) else None
+    timeline = None
+    if isinstance(member, CeerScript):
+        timeline = _script_timeline(member, k) if len(member.elements) >= k else []
     quiet = _quiescence_stage(member, k)
 
     cases: list[int] = []

@@ -171,7 +171,8 @@ def test_limit_has_class_of_size_script():
 
 
 def test_limit_has_class_of_size_sized_by_mentioned_elements(monkeypatch):
-    # the limit check's union-find has one slot per mentioned element, not per value
+    # the limit check's union-find has one slot per mentioned element, not per value;
+    # k = 3 exceeds the script's 2 elements, so that size is answered with no pass
     windows = []
 
     class RecordingPartition(ceersim.Partition):
@@ -182,7 +183,7 @@ def test_limit_has_class_of_size_sized_by_mentioned_elements(monkeypatch):
     monkeypatch.setattr(ceersim, "Partition", RecordingPartition)
     far = CeerScript(((1, (0, 10**12)),))
     assert [limit_has_class_of_size(far, k) for k in (1, 2, 3)] == [True, True, False]
-    assert windows == [2, 2]
+    assert windows == [2]
 
 
 def test_limit_has_class_of_size_churn():

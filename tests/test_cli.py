@@ -606,7 +606,9 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys, family_file):
     ]
     for argv in commands:
         assert main(argv) == 2, argv
-        assert f"cannot write {bad}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"cannot write {bad}" in err
+        assert out == "", argv   # every file is written before any verdict is printed
 
 
 _STARTUP_PROBE = """
@@ -614,7 +616,7 @@ import json, sys
 import effstruct.cli, effstruct.generators
 mods = [m for name, m in sys.modules.items() if name.startswith("effstruct")]
 print(json.dumps({
-    "loaded": sorted({"dataclasses", "inspect"} & sys.modules.keys()),
+    "loaded": sorted({"argparse", "dataclasses", "gettext", "inspect"} & sys.modules.keys()),
     "dataclasses": sorted(c.__qualname__ for m in mods for c in vars(m).values()
                           if isinstance(c, type) and hasattr(c, "__dataclass_fields__")),
 }))
@@ -622,9 +624,11 @@ print(json.dumps({
 
 
 def test_startup_loads_no_dataclasses():
-    """A fresh interpreter importing the CLI loads neither ``dataclasses`` nor
-    ``inspect``, and builds no dataclass: both cost start-up in every
-    process (README, start-up).  ``-S`` keeps site hooks out of the count."""
+    """A fresh interpreter importing the CLI loads none of ``argparse``,
+    ``gettext``, ``dataclasses`` and ``inspect``, and builds no dataclass:
+    each costs start-up in every process (README, start-up), and only a
+    line the command table does not take builds a parser.  ``-S`` keeps
+    site hooks out of the count."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-S", "-c", _STARTUP_PROBE], env=env,

@@ -556,13 +556,16 @@ def test_churn_jump_matches_replay_property(k, s, window):
 
 
 def test_run_coceer_operation_counts(monkeypatch):
-    """A run builds no ``CeerRunner``: each script column merges its
-    script's events once, into one partition of its own, and a churn column
-    builds none.  The run dispatches each stepped focus once, and its
-    tails stand for the other focused stages."""
+    """A run builds no ``CeerRunner``: a script column whose script mentions
+    at least k elements merges its script's events once, into one partition
+    of its own; a script column with fewer elements and a churn column
+    build none.  The run dispatches each stepped focus once, and its tails
+    stand for the other focused stages."""
     fam, _ = generate_diagonalization_suite(7)  # its generator runs runners too
     E = len(fam.members)
-    scripts = [m for m in fam.members if isinstance(m, CeerScript)]
+    all_scripts = [m for m in fam.members if isinstance(m, CeerScript)]
+    scripts = [m for e, m in enumerate(fam.members)
+               if isinstance(m, CeerScript) and len(m.elements) >= 2 * e + 2]
     made, merges = [], {}
     original_init, original_merge = eqrel.Partition.__init__, eqrel.Partition.merge
 
@@ -578,7 +581,7 @@ def test_run_coceer_operation_counts(monkeypatch):
     monkeypatch.setattr(eqrel.Partition, "merge", counting_merge)
     runners = _count_calls(monkeypatch, CeerRunner, "__init__")
     dispatches = _count_calls(monkeypatch, coceer, "_dispatch")
-    assert 0 < len(scripts) < E
+    assert 0 < len(scripts) < len(all_scripts) < E
     for budget in (3000, 30000):
         dispatches[0] = 0
         made.clear()
@@ -614,9 +617,11 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     """A run and the verification of every column, at the
     size of the benchmark's diag workload, read class sizes from each
     script's timeline and the limit check's root sizes: no partition lists
-    its classes, no root is looked up outside a merge, and each script
-    event is merged twice, once by the run's timeline pass and once by the
-    verifier's pass."""
+    its classes, no root is looked up outside a merge, and each event of a
+    script with at least k elements is merged twice, once by the run's
+    timeline pass and once by the verifier's pass.  A script with fewer
+    elements is merged by neither, so fewer merges are made than twice the
+    events of all scripts."""
     fam, _ = generate_diagonalization_suite(7)  # its generator lists classes
     rebuilds = _count_calls(monkeypatch, eqrel.Partition, "classes")
     finds = _count_calls(monkeypatch, eqrel.Partition, "find")
@@ -626,7 +631,10 @@ def test_diag_run_and_verification_rebuild_no_classes(monkeypatch):
     assert rebuilds[0] == 0
     assert finds[0] == 0
     events = sum(len(m.events) for m in fam.members if isinstance(m, CeerScript))
-    assert events > 0 and merges[0] == 2 * events
+    merged = sum(len(m.events) for e, m in enumerate(fam.members)
+                 if isinstance(m, CeerScript) and len(m.elements) >= 2 * e + 2)
+    assert merges[0] == 2 * merged == 488
+    assert merges[0] < 2 * events == 690
 
 
 def test_replays_read_events_without_runner_or_stage_lookup(monkeypatch):
@@ -795,6 +803,47 @@ def test_timeline_runs_match_stepped(scripts):
     and the focus records of runs that replay every event stage through a
     ``CeerRunner``."""
     _assert_same_as_stepped(CeerFamily(scripts), len(scripts), (1, 3, 10, 45, 120, 400))
+
+
+@st.composite
+def _scripts_near_bound(draw, k):
+    """A script mentioning k - 1, k or k + 1 elements (small naturals or up
+    to 10**12): a chain joins them all into one class, its last link at a
+    drawn stage, and self-merges and stage-0 merges among the same
+    elements are mixed in.  So the one class reaches size k, or passes it,
+    or stays one short of it."""
+    n = draw(st.sampled_from([k - 1, k, k + 1]))
+    elements = draw(st.lists(st.one_of(st.integers(0, 9), st.integers(0, _BIG)),
+                             min_size=n, max_size=n, unique=True))
+    joined = draw(st.integers(0, 30))
+    events = [(draw(st.integers(0, joined)), (x, y)) for x, y in zip(elements, elements[1:])]
+    if events:
+        events[-1] = (joined, events[-1][1])
+    element = st.sampled_from(elements)
+    events += [(draw(st.integers(0, 40)), (x, x))
+               for x in draw(st.lists(element, min_size=n == 1, max_size=3))]
+    events += [(0, pair) for pair in draw(st.lists(st.tuples(element, element), max_size=2))]
+    return CeerScript(tuple(sorted(events, key=lambda ev: ev[0])))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(
+    lambda E: st.tuples(st.tuples(*(_scripts_near_bound(2 * e + 2) for e in range(E))),
+                        st.lists(st.integers(1, 400), min_size=1, max_size=3))))
+def test_size_bound_matches_stepped_and_closure(drawn):
+    """A script column whose script mentions fewer than k elements is run
+    from an empty timeline, and its limit check makes no pass.  At the
+    bound and on either side of it, a run has the columns, focus records,
+    tails and reports of a run that replays every focus through a
+    ``CeerRunner``, and the limit check answers every size as the closure
+    of the script's pairs does."""
+    scripts, budgets = drawn
+    _assert_same_as_stepped(CeerFamily(scripts), len(scripts), (*budgets, 400))
+    for script in scripts:
+        classes = bf_generated_classes(pair for _, pair in script.events)
+        for k in range(1, len(script.elements) + 3):
+            expected = k == 1 or any(len(c) == k for c in classes)
+            assert limit_has_class_of_size(script, k) == expected, k
 
 
 def test_unrecorded_run_steps_only_until_columns_settle(monkeypatch):
