@@ -26,7 +26,7 @@ from . import blocks as blocks_mod
 from . import coceer as coceer_mod
 from . import generators, pi01, preorder
 from .ceersim import family_from_json
-from .core import check_format, delta02_from_json, is_nat
+from .core import Delta02SetApprox, check_format, is_nat, table_from_json
 from .eqrel import Character, character_of, partition_to_json
 from .errors import EffstructError, HorizonError, InputError
 
@@ -91,7 +91,7 @@ def _cmd_coceer(args: SimpleNamespace) -> int:
 def _cmd_pi01(args: SimpleNamespace) -> int:
     if args.labels is not None and not args.verify:
         raise InputError("--labels needs --verify")
-    table = pi01.gtable_from_json(_load_json(args.g))
+    table = table_from_json(pi01.GTable, _load_json(args.g))
     trace = pi01.run_pi01(table, args.stages)
     counts = pi01.verify_liminf_counts(trace, table, args.labels or 0) if args.verify else None
     if args.trace:
@@ -110,7 +110,7 @@ def _cmd_pi01(args: SimpleNamespace) -> int:
 def _cmd_preorder(args: SimpleNamespace) -> int:
     if args.horizon is not None and not args.verify:
         raise InputError("--horizon needs --verify")
-    approx = delta02_from_json(_load_json(args.b))
+    approx = table_from_json(Delta02SetApprox, _load_json(args.b))
     table = preorder.run_preorder(approx, args.stages)
     horizon = args.horizon if args.horizon is not None else approx.width - 1
     report = preorder.verify_claim(table, approx, horizon) if args.verify else None

@@ -1,10 +1,12 @@
-"""Arithmetic substrate: stage pairing and ultimately periodic sequences.
+"""Arithmetic substrate: stage pairing, ultimately periodic sequences and tables.
 
 Stage schedules are driven by the Cantor pairing function.  Every limit
 taken anywhere in this package is a limit of an ultimately periodic
 sequence, which makes it exactly computable: once the prefix is consumed
 the values repeat, so liminf and limsup are the min and max of the period
-and a limit exists precisely when the period is constant.
+and a limit exists precisely when the period is constant.  The one table
+of such sequences is :class:`UPTable`, with one codec: ``pi01.GTable`` is
+read through its liminf and :class:`Delta02SetApprox` through its limit.
 """
 
 from __future__ import annotations
@@ -56,14 +58,15 @@ class Record:
     Records of the same type are equal when their fields are, hash by
     them and print as ``Name(field=value, ...)``.  The fields are the
     slots, unless the class declares ``_fields`` to leave out a cache or
-    an index; a mutable record sets ``__hash__ = None``.  A dataclass
-    would compile these methods with ``exec`` at every import.
+    an index, or adds no slots and keeps its base's; a mutable record sets
+    ``__hash__ = None``.  A dataclass would compile these methods with
+    ``exec`` at every import.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        fields = cls.__dict__.get("_fields", cls.__slots__)
+        fields = cls.__dict__.get("_fields", cls.__slots__ or cls._fields)
         # an attrgetter, not a method: _key(record) is its field value(s)
         cls._fields, cls._key = fields, attrgetter(*fields)
 
@@ -118,30 +121,20 @@ def upseq_from_json(obj: object) -> UPSeq:
     return UPSeq(tuple(prefix), tuple(period))
 
 
-class Delta02SetApprox(Record):
-    """Binary limit approximation of a set B with 0 not in B.
-
-    Each column is {0,1}-valued with a constant period, so the limit
-    B(x) = lim_s g(x, s) exists for every x.  Columns beyond the table
-    default to the constant 0 sequence, i.e. B is contained in the
-    declared column range.
+class UPTable(Record):
+    """An eventually periodic table g(x, s): column x is an ultimately
+    periodic sequence, and every column at or past the width is the
+    constant ``default``.  A kind of table sets ``default``, the ``noun``
+    its loader's errors name, and ``_check``, which rejects its bad values.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, columns: Sequence[UPSeq]):
         self.columns = tuple(columns)
-        if not self.columns:
-            raise InputError("a set approximation needs at least column 0")
-        for x, col in enumerate(self.columns):
-            if not isinstance(col, UPSeq):
-                raise InputError("table columns must be UPSeq values")
-            if any(v not in (0, 1) for v in col.prefix + col.period):
-                raise InputError(f"column {x} is not {{0,1}}-valued")
-            if len(set(col.period)) != 1:
-                raise InputError(f"column {x} has a non-constant period; no limit")
-        if self.limit(0) != 0:
-            raise InputError("column 0 must have limit 0 (the set never contains 0)")
+        if not all(isinstance(col, UPSeq) for col in self.columns):
+            raise InputError("table columns must be UPSeq values")
+        self._check()
 
     @property
     def width(self) -> int:
@@ -149,33 +142,65 @@ class Delta02SetApprox(Record):
 
     def g(self, x: int, s: int) -> int:
         if x < 0:
-            raise InputError("set element must be nonnegative")
+            raise InputError("column index must be nonnegative")
         if x >= self.width:
-            return 0
+            return self.default
         return upseq_eval(self.columns[x], s)
 
-    def limit(self, x: int) -> int:
+    def liminf(self, x: int) -> int:
+        """The minimum of column x's period: its limit when the period is constant."""
         if x < 0:
-            raise InputError("set element must be nonnegative")
+            raise InputError("column index must be nonnegative")
         if x >= self.width:
-            return 0
-        return self.columns[x].period[0]   # the period is constant
+            return self.default
+        return min(self.columns[x].period)
 
-    def members(self, bound: int) -> frozenset[int]:
-        """B restricted to [0, bound]."""
-        return frozenset(x for x in range(bound + 1) if self.limit(x) == 1)
+    def column_shape(self, x: int) -> tuple[int, int]:
+        """(prefix length, period length), with defaults past the width."""
+        if x >= self.width:
+            return 0, 1
+        col = self.columns[x]
+        return len(col.prefix), len(col.period)
 
     def stabilization_stage(self, bound: int) -> int:
-        """Least stage from which g(x, .) is constant for all x <= bound."""
+        """The greatest prefix length of the columns x <= bound: from it on
+        each g(x, .) runs through its period."""
         return max((len(self.columns[x].prefix) for x in range(min(bound, self.width - 1) + 1)), default=0)
 
 
-def delta02_to_json(b: Delta02SetApprox) -> dict:
-    return {"format": 1, "columns": [upseq_to_json(c) for c in b.columns]}
+def table_to_json(t: UPTable) -> dict:
+    return {"format": 1, "columns": [upseq_to_json(c) for c in t.columns]}
 
 
-def delta02_from_json(obj: object) -> Delta02SetApprox:
+def table_from_json(cls: type[UPTable], obj: object) -> UPTable:
+    """Decode a format-1 table of the kind ``cls``."""
     if not isinstance(obj, dict) or not isinstance(obj.get("columns"), list):
-        raise InputError("set approximation must be an object with a 'columns' array")
+        raise InputError(f"{cls.noun} must be an object with a 'columns' array")
     check_format(obj, default=1)
-    return Delta02SetApprox(tuple(upseq_from_json(c) for c in obj["columns"]))
+    return cls(tuple(upseq_from_json(c) for c in obj["columns"]))
+
+
+class Delta02SetApprox(UPTable):
+    """Binary limit approximation of a set B with 0 not in B.
+
+    Each column is {0,1}-valued with a constant period, so the limit
+    B(x) = lim_s g(x, s) = liminf(x) exists for every x.  Columns beyond
+    the table are the constant 0, so B lies within the declared columns.
+    """
+
+    __slots__ = ()
+    default, noun = 0, "set approximation"
+
+    def _check(self) -> None:
+        if not self.columns:
+            raise InputError("a set approximation needs at least column 0")
+        for x, col in enumerate(self.columns):
+            if any(v not in (0, 1) for v in col.prefix + col.period):
+                raise InputError(f"column {x} is not {{0,1}}-valued")
+            if len(set(col.period)) != 1:
+                raise InputError(f"column {x} has a non-constant period; no limit")
+        if self.liminf(0) != 0:
+            raise InputError("column 0 must have limit 0 (the set never contains 0)")
+
+
+delta02_to_json = table_to_json   # the name perfbench's workloads call

@@ -126,6 +126,6 @@ def has_membership_flip(b: Delta02SetApprox) -> bool:
     """True when some element looks in, then settles out (a 1 -> 0 flip)."""
     for x in range(1, b.width):
         col = b.columns[x]
-        if 1 in col.prefix and b.limit(x) == 0:
+        if 1 in col.prefix and b.liminf(x) == 0:
             return True
     return False

@@ -43,15 +43,14 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import (
-    Record, UPSeq, check_format, is_nat, upseq_eval, upseq_from_json, upseq_to_json,
-)
+from .core import Record, UPTable, check_format, is_nat, table_to_json
+from .core import upseq_eval  # noqa: F401  (perfbench patches this name here)
 from .errors import ConstructionBugError, HorizonError, InputError
 
 
-class GTable(Record):
+class GTable(UPTable):
     """Class-size approximation table; all values >= 1.
 
     Column k is consulted from stage k+2 onward.  Columns beyond the
@@ -59,40 +58,13 @@ class GTable(Record):
     construction is total for any stage budget.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ()
+    default, noun = 1, "g table"
 
-    def __init__(self, columns: Sequence[UPSeq]):
-        self.columns = tuple(columns)
+    def _check(self) -> None:
         for k, col in enumerate(self.columns):
-            if not isinstance(col, UPSeq):
-                raise InputError("table columns must be UPSeq values")
             if any(v < 1 for v in col.prefix + col.period):
                 raise InputError(f"column {k} takes a value below 1")
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def g(self, k: int, s: int) -> int:
-        if k < 0:
-            raise InputError("label index must be nonnegative")
-        if k >= self.width:
-            return 1
-        return upseq_eval(self.columns[k], s)
-
-    def liminf(self, k: int) -> int:
-        if k < 0:
-            raise InputError("label index must be nonnegative")
-        if k >= self.width:
-            return 1
-        return min(self.columns[k].period)
-
-    def column_shape(self, k: int) -> tuple[int, int]:
-        """(prefix length, period length), with defaults past the width."""
-        if k >= self.width:
-            return 0, 1
-        col = self.columns[k]
-        return len(col.prefix), len(col.period)
 
 
 class LabelState(Record):
@@ -311,15 +283,7 @@ def verify_liminf_counts(trace: PiTrace, g: GTable, K: int) -> tuple[LabelCount,
                  for k, stack in enumerate(stacks))
 
 
-def gtable_to_json(g: GTable) -> dict:
-    return {"format": 1, "columns": [upseq_to_json(c) for c in g.columns]}
-
-
-def gtable_from_json(obj: object) -> GTable:
-    if not isinstance(obj, dict) or not isinstance(obj.get("columns"), list):
-        raise InputError("g table must be an object with a 'columns' array")
-    check_format(obj, default=1)
-    return GTable(tuple(upseq_from_json(c) for c in obj["columns"]))
+gtable_to_json = table_to_json   # the name perfbench's workloads call
 
 
 def trace_to_json(trace: PiTrace) -> dict:

@@ -263,18 +263,17 @@ def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport
             required_stages=required,
         )
     entries = tuple(
-        ClaimEntry(x=x, in_b=gB.limit(x) == 1, holders=tuple(t.holders_of(x)))
+        ClaimEntry(x=x, in_b=gB.liminf(x) == 1, holders=tuple(t.holders_of(x)))
         for x in range(1, horizon_x + 1)
     )
     zero_count = len(t.holders.get(0, ())) + t.tail
-    expected = tuple(sorted(gB.members(horizon_x) - {0}))
     fp = tuple(sorted(v for v in fingerprint(t) if v <= horizon_x))
     return ClaimReport(
         entries=entries,
         zero_count=zero_count,
         zero_count_ok=zero_count >= horizon_x,
         fingerprint_values=fp,
-        expected_members=expected,
+        expected_members=tuple(e.x for e in entries if e.in_b),
     )
 
 

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from effstruct import cli, coceer
 from effstruct.ceersim import family_to_json
 from effstruct.cli import main
-from effstruct.core import cantor_unpair, delta02_to_json
+from effstruct.core import cantor_unpair, table_to_json
 from effstruct.eqrel import Partition
 from effstruct.generators import (
     generate_b,
     generate_diagonalization_suite,
     generate_gtable,
 )
-from effstruct.pi01 import gtable_to_json, settle_stage
+from effstruct.pi01 import settle_stage
 from effstruct.preorder import VTable
 
 from reference import (
@@ -50,8 +50,8 @@ def test_missing_input_is_exit_2(tmp_path):
 def test_zero_stage_budget_is_exit_2(tmp_path, capsys, family_file, command):
     inputs = {
         "coceer": ["--family", family_file, "--columns", "4"],
-        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))],
-        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))],
+        "pi01": ["--g", _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4)))],
+        "preorder": ["--b", _write(tmp_path / "b.json", table_to_json(generate_b(5, 6)))],
     }
     assert main([command, *inputs[command], "--stages", "0", "--verify"]) == 2
     assert capsys.readouterr().err.startswith("error: stage ")
@@ -85,12 +85,49 @@ def test_schema_violation_is_exit_2(tmp_path):
     path = _write(tmp_path / "g.json", {"columns": [{"prefix": [], "period": []}]})
     assert main(["pi01", "--g", path, "--stages", "5"]) == 2
     # true == 1 in Python, but it is not a format version
-    path = _write(tmp_path / "g.json", {**gtable_to_json(generate_gtable(1, 4)), "format": True})
+    path = _write(tmp_path / "g.json", {**table_to_json(generate_gtable(1, 4)), "format": True})
     assert main(["pi01", "--g", path, "--stages", "5"]) == 2
 
 
+_ZERO, _TWO = {"prefix": [], "period": [0]}, {"prefix": [], "period": [2]}
+
+
+@pytest.mark.parametrize("table, pi01_error, preorder_error", [
+    pytest.param([], "g table must be an object with a 'columns' array",
+                 "set approximation must be an object with a 'columns' array", id="not-an-object"),
+    pytest.param({"columns": _TWO}, "g table must be an object with a 'columns' array",
+                 "set approximation must be an object with a 'columns' array",
+                 id="columns-not-an-array"),
+    pytest.param({"columns": [_TWO, {"prefix": [3], "period": [0]}]},
+                 "column 1 takes a value below 1", "column 0 is not {0,1}-valued", id="g-value-0"),
+    pytest.param({"columns": [_ZERO, {"prefix": [2], "period": [0]}]},
+                 "column 0 takes a value below 1", "column 1 is not {0,1}-valued", id="set-value-2"),
+    pytest.param({"columns": [_ZERO, {"prefix": [], "period": [1, 0]}]},
+                 "column 0 takes a value below 1",
+                 "column 1 has a non-constant period; no limit", id="non-constant-period"),
+    pytest.param({"columns": [{"prefix": [0], "period": [1]}]}, "column 0 takes a value below 1",
+                 "column 0 must have limit 0 (the set never contains 0)", id="column-0-limit-1"),
+    # an empty g table is valid, so pi01 reaches the stage budget
+    pytest.param({"columns": []}, "stage count must be at least 1",
+                 "a set approximation needs at least column 0", id="empty"),
+    pytest.param({"format": True, "columns": [_ZERO]},
+                 "unsupported format version True (expected 1)",
+                 "unsupported format version True (expected 1)", id="format-true"),
+    pytest.param({"columns": [{"prefix": []}]},
+                 "sequence object must have 'prefix' and 'period' keys",
+                 "sequence object must have 'prefix' and 'period' keys", id="no-period"),
+])
+def test_table_rejections_are_exit_2(tmp_path, capsys, table, pi01_error, preorder_error):
+    """Each table file is rejected by both kinds of sequence table, each by its
+    own rules, before the run checks the stage budget 0."""
+    path = _write(tmp_path / "table.json", table)
+    for command, flag, error in (("pi01", "--g", pi01_error), ("preorder", "--b", preorder_error)):
+        assert main([command, flag, path, "--stages", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
-    path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
+    path = _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4)))
     code = main(["pi01", "--g", path, "--stages", "3", "--labels", "4", "--verify"])
     assert code == 2
     assert "required stages" in capsys.readouterr().err
@@ -101,9 +138,9 @@ def test_insufficient_horizon_writes_no_file(tmp_path, capsys, command):
     """The verifier runs before the output file is written, so a run that
     stops on its horizon leaves no file behind; a long enough run writes it."""
     inputs = {
-        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8))),
+        "pi01": ["--g", _write(tmp_path / "g.json", table_to_json(generate_gtable(7, 8))),
                  "--trace"],
-        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10))),
+        "preorder": ["--b", _write(tmp_path / "b.json", table_to_json(generate_b(7, 10))),
                      "--snapshot"],
     }
     out = tmp_path / "out.json"
@@ -116,13 +153,13 @@ def test_insufficient_horizon_writes_no_file(tmp_path, capsys, command):
 
 
 def test_negative_label_bound_is_exit_2(tmp_path, capsys):
-    path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
+    path = _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4)))
     assert main(["pi01", "--g", path, "--stages", "5", "--labels", "-1", "--verify"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_pi01_verify_ok(tmp_path):
-    path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
+    path = _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4)))
     trace_path = tmp_path / "trace.json"
     code = main(
         ["pi01", "--g", path, "--stages", "60", "--labels", "4", "--verify",
@@ -135,9 +172,9 @@ def test_pi01_verify_ok(tmp_path):
 @pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
 def test_verify_only_flag_needs_verify(tmp_path, capsys, command, flag):
     inputs = {
-        "pi01": ["--g", _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4))),
+        "pi01": ["--g", _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4))),
                  "--stages", "60", "--trace"],
-        "preorder": ["--b", _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6))),
+        "preorder": ["--b", _write(tmp_path / "b.json", table_to_json(generate_b(5, 6))),
                      "--stages", "50", "--snapshot"],
     }
     out = tmp_path / "out.json"
@@ -206,7 +243,7 @@ def test_coceer_churn_target_other_than_column_size(tmp_path, capsys):
 
 
 def test_preorder_verify_and_snapshot(tmp_path):
-    path = _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))
+    path = _write(tmp_path / "b.json", table_to_json(generate_b(5, 6)))
     snap_path = tmp_path / "snap.json"
     code = main(
         ["preorder", "--b", path, "--stages", "40", "--verify",
@@ -457,7 +494,7 @@ def _as_pi01_format_2(trace: dict) -> dict:
 def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     # a faster stepper must leave the trace, snapshot and verdict bytes alone
     table = generate_gtable(7, 8)
-    g_path = _write(tmp_path / "g.json", gtable_to_json(table))
+    g_path = _write(tmp_path / "g.json", table_to_json(table))
     trace = tmp_path / "trace.json"
     code = main(["pi01", "--g", g_path, "--stages", "1500", "--labels", "8", "--verify",
                  "--trace", str(trace)])
@@ -491,7 +528,7 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
         "f764cad88402f5e2721d2edc1f5be439e60173ff4524af6781945fb394ba3d83"
     assert _sha(_indented(json.loads(_compact(old)))) == \
         "c20ba4cc7301f807b8b7810c06f2a6d569bd94c0ded07943a01b8b30c4ec7987"
-    b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
+    b_path = _write(tmp_path / "b.json", table_to_json(generate_b(7, 10)))
     snapshot = tmp_path / "snapshot.json"
     code = main(["preorder", "--b", b_path, "--stages", "250", "--verify",
                  "--snapshot", str(snapshot)])
@@ -541,8 +578,8 @@ def test_written_files_match_default_json_dumps(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_dump_json", recording)
     fam = _write(tmp_path / "fam.json", family_to_json(generate_diagonalization_suite(7)[0]))
-    g = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(7, 8)))
-    b = _write(tmp_path / "b.json", delta02_to_json(generate_b(7, 10)))
+    g = _write(tmp_path / "g.json", table_to_json(generate_gtable(7, 8)))
+    b = _write(tmp_path / "b.json", table_to_json(generate_b(7, 10)))
     out = {name: str(tmp_path / f"{name}.json")
            for name in ("coceer_trace", "report", "pi01_trace", "snapshot", "blocks")}
     for argv in (
@@ -593,8 +630,8 @@ def test_non_natural_family_field_is_exit_2(tmp_path, capsys, member):
 
 
 def test_unwritable_output_is_exit_2(tmp_path, capsys, family_file):
-    g_path = _write(tmp_path / "g.json", gtable_to_json(generate_gtable(1, 4)))
-    b_path = _write(tmp_path / "b.json", delta02_to_json(generate_b(5, 6)))
+    g_path = _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4)))
+    b_path = _write(tmp_path / "b.json", table_to_json(generate_b(5, 6)))
     bad = str(tmp_path / "missing" / "out.json")
     commands = [
         ["coceer", "--family", family_file, "--columns", "4", "--stages", "50", "--trace", bad],

@@ -30,7 +30,7 @@ from effstruct.ceersim import (
     limit_has_class_of_size,
 )
 from effstruct.coceer import run_coceer, verify_requirement
-from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair
+from effstruct.core import Delta02SetApprox, UPSeq, cantor_unpair, table_to_json
 from effstruct.errors import InputError
 from effstruct.generators import (
     generate_b,
@@ -1208,7 +1208,7 @@ def test_pi01_trace_file_and_stdout_property(g, stages, verify):
     with tempfile.TemporaryDirectory() as work:
         g_path, trace_path = f"{work}/g.json", f"{work}/trace.json"
         with open(g_path, "w") as f:
-            json.dump(pi01.gtable_to_json(g), f)
+            json.dump(table_to_json(g), f)
         argv = ["pi01", "--g", g_path, "--stages", str(stages)]
         if verify:
             argv += ["--labels", str(max(g.width - 1, 0)), "--verify"]

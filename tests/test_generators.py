@@ -45,7 +45,7 @@ def test_gtable_bounds():
 def test_b_bounds_and_zero_column():
     b = generate_b(3, 10)
     assert b.width == 11
-    assert b.limit(0) == 0
+    assert b.liminf(0) == 0
     for col in b.columns:
         assert len(col.prefix) <= 8
         assert len(col.period) == 1

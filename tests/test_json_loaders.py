@@ -6,6 +6,7 @@ the focus its column's earlier cases leave."""
 
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,9 +49,9 @@ LOADERS = {
     "family": (lambda rng: generate_family(rng.randrange(1000), rng.randint(1, 4)),
                ceersim.family_to_json, ceersim.family_from_json),
     "gtable": (lambda rng: generate_gtable(rng.randrange(1000), rng.randint(0, 4)),
-               pi01.gtable_to_json, pi01.gtable_from_json),
+               core.table_to_json, partial(core.table_from_json, pi01.GTable)),
     "delta02": (lambda rng: generate_b(rng.randrange(1000), rng.randint(0, 4)),
-                core.delta02_to_json, core.delta02_from_json),
+                core.table_to_json, partial(core.table_from_json, core.Delta02SetApprox)),
     "coceer-trace": (_coceer_trace, coceer.trace_to_json, coceer.trace_from_json),
     "pi01-trace": (_pi01_trace, pi01.trace_to_json, pi01.trace_from_json),
     "snapshot": (lambda rng: preorder.materialize(preorder.run_preorder(

@@ -9,15 +9,13 @@ import random
 
 import pytest
 
-from effstruct.core import UPSeq
+from effstruct.core import UPSeq, table_from_json, table_to_json
 from effstruct.errors import ConstructionBugError, HorizonError, InputError
 from effstruct.generators import generate_gtable
 from effstruct.pi01 import (
     GTable,
     LabelState,
     PiTrace,
-    gtable_from_json,
-    gtable_to_json,
     pi01_step,
     required_stages_for,
     run_pi01,
@@ -191,13 +189,13 @@ def test_run_validation_and_json():
     with pytest.raises(InputError):
         run_pi01(CONSTANT_ONE, 0)
     g = _table(([2], [1]), ([], [3]))
-    assert gtable_from_json(gtable_to_json(g)) == g
+    assert table_from_json(GTable, table_to_json(g)) == g
     trace = run_pi01(g, 12)
     # the writer hands its history tuples to the encoder, so read back the file
     obj = json.loads(json.dumps(trace_to_json(trace)))
     assert trace_from_json(obj) == trace
     with pytest.raises(InputError):
-        gtable_from_json({"columns": "zzz"})
+        table_from_json(GTable, {"columns": "zzz"})
     with pytest.raises(InputError):
         trace_from_json({"format": 4, "stages": 1})
     for bad in ({"format": True}, {"format": 4.0}, {"format": None}, {"format": 3},
@@ -241,7 +239,7 @@ def test_run_validation_and_json():
         ((2, 0), (3, None), (4, 3))
     for version in (True, 1.0):
         with pytest.raises(InputError):
-            gtable_from_json({**gtable_to_json(g), "format": version})
+            table_from_json(GTable, {**table_to_json(g), "format": version})
 
 
 def test_step_guards_raise_on_corrupted_states():
