@@ -111,12 +111,6 @@ class ColumnState(Record):
         """The initial witness segment is {1, ..., base}."""
         return self.k - 1
 
-    @property
-    def witnesses(self) -> tuple[int, ...]:
-        """The witness set, sorted: the initial segment, then the extra."""
-        initial = tuple(range(1, self.k))
-        return initial if self.extra is None else initial + (self.extra,)
-
 
 class StageRecord(Record):
     """One stepped focus: its case, the column's extra after it and its exile."""
@@ -154,14 +148,17 @@ class CoceerTrace(Record):
 
 
 class RequirementReport(Record):
+    """One requirement's verdict.  The limit witness set Y_limit is the
+    initial segment {1, ..., k - 1} plus ``extra`` when it is not None."""
+
     __slots__ = ("e", "k", "kind", "witness_class_size", "r_e_has_size_k", "satisfied",
-                 "certified", "y_limit")
+                 "certified", "extra")
 
     def __init__(self, e: int, k: int, kind: str, witness_class_size: int, r_e_has_size_k: bool,
-                 satisfied: bool, certified: bool, y_limit: tuple[int, ...]):
+                 satisfied: bool, certified: bool, extra: Optional[int]):
         self.e, self.k, self.kind = e, k, kind      # kind "script" or "churn"
         self.witness_class_size, self.r_e_has_size_k = witness_class_size, r_e_has_size_k
-        self.satisfied, self.certified, self.y_limit = satisfied, certified, y_limit
+        self.satisfied, self.certified, self.extra = satisfied, certified, extra
 
 
 def _dispatch(col: ColumnState, has_k: bool, latched: bool) -> tuple[int, Optional[int]]:
@@ -384,6 +381,9 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
       cycling by design; by the case-3 steadiness lemma its limit is the
       initial segment {1, ..., k - 1}.
 
+    The report gives the limit witness set by its extra (the run's final
+    extra, or None after a case-3 tail), so it costs O(1) whatever k.
+
     ``r_e_has_size_k`` comes from a fresh replay of the member
     (:func:`limit_has_class_of_size`), not from the run: after the
     quiescence stage the run's own ``has_k`` decided case 4 against the
@@ -397,8 +397,8 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
     member = fam.member(e)
     r_has = limit_has_class_of_size(member, col.k)
     certified = col.tail is not None
-    y_limit = col.witnesses[:col.base] if col.tail == 3 else col.witnesses
-    witness_class_size = len(y_limit) + 1
+    extra = None if col.tail == 3 else col.extra
+    witness_class_size = col.k if extra is None else col.k + 1   # |Y_limit| + 1
     satisfied = (witness_class_size == col.k) == (not r_has)
     return RequirementReport(
         e=e,
@@ -408,12 +408,12 @@ def verify_requirement(columns: list[ColumnState], fam: CeerFamily, e: int) -> R
         r_e_has_size_k=r_has,
         satisfied=satisfied,
         certified=certified,
-        y_limit=y_limit,
+        extra=extra,
     )
 
 
 def report_to_json(report: RequirementReport) -> dict:
-    return {**{f: getattr(report, f) for f in report._fields}, "y_limit": list(report.y_limit)}
+    return {f: getattr(report, f) for f in report._fields}
 
 
 def _replay(e: int, cases: Sequence[int]) -> list[StageRecord]:

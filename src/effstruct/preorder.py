@@ -150,18 +150,23 @@ class PreorderSnapshot(Record):
     """The order on {c, d} union {a_i : i < na} union {b_j : j < nb}.
 
     The skeleton is fixed: c <= a_i, b_j <= d, and b_j <= b_jj for
-    j >= jj.  The only other facts are b_j <= a_i for j >= thresholds[i],
-    where thresholds[i] is v(i) when it is defined and below nb, and nb
-    otherwise.  No a lies below a b, so exactly thresholds[i] of the b's
-    are incomparable with a_i.  In this normal form two snapshots are
-    equal exactly when their ``leq`` sets are.
+    j >= jj.  The only other facts are b_j <= a_i for j >= t_i, where t_i
+    is v(i) when it is defined and below nb, and nb otherwise.  No a lies
+    below a b, so exactly t_i of the b's are incomparable with a_i.
+
+    The vector (t_0, ..., t_{na-1}) is kept in a canonical form: strip
+    its trailing run of nb, then its trailing run of 0.  ``thresholds``
+    is what is left, ``zeros`` the length of the stripped 0 run, and every
+    later a has threshold nb.  So ``thresholds`` ends in neither 0 nor,
+    when ``zeros`` is 0, nb, and with nb = 0 both are empty.  In this form
+    two snapshots are equal exactly when their ``leq`` sets are.
     """
 
-    __slots__ = ("na", "nb", "thresholds", "_leq")
+    __slots__ = ("na", "nb", "thresholds", "zeros", "_leq")
     _fields = __slots__[:-1]
 
-    def __init__(self, na: int, nb: int, thresholds: tuple[int, ...]):
-        self.na, self.nb, self.thresholds = na, nb, thresholds
+    def __init__(self, na: int, nb: int, thresholds: tuple[int, ...], zeros: int):
+        self.na, self.nb, self.thresholds, self.zeros = na, nb, thresholds, zeros
         self._leq: Optional[frozenset[tuple[str, str]]] = None
 
     def elements(self) -> list[str]:
@@ -183,22 +188,32 @@ class PreorderSnapshot(Record):
         pairs.update((ELEM_C, x) for x in a)
         pairs.update((y, ELEM_D) for y in b)
         pairs.update((b[j], b[jj]) for j in range(self.nb) for jj in range(j))
-        pairs.update((b[j], a[i]) for i, v in enumerate(self.thresholds)
-                     for j in range(v, self.nb))
+        # the a's with threshold nb lie above no b
+        stated = self.thresholds + (0,) * self.zeros
+        pairs.update((b[j], a[i]) for i, v in enumerate(stated) for j in range(v, self.nb))
         return frozenset(pairs)
 
 
 def materialize(t: VTable) -> PreorderSnapshot:
-    """Snapshot of the first n a's and n b's for n stages, in O(n).
+    """Snapshot of the first n a's and n b's for n stages, in O(len(t.v)).
 
-    One a per stage and one b per stage make every assigned threshold
-    visible.  The tail's a's follow the stepped ones, with threshold 0.
+    A threshold is below the stage that set it, so n b's show each one.
+    An even stage can assign several a's, so a run stopped early may have
+    assigned a's past a_{n-1}, and those are left out.  The tail's a's
+    follow the stepped ones, with threshold 0, and every a no stage
+    assigned has threshold n; neither is spelled out.
     """
-    n, head = t.stage, len(t.v)
-    stop = min(head + t.tail, n)
-    thresholds = [min(t.v.get(i, n), n) for i in range(n)]
-    thresholds[head:stop] = [0] * (stop - head)
-    return PreorderSnapshot(na=n, nb=n, thresholds=tuple(thresholds))
+    n = t.stage
+    end = min(max(t.v, default=-1) + 1, n)   # a's past the last assigned one have threshold n
+    head = [min(t.v.get(i, n), n) for i in range(end)]
+    zeros = min(t.tail, n - end)
+    if not zeros:
+        while head and head[-1] == n:
+            head.pop()
+    while head and head[-1] == 0:
+        head.pop()
+        zeros += 1
+    return PreorderSnapshot(na=n, nb=n, thresholds=tuple(head), zeros=zeros)
 
 
 def fingerprint(t: VTable) -> set[int]:
@@ -278,18 +293,27 @@ def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport
 
 
 def snapshot_to_json(snap: PreorderSnapshot) -> dict:
-    return {"format": 2, "na": snap.na, "nb": snap.nb, "thresholds": list(snap.thresholds)}
+    """Format 3: the snapshot's own fields."""
+    return {"format": 3, "na": snap.na, "nb": snap.nb, "thresholds": list(snap.thresholds),
+            "zeros": snap.zeros}
 
 
 def snapshot_from_json(obj: object) -> PreorderSnapshot:
+    """Load a format-3 snapshot in the canonical form of
+    :class:`PreorderSnapshot`; every other form is refused."""
     if not isinstance(obj, dict):
-        raise InputError("snapshot must be a format-2 object")
-    check_format(obj, versions=(2,))
-    na, nb, thresholds = obj.get("na"), obj.get("nb"), obj.get("thresholds")
-    if not is_nat(na) or not is_nat(nb):
-        raise InputError("snapshot 'na' and 'nb' must be naturals")
-    if not isinstance(thresholds, list) or len(thresholds) != na or not all(
-        is_nat(v) and v <= nb for v in thresholds
-    ):
-        raise InputError(f"snapshot 'thresholds' must be an array of {na} naturals <= nb")
-    return PreorderSnapshot(na=na, nb=nb, thresholds=tuple(thresholds))
+        raise InputError("snapshot must be a format-3 object")
+    check_format(obj, versions=(3,))
+    na, nb, zeros = obj.get("na"), obj.get("nb"), obj.get("zeros")
+    thresholds = obj.get("thresholds")
+    if not (is_nat(na) and is_nat(nb) and is_nat(zeros)):
+        raise InputError("snapshot 'na', 'nb' and 'zeros' must be naturals")
+    if not (isinstance(thresholds, list) and len(thresholds) + zeros <= na
+            and all(is_nat(v) and v <= nb for v in thresholds)):
+        raise InputError(f"snapshot 'thresholds' must be an array of at most {na} - 'zeros' "
+                         "naturals <= nb")
+    last = thresholds[-1] if thresholds else None
+    if last == 0 or last == nb and not zeros or zeros and not nb:
+        raise InputError("snapshot 'thresholds' must not end in 0, nor in nb when 'zeros' is "
+                         "0, and 'zeros' must be 0 when nb is")
+    return PreorderSnapshot(na=na, nb=nb, thresholds=tuple(thresholds), zeros=zeros)

@@ -18,10 +18,11 @@ writes a run's tails out as the records of the focuses they stand for,
 :func:`focus_schedule` lists every focused stage of a run, and
 :func:`stepped_run_coceer` steps every focus through a ``CeerRunner``,
 replaying each event stage (:func:`stepped_latch`), with the library's
-dispatch and no settle rule; :func:`record_witnesses` spells out the
-witnesses of a library record, and :func:`reference_trace_from_json`
-rebuilds a run's records and tails from a trace file's cases on explicit
-sets.  :func:`reference_columns_at` rebuilds the
+dispatch and no settle rule; :func:`record_witnesses`,
+:func:`column_witnesses` and :func:`report_y_limit` spell out the
+witnesses of a library record, column and report, and
+:func:`reference_trace_from_json` rebuilds a run's records and tails from
+a trace file's cases on explicit sets.  :func:`reference_columns_at` rebuilds the
 reference columns at a stage from a longer reference trace.
 :func:`reference_certificate` gives a column's verdict by the
 witness-history rule, read off such a trace and a replay of the member.
@@ -44,7 +45,10 @@ library reads only the label stages.  :func:`classify_history` checks
 one element's history against the two guarantees that ``pi01_step`` checks
 online.  :func:`expand_tail` writes a preorder run's closed-form tail out
 as the entries a stepped run holds.  :func:`reference_materialize`
-builds a preorder snapshot as its explicit set of ``leq`` pairs, and
+builds a preorder snapshot as its explicit set of ``leq`` pairs,
+:func:`snapshot_thresholds` spells out a library snapshot's threshold of
+every a and :func:`canonical_snapshot` cuts a full threshold vector to
+the library's form, and
 :func:`reference_block_partition` builds the block coding one merge at a
 time, and :func:`reference_block_classes` lists its classes member by
 member.  :func:`reference_character_from_pairs` and
@@ -73,13 +77,13 @@ from typing import Iterator, Optional
 from effstruct import coceer
 from effstruct.blocks import block_offset
 from effstruct.ceersim import CeerFamily, CeerRunner, CeerScript, ChurnGenerator
-from effstruct.coceer import CoceerTrace, ColumnState, StageRecord
+from effstruct.coceer import CoceerTrace, ColumnState, RequirementReport, StageRecord
 from effstruct.core import Delta02SetApprox, cantor_unpair
 from effstruct.eqrel import Partition
 from effstruct.errors import ConstructionBugError, InputError
 from effstruct.generators import _noise_events
 from effstruct.pi01 import GTable, LabelCount, LabelState, PiTrace, pi01_step
-from effstruct.preorder import ELEM_C, ELEM_D, VTable, elem_a, elem_b
+from effstruct.preorder import ELEM_C, ELEM_D, PreorderSnapshot, VTable, elem_a, elem_b
 
 
 class NaiveUnionFind:
@@ -244,11 +248,27 @@ def as_recorded(trace: CoceerTrace) -> RecordedTrace:
 _NEXT_FREE_STEP = {1: 2, 2: 0, 3: 1, 4: 1}
 
 
+def witness_set(k: int, extra: Optional[int]) -> tuple[int, ...]:
+    """The witnesses of a column of target size k, sorted: the initial
+    segment 1..k-1, then the extra if there is one."""
+    initial = tuple(range(1, k))
+    return initial if extra is None else initial + (extra,)
+
+
 def record_witnesses(r: StageRecord) -> tuple[int, ...]:
-    """The witnesses of a library record's column after its focus: the
-    initial segment 1..2e+1, then the extra if there is one."""
-    initial = tuple(range(1, 2 * r.e + 2))
-    return initial if r.extra is None else initial + (r.extra,)
+    """The witnesses of a library record's column after its focus."""
+    return witness_set(2 * r.e + 2, r.extra)
+
+
+def column_witnesses(col: ColumnState) -> tuple[int, ...]:
+    """The witnesses of a library column."""
+    return witness_set(col.k, col.extra)
+
+
+def report_y_limit(report: RequirementReport) -> tuple[int, ...]:
+    """The limit witness set of a library report, as its ``y_limit`` field
+    and report files spelled it out before the report kept only the extra."""
+    return witness_set(report.k, report.extra)
 
 
 def expand_tails(trace: CoceerTrace) -> ReferenceTrace:
@@ -361,7 +381,7 @@ def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
             latched = stepped_latch(col.k, runner, seen, last, s)
             runner.advance_to(s)
             case, x = coceer._dispatch(col, runner.has_class_of_size(col.k), latched)
-            records.append(ReferenceRecord(s, e, case, col.witnesses, False,
+            records.append(ReferenceRecord(s, e, case, column_witnesses(col), False,
                                            () if x is None else ((e, x),)))
             last, w = s, w + 1
     records.sort(key=lambda r: r.stage)
@@ -879,6 +899,27 @@ def reference_materialize(t: VTable, n_a: Optional[int] = None,
             for j in range(threshold, nb):
                 leq.add((elem_b(j), elem_a(i)))
     return ReferenceSnapshot(na=na, nb=nb, leq=frozenset(leq))
+
+
+def snapshot_thresholds(snap: PreorderSnapshot) -> list[int]:
+    """The threshold of every a_i, i < na, of a library snapshot: the
+    ``thresholds`` array of a format-2 snapshot file."""
+    stated = len(snap.thresholds) + snap.zeros
+    return list(snap.thresholds) + [0] * snap.zeros + [snap.nb] * (snap.na - stated)
+
+
+def canonical_snapshot(na: int, nb: int, thresholds: list[int]) -> PreorderSnapshot:
+    """The snapshot of a full threshold vector (one entry <= nb per a): the
+    vector with its trailing run of nb cut off, then its trailing run of 0
+    cut off and counted."""
+    head = list(thresholds)
+    while head and head[-1] == nb:
+        del head[-1]
+    zeros = 0
+    while head and head[-1] == 0:
+        del head[-1]
+        zeros += 1
+    return PreorderSnapshot(na, nb, tuple(head), zeros)
 
 
 def reference_block_partition(bits: list[int], n: int) -> Partition:

@@ -28,7 +28,6 @@ from effstruct.pi01 import required_stages_for, run_pi01, verify_liminf_counts
 from effstruct.preorder import (
     ELEM_C,
     ELEM_D,
-    PreorderSnapshot,
     elem_a,
     elem_b,
     materialize,
@@ -45,7 +44,10 @@ from bruteforce import (
     bf_preorder_closure,
     bf_subset,
 )
-from reference import classify_history, expand_tails, label_at, stepped_run_pi01, windows
+from reference import (
+    canonical_snapshot, classify_history, column_witnesses, expand_tails, label_at, report_y_limit,
+    stepped_run_pi01, windows,
+)
 
 SEED = 7
 COCEER_BUDGET = 4000  # the criterion allows up to 20 000
@@ -117,9 +119,9 @@ def test_criterion_2_corrected_witness_identity(diagonalization_run):
     # churn columns settle back on their initial witnesses exactly
     for e, kind in kinds.items():
         if kind == "churn":
-            assert reports[e].y_limit == tuple(range(1, 2 * e + 2))
+            assert report_y_limit(reports[e]) == tuple(range(1, 2 * e + 2))
             col = columns[e]
-            assert col.witnesses[:col.base] == reports[e].y_limit
+            assert column_witnesses(col)[:col.base] == report_y_limit(reports[e])
     print(
         f"\ncriterion 2: PASS — witness-class identity held on all {checked} "
         f"focused stages; churn columns settled on their initial witnesses"
@@ -289,12 +291,13 @@ def test_criterion_7_oracle_cross_checks():
         assert character_of(p).entries == bf_character(classes)
     for _ in range(220):
         na, nb = rng.randint(0, 5), rng.randint(0, 5)
-        snap = PreorderSnapshot(na, nb, tuple(rng.randint(0, nb) for _ in range(na)))
+        thresholds = [rng.randint(0, nb) for _ in range(na)]
+        snap = canonical_snapshot(na, nb, thresholds)
         generators = [(ELEM_C, elem_a(i)) for i in range(na)]
         generators += [(elem_b(j + 1), elem_b(j)) for j in range(nb - 1)]
         if nb:
             generators.append((elem_b(0), ELEM_D))
-        for i, v in enumerate(snap.thresholds):
+        for i, v in enumerate(thresholds):
             if v < nb:
                 generators.append((elem_b(v), elem_a(i)))
         assert snap.leq == bf_preorder_closure(snap.elements(), generators)

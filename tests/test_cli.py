@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from effstruct import cli, coceer
+from effstruct import cli, coceer, preorder
 from effstruct.ceersim import family_to_json
 from effstruct.cli import main
 from effstruct.core import cantor_unpair, table_to_json
@@ -28,7 +28,7 @@ from effstruct.preorder import VTable
 
 from reference import (
     as_recorded, cut_history, expand_tails, generate_family, label_stages, reference_materialize,
-    reference_trace_from_json, stepped_run_pi01, stepped_state_pi01, windows,
+    reference_trace_from_json, snapshot_thresholds, stepped_run_pi01, stepped_state_pi01, windows,
 )
 
 
@@ -251,7 +251,7 @@ def test_preorder_verify_and_snapshot(tmp_path):
     )
     assert code == 0
     snap = json.loads(snap_path.read_text())
-    assert snap["na"] == snap["nb"] == 40
+    assert snap["format"] == 3 and snap["na"] == snap["nb"] == 40
 
 
 def test_blocks_encode_decode_round_trip(tmp_path, capsys):
@@ -393,6 +393,14 @@ def _as_format_1(trace: dict) -> dict:
     return {**trace, "format": 1, "mode": "spaced", "records": records}
 
 
+def _with_y_limit(entry: dict) -> dict:
+    """A report entry with the limit witnesses spelled out as ``y_limit``,
+    the initial segment 1..k-1 and then the extra, in place of ``extra``."""
+    extra = entry["extra"]
+    y_limit = list(range(1, entry["k"])) + ([] if extra is None else [extra])
+    return {**{key: v for key, v in entry.items() if key != "extra"}, "y_limit": y_limit}
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -407,15 +415,6 @@ def _compact(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def _pin(path, compact, indented):
-    """The file hashes to ``compact``, and re-indented to ``indented``: the
-    digest pinned while files were written with ``indent=2``."""
-    assert _sha(path.read_bytes()) == compact
-    obj = json.loads(path.read_text())
-    assert _sha(_indented(obj)) == indented
-    return obj
-
-
 def test_coceer_output_files_are_pinned(tmp_path):
     # a refactor of the construction must leave its trace and report bytes alone
     fam, _ = generate_diagonalization_suite(7)
@@ -428,8 +427,15 @@ def test_coceer_output_files_are_pinned(tmp_path):
     assert code == 0
     assert _sha(trace.read_bytes()) == \
         "3abf9dbd60d3c5e45a3a35399ccb7f83469370f8c3373661661885fe429a6124"
-    _pin(report, "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863",
-         "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4")
+    assert _sha(report.read_bytes()) == \
+        "8663599bc8bceb44b37abc6c6617819c1e73f16d911be26cb255a26cd576b0d7"
+    # with each entry's y_limit spelled out in place of its extra, the report
+    # is the file written before, byte for byte (the digests pinned before)
+    old_report = [_with_y_limit(entry) for entry in json.loads(report.read_text())]
+    assert _sha(_compact(old_report)) == \
+        "a3ee68fe8c030db3a1fe2af84d2c4acfddb3fe822649173ad7db0dfde3b66863"
+    assert _sha(_indented(old_report)) == \
+        "8dd419bb44931c6f736f51817f5be7d963f2991cea0565978a50eaf20143c3e4"
     # replayed column by column by the reference, the format-5 trace is the
     # format-4 file byte for byte (the digest pinned before format 5), and
     # the library's replay of the loaded trace gives the same records
@@ -533,10 +539,18 @@ def test_pi01_preorder_output_files_are_pinned(tmp_path, capsys):
     code = main(["preorder", "--b", b_path, "--stages", "250", "--verify",
                  "--snapshot", str(snapshot)])
     assert code == 0
-    obj = _pin(snapshot, "1327d68e9ba7d0bfb6212b778e6c65718f988ea49a29cd06887bd50578000254",
-               "1fa78d5f91056e5454bebe8f597c2070d50bfbb6de5c4f5f5837bd85a4d0a469")
+    assert snapshot.read_text() == (
+        '{"format":3,"na":250,"nb":250,"thresholds":[0,0,0,2,0,4,5,0,6,0,8],"zeros":120}\n')
     assert _sha(capsys.readouterr().out.encode()) == \
         "4390d46cccef40ad5e9bdb77199455ea6f48f70906995eee40d8a10ce07e3ee6"
+    # with every threshold spelled out, the format-3 snapshot is the format-2
+    # file byte for byte (the digests pinned before format 3)
+    snap = preorder.snapshot_from_json(json.loads(snapshot.read_text()))
+    obj = {"format": 2, "na": snap.na, "nb": snap.nb, "thresholds": snapshot_thresholds(snap)}
+    assert _sha(_compact(obj)) == \
+        "1327d68e9ba7d0bfb6212b778e6c65718f988ea49a29cd06887bd50578000254"
+    assert _sha(_indented(obj)) == \
+        "1fa78d5f91056e5454bebe8f597c2070d50bfbb6de5c4f5f5837bd85a4d0a469"
     # expanded to its pairs, the format-2 snapshot is the format-1 file
     # byte for byte (the digest pinned before format 2)
     table = VTable(v=dict(enumerate(obj["thresholds"])))

@@ -19,7 +19,10 @@ from effstruct.errors import InputError
 from effstruct.generators import generate_diagonalization_suite
 
 from bruteforce import bf_cantor_pair, bf_is_equivalence, bf_relation_of_partition, bf_subset
-from reference import coceer_snapshot, column_exiles, expand_tails, record_witnesses, tail_triples
+from reference import (
+    coceer_snapshot, column_exiles, column_witnesses, expand_tails, record_witnesses,
+    report_y_limit, tail_triples,
+)
 
 EMPTY = CeerScript(())
 # the columns of a run before its first focus
@@ -32,7 +35,7 @@ def test_init_spaced():
     assert columns[1:] == INITIAL[1:]
     col = columns[2]
     assert col.k == 6
-    assert (col.witnesses, column_exiles(col)) == ((1, 2, 3, 4, 5), set())
+    assert (column_witnesses(col), column_exiles(col)) == ((1, 2, 3, 4, 5), set())
 
 
 def test_init_validation():
@@ -42,12 +45,12 @@ def test_init_validation():
 
 def test_column_witnesses_and_exiles_from_two_integers():
     col = ColumnState(k=4, next_free=4)
-    assert (col.base, col.witnesses, column_exiles(col)) == (3, (1, 2, 3), set())
+    assert (col.base, column_witnesses(col), column_exiles(col)) == (3, (1, 2, 3), set())
     col.extra, col.next_free = 7, 9  # 4, 5, 6 and 8 were burned on the way to witness 7
-    assert col.witnesses == (1, 2, 3, 7)
+    assert column_witnesses(col) == (1, 2, 3, 7)
     assert column_exiles(col) == {4, 5, 6, 8}
     col.extra = None
-    assert (col.witnesses, column_exiles(col)) == ((1, 2, 3), {4, 5, 6, 7, 8})
+    assert (column_witnesses(col), column_exiles(col)) == ((1, 2, 3), {4, 5, 6, 7, 8})
 
 
 def _step_column_one(member, stage, case, witnesses, exiles):
@@ -64,7 +67,8 @@ def _step_column_one(member, stage, case, witnesses, exiles):
     columns, trace = run_coceer(fam, 2, stage)
     record, col = trace.records[-1], columns[1]
     assert (record.stage, record.e) == (stage, 1)
-    assert (record.case, record_witnesses(record), col.witnesses) == (case, witnesses, witnesses)
+    assert (record.case, record_witnesses(record), column_witnesses(col)) == (
+        case, witnesses, witnesses)
     assert column_exiles(col) == exiles
     assert record.exiled == tuple((1, x) for x in sorted(exiles - before))
     return col
@@ -166,7 +170,7 @@ def test_exiles_accumulate_and_stay_disjoint_from_witnesses():
     for e, col in enumerate(columns):
         # the records list every exile of the column
         assert {(e, x) for x in column_exiles(col)} == {(a, x) for a, x in seen if a == e}
-        assert not set(col.witnesses) & column_exiles(col)
+        assert not set(column_witnesses(col)) & column_exiles(col)
 
 
 def test_snapshot_is_column_partition_initially():
@@ -217,7 +221,7 @@ def test_verify_churn_settles_on_initial_witnesses():
     columns, trace = run_coceer(fam, 2, 400)
     report = verify_requirement(columns, fam, 1)
     assert report.kind == "churn"
-    assert report.y_limit == (1, 2, 3)
+    assert (report.extra, report_y_limit(report)) == (None, (1, 2, 3))
     assert report.witness_class_size == 4
     assert report.satisfied and report.certified
     # every witness the churn ever forced in was forced out again
@@ -225,7 +229,7 @@ def test_verify_churn_settles_on_initial_witnesses():
     extras = set().union(*(r.witnesses for r in expand_tails(trace).records if r.e == 1)) \
         - {1, 2, 3}
     assert extras  # the adversary did provoke the construction
-    assert extras - set(col.witnesses) <= column_exiles(col)
+    assert extras - set(column_witnesses(col)) <= column_exiles(col)
 
 
 def test_spaced_witness_sizes_disjoint_across_columns():

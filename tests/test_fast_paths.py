@@ -45,8 +45,10 @@ from reference import (
     ReferenceTrace,
     ReferenceVTable,
     as_recorded,
+    canonical_snapshot,
     ceer_snapshot,
     column_exiles,
+    column_witnesses,
     cut_history,
     expand_tail,
     expand_tails,
@@ -68,8 +70,10 @@ from reference import (
     reference_script_events,
     reference_trace_from_json,
     reference_verify_liminf_counts,
+    report_y_limit,
     runner_partition,
     shifted_label_stages,
+    snapshot_thresholds,
     stepped_run_coceer,
     stepped_state_pi01,
     tail_triples,
@@ -298,12 +302,14 @@ def _assert_certificates_match(columns, budget, fam, long_verdicts):
     """A column of a run to ``budget`` is uncertified exactly when its settle
     stage in the long run is past ``budget``, and a certified one has the
     witness-history certificate (True, y_limit) on the long reference run
-    (:func:`_long_verdicts`)."""
+    (:func:`_long_verdicts`).  Every report's witness class is its Y_limit
+    and <e, 0>."""
     settled, oracle = long_verdicts
     for report in _reports(columns, fam):
         e = report.e
         assert report.certified == (settled[e] is not None and settled[e] <= budget), (budget, e)
-        assert not report.certified or oracle[e] == (True, report.y_limit), (budget, e)
+        assert not report.certified or oracle[e] == (True, report_y_limit(report)), (budget, e)
+        assert report.witness_class_size == len(report_y_limit(report)) + 1
 
 
 def _prefix(trace, stage):
@@ -330,7 +336,8 @@ def _assert_run_matches_reference(fam, E, budget, reference=None):
     assert coceer.trace_from_json(coceer.trace_to_json(trace)) == trace
     ref_columns = reference_columns_at(reference, budget)
     for e, (col, ref) in enumerate(zip(columns, ref_columns, strict=True)):
-        assert (col.witnesses, column_exiles(col)) == (tuple(sorted(ref.witnesses)), ref.exiled)
+        assert (column_witnesses(col), column_exiles(col)) == (
+            tuple(sorted(ref.witnesses)), ref.exiled)
         # a quiescent column has a tail exactly when it took case 4 after quiescence
         quiet = coceer._quiescence_stage(fam.member(e), col.k)
         if quiet is not None:
@@ -470,7 +477,7 @@ def test_churn_certificate_is_final_once_given(target):
             columns, _ = run_coceer(fam, E, stage)
             _assert_certificates_match(columns, stage, fam, long_verdicts)
             for report in _reports(columns, fam):
-                verdict = (report.certified, report.y_limit)
+                verdict = (report.certified, report_y_limit(report))
                 if report.e in given:
                     assert verdict == given[report.e], (spacing, stage, report.e)
                 elif report.certified:
@@ -977,12 +984,15 @@ def _assert_snapshot_matches_reference(t):
     for x in elements[:3] + list(outside):
         for y in outside:
             assert (x, y) not in snap.leq and (y, x) not in snap.leq, (x, y)
-    # thresholds[i] counts the b's incomparable with a_i
+    # the threshold of a_i counts the b's incomparable with it, and the
+    # snapshot is the canonical form of those thresholds
+    thresholds = snapshot_thresholds(snap)
     b = [preorder.elem_b(j) for j in range(nb)]
     for i in range(na):
         a = preorder.elem_a(i)
-        assert snap.thresholds[i] == sum(
+        assert thresholds[i] == sum(
             1 for y in b if not ref.le(a, y) and not ref.le(y, a))
+    assert snap == canonical_snapshot(na, nb, thresholds)
     return snap, ref
 
 
@@ -1011,6 +1021,29 @@ def test_materialize_matches_reference_on_runs(K):
     for seed in range(1, 5):
         t = preorder.run_preorder(generate_b(seed, K), 60 + 7 * seed)
         _assert_snapshot_matches_reference(t)
+
+
+def test_snapshot_format_3_expands_to_format_2():
+    """On generate_b seeds 0-39 (widths 4-11), at budgets 1, 2, W, P - 1,
+    P, P + 1, 250 and 10^4 (W the width, P the settle stage), the snapshot's
+    thresholds written out are the format-2 array: the stepped table's
+    threshold of each a_i, i < n, clipped to n, and n where undefined.  The
+    snapshot is the canonical form of that array, its file loads as itself,
+    and up to P + 1 stages its order is ``reference_materialize``'s."""
+    for seed in range(40):
+        gB = generate_b(seed, 3 + seed % 8)
+        W, P = gB.width, preorder.settle_stage(gB)
+        for n in sorted({1, 2, W, P - 1, P, P + 1, 250, 10**4}):
+            run = preorder.run_preorder(gB, n)
+            snap, stepped = preorder.materialize(run), expand_tail(run)
+            full = [min(stepped.v.get(i, n), n) for i in range(n)]
+            assert snapshot_thresholds(snap) == full, (seed, n)
+            assert snap == canonical_snapshot(n, n, full), (seed, n)
+            assert len(snap.thresholds) <= len(run.v)
+            doc = json.loads(json.dumps(preorder.snapshot_to_json(snap)))
+            assert preorder.snapshot_from_json(doc) == snap
+            if n <= P + 1:
+                assert snap.leq == reference_materialize(stepped).leq, (seed, n)
 
 
 def test_block_layout_matches_merges():

@@ -1,5 +1,6 @@
 """Threshold preorder: staged assignment, materialization, limit fingerprint."""
 
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from effstruct.preorder import (
 )
 
 from bruteforce import bf_is_preorder, bf_preorder_closure, bf_subset
+from reference import canonical_snapshot, snapshot_thresholds
 
 
 def _approx(*limits_with_prefixes):
@@ -99,7 +101,7 @@ def test_thresholds_change_at_most_once_and_only_to_zero():
 
 
 def test_materialize_skeleton():
-    snap = PreorderSnapshot(1, 2, (2,))   # a_0 without a threshold
+    snap = PreorderSnapshot(1, 2, (), 0)   # a_0 without a threshold: threshold nb = 2
     a0, b0, b1 = elem_a(0), elem_b(0), elem_b(1)
     assert _le(snap, ELEM_C, a0) and not _le(snap, a0, ELEM_C)
     assert _incomparable(snap, a0, b0) and _incomparable(snap, a0, b1)
@@ -116,12 +118,15 @@ def test_materialize_threshold_facts():
     a0 = elem_a(0)
     assert _le(snap, elem_b(2), a0) and _le(snap, elem_b(3), a0)
     assert _incomparable(snap, a0, elem_b(0)) and _incomparable(snap, a0, elem_b(1))
-    assert _incomparable_b_count(snap, 0) == snap.thresholds[0] == 2
+    assert _incomparable_b_count(snap, 0) == snapshot_thresholds(snap)[0] == 2
+    assert (snap.thresholds, snap.zeros) == ((2,), 0)
     zero = materialize(VTable(v={0: 0}, stage=4))
     assert all(_le(zero, elem_b(j), a0) for j in range(4))
-    assert _incomparable_b_count(zero, 0) == zero.thresholds[0] == 0
+    assert _incomparable_b_count(zero, 0) == snapshot_thresholds(zero)[0] == 0
+    assert (zero.thresholds, zero.zeros) == ((), 1)
     fresh = materialize(VTable(stage=4))
-    assert _incomparable_b_count(fresh, 0) == fresh.thresholds[0] == 4
+    assert _incomparable_b_count(fresh, 0) == snapshot_thresholds(fresh)[0] == 4
+    assert (fresh.thresholds, fresh.zeros) == ((), 0)
 
 
 def test_materialize_matches_bruteforce_closure():
@@ -209,7 +214,7 @@ def test_incomparable_counts_equal_thresholds_at_limit():
     snap = materialize(t)
     assert snap.nb > max(t.v.values())
     for i in range(len(t.v)):
-        assert _incomparable_b_count(snap, i) == snap.thresholds[i] == t.v[i]
+        assert _incomparable_b_count(snap, i) == snapshot_thresholds(snap)[i] == t.v[i]
 
 
 def test_snapshot_json_round_trip():
@@ -217,16 +222,54 @@ def test_snapshot_json_round_trip():
     snap = materialize(t)
     obj = snapshot_to_json(snap)
     assert snapshot_from_json(obj) == snap
-    assert obj == {"format": 2, "na": 3, "nb": 3, "thresholds": [0, 1, 0]}
+    # thresholds [0, 1, 0]: the head [0, 1], then one 0
+    assert obj == {"format": 3, "na": 3, "nb": 3, "thresholds": [0, 1], "zeros": 1}
     with pytest.raises(InputError):
-        snapshot_from_json({"format": 2, "na": 1})
-    # the pair-list format 1 is not read any more
+        snapshot_from_json({"format": 3, "na": 1})
+    # the pair-list format 1 and the full-array format 2 are not read any more
     format_1 = {"format": 1, "na": 3, "nb": 3, "leq": sorted([x, y] for x, y in snap.leq)}
-    for bad in ({"format": True}, {"format": 2.0}, {"format": 1}, format_1,
-                {"na": True}, {"nb": -1}, {"na": 2.5},
-                {"thresholds": ["0", 1, 0]}, {"thresholds": [0, True, 0]},
-                {"thresholds": [0, -1, 0]}, {"thresholds": [0, 4, 0]},
-                {"thresholds": [0, 1]}, {"thresholds": [0, 1, 0, 0]}, {"thresholds": "010"}):
+    format_2 = {"format": 2, "na": 3, "nb": 3, "thresholds": [0, 1, 0]}
+    for bad in ({"format": True}, {"format": 3.0}, {"format": 1}, {"format": 2}, format_1,
+                format_2, {"na": True}, {"nb": -1}, {"na": 2.5}, {"zeros": True},
+                {"zeros": -1}, {"zeros": 1.0}, {"zeros": None},
+                {"thresholds": ["0", 1]}, {"thresholds": [0, True]}, {"thresholds": [-1, 1]},
+                {"thresholds": [0, 4]}, {"thresholds": "01"},
+                # a head ending in 0, or in nb with no zeros after it
+                {"thresholds": [1, 0], "zeros": 1}, {"thresholds": [0, 1, 0], "zeros": 0},
+                {"thresholds": [0, 3], "zeros": 0}, {"thresholds": [3], "zeros": 0},
+                # more thresholds and zeros than a's
+                {"zeros": 2}, {"na": 2}, {"thresholds": [1, 1, 1]},
+                # with nb = 0 every threshold is nb, so none is stated
+                {"nb": 0, "thresholds": [], "zeros": 1}, {"nb": 0, "thresholds": [0]}):
         with pytest.raises(InputError):
             snapshot_from_json({**obj, **bad})
-    assert snapshot_from_json({**obj, "thresholds": [3, 3, 3]}) == materialize(VTable(stage=3))
+    assert snapshot_from_json({**obj, "thresholds": [], "zeros": 0}) == materialize(VTable(stage=3))
+    assert snapshot_from_json({**obj, "thresholds": [0, 3], "zeros": 1}) == materialize(
+        VTable(v={0: 0, 1: 5, 2: 0}, stage=3))
+
+
+def test_snapshot_canonical_form_round_trips():
+    """Drawn full threshold vectors (runs of 0 and nb at the end, nb inside
+    the head, nb = 0): the canonical form spells the vector back out, it is
+    what ``materialize`` gives for a table holding the vector, and its file
+    loads as itself.  So does a run stopped below the width, where the a's
+    the run assigned past index n - 1 are left out."""
+    rng = random.Random(37)
+    for _ in range(600):
+        na, nb = rng.randint(0, 8), rng.randint(0, 4)
+        full = [rng.choice((0, nb, rng.randint(0, nb))) for _ in range(na)]
+        snap = canonical_snapshot(na, nb, full)
+        assert snapshot_thresholds(snap) == full
+        assert snapshot_from_json(json.loads(json.dumps(snapshot_to_json(snap)))) == snap
+        if na == nb:
+            assert materialize(VTable(v=dict(enumerate(full)), stage=na)) == snap
+    cut = 0
+    for seed in range(20):
+        b = generate_b(seed, 10)
+        for n in range(1, b.width):
+            t = run_preorder(b, n)
+            snap = materialize(t)
+            assert snapshot_thresholds(snap) == [t.v.get(i, n) for i in range(n)]
+            assert snapshot_from_json(json.loads(json.dumps(snapshot_to_json(snap)))) == snap
+            cut += len(t.v) > n
+    assert cut

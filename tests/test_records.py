@@ -22,7 +22,8 @@ _ENTRY = ClaimEntry(1, True, (0,))
 # (witnesses, flag), VTable (next_fresh), LabelState (since, next_fresh),
 # CoceerTrace (columns, records) and PiTrace (since) no longer have,
 # StageRecord's extra, CoceerTrace's cases and tails, ColumnState's tail, the
-# count of VTable's closed-form tail and LabelState's history list
+# count of VTable's closed-form tail, LabelState's history list,
+# RequirementReport's extra (in place of y_limit) and PreorderSnapshot's zeros
 RECORDS = [
     (UPSeq((1,), (2, 3)), "UPSeq(prefix=(1,), period=(2, 3))"),
     (Delta02SetApprox([UPSeq((), (0,))]),
@@ -35,15 +36,15 @@ RECORDS = [
      "ColumnState(k=4, next_free=4, extra=None, tail=None)"),
     (_STEP, "StageRecord(stage=3, e=0, case=4, extra=None, exiled=((0, 2),))"),
     (CoceerTrace(3, ((4,),), (4,)), "CoceerTrace(stages=3, cases=((4,),), tails=(4,))"),
-    (RequirementReport(0, 2, "script", 2, False, True, True, (1,)),
+    (RequirementReport(0, 2, "script", 2, False, True, True, None),
      "RequirementReport(e=0, k=2, kind='script', witness_class_size=2, r_e_has_size_k=False, "
-     "satisfied=True, certified=True, y_limit=(1,))"),
+     "satisfied=True, certified=True, extra=None)"),
     (GTable([UPSeq((), (1,))]), "GTable(columns=(UPSeq(prefix=(), period=(1,)),))"),
     (LabelState(), "LabelState(members=[], removed_pending=[], stage=0, history=[])"),
     (PiTrace(1, {0: ((1, 0),)}), "PiTrace(stages=1, transitions={0: ((1, 0),)})"),
     (LabelCount(0, 1, 1), "LabelCount(label=0, expected=1, observed=1)"),
     (VTable(v={0: 2}), "VTable(v={0: 2}, stage=0, events=[], tail=0)"),
-    (PreorderSnapshot(2, 3, (1, 3)), "PreorderSnapshot(na=2, nb=3, thresholds=(1, 3))"),
+    (PreorderSnapshot(3, 3, (1, 3), 1), "PreorderSnapshot(na=3, nb=3, thresholds=(1, 3), zeros=1)"),
     (_ENTRY, "ClaimEntry(x=1, in_b=True, holders=(0,))"),
     (ClaimReport((_ENTRY,), 2, True, (1,), (1,)),
      "ClaimReport(entries=(ClaimEntry(x=1, in_b=True, holders=(0,)),), zero_count=2, "
@@ -109,9 +110,9 @@ def test_snapshot_order_is_built_once_and_is_no_field(monkeypatch):
     built = []
     order = PreorderSnapshot._order
     monkeypatch.setattr(PreorderSnapshot, "_order", lambda self: built.append(self) or order(self))
-    snap = PreorderSnapshot(2, 3, (1, 3))
+    snap = PreorderSnapshot(2, 3, (1,), 0)
     assert ("b1", "a0") in snap.leq and ("b0", "a0") not in snap.leq
     assert snap.leq is snap.leq and built == [snap]
-    fresh = PreorderSnapshot(2, 3, (1, 3))
+    fresh = PreorderSnapshot(2, 3, (1,), 0)
     assert snap == fresh and hash(snap) == hash(fresh) and repr(snap) == repr(fresh)
     assert len(fresh.leq) == len(snap.leq) and built == [snap, fresh]
