@@ -29,27 +29,25 @@ def block_offset(i: int) -> int:
     return i * i + 3 * i
 
 
-def block_runs(bits: Sequence[int], n: int) -> list[list[list[int]]]:
-    """Classes of the first n blocks as half-open runs, ordered by minimum.
+def block_runs(bits: Sequence[int], n: int) -> list[int]:
+    """Lengths of the first n blocks' classes, which are consecutive
+    intervals from 0, in window order.
 
-    Block i is the run [block_offset(i), block_offset(i+1)), split off its
-    last element when bit i is 0, so every class is a single ``[start, stop]``.
+    Block i is one class of 2i+4 elements when bit i is 1; when it is 0
+    the block's last element is split off as a singleton after 2i+3.
     """
     runs = []
-    start = 0
     for i, bit in enumerate(_check_bits(bits, n)[:n]):
-        stop = start + 2 * i + 4
         if bit == 1:
-            runs.append([[start, stop]])
+            runs.append(2 * i + 4)
         else:
-            runs += [[[start, stop - 1]], [[stop - 1, stop]]]
-        start = stop
+            runs += (2 * i + 3, 1)
     return runs
 
 
 def encode_blocks(bits: Sequence[int], n: int) -> Partition:
     """Equivalence structure over the first n blocks, built from its runs."""
-    return Partition.from_classes(block_offset(n), (range(*run) for [run] in block_runs(bits, n)))
+    return Partition.from_runs(block_runs(bits, n))
 
 
 def block_character(bits: Sequence[int], n: int) -> Character:

@@ -18,7 +18,6 @@ import gc
 import json
 import random
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
@@ -59,7 +58,8 @@ def _dump_json(path: str, obj: object) -> None:
     """
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -140,7 +140,7 @@ def _cmd_blocks(args: SimpleNamespace) -> int:
         window = blocks_mod.block_offset(n)
         if args.encode:
             _dump_json(args.encode, {
-                "format": 2,
+                "format": 3,
                 "n_blocks": n,
                 "partition": partition_to_json(window, blocks_mod.block_runs(bits, n)),
                 "character": blocks_mod.block_character(bits, n).to_pairs(),
@@ -150,22 +150,22 @@ def _cmd_blocks(args: SimpleNamespace) -> int:
     obj = _load_json(args.decode)
     if not isinstance(obj, dict) or "character" not in obj:
         raise InputError("character file needs a 'character' array")
-    check_format(obj, default=1, versions=(1, 2))
+    check_format(obj, default=1, versions=(1, 3))
     ch = Character.from_pairs(obj["character"])
     n = obj.get("n_blocks", sum(1 for s in ch.entries if s >= 2))
     if not is_nat(n):
         raise InputError(f"n_blocks must be a nonnegative integer, got {n!r}")
     bits = blocks_mod.decode_character(ch, n)
-    if obj.get("format") == 2 and "partition" in obj:
-        # a block file's partition is checked for its shape: its window, and one
-        # run list per class the character counts; the runs themselves are not read
-        part, window = obj["partition"], blocks_mod.block_offset(n)
-        classes = sum(ch.entries.values())
-        if not (isinstance(part, dict) and is_nat(part.get("window"))
-                and part["window"] == window and isinstance(part.get("runs"), list)
-                and len(part["runs"]) == classes):
-            raise InputError(f"block file 'partition' must be an object with 'window' {window} "
-                             f"and 'runs' an array of {classes} classes")
+    if obj.get("format") == 3:
+        # a block file's partition is the coding of the decoded bits, length for
+        # length; == takes true for 1 and 1.0 for 1, so each number must be an int
+        window, runs = blocks_mod.block_offset(n), blocks_mod.block_runs(bits, n)
+        part = obj.get("partition")
+        if not (part == partition_to_json(window, runs)
+                and all(type(v) is int for v in (part["window"], *part["runs"]))):
+            raise InputError(f"block file 'partition' must be the coding of the decoded bits: "
+                             f"'window' {window} and 'runs' its {len(runs)} class lengths "
+                             f"in window order")
     print("".join(str(b) for b in bits))
     return EXIT_OK
 

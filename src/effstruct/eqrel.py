@@ -29,20 +29,20 @@ class Partition:
         self.size = [1] * window
 
     @classmethod
-    def from_classes(cls, window: int, classes: Iterable[Sequence[int]]) -> "Partition":
-        """The partition of [0, window) into ``classes`` and singletons.
+    def from_runs(cls, runs: Sequence[int]) -> "Partition":
+        """The partition of [0, sum(runs)) into consecutive intervals, the
+        i-th of ``runs[i]`` elements.
 
-        Each class is rooted at its minimum, with every member pointing at
-        that root, so no merge runs.  The classes must be nonempty, pairwise
-        disjoint and inside the window; that is not checked here.
+        Each interval is rooted at its first element, with every member
+        pointing at that root, so no merge runs.  The lengths must be
+        positive; that is not checked here.
         """
-        p = cls(window)
-        parent = p.parent
-        for members in classes:
-            root = min(members)
-            for x in members:
-                parent[x] = root
-            p.size[root] = len(members)
+        p = cls(sum(runs))
+        start = 0
+        for length in runs:
+            p.parent[start:start + length] = [start] * length
+            p.size[start] = length
+            start += length
         return p
 
     def _check(self, x: int) -> None:
@@ -174,24 +174,22 @@ def character_of(p: Partition) -> Character:
     return Character(tally)
 
 
-def partition_to_json(window: int, runs: list[list[list[int]]]) -> dict:
-    """JSON form of a partition of [0, window) given by its classes' runs.
+def partition_to_json(window: int, runs: list[int]) -> dict:
+    """JSON form of a partition of [0, window) into consecutive intervals.
 
-    Each class is a list of its maximal half-open ``[start, stop]`` runs,
-    classes ordered by minimum: a class {0, 3} is ``[[0, 1], [3, 4]]``.
-    ``runs`` is already in that form and is written as given, not copied.
+    ``runs`` lists the intervals' lengths in window order: bits ``10110``
+    code as ``[4, 5, 1, 8, 10, 11, 1]``.  It is written as given, not copied.
     """
     return {"window": window, "runs": runs}
 
 
 def partition_from_json(obj: object) -> Partition:
-    """Partition from ``{"window": W, "runs": [[[start, stop], ...], ...]}``.
+    """Partition from ``{"window": W, "runs": [L0, L1, ...]}``.
 
-    Every class must be a nonempty array of runs ``start < stop <= W``
-    over naturals, and the runs of all classes together must tile
-    [0, W): one sort of the R runs checks for gaps and overlaps in
-    O(R log R), whatever the window.  The member-list ``classes`` form
-    of format 1 is not read.
+    Every length must be an ``int`` of at least 1, and the lengths must
+    sum to W, so the intervals tile [0, W): one pass over the R lengths,
+    with no sort.  The member-list ``classes`` of format 1 and the
+    ``[start, stop]`` runs per class of format 2 are not read.
     """
     if not isinstance(obj, dict) or "window" not in obj or "runs" not in obj:
         raise InputError("partition object must have 'window' and 'runs' keys")
@@ -199,25 +197,9 @@ def partition_from_json(obj: object) -> Partition:
     runs = obj["runs"]
     if not is_nat(window) or not isinstance(runs, list):
         raise InputError("bad partition field types")
-    spans = []
-    for cls in runs:
-        if not isinstance(cls, list) or not cls:
-            raise InputError("classes must be nonempty arrays of runs")
-        for run in cls:
-            if not (isinstance(run, list) and len(run) == 2 and is_nat(run[0])
-                    and is_nat(run[1]) and run[0] < run[1] <= window):
-                raise InputError(f"run {run!r} is not [start, stop] with "
-                                 f"start < stop <= {window}")
-            spans.append(run)
-    spans.sort()
-    covered = 0
-    for start, stop in spans:
-        if start < covered:
-            raise InputError(f"element {start} appears in two runs")
-        if start > covered:
-            raise InputError(f"element {covered} is in no run")
-        covered = stop
-    if covered != window:
-        raise InputError(f"element {covered} is in no run")
-    return Partition.from_classes(
-        window, ([x for start, stop in cls for x in range(start, stop)] for cls in runs))
+    for length in runs:
+        if not (type(length) is int and length >= 1):
+            raise InputError(f"run length {length!r} is not an integer >= 1")
+    if sum(runs) != window:
+        raise InputError(f"run lengths sum to {sum(runs)}, not the window {window}")
+    return Partition.from_runs(runs)

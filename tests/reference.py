@@ -56,8 +56,12 @@ member.  :func:`reference_character_from_pairs` and
 passes and decode it against a second, whole character.
 :func:`reference_script_events` reads a script's events as the script
 constructor did before it numbered their elements.
-:func:`partition_runs` cuts each class of a partition into its maximal
-runs, the form of the partition codec.
+:func:`partition_runs` lists the class lengths of a partition into
+consecutive intervals, the form of the partition codec, and
+:func:`runs_as_format_2` turns those lengths back into the format-2
+``[start, stop]`` runs.  :func:`reference_check_block_partition` compares
+a block file's partition with the coding as JSON text, and
+:func:`run_length_mutations` makes every single mutation of a valid one.
 
 The snapshot oracles give a construction's relation at one stage as a
 :class:`Partition` of a finite window, merged pair by pair:
@@ -69,6 +73,7 @@ churn generators for the co-ceer tests.
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -1023,19 +1028,65 @@ def reference_decode_character(entries: dict[int, int], n: int) -> list[int]:
     return bits
 
 
-def partition_runs(p: Partition) -> list[list[list[int]]]:
-    """Each class of ``p``, by minimum, as its maximal half-open runs,
-    ``[start, stop]`` lists: the form ``partition_to_json`` writes as given."""
+def partition_runs(p: Partition) -> list[int]:
+    """The lengths of the classes of ``p``, in window order, asserting that
+    each class is an interval: the form ``partition_to_json`` writes as given."""
     out = []
+    start = 0
     for members in p.classes():
-        runs = [[members[0], members[0] + 1]]
-        for x in members[1:]:
-            if x == runs[-1][1]:
-                runs[-1][1] = x + 1
-            else:
-                runs.append([x, x + 1])
-        out.append(runs)
+        assert members == list(range(start, start + len(members))), members
+        out.append(len(members))
+        start += len(members)
     return out
+
+
+def runs_as_format_2(part: dict) -> dict:
+    """A format-3 ``partition`` in format 2: the length L at offset o is the
+    class ``[[o, o + L]]``, a list of one half-open run."""
+    classes, start = [], 0
+    for length in part["runs"]:
+        classes.append([[start, start + length]])
+        start += length
+    return {"window": part["window"], "runs": classes}
+
+
+def reference_check_block_partition(part: object, bits: list[int], n: int) -> None:
+    """Refuse a format-3 block file's ``partition`` unless its JSON text is
+    that of the coding of ``bits``: window n^2 + 3n and the class lengths
+    of :func:`reference_block_partition`.  Compared as text, ``true`` is not
+    ``1`` and ``4.0`` is not ``4``."""
+    window, runs = n * n + 3 * n, partition_runs(reference_block_partition(bits, n))
+    if json.dumps(part, sort_keys=True) != json.dumps({"window": window, "runs": runs},
+                                                      sort_keys=True):
+        raise InputError(f"block file 'partition' must be the coding of the decoded bits: "
+                         f"'window' {window} and 'runs' its {len(runs)} class lengths "
+                         f"in window order")
+
+
+def run_length_mutations(part: dict) -> Iterator[Optional[dict]]:
+    """Each single mutation of a valid format-3 block file's ``partition``:
+    two adjacent lengths swapped (when they differ) or merged, a length
+    split, one moved by 1 to or from its right neighbour (the sum holds),
+    an entry dropped or repeated, an entry made a bool, a float or a
+    string, the window moved by 1, and None for no partition at all."""
+    window, runs = part["window"], part["runs"]
+    out = []
+    for i, length in enumerate(runs):
+        head, tail = runs[:i], runs[i + 1:]
+        out += [head + tail, head + [length, length] + tail,
+                head + [True] + tail, head + [float(length)] + tail, head + [str(length)] + tail]
+        if length > 1:
+            out += [head + [1, length - 1] + tail, head + [length - 1, 1] + tail]
+        if tail:
+            right, rest = tail[0], tail[1:]
+            out += [head + [length + right] + rest,
+                    head + [length + 1, right - 1] + rest, head + [length - 1, right + 1] + rest]
+            if right != length:
+                out.append(head + [right, length] + rest)
+    yield from ({"window": window, "runs": mutated} for mutated in out)
+    yield {"window": window - 1, "runs": runs}
+    yield {"window": window + 1, "runs": runs}
+    yield None
 
 
 def generate_family(seed: int, count: int) -> CeerFamily:

@@ -28,7 +28,8 @@ from effstruct.preorder import VTable
 
 from reference import (
     as_recorded, cut_history, expand_tails, generate_family, label_stages, reference_materialize,
-    reference_trace_from_json, snapshot_thresholds, stepped_run_pi01, stepped_state_pi01, windows,
+    reference_trace_from_json, run_length_mutations, runs_as_format_2, snapshot_thresholds,
+    stepped_run_pi01, stepped_state_pi01, windows,
 )
 
 
@@ -258,14 +259,14 @@ def test_blocks_encode_decode_round_trip(tmp_path, capsys):
     encoded = tmp_path / "blocks.json"
     assert main(["blocks", "--x", "10110", "--encode", str(encoded)]) == 0
     payload = json.loads(encoded.read_text())
-    assert payload["partition"] == {"window": 40, "runs": [
-        [[0, 4]], [[4, 9]], [[9, 10]], [[10, 18]], [[18, 28]], [[28, 39]], [[39, 40]]]}
+    assert payload["format"] == 3
+    assert payload["partition"] == {"window": 40, "runs": [4, 5, 1, 8, 10, 11, 1]}
     character_file = _write(
         tmp_path / "char.json",
         {"format": 1, "character": payload["character"], "n_blocks": payload["n_blocks"]},
     )
     capsys.readouterr()
-    # a hand-written format-1 character file and the format-2 --encode output
+    # a hand-written format-1 character file and the format-3 --encode output
     for path in (character_file, str(encoded)):
         assert main(["blocks", "--decode", path]) == 0
         assert capsys.readouterr().out == "10110\n"
@@ -281,12 +282,12 @@ def test_blocks_encode_is_linear_and_builds_no_partition(tmp_path, monkeypatch):
     bits = "".join(rng.choice("01") for _ in range(n))
     encoded = tmp_path / "blocks.json"
     assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
-    # at 800 bits a one bit writes one run and a size, about 25 bytes, and a
-    # zero bit two runs and a size, about 44; format 1 listed n^2 + 3n members
+    # at 800 bits a one bit writes a length and a size, about 12 bytes, and a
+    # zero bit two lengths and a size, about 16; format 1 listed n^2 + 3n members
     assert encoded.stat().st_size < 40 * n
 
 
-def test_blocks_flag_validation(tmp_path):
+def test_blocks_flag_validation(tmp_path, capsys):
     assert main(["blocks"]) == 2
     assert main(["blocks", "--x", "012"]) == 2
     # each of these characters decodes once n_blocks is taken as given
@@ -296,14 +297,19 @@ def test_blocks_flag_validation(tmp_path):
     # the character is read from 'character', the key --encode writes, only
     path = _write(tmp_path / "char.json", {"entries": [[4, 1]], "n_blocks": 1})
     assert main(["blocks", "--decode", path]) == 2
-    # the format, when given, must be the integer 1 or 2
-    for version in (3, 7, "x", True):
+    capsys.readouterr()
+    # the format, when given, must be the integer 1 or 3; format 2 is no longer read
+    for version in (2, 7, "x", True):
         path = _write(tmp_path / "char.json",
-                      {"format": version, "character": [[4, 1]], "n_blocks": 1})
+                      {"format": version, "character": [[4, 1]], "n_blocks": 1,
+                       "partition": {"window": 4, "runs": [4]}})
         assert main(["blocks", "--decode", path]) == 2, version
-    for header in ({"format": 1}, {"format": 2}, {}):
+        assert capsys.readouterr() == (
+            "", f"error: unsupported format version {version!r} (expected 1 or 3)\n")
+    for header in ({"format": 1}, {}, {"format": 3, "partition": {"window": 4, "runs": [4]}}):
         path = _write(tmp_path / "char.json", {**header, "character": [[4, 1]], "n_blocks": 1})
         assert main(["blocks", "--decode", path]) == 0, header
+        assert capsys.readouterr().out == "1\n"
     # --encode goes with --x only
     out = tmp_path / "out.json"
     assert main(["blocks", "--decode", path, "--encode", str(out)]) == 2
@@ -311,27 +317,34 @@ def test_blocks_flag_validation(tmp_path):
 
 
 def test_blocks_decode_checks_partition_shape(tmp_path, capsys):
-    encoded = tmp_path / "blocks.json"
-    assert main(["blocks", "--x", "10110", "--encode", str(encoded)]) == 0
-    valid = json.loads(encoded.read_text())
-    runs = valid["partition"]["runs"]
-    capsys.readouterr()
-    message = ("error: block file 'partition' must be an object with 'window' 40 and 'runs' "
-               "an array of 7 classes\n")
-    # the window and the number of classes are checked, not the runs themselves
-    for partition in ({"window": 1, "runs": "garbage"}, {"window": 40, "runs": "garbage"},
-                      {"window": 40.0, "runs": runs}, {"window": 41, "runs": runs},
-                      {"window": 40, "runs": runs[:-1]}, {"window": 40, "runs": runs + [[]]},
-                      {"window": 40}, {"runs": runs}, runs, None):
-        path = _write(tmp_path / "bad.json", {**valid, "partition": partition})
-        assert main(["blocks", "--decode", path]) == 2, partition
-        assert capsys.readouterr() == ("", message), partition
-    # a format-2 file without a partition, and a format-1 file, whose
-    # partition is not read, still decode
-    for obj in ({k: v for k, v in valid.items() if k != "partition"},
-                {**valid, "format": 1, "partition": {"window": 1, "runs": "garbage"}}):
-        assert main(["blocks", "--decode", _write(tmp_path / "ok.json", obj)]) == 0
-        assert capsys.readouterr().out == "10110\n"
+    """A format-3 file decodes only when its partition is the coding of
+    the decoded bits, entry for entry: every single mutation of its run
+    lengths or window, or a missing partition, exits 2 and prints nothing.
+    A swap of two lengths and a length moved by 1 keep the window and the
+    number of classes, so a check of the shape alone would pass them."""
+    message = ("error: block file 'partition' must be the coding of the decoded bits: "
+               "'window' {} and 'runs' its {} class lengths in window order\n")
+    for bits in ("10110", "0", "1", "0011101001"):
+        encoded = tmp_path / "blocks.json"
+        assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
+        valid = json.loads(encoded.read_text())
+        window, runs = valid["partition"]["window"], valid["partition"]["runs"]
+        capsys.readouterr()
+        for partition in run_length_mutations(valid["partition"]):
+            obj = {**valid, "partition": partition}
+            if partition is None:
+                del obj["partition"]
+            assert main(["blocks", "--decode", _write(tmp_path / "bad.json", obj)]) == 2, obj
+            assert capsys.readouterr() == ("", message.format(window, len(runs))), obj
+        # the file as written decodes, and a format-1 file's partition is not read
+        for obj in (valid, {**valid, "format": 1, "partition": {"window": 1, "runs": "garbage"}}):
+            assert main(["blocks", "--decode", _write(tmp_path / "ok.json", obj)]) == 0
+            assert capsys.readouterr().out == bits + "\n"
+    # the partition of a file whose character does not decode is not read
+    assert main(["blocks", "--decode", _write(tmp_path / "bad.json", {
+        "format": 3, "character": [[4, 1], [6, 1]], "n_blocks": 1, "partition": None})]) == 2
+    assert capsys.readouterr() == ("", "error: character does not match any block coding on "
+                                       "1 blocks\n")
 
 
 def test_verify_all_runs_the_whole_budget(capsys):
@@ -566,15 +579,20 @@ def test_blocks_output_is_pinned(tmp_path, capsys):
     encoded = tmp_path / "blocks.json"
     assert main(["blocks", "--x", bits, "--encode", str(encoded)]) == 0
     assert _sha(encoded.read_bytes()) == \
-        "34048aa2330e65a535f0abc4bb181aa7ca03d109ff19c25333e6b359eeef9de4"
+        "51b0aed0a46152523165332464ac0e7af47ffe349a4690af6552fee4b0c2cb9d"
     assert _sha(capsys.readouterr().out.encode()) == \
         "e76287da6f7833adc11039f116145b1e6c404c59ab1a3742b8550b463155e0a9"
+    # with each length turned back into its [start, stop] run, the format-3
+    # file is the format-2 file byte for byte (the digest pinned before format 3)
+    obj = json.loads(encoded.read_text())
+    two = {**obj, "format": 2, "partition": runs_as_format_2(obj["partition"])}
+    assert _sha(_compact(two)) == \
+        "34048aa2330e65a535f0abc4bb181aa7ca03d109ff19c25333e6b359eeef9de4"
     # with its runs expanded to member lists, the format-2 file is the
     # format-1 file byte for byte (the digest pinned before format 2)
-    obj = json.loads(encoded.read_text())
-    window, runs = obj["partition"]["window"], obj["partition"]["runs"]
+    window, runs = two["partition"]["window"], two["partition"]["runs"]
     classes = [[x for start, stop in cls for x in range(start, stop)] for cls in runs]
-    old = {**obj, "format": 1, "partition": {"window": window, "classes": classes}}
+    old = {**two, "format": 1, "partition": {"window": window, "classes": classes}}
     assert _sha(_indented(old)) == \
         "723cd3addae2cebde5da6daf88623d24190f051a7e9b83045eb2174adc11033a"
 

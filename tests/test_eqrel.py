@@ -129,21 +129,29 @@ def test_oldest_class_min_against_bruteforce():
             assert runner.oldest_class_min(k) == bf_oldest_class_min(runner.classes, k)
 
 
-def test_from_classes_matches_merges():
+def _merged_intervals(runs):
+    """The partition into consecutive intervals of these lengths, each
+    joined up one neighbour at a time."""
+    p = Partition(sum(runs))
+    start = 0
+    for length in runs:
+        for x in range(start + 1, start + length):
+            p.merge(x - 1, x)
+        start += length
+    return p
+
+
+def test_from_runs_matches_merges():
     rng = random.Random(13)
     for _ in range(200):
-        n = rng.randint(1, 30)
-        merged = Partition(n)
-        for _ in range(rng.randint(0, n)):
-            merged.merge(rng.randrange(n), rng.randrange(n))
-        # any class order and member order; singletons may be left out
-        classes = [rng.sample(c, len(c)) for c in merged.classes()
-                   if len(c) > 1 or rng.random() < 0.5]
-        rng.shuffle(classes)
-        built = Partition.from_classes(n, classes)
+        runs = [rng.randint(1, 6) for _ in range(rng.randint(0, 8))]
+        n = sum(runs)
+        merged = _merged_intervals(runs)
+        built = Partition.from_runs(runs)
+        assert built.window == n
         assert built.classes() == merged.classes()
         assert character_of(built) == character_of(merged)
-        for _ in range(rng.randint(0, 6)):   # it stays a working union-find
+        for _ in range(rng.randint(0, 6) if n else 0):   # it stays a working union-find
             x, y = rng.randrange(n), rng.randrange(n)
             built.merge(x, y)
             merged.merge(x, y)
@@ -206,53 +214,40 @@ def test_character_error_messages():
 
 def test_partition_json_examples():
     p = Partition(5)
-    p.merge(0, 3)
-    p.merge(1, 4)
-    p.merge(1, 2)
+    p.merge(0, 1)
+    p.merge(2, 4)
+    p.merge(3, 2)
     obj = partition_to_json(5, partition_runs(p))
-    assert obj == {"window": 5, "runs": [[[0, 1], [3, 4]], [[1, 3], [4, 5]]]}
+    assert obj == {"window": 5, "runs": [2, 3]}
     assert partition_from_json(obj) == p
-    # classes and runs in any order; runs need not be maximal
-    assert partition_from_json({"window": 5, "runs": [[[4, 5], [1, 2], [2, 3]],
-                                                      [[3, 4], [0, 1]]]}) == p
     assert partition_from_json({"window": 0, "runs": []}) == Partition(0)
+    assert partition_from_json({"window": 3, "runs": [1, 1, 1]}) == Partition(3)
     for bad in (
-        {"window": 3, "runs": [[[0, 1]], [[2, 3]]]},           # gap
-        {"window": 3, "runs": [[[0, 2]]]},                     # gap at the end
-        {"window": 3, "runs": [[[0, 2]], [[1, 3]]]},           # overlap
-        {"window": 2, "runs": [[[0, 1]], [[0, 1], [1, 2]]]},   # the same run twice
-        {"window": 2, "runs": [[[0, 3]]]},                     # run past the window
-        {"window": 2, "runs": [[[0, 2], [1, 1]]]},             # empty run
-        {"window": 2, "runs": [[[2, 0]]]},                     # reversed run
-        {"window": 2, "runs": [[[False, 2]]]},                 # bool endpoint
-        {"window": 2, "runs": [[[0, True], [1, 2]]]},
-        {"window": 2, "runs": [[[0, 2.0]]]},                   # float endpoint
-        {"window": 2, "runs": [[[0, 2]], []]},                 # empty class
-        {"window": 2, "runs": [[0, 2]]},                       # a run that is not an array
-        {"window": 2, "runs": [[[0, 1, 2]]]},
-        {"window": 2, "runs": [[[-1, 2]]]},                    # negative endpoint
-        {"window": 2, "classes": [[0, 1]]},                    # the format-1 member lists
-        {"window": True, "runs": [[[0, 1]]]},
-        {"window": 2, "runs": {"0": [[0, 2]]}},
-        [[0, 2]],
+        {"window": 3, "runs": [0, 3]},                         # an empty class
+        {"window": 3, "runs": [-1, 4]},                        # a negative length
+        {"window": 3, "runs": [True, 2]},                      # a bool length
+        {"window": 3, "runs": [2.0, 1]},                       # a float length
+        {"window": 3, "runs": ["2", 1]},                       # a string length
+        {"window": 3, "runs": [[2], 1]},                       # a nested list
+        {"window": 3, "runs": [[[0, 2]], [[2, 3]]]},           # the format-2 [start, stop] runs
+        {"window": 3, "classes": [[0, 1], [2]]},               # the format-1 member lists
+        {"window": 3, "runs": [2]},                            # lengths short of the window
+        {"window": 3, "runs": [2, 2]},                         # lengths past the window
+        {"window": 3, "runs": {"0": 3}},                       # runs not an array
+        {"window": 3, "runs": 3},
+        {"window": True, "runs": [1]},                         # a bool window
+        {"window": 3.0, "runs": [3]},
+        {"runs": [3]},
+        [3],
     ):
         with pytest.raises(InputError):
             partition_from_json(bad)
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.lists(st.integers(0, 6), max_size=40), st.randoms(use_true_random=False))
-def test_partition_json_round_trip(labels, rng):
-    # element x joins class labels[x], so classes are rarely intervals
-    byclass: dict[int, list[int]] = {}
-    for x, label in enumerate(labels):
-        byclass.setdefault(label, []).append(x)
-    p = Partition.from_classes(len(labels), byclass.values())
-    obj = json.loads(json.dumps(partition_to_json(p.window, partition_runs(p))))
+@given(st.lists(st.integers(1, 6), max_size=12))
+def test_partition_json_round_trip(runs):
+    obj = json.loads(json.dumps({"window": sum(runs), "runs": runs}))
     back = partition_from_json(obj)
-    assert back == p
+    assert back == _merged_intervals(runs)
     assert partition_to_json(back.window, partition_runs(back)) == obj
-    # the reader takes the classes and their runs in any order
-    shuffled = [rng.sample(runs, len(runs)) for runs in obj["runs"]]
-    rng.shuffle(shuffled)
-    assert partition_from_json({"window": p.window, "runs": shuffled}) == p

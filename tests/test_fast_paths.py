@@ -59,6 +59,7 @@ from reference import (
     reference_block_classes,
     reference_block_partition,
     reference_character_from_pairs,
+    reference_check_block_partition,
     reference_decode_character,
     reference_certificate,
     reference_columns_at,
@@ -71,7 +72,9 @@ from reference import (
     reference_trace_from_json,
     reference_verify_liminf_counts,
     report_y_limit,
+    run_length_mutations,
     runner_partition,
+    runs_as_format_2,
     shifted_label_stages,
     snapshot_thresholds,
     stepped_run_coceer,
@@ -1062,16 +1065,24 @@ def test_block_runs_match_member_lists():
     for n in range(65):
         bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
         runs = blocks.block_runs(bits, n)
-        members = [list(range(start, stop)) for [(start, stop)] in runs]   # one run each
+        members, start = [], 0
+        for length in runs:   # consecutive intervals from 0
+            members.append(list(range(start, start + length)))
+            start += length
         assert members == reference_block_classes(bits, n)
+        assert runs == partition_runs(reference_block_partition(bits, n))
         assert eqrel.partition_from_json(
             eqrel.partition_to_json(blocks.block_offset(n), runs)).classes() == members
 
 
 def test_block_encode_file_matches_general_path():
     """``blocks --encode`` writes, byte for byte, the file of the partition
-    the bits code: its maximal runs and its counted character."""
+    the bits code: its class lengths and its counted character.  With each
+    length turned back into its ``[start, stop]`` run the partition is the
+    format-2 file's, each class one run from its minimum to its maximum."""
     rng = random.Random(43)
+    assert runs_as_format_2(eqrel.partition_to_json(0, blocks.block_runs([], 0))) == \
+        {"window": 0, "runs": []}   # n = 0, which the command line refuses
     with tempfile.TemporaryDirectory() as work:
         path = f"{work}/blocks.json"
         assert _run_cli(["blocks", "--x", "", "--encode", path])[0] == 2   # n = 0
@@ -1079,14 +1090,18 @@ def test_block_encode_file_matches_general_path():
         for n in list(range(1, 201)) + [400]:
             bits = [rng.randint(0, 1) for _ in range(n)]
             p = blocks.encode_blocks(bits, n)
-            obj = {"format": 2, "n_blocks": n,
+            obj = {"format": 3, "n_blocks": n,
                    "partition": {"window": p.window, "runs": partition_runs(p)},
                    "character": eqrel.character_of(p).to_pairs()}
             summary = f"encoded {n} bits into {p.window} elements\n"
             assert _run_cli(["blocks", "--x", "".join(map(str, bits)),
                              "--encode", path]) == (0, summary, "")
             with open(path, encoding="utf-8") as f:
-                assert f.read() == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+                written = f.read()
+            assert written == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            two = [[[c[0], c[-1] + 1]] for c in reference_block_classes(bits, n)]
+            assert runs_as_format_2(json.loads(written)["partition"]) == \
+                {"window": n * n + 3 * n, "runs": two}
 
 
 def _character_mutations(obj):
@@ -1109,11 +1124,13 @@ def _character_mutations(obj):
 def test_block_decode_matches_reference_on_mutations():
     """On every single mutation of valid block files, ``blocks --decode``
     prints the bits or the error of the loader and decoder it replaced:
-    two checking passes, and a comparison with a second, whole character."""
+    two checking passes, a comparison with a second, whole character, and
+    for format 3 a comparison of the partition's text with the coding's."""
     rng = random.Random(47)
     kinds = ("character entries must be [size, count] pairs", "duplicate character size",
              "character entries must be naturals", "bad character entry",
-             "character is not a block coding", "character does not match any block coding")
+             "character is not a block coding", "character does not match any block coding",
+             "block file 'partition' must be the coding of the decoded bits")
     outcomes = set()
     with tempfile.TemporaryDirectory() as work:
         path = f"{work}/blocks.json"
@@ -1122,15 +1139,22 @@ def test_block_decode_matches_reference_on_mutations():
             assert _run_cli(["blocks", "--x", bits, "--encode", path])[0] == 0
             with open(path, encoding="utf-8") as f:
                 valid = json.load(f)
-            for mutation in _character_mutations(valid):
-                key = "n_blocks" if isinstance(mutation, int) else "character"
-                obj = {**valid, key: mutation}
+            mutations = [{"n_blocks": m} if isinstance(m, int) else {"character": m}
+                         for m in _character_mutations(valid)]
+            if n <= 16:   # each run's mutations; the reference merges a whole window for each
+                mutations += [{"partition": m} for m in run_length_mutations(valid["partition"])]
+            for mutation in mutations:
+                obj = {**valid, **mutation}
+                if obj["partition"] is None:
+                    del obj["partition"]
                 with open(path, "w", encoding="utf-8") as f:
                     json.dump(obj, f)
                 try:
                     entries = reference_character_from_pairs(obj["character"])
-                    want = (0, "".join(map(str, reference_decode_character(
-                        entries, obj["n_blocks"]))) + "\n", "")
+                    decoded = reference_decode_character(entries, obj["n_blocks"])
+                    reference_check_block_partition(obj.get("partition"), decoded,
+                                                    obj["n_blocks"])
+                    want = (0, "".join(map(str, decoded)) + "\n", "")
                 except InputError as exc:
                     want = (2, "", f"error: {exc}\n")
                 assert _run_cli(["blocks", "--decode", path]) == want, obj

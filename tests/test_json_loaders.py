@@ -37,10 +37,13 @@ def _pi01_trace(rng):
 
 
 def _partition(rng):
+    """A partition into consecutive intervals: each element joins its left
+    neighbour's class or starts a new one."""
     n = rng.randint(0, 20)
     p = Partition(n)
-    for _ in range(rng.randint(0, n)):
-        p.merge(rng.randrange(n), rng.randrange(n))
+    for x in range(1, n):
+        if rng.random() < 0.6:
+            p.merge(x - 1, x)
     return p
 
 
