@@ -15,10 +15,8 @@ from .eqrel import Character, Partition
 from .errors import InputError
 
 
-def _check_bits(bits: Sequence[int], n: int) -> tuple[int, ...]:
+def _check_bits(bits: Sequence[int]) -> tuple[int, ...]:
     out = tuple(bits)
-    if len(out) < n:
-        raise InputError(f"need at least {n} bits, got {len(out)}")
     if out.count(0) + out.count(1) != len(out):
         raise InputError("bits must be 0 or 1")
     return out
@@ -29,15 +27,15 @@ def block_offset(i: int) -> int:
     return i * i + 3 * i
 
 
-def block_runs(bits: Sequence[int], n: int) -> list[int]:
-    """Lengths of the first n blocks' classes, which are consecutive
-    intervals from 0, in window order.
+def block_runs(bits: Sequence[int]) -> list[int]:
+    """Lengths of the blocks' classes, one block for each bit, which are
+    consecutive intervals from 0, in window order.
 
     Block i is one class of 2i+4 elements when bit i is 1; when it is 0
     the block's last element is split off as a singleton after 2i+3.
     """
     runs = []
-    for i, bit in enumerate(_check_bits(bits, n)[:n]):
+    for i, bit in enumerate(_check_bits(bits)):
         if bit == 1:
             runs.append(2 * i + 4)
         else:
@@ -45,14 +43,14 @@ def block_runs(bits: Sequence[int], n: int) -> list[int]:
     return runs
 
 
-def encode_blocks(bits: Sequence[int], n: int) -> Partition:
-    """Equivalence structure over the first n blocks, built from its runs."""
-    return Partition.from_runs(block_runs(bits, n))
+def encode_blocks(bits: Sequence[int]) -> Partition:
+    """Equivalence structure with one block for each bit, built from its runs."""
+    return Partition.from_runs(block_runs(bits))
 
 
-def block_character(bits: Sequence[int], n: int) -> Character:
+def block_character(bits: Sequence[int]) -> Character:
     """Character computed directly from the coding formula, in size order."""
-    head = _check_bits(bits, n)[:n]
+    head = _check_bits(bits)
     zeros = head.count(0)
     return Character(([(1, zeros)] if zeros else [])
                      + [(2 * i + 3 + (bit == 1), 1) for i, bit in enumerate(head)])

@@ -108,12 +108,9 @@ def _cmd_pi01(args: SimpleNamespace) -> int:
 
 
 def _cmd_preorder(args: SimpleNamespace) -> int:
-    if args.horizon is not None and not args.verify:
-        raise InputError("--horizon needs --verify")
     approx = table_from_json(Delta02SetApprox, _load_json(args.b))
     table = preorder.run_preorder(approx, args.stages)
-    horizon = args.horizon if args.horizon is not None else approx.width - 1
-    report = preorder.verify_claim(table, approx, horizon) if args.verify else None
+    report = preorder.verify_claim(table, approx) if args.verify else None
     if args.snapshot:
         _dump_json(args.snapshot, preorder.snapshot_to_json(preorder.materialize(table)))
     if report is None:
@@ -125,26 +122,25 @@ def _cmd_preorder(args: SimpleNamespace) -> int:
             f"[{status}]"
         )
     print(
-        f"zero thresholds: {report.zero_count} (need >= {horizon}), "
+        f"zero thresholds: {report.zero_count} (need >= {approx.width - 1}), "
         f"fingerprint {list(report.fingerprint_values)} vs set {list(report.expected_members)}"
     )
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_blocks(args: SimpleNamespace) -> int:
-    if (args.x is None) == (args.decode is None) or (args.x is None and args.encode is not None):
+    if (args.x is None) == (args.decode is None) or (args.x is None) != (args.encode is None):
         raise InputError("use either --x with --encode, or --decode")
     if args.x is not None:
         bits = blocks_mod.parse_bits(args.x)
         n = len(bits)
         window = blocks_mod.block_offset(n)
-        if args.encode:
-            _dump_json(args.encode, {
-                "format": 3,
-                "n_blocks": n,
-                "partition": partition_to_json(window, blocks_mod.block_runs(bits, n)),
-                "character": blocks_mod.block_character(bits, n).to_pairs(),
-            })
+        _dump_json(args.encode, {
+            "format": 3,
+            "n_blocks": n,
+            "partition": partition_to_json(window, blocks_mod.block_runs(bits)),
+            "character": blocks_mod.block_character(bits).to_pairs(),
+        })
         print(f"encoded {n} bits into {window} elements")
         return EXIT_OK
     obj = _load_json(args.decode)
@@ -159,7 +155,7 @@ def _cmd_blocks(args: SimpleNamespace) -> int:
     if obj.get("format") == 3:
         # a block file's partition is the coding of the decoded bits, length for
         # length; == takes true for 1 and 1.0 for 1, so each number must be an int
-        window, runs = blocks_mod.block_offset(n), blocks_mod.block_runs(bits, n)
+        window, runs = blocks_mod.block_offset(n), blocks_mod.block_runs(bits)
         part = obj.get("partition")
         if not (part == partition_to_json(window, runs)
                 and all(type(v) is int for v in (part["window"], *part["runs"]))):
@@ -199,8 +195,8 @@ def _suite_preorder(seed: int) -> tuple[bool, str]:
         K = 3 + j % 8
         approx = generators.generate_b(seed + j, K)
         flips += generators.has_membership_flip(approx)
-        table = preorder.run_preorder(approx, preorder.required_stages_for(approx, K) + 2)
-        if not preorder.verify_claim(table, approx, K).all_ok:
+        table = preorder.run_preorder(approx, preorder.required_stages_for(approx) + 2)
+        if not preorder.verify_claim(table, approx).all_ok:
             bad += 1
     return bad == 0, (
         f"preorder fingerprints: {30 - bad}/30 set approximations recovered "
@@ -213,12 +209,12 @@ def _suite_blocks(seed: int) -> tuple[bool, str]:
     bad = 0
     for _ in range(100):
         bits = [rng.randint(0, 1) for _ in range(64)]
-        if blocks_mod.decode_character(blocks_mod.block_character(bits, 64), 64) != bits:
+        if blocks_mod.decode_character(blocks_mod.block_character(bits), 64) != bits:
             bad += 1
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        direct = blocks_mod.block_character(bits, n)
-        via_partition = character_of(blocks_mod.encode_blocks(bits, n))
+        direct = blocks_mod.block_character(bits)
+        via_partition = character_of(blocks_mod.encode_blocks(bits))
         if direct != via_partition:
             bad += 1
     return bad == 0, "block coder: 100 round trips and 33 character cross-checks exact"
@@ -255,7 +251,6 @@ _COMMANDS = {
     "preorder": (_cmd_preorder, "encode a binary limit set into a preorder", (
         ("--b", dict(required=True, help="set approximation JSON file")),
         ("--stages", dict(type=int, required=True)),
-        ("--horizon", dict(type=int, help="verify membership up to this value")),
         ("--snapshot", dict(help="write the materialized order here")),
         ("--verify", dict(action="store_true")))),
     "blocks": (_cmd_blocks, "encode/decode bit vectors as block structures", (

@@ -218,7 +218,9 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     while (s := w * (w + 1) // 2 + e) <= budget:
         if timeline is None:
             latched = _churn_latches(member, k, last, s)
-            has_k = any(len(c) == k for c in member.classes_after(s))
+            formed, absorbed = member.rounds(s)   # classes_after(s) by size, as in _churn_latches
+            has_k = (formed > absorbed if k == member.target_size
+                     else absorbed * member.target_size + 1 == k)
         else:
             latched = False
             while i < len(timeline) and timeline[i][0] <= s:

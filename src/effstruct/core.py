@@ -162,10 +162,10 @@ class UPTable(Record):
         col = self.columns[x]
         return len(col.prefix), len(col.period)
 
-    def stabilization_stage(self, bound: int) -> int:
-        """The greatest prefix length of the columns x <= bound: from it on
-        each g(x, .) runs through its period."""
-        return max((len(self.columns[x].prefix) for x in range(min(bound, self.width - 1) + 1)), default=0)
+    def stabilization_stage(self) -> int:
+        """The greatest prefix length of the columns: from it on every
+        g(x, .) runs through its period."""
+        return max((len(col.prefix) for col in self.columns), default=0)
 
 
 def table_to_json(t: UPTable) -> dict:

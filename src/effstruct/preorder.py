@@ -12,7 +12,7 @@ most once and only to 0, which keeps the enumerated facts consistent, and
 in the limit the set of positive thresholds equals B.
 
 A run steps only to the settle stage P = max(T, W) + 2, where W is the
-width and T = stabilization_stage(W - 1), and keeps the rest as a count.
+width and T = stabilization_stage(), and keeps the rest as a count.
 Claim: past P a step only gives a fresh a_i the threshold 0 at each odd
 stage.  Proof: an even stage s+1 reads g(x, s) for 1 <= x < min(s+1, W);
 no x >= W is read or ever held.  Let e be the first even stage with
@@ -128,10 +128,9 @@ def preorder_step(t: VTable, gB: Delta02SetApprox) -> VTable:
 
 
 def settle_stage(gB: Delta02SetApprox) -> int:
-    """P = max(stabilization_stage(width - 1), width) + 2: past it a step
-    only gives a fresh a_i the threshold 0 at each odd stage (module
-    docstring)."""
-    return max(gB.stabilization_stage(gB.width - 1), gB.width) + 2
+    """P = max(stabilization_stage(), width) + 2: past it a step only gives
+    a fresh a_i the threshold 0 at each odd stage (module docstring)."""
+    return max(gB.stabilization_stage(), gB.width) + 2
 
 
 def run_preorder(gB: Delta02SetApprox, stages: int) -> VTable:
@@ -254,40 +253,37 @@ class ClaimReport(Record):
         )
 
 
-def required_stages_for(gB: Delta02SetApprox, horizon_x: int) -> int:
-    """Stages needed before membership up to horizon_x is certified."""
-    return gB.stabilization_stage(horizon_x) + 1 + 2 * (horizon_x + 1)
+def required_stages_for(gB: Delta02SetApprox) -> int:
+    """Stages needed before membership of every x below the width is certified."""
+    return gB.stabilization_stage() + 1 + 2 * gB.width
 
 
-def verify_claim(t: VTable, gB: Delta02SetApprox, horizon_x: int) -> ClaimReport:
+def verify_claim(t: VTable, gB: Delta02SetApprox) -> ClaimReport:
     """Check the limit identity between thresholds and the encoded set.
 
-    For every 1 <= x <= horizon_x: x in B iff exactly one i holds
-    v(i) = x, and no i holds it otherwise.  The zero threshold must be
-    held by at least horizon_x many indices (the finite stand-in for
-    "infinitely many"), and the positive thresholds up to the horizon
-    must reproduce B exactly.
+    For every 1 <= x < W, W the width: x in B iff exactly one i holds
+    v(i) = x, and no i holds it otherwise.  No x >= W is ever held (module
+    docstring), so the positive thresholds must reproduce B exactly.  The
+    zero threshold must be held by at least W - 1 many indices (the finite
+    stand-in for "infinitely many").
     """
-    if horizon_x < 0:
-        raise InputError("horizon must be nonnegative")
-    required = required_stages_for(gB, horizon_x)
+    horizon, required = gB.width - 1, required_stages_for(gB)
     if t.stage < required:
         raise HorizonError(
-            f"construction ran {t.stage} stages; horizon {horizon_x} "
+            f"construction ran {t.stage} stages; horizon {horizon} "
             f"requires at least {required}",
             required_stages=required,
         )
     entries = tuple(
         ClaimEntry(x=x, in_b=gB.liminf(x) == 1, holders=tuple(t.holders_of(x)))
-        for x in range(1, horizon_x + 1)
+        for x in range(1, gB.width)
     )
     zero_count = len(t.holders.get(0, ())) + t.tail
-    fp = tuple(sorted(v for v in fingerprint(t) if v <= horizon_x))
     return ClaimReport(
         entries=entries,
         zero_count=zero_count,
-        zero_count_ok=zero_count >= horizon_x,
-        fingerprint_values=fp,
+        zero_count_ok=zero_count >= horizon,
+        fingerprint_values=tuple(sorted(fingerprint(t))),
         expected_members=tuple(e.x for e in entries if e.in_b),
     )
 

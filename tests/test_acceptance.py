@@ -227,9 +227,9 @@ def test_criterion_5_preorder_fingerprints():
         K = 3 + j % 8
         approx = generate_b(SEED * 200 + j, K)
         flip_instances += has_membership_flip(approx)
-        stages = preorder_required_stages(approx, K) + 2
+        stages = preorder_required_stages(approx) + 2
         table = run_preorder(approx, stages)
-        report = verify_claim(table, approx, K)
+        report = verify_claim(table, approx)
         # independent oracle: membership is the constant period value
         members = tuple(
             x for x in range(1, K + 1)
@@ -264,10 +264,10 @@ def test_criterion_6_block_coder():
     rng = random.Random(SEED)
     for _ in range(100):
         bits = [rng.randint(0, 1) for _ in range(64)]
-        assert decode_character(block_character(bits, 64), 64) == bits
+        assert decode_character(block_character(bits), 64) == bits
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        assert character_of(encode_blocks(bits, n)) == block_character(bits, n)
+        assert character_of(encode_blocks(bits)) == block_character(bits)
     print(
         "\ncriterion 6: PASS — 100 round trips at 64 bits and character "
         "agreement up to 32 blocks, exact"

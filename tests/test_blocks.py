@@ -16,13 +16,11 @@ from effstruct.errors import InputError
 
 
 def test_encode_examples():
-    assert [len(c) for c in encode_blocks([1], 1).classes()] == [4]
-    assert sorted(len(c) for c in encode_blocks([0], 1).classes()) == [1, 3]
-    assert sorted(len(c) for c in encode_blocks([1, 0], 2).classes()) == [1, 4, 5]
+    assert [len(c) for c in encode_blocks([1]).classes()] == [4]
+    assert sorted(len(c) for c in encode_blocks([0]).classes()) == [1, 3]
+    assert sorted(len(c) for c in encode_blocks([1, 0]).classes()) == [1, 4, 5]
     with pytest.raises(InputError):
-        encode_blocks([1], 2)
-    with pytest.raises(InputError):
-        encode_blocks([2], 1)
+        encode_blocks([2])
 
 
 def test_block_layout():
@@ -32,9 +30,9 @@ def test_block_layout():
 
 
 def test_character_formula():
-    assert block_character([1, 0], 2) == Character({4: 1, 5: 1, 1: 1})
-    assert block_character([1, 1, 1], 3) == Character({4: 1, 6: 1, 8: 1})
-    assert block_character([0, 0], 2) == Character({3: 1, 5: 1, 1: 2})
+    assert block_character([1, 0]) == Character({4: 1, 5: 1, 1: 1})
+    assert block_character([1, 1, 1]) == Character({4: 1, 6: 1, 8: 1})
+    assert block_character([0, 0]) == Character({3: 1, 5: 1, 1: 2})
 
 
 def test_decode_examples():
@@ -52,14 +50,14 @@ def test_round_trip_64_bits():
     rng = random.Random(64)
     for _ in range(100):
         bits = [rng.randint(0, 1) for _ in range(64)]
-        assert decode_character(block_character(bits, 64), 64) == bits
+        assert decode_character(block_character(bits), 64) == bits
 
 
 def test_formula_agrees_with_structure():
     rng = random.Random(99)
     for n in range(33):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        assert character_of(encode_blocks(bits, n)) == block_character(bits, n)
+        assert character_of(encode_blocks(bits)) == block_character(bits)
 
 
 def test_sizes_never_collide():

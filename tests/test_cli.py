@@ -170,22 +170,38 @@ def test_pi01_verify_ok(tmp_path):
     assert json.loads(trace_path.read_text())["format"] == 4
 
 
-@pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("preorder", "--horizon")])
-def test_verify_only_flag_needs_verify(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize("command, flag", [("pi01", "--labels"), ("coceer", "--report")])
+def test_verify_only_flag_needs_verify(tmp_path, capsys, family_file, command, flag):
     inputs = {
         "pi01": ["--g", _write(tmp_path / "g.json", table_to_json(generate_gtable(1, 4))),
                  "--stages", "60", "--trace"],
-        "preorder": ["--b", _write(tmp_path / "b.json", table_to_json(generate_b(5, 6))),
-                     "--stages", "50", "--snapshot"],
+        "coceer": ["--family", family_file, "--columns", "4", "--stages", "600", "--trace"],
     }
     out = tmp_path / "out.json"
-    assert main([command, *inputs[command], str(out), flag, "3"]) == 2
+    value = {"--labels": "3", "--report": str(tmp_path / "report.json")}[flag]
+    assert main([command, *inputs[command], str(out), flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag} needs --verify\n"
     assert not out.exists()
     # without the flag, --verify checks its default
     assert main([command, *inputs[command], str(out), "--verify"]) == 0
     if command == "pi01":
         assert capsys.readouterr().out == "label 0: expected 8, observed 8 [ok]\n"
+
+
+def test_preorder_takes_no_horizon(tmp_path, capsys):
+    """``preorder --verify`` checks every x below the width, which the input
+    fixes, so ``--horizon`` is an unknown flag: exit 2, no file written."""
+    b = _write(tmp_path / "b.json", table_to_json(generate_b(5, 6)))
+    out = tmp_path / "out.json"
+    argv = ["preorder", "--b", b, "--stages", "50", "--snapshot", str(out)]
+    for extra in (["--horizon", "3"], ["--horizon", "3", "--verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --horizon 3" in capsys.readouterr().err
+        assert not out.exists()
+    assert main([*argv, "--verify"]) == 0
+    assert capsys.readouterr().out.endswith("(need >= 6), fingerprint [1, 2, 4] vs set [1, 2, 4]\n")
 
 
 def test_coceer_verify_and_reports(tmp_path, family_file):
@@ -243,6 +259,39 @@ def test_coceer_churn_target_other_than_column_size(tmp_path, capsys):
         "satisfied=True, certified=True [ok]")
 
 
+_NO_EVENTS = {"type": "script", "events": []}
+# (members of a two-column family with v in one integer slot, exit code at 400 stages)
+_FAMILY_SLOTS = {
+    "churn-k-column-0": (lambda v: [{"type": "churn", "k": v, "spacing": 1}, _NO_EVENTS], 0),
+    "churn-k-column-1": (lambda v: [_NO_EVENTS, {"type": "churn", "k": v, "spacing": 1}], 0),
+    # a churn of the column's own target settles only after the focus on diagonal 2v - 1
+    "churn-spacing-on-target": (lambda v: [{"type": "churn", "k": 2, "spacing": v},
+                                           {"type": "churn", "k": 4, "spacing": v}], 1),
+    "churn-spacing-off-target": (lambda v: [{"type": "churn", "k": 3, "spacing": v},
+                                            {"type": "churn", "k": 5, "spacing": v}], 0),
+    # a column settles only past the script's last event stage
+    "script-stage": (lambda v: [{"type": "script", "events": [[v, [1, 2]]]}] * 2, 1),
+    "script-x": (lambda v: [{"type": "script", "events": [[1, [v, 2]]]}] * 2, 0),
+    "script-y": (lambda v: [{"type": "script", "events": [[1, [1, v]]]}] * 2, 0),
+}
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, 2**63, 10**30])
+@pytest.mark.parametrize("slot", list(_FAMILY_SLOTS))
+def test_coceer_takes_any_natural_in_a_family(tmp_path, capsys, slot, value):
+    """No natural in a family's integer slots makes ``coceer`` raise, however
+    far past a machine word.  A slot that puts a column's settle stage past
+    the 400-stage budget leaves it uncertified, exit 1."""
+    members, expected = _FAMILY_SLOTS[slot]
+    fam_path = _write(tmp_path / "fam.json", {"members": members(value)})
+    code = main(["coceer", "--family", fam_path, "--columns", "2", "--stages", "400", "--verify",
+                 "--trace", str(tmp_path / "trace.json"), "--report", str(tmp_path / "r.json")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (expected, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("[ok]") == (code == 0) for line in lines)
+
+
 def test_preorder_verify_and_snapshot(tmp_path):
     path = _write(tmp_path / "b.json", table_to_json(generate_b(5, 6)))
     snap_path = tmp_path / "snap.json"
@@ -289,7 +338,17 @@ def test_blocks_encode_is_linear_and_builds_no_partition(tmp_path, monkeypatch):
 
 def test_blocks_flag_validation(tmp_path, capsys):
     assert main(["blocks"]) == 2
-    assert main(["blocks", "--x", "012"]) == 2
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main(["blocks", "--x", "012", "--encode", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bit string must be nonempty over {0,1}")
+    # a bit string is only encoded into a file: --x needs --encode, and an empty path is
+    # no file
+    assert main(["blocks", "--x", "101"]) == 2
+    assert capsys.readouterr() == ("", "error: use either --x with --encode, or --decode\n")
+    assert main(["blocks", "--x", "101", "--encode", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+    assert not out.exists()
     # each of these characters decodes once n_blocks is taken as given
     for character, n_blocks in (([[4, 1]], "x"), ([], -1), ([[4, 1]], True)):
         path = _write(tmp_path / "char.json", {"character": character, "n_blocks": n_blocks})
@@ -311,7 +370,6 @@ def test_blocks_flag_validation(tmp_path, capsys):
         assert main(["blocks", "--decode", path]) == 0, header
         assert capsys.readouterr().out == "1\n"
     # --encode goes with --x only
-    out = tmp_path / "out.json"
     assert main(["blocks", "--decode", path, "--encode", str(out)]) == 2
     assert not out.exists()
 

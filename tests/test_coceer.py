@@ -232,6 +232,19 @@ def test_verify_churn_settles_on_initial_witnesses():
     assert extras - set(column_witnesses(col)) <= column_exiles(col)
 
 
+@pytest.mark.parametrize("target", [2**63 - 1, 2**63, 10**30])
+def test_churn_target_past_a_machine_word(target):
+    """A churn's classes are read by size from its rounds, never as ranges,
+    so a target past ``sys.maxsize`` runs like any other: neither column
+    ever has a class of its size, and both settle on case 4 at once."""
+    fam = CeerFamily((ChurnGenerator(target, 1),) * 2)
+    columns, trace = run_coceer(fam, 2, 400)
+    assert trace.cases == ((4,), (4,)) and trace.tails == (4, 4)
+    for e in range(2):
+        report = verify_requirement(columns, fam, e)
+        assert report.satisfied and report.certified
+
+
 def test_spaced_witness_sizes_disjoint_across_columns():
     columns, _ = run_coceer(CeerFamily((EMPTY,) * 30), 30, 1)
     taken: set[int] = set()

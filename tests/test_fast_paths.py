@@ -952,8 +952,7 @@ def _assert_preorder_matches_reference(gB, stages):
         assert fast.holders_of(x) == ref.holders_of(x), x
     run = preorder.run_preorder(gB, stages)
     assert expand_tail(run) == fast
-    horizon = gB.width - 1
-    assert preorder.verify_claim(run, gB, horizon) == preorder.verify_claim(fast, gB, horizon)
+    assert preorder.verify_claim(run, gB) == preorder.verify_claim(fast, gB)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 5, 8, 12])
@@ -967,7 +966,7 @@ def test_pi01_matches_reference(K):
 def test_preorder_matches_reference(K):
     for seed in range(1, 31):
         gB = generate_b(seed, K)
-        stages = preorder.required_stages_for(gB, gB.width - 1) + 2 * gB.width + 12
+        stages = preorder.required_stages_for(gB) + 2 * gB.width + 12
         _assert_preorder_matches_reference(gB, stages)
 
 
@@ -1052,19 +1051,19 @@ def test_snapshot_format_3_expands_to_format_2():
 def test_block_layout_matches_merges():
     rng = random.Random(31)
     for n in list(range(12)) + [64, 200]:
-        bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
-        built = blocks.encode_blocks(bits, n)
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        built = blocks.encode_blocks(bits)
         ref = reference_block_partition(bits, n)
         assert built.classes() == ref.classes()
         assert eqrel.character_of(built) == eqrel.character_of(ref)
-        assert eqrel.character_of(built) == blocks.block_character(bits, n)
+        assert eqrel.character_of(built) == blocks.block_character(bits)
 
 
 def test_block_runs_match_member_lists():
     rng = random.Random(37)
     for n in range(65):
-        bits = [rng.randint(0, 1) for _ in range(n + rng.randint(0, 3))]
-        runs = blocks.block_runs(bits, n)
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        runs = blocks.block_runs(bits)
         members, start = [], 0
         for length in runs:   # consecutive intervals from 0
             members.append(list(range(start, start + length)))
@@ -1081,7 +1080,7 @@ def test_block_encode_file_matches_general_path():
     length turned back into its ``[start, stop]`` run the partition is the
     format-2 file's, each class one run from its minimum to its maximum."""
     rng = random.Random(43)
-    assert runs_as_format_2(eqrel.partition_to_json(0, blocks.block_runs([], 0))) == \
+    assert runs_as_format_2(eqrel.partition_to_json(0, blocks.block_runs([]))) == \
         {"window": 0, "runs": []}   # n = 0, which the command line refuses
     with tempfile.TemporaryDirectory() as work:
         path = f"{work}/blocks.json"
@@ -1089,7 +1088,7 @@ def test_block_encode_file_matches_general_path():
         assert not os.path.exists(path)
         for n in list(range(1, 201)) + [400]:
             bits = [rng.randint(0, 1) for _ in range(n)]
-            p = blocks.encode_blocks(bits, n)
+            p = blocks.encode_blocks(bits)
             obj = {"format": 3, "n_blocks": n,
                    "partition": {"window": p.window, "runs": partition_runs(p)},
                    "character": eqrel.character_of(p).to_pairs()}
@@ -1194,7 +1193,7 @@ def test_pi01_matches_reference_property(g, extra):
 @settings(deadline=None, max_examples=60)
 @given(_set_approxes, st.integers(1, 30))
 def test_preorder_matches_reference_property(gB, extra):
-    stages = preorder.required_stages_for(gB, gB.width - 1) + gB.width + extra
+    stages = preorder.required_stages_for(gB) + gB.width + extra
     _assert_preorder_matches_reference(gB, stages)
 
 
@@ -1291,10 +1290,8 @@ def test_preorder_tail_matches_stepped_property(gB, stages):
     run = preorder.run_preorder(gB, stages)
     assert expand_tail(run) == stepped
     assert run.tail == sum(1 for event in stepped.events if event[0] > preorder.settle_stage(gB))
-    horizon = gB.width - 1
-    if stages >= preorder.required_stages_for(gB, horizon):
-        assert preorder.verify_claim(run, gB, horizon) == preorder.verify_claim(
-            stepped, gB, horizon)
+    if stages >= preorder.required_stages_for(gB):
+        assert preorder.verify_claim(run, gB) == preorder.verify_claim(stepped, gB)
     assert preorder.snapshot_to_json(preorder.materialize(run)) == preorder.snapshot_to_json(
         preorder.materialize(stepped))
 
@@ -1383,6 +1380,6 @@ def test_preorder_operation_counts(monkeypatch, K):
         sizes.add((len(t.v), len(t.events), sum(map(len, t.holders.values()))))
         assert t.tail == (budget + 1) // 2 - (settle + 1) // 2
         holder_queries[0] = 0
-        assert preorder.verify_claim(t, gB, K).all_ok
+        assert preorder.verify_claim(t, gB).all_ok
         assert holder_queries[0] == K
     assert len(sizes) == 1

@@ -174,8 +174,8 @@ def test_fingerprint():
 
 
 def test_verify_claim_empty_set():
-    t = run_preorder(EMPTY_SET, required_stages_for(EMPTY_SET, 3))
-    report = verify_claim(t, EMPTY_SET, 3)
+    t = run_preorder(EMPTY_SET, required_stages_for(EMPTY_SET))
+    report = verify_claim(t, EMPTY_SET)
     assert report.all_ok
     assert report.fingerprint_values == ()
     assert all(v == 0 for v in t.v.values())
@@ -183,19 +183,21 @@ def test_verify_claim_empty_set():
 
 def test_verify_claim_two_members():
     b = _approx(([], 0), ([], 1), ([], 0), ([], 0), ([], 1))  # B = {2, 5}
-    t = run_preorder(b, required_stages_for(b, 8) + 1)
-    report = verify_claim(t, b, 8)
+    t = run_preorder(b, required_stages_for(b) + 1)
+    report = verify_claim(t, b)
     assert report.all_ok
     assert report.fingerprint_values == (2, 5)
+    # every x below the width is checked, and no other
+    assert [entry.x for entry in report.entries] == [1, 2, 3, 4, 5]
     for entry in report.entries:
         assert len(entry.holders) == (1 if entry.x in (2, 5) else 0)
-    assert report.zero_count >= 8
+    assert report.zero_count >= 5
 
 
 def test_verify_claim_after_flip():
     b = _approx(([], 0), ([], 0), ([1, 1, 1, 1, 1], 0))  # x = 3 flips out
-    t = run_preorder(b, required_stages_for(b, 3))
-    report = verify_claim(t, b, 3)
+    t = run_preorder(b, required_stages_for(b))
+    report = verify_claim(t, b)
     assert report.all_ok
     assert t.holders_of(3) == []
 
@@ -203,14 +205,14 @@ def test_verify_claim_after_flip():
 def test_verify_claim_horizon():
     b = _approx(([1, 1, 1, 1], 0))
     with pytest.raises(HorizonError) as err:
-        verify_claim(run_preorder(b, 3), b, 1)
-    assert err.value.required_stages == required_stages_for(b, 1)
+        verify_claim(run_preorder(b, 3), b)
+    assert err.value.required_stages == required_stages_for(b)
 
 
 def test_incomparable_counts_equal_thresholds_at_limit():
     b = _approx(([], 1), ([0, 1], 1), ([1, 1], 0))  # B = {1, 2}
-    t = run_preorder(b, required_stages_for(b, 3) + 3)
-    assert verify_claim(t, b, 3).all_ok
+    t = run_preorder(b, required_stages_for(b) + 3)
+    assert verify_claim(t, b).all_ok
     snap = materialize(t)
     assert snap.nb > max(t.v.values())
     for i in range(len(t.v)):
