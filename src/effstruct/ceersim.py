@@ -12,18 +12,18 @@ Two member kinds are supported:
   class: it has no class of size k at all even though size-k classes
   appear at infinitely many stages.
 
-:class:`CeerRunner` follows one member stage by stage and answers, for
-either kind, whether a class of size k exists and which is the oldest.
-It serves :mod:`effstruct.generators` and the tests; the co-ceer run
-builds none.  A script numbers its elements by first mention once, in
-the pass that checks its events (:attr:`CeerScript.pairs`); the runner
-merges those slot pairs in a union-find pass of its own, with no
-numbering of its own, and so do the co-ceer run's timeline and
+:class:`CeerRunner` replays one script stage by stage and answers whether
+a class of size k exists and which is the oldest.  It serves
+:mod:`effstruct.generators` and the tests; the co-ceer run builds none.
+A script numbers its elements by first mention once, in the pass that
+checks its events (:attr:`CeerScript.pairs`); the runner merges those
+slot pairs in a union-find pass of its own, with no numbering of its
+own, and so do the co-ceer run's timeline and
 :func:`limit_has_class_of_size` for a target size k up to the number of
 elements the script mentions.  Above it no class of size k ever exists
 (an unmentioned element stays a singleton), and both answer without a
 pass.  A churn generator's classes come in closed form from the stage
-number, without simulating its merges.
+number (:meth:`ChurnGenerator.rounds`), without simulating its merges.
 
 Snapshots are taken over the conceptually infinite domain omega: elements
 untouched by any event are singletons.
@@ -102,7 +102,7 @@ class ChurnGenerator(Record):
     2*spacing*r + 1 and merges it into the class of 0 ``spacing`` stages
     later.  Blocks tile omega minus {0}, so in the limit everything
     collapses into the class of 0.  The relation at any stage is known in
-    closed form (:meth:`classes_after`), so it is never simulated;
+    closed form (:meth:`rounds`), so it is never simulated;
     :meth:`events_at` lists the merges only for independent replays.
     """
 
@@ -122,26 +122,27 @@ class ChurnGenerator(Record):
         """(F, A): the rounds formed and absorbed once stages 0..stage have run.
 
         With d the spacing, F = floor((s-1)/2d) + 1 and A = floor((s-1-d)/2d)
-        + 1 (both 0 before their first stage), and F - A is 0 or 1.
+        + 1 (both 0 before their first stage), and F - A is 0 or 1.  They
+        give the classes in closed form, k being the target size: the class
+        of 0 is {0} plus blocks 0..A-1, of A*k + 1 elements; a formed block
+        not yet absorbed (F > A) is a class of its own, of k elements with
+        minimum 1 + (F-1)*k; every other element is a singleton.
         """
         d = self.block_spacing
         s = max(stage, 0)
         return (s - 1) // (2 * d) + 1, (s - 1 - d) // (2 * d) + 1
 
-    def classes_after(self, stage: int) -> tuple[range, ...]:
-        """The classes of two or more elements once stages 0..stage have run.
-
-        With (F, A) = :meth:`rounds`, the class of 0 is {0} plus blocks
-        0..A-1; a formed block not yet absorbed is a class of its own;
-        every other element is a singleton.  Classes come by minimum.
-        """
+    def has_class_of_size(self, size: int, stage: int) -> bool:
+        """Whether a class of exactly ``size`` elements exists once stages
+        0..stage have run, read off :meth:`rounds`: singletons for size 1,
+        the pending block for the target size (the class of 0, of A*k + 1
+        elements, never has it), the class of 0 otherwise."""
+        if size == 1:   # cofinitely many singletons in omega
+            return True
         formed, absorbed = self.rounds(stage)
-        out = []
-        if absorbed:
-            out.append(range(0, self.round_base(absorbed)))
-        if formed > absorbed:
-            out.append(range(self.round_base(formed - 1), self.round_base(formed)))
-        return tuple(out)
+        if size == self.target_size:
+            return formed > absorbed
+        return absorbed * self.target_size + 1 == size
 
     def events_at(self, stage: int) -> list[tuple[int, int]]:
         k, d = self.target_size, self.block_spacing
@@ -175,30 +176,26 @@ class CeerFamily(Record):
 
 
 class CeerRunner:
-    """Stage-by-stage replay of one family member.
+    """Stage-by-stage replay of one script.
 
-    A script is replayed into ``uf``, a :class:`Partition` over the slots
-    the script numbered when it was read (:attr:`CeerScript.elements`):
+    The script is replayed into ``uf``, a :class:`Partition` over the slots
+    it numbered when it was read (:attr:`CeerScript.elements`):
     :meth:`advance_to` merges :attr:`CeerScript.pairs` from the first pair
-    not merged yet through the stage.  A churn generator's classes come
-    from :meth:`ChurnGenerator.classes_after`, and its ``uf`` stays empty.
-    Every query reads :attr:`classes`, which a script lists once per
-    advance that merged.
+    not merged yet through the stage.  Every query reads :attr:`classes`,
+    listed once per advance that merged.
     """
 
-    def __init__(self, member: FamilyMember):
+    def __init__(self, member: CeerScript):
         self.member = member
         self.stage = -1
         self._merged = 0   # script pairs already merged into uf
         self._classes: Optional[tuple[tuple[int, ...], ...]] = ()
-        self.uf = Partition(len(member.elements) if isinstance(member, CeerScript) else 0)
+        self.uf = Partition(len(member.elements))
 
     def advance_to(self, stage: int) -> None:
         if stage <= self.stage:
             return
         self.stage = stage
-        if isinstance(self.member, ChurnGenerator):
-            return
         pairs, merged, merge = self.member.pairs, self._merged, self.uf.merge
         while merged < len(pairs) and pairs[merged][0] <= stage:
             _, x, y = pairs[merged]
@@ -208,13 +205,10 @@ class CeerRunner:
             self._merged, self._classes = merged, None
 
     @property
-    def classes(self) -> tuple[Sequence[int], ...]:
+    def classes(self) -> tuple[tuple[int, ...], ...]:
         """The classes of two or more elements, by minimum, members ascending."""
-        member = self.member
-        if isinstance(member, ChurnGenerator):
-            return member.classes_after(self.stage)
         if self._classes is None:
-            elements = member.elements
+            elements = self.member.elements
             self._classes = tuple(sorted(tuple(sorted(elements[i] for i in c))
                                          for c in self.uf.classes() if len(c) > 1))
         return self._classes

@@ -218,9 +218,7 @@ def _run_column(col: ColumnState, e: int, member: CeerScript | ChurnGenerator,
     while (s := w * (w + 1) // 2 + e) <= budget:
         if timeline is None:
             latched = _churn_latches(member, k, last, s)
-            formed, absorbed = member.rounds(s)   # classes_after(s) by size, as in _churn_latches
-            has_k = (formed > absorbed if k == member.target_size
-                     else absorbed * member.target_size + 1 == k)
+            has_k = member.has_class_of_size(k, s)
         else:
             latched = False
             while i < len(timeline) and timeline[i][0] <= s:
@@ -298,7 +296,7 @@ def _churn_latches(gen: ChurnGenerator, k: int, last: int, stage: int) -> bool:
 
     The classes of two or more are the class of 0, of size A*k' + 1 for k'
     the churn target and A the rounds absorbed, and a pending block of
-    size k' (:meth:`ChurnGenerator.classes_after`).  For k = k' the class of
+    size k' (:meth:`ChurnGenerator.rounds`).  For k = k' the class of
     0 never has size k (A*k' + 1 = k' has no solution), so the oldest
     size-k class is the pending block; a round forms a block with a larger
     minimum than every earlier one, and it is pending at its formation

@@ -267,11 +267,11 @@ def verify_claim(t: VTable, gB: Delta02SetApprox) -> ClaimReport:
     zero threshold must be held by at least W - 1 many indices (the finite
     stand-in for "infinitely many").
     """
-    horizon, required = gB.width - 1, required_stages_for(gB)
+    required = required_stages_for(gB)
     if t.stage < required:
         raise HorizonError(
-            f"construction ran {t.stage} stages; horizon {horizon} "
-            f"requires at least {required}",
+            f"construction ran {t.stage} stages; checking every x below the width "
+            f"{gB.width} requires at least {required}",
             required_stages=required,
         )
     entries = tuple(
@@ -282,7 +282,7 @@ def verify_claim(t: VTable, gB: Delta02SetApprox) -> ClaimReport:
     return ClaimReport(
         entries=entries,
         zero_count=zero_count,
-        zero_count_ok=zero_count >= horizon,
+        zero_count_ok=zero_count >= gB.width - 1,
         fingerprint_values=tuple(sorted(fingerprint(t))),
         expected_members=tuple(e.x for e in entries if e.in_b),
     )

@@ -16,9 +16,10 @@ last stepped focus, :class:`RecordedTrace` is a trace with its records and
 those triples (:func:`as_recorded`), and :func:`expand_tails`
 writes a run's tails out as the records of the focuses they stand for,
 :func:`focus_schedule` lists every focused stage of a run, and
-:func:`stepped_run_coceer` steps every focus through a ``CeerRunner``,
-replaying each event stage (:func:`stepped_latch`), with the library's
-dispatch and no settle rule; :func:`record_witnesses`,
+:func:`stepped_run_coceer` steps every focus with the library's dispatch
+and no settle rule, a script column through a ``CeerRunner`` replaying
+each event stage (:func:`stepped_latch`) and a churn column through the
+churn's closed form; :func:`record_witnesses`,
 :func:`column_witnesses` and :func:`report_y_limit` spell out the
 witnesses of a library record, column and report, and
 :func:`reference_trace_from_json` rebuilds a run's records and tails from
@@ -65,7 +66,7 @@ a block file's partition with the coding as JSON text, and
 
 The snapshot oracles give a construction's relation at one stage as a
 :class:`Partition` of a finite window, merged pair by pair:
-:func:`runner_partition` and :func:`ceer_snapshot` for a family member,
+:func:`runner_partition` and :func:`ceer_snapshot` for a script member,
 :func:`coceer_snapshot` for the co-ceer and :func:`snapshot_at` for a
 pi01 trace.  :func:`generate_family` draws a mixed family of scripts and
 churn generators for the co-ceer tests.
@@ -164,7 +165,7 @@ class ReferenceRunner:
 
 
 def runner_partition(runner: CeerRunner, window: int) -> Partition:
-    """The runner's current relation restricted to [0, window).
+    """The runner's current relation, a script's, restricted to [0, window).
 
     Restriction happens after the closure on omega: two in-window
     elements joined through an out-of-window element are related.
@@ -178,7 +179,7 @@ def runner_partition(runner: CeerRunner, window: int) -> Partition:
 
 
 def ceer_snapshot(fam: CeerFamily, e: int, s: int, window: int) -> Partition:
-    """R_e[s] restricted to [0, window)."""
+    """R_e[s] restricted to [0, window), for a script member e."""
     runner = CeerRunner(fam.member(e))
     runner.advance_to(s)
     return runner_partition(runner, window)
@@ -347,19 +348,15 @@ def reference_trace_from_json(obj: dict) -> RecordedTrace:
 
 
 def stepped_latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: int) -> bool:
-    """Whether a never-seen oldest size-k class of the runner's member
+    """Whether a never-seen oldest size-k class of the runner's script
     appeared in (last, stage], for a runner advanced to ``last``.
 
-    A script's event stages in (last, stage] are read from its events and
+    The script's event stages in (last, stage] are read from its events and
     replayed one at a time; each oldest size-k minimum not in ``seen`` is
-    latched and added to it.  A churn member is answered by the library's
-    ``_churn_latches``.
+    latched and added to it.
     """
-    member = runner.member
-    if isinstance(member, ChurnGenerator):
-        return coceer._churn_latches(member, k, last, stage)
     latched = False
-    for t in sorted({t for t, _ in member.events if last < t <= stage}):
+    for t in sorted({t for t, _ in runner.member.events if last < t <= stage}):
         runner.advance_to(t)
         m = runner.oldest_class_min(k)
         if m is not None and m not in seen:
@@ -370,22 +367,31 @@ def stepped_latch(k: int, runner: CeerRunner, seen: set[int], last: int, stage: 
 
 def stepped_run_coceer(fam: CeerFamily, E: int, stage_budget: int
                        ) -> tuple[list[ColumnState], ReferenceTrace]:
-    """A co-ceer run with no script timeline: a ``CeerRunner`` per column,
-    :func:`stepped_latch` and the library's dispatch at every focused
-    stage, with no settle rule, so no column is advanced in closed form.
-    Stage 0 seeds the oldest-minimum history and latches nothing."""
+    """A co-ceer run with no script timeline and no settle rule, so no
+    column is advanced in closed form: the library's dispatch at every
+    focused stage.  A script column reads a ``CeerRunner`` and
+    :func:`stepped_latch`; a churn column reads the library's
+    ``ChurnGenerator.has_class_of_size`` and ``_churn_latches``.  Stage 0
+    seeds the oldest-minimum history and latches nothing."""
     columns = [ColumnState(k=2 * e + 2, next_free=2 * e + 2) for e in range(E)]
     records = []
     for e, col in enumerate(columns):
-        runner = CeerRunner(fam.member(e))
-        runner.advance_to(0)
-        first = runner.oldest_class_min(col.k)
-        seen = set() if first is None else {first}
+        member, runner = fam.member(e), None
+        if isinstance(member, CeerScript):
+            runner = CeerRunner(member)
+            runner.advance_to(0)
+            first = runner.oldest_class_min(col.k)
+            seen = set() if first is None else {first}
         last, w = 0, max(e, 1)
         while (s := w * (w + 1) // 2 + e) <= stage_budget:
-            latched = stepped_latch(col.k, runner, seen, last, s)
-            runner.advance_to(s)
-            case, x = coceer._dispatch(col, runner.has_class_of_size(col.k), latched)
+            if runner is None:
+                latched = coceer._churn_latches(member, col.k, last, s)
+                has_k = member.has_class_of_size(col.k, s)
+            else:
+                latched = stepped_latch(col.k, runner, seen, last, s)
+                runner.advance_to(s)
+                has_k = runner.has_class_of_size(col.k)
+            case, x = coceer._dispatch(col, has_k, latched)
             records.append(ReferenceRecord(s, e, case, column_witnesses(col), False,
                                            () if x is None else ((e, x),)))
             last, w = s, w + 1

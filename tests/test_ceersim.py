@@ -17,7 +17,7 @@ from effstruct.ceersim import (
 from effstruct.errors import InputError
 
 from bruteforce import bf_relation_of_partition, bf_subset
-from reference import ceer_snapshot, runner_partition
+from reference import ReferenceRunner, ceer_snapshot, runner_partition
 
 
 def _random_script(rng, elements=10, events=12, last_stage=40):
@@ -123,21 +123,20 @@ def test_snapshot_monotone_in_stage():
 
 
 def test_churn_round_shape():
-    fam = CeerFamily((ChurnGenerator(2, 3),))
+    gen = ChurnGenerator(2, 3)
+    runner = ReferenceRunner(gen)
     # formation at stage 1: block {1,2} is the only size-2 class
-    snap = ceer_snapshot(fam, 0, 1, 5)
-    assert snap.classes() == [[0], [1, 2], [3], [4]]
+    runner.advance_to(1)
+    assert runner.partition_classes(5) == [[0], [1, 2], [3], [4]]
+    assert gen.has_class_of_size(2, 1)
     # absorption at stage 4: block joins the class of 0, no size-2 class left
-    snap = ceer_snapshot(fam, 0, 4, 5)
-    assert snap.classes() == [[0, 1, 2], [3], [4]]
-    runner = CeerRunner(fam.member(0))
     runner.advance_to(4)
-    assert not runner.has_class_of_size(2)
+    assert runner.partition_classes(5) == [[0, 1, 2], [3], [4]]
+    assert not runner.has_class_of_size(2) and not gen.has_class_of_size(2, 4)
 
 
 def test_churn_oldest_minima_strictly_increase():
-    gen = ChurnGenerator(3, 2)
-    runner = CeerRunner(gen)
+    runner = ReferenceRunner(ChurnGenerator(3, 2))
     minima = []
     for stage in range(0, 200):
         runner.advance_to(stage)
@@ -150,15 +149,29 @@ def test_churn_oldest_minima_strictly_increase():
 
 def test_churn_single_target_class_at_every_stage():
     gen = ChurnGenerator(4, 3)
-    fam = CeerFamily((gen,))
+    runner = ReferenceRunner(gen)
     stages = 300
     # the window holds every block formed by the last stage
     window = gen.round_base((stages - 1) // (2 * gen.block_spacing) + 1)
     counts = set()
     for stage in range(stages):
-        classes = ceer_snapshot(fam, 0, stage, window).classes()
-        counts.add(sum(1 for c in classes if len(c) == 4))
+        runner.advance_to(stage)
+        counts.add(sum(1 for c in runner.partition_classes(window) if len(c) == 4))
     assert counts == {0, 1}
+
+
+@pytest.mark.parametrize("target", [2**63 - 1, 2**63])
+def test_churn_size_query_past_a_machine_word(target):
+    """A churn's size-k fact is plain arithmetic on its rounds, with no
+    ``len()`` of a class, so a target past ``sys.maxsize`` raises nothing.
+    By the rounds, the class of 0 has A*k' + 1 elements and a pending block
+    k' elements; every other class is a singleton."""
+    gen = ChurnGenerator(target, 1)
+    for stage in range(13):
+        formed, absorbed = gen.rounds(stage)
+        sizes = {1, absorbed * target + 1} | ({target} if formed > absorbed else set())
+        for k in (1, 2, target, target + 1, 2 * target + 1):
+            assert gen.has_class_of_size(k, stage) == (k in sizes), (stage, k)
 
 
 def test_limit_has_class_of_size_script():

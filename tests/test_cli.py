@@ -132,6 +132,12 @@ def test_insufficient_horizon_is_exit_2(tmp_path, capsys):
     code = main(["pi01", "--g", path, "--stages", "3", "--labels", "4", "--verify"])
     assert code == 2
     assert "required stages" in capsys.readouterr().err
+    # preorder names the width it checks below, not a horizon setting
+    path = _write(tmp_path / "b.json", table_to_json(generate_b(7, 10)))
+    assert main(["preorder", "--b", path, "--stages", "20", "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: construction ran 20 stages; checking every x below the width 11 "
+        "requires at least 31 (required stages: 31)\n")
 
 
 @pytest.mark.parametrize("command", ["pi01", "preorder"])

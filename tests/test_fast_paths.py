@@ -91,19 +91,23 @@ def _assert_same_queries(runner, ref, sizes):
             assert runner.oldest_class_min(size) == ref.oldest_class_min(size), (ref.stage, size)
 
 
-@pytest.mark.parametrize("k", range(2, 9))
-def test_churn_closed_form_matches_replay(k):
-    window = 41  # cuts through blocks, so restriction to the window is exercised
+@pytest.mark.parametrize("target", range(2, 9))
+def test_churn_closed_form_matches_replay(target):
+    """Under spacing 1-4, at every stage 0-200 and for every size 1-40, the
+    churn's closed form answers as a replay of its merges: whether a class
+    of that size exists, and whether an oldest minimum of that size never
+    seen at an earlier stage appears, stage 0 only seeding the history."""
     for d in range(1, 5):
-        gen = ChurnGenerator(k, d)
-        fam = CeerFamily((gen,))
-        runner, ref = CeerRunner(gen), ReferenceRunner(gen)
+        gen = ChurnGenerator(target, d)
+        ref, seen = ReferenceRunner(gen), {k: set() for k in range(1, 41)}
         for s in range(201):
-            runner.advance_to(s)
             ref.advance_to(s)
-            _assert_same_queries(runner, ref, range(1, 41))
-            assert ceer_snapshot(fam, 0, s, window).classes() == ref.partition_classes(window)
-        assert len(runner.uf.parent) == 0
+            for k in range(1, 41):
+                m = ref.oldest_class_min(k)
+                fresh = s > 0 and m is not None and m not in seen[k]
+                seen[k].add(m)
+                assert gen.has_class_of_size(k, s) == ref.has_class_of_size(k), (d, s, k)
+                assert coceer._churn_latches(gen, k, s - 1, s) == fresh, (d, s, k)
 
 
 def _random_script(rng):
@@ -188,15 +192,22 @@ def test_limit_check_matches_runner_and_closure_property(script):
               st.integers(0, 60)),
 ))
 def test_runner_matches_reference_property(member_and_last):
-    """At every stage through one past the last event, the runner answers
-    every size query as the reference replay does, and its classes are the
-    reference's classes of two or more.  A wide or falling script puts the
-    runner's slots, numbered by first mention, out of element order."""
+    """At every stage through one past the last event, a script's runner
+    answers every size query as the reference replay does, and its classes
+    are the reference's classes of two or more; a churn's closed form
+    answers every size query as the replay does.  A wide or falling script
+    puts the runner's slots, numbered by first mention, out of element
+    order."""
     member, last = member_and_last
-    if last is None:
-        last = member.last_event_stage
-    runner, ref = CeerRunner(member), ReferenceRunner(member)
-    for s in range(last + 2):
+    ref = ReferenceRunner(member)
+    if last is not None:   # a churn
+        for s in range(last + 2):
+            ref.advance_to(s)
+            for k in range(1, len(ref.uf.class_of) + 2):
+                assert member.has_class_of_size(k, s) == ref.has_class_of_size(k), (s, k)
+        return
+    runner = CeerRunner(member)
+    for s in range(member.last_event_stage + 2):
         runner.advance_to(s)
         ref.advance_to(s)
         _assert_same_queries(runner, ref, range(1, len(ref.uf.class_of) + 2))
@@ -555,14 +566,27 @@ def test_runs_match_reference_property(members, budget):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(2, 60), st.integers(0, 200), st.integers(0, 130))
-def test_churn_jump_matches_replay_property(k, s, window):
-    gen = ChurnGenerator(k, 1)
-    runner, ref = CeerRunner(gen), ReferenceRunner(gen)
-    runner.advance_to(s)
-    ref.advance_to(s)
-    _assert_same_queries(runner, ref, {1, 2, k - 1, k, k + 1, *range(1, 2 * s + 2, k)})
-    assert runner_partition(runner, window).classes() == ref.partition_classes(window)
+@given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 200), st.integers(0, 200))
+def test_churn_jump_matches_replay_property(target, d, last, s):
+    """Over a jump (last, s] of any length, as between two focuses of a
+    column, the closed form latches iff a replay of the merges sees an
+    oldest size-k minimum that no earlier stage had, and at s it answers
+    every size query as the replay does."""
+    last, s = sorted((last, s))
+    gen = ChurnGenerator(target, d)
+    ref = ReferenceRunner(gen)
+    sizes = {1, 2, target - 1, target, target + 1, *range(1, 2 * s + 2, target)}
+    seen, fresh = {k: set() for k in sizes}, dict.fromkeys(sizes, False)
+    for t in range(s + 1):
+        ref.advance_to(t)
+        for k in sizes:
+            m = ref.oldest_class_min(k)
+            if last < t and m is not None and m not in seen[k]:
+                fresh[k] = True
+            seen[k].add(m)
+    for k in sizes:
+        assert gen.has_class_of_size(k, s) == ref.has_class_of_size(k), k
+        assert coceer._churn_latches(gen, k, last, s) == fresh[k], k
 
 
 def test_run_coceer_operation_counts(monkeypatch):
